@@ -327,12 +327,32 @@ impl NamingCache {
     /// through a single [`DhtKey::hash_batch`] multi-lane SHA-1 pass
     /// instead of one scalar pass per label.
     ///
-    /// Results, cache contents, and hit/miss accounting are the same
-    /// as resolving each label in order with [`resolve`]: a label
-    /// re-resolved within the batch is a hit, and the batch spends
-    /// exactly one SHA-1 compression sequence per *distinct* missing
-    /// label — no more, no fewer — so compression counters stay exact
-    /// under the batched path.
+    /// The returned keys always equal what [`resolve`] returns label
+    /// by label, and the batch always spends exactly one SHA-1
+    /// compression sequence per *distinct* label that was not cached
+    /// when the batch began — no more, no fewer — so compression
+    /// counters stay exact under the batched path.
+    ///
+    /// Admission is deferred until the misses have shared their one
+    /// hash pass, so the cache is left as if the batch's cached labels
+    /// had been resolved first (in order) and then each distinct
+    /// missing label once (in order of first appearance), every repeat
+    /// of a missing label counting as a hit. Against in-order
+    /// [`resolve`] that means:
+    ///
+    /// * hits, misses and evictions are the same **unless**, resolved
+    ///   in order, a miss would evict a label that appears later in
+    ///   the same batch. At capacity 2 with `A, B` warm, `[C, A]` in
+    ///   order has `C` evict `A`, which then misses again (0 hits,
+    ///   2 more misses, 2 evictions); batched, `A` is served before
+    ///   `C` is admitted (1 hit, 1 more miss, 1 eviction);
+    /// * a batch that fits — cached entries plus distinct misses
+    ///   within capacity — evicts nothing either way and leaves the
+    ///   same contents;
+    /// * recency is not preserved: a hit that follows a miss in the
+    ///   batch ends up older than that miss, so once a batch overflows
+    ///   the cache, *which* entries get evicted (and hence the
+    ///   contents) may differ.
     ///
     /// [`resolve`]: NamingCache::resolve
     pub fn resolve_batch(&self, labels: &[Label]) -> Vec<DhtKey> {
@@ -753,6 +773,107 @@ mod tests {
         assert_eq!(keys, expect);
         assert_eq!(batched.stats(), sequential.stats());
         assert_eq!(batched.stats().evictions, 3);
+    }
+
+    #[test]
+    fn resolve_batch_serves_a_hit_that_in_order_eviction_would_lose() {
+        // The documented divergence: in order, C evicts A (the LRU
+        // entry) and A then misses again; batched, A is served before
+        // C is admitted.
+        let batched = NamingCache::new(2);
+        let in_order = NamingCache::new(2);
+        let (a, b, c) = (l("#00"), l("#01"), l("#010"));
+        for cache in [&batched, &in_order] {
+            cache.resolve(&a);
+            cache.resolve(&b);
+        }
+        let labels = [c, a];
+        let keys = batched.resolve_batch(&labels);
+        let expect: Vec<DhtKey> = labels.iter().map(|l| in_order.resolve(l)).collect();
+        assert_eq!(keys, expect, "keys agree even where the accounting does not");
+        let (bs, is) = (batched.stats(), in_order.stats());
+        assert_eq!((bs.hits, bs.misses, bs.evictions), (1, 3, 1));
+        assert_eq!((is.hits, is.misses, is.evictions), (0, 4, 2));
+    }
+
+    /// Cached labels, least recently used first.
+    fn lru_order(cache: &NamingCache) -> Vec<Label> {
+        cache.inner.lock().lru.values().copied().collect()
+    }
+
+    proptest! {
+        /// The `resolve_batch` contract, clause by clause, over random
+        /// capacity × warm-up × batch (ten labels, so batches mix
+        /// hits, misses, repeats and overflow).
+        #[test]
+        fn resolve_batch_contract_holds(
+            capacity in 1usize..7,
+            warm in proptest::collection::vec(0usize..10, 0..12),
+            batch in proptest::collection::vec(0usize..10, 0..24),
+        ) {
+            let alphabet: Vec<Label> = (0..10u32).map(|i| l(&format!("#0{i:04b}"))).collect();
+            let batched = NamingCache::new(capacity);
+            let in_order = NamingCache::new(capacity);
+            let hits_first = NamingCache::new(capacity);
+            for &i in &warm {
+                for cache in [&batched, &in_order, &hits_first] {
+                    cache.resolve(&alphabet[i]);
+                }
+            }
+            let labels: Vec<Label> = batch.iter().map(|&i| alphabet[i]).collect();
+            let cached: BTreeSet<Label> = lru_order(&batched).into_iter().collect();
+            let start = batched.stats();
+
+            // Keys always equal label-by-label resolution.
+            let keys = batched.resolve_batch(&labels);
+            let expect: Vec<DhtKey> = labels.iter().map(Label::dht_key).collect();
+            prop_assert_eq!(keys, expect);
+
+            // One miss (one SHA-1 pass) per distinct uncached label.
+            let missing: BTreeSet<Label> =
+                labels.iter().filter(|l| !cached.contains(l)).copied().collect();
+            prop_assert_eq!(batched.stats().misses - start.misses, missing.len() as u64);
+
+            // State: cached labels first, then each distinct miss
+            // once; repeats of a miss are hits.
+            for label in labels.iter().filter(|l| cached.contains(l)) {
+                hits_first.resolve(label);
+            }
+            let mut admitted = BTreeSet::new();
+            let mut repeats = 0;
+            for label in labels.iter().filter(|l| !cached.contains(l)) {
+                if admitted.insert(*label) {
+                    hits_first.resolve(label);
+                } else {
+                    repeats += 1;
+                }
+            }
+            let mut model = hits_first.stats();
+            model.hits += repeats;
+            prop_assert_eq!(batched.stats(), model);
+            prop_assert_eq!(lru_order(&batched), lru_order(&hits_first));
+
+            // Accounting equals in-order resolution unless an in-order
+            // miss evicts a label the batch still has to resolve.
+            let mut evicts_a_later_label = false;
+            for (i, label) in labels.iter().enumerate() {
+                let before = lru_order(&in_order);
+                in_order.resolve(label);
+                let after = lru_order(&in_order);
+                evicts_a_later_label |= before
+                    .iter()
+                    .any(|v| !after.contains(v) && labels[i + 1..].contains(v));
+            }
+            if !evicts_a_later_label {
+                prop_assert_eq!(batched.stats(), in_order.stats());
+            }
+
+            // A batch that fits leaves the in-order contents.
+            if batched.stats().evictions == start.evictions {
+                let contents = |c: &NamingCache| lru_order(c).into_iter().collect::<BTreeSet<_>>();
+                prop_assert_eq!(contents(&batched), contents(&in_order));
+            }
+        }
     }
 
     #[test]
