@@ -47,20 +47,21 @@
 //! fragment loss erodes groups below `k` and reads start lying about
 //! absence.
 //!
-//! # Repair accounting
+//! # One engine, this codec
 //!
-//! The layer mints exactly one logical lookup per client op and
-//! charges request-path routing hops from inner-stats deltas, like
-//! the quorum layer. All maintenance — read-repair of stale slots,
-//! handoff flushes, and [`anti_entropy_step`]'s regeneration of
-//! missing fragments (reconstruct from any `k`, re-encode the lost
-//! shard, install) — is charged to [`DhtStats::repair_transfers`] /
-//! [`DhtStats::repair_bandwidth`], never to `hops`, so E20 compares
-//! coded and replicated repair traffic on the same axes.
-//!
-//! All client operations serialize on one internal lock, for the same
-//! reason QuorumDht's do: exact delta windows are the measurement
-//! contract.
+//! The mechanics above — slot derivation, the seq clock, the rotating
+//! read start, handoff queue, read-repair, [`anti_entropy_step`] and
+//! all accounting (one logical lookup per client op, maintenance
+//! charged to `repair_transfers` / `repair_bandwidth`, never to
+//! `hops`, so E20 compares
+//! coded and replicated repair traffic on the same axes) — are the
+//! slot-group engine in `slots.rs`, shared with
+//! [`QuorumDht`](crate::QuorumDht). This module supplies what is
+//! coding's own: [`ErasureConfig`], the [`Fragment`] envelope and
+//! [`ErasurePayload`], and the codec that cuts one shard per slot,
+//! keeps a read gathering until the newest generation is decodable,
+//! refuses a generation it cannot reconstruct, and regenerates a lost
+//! slot by re-encoding that slot's shard from any `k` survivors.
 //!
 //! [`anti_entropy_step`]: ErasureDht::anti_entropy_step
 //! [`arm_corrupt_fragment_mutant`]: ErasureDht::arm_corrupt_fragment_mutant
@@ -80,29 +81,17 @@
 //! # Ok::<(), lht_dht::DhtError>(())
 //! ```
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
 use std::marker::PhantomData;
-use std::ops::Bound;
-
-use parking_lot::Mutex;
 
 use crate::gf256::ReedSolomon;
-use crate::{Dht, DhtError, DhtKey, DhtOp, DhtStats};
+use crate::slots::{self, Codec, Replies, Shape, SlotDht};
+use crate::{Dht, DhtKey};
 
 /// Byte tag separating a base key from its fragment-slot suffix
 /// (distinct from the quorum layer's `/~q` so the two layers could
 /// in principle stack).
 const SLOT_TAG: &[u8] = b"/~e";
-
-/// Pending handoffs flushed per [`ErasureDht::anti_entropy_step`].
-const HANDOFF_BUDGET: usize = 8;
-
-/// Base keys fully synced per [`ErasureDht::anti_entropy_step`].
-/// Two (vs the quorum layer's one): a coded group is *destroyed*, not
-/// degraded, once it drops below `k` fragments, so regeneration must
-/// outpace loss — healing throughput is this layer's reason to exist.
-const SWEEP_BUDGET: usize = 2;
 
 /// Fragments of margin a write installs above the `k` needed to
 /// decode (the Δ in "ack once k + Δ install").
@@ -270,35 +259,7 @@ impl ErasurePayload for Vec<u8> {
 /// base key itself, so the first data shard lands where the bare
 /// substrate would put the whole value.
 pub fn fragment_key(base: &DhtKey, slot: usize) -> DhtKey {
-    if slot == 0 {
-        return base.clone();
-    }
-    let mut digits = [0u8; 20];
-    let mut i = digits.len();
-    let mut s = slot;
-    loop {
-        i -= 1;
-        digits[i] = b'0' + (s % 10) as u8;
-        s /= 10;
-        if s == 0 {
-            break;
-        }
-    }
-    let digits = &digits[i..];
-    let bytes = base.as_bytes();
-    let total = bytes.len() + SLOT_TAG.len() + digits.len();
-    let mut buf = [0u8; 128];
-    if total <= buf.len() {
-        buf[..bytes.len()].copy_from_slice(bytes);
-        buf[bytes.len()..bytes.len() + SLOT_TAG.len()].copy_from_slice(SLOT_TAG);
-        buf[bytes.len() + SLOT_TAG.len()..total].copy_from_slice(digits);
-        DhtKey::from_bytes(&buf[..total])
-    } else {
-        let mut v = bytes.to_vec();
-        v.extend_from_slice(SLOT_TAG);
-        v.extend_from_slice(digits);
-        DhtKey::from_bytes(&v)
-    }
+    slots::derive_key(SLOT_TAG, base, slot)
 }
 
 /// Inverts [`fragment_key`]: splits a (possibly) derived key back
@@ -306,89 +267,145 @@ pub fn fragment_key(base: &DhtKey, slot: usize) -> DhtKey {
 /// suffix is its own base at slot 0. Used by harness audits to fold
 /// raw fragment storage back into logical entries.
 pub fn split_fragment_key(key: &DhtKey) -> (DhtKey, usize) {
-    let bytes = key.as_bytes();
-    if let Some(pos) = bytes
-        .windows(SLOT_TAG.len())
-        .rposition(|window| window == SLOT_TAG)
-    {
-        let digits = &bytes[pos + SLOT_TAG.len()..];
-        if !digits.is_empty() && digits.iter().all(u8::is_ascii_digit) {
-            if let Ok(slot) = std::str::from_utf8(digits).unwrap_or("").parse::<usize>() {
-                return (DhtKey::new(&bytes[..pos]), slot);
-            }
-        }
-    }
-    (key.clone(), 0)
+    slots::split_key(SLOT_TAG, key)
 }
 
-/// Fragment replies collected by a read: `(slot, fragment)` pairs.
-type SlotReplies = Vec<(usize, Option<Fragment>)>;
-
-/// What a gathered reply set reconciles to (always the *newest*
-/// generation observed — the layer refuses to serve an older one).
-enum Verdict<V> {
-    /// No fragments anywhere: the key was never written (or fully
-    /// eroded — the lazy-regen mutant's lie).
-    Empty,
-    /// Newest generation is a tombstone.
-    Tomb { seq: u64 },
-    /// Newest generation decoded; `payload` kept for read-repair
-    /// regeneration.
-    Value {
-        seq: u64,
-        payload: Vec<u8>,
-        value: V,
-    },
-    /// Newest generation observed but `< k` of its fragments were
-    /// gathered: the read must fail rather than serve a stale one.
-    Undecodable,
-}
-
-/// Mutable layer state, all behind one lock (see the module docs).
-#[derive(Default)]
-struct State {
-    /// Sequence-number generator; one [`ErasureDht`] per substrate.
-    clock: u64,
-    /// Rotates which slot a read contacts first, so deferred slots
-    /// actually get exercised (and the corrupt-fragment mutant's
-    /// "first reply" actually lands on stale fragments).
-    rotor: u64,
-    /// Deferred/failed fragment installs awaiting an anti-entropy
-    /// flush, newest-wins per `(base, slot)`.
-    pending: BTreeMap<(DhtKey, usize), Fragment>,
-    /// Every base key this layer has written, for anti-entropy sweeps.
-    known: BTreeSet<DhtKey>,
-    /// Last base key synced by the round-robin sweep.
-    sweep: Option<DhtKey>,
-    /// The layer's own logical-op counters.
-    stats: DhtStats,
-    /// Armed mutant: reads decode the first-seen generation without
-    /// reconciling to the newest.
-    corrupt_fragment: bool,
-    /// Armed mutant: repair counts fragments as healed without
-    /// writing them.
-    lazy_regen: bool,
-}
-
-/// A composable erasure-coding layer (see module docs). `V` is the
-/// logical value type; the substrate stores [`Fragment`]s.
-pub struct ErasureDht<D: Dht<Value = Fragment>, V> {
-    inner: D,
+/// The erasure codec: slot `i` of a group holds shard `i` of the
+/// Reed-Solomon-coded payload, as a [`Fragment`].
+#[derive(Debug)]
+pub struct Coding<V> {
     cfg: ErasureConfig,
     rs: ReedSolomon,
-    state: Mutex<State>,
     _value: PhantomData<fn() -> V>,
 }
 
-impl<D: Dht<Value = Fragment>, V> std::fmt::Debug for ErasureDht<D, V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ErasureDht")
-            .field("cfg", &self.cfg)
-            .finish()
+/// One generation of a logical value under [`Coding`]: the value
+/// beside the payload bytes its shards are cut from, or `None` for a
+/// tombstone.
+pub struct Coded<V> {
+    seq: u64,
+    live: Option<(V, Vec<u8>)>,
+}
+
+impl<V> Coding<V> {
+    /// # Panics
+    ///
+    /// Panics if `cfg` violates the coding constraints.
+    pub(crate) fn new(cfg: ErasureConfig) -> Coding<V> {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid erasure config: {e}");
+        }
+        Coding {
+            cfg,
+            rs: ReedSolomon::new(cfg.k, cfg.m),
+            _value: PhantomData,
+        }
     }
 }
 
-impl<D: Dht<Value = Fragment>, V> ErasureDht<D, V> {
+impl<V: ErasurePayload> Codec for Coding<V> {
+    type Value = V;
+    type Envelope = Fragment;
+    type Generation = Coded<V>;
+
+    const TAG: &'static [u8] = SLOT_TAG;
+    /// Two (vs replication's one): a coded group is *destroyed*, not
+    /// degraded, once it drops below `k` fragments, so regeneration
+    /// must outpace loss — healing throughput is this tier's reason
+    /// to exist.
+    const SWEEP_BUDGET: usize = 2;
+
+    /// A read needs `m − k + 1` replies — that many cannot miss a
+    /// completed write's `≥ k` fragments. A write aims for `k + 1`
+    /// installs (one fragment of margin) and is durable, hence acked,
+    /// the moment any `k` exist.
+    fn shape(&self) -> Shape {
+        let ErasureConfig { k, m } = self.cfg;
+        Shape {
+            slots: m,
+            reads: m - k + 1,
+            write_goal: (k + WRITE_SLACK).min(m),
+            write_min: k,
+        }
+    }
+
+    fn seq(fragment: &Fragment) -> u64 {
+        fragment.seq
+    }
+
+    fn encode(&self, seq: u64, value: Option<V>) -> Coded<V> {
+        let live = value.map(|v| {
+            let payload = v.encode_payload();
+            (v, payload)
+        });
+        Coded { seq, live }
+    }
+
+    /// Cuts (or, for repair, re-encodes) the one shard `slot` holds.
+    fn envelope<'g>(&self, generation: &'g Coded<V>, slot: usize) -> Cow<'g, Fragment> {
+        Cow::Owned(match &generation.live {
+            None => Fragment::tombstone(generation.seq, slot),
+            Some((_, payload)) => Fragment::new(
+                generation.seq,
+                slot,
+                payload.len(),
+                self.rs.shard(payload, slot),
+            ),
+        })
+    }
+
+    /// Whether the newest generation among `replies` is decodable:
+    /// `≥ k` of its fragments, or any tombstone fragment.
+    fn settled(&self, replies: &Replies<Fragment>) -> bool {
+        let fragments = || replies.iter().filter_map(|(_, f)| f.as_ref());
+        let Some(newest) = fragments().map(|f| f.seq).max() else {
+            return false;
+        };
+        let mut n = 0usize;
+        for f in fragments().filter(|f| f.seq == newest) {
+            if f.tomb {
+                return true;
+            }
+            n += 1;
+        }
+        n >= self.cfg.k
+    }
+
+    /// Reports the generation's tombstone or reconstructs its payload
+    /// from any `k` fragments; refuses when fewer were gathered.
+    fn decode(&self, replies: &Replies<Fragment>, seq: u64) -> Option<Coded<V>> {
+        let frags: Vec<&Fragment> = replies
+            .iter()
+            .filter_map(|(_, f)| f.as_ref())
+            .filter(|f| f.seq == seq)
+            .collect();
+        if frags.iter().any(|f| f.tomb) {
+            return Some(Coded { seq, live: None });
+        }
+        let len = frags.first()?.len as usize;
+        let shards: Vec<(usize, Vec<u8>)> = frags
+            .iter()
+            .map(|f| (f.index as usize, f.data.clone()))
+            .collect();
+        let payload = self.rs.reconstruct(&shards, len)?;
+        let value = V::decode_payload(&payload)?;
+        Some(Coded {
+            seq,
+            live: Some((value, payload)),
+        })
+    }
+
+    fn into_value(generation: Coded<V>) -> Option<V> {
+        generation.live.map(|(value, _)| value)
+    }
+}
+
+/// A composable erasure-coding layer (see module docs): the
+/// slot-group engine storing one [`Fragment`] per slot. `V` is the
+/// logical value type.
+pub type ErasureDht<D, V> = SlotDht<D, Coding<V>>;
+
+impl<V: ErasurePayload, D: Dht<Value = Fragment>> SlotDht<D, Coding<V>> {
     /// Wraps `inner`, coding every logical value into `cfg.m`
     /// fragments across derived slots.
     ///
@@ -396,38 +413,13 @@ impl<D: Dht<Value = Fragment>, V> ErasureDht<D, V> {
     ///
     /// Panics if `cfg` violates the coding constraints
     /// (see [`ErasureConfig::validate`]).
-    pub fn new(inner: D, cfg: ErasureConfig) -> ErasureDht<D, V> {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid erasure config: {e}");
-        }
-        ErasureDht {
-            inner,
-            rs: ReedSolomon::new(cfg.k, cfg.m),
-            cfg,
-            state: Mutex::new(State::default()),
-            _value: PhantomData,
-        }
+    pub fn new(inner: D, cfg: ErasureConfig) -> Self {
+        SlotDht::with_codec(inner, Coding::new(cfg))
     }
 
     /// The coding parameters this layer runs with.
     pub fn config(&self) -> ErasureConfig {
-        self.cfg
-    }
-
-    /// The wrapped substrate (for harness audits of raw fragments).
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
-
-    /// Number of `(key, slot)` fragment installs currently awaiting
-    /// an anti-entropy flush.
-    pub fn pending_handoffs(&self) -> usize {
-        self.state.lock().pending.len()
-    }
-
-    /// Number of distinct logical keys the anti-entropy sweep tracks.
-    pub fn tracked_keys(&self) -> usize {
-        self.state.lock().known.len()
+        self.codec().cfg
     }
 
     /// Arms the corrupt-fragment mutant: a read adopts the sequence
@@ -438,7 +430,7 @@ impl<D: Dht<Value = Fragment>, V> ErasureDht<D, V> {
     /// serves the stale value — the linearizability violation the
     /// checker must flag.
     pub fn arm_corrupt_fragment_mutant(&self) {
-        self.state.lock().corrupt_fragment = true;
+        self.arm_first_seen_read();
     }
 
     /// Arms the lazy-regen mutant: every repair write — handoff
@@ -448,600 +440,14 @@ impl<D: Dht<Value = Fragment>, V> ErasureDht<D, V> {
     /// `k`, and a fully eroded key reads back as *absent* — the data
     /// loss the Wing-Gong checker's strict mode pins on the layer.
     pub fn arm_lazy_regen_mutant(&self) {
-        self.state.lock().lazy_regen = true;
-    }
-}
-
-impl<V: ErasurePayload, D: Dht<Value = Fragment>> ErasureDht<D, V> {
-    /// Folds the fault-side counters of an inner-stats delta into the
-    /// layer's own stats (identical rule to the quorum layer: op /
-    /// round / hop counters are minted here, never folded).
-    fn absorb_faults(stats: &mut DhtStats, d: &DhtStats) {
-        stats.drops += d.drops;
-        stats.timeouts += d.timeouts;
-        stats.retries += d.retries;
-        stats.latency_ms += d.latency_ms;
-        stats.round_latency_ms += d.round_latency_ms;
-        stats.keys_transferred += d.keys_transferred;
-        stats.repair_transfers += d.repair_transfers;
-        stats.repair_bandwidth += d.repair_bandwidth;
-        stats.latency_hist = stats.latency_hist + d.latency_hist;
-    }
-
-    /// Newest-wins install of `frag` into its slot, via the
-    /// substrate's `update` so a repair or handoff can never regress
-    /// a newer generation already present.
-    fn merge_write(&self, base: &DhtKey, slot: usize, frag: &Fragment) -> Result<(), DhtError> {
-        let key = fragment_key(base, slot);
-        let mut install = |cur: &mut Option<Fragment>| {
-            if cur.as_ref().is_none_or(|c| c.seq < frag.seq) {
-                *cur = Some(frag.clone());
-            }
-        };
-        self.inner.update(&key, &mut install)
-    }
-
-    /// One maintenance RPC: runs `op` against the inner substrate and
-    /// charges its hops to `repair_transfers`/`repair_bandwidth`
-    /// (plus absorbed fault counters) — never to the request path.
-    fn repair_rpc<T>(
-        &self,
-        stats: &mut DhtStats,
-        op: impl FnOnce(&Self) -> Result<T, DhtError>,
-    ) -> Result<T, DhtError> {
-        let before = self.inner.stats();
-        let out = op(self);
-        let d = self.inner.stats() - before;
-        stats.record_repair(d.hops);
-        Self::absorb_faults(stats, &d);
-        out
-    }
-
-    /// The single gate every repair-path fragment install goes
-    /// through. Honest: a charged [`merge_write`](Self::merge_write).
-    /// Lazy-regen mutant: the repair is *counted* (a zero-hop
-    /// `record_repair`) but the fragment is never written.
-    fn repair_write(
-        &self,
-        st: &mut State,
-        base: &DhtKey,
-        slot: usize,
-        frag: &Fragment,
-    ) -> Result<(), DhtError> {
-        if st.lazy_regen {
-            st.stats.record_repair(0);
-            return Ok(());
-        }
-        self.repair_rpc(&mut st.stats, |this| this.merge_write(base, slot, frag))
-    }
-
-    /// Enqueues `frag` for a deferred slot install, newest-wins.
-    fn enqueue_handoff(st: &mut State, base: &DhtKey, slot: usize, frag: &Fragment) {
-        match st.pending.entry((base.clone(), slot)) {
-            Entry::Occupied(mut o) => {
-                if o.get().seq < frag.seq {
-                    o.insert(frag.clone());
-                }
-            }
-            Entry::Vacant(v) => {
-                v.insert(frag.clone());
-            }
-        }
-    }
-
-    /// Whether `replies` already pin down an answer: the newest
-    /// generation observed is decodable (`≥ k` fragments, or any
-    /// tombstone fragment).
-    fn gathered_enough(&self, replies: &SlotReplies) -> bool {
-        let Some(newest) = replies
-            .iter()
-            .filter_map(|(_, f)| f.as_ref().map(|f| f.seq))
-            .max()
-        else {
-            return false;
-        };
-        let frags = replies
-            .iter()
-            .filter_map(|(_, f)| f.as_ref())
-            .filter(|f| f.seq == newest);
-        let mut n = 0usize;
-        for f in frags {
-            if f.tomb {
-                return true;
-            }
-            n += 1;
-        }
-        n >= self.cfg.k
-    }
-
-    /// Contacts slots starting at the read rotor until the reply set
-    /// both (a) counts at least `m − k + 1` — the intersection bound:
-    /// that many replies cannot miss a completed write's `≥ k`
-    /// fragments — and (b) pins a decodable newest generation,
-    /// extending past transient failures to further slots.
-    ///
-    /// On failure — fewer than `m − k + 1` replies, or a structural
-    /// error — this charges the routed hops and absorbed faults
-    /// against `before` itself and returns `Err` without minting a
-    /// logical lookup. On success it charges nothing; the caller owns
-    /// the delta window.
-    fn contact_read(
-        &self,
-        st: &mut State,
-        base: &DhtKey,
-        before: DhtStats,
-    ) -> Result<SlotReplies, DhtError> {
-        let needed = self.cfg.m - self.cfg.k + 1;
-        let offset = (st.rotor as usize) % self.cfg.m;
-        st.rotor += 1;
-        let mut replies: SlotReplies = Vec::with_capacity(self.cfg.m);
-        let mut last_err = None;
-        for i in 0..self.cfg.m {
-            if replies.len() >= needed && self.gathered_enough(&replies) {
-                break;
-            }
-            let slot = (offset + i) % self.cfg.m;
-            match self.inner.get(&fragment_key(base, slot)) {
-                Ok(v) => replies.push((slot, v)),
-                Err(e) if e.is_transient() => last_err = Some(e),
-                Err(e) => {
-                    let d = self.inner.stats() - before;
-                    st.stats.hops += d.hops;
-                    Self::absorb_faults(&mut st.stats, &d);
-                    return Err(e);
-                }
-            }
-        }
-        if replies.len() < needed {
-            let d = self.inner.stats() - before;
-            st.stats.hops += d.hops;
-            Self::absorb_faults(&mut st.stats, &d);
-            return Err(last_err.unwrap_or(DhtError::RoutingFailed { hops: 0 }));
-        }
-        Ok(replies)
-    }
-
-    /// Reconciles a gathered reply set to the generation of sequence
-    /// `seq`: decodes it, reports its tombstone, or declares it
-    /// undecodable. `Verdict::Empty` only for a fragment-free set.
-    fn decode_generation(&self, replies: &SlotReplies, seq: u64) -> Verdict<V> {
-        let frags: Vec<&Fragment> = replies
-            .iter()
-            .filter_map(|(_, f)| f.as_ref())
-            .filter(|f| f.seq == seq)
-            .collect();
-        if let Some(t) = frags.iter().find(|f| f.tomb) {
-            return Verdict::Tomb { seq: t.seq };
-        }
-        let Some(len) = frags.first().map(|f| f.len as usize) else {
-            return Verdict::Empty;
-        };
-        let shards: Vec<(usize, Vec<u8>)> = frags
-            .iter()
-            .map(|f| (f.index as usize, f.data.clone()))
-            .collect();
-        match self
-            .rs
-            .reconstruct(&shards, len)
-            .and_then(|payload| V::decode_payload(&payload).map(|v| (payload, v)))
-        {
-            Some((payload, value)) => Verdict::Value {
-                seq,
-                payload,
-                value,
-            },
-            None => Verdict::Undecodable,
-        }
-    }
-
-    /// The honest reconciliation: always the *newest* generation
-    /// observed, decoded or refused — never an older one.
-    fn reconcile(&self, replies: &SlotReplies) -> Verdict<V> {
-        let Some(newest) = replies
-            .iter()
-            .filter_map(|(_, f)| f.as_ref().map(|f| f.seq))
-            .max()
-        else {
-            return Verdict::Empty;
-        };
-        self.decode_generation(replies, newest)
-    }
-
-    /// The corrupt-fragment mutant's reconciliation: adopt the
-    /// *first* gathered fragment's generation and decode it if
-    /// possible, falling back to the honest path only when that
-    /// generation cannot be decoded.
-    fn reconcile_first(&self, replies: &SlotReplies) -> Verdict<V> {
-        let Some(first) = replies.iter().find_map(|(_, f)| f.as_ref().map(|f| f.seq)) else {
-            return Verdict::Empty;
-        };
-        match self.decode_generation(replies, first) {
-            Verdict::Undecodable => self.reconcile(replies),
-            v => v,
-        }
-    }
-
-    /// Re-encodes the fragment for `slot` of the reconciled newest
-    /// generation (`None` when the verdict carries nothing
-    /// installable).
-    fn regenerate(&self, verdict: &Verdict<V>, slot: usize) -> Option<Fragment> {
-        match verdict {
-            Verdict::Tomb { seq } => Some(Fragment::tombstone(*seq, slot)),
-            Verdict::Value { seq, payload, .. } => Some(Fragment::new(
-                *seq,
-                slot,
-                payload.len(),
-                self.rs.shard(payload, slot),
-            )),
-            Verdict::Empty | Verdict::Undecodable => None,
-        }
-    }
-
-    /// Installs the generation's fragments into slots `0..m` in order
-    /// until `k + 1` acked, returning the slots left for deferred
-    /// handoff (both the skipped ones and any whose install the
-    /// network lost). Succeeds with `acked >= k` — the group is
-    /// decodable, hence durable. Does no accounting; the caller owns
-    /// the delta window and the error path.
-    fn write_slots(&self, frags: &[Fragment], base: &DhtKey) -> Result<Vec<usize>, DhtError> {
-        let goal = (self.cfg.k + WRITE_SLACK).min(self.cfg.m);
-        let mut acked = 0usize;
-        let mut handoff = Vec::new();
-        let mut last_err = None;
-        for (slot, frag) in frags.iter().enumerate().take(self.cfg.m) {
-            if acked >= goal {
-                handoff.push(slot);
-                continue;
-            }
-            match self.merge_write(base, slot, frag) {
-                Ok(()) => acked += 1,
-                Err(e) if e.is_transient() => {
-                    last_err = Some(e);
-                    handoff.push(slot);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if acked >= self.cfg.k {
-            Ok(handoff)
-        } else {
-            Err(last_err.unwrap_or(DhtError::RoutingFailed { hops: 0 }))
-        }
-    }
-
-    /// Encodes `value` (or a tombstone) into the full fragment group
-    /// at generation `seq`.
-    fn encode_group(&self, seq: u64, value: Option<&V>) -> Vec<Fragment> {
-        match value {
-            None => (0..self.cfg.m)
-                .map(|slot| Fragment::tombstone(seq, slot))
-                .collect(),
-            Some(v) => {
-                let payload = v.encode_payload();
-                self.rs
-                    .encode(&payload)
-                    .into_iter()
-                    .enumerate()
-                    .map(|(slot, shard)| Fragment::new(seq, slot, payload.len(), shard))
-                    .collect()
-            }
-        }
-    }
-
-    /// Shared tail of every logical write: stamps the op, queues the
-    /// handoffs and registers the base key for anti-entropy sweeps.
-    fn finish_write(
-        &self,
-        st: &mut State,
-        base: &DhtKey,
-        frags: &[Fragment],
-        handoff: Vec<usize>,
-        op: DhtOp,
-        before: DhtStats,
-    ) {
-        let d = self.inner.stats() - before;
-        st.stats.record_op(op, d.hops);
-        Self::absorb_faults(&mut st.stats, &d);
-        for slot in handoff {
-            Self::enqueue_handoff(st, base, slot, &frags[slot]);
-        }
-        st.known.insert(base.clone());
-    }
-
-    /// Charges a failed logical op's routed hops without minting a
-    /// lookup — the same honesty rule the retry layer follows.
-    fn charge_failure(&self, st: &mut State, before: DhtStats) {
-        let d = self.inner.stats() - before;
-        st.stats.hops += d.hops;
-        Self::absorb_faults(&mut st.stats, &d);
-    }
-
-    /// Read-repairs every contacted slot missing the reconciled
-    /// newest generation — regenerating the slot's own shard from the
-    /// decoded payload — and drops now-superseded pending handoffs
-    /// for slots a repair just covered.
-    fn read_repair(&self, st: &mut State, base: &DhtKey, replies: &SlotReplies, v: &Verdict<V>) {
-        let newest_seq = match v {
-            Verdict::Tomb { seq } | Verdict::Value { seq, .. } => *seq,
-            Verdict::Empty | Verdict::Undecodable => return,
-        };
-        for (slot, f) in replies {
-            let stale = f.as_ref().is_none_or(|c| c.seq < newest_seq);
-            if !stale {
-                continue;
-            }
-            let Some(frag) = self.regenerate(v, *slot) else {
-                return;
-            };
-            if self.repair_write(st, base, *slot, &frag).is_ok() {
-                if let Some(p) = st.pending.get(&(base.clone(), *slot)) {
-                    if p.seq <= newest_seq {
-                        st.pending.remove(&(base.clone(), *slot));
-                    }
-                }
-            }
-        }
-    }
-
-    /// One background maintenance round: flushes up to
-    /// [`HANDOFF_BUDGET`] pending handoffs, then fully syncs the next
-    /// [`SWEEP_BUDGET`] tracked keys round-robin — reading all `m`
-    /// slots, reconstructing the newest generation from any `k`, and
-    /// re-encoding the lost shard for every slot that is missing or
-    /// stale. Every RPC issued is charged to the `repair_*` counters.
-    /// Returns the number of fragment *installs* issued — 0 means the
-    /// store was already converged on the portion visited.
-    pub fn anti_entropy_step(&self) -> u64 {
-        let mut st = self.state.lock();
-        let mut writes = 0u64;
-
-        // Phase 1: hinted/deferred handoff flush.
-        let batch: Vec<((DhtKey, usize), Fragment)> = {
-            let keys: Vec<(DhtKey, usize)> =
-                st.pending.keys().take(HANDOFF_BUDGET).cloned().collect();
-            keys.into_iter()
-                .filter_map(|k| st.pending.remove(&k).map(|v| (k, v)))
-                .collect()
-        };
-        for ((base, slot), frag) in batch {
-            let res = self.repair_write(&mut st, &base, slot, &frag);
-            writes += 1;
-            if res.is_err() {
-                // Keep trying next round; newest-wins keeps this safe.
-                Self::enqueue_handoff(&mut st, &base, slot, &frag);
-            }
-        }
-
-        // Phase 2: round-robin full sync of the next keys.
-        for _ in 0..SWEEP_BUDGET {
-            let next = match &st.sweep {
-                Some(cur) => st
-                    .known
-                    .range((Bound::Excluded(cur.clone()), Bound::Unbounded))
-                    .next()
-                    .cloned()
-                    .or_else(|| st.known.iter().next().cloned()),
-                None => st.known.iter().next().cloned(),
-            };
-            let Some(base) = next else { break };
-            st.sweep = Some(base.clone());
-            writes += self.sync_key(&mut st, &base);
-        }
-        writes
-    }
-
-    /// Flushes **all** pending handoffs and fully syncs **every**
-    /// tracked key once, returning the fragment installs issued.
-    /// After a pass over a quiescent store, a second pass issues 0
-    /// installs — the convergence contract the hammer pins.
-    pub fn sync_all(&self) -> u64 {
-        let mut st = self.state.lock();
-        let mut writes = 0u64;
-        while let Some(key) = st.pending.keys().next().cloned() {
-            let frag = st.pending.remove(&key).expect("key just observed");
-            let (base, slot) = key;
-            let res = self.repair_write(&mut st, &base, slot, &frag);
-            writes += 1;
-            if res.is_err() {
-                Self::enqueue_handoff(&mut st, &base, slot, &frag);
-                break; // a persistently failing slot must not spin forever
-            }
-        }
-        let keys: Vec<DhtKey> = st.known.iter().cloned().collect();
-        for base in keys {
-            writes += self.sync_key(&mut st, &base);
-        }
-        writes
-    }
-
-    /// Reads all `m` slots of `base`, reconstructs the newest
-    /// generation if any `k` of its fragments survive, and installs
-    /// the regenerated shard wherever a slot is missing or stale, all
-    /// charged as repair traffic. A generation that has already
-    /// eroded below `k` cannot be healed and is left as-is. Returns
-    /// the installs issued.
-    fn sync_key(&self, st: &mut State, base: &DhtKey) -> u64 {
-        let mut writes = 0u64;
-        let mut replies: SlotReplies = Vec::with_capacity(self.cfg.m);
-        for slot in 0..self.cfg.m {
-            let got = self.repair_rpc(&mut st.stats, |this| {
-                this.inner.get(&fragment_key(base, slot))
-            });
-            if let Ok(v) = got {
-                replies.push((slot, v));
-            }
-        }
-        let verdict = self.reconcile(&replies);
-        let newest_seq = match &verdict {
-            Verdict::Tomb { seq } | Verdict::Value { seq, .. } => *seq,
-            Verdict::Empty | Verdict::Undecodable => return 0,
-        };
-        for (slot, f) in &replies {
-            let stale = f.as_ref().is_none_or(|c| c.seq < newest_seq);
-            if !stale {
-                continue;
-            }
-            let Some(frag) = self.regenerate(&verdict, *slot) else {
-                return writes;
-            };
-            let ok = self.repair_write(st, base, *slot, &frag).is_ok();
-            writes += 1;
-            if ok {
-                if let Some(p) = st.pending.get(&(base.clone(), *slot)) {
-                    if p.seq <= newest_seq {
-                        st.pending.remove(&(base.clone(), *slot));
-                    }
-                }
-            }
-        }
-        writes
-    }
-
-    /// Shared read path: gather, reconcile (mutant-aware), charge the
-    /// op, read-repair. Returns the decoded value.
-    fn read(&self, st: &mut State, key: &DhtKey) -> Result<Option<V>, DhtError> {
-        let before = self.inner.stats();
-        let replies = self.contact_read(st, key, before)?;
-        let verdict = if st.corrupt_fragment {
-            self.reconcile_first(&replies)
-        } else {
-            self.reconcile(&replies)
-        };
-        if matches!(verdict, Verdict::Undecodable) {
-            // The newest generation was observed but cannot be
-            // decoded from what we gathered: fail, never serve an
-            // older generation.
-            self.charge_failure(st, before);
-            return Err(DhtError::RoutingFailed { hops: 0 });
-        }
-        let result = match &verdict {
-            Verdict::Value { value, .. } => Some(value.clone()),
-            _ => None,
-        };
-        let d = self.inner.stats() - before;
-        st.stats.record_op(
-            DhtOp::Get {
-                found: result.is_some(),
-            },
-            d.hops,
-        );
-        Self::absorb_faults(&mut st.stats, &d);
-        if !st.corrupt_fragment {
-            self.read_repair(st, key, &replies, &verdict);
-        }
-        Ok(result)
-    }
-
-    /// Shared write path: encode the group at a fresh generation,
-    /// install to `k + 1`, defer the rest.
-    fn write(
-        &self,
-        st: &mut State,
-        key: &DhtKey,
-        value: Option<&V>,
-        op: DhtOp,
-        before: DhtStats,
-    ) -> Result<(), DhtError> {
-        st.clock += 1;
-        let frags = self.encode_group(st.clock, value);
-        match self.write_slots(&frags, key) {
-            Ok(handoff) => {
-                self.finish_write(st, key, &frags, handoff, op, before);
-                Ok(())
-            }
-            Err(e) => {
-                self.charge_failure(st, before);
-                Err(e)
-            }
-        }
-    }
-}
-
-impl<V: ErasurePayload, D: Dht<Value = Fragment>> Dht for ErasureDht<D, V> {
-    type Value = V;
-
-    fn get(&self, key: &DhtKey) -> Result<Option<V>, DhtError> {
-        let mut st = self.state.lock();
-        self.read(&mut st, key)
-    }
-
-    fn put(&self, key: &DhtKey, value: V) -> Result<(), DhtError> {
-        let mut st = self.state.lock();
-        let before = self.inner.stats();
-        self.write(&mut st, key, Some(&value), DhtOp::Put, before)
-    }
-
-    fn remove(&self, key: &DhtKey) -> Result<Option<V>, DhtError> {
-        let mut st = self.state.lock();
-        let before = self.inner.stats();
-        // Gather first: the caller gets the newest prior value, then
-        // a tombstone generation (never a physical delete — a slow
-        // fragment could resurrect one) is installed.
-        let replies = self.contact_read(&mut st, key, before)?;
-        let verdict = self.reconcile(&replies);
-        if matches!(verdict, Verdict::Undecodable) {
-            self.charge_failure(&mut st, before);
-            return Err(DhtError::RoutingFailed { hops: 0 });
-        }
-        let prior = match &verdict {
-            Verdict::Value { value, .. } => Some(value.clone()),
-            _ => None,
-        };
-        st.clock += 1;
-        let frags = self.encode_group(st.clock, None);
-        match self.write_slots(&frags, key) {
-            Ok(handoff) => {
-                self.finish_write(&mut st, key, &frags, handoff, DhtOp::Remove, before);
-                Ok(prior)
-            }
-            Err(e) => {
-                self.charge_failure(&mut st, before);
-                Err(e)
-            }
-        }
-    }
-
-    fn update(&self, key: &DhtKey, f: &mut dyn FnMut(&mut Option<V>)) -> Result<(), DhtError> {
-        let mut st = self.state.lock();
-        let before = self.inner.stats();
-        // Gather the newest, apply the closure exactly once locally,
-        // re-encode under a fresh generation (same atomicity caveats
-        // as the quorum layer: the layer serializes its own clients).
-        let replies = self.contact_read(&mut st, key, before)?;
-        let verdict = self.reconcile(&replies);
-        if matches!(verdict, Verdict::Undecodable) {
-            self.charge_failure(&mut st, before);
-            return Err(DhtError::RoutingFailed { hops: 0 });
-        }
-        let mut slot_value = match verdict {
-            Verdict::Value { value, .. } => Some(value),
-            _ => None,
-        };
-        f(&mut slot_value);
-        self.write(&mut st, key, slot_value.as_ref(), DhtOp::Update, before)
-    }
-
-    fn prewarm(&self, keys: &[DhtKey]) {
-        // Slot 0 is the base key, so warming the inner layer's
-        // per-key state with the logical keys is exact for the first
-        // data shards.
-        self.inner.prewarm(keys);
-    }
-
-    fn stats(&self) -> DhtStats {
-        self.state.lock().stats
-    }
-
-    fn reset_stats(&self) {
-        self.state.lock().stats = DhtStats::default();
-        self.inner.reset_stats();
+        self.arm_lazy_repair();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ChordDht, DirectDht};
+    use crate::DirectDht;
 
     fn key(s: &str) -> DhtKey {
         DhtKey::from(s)
@@ -1068,20 +474,6 @@ mod tests {
     }
 
     #[test]
-    fn fragment_keys_roundtrip_and_slot0_is_the_base() {
-        let base = key("#0110");
-        assert_eq!(fragment_key(&base, 0), base);
-        for slot in [1usize, 2, 7, 12] {
-            let derived = fragment_key(&base, slot);
-            assert_ne!(derived, base);
-            assert_eq!(split_fragment_key(&derived), (base.clone(), slot));
-            // Distinct namespace from the quorum layer's slots.
-            assert_ne!(derived, crate::slot_key(&base, slot));
-        }
-        assert_eq!(split_fragment_key(&base), (base.clone(), 0));
-    }
-
-    #[test]
     fn payload_codecs_round_trip() {
         assert_eq!(u32::decode_payload(&7u32.encode_payload()), Some(7));
         assert_eq!(
@@ -1098,55 +490,6 @@ mod tests {
             None,
             "wrong width fails closed"
         );
-    }
-
-    #[test]
-    fn put_get_remove_roundtrip_with_tombstones() {
-        let ring: DirectDht<Fragment> = DirectDht::new();
-        let ec: ErasureDht<_, u32> = ErasureDht::new(&ring, ErasureConfig::new(2, 4));
-        assert_eq!(ec.get(&key("a")).unwrap(), None);
-        ec.put(&key("a"), 1).unwrap();
-        assert_eq!(ec.get(&key("a")).unwrap(), Some(1));
-        ec.put(&key("a"), 2).unwrap();
-        assert_eq!(ec.get(&key("a")).unwrap(), Some(2));
-        assert_eq!(ec.remove(&key("a")).unwrap(), Some(2));
-        // The tombstone generation wins however the rotor lands.
-        for _ in 0..8 {
-            assert_eq!(ec.get(&key("a")).unwrap(), None);
-        }
-        assert_eq!(ec.remove(&key("a")).unwrap(), None);
-    }
-
-    #[test]
-    fn update_applies_closure_exactly_once_over_newest() {
-        let ring: DirectDht<Fragment> = DirectDht::new();
-        let ec: ErasureDht<_, u32> = ErasureDht::new(&ring, ErasureConfig::new(2, 4));
-        ec.put(&key("a"), 10).unwrap();
-        let mut calls = 0;
-        ec.update(&key("a"), &mut |slot| {
-            calls += 1;
-            *slot = slot.map(|v| v + 1);
-        })
-        .unwrap();
-        assert_eq!(calls, 1);
-        assert_eq!(ec.get(&key("a")).unwrap(), Some(11));
-        ec.update(&key("a"), &mut |slot| *slot = None).unwrap();
-        assert_eq!(ec.get(&key("a")).unwrap(), None);
-    }
-
-    #[test]
-    fn one_logical_lookup_per_op_never_m() {
-        let ring: DirectDht<Fragment> = DirectDht::new();
-        let ec: ErasureDht<_, u32> = ErasureDht::new(&ring, ErasureConfig::new(2, 4));
-        ec.put(&key("a"), 1).unwrap();
-        ec.get(&key("a")).unwrap();
-        ec.update(&key("a"), &mut |_| {}).unwrap();
-        ec.remove(&key("a")).unwrap();
-        let s = ec.stats();
-        assert_eq!(s.lookups(), 4);
-        assert_eq!((s.puts, s.gets, s.updates, s.removes), (1, 1, 1, 1));
-        assert_eq!(s.rounds, 4);
-        s.check_invariants().unwrap();
     }
 
     #[test]
@@ -1171,27 +514,6 @@ mod tests {
     }
 
     #[test]
-    fn deferred_handoffs_queue_and_anti_entropy_flushes_them() {
-        let ring: DirectDht<Fragment> = DirectDht::new();
-        let ec: ErasureDht<_, u32> = ErasureDht::new(&ring, ErasureConfig::new(2, 5));
-        ec.put(&key("a"), 1).unwrap();
-        // m − (k + 1) = 2 slots deferred.
-        assert_eq!(ec.pending_handoffs(), 2);
-        assert_eq!(ec.tracked_keys(), 1);
-        let before = ec.stats();
-        assert_eq!(before.repair_transfers, 0, "no repair before maintenance");
-        let writes = ec.anti_entropy_step();
-        assert_eq!(writes, 2, "both deferred fragments must be flushed");
-        assert_eq!(ec.pending_handoffs(), 0);
-        let s = ec.stats();
-        assert!(s.repair_transfers > 0, "maintenance RPCs must be charged");
-        assert_eq!(s.hops, before.hops, "repair must not touch request hops");
-        s.check_invariants().unwrap();
-        // A second full pass over a converged store writes nothing.
-        assert_eq!(ec.sync_all(), 0);
-    }
-
-    #[test]
     fn anti_entropy_regenerates_a_crashed_fragment() {
         let ring: DirectDht<Fragment> = DirectDht::new();
         let ec: ErasureDht<_, u32> = ErasureDht::new(&ring, ErasureConfig::new(2, 4));
@@ -1211,20 +533,6 @@ mod tests {
             "regeneration must be charged as repair traffic"
         );
         assert_eq!(ec.sync_all(), 0, "store must be converged after healing");
-    }
-
-    #[test]
-    fn read_repair_heals_a_stale_slot_it_contacted() {
-        let ring: DirectDht<Fragment> = DirectDht::new();
-        let ec: ErasureDht<_, u32> = ErasureDht::new(&ring, ErasureConfig::new(2, 4));
-        ec.put(&key("a"), 1).unwrap();
-        ec.put(&key("a"), 2).unwrap();
-        for _ in 0..8 {
-            assert_eq!(ec.get(&key("a")).unwrap(), Some(2));
-        }
-        ec.sync_all();
-        assert_eq!(ec.sync_all(), 0, "store must be converged");
-        assert!(ec.stats().repair_transfers > 0);
     }
 
     #[test]
@@ -1287,40 +595,6 @@ mod tests {
             None,
             "the eroded group reads as absent"
         );
-    }
-
-    #[test]
-    fn composes_over_chord_and_charges_routed_hops() {
-        let ring: ChordDht<Fragment> = ChordDht::with_nodes(16, 9);
-        let ec: ErasureDht<_, u32> = ErasureDht::new(&ring, ErasureConfig::new(2, 4));
-        for i in 0..32u32 {
-            ec.put(&key(&format!("k{i}")), i).unwrap();
-        }
-        for i in 0..32u32 {
-            assert_eq!(ec.get(&key(&format!("k{i}"))).unwrap(), Some(i));
-        }
-        let s = ec.stats();
-        assert_eq!(s.lookups(), 64);
-        assert!(s.hops > 0, "chord routing must be charged");
-        s.check_invariants().unwrap();
-        ec.sync_all();
-        ec.stats().check_invariants().unwrap();
-    }
-
-    #[test]
-    fn failed_logical_ops_mint_no_lookups() {
-        let ring: DirectDht<Fragment> = DirectDht::new();
-        let lossy = crate::FaultyDht::new(&ring, crate::NetProfile::lossy(5, 1.0));
-        let ec: ErasureDht<_, u32> = ErasureDht::new(&lossy, ErasureConfig::new(2, 3));
-        assert!(ec.put(&key("a"), 1).is_err());
-        assert!(ec.get(&key("a")).is_err());
-        let s = ec.stats();
-        assert_eq!(s.lookups(), 0, "failed ops must not mint lookups");
-        assert!(
-            s.drops + s.timeouts > 0,
-            "the lost attempts must be absorbed into the layer's stats"
-        );
-        s.check_invariants().unwrap();
     }
 
     #[test]

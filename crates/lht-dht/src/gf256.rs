@@ -258,11 +258,12 @@ impl ReedSolomon {
             if *coef == 0 {
                 continue;
             }
-            for (b, out) in shard.iter_mut().enumerate() {
-                let lo = (j * sl).min(payload.len());
-                let hi = ((j + 1) * sl).min(payload.len());
-                let byte = if b < hi - lo { payload[lo + b] } else { 0 };
-                *out ^= mul(*coef, byte);
+            // Data shard `j`; its zero padding past the payload's end
+            // contributes nothing.
+            let lo = (j * sl).min(payload.len());
+            let hi = ((j + 1) * sl).min(payload.len());
+            for (out, byte) in shard.iter_mut().zip(&payload[lo..hi]) {
+                *out ^= mul(*coef, *byte);
             }
         }
         shard

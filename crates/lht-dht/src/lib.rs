@@ -60,6 +60,7 @@ pub mod gf256;
 mod key;
 mod quorum;
 mod retry;
+mod slots;
 mod stats;
 mod store;
 mod threaded;

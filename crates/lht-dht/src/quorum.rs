@@ -39,24 +39,18 @@
 //! [`arm_lost_write_ack_mutant`]) each break one side of that
 //! argument in a way the linearizability checker catches.
 //!
-//! # Accounting
+//! # One engine, this codec
 //!
-//! `QuorumDht` keeps its **own** [`DhtStats`]: one logical lookup per
-//! client op (never `N`), with the request path's routing hops
-//! charged from inner-stats deltas, so `hops_per_lookup` prices what
-//! a client pays and the index layers' per-op cost attribution is
-//! undisturbed. All maintenance traffic — read-repair, handoff
-//! flushes, anti-entropy probes and syncs — is charged to
-//! [`DhtStats::repair_transfers`] (one per maintenance RPC issued)
-//! and [`DhtStats::repair_bandwidth`] (their hops), never to `hops`:
-//! the availability-vs-maintenance-bandwidth trade is E20's chart.
-//! Fault-layer counters observed below (drops, timeouts, latency)
-//! are absorbed into the logical op so layered invariants keep
-//! holding.
-//!
-//! All client operations serialize on one internal lock: the layer is
-//! a measurement substrate, and exact inner-stats delta windows under
-//! real threads (the hammer's contract) require it.
+//! Everything above except the numbers — slot derivation, the seq
+//! clock, the rotating read start, handoff queue, read-repair,
+//! anti-entropy and all accounting (one logical lookup per client op,
+//! maintenance charged to `repair_*`, never to `hops`) — is the
+//! slot-group engine in `slots.rs`, shared with
+//! [`ErasureDht`](crate::ErasureDht). This module supplies what is
+//! replication's own: [`QuorumConfig`], the [`Versioned`] envelope,
+//! and the codec that says every slot holds the same
+//! envelope, any `R` replies settle a read, and the highest sequence
+//! number among them wins.
 //!
 //! [`anti_entropy_step`]: QuorumDht::anti_entropy_step
 //! [`arm_sloppy_read_mutant`]: QuorumDht::arm_sloppy_read_mutant
@@ -76,19 +70,14 @@
 //! # Ok::<(), lht_dht::DhtError>(())
 //! ```
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound;
+use std::borrow::Cow;
+use std::marker::PhantomData;
 
-use parking_lot::Mutex;
-
-use crate::{Dht, DhtError, DhtKey, DhtOp, DhtStats};
+use crate::slots::{self, Codec, Replies, Shape, SlotDht};
+use crate::{Dht, DhtKey};
 
 /// Byte tag separating a base key from its replica-slot suffix.
 const SLOT_TAG: &[u8] = b"/~q";
-
-/// Pending handoffs flushed per [`QuorumDht::anti_entropy_step`].
-const HANDOFF_BUDGET: usize = 8;
 
 /// Replication parameters: `n` replica slots, read quorum `r`, write
 /// quorum `w`, with `1 <= r, w <= n` and `r + w > n` (strict quorum
@@ -186,37 +175,7 @@ impl<V> Versioned<V> {
 /// base key itself (the primary copy lands where the bare substrate
 /// would put it).
 pub fn slot_key(base: &DhtKey, slot: usize) -> DhtKey {
-    if slot == 0 {
-        return base.clone();
-    }
-    // Decimal digits of `slot`, rendered into a stack buffer.
-    let mut digits = [0u8; 20];
-    let mut i = digits.len();
-    let mut s = slot;
-    loop {
-        i -= 1;
-        digits[i] = b'0' + (s % 10) as u8;
-        s /= 10;
-        if s == 0 {
-            break;
-        }
-    }
-    let digits = &digits[i..];
-    let bytes = base.as_bytes();
-    let total = bytes.len() + SLOT_TAG.len() + digits.len();
-    let mut buf = [0u8; 128];
-    if total <= buf.len() {
-        // Common case: assemble the derived key without heap traffic.
-        buf[..bytes.len()].copy_from_slice(bytes);
-        buf[bytes.len()..bytes.len() + SLOT_TAG.len()].copy_from_slice(SLOT_TAG);
-        buf[bytes.len() + SLOT_TAG.len()..total].copy_from_slice(digits);
-        DhtKey::from_bytes(&buf[..total])
-    } else {
-        let mut v = bytes.to_vec();
-        v.extend_from_slice(SLOT_TAG);
-        v.extend_from_slice(digits);
-        DhtKey::from_bytes(&v)
-    }
+    slots::derive_key(SLOT_TAG, base, slot)
 }
 
 /// Inverts [`slot_key`]: splits a (possibly) derived key back into
@@ -224,79 +183,84 @@ pub fn slot_key(base: &DhtKey, slot: usize) -> DhtKey {
 /// its own base at slot 0. Used by harness audits to fold the
 /// substrate's slot-replicated storage back into logical entries.
 pub fn split_slot_key(key: &DhtKey) -> (DhtKey, usize) {
-    let bytes = key.as_bytes();
-    if let Some(pos) = bytes
-        .windows(SLOT_TAG.len())
-        .rposition(|window| window == SLOT_TAG)
-    {
-        let digits = &bytes[pos + SLOT_TAG.len()..];
-        if !digits.is_empty() && digits.iter().all(u8::is_ascii_digit) {
-            if let Ok(slot) = std::str::from_utf8(digits).unwrap_or("").parse::<usize>() {
-                return (DhtKey::new(&bytes[..pos]), slot);
-            }
-        }
-    }
-    (key.clone(), 0)
+    slots::split_key(SLOT_TAG, key)
 }
 
-/// Replica replies collected by a read: `(slot, envelope)` pairs.
-type SlotReplies<V> = Vec<(usize, Option<Versioned<V>>)>;
-
-/// Mutable layer state, all behind one lock (see the module docs for
-/// why client ops serialize).
-struct State<E> {
-    /// Sequence-number generator; one [`QuorumDht`] per substrate.
-    clock: u64,
-    /// Rotates which slot a read contacts first, so deferred slots
-    /// actually get exercised (and a sloppy read actually observes
-    /// them — the mutant must be catchable, not theoretical).
-    rotor: u64,
-    /// Deferred/failed slot writes awaiting an anti-entropy flush,
-    /// newest-wins per `(base, slot)`.
-    pending: BTreeMap<(DhtKey, usize), E>,
-    /// Every base key this layer has written, for anti-entropy sweeps.
-    known: BTreeSet<DhtKey>,
-    /// Last base key synced by the round-robin sweep.
-    sweep: Option<DhtKey>,
-    /// The layer's own logical-op counters (never the inner's raw
-    /// per-slot traffic).
-    stats: DhtStats,
-    /// Armed mutant: reads return the first reply, no reconciliation.
-    sloppy_read: bool,
-    /// Armed mutant: writes ack after `w − 1` slots and forget the
-    /// handoffs.
-    lost_write_ack: bool,
-}
-
-impl<E> Default for State<E> {
-    fn default() -> Self {
-        State {
-            clock: 0,
-            rotor: 0,
-            pending: BTreeMap::new(),
-            known: BTreeSet::new(),
-            sweep: None,
-            stats: DhtStats::default(),
-            sloppy_read: false,
-            lost_write_ack: false,
-        }
-    }
-}
-
-/// A composable strict-quorum replication layer (see module docs).
-pub struct QuorumDht<D: Dht> {
-    inner: D,
+/// The replication codec: every slot of a group holds the same
+/// [`Versioned`] envelope `E`, so a generation *is* its envelope.
+#[derive(Debug)]
+pub struct Replication<E> {
     cfg: QuorumConfig,
-    state: Mutex<State<D::Value>>,
+    _envelope: PhantomData<fn() -> E>,
 }
 
-impl<D: Dht> std::fmt::Debug for QuorumDht<D> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QuorumDht").field("cfg", &self.cfg).finish()
+impl<E> Replication<E> {
+    /// # Panics
+    ///
+    /// Panics if `cfg` violates the strict-quorum constraints.
+    pub(crate) fn new(cfg: QuorumConfig) -> Replication<E> {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid quorum config: {e}");
+        }
+        Replication {
+            cfg,
+            _envelope: PhantomData,
+        }
     }
 }
 
-impl<D: Dht> QuorumDht<D> {
+impl<V: Clone> Codec for Replication<Versioned<V>> {
+    type Value = V;
+    type Envelope = Versioned<V>;
+    type Generation = Versioned<V>;
+
+    const TAG: &'static [u8] = SLOT_TAG;
+    const SWEEP_BUDGET: usize = 1;
+
+    fn shape(&self) -> Shape {
+        Shape {
+            slots: self.cfg.n,
+            reads: self.cfg.r,
+            write_goal: self.cfg.w,
+            write_min: self.cfg.w,
+        }
+    }
+
+    fn seq(envelope: &Versioned<V>) -> u64 {
+        envelope.seq
+    }
+
+    fn encode(&self, seq: u64, value: Option<V>) -> Versioned<V> {
+        Versioned { seq, value }
+    }
+
+    fn envelope<'g>(&self, generation: &'g Versioned<V>, _slot: usize) -> Cow<'g, Versioned<V>> {
+        Cow::Borrowed(generation)
+    }
+
+    /// Any `r` replies will do: `r + w > n` already guarantees they
+    /// intersect every completed write.
+    fn settled(&self, _replies: &Replies<Versioned<V>>) -> bool {
+        true
+    }
+
+    /// Never refuses: any one copy of a generation is the whole of it.
+    fn decode(&self, replies: &Replies<Versioned<V>>, seq: u64) -> Option<Versioned<V>> {
+        // The last such copy, as `max_by_key` over the replies picks.
+        let mut copies = replies.iter().rev().filter_map(|(_, e)| e.as_ref());
+        copies.find(|e| e.seq == seq).cloned()
+    }
+
+    fn into_value(generation: Versioned<V>) -> Option<V> {
+        generation.value
+    }
+}
+
+/// A composable strict-quorum replication layer (see module docs):
+/// the slot-group engine storing a full [`Versioned`] copy per slot.
+pub type QuorumDht<D> = SlotDht<D, Replication<<D as Dht>::Value>>;
+
+impl<V: Clone, D: Dht<Value = Versioned<V>>> SlotDht<D, Replication<Versioned<V>>> {
     /// Wraps `inner`, replicating every logical key across
     /// `cfg.n` derived slots.
     ///
@@ -304,36 +268,13 @@ impl<D: Dht> QuorumDht<D> {
     ///
     /// Panics if `cfg` violates the strict-quorum constraints
     /// (see [`QuorumConfig::validate`]).
-    pub fn new(inner: D, cfg: QuorumConfig) -> QuorumDht<D> {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid quorum config: {e}");
-        }
-        QuorumDht {
-            inner,
-            cfg,
-            state: Mutex::new(State::default()),
-        }
+    pub fn new(inner: D, cfg: QuorumConfig) -> Self {
+        SlotDht::with_codec(inner, Replication::new(cfg))
     }
 
     /// The replication parameters this layer runs with.
     pub fn config(&self) -> QuorumConfig {
-        self.cfg
-    }
-
-    /// The wrapped substrate (for harness audits of raw slot storage).
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
-
-    /// Number of `(key, slot)` writes currently awaiting an
-    /// anti-entropy flush.
-    pub fn pending_handoffs(&self) -> usize {
-        self.state.lock().pending.len()
-    }
-
-    /// Number of distinct logical keys the anti-entropy sweep tracks.
-    pub fn tracked_keys(&self) -> usize {
-        self.state.lock().known.len()
+        self.codec().cfg
     }
 
     /// Arms the sloppy-quorum-read mutant: reads answer from the
@@ -343,7 +284,7 @@ impl<D: Dht> QuorumDht<D> {
     /// an old value — a linearizability violation the checker must
     /// flag.
     pub fn arm_sloppy_read_mutant(&self) {
-        self.state.lock().sloppy_read = true;
+        self.arm_first_seen_read();
     }
 
     /// Arms the lost-write-ack mutant: a write acks after only
@@ -351,459 +292,14 @@ impl<D: Dht> QuorumDht<D> {
     /// `R + W > N` intersection argument breaks — some read quorums
     /// miss the "completed" write entirely.
     pub fn arm_lost_write_ack_mutant(&self) {
-        self.state.lock().lost_write_ack = true;
-    }
-}
-
-impl<V: Clone, D: Dht<Value = Versioned<V>>> QuorumDht<D> {
-    /// Folds the fault-side counters of an inner-stats delta into the
-    /// layer's own stats. Operation/round/hop counters are *not*
-    /// folded — the layer mints exactly one logical op per client
-    /// call — and cache counters cannot appear below a quorum layer
-    /// (the cache composes outermost).
-    fn absorb_faults(stats: &mut DhtStats, d: &DhtStats) {
-        stats.drops += d.drops;
-        stats.timeouts += d.timeouts;
-        stats.retries += d.retries;
-        stats.latency_ms += d.latency_ms;
-        stats.round_latency_ms += d.round_latency_ms;
-        stats.keys_transferred += d.keys_transferred;
-        stats.repair_transfers += d.repair_transfers;
-        stats.repair_bandwidth += d.repair_bandwidth;
-        stats.latency_hist = stats.latency_hist + d.latency_hist;
-    }
-
-    /// Newest-wins install of `entry` into one replica slot, via the
-    /// substrate's `update` so a repair or handoff can never regress
-    /// a newer version already present.
-    fn merge_write(
-        &self,
-        base: &DhtKey,
-        slot: usize,
-        entry: &Versioned<V>,
-    ) -> Result<(), DhtError> {
-        let key = slot_key(base, slot);
-        let mut install = |cur: &mut Option<Versioned<V>>| {
-            if cur.as_ref().is_none_or(|c| c.seq < entry.seq) {
-                *cur = Some(entry.clone());
-            }
-        };
-        self.inner.update(&key, &mut install)
-    }
-
-    /// One maintenance RPC: runs `op` against the inner substrate and
-    /// charges its hops to `repair_transfers`/`repair_bandwidth`
-    /// (plus absorbed fault counters) — never to the request path.
-    fn repair_rpc<T>(
-        &self,
-        stats: &mut DhtStats,
-        op: impl FnOnce(&Self) -> Result<T, DhtError>,
-    ) -> Result<T, DhtError> {
-        let before = self.inner.stats();
-        let out = op(self);
-        let d = self.inner.stats() - before;
-        stats.record_repair(d.hops);
-        Self::absorb_faults(stats, &d);
-        out
-    }
-
-    /// Enqueues `entry` for a deferred slot write, newest-wins.
-    fn enqueue_handoff(
-        st: &mut State<Versioned<V>>,
-        base: &DhtKey,
-        slot: usize,
-        entry: &Versioned<V>,
-    ) {
-        match st.pending.entry((base.clone(), slot)) {
-            Entry::Occupied(mut o) => {
-                if o.get().seq < entry.seq {
-                    o.insert(entry.clone());
-                }
-            }
-            Entry::Vacant(v) => {
-                v.insert(entry.clone());
-            }
-        }
-    }
-
-    /// Contacts slots starting at the read rotor until `r` replied,
-    /// extending past transient failures to further slots (that
-    /// extension is the availability win: any `r` of `n` will do).
-    ///
-    /// On failure — fewer than `r` replies, or a structural error —
-    /// this charges the routed hops and absorbed faults against
-    /// `before` itself and returns `Err` without minting a logical
-    /// lookup. On success it charges nothing; the caller owns the
-    /// delta window.
-    fn contact_read(
-        &self,
-        st: &mut State<Versioned<V>>,
-        base: &DhtKey,
-        before: DhtStats,
-    ) -> Result<SlotReplies<V>, DhtError> {
-        let offset = (st.rotor as usize) % self.cfg.n;
-        st.rotor += 1;
-        let mut replies = Vec::with_capacity(self.cfg.r);
-        let mut last_err = None;
-        for i in 0..self.cfg.n {
-            if replies.len() >= self.cfg.r {
-                break;
-            }
-            let slot = (offset + i) % self.cfg.n;
-            match self.inner.get(&slot_key(base, slot)) {
-                Ok(v) => replies.push((slot, v)),
-                Err(e) if e.is_transient() => last_err = Some(e),
-                Err(e) => {
-                    let d = self.inner.stats() - before;
-                    st.stats.hops += d.hops;
-                    Self::absorb_faults(&mut st.stats, &d);
-                    return Err(e);
-                }
-            }
-        }
-        if replies.len() < self.cfg.r {
-            let d = self.inner.stats() - before;
-            st.stats.hops += d.hops;
-            Self::absorb_faults(&mut st.stats, &d);
-            return Err(last_err.unwrap_or(DhtError::RoutingFailed { hops: 0 }));
-        }
-        Ok(replies)
-    }
-
-    /// The newest envelope among `replies`, by sequence number.
-    fn reconcile(replies: &[(usize, Option<Versioned<V>>)]) -> Option<&Versioned<V>> {
-        replies
-            .iter()
-            .filter_map(|(_, v)| v.as_ref())
-            .max_by_key(|v| v.seq)
-    }
-
-    /// Installs `entry` into slots `0..n` in order until the write
-    /// quorum acked, returning the slots left for deferred handoff
-    /// (both the `n − w` skipped ones and any whose install the
-    /// network lost). Does no accounting; the caller owns the delta
-    /// window and the error path.
-    fn write_slots(
-        &self,
-        st: &State<Versioned<V>>,
-        base: &DhtKey,
-        entry: &Versioned<V>,
-    ) -> Result<Vec<usize>, DhtError> {
-        // The lost-write-ack mutant believes w − 1 acks complete the
-        // quorum.
-        let goal = if st.lost_write_ack {
-            self.cfg.w - 1
-        } else {
-            self.cfg.w
-        };
-        let mut acked = 0usize;
-        let mut handoff = Vec::new();
-        let mut last_err = None;
-        for slot in 0..self.cfg.n {
-            if acked >= goal {
-                handoff.push(slot);
-                continue;
-            }
-            match self.merge_write(base, slot, entry) {
-                Ok(()) => acked += 1,
-                Err(e) if e.is_transient() => {
-                    last_err = Some(e);
-                    handoff.push(slot);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if acked >= goal {
-            Ok(handoff)
-        } else {
-            Err(last_err.unwrap_or(DhtError::RoutingFailed { hops: 0 }))
-        }
-    }
-
-    /// Shared tail of every logical write: stamps the op, queues the
-    /// handoffs (unless the lost-write-ack mutant forgot them) and
-    /// registers the base key for anti-entropy sweeps.
-    fn finish_write(
-        &self,
-        st: &mut State<Versioned<V>>,
-        base: &DhtKey,
-        entry: &Versioned<V>,
-        handoff: Vec<usize>,
-        op: DhtOp,
-        before: DhtStats,
-    ) {
-        let d = self.inner.stats() - before;
-        st.stats.record_op(op, d.hops);
-        Self::absorb_faults(&mut st.stats, &d);
-        if !st.lost_write_ack {
-            for slot in handoff {
-                Self::enqueue_handoff(st, base, slot, entry);
-            }
-        }
-        st.known.insert(base.clone());
-    }
-
-    /// Charges a failed logical op's routed hops without minting a
-    /// lookup — the same honesty rule the retry layer follows.
-    fn charge_failure(&self, st: &mut State<Versioned<V>>, before: DhtStats) {
-        let d = self.inner.stats() - before;
-        st.stats.hops += d.hops;
-        Self::absorb_faults(&mut st.stats, &d);
-    }
-
-    /// Read-repairs every contacted slot that is missing the newest
-    /// version, and drops now-superseded pending handoffs for slots a
-    /// repair just covered.
-    fn read_repair(
-        &self,
-        st: &mut State<Versioned<V>>,
-        base: &DhtKey,
-        replies: &[(usize, Option<Versioned<V>>)],
-    ) {
-        let Some(newest) = Self::reconcile(replies).cloned() else {
-            return;
-        };
-        for (slot, v) in replies {
-            let stale = v.as_ref().is_none_or(|c| c.seq < newest.seq);
-            if !stale {
-                continue;
-            }
-            let ok = self
-                .repair_rpc(&mut st.stats, |this| this.merge_write(base, *slot, &newest))
-                .is_ok();
-            if ok {
-                if let Some(p) = st.pending.get(&(base.clone(), *slot)) {
-                    if p.seq <= newest.seq {
-                        st.pending.remove(&(base.clone(), *slot));
-                    }
-                }
-            }
-        }
-    }
-
-    /// One background maintenance round: flushes up to
-    /// [`HANDOFF_BUDGET`] pending handoffs, then fully syncs the next
-    /// tracked key round-robin (reads all `n` slots, installs the
-    /// newest wherever it is missing). Every RPC issued is charged to
-    /// the `repair_*` counters. Returns the number of slot *writes*
-    /// issued — 0 means the store was already converged on the
-    /// portion visited.
-    pub fn anti_entropy_step(&self) -> u64 {
-        let mut st = self.state.lock();
-        let mut writes = 0u64;
-
-        // Phase 1: hinted/deferred handoff flush.
-        let batch: Vec<((DhtKey, usize), Versioned<V>)> = {
-            let keys: Vec<(DhtKey, usize)> =
-                st.pending.keys().take(HANDOFF_BUDGET).cloned().collect();
-            keys.into_iter()
-                .filter_map(|k| st.pending.remove(&k).map(|v| (k, v)))
-                .collect()
-        };
-        for ((base, slot), entry) in batch {
-            let res = self.repair_rpc(&mut st.stats, |this| this.merge_write(&base, slot, &entry));
-            writes += 1;
-            if res.is_err() {
-                // Keep trying next round; newest-wins keeps this safe.
-                Self::enqueue_handoff(&mut st, &base, slot, &entry);
-            }
-        }
-
-        // Phase 2: round-robin full sync of one tracked key.
-        let next = match &st.sweep {
-            Some(cur) => st
-                .known
-                .range((Bound::Excluded(cur.clone()), Bound::Unbounded))
-                .next()
-                .cloned()
-                .or_else(|| st.known.iter().next().cloned()),
-            None => st.known.iter().next().cloned(),
-        };
-        if let Some(base) = next {
-            st.sweep = Some(base.clone());
-            writes += self.sync_key(&mut st, &base);
-        }
-        writes
-    }
-
-    /// Flushes **all** pending handoffs and fully syncs **every**
-    /// tracked key once, returning the slot writes issued. After a
-    /// pass over a quiescent store, a second pass issues 0 writes —
-    /// the convergence test the hammer pins.
-    pub fn sync_all(&self) -> u64 {
-        let mut st = self.state.lock();
-        let mut writes = 0u64;
-        while let Some(key) = st.pending.keys().next().cloned() {
-            let entry = st.pending.remove(&key).expect("key just observed");
-            let (base, slot) = key;
-            let res = self.repair_rpc(&mut st.stats, |this| this.merge_write(&base, slot, &entry));
-            writes += 1;
-            if res.is_err() {
-                Self::enqueue_handoff(&mut st, &base, slot, &entry);
-                break; // a persistently failing slot must not spin forever
-            }
-        }
-        let keys: Vec<DhtKey> = st.known.iter().cloned().collect();
-        for base in keys {
-            writes += self.sync_key(&mut st, &base);
-        }
-        writes
-    }
-
-    /// Reads all `n` slots of `base` and installs the newest envelope
-    /// wherever it is missing, all charged as repair traffic. Returns
-    /// the writes issued.
-    fn sync_key(&self, st: &mut State<Versioned<V>>, base: &DhtKey) -> u64 {
-        let mut writes = 0u64;
-        let mut replies = Vec::with_capacity(self.cfg.n);
-        for slot in 0..self.cfg.n {
-            let got = self.repair_rpc(&mut st.stats, |this| this.inner.get(&slot_key(base, slot)));
-            if let Ok(v) = got {
-                replies.push((slot, v));
-            }
-        }
-        let Some(newest) = Self::reconcile(&replies).cloned() else {
-            return 0;
-        };
-        for (slot, v) in &replies {
-            let stale = v.as_ref().is_none_or(|c| c.seq < newest.seq);
-            if !stale {
-                continue;
-            }
-            let ok = self
-                .repair_rpc(&mut st.stats, |this| this.merge_write(base, *slot, &newest))
-                .is_ok();
-            writes += 1;
-            if ok {
-                if let Some(p) = st.pending.get(&(base.clone(), *slot)) {
-                    if p.seq <= newest.seq {
-                        st.pending.remove(&(base.clone(), *slot));
-                    }
-                }
-            }
-        }
-        writes
-    }
-}
-
-impl<V: Clone, D: Dht<Value = Versioned<V>>> Dht for QuorumDht<D> {
-    type Value = V;
-
-    fn get(&self, key: &DhtKey) -> Result<Option<V>, DhtError> {
-        let mut st = self.state.lock();
-        let before = self.inner.stats();
-        let replies = self.contact_read(&mut st, key, before)?;
-        let result = if st.sloppy_read {
-            // Mutant: first reply wins, no reconciliation, no repair.
-            replies
-                .iter()
-                .find_map(|(_, v)| v.as_ref())
-                .and_then(|v| v.value.clone())
-        } else {
-            Self::reconcile(&replies).and_then(|v| v.value.clone())
-        };
-        let d = self.inner.stats() - before;
-        st.stats.record_op(
-            DhtOp::Get {
-                found: result.is_some(),
-            },
-            d.hops,
-        );
-        Self::absorb_faults(&mut st.stats, &d);
-        if !st.sloppy_read {
-            self.read_repair(&mut st, key, &replies);
-        }
-        Ok(result)
-    }
-
-    fn put(&self, key: &DhtKey, value: V) -> Result<(), DhtError> {
-        let mut st = self.state.lock();
-        st.clock += 1;
-        let entry = Versioned::new(st.clock, value);
-        let before = self.inner.stats();
-        match self.write_slots(&st, key, &entry) {
-            Ok(handoff) => {
-                self.finish_write(&mut st, key, &entry, handoff, DhtOp::Put, before);
-                Ok(())
-            }
-            Err(e) => {
-                self.charge_failure(&mut st, before);
-                Err(e)
-            }
-        }
-    }
-
-    fn remove(&self, key: &DhtKey) -> Result<Option<V>, DhtError> {
-        let mut st = self.state.lock();
-        let before = self.inner.stats();
-        // Read quorum first: the caller gets the newest prior value,
-        // then a tombstone (never a physical delete — a slow replica
-        // could resurrect one) takes the write quorum.
-        let replies = self.contact_read(&mut st, key, before)?;
-        let prior = Self::reconcile(&replies).and_then(|v| v.value.clone());
-        st.clock += 1;
-        let entry = Versioned::tombstone(st.clock);
-        match self.write_slots(&st, key, &entry) {
-            Ok(handoff) => {
-                self.finish_write(&mut st, key, &entry, handoff, DhtOp::Remove, before);
-                Ok(prior)
-            }
-            Err(e) => {
-                self.charge_failure(&mut st, before);
-                Err(e)
-            }
-        }
-    }
-
-    fn update(&self, key: &DhtKey, f: &mut dyn FnMut(&mut Option<V>)) -> Result<(), DhtError> {
-        let mut st = self.state.lock();
-        let before = self.inner.stats();
-        // Read-quorum newest, apply the closure exactly once locally,
-        // write-quorum the result under a fresh seq. Atomic under the
-        // simulator's atomic-at-invocation model; real-thread users
-        // wanting atomic read-modify-write across clients need
-        // external coordination (the layer serializes its *own*
-        // clients, which is what the hammer exercises).
-        let replies = self.contact_read(&mut st, key, before)?;
-        let mut slot_value = Self::reconcile(&replies).and_then(|v| v.value.clone());
-        f(&mut slot_value);
-        st.clock += 1;
-        let entry = Versioned {
-            seq: st.clock,
-            value: slot_value,
-        };
-        match self.write_slots(&st, key, &entry) {
-            Ok(handoff) => {
-                self.finish_write(&mut st, key, &entry, handoff, DhtOp::Update, before);
-                Ok(())
-            }
-            Err(e) => {
-                self.charge_failure(&mut st, before);
-                Err(e)
-            }
-        }
-    }
-
-    fn prewarm(&self, keys: &[DhtKey]) {
-        // Slot 0 is the base key, so warming the inner layer's per-key
-        // state with the logical keys is exact for the primary copies.
-        self.inner.prewarm(keys);
-    }
-
-    fn stats(&self) -> DhtStats {
-        self.state.lock().stats
-    }
-
-    fn reset_stats(&self) {
-        self.state.lock().stats = DhtStats::default();
-        self.inner.reset_stats();
+        self.arm_lost_write_ack();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ChordDht, DirectDht};
+    use crate::DirectDht;
 
     fn key(s: &str) -> DhtKey {
         DhtKey::from(s)
@@ -826,109 +322,6 @@ mod tests {
     fn sloppy_config_is_rejected_at_construction() {
         let ring: DirectDht<Versioned<u32>> = DirectDht::new();
         let _ = QuorumDht::new(&ring, QuorumConfig { n: 3, r: 1, w: 1 });
-    }
-
-    #[test]
-    fn slot_keys_roundtrip_and_slot0_is_the_base() {
-        let base = key("#0110");
-        assert_eq!(slot_key(&base, 0), base);
-        for slot in [1usize, 2, 7, 12] {
-            let derived = slot_key(&base, slot);
-            assert_ne!(derived, base);
-            assert_eq!(split_slot_key(&derived), (base.clone(), slot));
-        }
-        // A key with no suffix is its own base.
-        assert_eq!(split_slot_key(&base), (base.clone(), 0));
-    }
-
-    #[test]
-    fn put_get_remove_roundtrip_with_tombstones() {
-        let ring: DirectDht<Versioned<u32>> = DirectDht::new();
-        let q = QuorumDht::new(&ring, QuorumConfig::new(3, 2, 2));
-        assert_eq!(q.get(&key("a")).unwrap(), None);
-        q.put(&key("a"), 1).unwrap();
-        assert_eq!(q.get(&key("a")).unwrap(), Some(1));
-        q.put(&key("a"), 2).unwrap();
-        assert_eq!(q.get(&key("a")).unwrap(), Some(2));
-        assert_eq!(q.remove(&key("a")).unwrap(), Some(2));
-        // The tombstone wins over every older replica, however the
-        // read rotation lands.
-        for _ in 0..6 {
-            assert_eq!(q.get(&key("a")).unwrap(), None);
-        }
-        assert_eq!(q.remove(&key("a")).unwrap(), None);
-    }
-
-    #[test]
-    fn update_applies_closure_exactly_once_over_newest() {
-        let ring: DirectDht<Versioned<u32>> = DirectDht::new();
-        let q = QuorumDht::new(&ring, QuorumConfig::new(3, 2, 2));
-        q.put(&key("a"), 10).unwrap();
-        let mut calls = 0;
-        q.update(&key("a"), &mut |slot| {
-            calls += 1;
-            *slot = slot.map(|v| v + 1);
-        })
-        .unwrap();
-        assert_eq!(calls, 1);
-        assert_eq!(q.get(&key("a")).unwrap(), Some(11));
-        // An update that clears the slot deletes the entry.
-        q.update(&key("a"), &mut |slot| *slot = None).unwrap();
-        assert_eq!(q.get(&key("a")).unwrap(), None);
-    }
-
-    #[test]
-    fn one_logical_lookup_per_op_never_n() {
-        let ring: DirectDht<Versioned<u32>> = DirectDht::new();
-        let q = QuorumDht::new(&ring, QuorumConfig::new(3, 2, 2));
-        q.put(&key("a"), 1).unwrap();
-        q.get(&key("a")).unwrap();
-        q.update(&key("a"), &mut |_| {}).unwrap();
-        q.remove(&key("a")).unwrap();
-        let s = q.stats();
-        assert_eq!(s.lookups(), 4);
-        assert_eq!((s.puts, s.gets, s.updates, s.removes), (1, 1, 1, 1));
-        assert_eq!(s.rounds, 4);
-        s.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn deferred_handoffs_queue_and_anti_entropy_flushes_them() {
-        let ring: DirectDht<Versioned<u32>> = DirectDht::new();
-        let q = QuorumDht::new(&ring, QuorumConfig::new(3, 2, 2));
-        q.put(&key("a"), 1).unwrap();
-        // n − w = 1 slot deferred.
-        assert_eq!(q.pending_handoffs(), 1);
-        assert_eq!(q.tracked_keys(), 1);
-        let before = q.stats();
-        assert_eq!(before.repair_transfers, 0, "no repair before maintenance");
-        let writes = q.anti_entropy_step();
-        assert_eq!(writes, 1, "the deferred slot must be flushed");
-        assert_eq!(q.pending_handoffs(), 0);
-        let s = q.stats();
-        assert!(s.repair_transfers > 0, "maintenance RPCs must be charged");
-        assert_eq!(s.hops, before.hops, "repair must not touch request hops");
-        s.check_invariants().unwrap();
-        // A second full pass over a converged store writes nothing.
-        assert_eq!(q.sync_all(), 0);
-    }
-
-    #[test]
-    fn read_repair_heals_a_stale_slot_it_contacted() {
-        let ring: DirectDht<Versioned<u32>> = DirectDht::new();
-        let q = QuorumDht::new(&ring, QuorumConfig::new(3, 2, 2));
-        q.put(&key("a"), 1).unwrap();
-        q.put(&key("a"), 2).unwrap();
-        // Rotate reads until every slot has been contacted; each read
-        // must return the newest value and repair what it touched.
-        for _ in 0..6 {
-            assert_eq!(q.get(&key("a")).unwrap(), Some(2));
-        }
-        // After the reads, a full sync finds nothing left to fix
-        // beyond what the handoff queue still holds.
-        q.sync_all();
-        assert_eq!(q.sync_all(), 0, "store must be converged");
-        assert!(q.stats().repair_transfers > 0);
     }
 
     #[test]
@@ -993,41 +386,5 @@ mod tests {
             None,
             "a read quorum excluding slot 0 must miss the acked write"
         );
-    }
-
-    #[test]
-    fn composes_over_chord_and_charges_routed_hops() {
-        let ring: ChordDht<Versioned<u32>> = ChordDht::with_nodes(16, 9);
-        let q = QuorumDht::new(&ring, QuorumConfig::new(3, 2, 2));
-        for i in 0..32u32 {
-            q.put(&key(&format!("k{i}")), i).unwrap();
-        }
-        for i in 0..32u32 {
-            assert_eq!(q.get(&key(&format!("k{i}"))).unwrap(), Some(i));
-        }
-        let s = q.stats();
-        assert_eq!(s.lookups(), 64);
-        assert!(s.hops > 0, "chord routing must be charged");
-        s.check_invariants().unwrap();
-        q.sync_all();
-        q.stats().check_invariants().unwrap();
-    }
-
-    #[test]
-    fn failed_logical_ops_mint_no_lookups() {
-        // A network dropping every RPC starves both quorums; the
-        // failed logical ops must charge their faults but no lookups.
-        let ring: DirectDht<Versioned<u32>> = DirectDht::new();
-        let lossy = crate::FaultyDht::new(&ring, crate::NetProfile::lossy(5, 1.0));
-        let q = QuorumDht::new(&lossy, QuorumConfig::new(2, 1, 2));
-        assert!(q.put(&key("a"), 1).is_err());
-        assert!(q.get(&key("a")).is_err());
-        let s = q.stats();
-        assert_eq!(s.lookups(), 0, "failed ops must not mint lookups");
-        assert!(
-            s.drops + s.timeouts > 0,
-            "the lost attempts must be absorbed into the layer's stats"
-        );
-        s.check_invariants().unwrap();
     }
 }
