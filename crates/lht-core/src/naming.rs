@@ -790,7 +790,10 @@ mod tests {
         let labels = [c, a];
         let keys = batched.resolve_batch(&labels);
         let expect: Vec<DhtKey> = labels.iter().map(|l| in_order.resolve(l)).collect();
-        assert_eq!(keys, expect, "keys agree even where the accounting does not");
+        assert_eq!(
+            keys, expect,
+            "keys agree even where the accounting does not"
+        );
         let (bs, is) = (batched.stats(), in_order.stats());
         assert_eq!((bs.hits, bs.misses, bs.evictions), (1, 3, 1));
         assert_eq!((is.hits, is.misses, is.evictions), (0, 4, 2));

@@ -222,77 +222,91 @@ pub trait Dht {
     fn reset_stats(&self);
 }
 
-impl<D: Dht + ?Sized> Dht for &D {
-    type Value = D::Value;
+/// Implements [`Dht`] for a pointer type over `D` by forwarding every
+/// method — the defaulted ones too, so a wrapped substrate's native
+/// batching, probing and owner hints stay visible through the pointer.
+macro_rules! forward_dht {
+    ($pointer:ty) => {
+        impl<D: Dht + ?Sized> Dht for $pointer {
+            type Value = D::Value;
 
-    fn get(&self, key: &DhtKey) -> Result<Option<Self::Value>, DhtError> {
-        (**self).get(key)
-    }
+            fn get(&self, key: &DhtKey) -> Result<Option<Self::Value>, DhtError> {
+                (**self).get(key)
+            }
 
-    fn put(&self, key: &DhtKey, value: Self::Value) -> Result<(), DhtError> {
-        (**self).put(key, value)
-    }
+            fn put(&self, key: &DhtKey, value: Self::Value) -> Result<(), DhtError> {
+                (**self).put(key, value)
+            }
 
-    fn remove(&self, key: &DhtKey) -> Result<Option<Self::Value>, DhtError> {
-        (**self).remove(key)
-    }
+            fn remove(&self, key: &DhtKey) -> Result<Option<Self::Value>, DhtError> {
+                (**self).remove(key)
+            }
 
-    fn update(
-        &self,
-        key: &DhtKey,
-        f: &mut dyn FnMut(&mut Option<Self::Value>),
-    ) -> Result<(), DhtError> {
-        (**self).update(key, f)
-    }
+            fn update(
+                &self,
+                key: &DhtKey,
+                f: &mut dyn FnMut(&mut Option<Self::Value>),
+            ) -> Result<(), DhtError> {
+                (**self).update(key, f)
+            }
 
-    fn multi_get(&self, keys: &[DhtKey]) -> Vec<Result<Option<Self::Value>, DhtError>> {
-        (**self).multi_get(keys)
-    }
+            fn multi_get(&self, keys: &[DhtKey]) -> Vec<Result<Option<Self::Value>, DhtError>> {
+                (**self).multi_get(keys)
+            }
 
-    fn multi_put(&self, entries: Vec<(DhtKey, Self::Value)>) -> Vec<Result<(), DhtError>> {
-        (**self).multi_put(entries)
-    }
+            fn multi_put(&self, entries: Vec<(DhtKey, Self::Value)>) -> Vec<Result<(), DhtError>> {
+                (**self).multi_put(entries)
+            }
 
-    fn probe_get(&self, key: &DhtKey, owner: U160) -> Result<Probe<Option<Self::Value>>, DhtError> {
-        (**self).probe_get(key, owner)
-    }
+            fn probe_get(
+                &self,
+                key: &DhtKey,
+                owner: U160,
+            ) -> Result<Probe<Option<Self::Value>>, DhtError> {
+                (**self).probe_get(key, owner)
+            }
 
-    fn probe_put(
-        &self,
-        key: &DhtKey,
-        value: Self::Value,
-        owner: U160,
-    ) -> Result<Probe<()>, DhtError> {
-        (**self).probe_put(key, value, owner)
-    }
+            fn probe_put(
+                &self,
+                key: &DhtKey,
+                value: Self::Value,
+                owner: U160,
+            ) -> Result<Probe<()>, DhtError> {
+                (**self).probe_put(key, value, owner)
+            }
 
-    fn probe_multi_get(
-        &self,
-        probes: &[(DhtKey, U160)],
-    ) -> Vec<Result<Probe<Option<Self::Value>>, DhtError>> {
-        (**self).probe_multi_get(probes)
-    }
+            fn probe_multi_get(
+                &self,
+                probes: &[(DhtKey, U160)],
+            ) -> Vec<Result<Probe<Option<Self::Value>>, DhtError>> {
+                (**self).probe_multi_get(probes)
+            }
 
-    fn probe_multi_put(
-        &self,
-        entries: Vec<(DhtKey, Self::Value, U160)>,
-    ) -> Vec<Result<Probe<()>, DhtError>> {
-        (**self).probe_multi_put(entries)
-    }
+            fn probe_multi_put(
+                &self,
+                entries: Vec<(DhtKey, Self::Value, U160)>,
+            ) -> Vec<Result<Probe<()>, DhtError>> {
+                (**self).probe_multi_put(entries)
+            }
 
-    fn owner_hint(&self, key: &DhtKey) -> Option<U160> {
-        (**self).owner_hint(key)
-    }
+            fn owner_hint(&self, key: &DhtKey) -> Option<U160> {
+                (**self).owner_hint(key)
+            }
 
-    fn prewarm(&self, keys: &[DhtKey]) {
-        (**self).prewarm(keys)
-    }
+            fn prewarm(&self, keys: &[DhtKey]) {
+                (**self).prewarm(keys)
+            }
 
-    fn stats(&self) -> DhtStats {
-        (**self).stats()
-    }
+            fn stats(&self) -> DhtStats {
+                (**self).stats()
+            }
 
-    fn reset_stats(&self) {
-        (**self).reset_stats()
-    }
+            fn reset_stats(&self) {
+                (**self).reset_stats()
+            }
+        }
+    };
 }
+
+forward_dht!(&D);
+forward_dht!(std::sync::Arc<D>);

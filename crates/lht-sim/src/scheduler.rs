@@ -27,9 +27,8 @@ use rand::{Rng, SeedableRng};
 
 use lht_core::{HistoryLog, KeyInterval, LeafBucket, LhtConfig, LhtIndex};
 use lht_dht::{
-    CacheConfig, CachedDht, ChordConfig, ChordDht, Dht, DhtError, DhtKey, ErasureConfig,
-    ErasureDht, FaultyDht, Fragment, NetProfile, Probe, QuorumConfig, QuorumDht, RetriedDht,
-    RetryPolicy, Versioned,
+    CacheConfig, CachedDht, ChordConfig, ChordDht, Dht, ErasureConfig, ErasureDht, FaultyDht,
+    Fragment, NetProfile, QuorumConfig, QuorumDht, RetriedDht, RetryPolicy, Versioned,
 };
 use lht_id::{KeyFraction, U160};
 
@@ -38,99 +37,14 @@ use crate::config::SimConfig;
 use crate::plan::{client_plans, ClientPlan, PlannedOp};
 use crate::shrink;
 
-/// A cloneable handle sharing one substrate between the index stack
-/// and the scheduler's maintenance/churn actors.
-struct SharedDht<D>(Arc<D>);
-
-impl<D> Clone for SharedDht<D> {
-    fn clone(&self) -> Self {
-        SharedDht(Arc::clone(&self.0))
-    }
-}
-
-impl<D: Dht> Dht for SharedDht<D> {
-    type Value = D::Value;
-
-    fn get(&self, key: &DhtKey) -> Result<Option<Self::Value>, DhtError> {
-        self.0.get(key)
-    }
-
-    fn put(&self, key: &DhtKey, value: Self::Value) -> Result<(), DhtError> {
-        self.0.put(key, value)
-    }
-
-    fn remove(&self, key: &DhtKey) -> Result<Option<Self::Value>, DhtError> {
-        self.0.remove(key)
-    }
-
-    fn update(
-        &self,
-        key: &DhtKey,
-        f: &mut dyn FnMut(&mut Option<Self::Value>),
-    ) -> Result<(), DhtError> {
-        self.0.update(key, f)
-    }
-
-    fn multi_get(&self, keys: &[DhtKey]) -> Vec<Result<Option<Self::Value>, DhtError>> {
-        self.0.multi_get(keys)
-    }
-
-    fn multi_put(&self, entries: Vec<(DhtKey, Self::Value)>) -> Vec<Result<(), DhtError>> {
-        self.0.multi_put(entries)
-    }
-
-    fn stats(&self) -> lht_dht::DhtStats {
-        self.0.stats()
-    }
-
-    fn reset_stats(&self) {
-        self.0.reset_stats()
-    }
-
-    fn probe_get(&self, key: &DhtKey, owner: U160) -> Result<Probe<Option<Self::Value>>, DhtError> {
-        self.0.probe_get(key, owner)
-    }
-
-    fn probe_put(
-        &self,
-        key: &DhtKey,
-        value: Self::Value,
-        owner: U160,
-    ) -> Result<Probe<()>, DhtError> {
-        self.0.probe_put(key, value, owner)
-    }
-
-    fn probe_multi_get(
-        &self,
-        probes: &[(DhtKey, U160)],
-    ) -> Vec<Result<Probe<Option<Self::Value>>, DhtError>> {
-        self.0.probe_multi_get(probes)
-    }
-
-    fn probe_multi_put(
-        &self,
-        probes: Vec<(DhtKey, Self::Value, U160)>,
-    ) -> Vec<Result<Probe<()>, DhtError>> {
-        self.0.probe_multi_put(probes)
-    }
-
-    fn owner_hint(&self, key: &DhtKey) -> Option<U160> {
-        self.0.owner_hint(key)
-    }
-
-    fn prewarm(&self, keys: &[DhtKey]) {
-        self.0.prewarm(keys)
-    }
-}
-
 type Ring = ChordDht<LeafBucket<u32>>;
-type Stack = CachedDht<RetriedDht<FaultyDht<SharedDht<Ring>>>>;
+type Stack = CachedDht<RetriedDht<FaultyDht<Arc<Ring>>>>;
 type QRing = ChordDht<Versioned<LeafBucket<u32>>>;
-type QuorumLayer = QuorumDht<SharedDht<QRing>>;
-type QStack = CachedDht<RetriedDht<FaultyDht<SharedDht<QuorumLayer>>>>;
+type QuorumLayer = QuorumDht<Arc<QRing>>;
+type QStack = CachedDht<RetriedDht<FaultyDht<Arc<QuorumLayer>>>>;
 type ERing = ChordDht<Fragment>;
-type ErasureLayer = ErasureDht<SharedDht<ERing>, LeafBucket<u32>>;
-type EStack = CachedDht<RetriedDht<FaultyDht<SharedDht<ErasureLayer>>>>;
+type ErasureLayer = ErasureDht<Arc<ERing>, LeafBucket<u32>>;
+type EStack = CachedDht<RetriedDht<FaultyDht<Arc<ErasureLayer>>>>;
 
 /// The maintenance half of a built world: the ring the stabilize and
 /// churn actors drive, plus — in quorum mode — the replication layer
@@ -275,7 +189,7 @@ impl StackBuild for Stack {
         }
         let stack = CachedDht::new(
             RetriedDht::new(
-                FaultyDht::new(SharedDht(Arc::clone(&ring)), net_profile(cfg)),
+                FaultyDht::new(Arc::clone(&ring), net_profile(cfg)),
                 retry_policy(cfg),
             ),
             cache_config(cfg),
@@ -306,7 +220,7 @@ impl StackBuild for QStack {
             ring.arm_stale_cache_mutant();
         }
         let quorum = Arc::new(QuorumDht::new(
-            SharedDht(Arc::clone(&ring)),
+            Arc::clone(&ring),
             QuorumConfig::new(n, r, w),
         ));
         if cfg.sloppy_quorum_read {
@@ -317,7 +231,7 @@ impl StackBuild for QStack {
         }
         let stack = CachedDht::new(
             RetriedDht::new(
-                FaultyDht::new(SharedDht(Arc::clone(&quorum)), net_profile(cfg)),
+                FaultyDht::new(Arc::clone(&quorum), net_profile(cfg)),
                 retry_policy(cfg),
             ),
             cache_config(cfg),
@@ -349,10 +263,7 @@ impl StackBuild for EStack {
         if cfg.stale_cache_read {
             ring.arm_stale_cache_mutant();
         }
-        let erasure = Arc::new(ErasureDht::new(
-            SharedDht(Arc::clone(&ring)),
-            ErasureConfig::new(k, m),
-        ));
+        let erasure = Arc::new(ErasureDht::new(Arc::clone(&ring), ErasureConfig::new(k, m)));
         if cfg.corrupt_fragment {
             erasure.arm_corrupt_fragment_mutant();
         }
@@ -361,7 +272,7 @@ impl StackBuild for EStack {
         }
         let stack = CachedDht::new(
             RetriedDht::new(
-                FaultyDht::new(SharedDht(Arc::clone(&erasure)), net_profile(cfg)),
+                FaultyDht::new(Arc::clone(&erasure), net_profile(cfg)),
                 retry_policy(cfg),
             ),
             cache_config(cfg),
