@@ -272,7 +272,6 @@ pub fn split_fragment_key(key: &DhtKey) -> (DhtKey, usize) {
 
 /// The erasure codec: slot `i` of a group holds shard `i` of the
 /// Reed-Solomon-coded payload, as a [`Fragment`].
-#[derive(Debug)]
 pub struct Coding<V> {
     cfg: ErasureConfig,
     rs: ReedSolomon,

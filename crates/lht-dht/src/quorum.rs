@@ -188,7 +188,6 @@ pub fn split_slot_key(key: &DhtKey) -> (DhtKey, usize) {
 
 /// The replication codec: every slot of a group holds the same
 /// [`Versioned`] envelope `E`, so a generation *is* its envelope.
-#[derive(Debug)]
 pub struct Replication<E> {
     cfg: QuorumConfig,
     _envelope: PhantomData<fn() -> E>,

@@ -226,10 +226,10 @@ pub struct SlotDht<D, C: Codec> {
     state: Mutex<State<C::Envelope>>,
 }
 
-impl<D, C: Codec + std::fmt::Debug> std::fmt::Debug for SlotDht<D, C> {
+impl<D, C: Codec> std::fmt::Debug for SlotDht<D, C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SlotDht")
-            .field("codec", &self.codec)
+            .field("shape", &self.codec.shape())
             .finish()
     }
 }
