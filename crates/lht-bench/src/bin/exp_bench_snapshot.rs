@@ -34,6 +34,12 @@
 //!     [--smoke] [--keys N] [--seed N] [--check]
 //! ```
 //!
+//! A measuring run rewrites `BENCH_lht.json` (the one point `--check`
+//! compares against) and appends the same fields, with the commit and
+//! the CPU model they were measured on, as one line to
+//! `BENCH_history.jsonl` — the kept trajectory: wall-clock numbers
+//! only compare between lines from one machine.
+//!
 //! `--check` re-measures and compares against the committed
 //! `BENCH_lht.json`: the run fails if `chord_hops_per_lookup`,
 //! `cached_hops_per_lookup`, `erasure_bytes_per_durable_key` or
@@ -46,11 +52,13 @@
 //! `sha1_throughput_mb_s` by more than 25% (the hardware SHA path
 //! shares a noisy core; a real regression to the scalar path is a
 //! ~3x cliff, far past the band), and `paper_scale_inserts_per_sec` /
-//! `paper_scale_peers_1024_inserts_per_sec` by more than 33%. A
+//! `paper_scale_peers_1024_inserts_per_sec` /
+//! `paper_scale_range_qps` by more than 33%. A
 //! platform without an RSS probe fails `--check` outright instead of
 //! passing on a fake figure.
 
-use std::fmt::Write as _;
+use std::io::Write as _;
+use std::process::Command;
 use std::time::Instant;
 
 use lht::{
@@ -387,6 +395,7 @@ fn check_regressions(
             1.5,
             0,
         ),
+        ("paper_scale_range_qps", paper.range_qps, 1.5, 1),
     ] {
         let committed = committed_field(&json, field)
             .ok_or_else(|| format!("committed BENCH_lht.json lacks {field:?}"))?;
@@ -399,6 +408,30 @@ fn check_regressions(
         eprintln!("check {field}: {fresh:.digits$} vs committed {committed:.digits$} — ok");
     }
     Ok(())
+}
+
+/// Where a history line was measured: the checked-out commit (with
+/// `-dirty` when tracked files differ from it, as they do while the
+/// change that will become the next commit is being measured) and the
+/// CPU model. `"unknown"` where git or `/proc/cpuinfo` is missing.
+fn provenance() -> (String, String) {
+    let commit = Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=40"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo").ok().and_then(|s| {
+        let model = s.lines().find_map(|l| l.strip_prefix("model name"))?;
+        Some(model.trim_start_matches([' ', '\t', ':']).to_string())
+    });
+    let or_unknown = |s: Option<String>| s.unwrap_or_else(|| "unknown".into());
+    (or_unknown(commit), or_unknown(cpu))
+}
+
+/// `s` as a JSON string literal.
+fn json_str(s: &str) -> String {
+    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
 }
 
 fn main() {
@@ -448,57 +481,79 @@ fn main() {
         "substrate rounds {range_rounds} exceed index steps {range_steps}"
     );
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"keys\": {},", args.keys);
-    let _ = writeln!(json, "  \"smoke\": {},", args.smoke);
-    let _ = writeln!(json, "  \"lookup_gets_avg\": {gets_per_lookup:.3},");
-    let _ = writeln!(json, "  \"chord_hops_per_lookup\": {hops_per_lookup:.3},");
-    let _ = writeln!(json, "  \"range_dht_lookups\": {range_lookups},");
-    let _ = writeln!(json, "  \"range_steps\": {range_steps},");
-    let _ = writeln!(json, "  \"range_rounds\": {range_rounds},");
-    let _ = writeln!(json, "  \"sha1_throughput_mb_s\": {throughput:.1},");
-    let _ = writeln!(json, "  \"naming_cache_hit_rate\": {hit_rate:.4},");
-    let _ = writeln!(json, "  \"naming_cache_sha1_saving_x\": {saving:.1},");
-    let _ = writeln!(json, "  \"cached_hops_per_lookup\": {cached_hops:.3},");
-    let _ = writeln!(json, "  \"route_cache_hit_rate\": {route_hit_rate:.4},");
-    let _ = writeln!(json, "  \"threaded_ops_per_sec\": {threaded_ops:.0},");
-    let _ = writeln!(
-        json,
-        "  \"quorum_availability_at_20pct_drop\": {quorum_avail:.4},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"erasure_availability_at_20pct_drop\": {erasure_avail:.4},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"erasure_bytes_per_durable_key\": {erasure_bytes:.1},"
-    );
-    let _ = writeln!(json, "  \"paper_scale_keys\": {},", paper.keys);
-    let _ = writeln!(
-        json,
-        "  \"paper_scale_inserts_per_sec\": {:.0},",
-        paper.inserts_per_sec
-    );
-    let _ = writeln!(
-        json,
-        "  \"paper_scale_peers_1024_inserts_per_sec\": {:.0},",
-        paper.inserts_per_sec_1024
-    );
-    let _ = writeln!(json, "  \"paper_scale_range_qps\": {:.1},", paper.range_qps);
-    let _ = writeln!(json, "  \"peak_rss_mb\": {},", json_mb(paper.rss_mb));
-    let _ = writeln!(
-        json,
-        "  \"peak_rss_mb_1024_peers\": {}",
-        json_mb(paper.rss_mb_1024)
-    );
-    json.push_str("}\n");
+    // Every field once, rendered as it is printed: `BENCH_lht.json`
+    // gets them one to a line (`committed_field` scans lines), the
+    // history gets them on one line behind their provenance.
+    let fields: Vec<(&str, String)> = vec![
+        ("keys", args.keys.to_string()),
+        ("smoke", args.smoke.to_string()),
+        ("lookup_gets_avg", format!("{gets_per_lookup:.3}")),
+        ("chord_hops_per_lookup", format!("{hops_per_lookup:.3}")),
+        ("range_dht_lookups", range_lookups.to_string()),
+        ("range_steps", range_steps.to_string()),
+        ("range_rounds", range_rounds.to_string()),
+        ("sha1_throughput_mb_s", format!("{throughput:.1}")),
+        ("naming_cache_hit_rate", format!("{hit_rate:.4}")),
+        ("naming_cache_sha1_saving_x", format!("{saving:.1}")),
+        ("cached_hops_per_lookup", format!("{cached_hops:.3}")),
+        ("route_cache_hit_rate", format!("{route_hit_rate:.4}")),
+        ("threaded_ops_per_sec", format!("{threaded_ops:.0}")),
+        (
+            "quorum_availability_at_20pct_drop",
+            format!("{quorum_avail:.4}"),
+        ),
+        (
+            "erasure_availability_at_20pct_drop",
+            format!("{erasure_avail:.4}"),
+        ),
+        (
+            "erasure_bytes_per_durable_key",
+            format!("{erasure_bytes:.1}"),
+        ),
+        ("paper_scale_keys", paper.keys.to_string()),
+        (
+            "paper_scale_inserts_per_sec",
+            format!("{:.0}", paper.inserts_per_sec),
+        ),
+        (
+            "paper_scale_peers_1024_inserts_per_sec",
+            format!("{:.0}", paper.inserts_per_sec_1024),
+        ),
+        ("paper_scale_range_qps", format!("{:.1}", paper.range_qps)),
+        ("peak_rss_mb", json_mb(paper.rss_mb)),
+        ("peak_rss_mb_1024_peers", json_mb(paper.rss_mb_1024)),
+    ];
+    let render = |sep: &str, indent: &str| {
+        let lines: Vec<String> = fields
+            .iter()
+            .map(|(name, value)| format!("{indent}\"{name}\": {value}"))
+            .collect();
+        lines.join(sep)
+    };
 
+    let json = format!("{{\n{}\n}}\n", render(",\n", "  "));
     print!("{json}");
     if let Err(e) = std::fs::write("BENCH_lht.json", &json) {
         eprintln!("failed to write BENCH_lht.json: {e}");
         std::process::exit(1);
     }
     eprintln!("wrote BENCH_lht.json");
+
+    let (commit, cpu) = provenance();
+    let line = format!(
+        "{{\"commit\": {}, \"cpu\": {}, {}}}\n",
+        json_str(&commit),
+        json_str(&cpu),
+        render(", ", "")
+    );
+    let appended = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open("BENCH_history.jsonl")
+        .and_then(|mut f| f.write_all(line.as_bytes()));
+    if let Err(e) = appended {
+        eprintln!("failed to append to BENCH_history.jsonl: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("appended to BENCH_history.jsonl");
 }

@@ -7,6 +7,13 @@
 //! successor lists, predecessors) is per-node and may go stale under
 //! churn, and explicit [`ChordDht::stabilize`] rounds repair it, as
 //! in a deployed ring.
+//!
+//! Nodes live in a slot arena: [`Routing`] holds every node's
+//! identifier, liveness bit and pointers in one `Vec` indexed by a
+//! `u32` [`Slot`], and all pointers between nodes are slots, so a hop
+//! walks array indices and never searches a map. Stores sit beside
+//! the routing state, one per slot, and share nothing with it but the
+//! slot number.
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -78,28 +85,52 @@ fn merge_copy<V>(store: &mut NodeStore<Stored<V>>, key: DhtKey, incoming: Stored
     }
 }
 
-#[derive(Debug)]
-struct Node<V> {
-    predecessor: Option<U160>,
-    /// `successors[0]` is the immediate successor. Entries may be
-    /// stale (pointing at departed nodes) until stabilization runs.
-    successors: Vec<U160>,
-    /// Compact finger table: the distinct owners of `id + 2^i`
-    /// (`i = 0..160`, `id` itself excluded), in increasing clockwise
-    /// distance from `id` — O(log n) boxed entries instead of a
-    /// 160-entry array, the same candidate set as the classic table.
-    /// May be stale.
-    fingers: Box<[U160]>,
-    store: NodeStore<Stored<V>>,
+/// Position of a node in the arena. An identifier gets its slot the
+/// first time it joins and keeps it for good: a node that leaves or
+/// crashes stays in the arena, dead and emptied, and the same
+/// identifier joining again is handed the same slot. A stale pointer
+/// to a departed node therefore stays representable — it reads dead,
+/// and live again after a rejoin, exactly as a membership test by
+/// identifier would answer.
+type Slot = u32;
+
+/// One entry of a node's compact finger table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Finger {
+    /// Clockwise distance from the table's node to the finger. A slot
+    /// never changes identifier, so the distance computed when the
+    /// table was built stays exact however stale the entry gets, and
+    /// routing can rule a finger in or out without loading its node.
+    dist: U160,
+    slot: Slot,
 }
 
-impl<V> Node<V> {
-    fn new(_id: U160) -> Node<V> {
+#[derive(Debug)]
+struct Node {
+    id: U160,
+    alive: bool,
+    predecessor: Option<Slot>,
+    /// `successors[0]` is the immediate successor. Entries may be
+    /// stale (pointing at departed nodes) until stabilization runs.
+    successors: Vec<Slot>,
+    /// Compact finger table: the distinct owners of `id + 2^i`
+    /// (`i = 0..160`, `id` itself excluded), in increasing clockwise
+    /// distance from `id` — O(log n) entries instead of a 160-entry
+    /// array, the same candidate set as the classic table. May be
+    /// stale.
+    fingers: Box<[Finger]>,
+}
+
+impl Node {
+    /// A node that is not (or not yet) a member: dead, with no
+    /// routing state.
+    fn new(id: U160) -> Node {
         Node {
+            id,
+            alive: false,
             predecessor: None,
             successors: Vec::new(),
             fingers: Box::default(),
-            store: NodeStore::default(),
         }
     }
 }
@@ -134,15 +165,27 @@ impl RingSnapshot {
     }
 }
 
+/// The ring's routing state: who is a member, and every node's
+/// pointers. It holds no stored data and no counters, so a lookup
+/// needs it only for reading.
+struct Routing {
+    /// The slot arena. Only grows: see [`Slot`].
+    nodes: Vec<Node>,
+    /// Live nodes sorted by identifier. Owner resolution and
+    /// initiator draws binary-search or index this flat array; ring
+    /// order anywhere in this module means the order of this index.
+    index: Vec<(U160, Slot)>,
+    /// Every identifier that was ever a member, so a rejoin finds its
+    /// old slot. Consulted by `join` only.
+    slot_of: HashMap<U160, Slot>,
+}
+
 struct Ring<V> {
     cfg: ChordConfig,
-    nodes: BTreeMap<U160, Node<V>>,
-    /// Shared sorted index of live node identifiers, kept in sync
-    /// with `nodes` on every join/leave/crash. Owner resolution and
-    /// initiator draws binary-search this flat array instead of
-    /// walking the node map — O(log n) per hop with no per-node
-    /// copies of the membership view.
-    ring: Vec<U160>,
+    routing: Routing,
+    /// `stores[slot]` is the store of `routing.nodes[slot]`; a dead
+    /// slot's store is empty.
+    stores: Vec<NodeStore<Stored<V>>>,
     stats: DhtStats,
     rng: StdRng,
     /// Ring-global write clock stamping every put/remove/update.
@@ -191,7 +234,7 @@ impl<V> std::fmt::Debug for ChordDht<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.lock();
         f.debug_struct("ChordDht")
-            .field("nodes", &inner.nodes.len())
+            .field("nodes", &inner.routing.index.len())
             .field("cfg", &inner.cfg)
             .finish()
     }
@@ -214,31 +257,26 @@ impl<V> ChordDht<V> {
     pub fn with_config(n: usize, seed: u64, cfg: ChordConfig) -> ChordDht<V> {
         assert!(n > 0, "a ring needs at least one node");
         assert!(cfg.replicas >= 1, "replicas must be at least 1");
-        let mut nodes = BTreeMap::new();
-        for i in 0..n {
-            let id = sha1(format!("node:{i}").as_bytes());
-            nodes.insert(id, Node::new(id));
-        }
-        let ids: Vec<U160> = nodes.keys().copied().collect();
-        let mut ring = Ring {
-            cfg,
-            nodes,
-            ring: ids,
-            stats: DhtStats::default(),
-            rng: StdRng::seed_from_u64(seed),
-            clock: 0,
-            stale_replica_mutant: false,
-            stale_cache_mutant: false,
-        };
-        ring.rebuild_all_routing_state();
+        let ids = (0..n).map(|i| sha1(format!("node:{i}").as_bytes()));
+        let routing = Routing::converged(ids.collect(), cfg.successor_list_len);
+        let stores = routing.nodes.iter().map(|_| NodeStore::default()).collect();
         ChordDht {
-            inner: Mutex::new(ring),
+            inner: Mutex::new(Ring {
+                cfg,
+                routing,
+                stores,
+                stats: DhtStats::default(),
+                rng: StdRng::seed_from_u64(seed),
+                clock: 0,
+                stale_replica_mutant: false,
+                stale_cache_mutant: false,
+            }),
         }
     }
 
     /// Number of live nodes.
     pub fn node_count(&self) -> usize {
-        self.inner.lock().nodes.len()
+        self.inner.lock().routing.index.len()
     }
 
     /// Adds a node with identifier `sha1(name)` to the ring: the new
@@ -249,59 +287,60 @@ impl<V> ChordDht<V> {
     /// Returns the new node's identifier, or `None` if a node with
     /// that identifier already exists.
     pub fn join(&self, name: &str) -> Option<U160> {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let Ring {
+            cfg,
+            routing,
+            stores,
+            stats,
+            ..
+        } = &mut *guard;
         let id = sha1(name.as_bytes());
-        if inner.nodes.contains_key(&id) {
+        if routing.live_slot(&id).is_some() {
             return None;
         }
         // The successor inherits nothing; the joiner takes over the
         // keys in (predecessor(successor_before_join), id].
-        let succ_id = inner.owner_of(&id);
-        let pred_id = inner.nodes[&succ_id].predecessor;
+        let succ = routing.owner_of(&id);
+        let pred = routing.node(succ).predecessor;
+        // Single-node ring before the join (no predecessor): the
+        // joiner owns everything hashing into (succ, id].
+        let from = routing.node(pred.unwrap_or(succ)).id;
 
-        let mut node = Node::new(id);
-        node.predecessor = pred_id;
-        node.successors = vec![succ_id];
+        // The joiner's slot stays dead until it is linked in below, so
+        // a predecessor pointer that names the joiner's own earlier
+        // life still reads dead here.
+        let slot = routing.slot_for(id);
+        stores.resize_with(routing.nodes.len(), NodeStore::default);
 
         // Transfer the keys the joiner now owns from its successor.
-        let succ = inner.nodes.get_mut(&succ_id).expect("successor exists");
-        let moved_keys: Vec<DhtKey> = succ
-            .store
+        let succ_store = &mut stores[succ as usize];
+        let moved_keys: Vec<DhtKey> = succ_store
             .keys()
-            .filter(|k| {
-                let h = k.hash();
-                match pred_id {
-                    Some(p) => h.in_range(&p, &id),
-                    // Single-node ring before the join: the joiner
-                    // owns everything hashing into (succ, id].
-                    None => h.in_range(&succ_id, &id),
-                }
-            })
+            .filter(|k| k.hash().in_range(&from, &id))
             .cloned()
             .collect();
-        for k in &moved_keys {
-            let v = succ.store.remove(k).expect("key present");
-            node.store.insert(k.clone(), v);
+        let mut store = NodeStore::default();
+        for k in moved_keys {
+            let v = succ_store.remove(&k).expect("key present");
+            store.insert(k, v);
         }
-        inner.stats.keys_transferred += moved_keys.len() as u64;
+        stats.keys_transferred += store.len() as u64;
+        stores[slot as usize] = store;
 
         // Link in: successor learns its new predecessor, the old
         // predecessor learns its new successor.
-        inner
-            .nodes
-            .get_mut(&succ_id)
-            .expect("successor exists")
-            .predecessor = Some(id);
-        let keep = inner.cfg.successor_list_len;
-        if let Some(p) = pred_id {
-            if let Some(pred) = inner.nodes.get_mut(&p) {
-                pred.successors.insert(0, id);
-                pred.successors.truncate(keep);
-            }
+        routing.node_mut(succ).predecessor = Some(slot);
+        if let Some(p) = pred.filter(|&p| routing.node(p).alive) {
+            let pred = routing.node_mut(p);
+            pred.successors.insert(0, slot);
+            pred.successors.truncate(cfg.successor_list_len);
         }
         // Fingers stay empty until stabilization builds them.
-        inner.nodes.insert(id, node);
-        inner.ring_insert(id);
+        let node = routing.node_mut(slot);
+        node.predecessor = pred;
+        node.successors = vec![succ];
+        routing.go_live(slot);
         Some(id)
     }
 
@@ -309,34 +348,31 @@ impl<V> ChordDht<V> {
     /// successor and its neighbours re-link. Returns `false` if no
     /// such node exists or it is the last node.
     pub fn leave(&self, id: &U160) -> bool {
-        let mut inner = self.inner.lock();
-        if !inner.nodes.contains_key(id) || inner.nodes.len() == 1 {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let Some((slot, predecessor, store)) = inner.retire(id) else {
             return false;
-        }
-        let node = inner.nodes.remove(id).expect("checked present");
-        inner.ring_remove(id);
-        let succ_id = inner.owner_of(id); // next live node clockwise
-        let moved = node.store.len() as u64;
-        let mutant = inner.stale_replica_mutant;
-        let succ = inner.nodes.get_mut(&succ_id).expect("successor exists");
+        };
+        let routing = &mut inner.routing;
+        let succ = routing.owner_of(id); // next live node clockwise
+        inner.stats.keys_transferred += store.len() as u64;
+        let succ_store = &mut inner.stores[succ as usize];
         // Newest-wins merge: the leaver may hold stale replica copies
         // of keys the successor owns at a newer version. (The armed
         // mutant overwrites blindly instead — the injected bug.)
-        for (key, stored) in node.store {
-            if mutant {
-                succ.store.insert(key, stored);
+        for (key, stored) in store {
+            if inner.stale_replica_mutant {
+                succ_store.insert(key, stored);
             } else {
-                merge_copy(&mut succ.store, key, stored);
+                merge_copy(succ_store, key, stored);
             }
         }
-        succ.predecessor = node.predecessor;
-        inner.stats.keys_transferred += moved;
-        if let Some(p) = node.predecessor {
-            if let Some(pred) = inner.nodes.get_mut(&p) {
-                pred.successors.retain(|s| s != id);
-                if pred.successors.is_empty() {
-                    pred.successors.push(succ_id);
-                }
+        routing.node_mut(succ).predecessor = predecessor;
+        if let Some(p) = predecessor.filter(|&p| routing.node(p).alive) {
+            let pred = routing.node_mut(p);
+            pred.successors.retain(|&s| s != slot);
+            if pred.successors.is_empty() {
+                pred.successors.push(succ);
             }
         }
         true
@@ -347,37 +383,26 @@ impl<V> ChordDht<V> {
     /// successor replicas. Returns `false` if no such node exists or
     /// it is the last node.
     pub fn crash(&self, id: &U160) -> bool {
-        let mut inner = self.inner.lock();
-        if !inner.nodes.contains_key(id) || inner.nodes.len() == 1 {
-            return false;
-        }
-        inner.nodes.remove(id);
-        inner.ring_remove(id);
-        true
+        self.inner.lock().retire(id).is_some()
     }
 
     /// A diagnostic snapshot of membership and per-node storage load.
     pub fn snapshot(&self) -> RingSnapshot {
         let inner = self.inner.lock();
+        let live_keys = |&(_, slot): &(U160, Slot)| {
+            let store = &inner.stores[slot as usize];
+            store.values().filter(|s| s.value.is_some()).count()
+        };
         RingSnapshot {
-            node_ids: inner.ring.clone(),
-            keys_per_node: inner
-                .nodes
-                .values()
-                .map(|n| n.store.values().filter(|s| s.value.is_some()).count())
-                .collect(),
+            node_ids: inner.routing.index.iter().map(|&(id, _)| id).collect(),
+            keys_per_node: inner.routing.index.iter().map(live_keys).collect(),
         }
     }
 
     /// The identifier of the node currently owning `key`
     /// (oracle view; free).
     pub fn owner_of_key(&self, key: &DhtKey) -> Option<U160> {
-        let inner = self.inner.lock();
-        if inner.nodes.is_empty() {
-            None
-        } else {
-            Some(inner.owner_of(&key.hash()))
-        }
+        self.inner.lock().routing.owner_id(&key.hash())
     }
 }
 
@@ -440,41 +465,36 @@ impl<V> ChordDht<V> {
     /// found (empty = converged and consistent).
     pub fn audit_ring(&self) -> Vec<RingViolation> {
         let inner = self.inner.lock();
+        let routing = &inner.routing;
         let mut violations = Vec::new();
-        let n = inner.nodes.len();
-        let ids = inner.ring.clone();
+        let n = routing.index.len();
 
-        for (pos, id) in ids.iter().enumerate() {
-            let node = &inner.nodes[id];
+        for (pos, &(id, slot)) in routing.index.iter().enumerate() {
+            let node = routing.node(slot);
 
-            for entry in &node.successors {
-                if !inner.nodes.contains_key(entry) {
+            for &entry in &node.successors {
+                if !routing.node(entry).alive {
                     violations.push(RingViolation::DeadSuccessorEntry {
-                        node: *id,
-                        entry: *entry,
+                        node: id,
+                        entry: routing.node(entry).id,
                     });
                 }
             }
 
             if n > 1 {
-                let expected_succ = inner.live_successor(id);
-                match node.successors.first() {
-                    Some(got) if *got == expected_succ => {}
-                    Some(got) => violations.push(RingViolation::WrongSuccessor {
-                        node: *id,
-                        got: *got,
-                        expected: expected_succ,
-                    }),
-                    None => violations.push(RingViolation::WrongSuccessor {
-                        node: *id,
-                        got: *id,
-                        expected: expected_succ,
-                    }),
+                let (expected, expected_slot) = routing.index[(pos + 1) % n];
+                let got = node.successors.first().copied().unwrap_or(slot);
+                if got != expected_slot {
+                    violations.push(RingViolation::WrongSuccessor {
+                        node: id,
+                        got: routing.node(got).id,
+                        expected,
+                    });
                 }
 
-                let expected_pred = ids[(pos + n - 1) % n];
+                let expected_pred = routing.index[(pos + n - 1) % n].1;
                 if node.predecessor != Some(expected_pred) {
-                    violations.push(RingViolation::WrongPredecessor { node: *id });
+                    violations.push(RingViolation::WrongPredecessor { node: id });
                 }
             }
 
@@ -483,13 +503,10 @@ impl<V> ChordDht<V> {
             // otherwise the compact table must match a fresh rebuild
             // entry for entry.
             if !node.fingers.is_empty() {
-                let perfect = inner.perfect_fingers(id);
+                let perfect = routing.perfect_fingers(pos);
                 for i in 0..node.fingers.len().max(perfect.len()) {
                     if node.fingers.get(i) != perfect.get(i) {
-                        violations.push(RingViolation::StaleFinger {
-                            node: *id,
-                            index: i,
-                        });
+                        violations.push(RingViolation::StaleFinger { node: id, index: i });
                     }
                 }
             }
@@ -497,33 +514,34 @@ impl<V> ChordDht<V> {
 
         // Servability: for every key whose newest surviving version is
         // live (not a tombstone), the oracle owner — the node a routed
-        // lookup lands on — must hold that newest version.
-        let mut newest: HashMap<&DhtKey, u64, crate::KeyHasherBuilder> = HashMap::default();
-        for node in inner.nodes.values() {
-            for (key, stored) in &node.store {
-                let e = newest.entry(key).or_insert(stored.seq);
-                *e = (*e).max(stored.seq);
+        // lookup lands on — must hold that newest version. One scan
+        // over every copy finds each key's newest sequence number and
+        // whether any copy at that number carries a value.
+        let mut newest: HashMap<&DhtKey, (u64, bool), crate::KeyHasherBuilder> = HashMap::default();
+        for &(_, slot) in &routing.index {
+            for (key, stored) in &inner.stores[slot as usize] {
+                let live = stored.value.is_some();
+                let e = newest.entry(key).or_insert((stored.seq, live));
+                if stored.seq > e.0 {
+                    *e = (stored.seq, live);
+                } else if stored.seq == e.0 {
+                    e.1 |= live;
+                }
             }
         }
-        let live_keys: Vec<(DhtKey, u64)> = newest
-            .into_iter()
-            .filter(|(key, seq)| {
-                inner.nodes.values().any(|n| {
-                    n.store
-                        .get(key)
-                        .is_some_and(|s| s.seq == *seq && s.value.is_some())
-                })
-            })
-            .map(|(key, seq)| (key.clone(), seq))
-            .collect();
-        for (key, seq) in live_keys {
-            let owner = inner.owner_of(&key.hash());
-            let served = inner.nodes[&owner]
-                .store
-                .get(&key)
+        for (key, (seq, live)) in newest {
+            if !live {
+                continue;
+            }
+            let (owner, owner_slot) = routing.index[routing.owner_pos(&key.hash())];
+            let served = inner.stores[owner_slot as usize]
+                .get(key)
                 .is_some_and(|s| s.seq >= seq && s.value.is_some());
             if !served {
-                violations.push(RingViolation::UnservableKey { key, owner });
+                violations.push(RingViolation::UnservableKey {
+                    key: key.clone(),
+                    owner,
+                });
             }
         }
 
@@ -541,8 +559,8 @@ impl<V: Clone> ChordDht<V> {
         // Newest surviving version of each key wins; keys whose newest
         // version is a tombstone are deleted and do not appear.
         let mut out: BTreeMap<DhtKey, &Stored<V>> = BTreeMap::new();
-        for node in inner.nodes.values() {
-            for (key, stored) in &node.store {
+        for &(_, slot) in &inner.routing.index {
+            for (key, stored) in &inner.stores[slot as usize] {
                 match out.get(key) {
                     Some(best) if best.seq >= stored.seq => {}
                     _ => {
@@ -557,220 +575,176 @@ impl<V: Clone> ChordDht<V> {
     }
 }
 
-impl<V> Ring<V> {
-    /// Inserts `id` into the shared sorted ring index.
-    fn ring_insert(&mut self, id: U160) {
-        let i = self.ring.partition_point(|x| *x < id);
-        self.ring.insert(i, id);
+impl Routing {
+    /// A converged ring over `ids`: every node live, with perfect
+    /// successor lists, predecessors and fingers.
+    fn converged(mut ids: Vec<U160>, successor_list_len: usize) -> Routing {
+        ids.sort_unstable();
+        ids.dedup();
+        // Slots are handed out in ring order, so slot = position here.
+        let mut routing = Routing {
+            nodes: Vec::new(),
+            index: ids.iter().copied().zip(0..).collect(),
+            slot_of: ids.iter().copied().zip(0..).collect(),
+        };
+        let n = ids.len();
+        let listed = successor_list_len.min(n.saturating_sub(1)).max(1);
+        let at = |pos: usize| routing.index[pos % n].1;
+        routing.nodes = (0..n)
+            .map(|pos| Node {
+                id: ids[pos],
+                alive: true,
+                predecessor: Some(at(pos + n - 1)),
+                successors: (1..=listed).map(|k| at(pos + k)).collect(),
+                fingers: routing.perfect_fingers(pos),
+            })
+            .collect();
+        routing
     }
 
-    /// Removes `id` from the shared sorted ring index.
-    fn ring_remove(&mut self, id: &U160) {
-        if let Ok(i) = self.ring.binary_search(id) {
-            self.ring.remove(i);
+    fn node(&self, slot: Slot) -> &Node {
+        &self.nodes[slot as usize]
+    }
+
+    fn node_mut(&mut self, slot: Slot) -> &mut Node {
+        &mut self.nodes[slot as usize]
+    }
+
+    /// The slot that belongs to `id`: the one it held before if it
+    /// was ever a member, else a fresh dead one at the arena's end.
+    fn slot_for(&mut self, id: U160) -> Slot {
+        *self.slot_of.entry(id).or_insert_with(|| {
+            let slot = Slot::try_from(self.nodes.len()).expect("arena outgrew u32 slots");
+            self.nodes.push(Node::new(id));
+            slot
+        })
+    }
+
+    /// Makes the node in `slot` a member.
+    fn go_live(&mut self, slot: Slot) {
+        let node = self.node_mut(slot);
+        node.alive = true;
+        let id = node.id;
+        let pos = self.index.partition_point(|(x, _)| *x < id);
+        self.index.insert(pos, (id, slot));
+    }
+
+    /// Position in the ring index of the live node `id`, if there is
+    /// one.
+    fn live_pos(&self, id: &U160) -> Option<usize> {
+        self.index.binary_search_by(|(x, _)| x.cmp(id)).ok()
+    }
+
+    /// The slot of the live node `id`, if there is one.
+    fn live_slot(&self, id: &U160) -> Option<Slot> {
+        self.live_pos(id).map(|pos| self.index[pos].1)
+    }
+
+    /// Position in the ring index of the live node owning identifier
+    /// `h`: the first node clockwise at or after `h`. O(log n) binary
+    /// search.
+    fn owner_pos(&self, h: &U160) -> usize {
+        debug_assert!(!self.index.is_empty());
+        let pos = self.index.partition_point(|(id, _)| id < h);
+        if pos == self.index.len() {
+            0
+        } else {
+            pos
         }
     }
 
-    /// The live node owning identifier `h`: the first node clockwise
-    /// at or after `h`. O(log n) binary search on the ring index.
-    fn owner_of(&self, h: &U160) -> U160 {
-        debug_assert!(!self.ring.is_empty());
-        let i = self.ring.partition_point(|id| id < h);
-        if i == self.ring.len() {
-            self.ring[0]
+    /// The live node owning identifier `h`.
+    fn owner_of(&self, h: &U160) -> Slot {
+        self.index[self.owner_pos(h)].1
+    }
+
+    /// The identifier of the live node owning `h`; `None` on an empty
+    /// ring.
+    fn owner_id(&self, h: &U160) -> Option<U160> {
+        if self.index.is_empty() {
+            None
         } else {
-            self.ring[i]
+            Some(self.index[self.owner_pos(h)].0)
         }
     }
 
     /// The first live node strictly after `id` clockwise.
-    fn live_successor(&self, id: &U160) -> U160 {
-        let i = self.ring.partition_point(|x| x <= id);
-        if i == self.ring.len() {
-            self.ring[0]
-        } else {
-            self.ring[i]
-        }
+    fn live_successor(&self, id: &U160) -> Slot {
+        let pos = self.index.partition_point(|(x, _)| x <= id);
+        self.index[if pos == self.index.len() { 0 } else { pos }].1
     }
 
-    /// Rebuilds perfect routing state on every node (used to construct
-    /// an initially-converged ring).
-    fn rebuild_all_routing_state(&mut self) {
-        let ids = self.ring.clone();
-        let n = ids.len();
-        for (pos, id) in ids.iter().enumerate() {
-            let mut successors = Vec::with_capacity(self.cfg.successor_list_len);
-            for k in 1..=self.cfg.successor_list_len.min(n.saturating_sub(1)).max(1) {
-                successors.push(ids[(pos + k) % n]);
-            }
-            let predecessor = Some(ids[(pos + n - 1) % n]);
-            let fingers = self.perfect_fingers(id);
-            let node = self.nodes.get_mut(id).expect("node exists");
-            node.successors = successors;
-            node.predecessor = predecessor;
-            node.fingers = fingers;
-        }
-    }
-
-    /// The compact perfect finger table for `id`: the distinct owners
-    /// of `id + 2^i` for `i = 0..160`, excluding `id` itself.
+    /// The compact perfect finger table for the node at ring position
+    /// `pos`: the distinct owners of `id + 2^i` for `i = 0..160`,
+    /// excluding `id` itself, in increasing clockwise distance.
     ///
-    /// As `i` grows the owner's clockwise distance from `id` is
-    /// non-decreasing (each target selects the first node at distance
-    /// ≥ 2^i), so deduplicating consecutive owners yields a strictly
-    /// distance-sorted array covering exactly the classic table's
-    /// candidate set; self-entries (targets that wrap past every
-    /// other node) carry no routing information and are dropped.
-    fn perfect_fingers(&self, id: &U160) -> Box<[U160]> {
-        let mut fingers: Vec<U160> = Vec::new();
-        for i in 0..U160::BITS {
+    /// The owner of `id + 2^i` is the first node at clockwise distance
+    /// ≥ 2^i from `id` (`id` itself when the target wraps past every
+    /// other node, which counts as the full circle), so the owner's
+    /// distance is non-decreasing in `i`. Two things follow. Dropping
+    /// consecutive repeats leaves a strictly distance-sorted table
+    /// with the classic table's candidate set; self-entries carry no
+    /// routing information and are dropped too. And walking `i`
+    /// *down* from 159, the first target owned by the immediate
+    /// successor ends the walk: every smaller target also lies in
+    /// `(id, successor]`. The halving targets reach the successor's
+    /// arc after ≈ log2 n + 2 owner searches instead of 160.
+    fn perfect_fingers(&self, pos: usize) -> Box<[Finger]> {
+        let (id, slot) = self.index[pos];
+        let successor = self.index[(pos + 1) % self.index.len()].1;
+        let mut fingers: Vec<Finger> = Vec::new();
+        for i in (0..U160::BITS).rev() {
             let target = id.wrapping_add(&U160::pow2(i));
-            let owner = self.owner_of(&target);
-            if owner == *id || fingers.last() == Some(&owner) {
-                continue;
+            let (owner_id, owner) = self.index[self.owner_pos(&target)];
+            if owner != slot && fingers.last().map(|f| f.slot) != Some(owner) {
+                fingers.push(Finger {
+                    dist: id.distance_cw(&owner_id),
+                    slot: owner,
+                });
             }
-            fingers.push(owner);
+            if owner == successor {
+                break;
+            }
         }
+        fingers.reverse();
         fingers.into_boxed_slice()
     }
 
-    /// Whether one maintenance RPC is lost to the simulated network
-    /// (drawing from the ring RNG only under a lossy configuration,
-    /// so loss-free seeds replay unchanged).
-    fn maintenance_lost(&mut self) -> bool {
-        self.cfg.maintenance_loss > 0.0 && self.rng.gen_bool(self.cfg.maintenance_loss)
-    }
-
-    fn stabilize_round(&mut self) {
-        let ids = self.ring.clone();
-        for id in &ids {
-            if !self.nodes.contains_key(id) {
-                continue;
-            }
-            // This node's stabilize/notify exchange is lost this
-            // round; its routing state stays stale until a later
-            // round gets through.
-            if self.maintenance_lost() {
-                continue;
-            }
-            // stabilize(): confirm the successor, adopting its
-            // predecessor if that node sits between us and it.
-            let succ = self.first_live_successor_entry(id);
-            let succ_pred = self.nodes[&succ].predecessor;
-            let new_succ = match succ_pred {
-                Some(x)
-                    if self.nodes.contains_key(&x) && x != *id && {
-                        // x strictly between id and succ on the ring
-                        let d_x = id.distance_cw(&x);
-                        let d_s = id.distance_cw(&succ);
-                        d_x != lht_id::U160::ZERO && d_x < d_s
-                    } =>
-                {
-                    x
-                }
-                _ => succ,
-            };
-            // notify(): the successor adopts us as predecessor if we
-            // are closer than its current one.
-            {
-                let adopt = match self.nodes[&new_succ].predecessor {
-                    None => true,
-                    Some(p) if !self.nodes.contains_key(&p) => true,
-                    Some(p) => {
-                        let d_me = p.distance_cw(id);
-                        let d_succ = p.distance_cw(&new_succ);
-                        d_me != lht_id::U160::ZERO && d_me < d_succ
-                    }
-                };
-                if adopt {
-                    self.nodes
-                        .get_mut(&new_succ)
-                        .expect("live successor")
-                        .predecessor = Some(*id);
-                }
-            }
-            // Reconcile the successor list from the (live) successor's.
-            let mut list = vec![new_succ];
-            let succ_list = self.nodes[&new_succ].successors.clone();
-            for s in succ_list {
-                if list.len() >= self.cfg.successor_list_len {
-                    break;
-                }
-                if self.nodes.contains_key(&s) && s != *id && !list.contains(&s) {
-                    list.push(s);
-                }
-            }
-            let fingers = self.perfect_fingers(id);
-            let node = self.nodes.get_mut(id).expect("node exists");
-            node.successors = list;
-            node.fingers = fingers;
-        }
-        // Drop dead predecessors.
-        let live = self.ring.clone();
-        for id in live {
-            let dead_pred = match self.nodes[&id].predecessor {
-                Some(p) => !self.nodes.contains_key(&p),
-                None => false,
-            };
-            if dead_pred {
-                self.nodes.get_mut(&id).expect("node exists").predecessor = None;
-            }
-        }
-    }
-
-    /// The first entry of `id`'s successor list that is still alive,
-    /// falling back to the oracle's next-clockwise node (modelling the
-    /// timeout-and-probe a real node performs when its whole list is
-    /// dead).
-    fn first_live_successor_entry(&self, id: &U160) -> U160 {
-        for s in &self.nodes[id].successors {
-            if self.nodes.contains_key(s) {
-                return *s;
-            }
-        }
-        self.live_successor(id)
-    }
-
-    /// Draws a random live initiator, as a client joining the overlay
-    /// at an arbitrary node would.
-    fn draw_initiator(&mut self) -> Result<U160, DhtError> {
-        if self.ring.is_empty() {
-            return Err(DhtError::EmptyRing);
-        }
-        // Same draw against the same sorted order as the historical
-        // collect-then-index, without materializing the id list.
-        let i = self.rng.gen_range(0..self.ring.len());
-        Ok(self.ring[i])
-    }
-
-    /// Iterative Chord lookup of the owner of identifier `h`, started
-    /// from a random initiator. Returns `(owner, hops)`.
-    fn route(&mut self, h: &U160) -> Result<(U160, u64), DhtError> {
-        let start = self.draw_initiator()?;
-        self.route_from(&start, h)
+    /// The first entry of `slot`'s successor list that is still
+    /// alive, falling back to the oracle's next-clockwise node
+    /// (modelling the timeout-and-probe a real node performs when its
+    /// whole list is dead).
+    fn first_live_successor_entry(&self, slot: Slot) -> Slot {
+        let node = self.node(slot);
+        node.successors
+            .iter()
+            .copied()
+            .find(|&s| self.node(s).alive)
+            .unwrap_or_else(|| self.live_successor(&node.id))
     }
 
     /// Iterative Chord lookup of the owner of `h` from a fixed
     /// initiator. Batched rounds share one initiator across all their
     /// finger walks — the round is issued by one client — while each
     /// walk still routes (and is charged hops) independently.
-    fn route_from(&self, start: &U160, h: &U160) -> Result<(U160, u64), DhtError> {
-        let mut cur = *start;
+    fn route_from(&self, start: Slot, h: &U160, max_hops: u64) -> Result<(Slot, u64), DhtError> {
+        let single = self.index.len() == 1;
+        let mut cur = start;
         let mut hops: u64 = 0;
         loop {
-            if hops > self.cfg.max_hops {
+            if hops > max_hops {
                 return Err(DhtError::RoutingFailed { hops });
             }
-            let succ = self.first_live_successor_entry(&cur);
+            let succ = self.first_live_successor_entry(cur);
             // Owner found: h ∈ (cur, succ].
-            if h.in_range(&cur, &succ) || self.nodes.len() == 1 {
-                let owner = if self.nodes.len() == 1 { cur } else { succ };
+            if single || h.in_range(&self.node(cur).id, &self.node(succ).id) {
+                let owner = if single { cur } else { succ };
                 // Final hop to deliver the operation at the owner.
                 hops += 1;
                 return Ok((owner, hops));
             }
             // Otherwise forward to the closest preceding live node.
-            let next = self.closest_preceding(&cur, h).unwrap_or(succ);
+            let next = self.closest_preceding(cur, h).unwrap_or(succ);
             debug_assert_ne!(next, cur, "routing must make progress");
             cur = next;
             hops += 1;
@@ -784,97 +758,236 @@ impl<V> Ring<V> {
     /// same node, so the farthest eligible candidate is unique and
     /// this returns exactly what a full max-scan over fingers plus
     /// successors would.
-    fn closest_preceding(&self, cur: &U160, h: &U160) -> Option<U160> {
-        let node = &self.nodes[cur];
-        let d_h = cur.distance_cw(h);
-        let mut best: Option<(U160, U160)> = None; // (distance from cur, id)
-                                                   // Fingers are sorted by increasing distance from `cur` and
-                                                   // never contain `cur`, so the first live entry from the end
-                                                   // that strictly precedes `h` is the farthest eligible finger.
-        for c in node.fingers.iter().rev() {
-            let d_c = cur.distance_cw(c);
-            if d_c >= d_h {
-                continue;
-            }
-            if self.nodes.contains_key(c) {
-                best = Some((d_c, *c));
-                break;
-            }
-        }
+    fn closest_preceding(&self, cur: Slot, h: &U160) -> Option<Slot> {
+        let node = self.node(cur);
+        let d_h = node.id.distance_cw(h);
+        // Fingers are sorted by increasing distance from `cur` and
+        // never contain `cur`, so the last live entry among those that
+        // strictly precede `h` is the farthest eligible finger.
+        let preceding = node.fingers.partition_point(|f| f.dist < d_h);
+        let mut best: Option<(U160, Slot)> = node.fingers[..preceding]
+            .iter()
+            .rev()
+            .find(|f| self.node(f.slot).alive)
+            .map(|f| (f.dist, f.slot));
         // A successor can still beat every live finger (e.g. while
         // fingers are stale or empty right after a join).
-        for c in &node.successors {
-            if c == cur || !self.nodes.contains_key(c) {
+        for &c in &node.successors {
+            if c == cur || !self.node(c).alive {
                 continue;
             }
             // c must lie strictly between cur and h.
-            let d_c = cur.distance_cw(c);
-            if d_c == U160::ZERO || d_c >= d_h {
+            let d_c = node.id.distance_cw(&self.node(c).id);
+            if d_c >= d_h {
                 continue;
             }
             match best {
                 Some((d_best, _)) if d_c <= d_best => {}
-                _ => best = Some((d_c, *c)),
+                _ => best = Some((d_c, c)),
             }
         }
-        best.map(|(_, id)| id)
-    }
-
-    /// Whether a cached read probe hinted at `owner` may be served:
-    /// the node is live **and** still the ring's owner of `h`. The
-    /// armed stale-cache mutant skips the ownership half — any live
-    /// node with a copy answers — which is the injected bug the
-    /// simulation checker must catch.
-    fn probe_serves_read(&self, owner: &U160, h: &U160) -> bool {
-        if !self.nodes.contains_key(owner) {
-            return false;
-        }
-        self.stale_cache_mutant || self.owner_of(h) == *owner
-    }
-
-    /// Whether a cached write probe hinted at `owner` may be served.
-    /// Writes are always strictly verified — even under the armed
-    /// read mutant — so the mutant's damage is confined to reads.
-    fn probe_serves_write(&self, owner: &U160, h: &U160) -> bool {
-        self.nodes.contains_key(owner) && self.owner_of(h) == *owner
+        best.map(|(_, slot)| slot)
     }
 
     /// The owner's replica set: the owner plus its next
     /// `replicas - 1` live successors.
-    fn replica_set(&self, owner: &U160) -> Vec<U160> {
-        let mut set = vec![*owner];
-        let mut cur = *owner;
-        while set.len() < self.cfg.replicas && set.len() < self.nodes.len() {
-            cur = self.live_successor(&cur);
-            if set.contains(&cur) {
-                break;
-            }
-            set.push(cur);
+    fn replica_set(&self, owner: Slot, replicas: usize) -> Vec<Slot> {
+        let n = self.index.len();
+        let pos = self.owner_pos(&self.node(owner).id);
+        (0..replicas.min(n))
+            .map(|k| self.index[(pos + k) % n].1)
+            .collect()
+    }
+}
+
+impl<V> Ring<V> {
+    /// Takes the live node `id` out of the ring, unless it is the
+    /// last one: the slot stays in the arena, dead and emptied.
+    /// Returns the slot with the predecessor pointer and store the
+    /// node had.
+    fn retire(&mut self, id: &U160) -> Option<(Slot, Option<Slot>, NodeStore<Stored<V>>)> {
+        let routing = &mut self.routing;
+        if routing.index.len() == 1 {
+            return None;
         }
-        set
+        let (_, slot) = routing.index.remove(routing.live_pos(id)?);
+        let node = std::mem::replace(routing.node_mut(slot), Node::new(*id));
+        let store = std::mem::take(&mut self.stores[slot as usize]);
+        Some((slot, node.predecessor, store))
+    }
+
+    /// Whether one maintenance RPC is lost to the simulated network
+    /// (drawing from the ring RNG only under a lossy configuration,
+    /// so loss-free seeds replay unchanged).
+    fn maintenance_lost(&mut self) -> bool {
+        self.cfg.maintenance_loss > 0.0 && self.rng.gen_bool(self.cfg.maintenance_loss)
+    }
+
+    fn stabilize_round(&mut self) {
+        let keep = self.cfg.successor_list_len;
+        // Swapped with each node's old list in turn, so a round
+        // allocates no successor lists once the first node is done.
+        let mut list: Vec<Slot> = Vec::with_capacity(keep);
+        for pos in 0..self.routing.index.len() {
+            // This node's stabilize/notify exchange is lost this
+            // round; its routing state stays stale until a later
+            // round gets through.
+            if self.maintenance_lost() {
+                continue;
+            }
+            let routing = &mut self.routing;
+            let (id, me) = routing.index[pos];
+            // stabilize(): confirm the successor, adopting its
+            // predecessor if that node sits strictly between us and
+            // it.
+            let succ = routing.first_live_successor_entry(me);
+            let d_succ = id.distance_cw(&routing.node(succ).id);
+            let new_succ = match routing.node(succ).predecessor {
+                Some(x)
+                    if x != me
+                        && routing.node(x).alive
+                        && id.distance_cw(&routing.node(x).id) < d_succ =>
+                {
+                    x
+                }
+                _ => succ,
+            };
+            // notify(): the successor adopts us as predecessor if we
+            // are closer than its current one.
+            let new_succ_id = routing.node(new_succ).id;
+            let adopt = match routing.node(new_succ).predecessor {
+                None => true,
+                Some(p) if !routing.node(p).alive => true,
+                Some(p) => {
+                    let p_id = routing.node(p).id;
+                    let d_me = p_id.distance_cw(&id);
+                    d_me != U160::ZERO && d_me < p_id.distance_cw(&new_succ_id)
+                }
+            };
+            if adopt {
+                routing.node_mut(new_succ).predecessor = Some(me);
+            }
+            // Reconcile the successor list from the (live) successor's.
+            list.clear();
+            list.push(new_succ);
+            for &s in &routing.node(new_succ).successors {
+                if list.len() >= keep {
+                    break;
+                }
+                if routing.node(s).alive && s != me && !list.contains(&s) {
+                    list.push(s);
+                }
+            }
+            let fingers = routing.perfect_fingers(pos);
+            let node = routing.node_mut(me);
+            std::mem::swap(&mut node.successors, &mut list);
+            node.fingers = fingers;
+        }
+        // Drop dead predecessors.
+        let routing = &mut self.routing;
+        for pos in 0..routing.index.len() {
+            let slot = routing.index[pos].1;
+            if let Some(p) = routing.node(slot).predecessor {
+                if !routing.node(p).alive {
+                    routing.node_mut(slot).predecessor = None;
+                }
+            }
+        }
+    }
+
+    /// Draws a random live initiator, as a client joining the overlay
+    /// at an arbitrary node would.
+    fn draw_initiator(&mut self) -> Result<Slot, DhtError> {
+        if self.routing.index.is_empty() {
+            return Err(DhtError::EmptyRing);
+        }
+        // Same draw against the same sorted order as the historical
+        // collect-then-index, without materializing the id list.
+        let i = self.rng.gen_range(0..self.routing.index.len());
+        Ok(self.routing.index[i].1)
+    }
+
+    /// Iterative Chord lookup of the owner of identifier `h`, started
+    /// from a random initiator. Returns `(owner, hops)`.
+    fn route(&mut self, h: &U160) -> Result<(Slot, u64), DhtError> {
+        let start = self.draw_initiator()?;
+        self.routing.route_from(start, h, self.cfg.max_hops)
+    }
+
+    /// The slot a cached read probe hinted at `owner` may be served
+    /// from: the node must be live **and** still the ring's owner of
+    /// `h`. The armed stale-cache mutant skips the ownership half —
+    /// any live node with a copy answers — which is the injected bug
+    /// the simulation checker must catch.
+    fn probe_read_slot(&self, owner: &U160, h: &U160) -> Option<Slot> {
+        if self.stale_cache_mutant {
+            self.routing.live_slot(owner)
+        } else {
+            self.probe_write_slot(owner, h)
+        }
+    }
+
+    /// The slot a cached write probe hinted at `owner` may be served
+    /// from. Writes are always strictly verified — even under the
+    /// armed read mutant — so the mutant's damage is confined to
+    /// reads.
+    fn probe_write_slot(&self, owner: &U160, h: &U160) -> Option<Slot> {
+        // The owner of `h` comes out of the live index, so matching
+        // it proves `owner` live as well.
+        let (id, slot) = self.routing.index[self.routing.owner_pos(h)];
+        (id == *owner).then_some(slot)
     }
 }
 
 impl<V: Clone> Ring<V> {
+    /// The value `owner` serves for `key`.
+    fn read(&self, owner: Slot, key: &DhtKey) -> Option<V> {
+        self.stores[owner as usize]
+            .get(key)
+            .and_then(|s| s.value.clone())
+    }
+
+    /// Stamps a fresh version of `key` (`None` deletes: a tombstone,
+    /// so stale replica copies cannot resurrect the key through later
+    /// synchronization) and writes it at `owner` and the rest of its
+    /// replica set, newest-wins. Returns the number of copies written:
+    /// each one beyond the owner's costs the write one more hop.
+    fn write(&mut self, owner: Slot, key: DhtKey, value: Option<V>) -> u64 {
+        self.clock += 1;
+        let stored = Stored {
+            seq: self.clock,
+            value,
+        };
+        if self.cfg.replicas == 1 {
+            // Single-copy fast path (the default): no replica-set
+            // walk, no extra replica hops, one store write.
+            merge_copy(&mut self.stores[owner as usize], key, stored);
+            return 1;
+        }
+        let replicas = self.routing.replica_set(owner, self.cfg.replicas);
+        for &r in &replicas {
+            merge_copy(&mut self.stores[r as usize], key.clone(), stored.clone());
+        }
+        replicas.len() as u64
+    }
+
     /// Copies every stored key to its current oracle owner when the
     /// owner lacks it (replica holders keep their copies). Models the
     /// periodic key synchronization a real deployment (e.g. DHash)
     /// runs alongside stabilization; counted as transferred keys.
     fn sync_keys_to_owners(&mut self) {
-        let ids = self.ring.clone();
-        let mut to_copy: Vec<(U160, DhtKey)> = Vec::new();
-        for id in &ids {
-            for (key, stored) in &self.nodes[id].store {
-                let owner = self.owner_of(&key.hash());
+        let mut to_copy: Vec<(Slot, DhtKey)> = Vec::new();
+        for &(_, holder) in &self.routing.index {
+            for (key, stored) in &self.stores[holder as usize] {
+                let owner = self.routing.owner_of(&key.hash());
                 // The armed mutant offers every copy regardless of
                 // version — the injected bug.
                 let owner_stale = self.stale_replica_mutant
-                    || self.nodes[&owner]
-                        .store
+                    || self.stores[owner as usize]
                         .get(key)
                         .is_none_or(|s| s.seq < stored.seq);
-                if owner != *id && owner_stale {
-                    to_copy.push((*id, key.clone()));
+                if owner != holder && owner_stale {
+                    to_copy.push((holder, key.clone()));
                 }
             }
         }
@@ -884,13 +997,12 @@ impl<V: Clone> Ring<V> {
             if self.maintenance_lost() {
                 continue;
             }
-            let Some(stored) = self.nodes[&holder].store.get(&key).cloned() else {
+            let Some(stored) = self.stores[holder as usize].get(&key).cloned() else {
                 continue;
             };
-            let owner = self.owner_of(&key.hash());
-            let mutant = self.stale_replica_mutant;
-            let owner_store = &mut self.nodes.get_mut(&owner).expect("owner is live").store;
-            if mutant {
+            let owner = self.routing.owner_of(&key.hash());
+            let owner_store = &mut self.stores[owner as usize];
+            if self.stale_replica_mutant {
                 owner_store.insert(key, stored);
             } else {
                 merge_copy(owner_store, key, stored);
@@ -966,10 +1078,7 @@ impl<V: Clone> Dht for ChordDht<V> {
     fn get(&self, key: &DhtKey) -> Result<Option<V>, DhtError> {
         let mut inner = self.inner.lock();
         let (owner, hops) = inner.route(&key.hash())?;
-        let found = inner.nodes[&owner]
-            .store
-            .get(key)
-            .and_then(|s| s.value.clone());
+        let found = inner.read(owner, key);
         inner.stats.record_op(
             DhtOp::Get {
                 found: found.is_some(),
@@ -982,69 +1091,17 @@ impl<V: Clone> Dht for ChordDht<V> {
     fn put(&self, key: &DhtKey, value: V) -> Result<(), DhtError> {
         let mut inner = self.inner.lock();
         let (owner, hops) = inner.route(&key.hash())?;
-        inner.clock += 1;
-        let stored = Stored {
-            seq: inner.clock,
-            value: Some(value),
-        };
-        if inner.cfg.replicas == 1 {
-            // Single-copy fast path (the default): no replica-set
-            // walk, no extra replica hops, one store write.
-            inner.stats.record_op(DhtOp::Put, hops);
-            merge_copy(
-                &mut inner.nodes.get_mut(&owner).expect("owner is live").store,
-                key.clone(),
-                stored,
-            );
-            return Ok(());
-        }
-        let replicas = inner.replica_set(&owner);
-        // One extra hop per replica write beyond the owner.
-        inner
-            .stats
-            .record_op(DhtOp::Put, hops + replicas.len() as u64 - 1);
-        for r in replicas {
-            merge_copy(
-                &mut inner.nodes.get_mut(&r).expect("replica is live").store,
-                key.clone(),
-                stored.clone(),
-            );
-        }
+        let copies = inner.write(owner, key.clone(), Some(value));
+        inner.stats.record_op(DhtOp::Put, hops + copies - 1);
         Ok(())
     }
 
     fn remove(&self, key: &DhtKey) -> Result<Option<V>, DhtError> {
         let mut inner = self.inner.lock();
         let (owner, hops) = inner.route(&key.hash())?;
-        inner.clock += 1;
-        // Deletion writes a tombstone so stale replica copies cannot
-        // resurrect the key through later synchronization.
-        let stored: Stored<V> = Stored {
-            seq: inner.clock,
-            value: None,
-        };
-        if inner.cfg.replicas == 1 {
-            inner.stats.record_op(DhtOp::Remove, hops);
-            let store = &mut inner.nodes.get_mut(&owner).expect("owner is live").store;
-            let out = store.get(key).and_then(|s| s.value.clone());
-            merge_copy(store, key.clone(), stored);
-            return Ok(out);
-        }
-        let replicas = inner.replica_set(&owner);
-        inner
-            .stats
-            .record_op(DhtOp::Remove, hops + replicas.len() as u64 - 1);
-        let out = inner.nodes[&owner]
-            .store
-            .get(key)
-            .and_then(|s| s.value.clone());
-        for r in replicas {
-            merge_copy(
-                &mut inner.nodes.get_mut(&r).expect("replica is live").store,
-                key.clone(),
-                stored.clone(),
-            );
-        }
+        let out = inner.read(owner, key);
+        let copies = inner.write(owner, key.clone(), None);
+        inner.stats.record_op(DhtOp::Remove, hops + copies - 1);
         Ok(out)
     }
 
@@ -1060,7 +1117,7 @@ impl<V: Clone> Dht for ChordDht<V> {
             inner.clock += 1;
             let seq = inner.clock;
             inner.stats.record_op(DhtOp::Update, hops);
-            let store = &mut inner.nodes.get_mut(&owner).expect("owner is live").store;
+            let store = &mut inner.stores[owner as usize];
             match store.get_mut(key) {
                 Some(entry) => {
                     f(&mut entry.value);
@@ -1074,27 +1131,10 @@ impl<V: Clone> Dht for ChordDht<V> {
             }
             return Ok(());
         }
-        let mut slot = inner.nodes[&owner]
-            .store
-            .get(key)
-            .and_then(|s| s.value.clone());
+        let mut slot = inner.read(owner, key);
         f(&mut slot);
-        inner.clock += 1;
-        let stored = Stored {
-            seq: inner.clock,
-            value: slot,
-        };
-        let replicas = inner.replica_set(&owner);
-        inner
-            .stats
-            .record_op(DhtOp::Update, hops + replicas.len() as u64 - 1);
-        for r in replicas {
-            merge_copy(
-                &mut inner.nodes.get_mut(&r).expect("replica is live").store,
-                key.clone(),
-                stored.clone(),
-            );
-        }
+        let copies = inner.write(owner, key.clone(), slot);
+        inner.stats.record_op(DhtOp::Update, hops + copies - 1);
         Ok(())
     }
 
@@ -1104,15 +1144,13 @@ impl<V: Clone> Dht for ChordDht<V> {
             Ok(s) => s,
             Err(e) => return keys.iter().map(|_| Err(e.clone())).collect(),
         };
+        let max_hops = inner.cfg.max_hops;
         let mut out = Vec::with_capacity(keys.len());
         let mut ops = Vec::with_capacity(keys.len());
         for key in keys {
-            match inner.route_from(&start, &key.hash()) {
+            match inner.routing.route_from(start, &key.hash(), max_hops) {
                 Ok((owner, hops)) => {
-                    let found = inner.nodes[&owner]
-                        .store
-                        .get(key)
-                        .and_then(|s| s.value.clone());
+                    let found = inner.read(owner, key);
                     ops.push((
                         DhtOp::Get {
                             found: found.is_some(),
@@ -1134,35 +1172,15 @@ impl<V: Clone> Dht for ChordDht<V> {
             Ok(s) => s,
             Err(e) => return entries.iter().map(|_| Err(e.clone())).collect(),
         };
+        let max_hops = inner.cfg.max_hops;
         let mut out = Vec::with_capacity(entries.len());
         let mut ops = Vec::with_capacity(entries.len());
         for (key, value) in entries {
-            match inner.route_from(&start, &key.hash()) {
+            match inner.routing.route_from(start, &key.hash(), max_hops) {
                 Ok((owner, hops)) => {
-                    inner.clock += 1;
-                    let stored = Stored {
-                        seq: inner.clock,
-                        value: Some(value),
-                    };
-                    if inner.cfg.replicas == 1 {
-                        ops.push((DhtOp::Put, hops));
-                        merge_copy(
-                            &mut inner.nodes.get_mut(&owner).expect("owner is live").store,
-                            key,
-                            stored,
-                        );
-                        out.push(Ok(()));
-                        continue;
-                    }
-                    let replicas = inner.replica_set(&owner);
-                    ops.push((DhtOp::Put, hops + replicas.len() as u64 - 1));
-                    for r in replicas {
-                        merge_copy(
-                            &mut inner.nodes.get_mut(&r).expect("replica is live").store,
-                            key.clone(),
-                            stored.clone(),
-                        );
-                    }
+                    // One extra hop per replica write beyond the owner.
+                    let copies = inner.write(owner, key, Some(value));
+                    ops.push((DhtOp::Put, hops + copies - 1));
                     out.push(Ok(()));
                 }
                 Err(e) => out.push(Err(e)),
@@ -1174,19 +1192,16 @@ impl<V: Clone> Dht for ChordDht<V> {
 
     fn probe_get(&self, key: &DhtKey, owner: U160) -> Result<Probe<Option<V>>, DhtError> {
         let mut inner = self.inner.lock();
-        if inner.nodes.is_empty() {
+        if inner.routing.index.is_empty() {
             return Err(DhtError::EmptyRing);
         }
-        if !inner.probe_serves_read(&owner, &key.hash()) {
+        let Some(owner) = inner.probe_read_slot(&owner, &key.hash()) else {
             // One wasted hop to discover the hint is stale; no
             // logical operation completed, so no lookup and no round.
             inner.stats.hops += 1;
             return Ok(Probe::Stale);
-        }
-        let found = inner.nodes[&owner]
-            .store
-            .get(key)
-            .and_then(|s| s.value.clone());
+        };
+        let found = inner.read(owner, key);
         inner.stats.record_op(
             DhtOp::Get {
                 found: found.is_some(),
@@ -1198,38 +1213,17 @@ impl<V: Clone> Dht for ChordDht<V> {
 
     fn probe_put(&self, key: &DhtKey, value: V, owner: U160) -> Result<Probe<()>, DhtError> {
         let mut inner = self.inner.lock();
-        if inner.nodes.is_empty() {
+        if inner.routing.index.is_empty() {
             return Err(DhtError::EmptyRing);
         }
-        if !inner.probe_serves_write(&owner, &key.hash()) {
+        let Some(owner) = inner.probe_write_slot(&owner, &key.hash()) else {
             inner.stats.hops += 1;
             return Ok(Probe::Stale);
-        }
-        inner.clock += 1;
-        let stored = Stored {
-            seq: inner.clock,
-            value: Some(value),
         };
-        if inner.cfg.replicas == 1 {
-            inner.stats.record_op(DhtOp::Put, 1);
-            merge_copy(
-                &mut inner.nodes.get_mut(&owner).expect("owner is live").store,
-                key.clone(),
-                stored,
-            );
-            return Ok(Probe::Served(()));
-        }
-        let replicas = inner.replica_set(&owner);
         // One probe hop plus one hop per replica write beyond the
         // owner — same write fan-out as the routed put.
-        inner.stats.record_op(DhtOp::Put, replicas.len() as u64);
-        for r in replicas {
-            merge_copy(
-                &mut inner.nodes.get_mut(&r).expect("replica is live").store,
-                key.clone(),
-                stored.clone(),
-            );
-        }
+        let copies = inner.write(owner, key.clone(), Some(value));
+        inner.stats.record_op(DhtOp::Put, copies);
         Ok(Probe::Served(()))
     }
 
@@ -1238,21 +1232,18 @@ impl<V: Clone> Dht for ChordDht<V> {
         probes: &[(DhtKey, U160)],
     ) -> Vec<Result<Probe<Option<V>>, DhtError>> {
         let mut inner = self.inner.lock();
-        if inner.nodes.is_empty() {
+        if inner.routing.index.is_empty() {
             return probes.iter().map(|_| Err(DhtError::EmptyRing)).collect();
         }
         let mut out = Vec::with_capacity(probes.len());
         let mut ops = Vec::with_capacity(probes.len());
         for (key, owner) in probes {
-            if !inner.probe_serves_read(owner, &key.hash()) {
+            let Some(owner) = inner.probe_read_slot(owner, &key.hash()) else {
                 inner.stats.hops += 1;
                 out.push(Ok(Probe::Stale));
                 continue;
-            }
-            let found = inner.nodes[owner]
-                .store
-                .get(key)
-                .and_then(|s| s.value.clone());
+            };
+            let found = inner.read(owner, key);
             ops.push((
                 DhtOp::Get {
                     found: found.is_some(),
@@ -1269,41 +1260,19 @@ impl<V: Clone> Dht for ChordDht<V> {
 
     fn probe_multi_put(&self, entries: Vec<(DhtKey, V, U160)>) -> Vec<Result<Probe<()>, DhtError>> {
         let mut inner = self.inner.lock();
-        if inner.nodes.is_empty() {
+        if inner.routing.index.is_empty() {
             return entries.iter().map(|_| Err(DhtError::EmptyRing)).collect();
         }
         let mut out = Vec::with_capacity(entries.len());
         let mut ops = Vec::with_capacity(entries.len());
         for (key, value, owner) in entries {
-            if !inner.probe_serves_write(&owner, &key.hash()) {
+            let Some(owner) = inner.probe_write_slot(&owner, &key.hash()) else {
                 inner.stats.hops += 1;
                 out.push(Ok(Probe::Stale));
                 continue;
-            }
-            inner.clock += 1;
-            let stored = Stored {
-                seq: inner.clock,
-                value: Some(value),
             };
-            if inner.cfg.replicas == 1 {
-                ops.push((DhtOp::Put, 1));
-                merge_copy(
-                    &mut inner.nodes.get_mut(&owner).expect("owner is live").store,
-                    key,
-                    stored,
-                );
-                out.push(Ok(Probe::Served(())));
-                continue;
-            }
-            let replicas = inner.replica_set(&owner);
-            ops.push((DhtOp::Put, replicas.len() as u64));
-            for r in replicas {
-                merge_copy(
-                    &mut inner.nodes.get_mut(&r).expect("replica is live").store,
-                    key.clone(),
-                    stored.clone(),
-                );
-            }
+            let copies = inner.write(owner, key, Some(value));
+            ops.push((DhtOp::Put, copies));
             out.push(Ok(Probe::Served(())));
         }
         inner.stats.record_batch(ops);
@@ -1311,12 +1280,7 @@ impl<V: Clone> Dht for ChordDht<V> {
     }
 
     fn owner_hint(&self, key: &DhtKey) -> Option<U160> {
-        let inner = self.inner.lock();
-        if inner.nodes.is_empty() {
-            None
-        } else {
-            Some(inner.owner_of(&key.hash()))
-        }
+        self.inner.lock().routing.owner_id(&key.hash())
     }
 
     fn stats(&self) -> DhtStats {
@@ -1334,6 +1298,13 @@ mod tests {
 
     fn k(s: &str) -> DhtKey {
         DhtKey::from(s)
+    }
+
+    /// Whether the live node `id` holds a copy of `key`.
+    fn holds(dht: &ChordDht<u64>, id: &U160, key: &DhtKey) -> bool {
+        let inner = dht.inner.lock();
+        let slot = inner.routing.live_slot(id).expect("a live node");
+        inner.stores[slot as usize].contains_key(key)
     }
 
     #[test]
@@ -1381,9 +1352,8 @@ mod tests {
             let key = k(&format!("oracle:{i}"));
             dht.put(&key, i).unwrap();
             let owner = dht.owner_of_key(&key).unwrap();
-            let inner = dht.inner.lock();
             assert!(
-                inner.nodes[&owner].store.contains_key(&key),
+                holds(&dht, &owner, &key),
                 "key {key} not stored at oracle owner"
             );
         }
@@ -1422,8 +1392,7 @@ mod tests {
             let key = k(&format!("key:{i}"));
             assert_eq!(dht.get(&key).unwrap(), Some(i));
             if dht.owner_of_key(&key) == Some(id) {
-                let inner = dht.inner.lock();
-                assert!(inner.nodes[&id].store.contains_key(&key));
+                assert!(holds(&dht, &id, &key));
             }
         }
     }
@@ -1755,6 +1724,188 @@ mod tests {
         assert_eq!(s.rounds, 1, "served probes form one round");
         assert_eq!(s.round_hops, 1);
         assert!(s.rounds <= s.lookups());
+    }
+
+    /// Slots of the live nodes that still name `target` in their
+    /// successor list, and in their finger table.
+    fn namers(dht: &ChordDht<u64>, target: Slot) -> (Vec<Slot>, Vec<Slot>) {
+        let inner = dht.inner.lock();
+        let routing = &inner.routing;
+        let live = || routing.index.iter().map(|&(_, slot)| slot);
+        (
+            live()
+                .filter(|&s| routing.node(s).successors.contains(&target))
+                .collect(),
+            live()
+                .filter(|&s| routing.node(s).fingers.iter().any(|f| f.slot == target))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn departed_node_keeps_its_slot_and_reads_live_again_after_rejoin() {
+        // Hop totals of the three read sweeps, as the id-keyed node
+        // map routed them before the arena (same seeds): a stale entry
+        // naming the departed node must be skipped at the same places,
+        // and followed again at the same places once the name is back.
+        const HOPS: [u64; 3] = [330, 311, 323];
+        for graceful in [true, false] {
+            let cfg = ChordConfig {
+                replicas: 2, // the crash must lose nothing
+                ..ChordConfig::default()
+            };
+            let dht: ChordDht<u64> = ChordDht::with_config(32, 67, cfg);
+            for i in 0..100u64 {
+                dht.put(&k(&format!("key:{i}")), i).unwrap();
+            }
+            // (hops, keys read back) of one read of every key.
+            let sweep = || {
+                dht.reset_stats();
+                let hits = (0..100u64)
+                    .filter(|i| dht.get(&k(&format!("key:{i}"))).unwrap() == Some(*i))
+                    .count();
+                (dht.stats().hops, hits)
+            };
+            assert_eq!(sweep(), (HOPS[0], 100));
+
+            let victim = sha1(b"node:5");
+            let (arena, slot) = {
+                let inner = dht.inner.lock();
+                let slot = inner.routing.live_slot(&victim).expect("a member");
+                (inner.routing.nodes.len(), slot)
+            };
+            let (in_lists, in_fingers) = namers(&dht, slot);
+            assert!(in_lists.len() >= 2 && !in_fingers.is_empty());
+
+            assert!(if graceful {
+                dht.leave(&victim)
+            } else {
+                dht.crash(&victim)
+            });
+            {
+                let inner = dht.inner.lock();
+                let node = inner.routing.node(slot);
+                assert_eq!((node.id, node.alive), (victim, false));
+                assert!(node.successors.is_empty() && node.fingers.is_empty());
+                assert!(inner.stores[slot as usize].is_empty());
+                assert_eq!(inner.routing.live_slot(&victim), None);
+            }
+            // No stabilization: the others still name the dead slot
+            // (a graceful leaver unlinks itself from its predecessor
+            // only), and routing skips it.
+            let (stale_lists, stale_fingers) = namers(&dht, slot);
+            assert_eq!(stale_lists.len(), in_lists.len() - graceful as usize);
+            assert_eq!(stale_fingers, in_fingers);
+            assert_eq!(sweep(), (HOPS[1], 100));
+
+            // The same name is handed the same slot back, and every
+            // stale entry naming it reads live again.
+            assert_eq!(dht.join("node:5"), Some(victim));
+            {
+                let inner = dht.inner.lock();
+                assert_eq!(inner.routing.nodes.len(), arena, "a rejoin grew the arena");
+                assert_eq!(inner.stores.len(), arena);
+                assert_eq!(inner.routing.live_slot(&victim), Some(slot));
+                assert!(inner.routing.node(slot).alive);
+            }
+            assert_eq!(namers(&dht, slot).1, in_fingers);
+            let (hops, hits) = sweep();
+            assert_eq!(hops, HOPS[2]);
+            // (A crashed node that rejoins before its successor has
+            // dropped the dead predecessor pointer is handed that
+            // successor's whole store — ROADMAP item 4 — so only the
+            // graceful leaver is certain to read everything back.)
+            assert!(!graceful || hits == 100);
+
+            // A name never seen before does grow the arena, by one.
+            assert!(dht.join("node:never-seen").is_some());
+            assert_eq!(dht.inner.lock().routing.nodes.len(), arena + 1);
+            dht.stabilize(3);
+            assert_eq!(sweep().1, 100);
+            assert_eq!(namers(&dht, slot).0.len(), in_lists.len());
+        }
+    }
+
+    /// The 160-target ascending scan that `perfect_fingers` replaced,
+    /// kept as its reference: every target's owner is searched, and
+    /// self-entries and consecutive repeats are dropped on the way up.
+    fn fingers_by_full_scan(routing: &Routing, pos: usize) -> Vec<Finger> {
+        let (id, slot) = routing.index[pos];
+        let mut fingers: Vec<Finger> = Vec::new();
+        for i in 0..U160::BITS {
+            let target = id.wrapping_add(&U160::pow2(i));
+            let (owner_id, owner) = routing.index[routing.owner_pos(&target)];
+            if owner == slot || fingers.last().map(|f| f.slot) == Some(owner) {
+                continue;
+            }
+            fingers.push(Finger {
+                dist: id.distance_cw(&owner_id),
+                slot: owner,
+            });
+        }
+        fingers
+    }
+
+    fn assert_fingers_match_full_scan(ids: Vec<U160>) {
+        let routing = Routing::converged(ids, 4);
+        for (pos, &(id, slot)) in routing.index.iter().enumerate() {
+            let built = routing.perfect_fingers(pos);
+            assert_eq!(
+                built.to_vec(),
+                fingers_by_full_scan(&routing, pos),
+                "node {id} of {:?}",
+                routing.index
+            );
+            assert_eq!(routing.node(slot).fingers, built);
+            assert!(built.windows(2).all(|w| w[0].dist < w[1].dist));
+        }
+    }
+
+    #[test]
+    fn descending_finger_build_matches_full_scan_on_tiny_rings() {
+        let n = U160::from_u64;
+        let half = U160::pow2(159);
+        for ids in [
+            vec![n(0)],
+            vec![U160::MAX],
+            vec![n(7), n(8)],      // adjacent
+            vec![n(0), half],      // antipodal
+            vec![U160::MAX, n(0)], // adjacent across the wrap
+            vec![n(5), half.wrapping_add(&n(5)), half.wrapping_add(&n(6))],
+            vec![n(1), n(2), n(3)],
+            vec![n(0), U160::pow2(80), U160::MAX],
+        ] {
+            assert_fingers_match_full_scan(ids);
+        }
+    }
+
+    /// An identifier from two random words: uniform over the ring, or
+    /// packed near zero, near a power of two, or just under the wrap —
+    /// the places where a target lands exactly on, one short of, or
+    /// one past a node.
+    fn shaped_id((a, b, shape): (u64, u64, u32)) -> U160 {
+        match shape {
+            0 => sha1(&[a.to_be_bytes(), b.to_be_bytes()].concat()),
+            1 => U160::from_u64(a % 64),
+            2 => U160::pow2((a % 160) as u32)
+                .wrapping_add(&U160::from_u64(b % 3))
+                .wrapping_sub(&U160::from_u64(1)),
+            _ => U160::MAX.wrapping_sub(&U160::from_u64(a % 64)),
+        }
+    }
+
+    proptest::proptest! {
+        /// The descending early-exit build equals the full ascending
+        /// scan on rings of 1–64 nodes, clustered identifiers included.
+        #[test]
+        fn descending_finger_build_matches_full_scan(
+            seeds in proptest::collection::vec(
+                (proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>(), 0u32..4),
+                1..65,
+            ),
+        ) {
+            assert_fingers_match_full_scan(seeds.into_iter().map(shaped_id).collect());
+        }
     }
 
     #[test]

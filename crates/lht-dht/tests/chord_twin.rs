@@ -661,6 +661,10 @@ fn run_twin(n: usize, ring_seed: u64, trace: &[Op], cfg: ChordConfig) {
             "memberships diverged after {op:?}"
         );
     }
+    assert_same_end_state(&dht, &rf);
+}
+
+fn assert_same_end_state(dht: &ChordDht<u64>, rf: &RefRing) {
     for s in 0..64u32 {
         let k = key(s);
         assert_eq!(
@@ -719,6 +723,52 @@ fn twin_matches_with_replication() {
     };
     let trace = gen_trace(300, 350, true);
     run_twin(20, 19, &trace, cfg);
+}
+
+/// The size the benchmark runs: 1024 peers, a converged trace, then
+/// the same ring churning. The reference rebuilds 160-entry tables by
+/// map walks, so this also pins the descending finger build against
+/// it at a size where the two do very different amounts of work.
+#[test]
+fn twin_matches_at_1024_peers_converged_then_churning() {
+    let mut trace = gen_trace(500, 300, false);
+    trace.extend(gen_trace(501, 300, true));
+    run_twin(1024, 7, &trace, ChordConfig::default());
+}
+
+/// Departed names come back. The reference forgets a node when it
+/// goes and meets a fresh one when the name rejoins; the arena keeps
+/// the dead slot and hands it back. Stale successor and finger
+/// entries naming it must be skipped, and followed again, at the
+/// same hops — with and without a stabilization in between.
+#[test]
+fn twin_matches_when_departed_names_rejoin() {
+    let cfg = ChordConfig {
+        replicas: 2,
+        ..ChordConfig::default()
+    };
+    let dht: ChordDht<u64> = ChordDht::with_config(24, 29, cfg);
+    let mut rf = RefRing::with_config(24, 29, cfg);
+    let ops = |dht: &ChordDht<u64>, rf: &mut RefRing, seed: u64| {
+        for op in gen_trace(seed, 25, false) {
+            apply_both(dht, rf, &op);
+        }
+    };
+    for round in 0..8u64 {
+        let name = format!("node:{}", 2 + round % 4);
+        let id = sha1(name.as_bytes());
+        ops(&dht, &mut rf, 600 + 3 * round);
+        if round % 2 == 0 {
+            assert_eq!(dht.crash(&id), rf.crash(&id), "crash diverged");
+        } else {
+            assert_eq!(dht.leave(&id), rf.leave(&id), "leave diverged");
+        }
+        ops(&dht, &mut rf, 601 + 3 * round);
+        assert_eq!(dht.join(&name), rf.join(&name), "rejoin diverged");
+        assert_eq!(dht.snapshot().node_ids, rf.ids());
+        ops(&dht, &mut rf, 602 + 3 * round);
+    }
+    assert_same_end_state(&dht, &rf);
 }
 
 /// A single-node ring is the degenerate routing case (`len == 1`
