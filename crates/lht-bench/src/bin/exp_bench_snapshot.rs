@@ -11,7 +11,7 @@
 //!   lookup workload (asserted >= 5x — the cache's contract),
 //! * route-cache hops per DHT-lookup and hit rate on the E18 skewed
 //!   range workload (the location cache's headline numbers),
-//! * real checked throughput of the threaded mailbox runtime under
+//! * real checked throughput of one 8-peer Chord ring shared by
 //!   4 concurrent client threads (E19 — the run only counts if its
 //!   merged wall-clock history passes the linearizability checker),
 //! * availability of the `{n=3, r=2, w=2}` quorum tier at 20% drop +
@@ -46,7 +46,7 @@
 //! `peak_rss_mb_1024_peers` regressed by more than their band (15%
 //! for the hop/storage figures, 30% for the RSS high-water mark), or
 //! if a throughput metric — where *lower* is worse, so the comparison
-//! is inverted — fell below its committed floor: `threaded_ops_per_sec`,
+//! is inverted — fell below its committed floor: `ring_checked_ops_per_sec`,
 //! `quorum_availability_at_20pct_drop` and
 //! `erasure_availability_at_20pct_drop` by more than 15%,
 //! `sha1_throughput_mb_s` by more than 25% (the hardware SHA path
@@ -246,11 +246,11 @@ fn naming_cache_saving() -> (f64, f64) {
     (cache.stats().hit_rate(), saving)
 }
 
-/// Real checked throughput over the threaded runtime: best of three
-/// short runs (wall-clock numbers are noisy; the max over repeats is
-/// the stable estimate of what the machine can do). Every counted run
-/// must produce a linearizable point-op history.
-fn threaded_throughput(args: &Args) -> f64 {
+/// Real checked throughput of 4 client threads over one 8-peer ring:
+/// best of three short runs (wall-clock numbers are noisy; the max
+/// over repeats is the stable estimate of what the machine can do).
+/// Every counted run must produce a linearizable point-op history.
+fn ring_checked_throughput(args: &Args) -> f64 {
     let ops_per_client = if args.smoke { 250 } else { 500 };
     let mut best = 0.0f64;
     for rep in 0..3u64 {
@@ -340,7 +340,7 @@ fn committed_field(json: &str, field: &str) -> Option<f64> {
 fn check_regressions(
     fresh_chord: f64,
     fresh_cached: f64,
-    fresh_threaded: f64,
+    fresh_ring_checked: f64,
     fresh_quorum: f64,
     fresh_erasure: (f64, f64),
     fresh_sha1: f64,
@@ -379,7 +379,7 @@ fn check_regressions(
     // the hardware digest path silently disabled (~3x), an
     // accidental per-op allocation storm — blow far past either band.
     for (field, fresh, band, digits) in [
-        ("threaded_ops_per_sec", fresh_threaded, 1.15, 0usize),
+        ("ring_checked_ops_per_sec", fresh_ring_checked, 1.15, 0usize),
         ("quorum_availability_at_20pct_drop", fresh_quorum, 1.15, 4),
         (
             "erasure_availability_at_20pct_drop",
@@ -448,8 +448,8 @@ fn main() {
     eprintln!("measuring route cache…");
     let route_queries = if args.smoke { 64 } else { 256 };
     let (cached_hops, route_hit_rate) = route_cache::headline(args.keys, route_queries, args.seed);
-    eprintln!("measuring threaded runtime throughput (4 clients, checked)…");
-    let threaded_ops = threaded_throughput(&args);
+    eprintln!("measuring ring throughput under 4 client threads (checked)…");
+    let ring_checked_ops = ring_checked_throughput(&args);
     eprintln!("measuring quorum availability at 20% drop + churn…");
     let quorum_avail = quorum_availability(&args);
     eprintln!("measuring erasure availability and storage at 20% drop + churn…");
@@ -461,7 +461,7 @@ fn main() {
         if let Err(e) = check_regressions(
             hops_per_lookup,
             cached_hops,
-            threaded_ops,
+            ring_checked_ops,
             quorum_avail,
             (erasure_avail, erasure_bytes),
             throughput,
@@ -497,7 +497,7 @@ fn main() {
         ("naming_cache_sha1_saving_x", format!("{saving:.1}")),
         ("cached_hops_per_lookup", format!("{cached_hops:.3}")),
         ("route_cache_hit_rate", format!("{route_hit_rate:.4}")),
-        ("threaded_ops_per_sec", format!("{threaded_ops:.0}")),
+        ("ring_checked_ops_per_sec", format!("{ring_checked_ops:.0}")),
         (
             "quorum_availability_at_20pct_drop",
             format!("{quorum_avail:.4}"),
@@ -531,6 +531,9 @@ fn main() {
         lines.join(sep)
     };
 
+    // Described before this run's own write can make the tree dirty.
+    let (commit, cpu) = provenance();
+
     let json = format!("{{\n{}\n}}\n", render(",\n", "  "));
     print!("{json}");
     if let Err(e) = std::fs::write("BENCH_lht.json", &json) {
@@ -539,7 +542,6 @@ fn main() {
     }
     eprintln!("wrote BENCH_lht.json");
 
-    let (commit, cpu) = provenance();
     let line = format!(
         "{{\"commit\": {}, \"cpu\": {}, {}}}\n",
         json_str(&commit),

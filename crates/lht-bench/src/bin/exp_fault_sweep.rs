@@ -2,8 +2,8 @@
 //! rate, LHT vs PHT, over a lossy Chord substrate.
 //!
 //! Each cell wraps a Chord ring in a seeded
-//! [`FaultyDht`](lht::FaultyDht) at one drop rate, layers a bounded
-//! [`RetriedDht`](lht::RetriedDht) on top, and drives a mixed
+//! [`FaultyDht`] at one drop rate, layers a bounded
+//! [`RetriedDht`] on top, and drives a mixed
 //! insert/lookup/range/extreme/remove workload through the index.
 //! The table reports *achieved availability* (logical operations that
 //! completed despite the loss) and how far hops-per-lookup and

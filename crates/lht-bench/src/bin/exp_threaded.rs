@@ -1,12 +1,14 @@
-//! Extension experiment E19 — checked throughput of the threaded
-//! mailbox runtime under real OS-thread concurrency.
+//! Extension experiment E19 — checked throughput of the Chord ring
+//! under real OS-thread concurrency.
 //!
 //! Drives N client threads of mixed insert / remove / lookup / range
-//! traffic over a [`ThreadedDht`](lht_dht::ThreadedDht), records every
-//! operation's wall-clock invocation/response interval, hands the
-//! merged history to the Wing–Gong linearizability checker, and
-//! reports real operations per second — a number that only prints
-//! after the run it measures was proven correct.
+//! traffic over one shared [`ChordDht`](lht_dht::ChordDht) of
+//! `--nodes` peers, records every operation's wall-clock
+//! invocation/response interval, hands the merged history to the
+//! Wing–Gong linearizability checker, and reports succeeded
+//! operations per second — a number that only prints after the run it
+//! measures was proven correct — beside the count of operations that
+//! failed in the split window.
 //!
 //! ```sh
 //! cargo run --release -p lht-bench --bin exp_threaded -- \
@@ -15,9 +17,9 @@
 //! ```
 //!
 //! `--smoke` is the CI shape (2 clients x 500 ops). `--mutant-proof`
-//! skips the workload and instead arms the out-of-order-mailbox
-//! mutant, failing unless the checker rejects the armed trace while
-//! accepting the identical clean one.
+//! skips the workload and instead arms `LhtIndex`'s torn-split mutant
+//! on a recorded single-client trace, failing unless the checker
+//! rejects the armed trace while accepting the identical clean one.
 
 use lht_bench::experiments::threaded;
 use lht_sim::checker::Outcome;
@@ -83,7 +85,7 @@ fn main() {
     let args = parse_args();
 
     if args.mutant_proof {
-        eprintln!("arming the out-of-order-mailbox mutant…");
+        eprintln!("arming the torn-split mutant…");
         let (clean, armed) = threaded::mutant_outcomes();
         if clean != Outcome::Linearizable {
             eprintln!("control trace rejected ({clean:?}) — the harness is unsound");
@@ -102,7 +104,7 @@ fn main() {
     }
 
     eprintln!(
-        "driving {} client threads x {} ops over {} node threads (seed {})…",
+        "driving {} client threads x {} ops over a {}-peer ring (seed {})…",
         args.clients, args.ops, args.nodes, args.seed
     );
     let run = threaded::run(args.clients, args.ops, args.nodes, args.seed);
@@ -115,7 +117,10 @@ fn main() {
         "checked_ops={} unchecked_ranges={} checker_states={} outcome={:?}",
         run.checked_ops, run.unchecked_ranges, run.states, run.outcome
     );
-    println!("threaded_ops_per_sec={:.0}", run.ops_per_sec);
+    println!(
+        "failed_ops={} ring_checked_ops_per_sec={:.0}",
+        run.failed_ops, run.ops_per_sec
+    );
 
     match run.outcome {
         Outcome::Linearizable => {}

@@ -10,9 +10,9 @@
 //! actually does at the paper's data sizes.
 //!
 //! The load is scattered over real threads sharing one Chord ring
-//! ([`scatter`](crate::scatter::scatter)): each worker owns one
+//! ([`scatter`]): each worker owns one
 //! contiguous slice of the key grid and drives its own
-//! [`LhtIndex`](lht_core::LhtIndex) client handle, the way distinct
+//! [`LhtIndex`] client handle, the way distinct
 //! DHT clients would. Per-thread stats are merged with `DhtStats`
 //! addition and cross-checked against the substrate's global delta —
 //! the run only reports numbers whose operation accounting survived

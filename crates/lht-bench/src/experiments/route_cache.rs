@@ -4,7 +4,7 @@
 //! The figure experiments count index-level DHT-lookups; E14 priced
 //! each one at the ring's `O(log N)` hop multiplier. This experiment
 //! attacks that multiplier directly: wrapping the Chord substrate in
-//! [`CachedDht`](lht_dht::CachedDht) turns a repeat visit to a known
+//! [`CachedDht`] turns a repeat visit to a known
 //! bucket into a *verified one-hop probe*, so a skewed ("zipfian-ish"
 //! 80/20) range workload pays the full route only on cold keys and
 //! after churn invalidates a hint. Measured here, per cache capacity

@@ -1,16 +1,22 @@
 //! Extension experiment E19 — real OS-thread concurrency over the
-//! mailbox runtime.
+//! Chord ring.
 //!
 //! Every other experiment in this crate drives a substrate from one
 //! thread and *counts* costs; this one runs N real client threads
-//! against [`ThreadedDht`](lht_dht::ThreadedDht) (one OS thread per
-//! node, `mpsc` mailboxes) and *times* them. Each client records its
-//! operations' wall-clock invocation/response intervals with a
+//! against one shared [`ChordDht`] — the substrate the benchmark and
+//! E21 run on — and *times* them. Each client records its operations'
+//! wall-clock invocation/response intervals with a
 //! [`HistoryRecorder`]; the merged history is handed to the Wing–Gong
 //! linearizability checker, so the reported throughput is only
 //! accepted when the run it measures was provably correct.
 //!
-//! One caveat is inherent to LHT, not to this runtime: a range query
+//! The ring is one mutex (ROADMAP item 2): client threads overlap in
+//! everything *above* a DHT operation — naming, binary search, bucket
+//! decode — and take turns below it. Its `DhtStats` (lookups, hops)
+//! stay exact under contention; the wall-clock figure is the only
+//! number here that depends on the host.
+//!
+//! One caveat is inherent to LHT, not to the substrate: a range query
 //! traverses several buckets with several DHT reads, so a scan racing
 //! another client's bucket split can return a torn snapshot. The
 //! deterministic simulator never sees this because it executes each
@@ -20,15 +26,16 @@
 //! but excluded from the checked history; point operations — insert,
 //! remove, exact-match — are checked in full.
 //!
-//! The armed runtime mutant (a node acknowledging a put before
-//! applying it) reuses the same recording path and must be rejected —
-//! proof that the checker, not luck, is what accepts the clean runs.
+//! The armed torn-split mutant ([`LhtIndex::arm_torn_split`]: a split
+//! that never puts its remote half) reuses the same recording path
+//! and must be rejected — proof that the checker, not luck, is what
+//! accepts the clean runs.
 
 use std::time::Instant;
 
 use lht::{
-    Dht, DhtKey, HistoryCall, HistoryRecorder, HistoryReturn, KeyFraction, KeyInterval, LeafBucket,
-    LhtConfig, LhtIndex, ThreadedConfig, ThreadedDht,
+    ChordDht, Dht, HistoryCall, HistoryRecorder, HistoryReturn, KeyFraction, KeyInterval,
+    LeafBucket, LhtConfig, LhtIndex,
 };
 use lht_core::merge_histories;
 use lht_sim::checker::{self, Outcome};
@@ -40,11 +47,16 @@ pub struct ThreadedRun {
     pub clients: u32,
     /// Index operations issued by each client.
     pub ops_per_client: u64,
-    /// Node threads in the runtime.
+    /// Peers on the ring.
     pub nodes: usize,
     /// Wall-clock seconds spent in the client phase.
     pub elapsed_secs: f64,
-    /// Index operations per wall-clock second across all clients.
+    /// Operations that returned an error (`Contention` /
+    /// `LookupExhausted` from the split window, ROADMAP item 0).
+    /// Reported, not gated on.
+    pub failed_ops: u64,
+    /// *Succeeded* index operations per wall-clock second across all
+    /// clients.
     pub ops_per_sec: f64,
     /// Operations in the merged, checked history (point operations;
     /// ranges are driven but not checked — see the module docs).
@@ -58,15 +70,15 @@ pub struct ThreadedRun {
 }
 
 /// Drives `clients` real threads of mixed insert / remove / lookup /
-/// range traffic over one `ThreadedDht`, times the client phase, and
-/// checks the merged wall-clock history.
+/// range traffic over one `nodes`-peer Chord ring, times the client
+/// phase, and checks the merged wall-clock history.
 ///
-/// Panics if the runtime's [`DhtStats`](lht_dht::DhtStats) break
+/// Panics if the ring's [`DhtStats`](lht_dht::DhtStats) break
 /// their invariants — throughput from a run with broken accounting is
 /// not a number worth reporting.
 pub fn run(clients: u32, ops_per_client: u64, nodes: usize, seed: u64) -> ThreadedRun {
     let cfg = LhtConfig::new(4, 20);
-    let dht: ThreadedDht<LeafBucket<u32>> = ThreadedDht::new(ThreadedConfig { nodes, seed });
+    let dht: ChordDht<LeafBucket<u32>> = ChordDht::with_nodes(nodes, seed);
     // Bootstrap the root bucket once, before clients race.
     let _boot: LhtIndex<_, u32> = LhtIndex::new(&dht, cfg).expect("bootstrap index");
 
@@ -91,6 +103,8 @@ pub fn run(clients: u32, ops_per_client: u64, nodes: usize, seed: u64) -> Thread
                         };
                         let k = KeyFraction::from_bits(bits);
                         rec.invoke();
+                        // Results are read back from the recorded
+                        // history below, failures included.
                         match i % 8 {
                             0..=3 => {
                                 let _ = ix.insert(k, (u64::from(t) * 1_000_000 + i) as u32);
@@ -120,10 +134,15 @@ pub fn run(clients: u32, ops_per_client: u64, nodes: usize, seed: u64) -> Thread
 
     dht.stats()
         .check_invariants()
-        .expect("threaded runtime broke the stats contract");
+        .expect("the ring broke the stats contract under client threads");
 
     let mut history = merge_histories(&logs);
     let total_ops = u64::from(clients) * ops_per_client;
+    assert_eq!(history.len() as u64, total_ops, "every op is recorded");
+    let failed_ops = history
+        .iter()
+        .filter(|r| matches!(r.ret, HistoryReturn::Failed { .. }))
+        .count() as u64;
     // Range scans are not atomic under concurrent splits (module
     // docs); drop them from the checked history. Removing operations
     // only removes constraints, so the remaining point-op history
@@ -143,7 +162,8 @@ pub fn run(clients: u32, ops_per_client: u64, nodes: usize, seed: u64) -> Thread
         ops_per_client,
         nodes,
         elapsed_secs: elapsed,
-        ops_per_sec: total_ops as f64 / elapsed,
+        failed_ops,
+        ops_per_sec: (total_ops - failed_ops) as f64 / elapsed,
         checked_ops: history.len(),
         unchecked_ranges,
         states: result.states,
@@ -151,28 +171,39 @@ pub fn run(clients: u32, ops_per_client: u64, nodes: usize, seed: u64) -> Thread
     }
 }
 
-/// Runs the same put-then-get trace twice at the DHT level — once
-/// clean, once with the out-of-order-mailbox mutant armed — and
-/// returns both verdicts. A sound harness yields
-/// `(Linearizable, NotLinearizable { .. })`.
+/// Runs the same single-client insert-then-read-back trace twice
+/// over an 8-peer ring — once clean, once with the index's torn-split
+/// mutant armed on the first split — and returns both strict-mode
+/// verdicts. A sound harness yields
+/// `(Linearizable, NotLinearizable { .. })`: the armed split strands
+/// its remote half, so keys whose inserts were acknowledged read back
+/// absent.
 pub fn mutant_outcomes() -> (Outcome, Outcome) {
     let run = |armed: bool| -> Outcome {
-        let dht: ThreadedDht<u32> = ThreadedDht::new(ThreadedConfig { nodes: 1, seed: 1 });
-        if armed {
-            dht.arm_out_of_order_put(1);
-        }
+        let dht: ChordDht<LeafBucket<u32>> = ChordDht::with_nodes(8, 1);
+        let ix: LhtIndex<_, u32> = LhtIndex::new(&dht, LhtConfig::new(4, 20)).expect("index");
         let rec: HistoryRecorder<u32> = HistoryRecorder::new(0, Instant::now());
-        let k = DhtKey::from("victim");
-        rec.record(HistoryCall::Insert { key: 9, value: 42 }, || {
-            dht.put(&k, 42).expect("put");
-            (HistoryReturn::Inserted, ())
-        });
-        // Invoked strictly after the put's response, so every
-        // linearization must order this get after the put.
-        rec.record(HistoryCall::Get { key: 9 }, || {
-            let value = dht.get(&k).expect("get");
-            (HistoryReturn::Value { value }, ())
-        });
+        ix.attach_history(rec.log());
+        if armed {
+            ix.arm_torn_split(1);
+        }
+        // Eight keys spread over the key space: theta = 4 splits on
+        // the fifth insert, and both halves hold records.
+        let keys: Vec<KeyFraction> = (1..=8u64)
+            .map(|i| KeyFraction::from_bits(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1))
+            .collect();
+        for (i, &k) in keys.iter().enumerate() {
+            rec.invoke();
+            let _ = ix.insert(k, i as u32);
+            rec.complete();
+        }
+        // Each read is invoked strictly after every insert's
+        // response, so every linearization must order it after them.
+        for &k in &keys {
+            rec.invoke();
+            let _ = ix.exact_match(k);
+            rec.complete();
+        }
         checker::check(&rec.log().snapshot(), true, 100_000).outcome
     };
     (run(false), run(true))

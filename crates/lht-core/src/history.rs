@@ -12,8 +12,8 @@
 //!
 //! Recording is opt-in per index handle
 //! ([`LhtIndex::attach_history`](crate::LhtIndex::attach_history));
-//! with no log attached the hooks cost one mutex-free `Option` check
-//! and zero clones.
+//! with no log attached each hook costs one uncontended mutex
+//! acquisition on the handle and zero clones.
 
 use std::sync::Arc;
 
@@ -132,8 +132,8 @@ struct Inner<V> {
     open: Option<usize>,
 }
 
-/// A shared, append-only log of index operations (see the
-/// [module docs](self)).
+/// A shared, append-only log of index operations: passive records
+/// stamped with the times the driving harness supplies.
 #[derive(Debug)]
 pub struct HistoryLog<V> {
     inner: Mutex<Inner<V>>,
@@ -262,10 +262,8 @@ impl<V> HistoryLog<V> {
 /// Use [`log`](HistoryRecorder::log) to attach the per-client log to
 /// an index handle (`LhtIndex::attach_history`) and bracket each call
 /// with [`invoke`](HistoryRecorder::invoke) /
-/// [`complete`](HistoryRecorder::complete); or record a raw
-/// (non-index) operation in one step with
-/// [`record`](HistoryRecorder::record). Merge the per-client logs with
-/// [`merge_histories`] before checking.
+/// [`complete`](HistoryRecorder::complete). Merge the per-client logs
+/// with [`merge_histories`] before checking.
 #[derive(Debug)]
 pub struct HistoryRecorder<V> {
     log: Arc<HistoryLog<V>>,
@@ -323,17 +321,6 @@ impl<V> HistoryRecorder<V> {
     /// (delegates to [`HistoryLog::discard_last`]).
     pub fn discard_last(&self) {
         self.log.discard_last()
-    }
-
-    /// Records one non-index operation in a single step: stamps the
-    /// invocation, runs `op`, records the `(call, return)` pair it
-    /// produces, stamps the response, and hands back `op`'s carry-out.
-    pub fn record<T>(&self, call: HistoryCall<V>, op: impl FnOnce() -> (HistoryReturn<V>, T)) -> T {
-        self.invoke();
-        let (ret, out) = op();
-        self.log.record(call, ret);
-        self.complete();
-        out
     }
 }
 
@@ -408,9 +395,12 @@ mod tests {
                     s.spawn(move || {
                         let rec: HistoryRecorder<u32> = HistoryRecorder::new(client, epoch);
                         for i in 0..20u64 {
-                            rec.record(HistoryCall::Get { key: i }, || {
-                                (HistoryReturn::Value { value: None }, ())
-                            });
+                            rec.invoke();
+                            rec.log().record(
+                                HistoryCall::Get { key: i },
+                                HistoryReturn::Value { value: None },
+                            );
+                            rec.complete();
                         }
                         rec.log()
                     })

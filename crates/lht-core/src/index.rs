@@ -94,8 +94,9 @@ where
     stats: Mutex<IndexStats>,
     names: NamingCache,
     /// Optional operation-history recorder (see [`attach_history`]
-    /// (Self::attach_history)); `None` costs one lock-free check per
-    /// operation.
+    /// (Self::attach_history)). Every public operation takes this
+    /// mutex once and clones the `Arc` if one is attached; with `None`
+    /// that is an uncontended lock and no clone.
     history: Mutex<Option<Arc<HistoryLog<V>>>>,
     /// Torn-split fault injection: when `Some(n)`, the `n`-th
     /// subsequent split "forgets" the DHT-put of its remote half —
@@ -127,9 +128,7 @@ where
         };
         // Bootstrap: a brand-new LHT is the single leaf #0, named #.
         let root_key = index.named_key(&Label::virtual_root());
-        let mut existed = false;
         index.dht.update(&root_key, &mut |slot| {
-            existed = slot.is_some();
             if slot.is_none() {
                 *slot = Some(LeafBucket::new(Label::root()));
             }

@@ -240,8 +240,8 @@ impl CacheState {
     }
 }
 
-/// A routing-cache layer over any [`Dht`] — see the [module
-/// docs](self) for the design.
+/// A routing-cache layer over any [`Dht`] — see the comment at the
+/// top of `cache.rs` for the design.
 ///
 /// # Examples
 ///

@@ -30,7 +30,7 @@ enum Repr {
 /// peer responsible for `hash(κ)`. Keys here are arbitrary byte strings
 /// (index layers use the textual label rendering, e.g. `"#0110"`).
 ///
-/// Keys are compact: payloads up to [`INLINE_CAP`] bytes — every key
+/// Keys are compact: payloads up to `INLINE_CAP` (46) bytes — every key
 /// the index mints in practice — live inline in a fixed-layout buffer,
 /// so constructing, cloning, and storing a key on the hot get/put path
 /// involves no heap traffic. Longer payloads are interned behind a

@@ -15,10 +15,8 @@
 //!   identifier space, finger tables, successor lists, iterative
 //!   lookups with per-hop accounting, node join/leave/crash and
 //!   stabilization. Use it when hop-level behaviour or churn matters.
-//! * [`ThreadedDht`] — a real multi-threaded runtime: each node is an
-//!   OS thread owning its partition behind an mpsc mailbox, so
-//!   operations issued by different client threads genuinely overlap
-//!   in wall-clock time. Use it when true concurrency matters.
+//!   The handle is `Sync`: real client threads share one `&ChordDht`
+//!   (experiment E19).
 //!
 //! Every operation reports its cost through [`DhtStats`], which the
 //! index layers diff around operations to attribute costs the way the
@@ -63,7 +61,6 @@ mod retry;
 mod slots;
 mod stats;
 mod store;
-mod threaded;
 mod traits;
 
 pub use cache::{CacheConfig, CachedDht};
@@ -79,5 +76,4 @@ pub use quorum::{slot_key, split_slot_key, QuorumConfig, QuorumDht, Versioned};
 pub use retry::{Backoffs, RetriedDht, RetryPolicy};
 pub use stats::{DhtOp, DhtStats, LatencyHistogram};
 pub use store::{node_store, KeyHasher, KeyHasherBuilder, NodeStore};
-pub use threaded::{ThreadedConfig, ThreadedDht};
 pub use traits::{Dht, Probe};

@@ -138,7 +138,7 @@ struct RetryState {
 /// A retrying adapter masking transient failures of the wrapped
 /// substrate under a [`RetryPolicy`].
 ///
-/// See the [module docs](self) for semantics. The inner substrate's
+/// See the top of `retry.rs` for semantics. The inner substrate's
 /// stats already count logical operations correctly (failed attempts
 /// never reach its operation counters), so [`stats`](Dht::stats)
 /// reports the inner counters plus this layer's `retries` and

@@ -419,10 +419,10 @@ impl DhtStats {
     /// record path must preserve, returning the first violated rule.
     ///
     /// The invariants pinned here are exactly the ones the layered
-    /// stacks (`FaultyDht` → `RetriedDht` → `CachedDht`, and the
-    /// threaded runtime) are supposed to keep in concert, and the ones
-    /// that have historically drifted when a counter was bumped on one
-    /// record path but missed on its sibling:
+    /// stacks (`FaultyDht` → `RetriedDht` → `CachedDht`, and the ring
+    /// under real client threads) are supposed to keep in concert,
+    /// and the ones that have historically drifted when a counter was
+    /// bumped on one record path but missed on its sibling:
     ///
     /// - `rounds <= lookups()` — batches shrink rounds, never grow
     ///   them; a failed attempt or a retry must not mint a round.

@@ -5,8 +5,8 @@
 //! finds is an unreproducible one-off. This crate replaces wall-clock
 //! nondeterminism with a **virtual-clock, single-threaded scheduler**
 //! ([`simulate`]): N logical clients issuing
-//! insert/remove/lookup/range/min-max against one [`LhtIndex`]
-//! (lht_core::LhtIndex) over a Chord ring, interleaved with Chord
+//! insert/remove/lookup/range/min-max against one
+//! [`LhtIndex`](lht_core::LhtIndex) over a Chord ring, interleaved with Chord
 //! stabilization rounds, replica key-sync rounds, and node
 //! join/leave churn — every interleaving decision drawn from one
 //! `u64` seed, so a run is a pure function of its [`SimConfig`].

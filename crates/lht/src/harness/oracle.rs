@@ -45,8 +45,8 @@ impl ShadowOracle {
     }
 
     /// All records with key in `[lo, 2^64)` — the closed-at-the-top
-    /// range [`KeyInterval::from_key_to_end`]
-    /// (crate::KeyInterval::from_key_to_end) queries.
+    /// range [`KeyInterval::from_key_to_end`](crate::KeyInterval::from_key_to_end)
+    /// queries.
     pub fn range_to_end(&self, lo: u64) -> Vec<(u64, u32)> {
         self.map.range(lo..).map(|(k, v)| (*k, *v)).collect()
     }

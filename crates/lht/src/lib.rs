@@ -62,8 +62,7 @@ pub use lht_dht::{
     fragment_key, slot_key, split_fragment_key, split_slot_key, Brownout, CacheConfig, CachedDht,
     ChordConfig, ChordDht, Dht, DhtError, DhtKey, DhtOp, DhtStats, DirectDht, ErasureConfig,
     ErasureDht, ErasurePayload, FaultyDht, Fragment, LatencyHistogram, LatencyProfile, NetProfile,
-    Probe, QuorumConfig, QuorumDht, RetriedDht, RetryPolicy, ThreadedConfig, ThreadedDht,
-    Versioned,
+    Probe, QuorumConfig, QuorumDht, RetriedDht, RetryPolicy, Versioned,
 };
 pub use lht_dst::{DstConfig, DstIndex};
 pub use lht_id::{BitStr, KeyFraction, U160};

@@ -1,5 +1,5 @@
 //! Multi-thread hammer regressions for the shared-state fast paths
-//! the threaded runtime leans on: the `DhtKey` ring-digest memo, the
+//! real client threads lean on: the `DhtKey` ring-digest memo, the
 //! global SHA-1 compression counter, and the `NamingCache` strict-LRU.
 //!
 //! These are the pieces a handle shared across OS threads exercises on
@@ -17,8 +17,8 @@ use std::thread;
 use lht::dht::gf256::ReedSolomon;
 use lht::id::sha1_compressions;
 use lht::{
-    fragment_key, slot_key, Dht, DhtKey, ErasureConfig, ErasureDht, Fragment, Label, NamingCache,
-    QuorumConfig, QuorumDht, ThreadedConfig, ThreadedDht, Versioned, U160,
+    fragment_key, slot_key, ChordDht, Dht, DhtKey, ErasureConfig, ErasureDht, Fragment, Label,
+    NamingCache, QuorumConfig, QuorumDht, Versioned, U160,
 };
 
 /// Headroom for SHA-1 work done concurrently by anything outside the
@@ -193,9 +193,9 @@ fn naming_cache_eviction_accounting_survives_contention() {
 }
 
 #[test]
-fn quorum_over_threaded_runtime_never_loses_newest_under_contention() {
-    // 4 OS threads hammer one QuorumDht{n=3,r=2,w=2} over the real
-    // multi-threaded node runtime. Three contracts must survive any
+fn quorum_over_shared_ring_never_loses_newest_under_contention() {
+    // 4 OS threads hammer one QuorumDht{n=3,r=2,w=2} over one shared
+    // 8-peer Chord ring. Three contracts must survive any
     // interleaving:
     //   1. the value a key converges to is some thread's *last* write
     //      to it (the globally newest sequence number — read-repair
@@ -211,7 +211,7 @@ fn quorum_over_threaded_runtime_never_loses_newest_under_contention() {
     let key = |i: u32| DhtKey::from(format!("qh:{i}"));
     let encode = |t: u32, r: u32| t * 1_000_000 + r;
 
-    let inner: ThreadedDht<Versioned<u32>> = ThreadedDht::new(ThreadedConfig { nodes: 8, seed: 7 });
+    let inner: ChordDht<Versioned<u32>> = ChordDht::with_nodes(8, 7);
     let quorum = QuorumDht::new(&inner, QuorumConfig::new(3, 2, 2));
 
     // Each thread returns its last-written value per key; the
@@ -319,9 +319,9 @@ fn quorum_over_threaded_runtime_never_loses_newest_under_contention() {
 }
 
 #[test]
-fn erasure_over_threaded_runtime_never_loses_newest_under_contention() {
+fn erasure_over_shared_ring_never_loses_newest_under_contention() {
     // The coded sibling of the quorum hammer: 4 OS threads hammer one
-    // ErasureDht{k=2,m=4} over the real multi-threaded node runtime.
+    // ErasureDht{k=2,m=4} over one shared 8-peer Chord ring.
     // The same three contracts, restated for fragment groups:
     //   1. the value a key converges to is some thread's *last* write
     //      (the newest generation — read-repair and regeneration may
@@ -340,7 +340,7 @@ fn erasure_over_threaded_runtime_never_loses_newest_under_contention() {
     let key = |i: u32| DhtKey::from(format!("eh:{i}"));
     let encode = |t: u32, r: u32| t * 1_000_000 + r;
 
-    let inner: ThreadedDht<Fragment> = ThreadedDht::new(ThreadedConfig { nodes: 8, seed: 7 });
+    let inner: ChordDht<Fragment> = ChordDht::with_nodes(8, 7);
     let coded: ErasureDht<_, u32> = ErasureDht::new(&inner, ErasureConfig::new(K, M));
 
     let last_writes: Vec<HashMap<u32, u32>> = thread::scope(|s| {

@@ -1,6 +1,6 @@
-//! The threaded runtime under test: result equivalence with the
-//! one-hop oracle, real multi-client histories accepted by the
-//! Wing–Gong checker, and an armed runtime mutant proven caught.
+//! Real client threads over the Chord ring: a multi-client history
+//! accepted by the Wing–Gong checker, and an armed index mutant
+//! proven caught through the same recording path.
 //!
 //! This is the suite that turns the simulator's linearizability
 //! argument into a statement about *real* concurrency: operations here
@@ -9,126 +9,16 @@
 
 use std::time::Instant;
 
-use lht::{
-    Dht, DhtKey, DirectDht, HistoryCall, HistoryRecorder, HistoryReturn, KeyFraction, KeyInterval,
-    LeafBucket, LhtConfig, LhtIndex, ThreadedConfig, ThreadedDht,
-};
+use lht::{ChordDht, Dht, HistoryRecorder, KeyFraction, LeafBucket, LhtConfig, LhtIndex};
 use lht_core::merge_histories;
 use lht_sim::checker::{self, Outcome};
 
-fn key(slot: u64) -> DhtKey {
-    DhtKey::from(format!("k{}", slot % 24))
-}
-
-/// Threaded and Direct substrates answer identically on the same
-/// single-client trace, across the whole Dht surface.
-#[test]
-fn threaded_matches_direct_on_a_single_client_trace() {
-    let threaded: ThreadedDht<u32> = ThreadedDht::new(ThreadedConfig { nodes: 6, seed: 11 });
-    let direct: DirectDht<u32> = DirectDht::new();
-
-    for i in 0..200u64 {
-        let k = key(i.wrapping_mul(0x9E37_79B9));
-        match i % 5 {
-            0 | 1 => {
-                let t = threaded.put(&k, i as u32);
-                let d = direct.put(&k, i as u32);
-                assert_eq!(format!("{t:?}"), format!("{d:?}"), "put {i}");
-            }
-            2 => {
-                let t = threaded.get(&k);
-                let d = direct.get(&k);
-                assert_eq!(format!("{t:?}"), format!("{d:?}"), "get {i}");
-            }
-            3 => {
-                let t = threaded.remove(&k);
-                let d = direct.remove(&k);
-                assert_eq!(format!("{t:?}"), format!("{d:?}"), "remove {i}");
-            }
-            _ => {
-                let mut seen_t = None;
-                threaded
-                    .update(&k, &mut |slot| {
-                        seen_t = *slot;
-                        *slot = Some(slot.unwrap_or(0) + 1);
-                    })
-                    .unwrap();
-                let mut seen_d = None;
-                direct
-                    .update(&k, &mut |slot| {
-                        seen_d = *slot;
-                        *slot = Some(slot.unwrap_or(0) + 1);
-                    })
-                    .unwrap();
-                assert_eq!(seen_t, seen_d, "update {i} observed different slots");
-            }
-        }
-    }
-
-    // Batches answer like the sequential loop, on both substrates.
-    let keys: Vec<DhtKey> = (0..24).map(key).collect();
-    let t_batch = threaded.multi_get(&keys);
-    let d_batch = direct.multi_get(&keys);
-    assert_eq!(format!("{t_batch:?}"), format!("{d_batch:?}"));
-    let entries: Vec<(DhtKey, u32)> = keys.iter().map(|k| (k.clone(), 77)).collect();
-    let t_puts = threaded.multi_put(entries.clone());
-    let d_puts = direct.multi_put(entries);
-    assert_eq!(format!("{t_puts:?}"), format!("{d_puts:?}"));
-
-    threaded.stats().check_invariants().unwrap();
-}
-
-/// `LhtIndex` runs unmodified over the threaded runtime and answers
-/// exactly like the same index over the one-hop oracle.
-#[test]
-fn lht_index_runs_unmodified_over_threaded() {
-    let cfg = LhtConfig::new(4, 20);
-    let threaded: ThreadedDht<LeafBucket<u32>> =
-        ThreadedDht::new(ThreadedConfig { nodes: 4, seed: 2 });
-    let direct: DirectDht<LeafBucket<u32>> = DirectDht::new();
-    let ix_t = LhtIndex::new(&threaded, cfg).unwrap();
-    let ix_d = LhtIndex::new(&direct, cfg).unwrap();
-
-    for i in 0..300u64 {
-        let k = KeyFraction::from_bits(i.wrapping_mul(0xD134_2543_DE82_EF95) | 1);
-        ix_t.insert(k, i as u32).unwrap();
-        ix_d.insert(k, i as u32).unwrap();
-        if i % 4 == 0 {
-            assert_eq!(
-                ix_t.exact_match(k).unwrap().value,
-                ix_d.exact_match(k).unwrap().value,
-                "lookup {i}"
-            );
-        }
-        if i % 11 == 0 {
-            let lo = KeyFraction::from_bits(i.wrapping_mul(0x5851_F42D));
-            let interval = KeyInterval::from_key_to_end(lo);
-            assert_eq!(
-                ix_t.range(interval).unwrap().records,
-                ix_d.range(interval).unwrap().records,
-                "range {i}"
-            );
-        }
-    }
-    assert_eq!(
-        ix_t.min().unwrap().value,
-        ix_d.min().unwrap().value,
-        "min diverged"
-    );
-    assert_eq!(
-        ix_t.max().unwrap().value,
-        ix_d.max().unwrap().value,
-        "max diverged"
-    );
-    threaded.stats().check_invariants().unwrap();
-}
-
-/// Four real client threads hammer one index over the threaded
-/// runtime; the merged wall-clock history must be linearizable.
+/// Four real client threads hammer one index over a shared 8-peer
+/// ring; the merged wall-clock history must be linearizable.
 #[test]
 fn multi_client_history_passes_the_checker() {
     let cfg = LhtConfig::new(4, 20);
-    let dht: ThreadedDht<LeafBucket<u32>> = ThreadedDht::new(ThreadedConfig { nodes: 4, seed: 7 });
+    let dht: ChordDht<LeafBucket<u32>> = ChordDht::with_nodes(8, 7);
     // Bootstrap the root bucket once, before clients race.
     let _boot: LhtIndex<_, u32> = LhtIndex::new(&dht, cfg).unwrap();
 
@@ -188,28 +78,37 @@ fn multi_client_history_passes_the_checker() {
     dht.stats().check_invariants().unwrap();
 }
 
-/// The armed out-of-order-mailbox mutant produces a history the
-/// checker rejects — and the identical unarmed trace passes, so the
-/// rejection is the mutant's doing, not the harness's.
+/// The armed torn-split mutant, recorded through a
+/// [`HistoryRecorder`], produces a history the checker rejects — and
+/// the identical unarmed trace passes, so the rejection is the
+/// mutant's doing, not the harness's.
 #[test]
-fn out_of_order_put_mutant_is_caught() {
+fn torn_split_mutant_is_caught_through_the_recorder() {
     let run = |armed: bool| -> Outcome {
-        let dht: ThreadedDht<u32> = ThreadedDht::new(ThreadedConfig { nodes: 1, seed: 1 });
-        if armed {
-            dht.arm_out_of_order_put(1);
-        }
+        let dht: ChordDht<LeafBucket<u32>> = ChordDht::with_nodes(8, 1);
+        let ix: LhtIndex<_, u32> = LhtIndex::new(&dht, LhtConfig::new(4, 20)).unwrap();
         let rec: HistoryRecorder<u32> = HistoryRecorder::new(0, Instant::now());
-        let k = DhtKey::from("victim");
-        rec.record(HistoryCall::Insert { key: 9, value: 42 }, || {
-            dht.put(&k, 42).unwrap();
-            (HistoryReturn::Inserted, ())
-        });
-        // This get is invoked strictly after the put's response, so
-        // every linearization must order it after the put.
-        rec.record(HistoryCall::Get { key: 9 }, || {
-            let value = dht.get(&k).unwrap();
-            (HistoryReturn::Value { value }, ())
-        });
+        ix.attach_history(rec.log());
+        if armed {
+            ix.arm_torn_split(1);
+        }
+        // Eight keys spread over the key space: theta = 4 splits on
+        // the fifth insert, and both halves hold records.
+        let keys: Vec<KeyFraction> = (1..=8u64)
+            .map(|i| KeyFraction::from_bits(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1))
+            .collect();
+        for (i, &k) in keys.iter().enumerate() {
+            rec.invoke();
+            let _ = ix.insert(k, i as u32);
+            rec.complete();
+        }
+        // Each read is invoked strictly after every insert's
+        // response, so every linearization must order it after them.
+        for &k in &keys {
+            rec.invoke();
+            let _ = ix.exact_match(k);
+            rec.complete();
+        }
         checker::check(&rec.log().snapshot(), true, 100_000).outcome
     };
 
