@@ -156,13 +156,53 @@ impl<V> LeafBucket<V> {
         self.records.iter().map(|(k, v)| (*k, v))
     }
 
-    /// Records whose keys fall inside `range`, in key order.
-    pub fn records_in(&self, range: &KeyInterval) -> impl Iterator<Item = (KeyFraction, &V)> {
-        let range = *range;
-        self.records
-            .iter()
-            .filter(move |(k, _)| range.contains(*k))
-            .map(|(k, v)| (*k, v))
+    /// Records whose keys fall inside `range`, in key order: the
+    /// store is sorted, so the answer is one contiguous sub-slice
+    /// found by two binary searches.
+    pub fn records_in(&self, range: &KeyInterval) -> &[(KeyFraction, V)] {
+        let (from, to) = self.cut(range);
+        &self.records[from..to]
+    }
+
+    /// Consumes the bucket and moves out the records inside `range`,
+    /// in key order. A bucket wholly inside `range` hands over its
+    /// store untouched; no value is cloned either way.
+    pub fn into_records_in(self, range: &KeyInterval) -> Vec<(KeyFraction, V)> {
+        let (from, to) = self.cut(range);
+        let mut records = self.records;
+        records.truncate(to);
+        records.drain(..from);
+        records
+    }
+
+    /// Index bounds `from..to` of the records inside `range`. Keys are
+    /// compared as `u128` because `hi_raw` may be `2^64`.
+    fn cut(&self, range: &KeyInterval) -> (usize, usize) {
+        let from = self
+            .records
+            .partition_point(|(k, _)| (k.bits() as u128) < range.lo_raw());
+        let to = self
+            .records
+            .partition_point(|(k, _)| (k.bits() as u128) < range.hi_raw());
+        (from, to)
+    }
+
+    /// Builds a leaf from records already sorted by strictly ascending
+    /// key and all inside `label`'s interval, without a per-record
+    /// search.
+    pub(crate) fn from_sorted(label: Label, records: Vec<(KeyFraction, V)>) -> LeafBucket<V> {
+        debug_assert!(
+            records.windows(2).all(|w| w[0].0 < w[1].0),
+            "records for leaf {label} not strictly ascending"
+        );
+        debug_assert!(
+            records.iter().all(|(k, _)| label.covers(*k)),
+            "record outside leaf {label}"
+        );
+        LeafBucket {
+            records,
+            ..LeafBucket::new(label)
+        }
     }
 
     /// Splits this bucket per Algorithm 1.
@@ -246,14 +286,6 @@ impl<V> LeafBucket<V> {
     }
 }
 
-impl<V> Extend<(KeyFraction, V)> for LeafBucket<V> {
-    fn extend<I: IntoIterator<Item = (KeyFraction, V)>>(&mut self, iter: I) {
-        for (k, v) in iter {
-            self.insert(k, v);
-        }
-    }
-}
-
 /// Byte codec for storing buckets under an
 /// [`ErasureDht`](lht_dht::ErasureDht): the erasure layer shards real
 /// bytes, and the vendored serde shim is a no-op, so the wire format
@@ -263,10 +295,11 @@ impl<V> Extend<(KeyFraction, V)> for LeafBucket<V> {
 /// through their raw 64-bit numerators.
 impl lht_dht::ErasurePayload for LeafBucket<u32> {
     fn encode_payload(&self) -> Vec<u8> {
-        let label = self.label.to_string();
+        let rendered = self.label.dht_key(); // the `#bits` text, built on the stack
+        let label = rendered.as_bytes();
         let mut out = Vec::with_capacity(2 + label.len() + 4 + 12 * self.records.len());
         out.extend_from_slice(&(label.len() as u16).to_le_bytes());
-        out.extend_from_slice(label.as_bytes());
+        out.extend_from_slice(label);
         out.extend_from_slice(&(self.records.len() as u32).to_le_bytes());
         for (k, v) in &self.records {
             out.extend_from_slice(&k.bits().to_le_bytes());
@@ -276,40 +309,41 @@ impl lht_dht::ErasurePayload for LeafBucket<u32> {
     }
 
     fn decode_payload(bytes: &[u8]) -> Option<Self> {
-        let take = |bytes: &[u8], at: &mut usize, n: usize| -> Option<Vec<u8>> {
-            let out = bytes.get(*at..*at + n)?.to_vec();
-            *at += n;
-            Some(out)
-        };
-        let mut at = 0usize;
-        let label_len = u16::from_le_bytes(take(bytes, &mut at, 2)?.try_into().ok()?) as usize;
-        let label_str = String::from_utf8(take(bytes, &mut at, label_len)?).ok()?;
-        let label: Label = label_str.parse().ok()?;
+        let (label_len, rest) = bytes.split_first_chunk::<2>()?;
+        let label_len = u16::from_le_bytes(*label_len) as usize;
+        let (label, rest) = rest.split_at_checked(label_len)?;
+        let label: Label = std::str::from_utf8(label).ok()?.parse().ok()?;
         if label.is_virtual_root() {
             return None;
         }
-        let count = u32::from_le_bytes(take(bytes, &mut at, 4)?.try_into().ok()?) as usize;
-        let mut bucket = LeafBucket::new(label);
-        for _ in 0..count {
-            let key = KeyFraction::from_bits(u64::from_le_bytes(
-                take(bytes, &mut at, 8)?.try_into().ok()?,
-            ));
-            let value = u32::from_le_bytes(take(bytes, &mut at, 4)?.try_into().ok()?);
-            if !bucket.covers(key) {
-                return None; // malformed bytes must fail closed, not assert
-            }
-            bucket.insert(key, value);
-        }
-        if at != bytes.len() {
+        let (count, rest) = rest.split_first_chunk::<4>()?;
+        let count = u32::from_le_bytes(*count) as usize;
+        // Truncated and trailing bytes both fail here, before anything
+        // is allocated for `count`.
+        if count.checked_mul(12)? != rest.len() {
             return None;
         }
-        Some(bucket)
+        let interval = label.interval();
+        let mut records = Vec::with_capacity(count);
+        for record in rest.chunks_exact(12) {
+            let (key, value) = record.split_at(8);
+            let key = KeyFraction::from_bits(u64::from_le_bytes(key.try_into().ok()?));
+            let value = u32::from_le_bytes(value.try_into().ok()?);
+            // Malformed bytes fail closed — no assert, no re-sort: an
+            // encoder only ever writes covered, strictly ascending keys.
+            if !interval.contains(key) || records.last().is_some_and(|(prev, _)| *prev >= key) {
+                return None;
+            }
+            records.push((key, value));
+        }
+        Some(LeafBucket::from_sorted(label, records))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn l(s: &str) -> Label {
         s.parse().unwrap()
@@ -362,7 +396,8 @@ mod tests {
         let b = bucket_with("#0", &[0.1, 0.2, 0.3, 0.4]);
         let hits: Vec<_> = b
             .records_in(&KeyInterval::half_open(kf(0.15), kf(0.35)))
-            .map(|(k, _)| k)
+            .iter()
+            .map(|(k, _)| *k)
             .collect();
         assert_eq!(hits, vec![kf(0.2), kf(0.3)]);
     }
@@ -473,5 +508,113 @@ mod tests {
         }
         assert_eq!(LeafBucket::<u32>::decode_payload(&bad), None);
         assert_eq!(LeafBucket::<u32>::decode_payload(&[]), None);
+    }
+
+    /// A bucket under `#0` (`[0, 1)`) or `#01` (`[0.5, 1)`) holding
+    /// `keys`, each mapped into the label's interval.
+    fn random_bucket(upper_half: bool, keys: &[u64]) -> LeafBucket<u32> {
+        let mut b = LeafBucket::new(l(if upper_half { "#01" } else { "#0" }));
+        for (i, &k) in keys.iter().enumerate() {
+            let k = if upper_half { k | 1 << 63 } else { k };
+            b.insert(KeyFraction::from_bits(k), i as u32);
+        }
+        b
+    }
+
+    proptest! {
+        /// The binary-searched cut returns exactly what testing every
+        /// record against the interval returned.
+        #[test]
+        fn records_in_equals_filtering_every_record(
+            upper_half in any::<bool>(),
+            keys in proptest::collection::vec(any::<u64>(), 0..48),
+            a in any::<u64>(),
+            b in any::<u64>(),
+            shape in 0u8..7,
+        ) {
+            let bucket = random_bucket(upper_half, &keys);
+            let (ka, kb) = (KeyFraction::from_bits(a), KeyFraction::from_bits(b));
+            let range = match shape {
+                0 => KeyInterval::half_open(ka, kb), // inverted half the time: empty
+                1 => KeyInterval::half_open(ka.min(kb), ka.max(kb)),
+                2 => KeyInterval::from_key_to_end(ka), // hi = 2^64
+                3 => match bucket.iter().nth(a as usize % (bucket.len() + 1)) {
+                    // a point interval on a stored key
+                    Some((k, _)) => KeyInterval::from_raw(k.bits() as u128, k.bits() as u128 + 1),
+                    None => KeyInterval::from_raw(a as u128, a as u128 + 1),
+                },
+                4 => bucket.interval(), // the whole leaf
+                5 => KeyInterval::FULL,
+                _ => KeyInterval::EMPTY,
+            };
+            let oracle: Vec<(KeyFraction, u32)> = bucket
+                .iter()
+                .filter(|(k, _)| range.contains(*k))
+                .map(|(k, v)| (k, *v))
+                .collect();
+            prop_assert_eq!(bucket.records_in(&range), &oracle[..]);
+            if matches!(shape, 4 | 5) {
+                prop_assert_eq!(oracle.len(), bucket.len());
+            }
+            prop_assert_eq!(bucket.into_records_in(&range), oracle);
+        }
+
+        #[test]
+        fn erasure_payload_round_trips_random_buckets(
+            upper_half in any::<bool>(),
+            keys in proptest::collection::vec(any::<u64>(), 0..48),
+        ) {
+            use lht_dht::ErasurePayload;
+            let bucket = random_bucket(upper_half, &keys);
+            let bytes = bucket.encode_payload();
+            prop_assert_eq!(LeafBucket::<u32>::decode_payload(&bytes), Some(bucket));
+        }
+    }
+
+    /// Hand-built payload bytes, so malformed shapes an encoder never
+    /// writes can be fed to the decoder.
+    fn payload(label: &str, count: u32, records: &[(u64, u32)]) -> Vec<u8> {
+        let mut out = (label.len() as u16).to_le_bytes().to_vec();
+        out.extend_from_slice(label.as_bytes());
+        out.extend_from_slice(&count.to_le_bytes());
+        for (k, v) in records {
+            out.extend_from_slice(&k.to_le_bytes());
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn decode_payload_rejects_every_malformed_shape() {
+        use lht_dht::ErasurePayload;
+        let decode = LeafBucket::<u32>::decode_payload;
+        let (lo, mid, hi) = (3u64 << 62, 7 << 61, 15 << 60); // all inside #011 = [0.75, 1)
+        let good = payload("#011", 3, &[(lo, 1), (mid, 2), (hi, 3)]);
+        let bucket = decode(&good).expect("well-formed");
+        assert_eq!(bucket.label(), l("#011"));
+        assert_eq!(bucket.len(), 3);
+        assert_eq!(bucket.encode_payload(), good);
+
+        let unsorted = payload("#011", 3, &[(lo, 1), (hi, 3), (mid, 2)]);
+        assert_eq!(decode(&unsorted), None, "unsorted keys are not re-sorted");
+        let duplicate = payload("#011", 3, &[(lo, 1), (mid, 2), (mid, 3)]);
+        assert_eq!(decode(&duplicate), None, "duplicate keys");
+        let outside = payload("#011", 3, &[(1 << 62, 1), (mid, 2), (hi, 3)]);
+        assert_eq!(decode(&outside), None, "0.25 is outside [0.75, 1)");
+        let short = payload("#011", 4, &[(lo, 1), (mid, 2), (hi, 3)]);
+        assert_eq!(decode(&short), None, "count larger than the bytes present");
+        let huge = payload("#011", u32::MAX, &[(lo, 1)]);
+        assert_eq!(
+            decode(&huge),
+            None,
+            "count × 12 overflows a 32-bit usize and exceeds any input"
+        );
+        let trailing = payload("#011", 2, &[(lo, 1), (mid, 2), (hi, 3)]);
+        assert_eq!(decode(&trailing), None, "trailing bytes");
+        assert_eq!(decode(&payload("#", 0, &[])), None, "virtual root");
+        assert_eq!(decode(&payload("011", 0, &[])), None, "bad label");
+        assert_eq!(decode(&good[..1]), None);
+        assert_eq!(decode(&good[..5]), None, "label cut short");
+        assert_eq!(decode(&good[..8]), None, "count cut short");
     }
 }

@@ -9,12 +9,11 @@
 //! an ablation of the design choice, not a replacement for it (bulk
 //! loading requires a fresh index and a complete dataset).
 
-use std::collections::BTreeMap;
-
 use lht_dht::{Dht, DhtKey};
 use lht_id::KeyFraction;
 
 use crate::naming::name;
+use crate::range::sort_keep_last;
 use crate::{Label, LeafBucket, LhtError, LhtIndex, OpCost};
 
 /// The result of a bulk load.
@@ -71,14 +70,25 @@ where
             }
         }
 
-        let sorted: BTreeMap<KeyFraction, V> = records.into_iter().collect();
-        let n = sorted.len() as u64;
-        let pairs: Vec<(KeyFraction, V)> = sorted.into_iter().collect();
-        let capacity = self.config().bucket_capacity();
-        let max_depth = self.config().max_depth;
+        let mut pairs: Vec<(KeyFraction, V)> = records.into_iter().collect();
+        sort_keep_last(&mut pairs);
+        let n = pairs.len() as u64;
 
-        let mut buckets: Vec<LeafBucket<V>> = Vec::new();
-        build_tree(Label::root(), pairs, capacity, max_depth, &mut buckets);
+        // Plan the tree over the sorted slice, then cut the vector into
+        // the planned leaves front to back: each record moves once.
+        let mut plan: Vec<(Label, usize)> = Vec::new();
+        build_tree(
+            Label::root(),
+            &pairs,
+            self.config().bucket_capacity(),
+            self.config().max_depth,
+            &mut plan,
+        );
+        let mut sorted = pairs.into_iter();
+        let buckets: Vec<LeafBucket<V>> = plan
+            .into_iter()
+            .map(|(label, len)| LeafBucket::from_sorted(label, sorted.by_ref().take(len).collect()))
+            .collect();
 
         // Ship every leaf in one batched round: the puts target
         // distinct names, so no ordering between them is needed. The
@@ -105,28 +115,23 @@ where
 }
 
 /// Recursively partitions `records` (sorted by key, all inside
-/// `label`'s interval) into leaf buckets, keeping the partition
-/// tree's fullness: an overfull node always produces *both* children.
+/// `label`'s interval) into leaves, keeping the partition tree's
+/// fullness: an overfull node always produces *both* children. Emits
+/// each leaf's label and record count in key order; the leaf's records
+/// are the next `count` of the sorted input.
 fn build_tree<V>(
     label: Label,
-    records: Vec<(KeyFraction, V)>,
+    records: &[(KeyFraction, V)],
     capacity: usize,
     max_depth: usize,
-    out: &mut Vec<LeafBucket<V>>,
+    out: &mut Vec<(Label, usize)>,
 ) {
     if records.len() <= capacity || label.len() >= max_depth {
-        let mut bucket = LeafBucket::new(label);
-        bucket.extend(records);
-        out.push(bucket);
+        out.push((label, records.len()));
         return;
     }
     let mid = label.child(true).interval().lo_key();
-    let split_at = records.partition_point(|(k, _)| *k < mid);
-    let (lower, upper) = {
-        let mut lower = records;
-        let upper = lower.split_off(split_at);
-        (lower, upper)
-    };
+    let (lower, upper) = records.split_at(records.partition_point(|(k, _)| *k < mid));
     build_tree(label.child(false), lower, capacity, max_depth, out);
     build_tree(label.child(true), upper, capacity, max_depth, out);
 }
@@ -254,5 +259,41 @@ mod tests {
             ix.exact_match(KeyFraction::from_bits(42)).unwrap().value,
             Some(42)
         );
+    }
+
+    #[test]
+    fn shuffled_input_with_duplicate_keys_keeps_the_last_value() {
+        use rand::{rngs::StdRng, seq::SliceRandom, Rng, SeedableRng};
+        use std::collections::BTreeMap;
+
+        let cfg = LhtConfig::new(8, 20);
+        let mut rng = StdRng::seed_from_u64(15);
+        // 600 records over 400 distinct keys, in random order.
+        let mut input: Vec<(KeyFraction, u32)> = (0..600u32)
+            .map(|i| (KeyFraction::from_bits(rng.gen_range(0..400u64) << 54), i))
+            .collect();
+        input.shuffle(&mut rng);
+        let oracle: BTreeMap<_, _> = input.iter().copied().collect();
+        let expect: Vec<(KeyFraction, u32)> = oracle.into_iter().collect();
+        assert!(expect.len() < input.len(), "the input has duplicate keys");
+
+        let bulk_dht = DirectDht::new();
+        let bulk = LhtIndex::new(&bulk_dht, cfg).unwrap();
+        let outcome = bulk.bulk_load(input.iter().copied()).unwrap();
+        assert_eq!(outcome.records, expect.len() as u64);
+
+        let inc_dht = DirectDht::new();
+        let inc = LhtIndex::new(&inc_dht, cfg).unwrap();
+        for (k, v) in &input {
+            inc.insert(*k, *v).unwrap();
+        }
+
+        let bulk_entries = audit::tree_entries(&bulk_dht);
+        let inc_entries = audit::tree_entries(&inc_dht);
+        assert!(audit::check_entries(bulk_entries.clone(), cfg).is_empty());
+        assert!(audit::check_entries(inc_entries.clone(), cfg).is_empty());
+        assert_eq!(audit::entry_records(&bulk_entries), expect);
+        assert_eq!(audit::entry_records(&inc_entries), expect);
+        assert_eq!(bulk.range(KeyInterval::FULL).unwrap().records, expect);
     }
 }

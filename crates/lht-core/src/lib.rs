@@ -87,4 +87,4 @@ pub use index::{
 pub use interval::KeyInterval;
 pub use label::Label;
 pub use naming::{NamingCache, NamingCacheStats};
-pub use range::RangeResult;
+pub use range::{assemble_runs, RangeResult};

@@ -8,6 +8,12 @@
 //! substrate as one [`Dht::multi_get`] batch, so on a round-capable
 //! substrate the query's wall-clock rounds equal its step count
 //! instead of its lookup count.
+//!
+//! The answer is assembled from **sorted runs**: the partition tree's
+//! leaves cover disjoint key intervals (§3) and every bucket holds its
+//! records in key order, so each fetched bucket contributes one
+//! contiguous, already-sorted slice of the result and
+//! [`assemble_runs`] only has to put the slices in interval order.
 
 use std::collections::BTreeMap;
 
@@ -102,7 +108,7 @@ where
     }
 
     fn range_impl(&self, range: KeyInterval) -> Result<RangeResult<V>, LhtError> {
-        let mut records: BTreeMap<KeyFraction, V> = BTreeMap::new();
+        let mut runs: Vec<Vec<(KeyFraction, V)>> = Vec::new();
         let mut cost = RangeCost::default();
         if range.is_empty() {
             return Ok(RangeResult {
@@ -132,11 +138,11 @@ where
                 let hit = self.lookup(range.lo_key())?;
                 cost.dht_lookups += hit.cost.dht_lookups;
                 cost.steps += hit.cost.steps;
-                collect(&hit.bucket, &range, &mut records, &mut cost);
+                collect(hit.bucket, &range, &mut runs, &mut cost);
             }
             Some(bucket) if bucket.interval().overlaps(&range) => {
                 // Case 2: simple case from this bucket.
-                self.expand(&bucket, range, 1, &mut frontier, &mut records, &mut cost);
+                self.expand(bucket, range, 1, &mut frontier, &mut runs, &mut cost);
             }
             Some(_) => {
                 // Case 3: forward to both children of the LCA
@@ -185,11 +191,11 @@ where
                 match fetched? {
                     Some(bucket) if bucket.interval().overlaps(&task.subrange) => {
                         self.expand(
-                            &bucket,
+                            bucket,
                             task.subrange,
                             task.step,
                             &mut frontier,
-                            &mut records,
+                            &mut runs,
                             &mut cost,
                         );
                     }
@@ -214,11 +220,11 @@ where
                             cost.dht_lookups += hit.cost.dht_lookups;
                             cost.steps = cost.steps.max(task.step + hit.cost.steps);
                             self.expand(
-                                &hit.bucket,
+                                hit.bucket,
                                 task.subrange,
                                 task.step + hit.cost.steps,
                                 &mut frontier,
-                                &mut records,
+                                &mut runs,
                                 &mut cost,
                             );
                         } else {
@@ -232,7 +238,7 @@ where
         }
 
         Ok(RangeResult {
-            records: records.into_iter().collect(),
+            records: assemble_runs(runs),
             cost,
         })
     }
@@ -243,19 +249,20 @@ where
     /// forwards issued here happen in parallel at `step + 1`.
     fn expand(
         &self,
-        bucket: &LeafBucket<V>,
+        bucket: LeafBucket<V>,
         subrange: KeyInterval,
         step: u64,
         frontier: &mut Frontier,
-        records: &mut BTreeMap<KeyFraction, V>,
+        runs: &mut Vec<Vec<(KeyFraction, V)>>,
         cost: &mut RangeCost,
     ) {
-        collect(bucket, &subrange, records, cost);
+        let label = bucket.label();
         let own = bucket.interval();
+        collect(bucket, &subrange, runs, cost);
 
         // Rightwards: keys of `subrange` above this bucket's interval.
         if subrange.hi_raw() > own.hi_raw() {
-            let mut beta = bucket.label();
+            let mut beta = label;
             loop {
                 let next = right_neighbor(&beta);
                 if next == beta {
@@ -303,7 +310,7 @@ where
 
         // Leftwards: mirror image via f_ln.
         if subrange.lo_raw() < own.lo_raw() {
-            let mut beta = bucket.label();
+            let mut beta = label;
             loop {
                 let next = left_neighbor(&beta);
                 if next == beta {
@@ -348,17 +355,75 @@ where
     }
 }
 
-/// Collects `bucket`'s records inside `range` and counts the bucket.
-fn collect<V: Clone>(
-    bucket: &LeafBucket<V>,
+/// Counts `bucket` and moves its records inside `range` out as one
+/// sorted run.
+fn collect<V>(
+    bucket: LeafBucket<V>,
     range: &KeyInterval,
-    records: &mut BTreeMap<KeyFraction, V>,
+    runs: &mut Vec<Vec<(KeyFraction, V)>>,
     cost: &mut RangeCost,
 ) {
     cost.buckets_visited += 1;
-    for (k, v) in bucket.records_in(range) {
-        records.insert(k, v.clone());
+    runs.push(bucket.into_records_in(range));
+}
+
+/// Assembles per-leaf sorted runs, given in visit order, into one
+/// key-ordered record list.
+///
+/// Each run must be sorted by strictly ascending key (a leaf's record
+/// store is). Leaves of one tree cover disjoint intervals, so on a
+/// quiescent index the runs are pairwise disjoint and the answer is
+/// their concatenation in order of first key, moved into a single
+/// pre-sized `Vec`. Only a scan torn by a concurrent split or merge
+/// can see one key in two runs; then the runs are flattened in visit
+/// order, stable-sorted by key, and the **last** visited record of
+/// each key is kept — what inserting every record into an ordered map
+/// in visit order would leave.
+pub fn assemble_runs<V>(mut runs: Vec<Vec<(KeyFraction, V)>>) -> Vec<(KeyFraction, V)> {
+    let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    match concatenation_order(&runs) {
+        Some(order) => {
+            for i in order {
+                out.append(&mut runs[i]);
+            }
+        }
+        None => {
+            out.extend(runs.into_iter().flatten());
+            sort_keep_last(&mut out);
+        }
     }
+    out
+}
+
+/// The order in which the non-empty `runs` concatenate into one
+/// strictly ascending list, or `None` if two of them overlap.
+fn concatenation_order<V>(runs: &[Vec<(KeyFraction, V)>]) -> Option<Vec<usize>> {
+    debug_assert!(
+        runs.iter().all(|r| r.windows(2).all(|w| w[0].0 < w[1].0)),
+        "every run is strictly ascending"
+    );
+    let mut order: Vec<usize> = (0..runs.len()).filter(|&i| !runs[i].is_empty()).collect();
+    order.sort_by_key(|&i| runs[i][0].0);
+    order
+        .windows(2)
+        .all(|w| runs[w[0]][runs[w[0]].len() - 1].0 < runs[w[1]][0].0)
+        .then_some(order)
+}
+
+/// Stable-sorts `records` by key and keeps, of each group of equal
+/// keys, the one that came last in the input — the outcome of
+/// inserting them in order into a map.
+pub(crate) fn sort_keep_last<V>(records: &mut Vec<(KeyFraction, V)>) {
+    records.sort_by_key(|(k, _)| *k);
+    // `dedup_by` drops the later of two equal neighbours; swapping
+    // first makes the later one the survivor.
+    records.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            std::mem::swap(later, kept);
+        }
+        same
+    });
 }
 
 #[cfg(test)]
@@ -528,5 +593,135 @@ mod tests {
             .collect();
         let got: Vec<u32> = r.records.iter().map(|(_, v)| *v).collect();
         assert_eq!(got, expect);
+    }
+
+    fn run(keys: &[u64], tag: u32) -> Vec<(KeyFraction, u32)> {
+        keys.iter()
+            .map(|&k| (KeyFraction::from_bits(k), tag))
+            .collect()
+    }
+
+    /// What the replaced assembly did: every record through an ordered
+    /// map, in visit order.
+    fn map_oracle(runs: &[Vec<(KeyFraction, u32)>]) -> Vec<(KeyFraction, u32)> {
+        let mut map = BTreeMap::new();
+        for (k, v) in runs.iter().flatten() {
+            map.insert(*k, *v);
+        }
+        map.into_iter().collect()
+    }
+
+    #[test]
+    fn disjoint_runs_out_of_order_concatenate_without_sorting() {
+        let runs = vec![
+            run(&[40, 50, 60], 0),
+            vec![],
+            run(&[1, 2, 3], 1),
+            run(&[100], 2),
+            vec![],
+            run(&[10, 20], 3),
+        ];
+        assert_eq!(
+            concatenation_order(&runs),
+            Some(vec![2, 5, 0, 3]),
+            "disjoint runs never take the sort fallback; empty runs are ignored"
+        );
+        let out = assemble_runs(runs.clone());
+        assert_eq!(out, map_oracle(&runs));
+        assert_eq!(out.len(), 9);
+        assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    #[test]
+    fn no_runs_and_only_empty_runs_give_nothing() {
+        assert!(assemble_runs::<u32>(Vec::new()).is_empty());
+        assert!(assemble_runs::<u32>(vec![vec![], vec![]]).is_empty());
+    }
+
+    #[test]
+    fn overlapping_runs_keep_the_last_visited_record_like_a_map() {
+        // A scan torn by a split: the pre-split bucket was read, then
+        // both halves; and a later run starting *below* an earlier one.
+        let cases = [
+            vec![
+                run(&[10, 20, 30, 40], 0),
+                run(&[10, 20], 1),
+                run(&[30, 40], 2),
+            ],
+            vec![run(&[30, 40], 0), run(&[10, 20, 30], 1), run(&[5, 40], 2)],
+            vec![run(&[7], 0), run(&[7], 1), vec![], run(&[7], 2)],
+            vec![run(&[1, 5], 0), run(&[3], 1)], // interleaved, no equal key
+        ];
+        for runs in cases {
+            assert_eq!(concatenation_order(&runs), None, "{runs:?}");
+            assert_eq!(assemble_runs(runs.clone()), map_oracle(&runs), "{runs:?}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Arbitrary (strictly ascending) runs in arbitrary visit
+        /// order: always exactly what the ordered map produced.
+        #[test]
+        fn assemble_runs_equals_the_map_it_replaced(
+            raw in proptest::collection::vec(
+                proptest::collection::vec(0u64..64, 0..8), 0..8),
+        ) {
+            let runs: Vec<Vec<(KeyFraction, u32)>> = raw
+                .into_iter()
+                .enumerate()
+                .map(|(tag, mut keys)| {
+                    keys.sort_unstable();
+                    keys.dedup();
+                    run(&keys, tag as u32)
+                })
+                .collect();
+            proptest::prop_assert_eq!(assemble_runs(runs.clone()), map_oracle(&runs));
+        }
+    }
+
+    /// A value that counts its clones (per thread: tests run on
+    /// parallel threads).
+    #[derive(Debug, PartialEq)]
+    struct Counted(u32);
+
+    thread_local! {
+        static CLONES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Counted {
+            CLONES.with(|c| c.set(c.get() + 1));
+            Counted(self.0)
+        }
+    }
+
+    #[test]
+    fn assembling_owned_buckets_clones_no_value() {
+        // Four leaves of depth 3, visited out of order; the queried
+        // range cuts the first and last and swallows the middle two.
+        let mut buckets = Vec::new();
+        for (label, base) in [("#010", 0.5), ("#000", 0.0), ("#011", 0.75), ("#001", 0.25)] {
+            let mut b: LeafBucket<Counted> = LeafBucket::new(label.parse().unwrap());
+            for i in 0..8u32 {
+                b.insert(kf(base + i as f64 / 32.0), Counted(i));
+            }
+            buckets.push(b);
+        }
+        let range = ki(0.1, 0.9);
+        let (mut runs, mut cost) = (Vec::new(), RangeCost::default());
+        CLONES.with(|c| c.set(0));
+        for b in buckets {
+            collect(b, &range, &mut runs, &mut cost);
+        }
+        let out = assemble_runs(runs);
+        assert_eq!(
+            CLONES.with(|c| c.get()),
+            0,
+            "records are moved, never cloned"
+        );
+        assert_eq!(cost.buckets_visited, 4);
+        assert_eq!(out.len(), 4 + 8 + 8 + 5); // 0.125.., two whole leaves, ..0.875
+        assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(out.iter().all(|(k, _)| range.contains(*k)));
     }
 }

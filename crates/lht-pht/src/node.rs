@@ -152,13 +152,13 @@ impl<V> PhtLeaf<V> {
         self.records.len() + 1 >= theta
     }
 
-    /// Records with keys inside `range`, in key order.
-    pub fn records_in(&self, range: &KeyInterval) -> impl Iterator<Item = (KeyFraction, &V)> {
-        let range = *range;
+    /// Consumes the leaf and moves out the records with keys inside
+    /// `range`, in key order — one sorted run of a range answer.
+    pub fn into_records_in(self, range: &KeyInterval) -> Vec<(KeyFraction, V)> {
         self.records
-            .iter()
-            .filter(move |(k, _)| range.contains(**k))
-            .map(|(k, v)| (*k, v))
+            .into_iter()
+            .filter(|(k, _)| range.contains(*k))
+            .collect()
     }
 }
 

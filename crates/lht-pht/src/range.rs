@@ -1,9 +1,7 @@
 //! PHT range queries: the sequential and parallel algorithms
 //! (the paper's refs. \[16\] and \[4\]).
 
-use std::collections::BTreeMap;
-
-use lht_core::{HistoryCall, HistoryReturn, KeyInterval, LhtError, RangeCost};
+use lht_core::{assemble_runs, HistoryCall, HistoryReturn, KeyInterval, LhtError, RangeCost};
 use lht_dht::{Dht, DhtKey};
 use lht_id::{BitStr, KeyFraction};
 
@@ -71,7 +69,7 @@ where
     }
 
     fn range_sequential_impl(&self, range: KeyInterval) -> Result<PhtRangeResult<V>, LhtError> {
-        let mut records: BTreeMap<KeyFraction, V> = BTreeMap::new();
+        let mut runs: Vec<Vec<(KeyFraction, V)>> = Vec::new();
         let mut cost = RangeCost::default();
         if range.is_empty() {
             return Ok(PhtRangeResult {
@@ -85,13 +83,12 @@ where
         let mut leaf = hit.leaf;
         loop {
             cost.buckets_visited += 1;
-            for (k, v) in leaf.records_in(&range) {
-                records.insert(k, v.clone());
-            }
-            if leaf.label.interval().hi_raw() >= range.hi_raw() {
+            let (covered_to, next) = (leaf.label.interval().hi_raw(), leaf.next);
+            runs.push(leaf.into_records_in(&range));
+            if covered_to >= range.hi_raw() {
                 break;
             }
-            let Some(next) = leaf.next else { break };
+            let Some(next) = next else { break };
             cost.dht_lookups += 1;
             cost.steps += 1; // strictly sequential chain
             leaf = match self.dht().get(&next.dht_key())? {
@@ -104,7 +101,7 @@ where
             };
         }
         Ok(PhtRangeResult {
-            records: records.into_iter().collect(),
+            records: assemble_runs(runs),
             cost,
         })
     }
@@ -134,7 +131,7 @@ where
     }
 
     fn range_parallel_impl(&self, range: KeyInterval) -> Result<PhtRangeResult<V>, LhtError> {
-        let mut records: BTreeMap<KeyFraction, V> = BTreeMap::new();
+        let mut runs: Vec<Vec<(KeyFraction, V)>> = Vec::new();
         let mut cost = RangeCost::default();
         if range.is_empty() {
             return Ok(PhtRangeResult {
@@ -159,9 +156,7 @@ where
                 match fetched? {
                     Some(PhtNode::Leaf(leaf)) => {
                         cost.buckets_visited += 1;
-                        for (k, v) in leaf.records_in(&range) {
-                            records.insert(k, v.clone());
-                        }
+                        runs.push(leaf.into_records_in(&range));
                     }
                     Some(PhtNode::Internal) => {
                         for bit in [false, true] {
@@ -179,9 +174,7 @@ where
                         cost.dht_lookups += hit.cost.dht_lookups;
                         cost.steps = cost.steps.max(step + hit.cost.steps);
                         cost.buckets_visited += 1;
-                        for (k, v) in hit.leaf.records_in(&range) {
-                            records.insert(k, v.clone());
-                        }
+                        runs.push(hit.leaf.into_records_in(&range));
                     }
                 }
             }
@@ -189,7 +182,7 @@ where
             step += 1;
         }
         Ok(PhtRangeResult {
-            records: records.into_iter().collect(),
+            records: assemble_runs(runs),
             cost,
         })
     }
