@@ -19,7 +19,7 @@
 use std::time::Instant;
 
 use lht_core::{KeyInterval, LeafBucket, LhtConfig, LhtIndex};
-use lht_dht::{CacheConfig, CachedDht, ChordDht, Dht};
+use lht_dht::{CachedDht, ChordDht, Dht};
 use lht_id::KeyFraction;
 use lht_pht::{PhtIndex, PhtNode};
 use lht_workload::{summary, Dataset, KeyDist};
@@ -226,7 +226,7 @@ fn run_lht_cell(
     seed: u64,
 ) -> CellOutcome {
     let ring: ChordDht<LeafBucket<u32>> = ChordDht::with_nodes(PEERS, seed);
-    let cached = CachedDht::new(&ring, CacheConfig { capacity, seed });
+    let cached = CachedDht::with_capacity(&ring, capacity);
     let ix = LhtIndex::new(&cached, LhtConfig::new(8, 20)).expect("fresh ring");
     for (i, k) in data.iter().enumerate() {
         ix.insert(k, i as u32).expect("loss-free ring");
@@ -265,7 +265,7 @@ fn run_pht_cell(
     seed: u64,
 ) -> CellOutcome {
     let ring: ChordDht<PhtNode<u32>> = ChordDht::with_nodes(PEERS, seed);
-    let cached = CachedDht::new(&ring, CacheConfig { capacity, seed });
+    let cached = CachedDht::with_capacity(&ring, capacity);
     let ix = PhtIndex::new(&cached, LhtConfig::new(8, 20)).expect("fresh ring");
     for (i, k) in data.iter().enumerate() {
         ix.insert(k, i as u32).expect("loss-free ring");

@@ -42,20 +42,30 @@
 //!
 //! # Determinism
 //!
-//! The cache is a pure function of its configuration and the
-//! operation sequence: recency is a monotone logical clock (its
-//! initial phase derived from [`CacheConfig::seed`]), eviction picks
+//! The cache is a pure function of its capacity and the operation
+//! sequence: recency is the order of one linked list, eviction picks
 //! the strictly least-recently-used entry, and nothing ever draws
-//! from an RNG — so deterministic-simulation schedules stay
-//! replay-exact with the cache in the stack.
+//! from an RNG or iterates a hash table — so deterministic-simulation
+//! schedules stay replay-exact with the cache in the stack.
+//!
+//! # Representation
+//!
+//! Entries are keyed by the key's ring digest ([`DhtKey::hash`],
+//! memoized in the key), not by its bytes. Every substrate that
+//! answers [`Dht::owner_hint`] places a key by that digest alone, so
+//! two keys with one digest have one owner and a digest-keyed hint is
+//! exactly as right as a bytes-keyed one — and the entry becomes a
+//! small `Copy` record. The records live in a slab threaded into a
+//! doubly linked recency list by index, so a touch, an insert and an
+//! eviction are each a handful of word writes.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use parking_lot::Mutex;
 
 use lht_id::U160;
 
-use crate::{Dht, DhtError, DhtKey, DhtStats, Probe};
+use crate::{Dht, DhtError, DhtKey, DhtStats, KeyHasherBuilder, Probe};
 
 /// Configuration for a [`CachedDht`] layer.
 #[derive(Clone, Copy, Debug)]
@@ -64,24 +74,15 @@ pub struct CacheConfig {
     /// strictly least-recently-used entry is evicted. A capacity of
     /// `0` disables the cache (every lookup takes the full route).
     pub capacity: usize,
-    /// Deterministic seed. It sets the initial phase of the LRU
-    /// recency clock, so two caches with different seeds age entries
-    /// in different — but each fully reproducible — orders under an
-    /// identical workload. Simulator stacks derive it from the
-    /// schedule seed to keep runs replay-exact.
-    pub seed: u64,
 }
 
 impl Default for CacheConfig {
     fn default() -> CacheConfig {
-        CacheConfig {
-            capacity: 4096,
-            seed: 0,
-        }
+        CacheConfig { capacity: 4096 }
     }
 }
 
-/// Which cost slot of a [`CacheEntry`] a routed operation prices.
+/// Which cost slot of a [`CacheHint`] a routed operation prices.
 ///
 /// Reads (`get`) and writes (`put`/`remove`/`update`) can route very
 /// differently: Kademlia stores at every k-closest replica, so a
@@ -98,26 +99,16 @@ enum RouteKind {
     Write,
 }
 
-/// One remembered location: where the key lived, what full routes of
-/// each kind cost when last observed, and when it was last used.
-#[derive(Clone, Copy, Debug)]
-struct CacheEntry {
+/// What a cache lookup hands back to the probing fast path: the
+/// remembered owner plus the per-kind learned route costs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct CacheHint {
     owner: U160,
     /// Hops the last *routed read* for this key paid, if any read
     /// ever routed — the savings estimate credited to a read hit.
     read_hops: Option<u64>,
     /// Hops the last *routed write* for this key paid, if any write
     /// ever routed — the savings estimate credited to a write hit.
-    write_hops: Option<u64>,
-    stamp: u64,
-}
-
-/// What a cache lookup hands back to the probing fast path: the
-/// remembered owner plus the per-kind learned route costs.
-#[derive(Clone, Copy, Debug)]
-struct CacheHint {
-    owner: U160,
-    read_hops: Option<u64>,
     write_hops: Option<u64>,
 }
 
@@ -132,39 +123,114 @@ impl CacheHint {
             RouteKind::Write => self.write_hops,
         }
     }
+
+    fn set_cost(&mut self, kind: RouteKind, route_hops: u64) {
+        match kind {
+            RouteKind::Read => self.read_hops = Some(route_hops),
+            RouteKind::Write => self.write_hops = Some(route_hops),
+        }
+    }
 }
 
-/// Strict-LRU state: `entries` is the map, `recency` orders the same
-/// keys by last-use stamp (oldest first). Every mutation keeps the
-/// two views consistent. Iteration for eviction and invalidation
-/// happens on the [`BTreeMap`] side or over *sets* of keys, never in
-/// `HashMap` order, so behaviour is identical across processes.
+/// A slab index; [`NIL`] ends the recency list at either side.
+type Slot = u32;
+const NIL: Slot = Slot::MAX;
+
+/// One remembered location and its place in the recency list.
+#[derive(Clone, Copy)]
+struct Node {
+    digest: U160,
+    hint: CacheHint,
+    /// Towards the most recently used entry.
+    prev: Slot,
+    /// Towards the least recently used entry.
+    next: Slot,
+}
+
+/// Strict-LRU state: `index` finds a digest's slab slot, the slab's
+/// `prev`/`next` links order the resident slots from `head` (most
+/// recently used) to `tail` (the eviction victim), and `free` holds
+/// the vacated slots for reuse. Invalidation walks the list, never
+/// the `HashMap`, so behaviour is identical across processes.
 struct CacheState {
-    entries: HashMap<DhtKey, CacheEntry>,
-    recency: BTreeMap<u64, DhtKey>,
-    tick: u64,
+    index: HashMap<U160, Slot, KeyHasherBuilder>,
+    nodes: Vec<Node>,
+    free: Vec<Slot>,
+    head: Slot,
+    tail: Slot,
     extra: DhtStats,
 }
 
 impl CacheState {
-    fn next_stamp(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
+    fn new() -> CacheState {
+        CacheState {
+            index: HashMap::default(),
+            nodes: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            extra: DhtStats::default(),
+        }
     }
 
-    /// Looks up `key`, refreshing its recency on a hit.
+    fn clear(&mut self) {
+        self.index.clear();
+        self.nodes.clear();
+        self.free.clear();
+        self.head = NIL;
+        self.tail = NIL;
+    }
+
+    /// Takes `slot` out of the recency list (its own links go stale).
+    fn unlink(&mut self, slot: Slot) {
+        let Node { prev, next, .. } = self.nodes[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+    }
+
+    /// Links `slot` in as the most recently used entry.
+    fn push_front(&mut self, slot: Slot) {
+        let old = self.head;
+        let node = &mut self.nodes[slot as usize];
+        node.prev = NIL;
+        node.next = old;
+        match old {
+            NIL => self.tail = slot,
+            h => self.nodes[h as usize].prev = slot,
+        }
+        self.head = slot;
+    }
+
+    fn touch(&mut self, slot: Slot) {
+        if self.head != slot {
+            self.unlink(slot);
+            self.push_front(slot);
+        }
+    }
+
+    /// Unlinks `slot` and returns it to the free list; the caller has
+    /// removed (or is about to remove) its `index` entry.
+    fn release(&mut self, slot: Slot) {
+        self.unlink(slot);
+        self.free.push(slot);
+    }
+
+    /// Looks up `key`, refreshing its recency on a hit. An empty cache
+    /// answers before asking for the digest, so a stack that never
+    /// learns a location never hashes a key on the cache's account.
     fn lookup(&mut self, key: &DhtKey) -> Option<CacheHint> {
-        let stamp = self.next_stamp();
-        let entry = self.entries.get_mut(key)?;
-        self.recency.remove(&entry.stamp);
-        entry.stamp = stamp;
-        let out = CacheHint {
-            owner: entry.owner,
-            read_hops: entry.read_hops,
-            write_hops: entry.write_hops,
-        };
-        self.recency.insert(stamp, key.clone());
-        Some(out)
+        if self.index.is_empty() {
+            return None;
+        }
+        let slot = *self.index.get(&key.hash())?;
+        self.touch(slot);
+        Some(self.nodes[slot as usize].hint)
     }
 
     /// Inserts or refreshes `key → owner`, pricing the `kind` cost
@@ -181,61 +247,67 @@ impl CacheState {
         if capacity == 0 {
             return;
         }
-        let stamp = self.next_stamp();
-        if let Some(entry) = self.entries.get_mut(key) {
-            self.recency.remove(&entry.stamp);
-            entry.owner = owner;
-            entry.stamp = stamp;
-            match kind {
-                RouteKind::Read => entry.read_hops = Some(route_hops),
-                RouteKind::Write => entry.write_hops = Some(route_hops),
-            }
-            self.recency.insert(stamp, key.clone());
+        let digest = key.hash();
+        if let Some(&slot) = self.index.get(&digest) {
+            let hint = &mut self.nodes[slot as usize].hint;
+            hint.owner = owner;
+            hint.set_cost(kind, route_hops);
+            self.touch(slot);
             return;
         }
-        while self.entries.len() >= capacity {
-            let (_, victim) = self.recency.pop_first().expect("recency mirrors entries");
-            self.entries.remove(&victim);
+        while self.index.len() >= capacity {
+            let victim = self.tail;
+            self.index.remove(&self.nodes[victim as usize].digest);
+            self.release(victim);
         }
-        let (read_hops, write_hops) = match kind {
-            RouteKind::Read => (Some(route_hops), None),
-            RouteKind::Write => (None, Some(route_hops)),
+        let mut hint = CacheHint {
+            owner,
+            read_hops: None,
+            write_hops: None,
         };
-        self.entries.insert(
-            key.clone(),
-            CacheEntry {
-                owner,
-                read_hops,
-                write_hops,
-                stamp,
-            },
-        );
-        self.recency.insert(stamp, key.clone());
+        hint.set_cost(kind, route_hops);
+        let node = Node {
+            digest,
+            hint,
+            prev: NIL,
+            next: NIL,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.nodes[slot as usize] = node;
+                slot
+            }
+            None => {
+                let slot = Slot::try_from(self.nodes.len()).ok().filter(|s| *s != NIL);
+                self.nodes.push(node);
+                slot.expect("cache slab within u32 slots")
+            }
+        };
+        self.index.insert(digest, slot);
+        self.push_front(slot);
     }
 
     /// Removes `key`'s entry, if any.
     fn evict(&mut self, key: &DhtKey) {
-        if let Some(entry) = self.entries.remove(key) {
-            self.recency.remove(&entry.stamp);
+        if let Some(slot) = self.index.remove(&key.hash()) {
+            self.release(slot);
         }
     }
 
     /// Negative feedback after a stale probe: drop every entry that
     /// points at `owner` — a node found departed (or displaced by a
     /// joiner) is stale for all the keys it was remembered for.
-    /// Removal of a key *set* is order-independent, so the transient
-    /// `HashMap` iteration order never becomes observable.
     fn invalidate_owner(&mut self, owner: &U160) {
-        let stale: Vec<u64> = self
-            .entries
-            .values()
-            .filter(|e| e.owner == *owner)
-            .map(|e| e.stamp)
-            .collect();
-        for stamp in stale {
-            if let Some(key) = self.recency.remove(&stamp) {
-                self.entries.remove(&key);
+        let mut at = self.head;
+        while at != NIL {
+            let Node {
+                digest, hint, next, ..
+            } = self.nodes[at as usize];
+            if hint.owner == *owner {
+                self.index.remove(&digest);
+                self.release(at);
             }
+            at = next;
         }
     }
 }
@@ -270,28 +342,13 @@ impl<D> CachedDht<D> {
         CachedDht {
             inner,
             cfg,
-            state: Mutex::new(CacheState {
-                entries: HashMap::new(),
-                recency: BTreeMap::new(),
-                // The seed sets the clock's initial phase only; the
-                // top bits stay clear so the monotone clock can never
-                // wrap within any realistic run.
-                tick: cfg.seed & 0x7FFF_FFFF,
-                extra: DhtStats::default(),
-            }),
+            state: Mutex::new(CacheState::new()),
         }
     }
 
-    /// Wraps `inner` with a cache of `capacity` entries and the
-    /// default seed.
+    /// Wraps `inner` with a cache of `capacity` entries.
     pub fn with_capacity(inner: D, capacity: usize) -> CachedDht<D> {
-        CachedDht::new(
-            inner,
-            CacheConfig {
-                capacity,
-                ..CacheConfig::default()
-            },
-        )
+        CachedDht::new(inner, CacheConfig { capacity })
     }
 
     /// The wrapped substrate.
@@ -306,36 +363,55 @@ impl<D> CachedDht<D> {
 
     /// Number of locations currently remembered.
     pub fn len(&self) -> usize {
-        self.state.lock().entries.len()
+        self.state.lock().index.len()
     }
 
     /// Whether the cache currently remembers nothing.
     pub fn is_empty(&self) -> bool {
-        self.state.lock().entries.is_empty()
+        self.state.lock().index.is_empty()
     }
 
     /// Drops every cached location (stats are kept).
     pub fn clear(&self) {
-        let mut st = self.state.lock();
-        st.entries.clear();
-        st.recency.clear();
+        self.state.lock().clear();
     }
 }
 
+/// A batch split by what the cache remembers, as positions in the
+/// caller's batch.
+struct Split {
+    /// Keys with a remembered owner, and the hint to probe with.
+    probes: Vec<(usize, CacheHint)>,
+    /// Keys to route in full, and whether each counts as a miss (a
+    /// stale fallback joins later and was already counted as stale).
+    routed: Vec<(usize, bool)>,
+}
+
 impl<D: Dht> CachedDht<D> {
-    /// Handles the aftermath of a non-served probe: evicts (and on
-    /// staleness neighborhood-invalidates) so the caller falls back
-    /// to the full route.
-    fn on_unserved(&self, key: &DhtKey, owner: &U160, probe_was_stale: bool) {
-        let mut st = self.state.lock();
-        if probe_was_stale {
-            st.extra.cache_stale += 1;
-            st.evict(key);
-            st.invalidate_owner(owner);
-        } else {
-            // Unsupported: the substrate cannot probe, so remembering
-            // locations is pointless.
-            st.evict(key);
+    /// Handles the aftermath of a probe at `owner` that did not serve
+    /// `key`, before the caller falls back to the full route.
+    fn on_unserved<T>(
+        st: &mut CacheState,
+        key: &DhtKey,
+        owner: &U160,
+        outcome: &Result<Probe<T>, DhtError>,
+    ) {
+        match outcome {
+            // Negative feedback: the hint is wrong, and so is every
+            // other hint at the same owner.
+            Ok(Probe::Stale) => {
+                st.extra.cache_stale += 1;
+                st.evict(key);
+                st.invalidate_owner(owner);
+            }
+            // The substrate cannot probe, so remembering locations is
+            // pointless.
+            Ok(Probe::Unsupported) => st.evict(key),
+            // The probe RPC itself failed (dropped/timed out through a
+            // fault layer, retries exhausted). The hint may still be
+            // good — keep it; the full route refreshes it on success
+            // anyway.
+            Ok(Probe::Served(_)) | Err(_) => {}
         }
     }
 
@@ -343,45 +419,65 @@ impl<D: Dht> CachedDht<D> {
     /// cost `route_hops`, optionally counting a cache miss (misses
     /// are counted only on the genuinely-uncached path, not on the
     /// stale-fallback re-route, which was already counted as stale).
-    fn learn_after_route(&self, key: &DhtKey, kind: RouteKind, route_hops: u64, count_miss: bool) {
+    fn learn_after_route(
+        &self,
+        st: &mut CacheState,
+        key: &DhtKey,
+        kind: RouteKind,
+        route_hops: u64,
+        count_miss: bool,
+    ) {
         let Some(owner) = self.inner.owner_hint(key) else {
             return;
         };
-        let mut st = self.state.lock();
         if count_miss {
             st.extra.cache_misses += 1;
         }
         st.learn(key, owner, kind, route_hops.max(1), self.cfg.capacity);
     }
 
-    /// Credits a served probe: the routed operation would have paid
-    /// about `route_hops` (when a route of the same kind was ever
-    /// observed — an unknown cost credits nothing); the probe
-    /// actually charged `charged`.
-    fn credit_hit(&self, route_hops: Option<u64>, charged: u64) {
+    /// Credits served probes: the routed operations would have paid
+    /// about `route_hops` between them (only routes of the same kind
+    /// ever observed count — an unknown cost credits nothing); the
+    /// probes actually charged `charged`, wasted stale hops included.
+    fn credit_hits(st: &mut CacheState, hits: u64, route_hops: u64, charged: u64) {
+        st.extra.cache_hits += hits;
+        st.extra.hops_saved += route_hops.saturating_sub(charged);
+    }
+
+    /// Runs the routed operation `op` and learns the owner from it
+    /// when it succeeds.
+    fn routed<T>(
+        &self,
+        key: &DhtKey,
+        kind: RouteKind,
+        count_miss: bool,
+        op: impl FnOnce() -> Result<T, DhtError>,
+    ) -> Result<T, DhtError> {
+        let before = self.inner.hops();
+        let out = op();
+        if out.is_ok() {
+            let route_hops = self.inner.hops() - before;
+            self.learn_after_route(&mut self.state.lock(), key, kind, route_hops, count_miss);
+        }
+        out
+    }
+
+    /// Splits a batch under one lock: keys with a cached location go
+    /// to the probe round, the rest to the full-route round.
+    fn split_batch<'a>(&self, keys: impl Iterator<Item = &'a DhtKey>) -> Split {
+        let mut split = Split {
+            probes: Vec::new(),
+            routed: Vec::new(),
+        };
         let mut st = self.state.lock();
-        st.extra.cache_hits += 1;
-        st.extra.hops_saved += route_hops.unwrap_or(0).saturating_sub(charged);
-    }
-
-    fn routed_get(&self, key: &DhtKey, count_miss: bool) -> Result<Option<D::Value>, DhtError> {
-        let before = self.inner.stats().hops;
-        let out = self.inner.get(key);
-        if out.is_ok() {
-            let route_hops = self.inner.stats().hops - before;
-            self.learn_after_route(key, RouteKind::Read, route_hops, count_miss);
+        for (i, key) in keys.enumerate() {
+            match st.lookup(key) {
+                Some(hint) => split.probes.push((i, hint)),
+                None => split.routed.push((i, true)),
+            }
         }
-        out
-    }
-
-    fn routed_put(&self, key: &DhtKey, value: D::Value, count_miss: bool) -> Result<(), DhtError> {
-        let before = self.inner.stats().hops;
-        let out = self.inner.put(key, value);
-        if out.is_ok() {
-            let route_hops = self.inner.stats().hops - before;
-            self.learn_after_route(key, RouteKind::Write, route_hops, count_miss);
-        }
-        out
+        split
     }
 }
 
@@ -394,65 +490,43 @@ where
     fn get(&self, key: &DhtKey) -> Result<Option<D::Value>, DhtError> {
         let hint = self.state.lock().lookup(key);
         let Some(hint) = hint else {
-            return self.routed_get(key, true);
+            return self.routed(key, RouteKind::Read, true, || self.inner.get(key));
         };
-        let before = self.inner.stats().hops;
+        let before = self.inner.hops();
         match self.inner.probe_get(key, hint.owner) {
             Ok(Probe::Served(value)) => {
-                let charged = self.inner.stats().hops - before;
-                self.credit_hit(hint.cost(RouteKind::Read), charged);
-                Ok(value)
+                let charged = self.inner.hops() - before;
+                let learned = hint.cost(RouteKind::Read).unwrap_or(0);
+                Self::credit_hits(&mut self.state.lock(), 1, learned, charged);
+                return Ok(value);
             }
-            Ok(Probe::Stale) => {
-                self.on_unserved(key, &hint.owner, true);
-                self.routed_get(key, false)
-            }
-            Ok(Probe::Unsupported) => {
-                self.on_unserved(key, &hint.owner, false);
-                self.routed_get(key, false)
-            }
-            // The probe RPC itself failed (dropped/timed out through a
-            // fault layer, retries exhausted). The hint may still be
-            // good — keep it and fall back to the full route, which
-            // refreshes it on success anyway.
-            Err(_) => self.routed_get(key, false),
+            unserved => Self::on_unserved(&mut self.state.lock(), key, &hint.owner, &unserved),
         }
+        self.routed(key, RouteKind::Read, false, || self.inner.get(key))
     }
 
     fn put(&self, key: &DhtKey, value: D::Value) -> Result<(), DhtError> {
         let hint = self.state.lock().lookup(key);
         let Some(hint) = hint else {
-            return self.routed_put(key, value, true);
+            return self.routed(key, RouteKind::Write, true, || self.inner.put(key, value));
         };
-        let before = self.inner.stats().hops;
+        let before = self.inner.hops();
         match self.inner.probe_put(key, value.clone(), hint.owner) {
             Ok(Probe::Served(())) => {
-                let charged = self.inner.stats().hops - before;
-                self.credit_hit(hint.cost(RouteKind::Write), charged);
-                Ok(())
+                let charged = self.inner.hops() - before;
+                let learned = hint.cost(RouteKind::Write).unwrap_or(0);
+                Self::credit_hits(&mut self.state.lock(), 1, learned, charged);
+                return Ok(());
             }
-            Ok(Probe::Stale) => {
-                self.on_unserved(key, &hint.owner, true);
-                self.routed_put(key, value, false)
-            }
-            Ok(Probe::Unsupported) => {
-                self.on_unserved(key, &hint.owner, false);
-                self.routed_put(key, value, false)
-            }
-            Err(_) => self.routed_put(key, value, false),
+            unserved => Self::on_unserved(&mut self.state.lock(), key, &hint.owner, &unserved),
         }
+        self.routed(key, RouteKind::Write, false, || self.inner.put(key, value))
     }
 
     fn remove(&self, key: &DhtKey) -> Result<Option<D::Value>, DhtError> {
-        let before = self.inner.stats().hops;
-        let out = self.inner.remove(key);
-        if out.is_ok() {
-            let route_hops = self.inner.stats().hops - before;
-            // A remove routes like anything else — learn from it, but
-            // it never consulted the cache, so no miss is counted.
-            self.learn_after_route(key, RouteKind::Write, route_hops, false);
-        }
-        out
+        // A remove routes like anything else — learn from it, but it
+        // never consulted the cache, so no miss is counted.
+        self.routed(key, RouteKind::Write, false, || self.inner.remove(key))
     }
 
     fn update(
@@ -460,79 +534,56 @@ where
         key: &DhtKey,
         f: &mut dyn FnMut(&mut Option<D::Value>),
     ) -> Result<(), DhtError> {
-        let before = self.inner.stats().hops;
-        let out = self.inner.update(key, f);
-        if out.is_ok() {
-            let route_hops = self.inner.stats().hops - before;
-            self.learn_after_route(key, RouteKind::Write, route_hops, false);
-        }
-        out
+        self.routed(key, RouteKind::Write, false, || self.inner.update(key, f))
     }
 
     fn multi_get(&self, keys: &[DhtKey]) -> Vec<Result<Option<D::Value>, DhtError>> {
         let mut slots: Vec<Option<Result<Option<D::Value>, DhtError>>> = Vec::new();
         slots.resize_with(keys.len(), || None);
-        // Split the batch: keys with a cached location go to the
-        // probe round, the rest to the full-route round.
-        let mut probes: Vec<(usize, DhtKey, CacheHint)> = Vec::new();
-        let mut routed: Vec<(usize, bool)> = Vec::new(); // (index, count_miss)
-        {
-            let mut st = self.state.lock();
-            for (i, key) in keys.iter().enumerate() {
-                match st.lookup(key) {
-                    Some(hint) => probes.push((i, key.clone(), hint)),
-                    None => routed.push((i, true)),
-                }
-            }
-        }
+        let Split { probes, mut routed } = self.split_batch(keys.iter());
         if !probes.is_empty() {
-            let before = self.inner.stats().hops;
-            let request: Vec<(DhtKey, U160)> = probes
-                .iter()
-                .map(|(_, k, hint)| (k.clone(), hint.owner))
-                .collect();
-            let outcomes = if request.len() == 1 {
-                vec![self.inner.probe_get(&request[0].0, request[0].1)]
+            let before = self.inner.hops();
+            let outcomes = if let [(i, hint)] = probes[..] {
+                vec![self.inner.probe_get(&keys[i], hint.owner)]
             } else {
+                let request: Vec<(DhtKey, U160)> = probes
+                    .iter()
+                    .map(|(i, hint)| (keys[*i].clone(), hint.owner))
+                    .collect();
                 self.inner.probe_multi_get(&request)
             };
-            let charged = self.inner.stats().hops - before;
-            let mut saved_estimate: u64 = 0;
+            let charged = self.inner.hops() - before;
+            let mut learned: u64 = 0;
             let mut hits: u64 = 0;
-            for ((i, key, hint), outcome) in probes.into_iter().zip(outcomes) {
+            let mut st = self.state.lock();
+            for ((i, hint), outcome) in probes.into_iter().zip(outcomes) {
                 match outcome {
                     Ok(Probe::Served(value)) => {
                         hits += 1;
-                        saved_estimate += hint.cost(RouteKind::Read).unwrap_or(0);
+                        learned += hint.cost(RouteKind::Read).unwrap_or(0);
                         slots[i] = Some(Ok(value));
                     }
-                    Ok(Probe::Stale) => {
-                        self.on_unserved(&key, &hint.owner, true);
+                    unserved => {
+                        Self::on_unserved(&mut st, &keys[i], &hint.owner, &unserved);
                         routed.push((i, false));
                     }
-                    Ok(Probe::Unsupported) => {
-                        self.on_unserved(&key, &hint.owner, false);
-                        routed.push((i, false));
-                    }
-                    Err(_) => routed.push((i, false)),
                 }
             }
-            let mut st = self.state.lock();
-            st.extra.cache_hits += hits;
             // Stale probes' wasted hops come out of the savings — a
             // stale hit costs one extra hop over the uncached run.
-            st.extra.hops_saved += saved_estimate.saturating_sub(charged);
+            Self::credit_hits(&mut st, hits, learned, charged);
         }
         if !routed.is_empty() {
             routed.sort_unstable_by_key(|(i, _)| *i);
             let request: Vec<DhtKey> = routed.iter().map(|(i, _)| keys[*i].clone()).collect();
-            let before = self.inner.stats().hops;
+            let before = self.inner.hops();
             let results = self.inner.multi_get(&request);
-            let route_hops = self.inner.stats().hops - before;
+            let route_hops = self.inner.hops() - before;
             let per_key = (route_hops / request.len() as u64).max(1);
+            let mut st = self.state.lock();
             for ((i, count_miss), result) in routed.into_iter().zip(results) {
                 if result.is_ok() {
-                    self.learn_after_route(&keys[i], RouteKind::Read, per_key, count_miss);
+                    self.learn_after_route(&mut st, &keys[i], RouteKind::Read, per_key, count_miss);
                 }
                 slots[i] = Some(result);
             }
@@ -546,62 +597,41 @@ where
     fn multi_put(&self, entries: Vec<(DhtKey, D::Value)>) -> Vec<Result<(), DhtError>> {
         let mut slots: Vec<Option<Result<(), DhtError>>> = Vec::new();
         slots.resize_with(entries.len(), || None);
+        let Split { probes, mut routed } = self.split_batch(entries.iter().map(|(key, _)| key));
         let mut originals: Vec<Option<(DhtKey, D::Value)>> =
             entries.into_iter().map(Some).collect();
-        let mut probes: Vec<(usize, CacheHint)> = Vec::new();
-        let mut routed: Vec<(usize, bool)> = Vec::new();
-        {
-            let mut st = self.state.lock();
-            for (i, entry) in originals.iter().enumerate() {
-                let (key, _) = entry.as_ref().expect("untouched");
-                match st.lookup(key) {
-                    Some(hint) => probes.push((i, hint)),
-                    None => routed.push((i, true)),
-                }
-            }
-        }
         if !probes.is_empty() {
-            let before = self.inner.stats().hops;
-            let request: Vec<(DhtKey, D::Value, U160)> = probes
-                .iter()
-                .map(|(i, hint)| {
-                    let (key, value) = originals[*i].as_ref().expect("untouched");
-                    (key.clone(), value.clone(), hint.owner)
-                })
-                .collect();
-            let outcomes = if request.len() == 1 {
-                let (key, value, owner) = request.into_iter().next().expect("one probe");
+            let before = self.inner.hops();
+            let mut request = probes.iter().map(|(i, hint)| {
+                let (key, value) = originals[*i].as_ref().expect("untouched");
+                (key.clone(), value.clone(), hint.owner)
+            });
+            let outcomes = if probes.len() == 1 {
+                let (key, value, owner) = request.next().expect("one probe");
                 vec![self.inner.probe_put(&key, value, owner)]
             } else {
-                self.inner.probe_multi_put(request)
+                self.inner.probe_multi_put(request.collect())
             };
-            let charged = self.inner.stats().hops - before;
-            let mut saved_estimate: u64 = 0;
+            let charged = self.inner.hops() - before;
+            let mut learned: u64 = 0;
             let mut hits: u64 = 0;
+            let mut st = self.state.lock();
             for ((i, hint), outcome) in probes.into_iter().zip(outcomes) {
+                let (key, _) = originals[i].as_ref().expect("untouched");
                 match outcome {
                     Ok(Probe::Served(())) => {
                         hits += 1;
-                        saved_estimate += hint.cost(RouteKind::Write).unwrap_or(0);
+                        learned += hint.cost(RouteKind::Write).unwrap_or(0);
                         originals[i] = None;
                         slots[i] = Some(Ok(()));
                     }
-                    Ok(Probe::Stale) => {
-                        let (key, _) = originals[i].as_ref().expect("unserved keeps entry");
-                        self.on_unserved(&key.clone(), &hint.owner, true);
+                    unserved => {
+                        Self::on_unserved(&mut st, key, &hint.owner, &unserved);
                         routed.push((i, false));
                     }
-                    Ok(Probe::Unsupported) => {
-                        let (key, _) = originals[i].as_ref().expect("unserved keeps entry");
-                        self.on_unserved(&key.clone(), &hint.owner, false);
-                        routed.push((i, false));
-                    }
-                    Err(_) => routed.push((i, false)),
                 }
             }
-            let mut st = self.state.lock();
-            st.extra.cache_hits += hits;
-            st.extra.hops_saved += saved_estimate.saturating_sub(charged);
+            Self::credit_hits(&mut st, hits, learned, charged);
         }
         if !routed.is_empty() {
             routed.sort_unstable_by_key(|(i, _)| *i);
@@ -610,14 +640,15 @@ where
                 .map(|(i, _)| originals[*i].take().expect("routed exactly once"))
                 .collect();
             let learn_keys: Vec<DhtKey> = request.iter().map(|(k, _)| k.clone()).collect();
-            let before = self.inner.stats().hops;
+            let before = self.inner.hops();
             let results = self.inner.multi_put(request);
-            let route_hops = self.inner.stats().hops - before;
+            let route_hops = self.inner.hops() - before;
             let per_key = (route_hops / learn_keys.len() as u64).max(1);
+            let mut st = self.state.lock();
             for (((i, count_miss), key), result) in routed.into_iter().zip(learn_keys).zip(results)
             {
                 if result.is_ok() {
-                    self.learn_after_route(&key, RouteKind::Write, per_key, count_miss);
+                    self.learn_after_route(&mut st, &key, RouteKind::Write, per_key, count_miss);
                 }
                 slots[i] = Some(result);
             }
@@ -669,6 +700,11 @@ where
         self.inner.prewarm(keys);
     }
 
+    fn hops(&self) -> u64 {
+        // The cache's own ledger counts hits and savings, never hops.
+        self.inner.hops()
+    }
+
     fn stats(&self) -> DhtStats {
         self.inner.stats() + self.state.lock().extra
     }
@@ -680,12 +716,108 @@ where
 }
 
 #[cfg(test)]
+mod model;
+
+#[cfg(test)]
 mod tests {
+    use super::model::ModelState;
     use super::*;
     use crate::{ChordConfig, ChordDht, DirectDht};
+    use proptest::prelude::*;
 
     fn k(s: &str) -> DhtKey {
         DhtKey::from(s)
+    }
+
+    impl CacheState {
+        /// Resident digests, most recently used first — walking the
+        /// list also checks it against the index and the back links.
+        fn recency_order(&self) -> Vec<U160> {
+            let mut order = Vec::new();
+            let (mut at, mut prev) = (self.head, NIL);
+            while at != NIL {
+                let node = &self.nodes[at as usize];
+                assert_eq!(node.prev, prev, "back link of slot {at}");
+                assert_eq!(self.index.get(&node.digest), Some(&at));
+                order.push(node.digest);
+                (prev, at) = (at, node.next);
+            }
+            assert_eq!(self.tail, prev);
+            assert_eq!(order.len(), self.index.len());
+            assert_eq!(order.len() + self.free.len(), self.nodes.len());
+            order
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The slab list against the stamp-ordered maps it replaced:
+        /// every lookup hands back the same hint and every step leaves
+        /// the same entries in the same recency order.
+        #[test]
+        fn slab_lru_matches_the_stamp_ordered_model(
+            capacity in 0usize..9,
+            script in proptest::collection::vec((0u8..6, 0u8..12, 0u8..4, 1u64..9), 0..200),
+        ) {
+            let keys: Vec<DhtKey> = (0..12).map(|i| k(&format!("#{i:04b}"))).collect();
+            let mut state = CacheState::new();
+            let mut model = ModelState::default();
+            for (step, &(op, key, owner, hops)) in script.iter().enumerate() {
+                let key = &keys[key as usize];
+                let owner = U160::from_u64(owner as u64);
+                match op {
+                    0 | 1 => prop_assert_eq!(state.lookup(key), model.lookup(key), "step {}", step),
+                    2 | 3 => {
+                        let kind = if op == 2 { RouteKind::Read } else { RouteKind::Write };
+                        state.learn(key, owner, kind, hops, capacity);
+                        model.learn(key, owner, kind, hops, capacity);
+                    }
+                    4 => {
+                        state.evict(key);
+                        model.evict(key);
+                    }
+                    _ => {
+                        state.invalidate_owner(&owner);
+                        model.invalidate_owner(&owner);
+                    }
+                }
+                prop_assert_eq!(state.recency_order(), model.recency_order(), "step {}", step);
+                prop_assert!(state.nodes.len() <= capacity, "slab outgrew the capacity");
+            }
+        }
+    }
+
+    #[test]
+    fn vacated_slots_are_reused() {
+        let keys: Vec<DhtKey> = (0..10).map(|i| k(&format!("key:{i}"))).collect();
+        let (a, b) = (U160::from_u64(1), U160::from_u64(2));
+        let mut st = CacheState::new();
+        // Eviction hands the victim's slot to the newcomer.
+        for key in &keys {
+            st.learn(key, a, RouteKind::Read, 3, 4);
+        }
+        assert_eq!((st.nodes.len(), st.free.len()), (4, 0));
+        // Invalidation frees slots; the next learns take them back.
+        st.learn(&keys[8], b, RouteKind::Write, 2, 4);
+        st.invalidate_owner(&a);
+        assert_eq!((st.index.len(), st.free.len()), (1, 3));
+        for key in &keys[..3] {
+            st.learn(key, b, RouteKind::Read, 3, 4);
+        }
+        assert_eq!((st.nodes.len(), st.free.len()), (4, 0));
+        let order: Vec<U160> = [2, 1, 0, 8].iter().map(|&i| keys[i].hash()).collect();
+        assert_eq!(st.recency_order(), order);
+        // `clear` drops the slab with the entries.
+        st.clear();
+        assert!(st.recency_order().is_empty());
+        assert_eq!((st.nodes.len(), st.free.len()), (0, 0));
+        assert_eq!(st.lookup(&keys[0]), None);
+        for key in &keys[..6] {
+            st.learn(key, a, RouteKind::Write, 1, 4);
+        }
+        assert_eq!((st.nodes.len(), st.index.len()), (4, 4));
+        assert_eq!(st.lookup(&keys[5]).map(|h| h.write_hops), Some(Some(1)));
     }
 
     #[test]
@@ -915,20 +1047,15 @@ mod tests {
         // A routed put probe on the same key IS priced: its kind cost
         // is known from the original routed put.
         dht.put(&key, 2).unwrap();
-        assert!(dht.stats().hops_saved > 0, "write hit priced at write cost");
+        let s = dht.stats();
+        assert!(s.hops_saved > 0, "write hit priced at write cost");
     }
 
     #[test]
     fn identical_runs_are_deterministic() {
         let run = || {
             let ring: ChordDht<u64> = ChordDht::with_nodes(32, 41);
-            let dht = CachedDht::new(
-                ring,
-                CacheConfig {
-                    capacity: 8,
-                    seed: 99,
-                },
-            );
+            let dht = CachedDht::with_capacity(ring, 8);
             for i in 0..64u64 {
                 dht.put(&k(&format!("key:{}", i % 16)), i).unwrap();
             }

@@ -382,9 +382,9 @@ impl<V: ErasurePayload> Codec for Coding<V> {
             return Some(Coded { seq, live: None });
         }
         let len = frags.first()?.len as usize;
-        let shards: Vec<(usize, Vec<u8>)> = frags
+        let shards: Vec<(usize, &[u8])> = frags
             .iter()
-            .map(|f| (f.index as usize, f.data.clone()))
+            .map(|f| (f.index as usize, f.data.as_slice()))
             .collect();
         let payload = self.rs.reconstruct(&shards, len)?;
         let value = V::decode_payload(&payload)?;

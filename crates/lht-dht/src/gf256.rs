@@ -94,6 +94,17 @@ pub fn pow(a: u8, e: usize) -> u8 {
     exp[(log[a as usize] as usize * e) % 255]
 }
 
+/// `out[b] ^= coef · src[b]` over the common prefix — one row term of
+/// a matrix–shard product.
+fn mul_acc(out: &mut [u8], coef: u8, src: &[u8]) {
+    if coef == 0 {
+        return;
+    }
+    for (out, byte) in out.iter_mut().zip(src) {
+        *out ^= mul(coef, *byte);
+    }
+}
+
 /// A systematic `k`-of-`m` Reed-Solomon code over GF(256): shards
 /// `0..k` carry the payload verbatim, shards `k..m` carry parity, and
 /// any `k` distinct shards reconstruct the payload.
@@ -180,13 +191,8 @@ impl ReedSolomon {
         for i in self.k..self.m {
             let row = &self.matrix[i * self.k..(i + 1) * self.k];
             let mut shard = vec![0u8; sl];
-            for (j, coef) in row.iter().enumerate() {
-                if *coef == 0 {
-                    continue;
-                }
-                for (b, out) in shard.iter_mut().enumerate() {
-                    *out ^= mul(*coef, shards[j][b]);
-                }
+            for (coef, data) in row.iter().zip(&shards) {
+                mul_acc(&mut shard, *coef, data);
             }
             shards.push(shard);
         }
@@ -199,10 +205,15 @@ impl ReedSolomon {
     ///
     /// Returns `None` when fewer than `k` distinct well-formed shards
     /// are available — the caller's reconstruction-failure path.
-    pub fn reconstruct(&self, shards: &[(usize, Vec<u8>)], len: usize) -> Option<Vec<u8>> {
+    pub fn reconstruct<S: AsRef<[u8]>>(
+        &self,
+        shards: &[(usize, S)],
+        len: usize,
+    ) -> Option<Vec<u8>> {
         let sl = self.shard_len(len);
         let mut picked: Vec<(usize, &[u8])> = Vec::with_capacity(self.k);
         for (idx, data) in shards {
+            let data = data.as_ref();
             if *idx < self.m && data.len() == sl && picked.iter().all(|(i, _)| i != idx) {
                 picked.push((*idx, data));
                 if picked.len() == self.k {
@@ -213,25 +224,32 @@ impl ReedSolomon {
         if picked.len() < self.k {
             return None;
         }
-        // Invert the k × k submatrix of the picked rows; multiplying
-        // the picked shard column by the inverse recovers the data
-        // shards.
-        let mut sub = vec![0u8; self.k * self.k];
-        for (r, (idx, _)) in picked.iter().enumerate() {
-            sub[r * self.k..(r + 1) * self.k]
-                .copy_from_slice(&self.matrix[idx * self.k..(idx + 1) * self.k]);
-        }
-        let sub_inv = invert(&sub, self.k)?;
+        // A data shard is its stretch of the payload verbatim: the
+        // picked rows determine the data uniquely and a systematic row
+        // says "data shard j = this shard", so it is copied into place.
         let mut payload = vec![0u8; sl * self.k];
-        for j in 0..self.k {
-            let row = &sub_inv[j * self.k..(j + 1) * self.k];
-            let out = &mut payload[j * sl..(j + 1) * sl];
-            for (r, coef) in row.iter().enumerate() {
-                if *coef == 0 {
-                    continue;
-                }
-                for (b, cell) in out.iter_mut().enumerate() {
-                    *cell ^= mul(*coef, picked[r].1[b]);
+        let mut have = vec![false; self.k];
+        for (idx, data) in &picked {
+            if *idx < self.k {
+                payload[idx * sl..(idx + 1) * sl].copy_from_slice(data);
+                have[*idx] = true;
+            }
+        }
+        if have.contains(&false) {
+            // Invert the k × k submatrix of the picked rows; a missing
+            // data shard is its row of the inverse times the picked
+            // shard column.
+            let mut sub = vec![0u8; self.k * self.k];
+            for (r, (idx, _)) in picked.iter().enumerate() {
+                sub[r * self.k..(r + 1) * self.k]
+                    .copy_from_slice(&self.matrix[idx * self.k..(idx + 1) * self.k]);
+            }
+            let sub_inv = invert(&sub, self.k)?;
+            for j in (0..self.k).filter(|j| !have[*j]) {
+                let row = &sub_inv[j * self.k..(j + 1) * self.k];
+                let out = &mut payload[j * sl..(j + 1) * sl];
+                for (coef, (_, shard)) in row.iter().zip(&picked) {
+                    mul_acc(out, *coef, shard);
                 }
             }
         }
@@ -255,16 +273,11 @@ impl ReedSolomon {
         let row = &self.matrix[index * self.k..(index + 1) * self.k];
         let mut shard = vec![0u8; sl];
         for (j, coef) in row.iter().enumerate() {
-            if *coef == 0 {
-                continue;
-            }
             // Data shard `j`; its zero padding past the payload's end
             // contributes nothing.
             let lo = (j * sl).min(payload.len());
             let hi = ((j + 1) * sl).min(payload.len());
-            for (out, byte) in shard.iter_mut().zip(&payload[lo..hi]) {
-                *out ^= mul(*coef, *byte);
-            }
+            mul_acc(&mut shard, *coef, &payload[lo..hi]);
         }
         shard
     }
@@ -392,6 +405,42 @@ mod tests {
                     "shards {a},{b}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn systematic_gathers_decode_by_concatenation() {
+        // The module docs' promise: a read that gathers the k data
+        // shards needs no field arithmetic. Whatever bytes the shards
+        // hold (these never came out of `encode`) and in whatever
+        // order they arrive, the answer is their concatenation in
+        // index order, cut to `len` — borrowed or owned alike.
+        let rs = ReedSolomon::new(4, 6);
+        let shards: Vec<Vec<u8>> = (0..4u8)
+            .map(|j| (0..7u8).map(|b| b.wrapping_mul(41) ^ (j * 59)).collect())
+            .collect();
+        let gathered: Vec<(usize, &[u8])> = [2, 0, 3, 1]
+            .iter()
+            .map(|&j| (j, shards[j].as_slice()))
+            .collect();
+        for len in [25, 26, 28] {
+            assert_eq!(rs.shard_len(len), 7);
+            assert_eq!(
+                rs.reconstruct(&gathered, len),
+                Some(shards.concat()[..len].to_vec()),
+                "len {len}"
+            );
+        }
+        // A gather one data shard short copies the data shards it has
+        // verbatim and solves only for the missing one.
+        let payload: Vec<u8> = (0..28u8).map(|i| i.wrapping_mul(37)).collect();
+        let coded = rs.encode(&payload);
+        for missing in 0..4 {
+            let kept: Vec<(usize, &[u8])> = (0..5)
+                .filter(|i| *i != missing)
+                .map(|i| (i, coded[i].as_slice()))
+                .collect();
+            assert_eq!(rs.reconstruct(&kept, 28).as_ref(), Some(&payload));
         }
     }
 

@@ -218,6 +218,14 @@ pub trait Dht {
     /// A snapshot of the cumulative operation counters.
     fn stats(&self) -> DhtStats;
 
+    /// Cumulative routing hops: [`stats`](Dht::stats)`().hops`. Layers
+    /// that price an operation by the hop delta around it read this
+    /// twice per call, so substrates override it to hand back the one
+    /// counter instead of copying the whole ledger.
+    fn hops(&self) -> u64 {
+        self.stats().hops
+    }
+
     /// Resets the cumulative counters to zero.
     fn reset_stats(&self);
 }
@@ -299,6 +307,10 @@ macro_rules! forward_dht {
 
             fn stats(&self) -> DhtStats {
                 (**self).stats()
+            }
+
+            fn hops(&self) -> u64 {
+                (**self).hops()
             }
 
             fn reset_stats(&self) {

@@ -691,6 +691,10 @@ impl<V: Clone> Dht for KademliaDht<V> {
         self.inner.lock().stats
     }
 
+    fn hops(&self) -> u64 {
+        self.inner.lock().stats.hops
+    }
+
     fn reset_stats(&self) {
         self.inner.lock().stats = DhtStats::default();
     }

@@ -27,8 +27,8 @@ use rand::{Rng, SeedableRng};
 
 use lht_core::{HistoryLog, KeyInterval, LeafBucket, LhtConfig, LhtIndex};
 use lht_dht::{
-    CacheConfig, CachedDht, ChordConfig, ChordDht, Dht, ErasureConfig, ErasureDht, FaultyDht,
-    Fragment, NetProfile, QuorumConfig, QuorumDht, RetriedDht, RetryPolicy, Versioned,
+    CachedDht, ChordConfig, ChordDht, Dht, ErasureConfig, ErasureDht, FaultyDht, Fragment,
+    NetProfile, QuorumConfig, QuorumDht, RetriedDht, RetryPolicy, Versioned,
 };
 use lht_id::{KeyFraction, U160};
 
@@ -187,12 +187,12 @@ impl StackBuild for Stack {
         if cfg.stale_cache_read {
             ring.arm_stale_cache_mutant();
         }
-        let stack = CachedDht::new(
+        let stack = CachedDht::with_capacity(
             RetriedDht::new(
                 FaultyDht::new(Arc::clone(&ring), net_profile(cfg)),
                 retry_policy(cfg),
             ),
-            cache_config(cfg),
+            CACHE_CAPACITY,
         );
         (stack, Maint::Plain { ring })
     }
@@ -229,12 +229,12 @@ impl StackBuild for QStack {
         if cfg.lost_write_ack {
             quorum.arm_lost_write_ack_mutant();
         }
-        let stack = CachedDht::new(
+        let stack = CachedDht::with_capacity(
             RetriedDht::new(
                 FaultyDht::new(Arc::clone(&quorum), net_profile(cfg)),
                 retry_policy(cfg),
             ),
-            cache_config(cfg),
+            CACHE_CAPACITY,
         );
         (stack, Maint::Quorum { ring, quorum })
     }
@@ -270,12 +270,12 @@ impl StackBuild for EStack {
         if cfg.lazy_regen {
             erasure.arm_lazy_regen_mutant();
         }
-        let stack = CachedDht::new(
+        let stack = CachedDht::with_capacity(
             RetriedDht::new(
                 FaultyDht::new(Arc::clone(&erasure), net_profile(cfg)),
                 retry_policy(cfg),
             ),
-            cache_config(cfg),
+            CACHE_CAPACITY,
         );
         (stack, Maint::Erasure { ring, erasure })
     }
@@ -293,13 +293,6 @@ fn retry_policy(cfg: &SimConfig) -> RetryPolicy {
     RetryPolicy {
         seed: cfg.seed ^ 0x5EED_0003,
         ..RetryPolicy::default()
-    }
-}
-
-fn cache_config(cfg: &SimConfig) -> CacheConfig {
-    CacheConfig {
-        capacity: CACHE_CAPACITY,
-        seed: cfg.seed ^ 0x5EED_0005,
     }
 }
 

@@ -11,9 +11,9 @@
 use lht_core::{audit, KeyInterval, LeafBucket, LhtConfig, LhtError, LhtIndex};
 use lht_dht::gf256::ReedSolomon;
 use lht_dht::{
-    split_fragment_key, split_slot_key, CacheConfig, CachedDht, ChordConfig, ChordDht, Dht, DhtKey,
-    DhtStats, DirectDht, ErasureConfig, ErasureDht, ErasurePayload, FaultyDht, Fragment,
-    NetProfile, QuorumConfig, QuorumDht, RetriedDht, RetryPolicy, Versioned,
+    split_fragment_key, split_slot_key, CachedDht, ChordConfig, ChordDht, Dht, DhtKey, DhtStats,
+    DirectDht, ErasureConfig, ErasureDht, ErasurePayload, FaultyDht, Fragment, NetProfile,
+    QuorumConfig, QuorumDht, RetriedDht, RetryPolicy, Versioned,
 };
 use lht_dst::{DstConfig, DstIndex, DstNode};
 use lht_id::KeyFraction;
@@ -687,7 +687,7 @@ pub fn run_trace(trace: &Trace, opts: &SoakOptions) -> Result<SoakReport, Box<Di
                             drive(&LhtDriver { ix: &ix }, trace, opts, &mut env)
                         }
                         (None, Some(cap)) => {
-                            let cached = CachedDht::new(&erasure, cache_cfg(opts, cap));
+                            let cached = CachedDht::with_capacity(&erasure, cap);
                             let ix =
                                 LhtIndex::new(cached, cfg).map_err(|e| setup_failure(opts, e))?;
                             let report = drive(&LhtDriver { ix: &ix }, trace, opts, &mut env);
@@ -701,7 +701,7 @@ pub fn run_trace(trace: &Trace, opts: &SoakOptions) -> Result<SoakReport, Box<Di
                         }
                         (Some(net), Some(cap)) => {
                             let lossy = RetriedDht::new(FaultyDht::new(&erasure, net), opts.retry);
-                            let cached = CachedDht::new(lossy, cache_cfg(opts, cap));
+                            let cached = CachedDht::with_capacity(lossy, cap);
                             let ix =
                                 LhtIndex::new(cached, cfg).map_err(|e| setup_failure(opts, e))?;
                             let report = drive(&LhtDriver { ix: &ix }, trace, opts, &mut env);
@@ -743,7 +743,7 @@ pub fn run_trace(trace: &Trace, opts: &SoakOptions) -> Result<SoakReport, Box<Di
                             drive(&LhtDriver { ix: &ix }, trace, opts, &mut env)
                         }
                         (None, Some(cap)) => {
-                            let cached = CachedDht::new(&quorum, cache_cfg(opts, cap));
+                            let cached = CachedDht::with_capacity(&quorum, cap);
                             let ix =
                                 LhtIndex::new(cached, cfg).map_err(|e| setup_failure(opts, e))?;
                             let report = drive(&LhtDriver { ix: &ix }, trace, opts, &mut env);
@@ -757,7 +757,7 @@ pub fn run_trace(trace: &Trace, opts: &SoakOptions) -> Result<SoakReport, Box<Di
                         }
                         (Some(net), Some(cap)) => {
                             let lossy = RetriedDht::new(FaultyDht::new(&quorum, net), opts.retry);
-                            let cached = CachedDht::new(lossy, cache_cfg(opts, cap));
+                            let cached = CachedDht::with_capacity(lossy, cap);
                             let ix =
                                 LhtIndex::new(cached, cfg).map_err(|e| setup_failure(opts, e))?;
                             let report = drive(&LhtDriver { ix: &ix }, trace, opts, &mut env);
@@ -782,7 +782,7 @@ pub fn run_trace(trace: &Trace, opts: &SoakOptions) -> Result<SoakReport, Box<Di
                             drive(&LhtDriver { ix: &ix }, trace, opts, &mut env)
                         }
                         (None, Some(cap)) => {
-                            let cached = CachedDht::new(&dht, cache_cfg(opts, cap));
+                            let cached = CachedDht::with_capacity(&dht, cap);
                             let ix =
                                 LhtIndex::new(cached, cfg).map_err(|e| setup_failure(opts, e))?;
                             let report = drive(&LhtDriver { ix: &ix }, trace, opts, &mut env);
@@ -796,7 +796,7 @@ pub fn run_trace(trace: &Trace, opts: &SoakOptions) -> Result<SoakReport, Box<Di
                         }
                         (Some(net), Some(cap)) => {
                             let lossy = RetriedDht::new(FaultyDht::new(&dht, net), opts.retry);
-                            let cached = CachedDht::new(lossy, cache_cfg(opts, cap));
+                            let cached = CachedDht::with_capacity(lossy, cap);
                             let ix =
                                 LhtIndex::new(cached, cfg).map_err(|e| setup_failure(opts, e))?;
                             let report = drive(&LhtDriver { ix: &ix }, trace, opts, &mut env);
@@ -820,7 +820,7 @@ pub fn run_trace(trace: &Trace, opts: &SoakOptions) -> Result<SoakReport, Box<Di
                             drive(&PhtDriver { ix: &ix }, trace, opts, &mut env)
                         }
                         (None, Some(cap)) => {
-                            let cached = CachedDht::new(&dht, cache_cfg(opts, cap));
+                            let cached = CachedDht::with_capacity(&dht, cap);
                             let ix =
                                 PhtIndex::new(cached, cfg).map_err(|e| setup_failure(opts, e))?;
                             let report = drive(&PhtDriver { ix: &ix }, trace, opts, &mut env);
@@ -834,7 +834,7 @@ pub fn run_trace(trace: &Trace, opts: &SoakOptions) -> Result<SoakReport, Box<Di
                         }
                         (Some(net), Some(cap)) => {
                             let lossy = RetriedDht::new(FaultyDht::new(&dht, net), opts.retry);
-                            let cached = CachedDht::new(lossy, cache_cfg(opts, cap));
+                            let cached = CachedDht::with_capacity(lossy, cap);
                             let ix =
                                 PhtIndex::new(cached, cfg).map_err(|e| setup_failure(opts, e))?;
                             let report = drive(&PhtDriver { ix: &ix }, trace, opts, &mut env);
@@ -898,15 +898,6 @@ pub fn run_trace(trace: &Trace, opts: &SoakOptions) -> Result<SoakReport, Box<Di
 /// test.
 fn dst_config() -> DstConfig {
     DstConfig::default()
-}
-
-/// The location-cache configuration a soak's stack uses: capacity
-/// from the option, recency-clock seed derived from the trace seed.
-fn cache_cfg(opts: &SoakOptions, capacity: usize) -> CacheConfig {
-    CacheConfig {
-        capacity,
-        seed: opts.seed ^ 0xCAC4E,
-    }
 }
 
 /// Copies the location cache's counters from the stack's final stats
@@ -1605,10 +1596,10 @@ fn erasure_projection(
             continue;
         }
         let len = generation[0].len as usize;
-        let mut shards: Vec<(usize, Vec<u8>)> = Vec::new();
+        let mut shards: Vec<(usize, &[u8])> = Vec::new();
         for f in &generation {
             if !shards.iter().any(|(i, _)| *i == f.index as usize) {
-                shards.push((f.index as usize, f.data.clone()));
+                shards.push((f.index as usize, &f.data));
             }
         }
         let Some(bytes) = rs.reconstruct(&shards, len) else {

@@ -20,7 +20,7 @@ use proptest::prelude::*;
 
 use lht::{
     CacheConfig, CachedDht, ChordDht, Dht, DhtKey, DirectDht, FaultyDht, KademliaDht, NetProfile,
-    RetriedDht, RetryPolicy,
+    QuorumConfig, QuorumDht, RetriedDht, RetryPolicy,
 };
 
 /// Keys collide on purpose (16 slots) so workloads revisit keys and
@@ -70,6 +70,68 @@ where
     ops
 }
 
+/// Drives a mixed single-op and batch script through `dht`, holding
+/// the hop counter the cache diffs around every call to the ledger it
+/// abbreviates: `hops()` is `stats().hops`, on every layer.
+fn assert_hops_is_the_ledgers_hop_count<D: Dht<Value = u32>>(dht: &D, what: &str) {
+    let check = |step: &str| assert_eq!(dht.hops(), dht.stats().hops, "{what}: after {step}");
+    check("nothing");
+    for slot in 0u8..12 {
+        let _ = dht.put(&key(slot), slot as u32);
+        check("put");
+    }
+    for slot in 0u8..16 {
+        let _ = dht.get(&key(slot));
+        check("get");
+    }
+    let _ = dht.multi_put(put_entries(&[(1, 10), (2, 20), (13, 30)]));
+    check("multi_put");
+    let _ = dht.multi_get(&get_keys(&[0, 1, 2, 3, 14, 15]));
+    check("multi_get");
+    let _ = dht.update(&key(3), &mut |slot| *slot = slot.map(|v| v + 1));
+    check("update");
+    let _ = dht.remove(&key(4));
+    check("remove");
+    dht.reset_stats();
+    check("reset_stats");
+    let _ = dht.get(&key(5));
+    check("get after reset");
+}
+
+#[test]
+fn hops_reads_the_same_counter_as_stats_on_every_layer() {
+    let chord: ChordDht<u32> = ChordDht::with_nodes(32, 0x40b5);
+    assert_hops_is_the_ledgers_hop_count(&chord, "ChordDht");
+    assert!(chord.hops() > 0, "the script routes");
+    assert_hops_is_the_ledgers_hop_count(&DirectDht::<u32>::new(), "DirectDht");
+    let kad: KademliaDht<u32> = KademliaDht::with_nodes(16, 0x40b5);
+    assert_hops_is_the_ledgers_hop_count(&kad, "KademliaDht");
+    assert_hops_is_the_ledgers_hop_count(&&chord, "&ChordDht");
+    let shared = std::sync::Arc::new(ChordDht::<u32>::with_nodes(32, 0x40b6));
+    assert_hops_is_the_ledgers_hop_count(&shared, "Arc<ChordDht>");
+    assert_hops_is_the_ledgers_hop_count(
+        &CachedDht::with_capacity(&chord, 8),
+        "CachedDht<&ChordDht>",
+    );
+
+    let ring = ChordDht::with_nodes(32, 0x40b7);
+    let tower = CachedDht::with_capacity(
+        RetriedDht::new(
+            FaultyDht::new(
+                QuorumDht::new(&ring, QuorumConfig::new(3, 2, 2)),
+                NetProfile::lossy(0x40b8, 0.10),
+            ),
+            RetryPolicy::default(),
+        ),
+        8,
+    );
+    assert_hops_is_the_ledgers_hop_count(&tower, "Cached<Retried<Faulty<Quorum<&Chord>>>>");
+    assert!(
+        tower.hops() > 0,
+        "the tower's hops are the replicas' routes"
+    );
+}
+
 /// The production stack from DESIGN §3.9, end to end: cache above
 /// retry above a 10%-lossy network above a real Chord ring. Answers
 /// must match a reference map exactly, the cache must actually serve
@@ -84,10 +146,7 @@ fn production_stack_serves_correct_answers_through_loss() {
             ),
             RetryPolicy::default(),
         ),
-        CacheConfig {
-            capacity: 64,
-            seed: 42,
-        },
+        CacheConfig { capacity: 64 },
     );
 
     // Cold get pre-pass: routes every key once so the cache learns
@@ -142,10 +201,7 @@ fn cache_outermost_consults_once_per_logical_op() {
             ),
             RetryPolicy::default(),
         ),
-        CacheConfig {
-            capacity: 64,
-            seed: 7,
-        },
+        CacheConfig { capacity: 64 },
     );
 
     let mut ops = 0u64;
