@@ -1,133 +1,101 @@
 //! Runtime-selectable substrate.
 
-#[cfg(test)]
-use std::cell::Cell;
-
 use lht_core::LeafBucket;
-use lht_dht::{ChordDht, Dht, DhtError, DhtKey, DhtStats, DirectDht};
-use lht_kad::KademliaDht;
+use lht_dht::BoxDht;
 
 /// The record value type the REPL stores.
 pub type Value = String;
 type Bucket = LeafBucket<Value>;
 
-/// A substrate chosen at runtime — the [`Dht`] trait object pattern
-/// via an enum, demonstrating that index code is substrate-agnostic
-/// even without generics.
-#[derive(Debug)]
-pub enum AnyDht {
-    /// One-hop oracle.
-    Direct(DirectDht<Bucket>),
-    /// Chord ring.
-    Chord(ChordDht<Bucket>),
-    /// Kademlia network.
-    Kad(KademliaDht<Bucket>),
-    /// A Chord ring whose next few gets transiently answer "not
-    /// found" — a test double for the window where index entries are
-    /// mid-migration (churn, delayed key sync) and lookups exhaust.
-    #[cfg(test)]
-    Flaky {
-        /// The healthy ring that answers once the fault window drains.
-        inner: ChordDht<Bucket>,
-        /// How many further gets still answer `Ok(None)`.
-        fail_gets: Cell<u32>,
-    },
-}
+/// A substrate chosen at runtime — one-hop oracle, Chord ring or
+/// Kademlia network behind the [`Dht`](lht_dht::Dht) trait object, so
+/// the index code is substrate-agnostic even without generics and
+/// every trait method (batched rounds, owner probes, hints) reaches
+/// the substrate's own implementation.
+pub type AnyDht = BoxDht<'static, Bucket>;
 
+/// A Chord ring whose next few gets transiently answer "not found" —
+/// a test double for the window where index entries are mid-migration
+/// (churn, delayed key sync) and lookups exhaust.
 #[cfg(test)]
-impl AnyDht {
-    /// Arms the [`AnyDht::Flaky`] fault window so the next `n` gets
-    /// answer `Ok(None)`; returns the previously remaining count.
-    pub(crate) fn fail_next_gets(&self, n: u32) -> u32 {
-        match self {
-            AnyDht::Flaky { fail_gets, .. } => fail_gets.replace(n),
-            _ => panic!("fail_next_gets on a non-flaky substrate"),
-        }
+pub(crate) mod flaky {
+    use std::cell::Cell;
+
+    use lht_dht::{ChordDht, Dht, DhtError, DhtKey, DhtStats};
+
+    use super::{AnyDht, Bucket};
+
+    thread_local! {
+        /// How many further gets on this thread's [`Flaky`] rings still
+        /// answer `Ok(None)`. Per thread — so per test — because the
+        /// boxed substrate gives the test no handle to reach into.
+        static FAIL_GETS: Cell<u32> = const { Cell::new(0) };
     }
-}
 
-impl Dht for AnyDht {
-    type Value = Bucket;
+    /// The healthy ring that answers once the fault window drains.
+    pub(crate) struct Flaky(pub(crate) ChordDht<Bucket>);
 
-    fn get(&self, key: &DhtKey) -> Result<Option<Bucket>, DhtError> {
-        match self {
-            AnyDht::Direct(d) => d.get(key),
-            AnyDht::Chord(d) => d.get(key),
-            AnyDht::Kad(d) => d.get(key),
-            #[cfg(test)]
-            AnyDht::Flaky { inner, fail_gets } => {
-                if fail_gets.get() > 0 {
-                    fail_gets.set(fail_gets.get() - 1);
-                    Ok(None)
-                } else {
-                    inner.get(key)
-                }
+    impl Dht for Flaky {
+        type Value = Bucket;
+
+        fn get(&self, key: &DhtKey) -> Result<Option<Bucket>, DhtError> {
+            let left = FAIL_GETS.get();
+            if left > 0 {
+                FAIL_GETS.set(left - 1);
+                return Ok(None);
             }
+            self.0.get(key)
+        }
+        fn put(&self, key: &DhtKey, value: Bucket) -> Result<(), DhtError> {
+            self.0.put(key, value)
+        }
+        fn remove(&self, key: &DhtKey) -> Result<Option<Bucket>, DhtError> {
+            self.0.remove(key)
+        }
+        fn update(
+            &self,
+            key: &DhtKey,
+            f: &mut dyn FnMut(&mut Option<Bucket>),
+        ) -> Result<(), DhtError> {
+            self.0.update(key, f)
+        }
+        fn stats(&self) -> DhtStats {
+            Dht::stats(&self.0)
+        }
+        fn reset_stats(&self) {
+            self.0.reset_stats()
         }
     }
 
-    fn put(&self, key: &DhtKey, value: Bucket) -> Result<(), DhtError> {
-        match self {
-            AnyDht::Direct(d) => d.put(key, value),
-            AnyDht::Chord(d) => d.put(key, value),
-            AnyDht::Kad(d) => d.put(key, value),
-            #[cfg(test)]
-            AnyDht::Flaky { inner, .. } => inner.put(key, value),
-        }
+    /// Arms the fault window from a session's substrate handle.
+    pub(crate) trait FailGets {
+        /// The next `n` gets answer `Ok(None)`; returns the previously
+        /// remaining count.
+        fn fail_next_gets(&self, n: u32) -> u32;
     }
 
-    fn remove(&self, key: &DhtKey) -> Result<Option<Bucket>, DhtError> {
-        match self {
-            AnyDht::Direct(d) => d.remove(key),
-            AnyDht::Chord(d) => d.remove(key),
-            AnyDht::Kad(d) => d.remove(key),
-            #[cfg(test)]
-            AnyDht::Flaky { inner, .. } => inner.remove(key),
-        }
-    }
-
-    fn update(&self, key: &DhtKey, f: &mut dyn FnMut(&mut Option<Bucket>)) -> Result<(), DhtError> {
-        match self {
-            AnyDht::Direct(d) => d.update(key, f),
-            AnyDht::Chord(d) => d.update(key, f),
-            AnyDht::Kad(d) => d.update(key, f),
-            #[cfg(test)]
-            AnyDht::Flaky { inner, .. } => inner.update(key, f),
-        }
-    }
-
-    fn stats(&self) -> DhtStats {
-        match self {
-            AnyDht::Direct(d) => Dht::stats(d),
-            AnyDht::Chord(d) => Dht::stats(d),
-            AnyDht::Kad(d) => Dht::stats(d),
-            #[cfg(test)]
-            AnyDht::Flaky { inner, .. } => Dht::stats(inner),
-        }
-    }
-
-    fn reset_stats(&self) {
-        match self {
-            AnyDht::Direct(d) => d.reset_stats(),
-            AnyDht::Chord(d) => d.reset_stats(),
-            AnyDht::Kad(d) => d.reset_stats(),
-            #[cfg(test)]
-            AnyDht::Flaky { inner, .. } => inner.reset_stats(),
+    impl FailGets for AnyDht {
+        fn fail_next_gets(&self, n: u32) -> u32 {
+            FAIL_GETS.replace(n)
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use lht_dht::{ChordDht, Dht, DhtKey, DirectDht};
+    use lht_kad::KademliaDht;
+
     use super::*;
 
     #[test]
     fn dispatch_works_for_all_variants() {
-        for dht in [
-            AnyDht::Direct(DirectDht::new()),
-            AnyDht::Chord(ChordDht::with_nodes(4, 1)),
-            AnyDht::Kad(KademliaDht::with_nodes(4, 1)),
-        ] {
+        let variants: [AnyDht; 3] = [
+            Box::new(DirectDht::new()),
+            Box::new(ChordDht::with_nodes(4, 1)),
+            Box::new(KademliaDht::with_nodes(4, 1)),
+        ];
+        for dht in variants {
             let key = DhtKey::from("#");
             let bucket = LeafBucket::new(lht_core::Label::root());
             dht.put(&key, bucket.clone()).unwrap();

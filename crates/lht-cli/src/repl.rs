@@ -83,10 +83,10 @@ impl Repl {
     /// Creates a session over `substrate` (peer count 32 for the
     /// routed substrates), seeded for reproducible `load`s.
     pub fn new(substrate: Substrate, seed: u64) -> Repl {
-        let dht = match substrate {
-            Substrate::Direct => AnyDht::Direct(DirectDht::new()),
-            Substrate::Chord => AnyDht::Chord(ChordDht::with_nodes(32, seed)),
-            Substrate::Kad => AnyDht::Kad(KademliaDht::with_nodes(32, seed)),
+        let dht: AnyDht = match substrate {
+            Substrate::Direct => Box::new(DirectDht::new()),
+            Substrate::Chord => Box::new(ChordDht::with_nodes(32, seed)),
+            Substrate::Kad => Box::new(KademliaDht::with_nodes(32, seed)),
         };
         let index = LhtIndex::new(dht, LhtConfig::new(20, 20)).expect("fresh substrate");
         Repl {
@@ -267,6 +267,7 @@ fn parse_key(s: &str) -> Result<KeyFraction, LhtError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::any_dht::flaky::{FailGets, Flaky};
 
     fn repl() -> Repl {
         Repl::new(Substrate::Direct, 1)
@@ -341,11 +342,8 @@ mod tests {
     }
 
     fn flaky_chord_repl() -> Repl {
-        let dht = AnyDht::Flaky {
-            inner: ChordDht::with_nodes(32, 7),
-            fail_gets: std::cell::Cell::new(0),
-        };
-        let mut r = Repl::with_dht(dht, 7);
+        let dht = Flaky(ChordDht::with_nodes(32, 7));
+        let mut r = Repl::with_dht(Box::new(dht), 7);
         seed_tree(&mut r);
         r
     }
@@ -363,6 +361,33 @@ mod tests {
         assert!(min.contains("0.025000 -> \"v1\" (1 DHT-lookup)"), "{min}");
         let max = r.eval("max");
         assert!(max.contains("0.750000 -> \"v30\" (1 DHT-lookup)"), "{max}");
+    }
+
+    /// The boxed substrate forwards every `Dht` method, so a session
+    /// over Chord runs a range frontier as the ring's native batched
+    /// rounds — not the trait's one-op-per-round fallback.
+    #[test]
+    fn chord_session_charges_exactly_what_the_bare_ring_charges() {
+        let keys: Vec<String> = (1..=300u32)
+            .map(|i| (f64::from(i) / 301.0).to_string())
+            .collect();
+        let mut r = Repl::new(Substrate::Chord, 7);
+        for key in &keys {
+            assert!(r.eval(&format!("insert {key} v")).starts_with("ok"));
+        }
+        assert!(r.eval("range 0.001 0.999").contains("300 records"));
+
+        let bare = ChordDht::with_nodes(32, 7);
+        let ix = LhtIndex::new(&bare, LhtConfig::new(20, 20)).unwrap();
+        for key in &keys {
+            ix.insert(parse_key(key).unwrap(), "v".to_string()).unwrap();
+        }
+        let wide = KeyInterval::half_open(parse_key("0.001").unwrap(), parse_key("0.999").unwrap());
+        assert_eq!(ix.range(wide).unwrap().records.len(), 300);
+
+        let stats = r.index.dht().stats();
+        assert_eq!(stats, bare.stats());
+        assert!(stats.rounds < stats.lookups(), "the frontier must batch");
     }
 
     #[test]

@@ -61,6 +61,7 @@ mod retry;
 mod slots;
 mod stats;
 mod store;
+mod tower;
 mod traits;
 
 pub use cache::{CacheConfig, CachedDht};
@@ -76,4 +77,5 @@ pub use quorum::{slot_key, split_slot_key, QuorumConfig, QuorumDht, Versioned};
 pub use retry::{Backoffs, RetriedDht, RetryPolicy};
 pub use stats::{DhtOp, DhtStats, LatencyHistogram};
 pub use store::{node_store, KeyHasher, KeyHasherBuilder, NodeStore};
+pub use tower::{client_tower, BoxDht, RingControl, TierMaintenance};
 pub use traits::{Dht, Probe};

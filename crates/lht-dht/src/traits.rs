@@ -322,3 +322,4 @@ macro_rules! forward_dht {
 
 forward_dht!(&D);
 forward_dht!(std::sync::Arc<D>);
+forward_dht!(Box<D>);

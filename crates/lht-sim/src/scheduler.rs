@@ -27,8 +27,8 @@ use rand::{Rng, SeedableRng};
 
 use lht_core::{HistoryLog, KeyInterval, LeafBucket, LhtConfig, LhtIndex};
 use lht_dht::{
-    CachedDht, ChordConfig, ChordDht, Dht, ErasureConfig, ErasureDht, FaultyDht, Fragment,
-    NetProfile, QuorumConfig, QuorumDht, RetriedDht, RetryPolicy, Versioned,
+    client_tower, BoxDht, ChordConfig, ChordDht, Dht, ErasureConfig, ErasureDht, Fragment,
+    NetProfile, QuorumConfig, QuorumDht, RetryPolicy, RingControl, TierMaintenance, Versioned,
 };
 use lht_id::{KeyFraction, U160};
 
@@ -36,250 +36,6 @@ use crate::checker::{self, Outcome};
 use crate::config::SimConfig;
 use crate::plan::{client_plans, ClientPlan, PlannedOp};
 use crate::shrink;
-
-type Ring = ChordDht<LeafBucket<u32>>;
-type Stack = CachedDht<RetriedDht<FaultyDht<Arc<Ring>>>>;
-type QRing = ChordDht<Versioned<LeafBucket<u32>>>;
-type QuorumLayer = QuorumDht<Arc<QRing>>;
-type QStack = CachedDht<RetriedDht<FaultyDht<Arc<QuorumLayer>>>>;
-type ERing = ChordDht<Fragment>;
-type ErasureLayer = ErasureDht<Arc<ERing>, LeafBucket<u32>>;
-type EStack = CachedDht<RetriedDht<FaultyDht<Arc<ErasureLayer>>>>;
-
-/// The maintenance half of a built world: the ring the stabilize and
-/// churn actors drive, plus — in quorum mode — the replication layer
-/// whose anti-entropy rounds replace the ring's ad-hoc key-sync.
-enum Maint {
-    /// Historical primary-owner stack: the ring replicates keys
-    /// itself and a key-sync actor reconciles the copies.
-    Plain {
-        /// The shared Chord ring.
-        ring: Arc<Ring>,
-    },
-    /// Quorum stack: the ring stores single-copy versioned slots and
-    /// the quorum layer owns redundancy; the key-sync slot in the
-    /// actor table runs anti-entropy instead, so the actor count (and
-    /// therefore every plain-mode schedule trace) is unchanged.
-    Quorum {
-        /// The shared single-copy Chord ring under the quorum layer.
-        ring: Arc<QRing>,
-        /// The replication layer driven by the anti-entropy actor.
-        quorum: Arc<QuorumLayer>,
-    },
-    /// Erasure stack: the ring stores single-copy coded fragments and
-    /// the erasure layer owns redundancy; the key-sync slot runs the
-    /// layer's anti-entropy (handoff flush + fragment regeneration),
-    /// and churn departures **crash** nodes — fragments on the victim
-    /// are lost, which is what makes regeneration observable by the
-    /// checker.
-    Erasure {
-        /// The shared single-copy Chord ring under the erasure layer.
-        ring: Arc<ERing>,
-        /// The coding layer driven by the anti-entropy actor.
-        erasure: Arc<ErasureLayer>,
-    },
-}
-
-impl Maint {
-    fn stabilize_step(&self) {
-        match self {
-            Maint::Plain { ring } => ring.stabilize_step(),
-            Maint::Quorum { ring, .. } => ring.stabilize_step(),
-            Maint::Erasure { ring, .. } => ring.stabilize_step(),
-        }
-    }
-
-    /// One replica-reconciliation round: Chord key-sync in plain
-    /// mode, a durability-layer anti-entropy step in quorum or
-    /// erasure mode. Returns the trace description (deterministic for
-    /// equal configurations).
-    fn sync_step(&self) -> String {
-        match self {
-            Maint::Plain { ring } => {
-                ring.key_sync_step();
-                "round".to_string()
-            }
-            Maint::Quorum { quorum, .. } => {
-                let writes = quorum.anti_entropy_step();
-                format!("round writes={writes}")
-            }
-            Maint::Erasure { erasure, .. } => {
-                let writes = erasure.anti_entropy_step();
-                format!("round writes={writes}")
-            }
-        }
-    }
-
-    fn sync_name(&self) -> &'static str {
-        match self {
-            Maint::Plain { .. } => "key-sync",
-            Maint::Quorum { .. } | Maint::Erasure { .. } => "anti-entropy",
-        }
-    }
-
-    fn node_count(&self) -> usize {
-        match self {
-            Maint::Plain { ring } => ring.node_count(),
-            Maint::Quorum { ring, .. } => ring.node_count(),
-            Maint::Erasure { ring, .. } => ring.node_count(),
-        }
-    }
-
-    fn node_ids(&self) -> Vec<U160> {
-        match self {
-            Maint::Plain { ring } => ring.snapshot().node_ids,
-            Maint::Quorum { ring, .. } => ring.snapshot().node_ids,
-            Maint::Erasure { ring, .. } => ring.snapshot().node_ids,
-        }
-    }
-
-    /// A churn departure: graceful (the node hands its keys to its
-    /// successor) in plain and quorum mode, a **crash** (its
-    /// fragments are lost) in erasure mode — surviving exactly that
-    /// loss is the coded tier's contract, and it is what gives a
-    /// broken regeneration path schedules where it destroys data.
-    fn leave(&self, id: &U160) -> bool {
-        match self {
-            Maint::Plain { ring } => ring.leave(id),
-            Maint::Quorum { ring, .. } => ring.leave(id),
-            Maint::Erasure { ring, .. } => ring.crash(id),
-        }
-    }
-
-    /// The churn trace verb for a departure (see [`leave`](Self::leave)).
-    fn leave_verb(&self) -> &'static str {
-        match self {
-            Maint::Plain { .. } | Maint::Quorum { .. } => "leave",
-            Maint::Erasure { .. } => "crash",
-        }
-    }
-
-    fn join(&self, name: &str) -> Option<U160> {
-        match self {
-            Maint::Plain { ring } => ring.join(name),
-            Maint::Quorum { ring, .. } => ring.join(name),
-            Maint::Erasure { ring, .. } => ring.join(name),
-        }
-    }
-}
-
-/// A stack type the scheduler can build a world over: the plain
-/// primary-owner [`Stack`] or the quorum-replicated [`QStack`].
-trait StackBuild: Dht<Value = LeafBucket<u32>> + Sized {
-    /// Builds the index substrate plus the maintenance handles for
-    /// `cfg`, arming whichever mutants the configuration requests.
-    fn build(cfg: &SimConfig) -> (Self, Maint);
-}
-
-impl StackBuild for Stack {
-    fn build(cfg: &SimConfig) -> (Stack, Maint) {
-        let ring = Arc::new(Ring::with_config(
-            cfg.nodes,
-            cfg.seed ^ 0x5EED_0001,
-            ChordConfig {
-                replicas: cfg.replicas,
-                ..ChordConfig::default()
-            },
-        ));
-        if cfg.stale_replica {
-            ring.arm_stale_replica_mutant();
-        }
-        if cfg.stale_cache_read {
-            ring.arm_stale_cache_mutant();
-        }
-        let stack = CachedDht::with_capacity(
-            RetriedDht::new(
-                FaultyDht::new(Arc::clone(&ring), net_profile(cfg)),
-                retry_policy(cfg),
-            ),
-            CACHE_CAPACITY,
-        );
-        (stack, Maint::Plain { ring })
-    }
-}
-
-impl StackBuild for QStack {
-    fn build(cfg: &SimConfig) -> (QStack, Maint) {
-        let (n, r, w) = cfg
-            .quorum_params()
-            .expect("quorum stack requires quorum parameters");
-        // The quorum layer owns redundancy, so the ring runs
-        // single-copy; its key-sync would have nothing to reconcile.
-        let ring = Arc::new(QRing::with_config(
-            cfg.nodes,
-            cfg.seed ^ 0x5EED_0001,
-            ChordConfig {
-                replicas: 1,
-                ..ChordConfig::default()
-            },
-        ));
-        if cfg.stale_replica {
-            ring.arm_stale_replica_mutant();
-        }
-        if cfg.stale_cache_read {
-            ring.arm_stale_cache_mutant();
-        }
-        let quorum = Arc::new(QuorumDht::new(
-            Arc::clone(&ring),
-            QuorumConfig::new(n, r, w),
-        ));
-        if cfg.sloppy_quorum_read {
-            quorum.arm_sloppy_read_mutant();
-        }
-        if cfg.lost_write_ack {
-            quorum.arm_lost_write_ack_mutant();
-        }
-        let stack = CachedDht::with_capacity(
-            RetriedDht::new(
-                FaultyDht::new(Arc::clone(&quorum), net_profile(cfg)),
-                retry_policy(cfg),
-            ),
-            CACHE_CAPACITY,
-        );
-        (stack, Maint::Quorum { ring, quorum })
-    }
-}
-
-impl StackBuild for EStack {
-    fn build(cfg: &SimConfig) -> (EStack, Maint) {
-        let (k, m) = cfg
-            .erasure_params()
-            .expect("erasure stack requires erasure parameters");
-        // The coded group owns redundancy, so the ring runs
-        // single-copy; churn departures crash nodes (see
-        // [`Maint::leave`]) and the anti-entropy actor regenerates
-        // what the crashes destroy.
-        let ring = Arc::new(ERing::with_config(
-            cfg.nodes,
-            cfg.seed ^ 0x5EED_0001,
-            ChordConfig {
-                replicas: 1,
-                ..ChordConfig::default()
-            },
-        ));
-        if cfg.stale_replica {
-            ring.arm_stale_replica_mutant();
-        }
-        if cfg.stale_cache_read {
-            ring.arm_stale_cache_mutant();
-        }
-        let erasure = Arc::new(ErasureDht::new(Arc::clone(&ring), ErasureConfig::new(k, m)));
-        if cfg.corrupt_fragment {
-            erasure.arm_corrupt_fragment_mutant();
-        }
-        if cfg.lazy_regen {
-            erasure.arm_lazy_regen_mutant();
-        }
-        let stack = CachedDht::with_capacity(
-            RetriedDht::new(
-                FaultyDht::new(Arc::clone(&erasure), net_profile(cfg)),
-                retry_policy(cfg),
-            ),
-            CACHE_CAPACITY,
-        );
-        (stack, Maint::Erasure { ring, erasure })
-    }
-}
 
 fn net_profile(cfg: &SimConfig) -> NetProfile {
     if cfg.drop_prob > 0.0 {
@@ -294,6 +50,25 @@ fn retry_policy(cfg: &SimConfig) -> RetryPolicy {
         seed: cfg.seed ^ 0x5EED_0003,
         ..RetryPolicy::default()
     }
+}
+
+/// A fresh ring storing `S`, with whichever ring mutants `cfg` arms.
+fn new_ring<S: Clone>(cfg: &SimConfig, replicas: usize) -> Arc<ChordDht<S>> {
+    let ring = ChordDht::with_config(
+        cfg.nodes,
+        cfg.seed ^ 0x5EED_0001,
+        ChordConfig {
+            replicas,
+            ..ChordConfig::default()
+        },
+    );
+    if cfg.stale_replica {
+        ring.arm_stale_replica_mutant();
+    }
+    if cfg.stale_cache_read {
+        ring.arm_stale_cache_mutant();
+    }
+    Arc::new(ring)
 }
 
 /// Location-cache capacity for the simulated index stack. Small
@@ -359,9 +134,19 @@ enum Chooser {
     Scripted { picks: Vec<u32>, at: usize },
 }
 
-struct World<S: StackBuild> {
-    maint: Maint,
-    index: LhtIndex<S, u32>,
+struct World {
+    /// The ring the stabilize and churn actors drive.
+    ring: Arc<dyn RingControl>,
+    /// The durability tier, when one owns redundancy. Its anti-entropy
+    /// rounds take the ring key-sync's slot in the actor table, so the
+    /// actor count (and with it every plain-mode schedule trace) is
+    /// the same in every mode.
+    tier: Option<Arc<dyn TierMaintenance>>,
+    /// Whether a churn departure crashes the node (what it stored is
+    /// lost) instead of leaving gracefully (its keys move to its
+    /// successor).
+    crash_on_leave: bool,
+    index: LhtIndex<BoxDht<'static, LeafBucket<u32>>, u32>,
     log: Arc<HistoryLog<u32>>,
     plans: Vec<ClientPlan>,
     churn_rng: StdRng,
@@ -373,9 +158,67 @@ struct World<S: StackBuild> {
     schedule: Vec<u32>,
 }
 
-impl<S: StackBuild> World<S> {
-    fn build(cfg: &SimConfig) -> World<S> {
-        let (stack, maint) = S::build(cfg);
+impl World {
+    /// Builds the world `cfg` describes (see [`simulate`] for which
+    /// stack a configuration selects). Under a tier the ring runs
+    /// single-copy: the tier owns redundancy, so the ring's key-sync
+    /// would have nothing to reconcile. Mutants are armed here, on the
+    /// typed handles, before the stored value types are erased.
+    fn build(cfg: &SimConfig) -> World {
+        let base: BoxDht<'static, LeafBucket<u32>>;
+        let ring: Arc<dyn RingControl>;
+        let tier: Option<Arc<dyn TierMaintenance>>;
+        let mut crash_on_leave = false;
+        if let Some((k, m)) = cfg.erasure_params() {
+            assert!(
+                cfg.quorum_params().is_none(),
+                "quorum and erasure stacks are mutually exclusive"
+            );
+            let fragments = new_ring::<Fragment>(cfg, 1);
+            let coded = Arc::new(ErasureDht::new(
+                Arc::clone(&fragments),
+                ErasureConfig::new(k, m),
+            ));
+            if cfg.corrupt_fragment {
+                coded.arm_corrupt_fragment_mutant();
+            }
+            if cfg.lazy_regen {
+                coded.arm_lazy_regen_mutant();
+            }
+            // Surviving the outright loss of a departed node's
+            // fragments is the coded tier's contract, and it is what
+            // gives a broken regeneration path schedules where it
+            // destroys data.
+            crash_on_leave = true;
+            base = Box::new(Arc::clone(&coded));
+            ring = fragments;
+            tier = Some(coded);
+        } else if let Some((n, r, w)) = cfg.quorum_params() {
+            let slots = new_ring::<Versioned<LeafBucket<u32>>>(cfg, 1);
+            let quorum = Arc::new(QuorumDht::new(
+                Arc::clone(&slots),
+                QuorumConfig::new(n, r, w),
+            ));
+            if cfg.sloppy_quorum_read {
+                quorum.arm_sloppy_read_mutant();
+            }
+            if cfg.lost_write_ack {
+                quorum.arm_lost_write_ack_mutant();
+            }
+            base = Box::new(Arc::clone(&quorum));
+            ring = slots;
+            tier = Some(quorum);
+        } else {
+            let buckets = new_ring::<LeafBucket<u32>>(cfg, cfg.replicas);
+            base = Box::new(Arc::clone(&buckets));
+            ring = buckets;
+            tier = None;
+        }
+        let stack = client_tower(
+            base,
+            Some((net_profile(cfg), retry_policy(cfg))),
+            Some(CACHE_CAPACITY),
+        );
         let index = LhtIndex::new(stack, LhtConfig::new(cfg.theta_split, cfg.max_depth))
             .expect("bootstrap on a fresh ring");
         let log = HistoryLog::new();
@@ -389,7 +232,9 @@ impl<S: StackBuild> World<S> {
         next_ready[cfg.clients as usize + 1] = KEY_SYNC_INTERVAL;
         next_ready[cfg.clients as usize + 2] = CHURN_INTERVAL;
         World {
-            maint,
+            ring,
+            tier,
+            crash_on_leave,
             index,
             log,
             plans: client_plans(cfg),
@@ -426,7 +271,11 @@ impl<S: StackBuild> World<S> {
         } else if actor == c {
             "stabilize".to_string()
         } else if actor == c + 1 {
-            self.maint.sync_name().to_string()
+            let sync = match self.tier {
+                Some(_) => "anti-entropy",
+                None => "key-sync",
+            };
+            sync.to_string()
         } else {
             "churn".to_string()
         }
@@ -439,13 +288,18 @@ impl<S: StackBuild> World<S> {
         let desc = if actor < c {
             self.client_step(cfg, actor)
         } else if actor == c {
-            self.maint.stabilize_step();
+            self.ring.stabilize_step();
             self.next_ready[actor] = t + STABILIZE_INTERVAL;
             "round".to_string()
         } else if actor == c + 1 {
-            let desc = self.maint.sync_step();
             self.next_ready[actor] = t + KEY_SYNC_INTERVAL;
-            desc
+            match &self.tier {
+                Some(tier) => format!("round writes={}", tier.anti_entropy_step()),
+                None => {
+                    self.ring.key_sync_step();
+                    "round".to_string()
+                }
+            }
         } else {
             self.churn_step(cfg, actor)
         };
@@ -513,17 +367,20 @@ impl<S: StackBuild> World<S> {
     fn churn_step(&mut self, cfg: &SimConfig, actor: usize) -> String {
         self.done_ops[actor] += 1;
         self.next_ready[actor] = self.now + CHURN_INTERVAL;
-        let shrunk = self.maint.node_count() <= cfg.nodes / MIN_RING_FRACTION;
+        let shrunk = self.ring.node_count() <= cfg.nodes / MIN_RING_FRACTION;
         let leave = !shrunk && self.churn_rng.gen_bool(0.5);
         if leave {
-            let ids: Vec<U160> = self.maint.node_ids();
+            let ids: Vec<U160> = self.ring.snapshot().node_ids;
             let victim = ids[self.churn_rng.gen_range(0..ids.len())];
-            let ok = self.maint.leave(&victim);
-            format!("{} {victim} -> {ok}", self.maint.leave_verb())
+            if self.crash_on_leave {
+                format!("crash {victim} -> {}", self.ring.crash(&victim))
+            } else {
+                format!("leave {victim} -> {}", self.ring.leave(&victim))
+            }
         } else {
             self.joined += 1;
             let name = format!("sim:{}", self.joined);
-            let id = self.maint.join(&name);
+            let id = self.ring.join(&name);
             format!("join {name} -> {:?}", id.map(|i| i.to_string()))
         }
     }
@@ -532,8 +389,8 @@ impl<S: StackBuild> World<S> {
 /// Runs the scheduler loop to completion (all client operations
 /// executed for a random chooser; schedule exhausted for a scripted
 /// one).
-fn run<S: StackBuild>(cfg: &SimConfig, mut chooser: Chooser) -> World<S> {
-    let mut world = World::<S>::build(cfg);
+fn run(cfg: &SimConfig, mut chooser: Chooser) -> World {
+    let mut world = World::build(cfg);
     loop {
         match &mut chooser {
             Chooser::Random(rng) => {
@@ -571,7 +428,7 @@ fn run<S: StackBuild>(cfg: &SimConfig, mut chooser: Chooser) -> World<S> {
     world
 }
 
-fn verdict_of<S: StackBuild>(cfg: &SimConfig, world: &World<S>) -> (SimVerdict, usize) {
+fn verdict_of(cfg: &SimConfig, world: &World) -> (SimVerdict, usize) {
     let history = world.log.snapshot();
     let result = checker::check(&history, cfg.strict(), cfg.check_budget);
     let verdict = match result.outcome {
@@ -584,7 +441,7 @@ fn verdict_of<S: StackBuild>(cfg: &SimConfig, world: &World<S>) -> (SimVerdict, 
         },
         Outcome::NotLinearizable { witness } => {
             let minimized = shrink::shrink(&world.schedule, |candidate| {
-                let replayed = run::<S>(
+                let replayed = run(
                     cfg,
                     Chooser::Scripted {
                         picks: candidate.to_vec(),
@@ -619,21 +476,7 @@ fn verdict_of<S: StackBuild>(cfg: &SimConfig, world: &World<S>) -> (SimVerdict, 
 /// otherwise the historical plain stack runs with byte-identical
 /// traces. Quorum and erasure are mutually exclusive.
 pub fn simulate(cfg: &SimConfig) -> SimReport {
-    if cfg.erasure_params().is_some() {
-        assert!(
-            cfg.quorum_params().is_none(),
-            "quorum and erasure stacks are mutually exclusive"
-        );
-        simulate_on::<EStack>(cfg)
-    } else if cfg.quorum_params().is_some() {
-        simulate_on::<QStack>(cfg)
-    } else {
-        simulate_on::<Stack>(cfg)
-    }
-}
-
-fn simulate_on<S: StackBuild>(cfg: &SimConfig) -> SimReport {
-    let world = run::<S>(cfg, Chooser::Random(StdRng::seed_from_u64(cfg.seed)));
+    let world = run(cfg, Chooser::Random(StdRng::seed_from_u64(cfg.seed)));
     // Accounting soundness rides along with every simulation: the
     // layered stack's counters must satisfy the DhtStats contract
     // regardless of which schedule the chooser explored.
@@ -658,21 +501,7 @@ fn simulate_on<S: StackBuild>(cfg: &SimConfig) -> SimReport {
 /// the resulting history. The verdict's `minimized` schedule is the
 /// replayed schedule itself — replay does not re-shrink.
 pub fn replay_schedule(cfg: &SimConfig, schedule: &[u32]) -> SimReport {
-    if cfg.erasure_params().is_some() {
-        assert!(
-            cfg.quorum_params().is_none(),
-            "quorum and erasure stacks are mutually exclusive"
-        );
-        replay_on::<EStack>(cfg, schedule)
-    } else if cfg.quorum_params().is_some() {
-        replay_on::<QStack>(cfg, schedule)
-    } else {
-        replay_on::<Stack>(cfg, schedule)
-    }
-}
-
-fn replay_on<S: StackBuild>(cfg: &SimConfig, schedule: &[u32]) -> SimReport {
-    let world = run::<S>(
+    let world = run(
         cfg,
         Chooser::Scripted {
             picks: schedule.to_vec(),

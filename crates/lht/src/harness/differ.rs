@@ -11,9 +11,9 @@
 use lht_core::{audit, KeyInterval, LeafBucket, LhtConfig, LhtError, LhtIndex};
 use lht_dht::gf256::ReedSolomon;
 use lht_dht::{
-    split_fragment_key, split_slot_key, CachedDht, ChordConfig, ChordDht, Dht, DhtKey, DhtStats,
-    DirectDht, ErasureConfig, ErasureDht, ErasurePayload, FaultyDht, Fragment, NetProfile,
-    QuorumConfig, QuorumDht, RetriedDht, RetryPolicy, Versioned,
+    client_tower, split_fragment_key, split_slot_key, BoxDht, ChordConfig, ChordDht, Dht, DhtKey,
+    DhtStats, DirectDht, ErasureConfig, ErasureDht, ErasurePayload, Fragment, NetProfile,
+    QuorumConfig, QuorumDht, RetryPolicy, RingControl, TierMaintenance, Versioned,
 };
 use lht_dst::{DstConfig, DstIndex, DstNode};
 use lht_id::KeyFraction;
@@ -79,6 +79,21 @@ impl std::fmt::Display for IndexKind {
 }
 
 /// Parameters of one differential soak.
+///
+/// # Which cells honour which layer
+///
+/// The optional layers exist only where the stack they belong to
+/// does. [`run_trace`] applies these rules once, up front, and a
+/// layer requested on any other cell is ignored:
+///
+/// | fields | honoured on |
+/// |---|---|
+/// | `net` + `retry` | every substrate, every index |
+/// | `churn`, `maintenance_loss` | Chord |
+/// | `route_cache` | Chord, LHT or PHT primary (the routed stacks a cache accelerates) |
+/// | `quorum`, `erasure` (mutually exclusive) | Chord, LHT primary |
+/// | `mirror_pht` | Direct, LHT primary, no `net` |
+/// | `inject_loss_at` | Direct |
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SoakOptions {
     /// Trace seed: the whole run is reproducible from this value.
@@ -97,49 +112,46 @@ pub struct SoakOptions {
     /// (and always once at the end).
     pub audit_every: usize,
     /// Mirror every mutation into a PHT baseline and diff its answers
-    /// too (Direct substrate, LHT primary, no fault layer only;
-    /// ignored otherwise).
+    /// too. Off under a fault layer: mirroring diffs a second whole
+    /// index per op, and a lossy run is about the primary's
+    /// degradation.
     pub mirror_pht: bool,
-    /// Interleave ring churn ops into the trace (applied on Chord;
-    /// skipped on Direct).
+    /// Interleave ring churn ops into the trace.
     pub churn: bool,
     /// Wrap the substrate in a lossy network: every index-issued RPC
-    /// goes through a [`FaultyDht`] with this profile, masked by a
-    /// [`RetriedDht`] running [`SoakOptions::retry`]. The differential
-    /// contract is unchanged — retries must fully absorb the loss.
+    /// goes through a [`FaultyDht`](lht_dht::FaultyDht) with this
+    /// profile, masked by a [`RetriedDht`](lht_dht::RetriedDht)
+    /// running [`SoakOptions::retry`]. The differential contract is
+    /// unchanged — retries must fully absorb the loss.
     pub net: Option<NetProfile>,
     /// Retry stack configuration (used only when `net` is set).
     pub retry: RetryPolicy,
     /// Probability each Chord maintenance RPC (stabilize round /
-    /// key-sync transfer) is lost; 0 everywhere else.
+    /// key-sync transfer) is lost.
     pub maintenance_loss: f64,
-    /// Wrap the index's substrate stack in a [`CachedDht`] location
-    /// cache of this capacity — outermost, above any retry/fault
-    /// layers, so each logical lookup consults the cache once and
-    /// probes travel the lossy network like every other RPC. Applied
-    /// on the Chord substrate for the LHT and PHT schemes (the
-    /// routed stacks the cache accelerates); ignored elsewhere. The
-    /// differential contract is unchanged: a cached answer must never
-    /// differ from an uncached one.
+    /// Wrap the index's substrate stack in a
+    /// [`CachedDht`](lht_dht::CachedDht) location cache of this
+    /// capacity — outermost, above any retry/fault layers, so each
+    /// logical lookup consults the cache once and probes travel the
+    /// lossy network like every other RPC. The differential contract
+    /// is unchanged: a cached answer must never differ from an
+    /// uncached one.
     pub route_cache: Option<usize>,
     /// Sabotage: silently destroy one stored leaf bucket after this
-    /// many ops (Direct substrate only). The soak MUST then fail —
-    /// this is how tests prove the harness detects re-introduced
-    /// faults rather than vacuously passing.
+    /// many ops. The soak MUST then fail — this is how tests prove the
+    /// harness detects re-introduced faults rather than vacuously
+    /// passing.
     pub inject_loss_at: Option<usize>,
     /// Replicate every logical key through a [`QuorumDht`] with these
-    /// `(n, r, w)` parameters (Chord substrate, LHT primary only;
-    /// ignored elsewhere). The ring then runs single-copy — the
+    /// `(n, r, w)` parameters. The ring then runs single-copy — the
     /// quorum layer owns redundancy — and the repair counters land in
     /// [`SoakReport::repair_transfers`] /
     /// [`SoakReport::repair_bandwidth`].
     pub quorum: Option<(usize, usize, usize)>,
     /// Erasure-code every logical key into `(k, m)` Reed–Solomon
-    /// fragment groups through an [`ErasureDht`] (Chord substrate,
-    /// LHT primary only; ignored elsewhere). The ring runs
+    /// fragment groups through an [`ErasureDht`]. The ring runs
     /// single-copy — the coded group owns redundancy — and repair
     /// counters land in the same report fields as the quorum tier's.
-    /// Mutually exclusive with [`SoakOptions::quorum`].
     pub erasure: Option<(usize, usize)>,
 }
 
@@ -542,390 +554,173 @@ pub fn run_soak(opts: &SoakOptions) -> Result<SoakReport, Box<DiffFailure>> {
 ///
 /// Same contract as [`run_soak`].
 pub fn run_trace(trace: &Trace, opts: &SoakOptions) -> Result<SoakReport, Box<DiffFailure>> {
-    let cfg = LhtConfig::new(opts.theta, opts.max_depth);
-    match opts.substrate {
-        SubstrateKind::Direct => match opts.index {
+    // Which optional layers this cell honours (the table on
+    // [`SoakOptions`]), decided here and nowhere else.
+    let on_chord = matches!(opts.substrate, SubstrateKind::Chord { .. });
+    let lht = opts.index == IndexKind::Lht;
+    let run = Run {
+        trace,
+        opts,
+        cfg: LhtConfig::new(opts.theta, opts.max_depth),
+        net: opts.net.map(|profile| (profile, opts.retry)),
+        cache: opts
+            .route_cache
+            .filter(|_| on_chord && (lht || opts.index == IndexKind::Pht)),
+    };
+    let quorum = opts.quorum.filter(|_| on_chord && lht);
+    let erasure = opts.erasure.filter(|_| on_chord && lht);
+    assert!(
+        quorum.is_none() || erasure.is_none(),
+        "the quorum and erasure tiers are mutually exclusive"
+    );
+
+    let SubstrateKind::Chord { nodes, replicas } = opts.substrate else {
+        return match opts.index {
             IndexKind::Lht => {
-                let dht: DirectDht<LeafBucket<u32>> = DirectDht::new();
                 let pht_dht: DirectDht<PhtNode<u32>> = DirectDht::new();
-                // Mirroring diffs a second whole index per op; under a
-                // fault layer the run is about the primary's
-                // degradation, so the mirror stays off.
                 let mirror = if opts.mirror_pht && opts.net.is_none() {
                     Some(PhtMirror {
                         dht: &pht_dht,
-                        ix: PhtIndex::new(&pht_dht, cfg).map_err(|e| setup_failure(opts, e))?,
+                        ix: PhtIndex::new(&pht_dht, run.cfg).map_err(|e| setup_failure(opts, e))?,
                     })
                 } else {
                     None
                 };
-                let mut env = DirectEnv {
-                    dht: &dht,
-                    cfg,
-                    audit_entries: lht_entry_audit,
-                    optimal: Some(lht_optimal_buckets),
-                    mirror,
-                };
-                match opts.net {
-                    None => {
-                        let ix = LhtIndex::new(&dht, cfg).map_err(|e| setup_failure(opts, e))?;
-                        drive(&LhtDriver { ix: &ix }, trace, opts, &mut env)
-                    }
-                    Some(net) => {
-                        let lossy = RetriedDht::new(FaultyDht::new(&dht, net), opts.retry);
-                        let ix = LhtIndex::new(lossy, cfg).map_err(|e| setup_failure(opts, e))?;
-                        drive(&LhtDriver { ix: &ix }, trace, opts, &mut env)
-                    }
-                }
+                run.over_direct::<LeafBucket<u32>>(Some(lht_optimal_buckets), mirror)
             }
-            IndexKind::Pht => {
-                let dht: DirectDht<PhtNode<u32>> = DirectDht::new();
-                let mut env = DirectEnv {
-                    dht: &dht,
-                    cfg,
-                    audit_entries: pht_entry_audit,
-                    optimal: None,
-                    mirror: None,
-                };
-                match opts.net {
-                    None => {
-                        let ix = PhtIndex::new(&dht, cfg).map_err(|e| setup_failure(opts, e))?;
-                        drive(&PhtDriver { ix: &ix }, trace, opts, &mut env)
-                    }
-                    Some(net) => {
-                        let lossy = RetriedDht::new(FaultyDht::new(&dht, net), opts.retry);
-                        let ix = PhtIndex::new(lossy, cfg).map_err(|e| setup_failure(opts, e))?;
-                        drive(&PhtDriver { ix: &ix }, trace, opts, &mut env)
-                    }
-                }
-            }
-            IndexKind::Dst => {
-                let dht: DirectDht<DstNode<u32>> = DirectDht::new();
-                let mut env = DirectEnv {
-                    dht: &dht,
-                    cfg,
-                    audit_entries: dst_entry_audit,
-                    optimal: None,
-                    mirror: None,
-                };
-                match opts.net {
-                    None => {
-                        let ix = DstIndex::new(&dht, dst_config())
-                            .map_err(|e| setup_failure(opts, e))?;
-                        drive(&DstDriver { ix: &ix }, trace, opts, &mut env)
-                    }
-                    Some(net) => {
-                        let lossy = RetriedDht::new(FaultyDht::new(&dht, net), opts.retry);
-                        let ix = DstIndex::new(lossy, dst_config())
-                            .map_err(|e| setup_failure(opts, e))?;
-                        drive(&DstDriver { ix: &ix }, trace, opts, &mut env)
-                    }
-                }
-            }
-            IndexKind::Rst => {
-                let dht: DirectDht<RstNode<u32>> = DirectDht::new();
-                let mut env = DirectEnv {
-                    dht: &dht,
-                    cfg,
-                    audit_entries: rst_entry_audit,
-                    optimal: None,
-                    mirror: None,
-                };
-                match opts.net {
-                    None => {
-                        let ix = RstIndex::new(&dht, cfg).map_err(|e| setup_failure(opts, e))?;
-                        drive(&RstDriver { ix: &ix }, trace, opts, &mut env)
-                    }
-                    Some(net) => {
-                        let lossy = RetriedDht::new(FaultyDht::new(&dht, net), opts.retry);
-                        let ix = RstIndex::new(lossy, cfg).map_err(|e| setup_failure(opts, e))?;
-                        drive(&RstDriver { ix: &ix }, trace, opts, &mut env)
-                    }
-                }
-            }
-        },
-        SubstrateKind::Chord { nodes, replicas } => {
-            let chord_cfg = ChordConfig {
-                replicas,
-                maintenance_loss: opts.maintenance_loss,
-                ..ChordConfig::default()
-            };
-            match opts.index {
-                IndexKind::Lht if opts.erasure.is_some() => {
-                    assert!(
-                        opts.quorum.is_none(),
-                        "the quorum and erasure tiers are mutually exclusive"
-                    );
-                    let (k, m) = opts.erasure.expect("guarded by the match arm");
-                    // The coded group owns redundancy; the ring stores
-                    // one copy of each fragment slot.
-                    let dht: ChordDht<Fragment> = ChordDht::with_config(
-                        nodes,
-                        opts.seed ^ 0x5eed,
-                        ChordConfig {
-                            replicas: 1,
-                            maintenance_loss: opts.maintenance_loss,
-                            ..ChordConfig::default()
-                        },
-                    );
-                    let erasure: ErasureDht<_, LeafBucket<u32>> =
-                        ErasureDht::new(&dht, ErasureConfig::new(k, m));
-                    let mut env = ErasureChordEnv {
-                        dht: &dht,
-                        erasure: &erasure,
-                        cfg,
-                        rs: ReedSolomon::new(k, m),
-                        lossy_maintenance: opts.maintenance_loss > 0.0,
-                    };
-                    // As with the quorum tier, faults wrap the erasure
-                    // layer: a lost RPC drops the whole logical op
-                    // atomically, never a partial fragment scatter.
-                    let report = match (opts.net, opts.route_cache) {
-                        (None, None) => {
-                            let ix =
-                                LhtIndex::new(&erasure, cfg).map_err(|e| setup_failure(opts, e))?;
-                            drive(&LhtDriver { ix: &ix }, trace, opts, &mut env)
-                        }
-                        (None, Some(cap)) => {
-                            let cached = CachedDht::with_capacity(&erasure, cap);
-                            let ix =
-                                LhtIndex::new(cached, cfg).map_err(|e| setup_failure(opts, e))?;
-                            let report = drive(&LhtDriver { ix: &ix }, trace, opts, &mut env);
-                            annotate_cache(report, &Dht::stats(ix.dht()))
-                        }
-                        (Some(net), None) => {
-                            let lossy = RetriedDht::new(FaultyDht::new(&erasure, net), opts.retry);
-                            let ix =
-                                LhtIndex::new(lossy, cfg).map_err(|e| setup_failure(opts, e))?;
-                            drive(&LhtDriver { ix: &ix }, trace, opts, &mut env)
-                        }
-                        (Some(net), Some(cap)) => {
-                            let lossy = RetriedDht::new(FaultyDht::new(&erasure, net), opts.retry);
-                            let cached = CachedDht::with_capacity(lossy, cap);
-                            let ix =
-                                LhtIndex::new(cached, cfg).map_err(|e| setup_failure(opts, e))?;
-                            let report = drive(&LhtDriver { ix: &ix }, trace, opts, &mut env);
-                            annotate_cache(report, &Dht::stats(ix.dht()))
-                        }
-                    };
-                    annotate_repair(report, &Dht::stats(&erasure))
-                }
-                IndexKind::Lht if opts.quorum.is_some() => {
-                    let (n, r, w) = opts.quorum.expect("guarded by the match arm");
-                    // The quorum layer owns redundancy; the ring
-                    // stores one copy of each versioned slot.
-                    let dht: ChordDht<Versioned<LeafBucket<u32>>> = ChordDht::with_config(
-                        nodes,
-                        opts.seed ^ 0x5eed,
-                        ChordConfig {
-                            replicas: 1,
-                            maintenance_loss: opts.maintenance_loss,
-                            ..ChordConfig::default()
-                        },
-                    );
-                    let quorum = QuorumDht::new(&dht, QuorumConfig::new(n, r, w));
-                    let mut env = QuorumChordEnv {
-                        dht: &dht,
-                        quorum: &quorum,
-                        cfg,
-                        lossy_maintenance: opts.maintenance_loss > 0.0,
-                    };
-                    // Faults wrap the quorum layer, not the slots
-                    // under it: a lost RPC drops the whole logical op
-                    // atomically, so the oracle never sees a partial
-                    // quorum write. (Per-replica loss *inside* the
-                    // quorum is E20's availability experiment, which
-                    // measures rather than asserts.)
-                    let report = match (opts.net, opts.route_cache) {
-                        (None, None) => {
-                            let ix =
-                                LhtIndex::new(&quorum, cfg).map_err(|e| setup_failure(opts, e))?;
-                            drive(&LhtDriver { ix: &ix }, trace, opts, &mut env)
-                        }
-                        (None, Some(cap)) => {
-                            let cached = CachedDht::with_capacity(&quorum, cap);
-                            let ix =
-                                LhtIndex::new(cached, cfg).map_err(|e| setup_failure(opts, e))?;
-                            let report = drive(&LhtDriver { ix: &ix }, trace, opts, &mut env);
-                            annotate_cache(report, &Dht::stats(ix.dht()))
-                        }
-                        (Some(net), None) => {
-                            let lossy = RetriedDht::new(FaultyDht::new(&quorum, net), opts.retry);
-                            let ix =
-                                LhtIndex::new(lossy, cfg).map_err(|e| setup_failure(opts, e))?;
-                            drive(&LhtDriver { ix: &ix }, trace, opts, &mut env)
-                        }
-                        (Some(net), Some(cap)) => {
-                            let lossy = RetriedDht::new(FaultyDht::new(&quorum, net), opts.retry);
-                            let cached = CachedDht::with_capacity(lossy, cap);
-                            let ix =
-                                LhtIndex::new(cached, cfg).map_err(|e| setup_failure(opts, e))?;
-                            let report = drive(&LhtDriver { ix: &ix }, trace, opts, &mut env);
-                            annotate_cache(report, &Dht::stats(ix.dht()))
-                        }
-                    };
-                    annotate_repair(report, &Dht::stats(&quorum))
-                }
-                IndexKind::Lht => {
-                    let dht: ChordDht<LeafBucket<u32>> =
-                        ChordDht::with_config(nodes, opts.seed ^ 0x5eed, chord_cfg);
-                    let mut env = ChordEnv {
-                        dht: &dht,
-                        cfg,
-                        audit_entries: lht_entry_audit,
-                        lossy_maintenance: opts.maintenance_loss > 0.0,
-                    };
-                    match (opts.net, opts.route_cache) {
-                        (None, None) => {
-                            let ix =
-                                LhtIndex::new(&dht, cfg).map_err(|e| setup_failure(opts, e))?;
-                            drive(&LhtDriver { ix: &ix }, trace, opts, &mut env)
-                        }
-                        (None, Some(cap)) => {
-                            let cached = CachedDht::with_capacity(&dht, cap);
-                            let ix =
-                                LhtIndex::new(cached, cfg).map_err(|e| setup_failure(opts, e))?;
-                            let report = drive(&LhtDriver { ix: &ix }, trace, opts, &mut env);
-                            annotate_cache(report, &Dht::stats(ix.dht()))
-                        }
-                        (Some(net), None) => {
-                            let lossy = RetriedDht::new(FaultyDht::new(&dht, net), opts.retry);
-                            let ix =
-                                LhtIndex::new(lossy, cfg).map_err(|e| setup_failure(opts, e))?;
-                            drive(&LhtDriver { ix: &ix }, trace, opts, &mut env)
-                        }
-                        (Some(net), Some(cap)) => {
-                            let lossy = RetriedDht::new(FaultyDht::new(&dht, net), opts.retry);
-                            let cached = CachedDht::with_capacity(lossy, cap);
-                            let ix =
-                                LhtIndex::new(cached, cfg).map_err(|e| setup_failure(opts, e))?;
-                            let report = drive(&LhtDriver { ix: &ix }, trace, opts, &mut env);
-                            annotate_cache(report, &Dht::stats(ix.dht()))
-                        }
-                    }
-                }
-                IndexKind::Pht => {
-                    let dht: ChordDht<PhtNode<u32>> =
-                        ChordDht::with_config(nodes, opts.seed ^ 0x5eed, chord_cfg);
-                    let mut env = ChordEnv {
-                        dht: &dht,
-                        cfg,
-                        audit_entries: pht_entry_audit,
-                        lossy_maintenance: opts.maintenance_loss > 0.0,
-                    };
-                    match (opts.net, opts.route_cache) {
-                        (None, None) => {
-                            let ix =
-                                PhtIndex::new(&dht, cfg).map_err(|e| setup_failure(opts, e))?;
-                            drive(&PhtDriver { ix: &ix }, trace, opts, &mut env)
-                        }
-                        (None, Some(cap)) => {
-                            let cached = CachedDht::with_capacity(&dht, cap);
-                            let ix =
-                                PhtIndex::new(cached, cfg).map_err(|e| setup_failure(opts, e))?;
-                            let report = drive(&PhtDriver { ix: &ix }, trace, opts, &mut env);
-                            annotate_cache(report, &Dht::stats(ix.dht()))
-                        }
-                        (Some(net), None) => {
-                            let lossy = RetriedDht::new(FaultyDht::new(&dht, net), opts.retry);
-                            let ix =
-                                PhtIndex::new(lossy, cfg).map_err(|e| setup_failure(opts, e))?;
-                            drive(&PhtDriver { ix: &ix }, trace, opts, &mut env)
-                        }
-                        (Some(net), Some(cap)) => {
-                            let lossy = RetriedDht::new(FaultyDht::new(&dht, net), opts.retry);
-                            let cached = CachedDht::with_capacity(lossy, cap);
-                            let ix =
-                                PhtIndex::new(cached, cfg).map_err(|e| setup_failure(opts, e))?;
-                            let report = drive(&PhtDriver { ix: &ix }, trace, opts, &mut env);
-                            annotate_cache(report, &Dht::stats(ix.dht()))
-                        }
-                    }
-                }
-                IndexKind::Dst => {
-                    let dht: ChordDht<DstNode<u32>> =
-                        ChordDht::with_config(nodes, opts.seed ^ 0x5eed, chord_cfg);
-                    let mut env = ChordEnv {
-                        dht: &dht,
-                        cfg,
-                        audit_entries: dst_entry_audit,
-                        lossy_maintenance: opts.maintenance_loss > 0.0,
-                    };
-                    match opts.net {
-                        None => {
-                            let ix = DstIndex::new(&dht, dst_config())
-                                .map_err(|e| setup_failure(opts, e))?;
-                            drive(&DstDriver { ix: &ix }, trace, opts, &mut env)
-                        }
-                        Some(net) => {
-                            let lossy = RetriedDht::new(FaultyDht::new(&dht, net), opts.retry);
-                            let ix = DstIndex::new(lossy, dst_config())
-                                .map_err(|e| setup_failure(opts, e))?;
-                            drive(&DstDriver { ix: &ix }, trace, opts, &mut env)
-                        }
-                    }
-                }
-                IndexKind::Rst => {
-                    let dht: ChordDht<RstNode<u32>> =
-                        ChordDht::with_config(nodes, opts.seed ^ 0x5eed, chord_cfg);
-                    let mut env = ChordEnv {
-                        dht: &dht,
-                        cfg,
-                        audit_entries: rst_entry_audit,
-                        lossy_maintenance: opts.maintenance_loss > 0.0,
-                    };
-                    match opts.net {
-                        None => {
-                            let ix =
-                                RstIndex::new(&dht, cfg).map_err(|e| setup_failure(opts, e))?;
-                            drive(&RstDriver { ix: &ix }, trace, opts, &mut env)
-                        }
-                        Some(net) => {
-                            let lossy = RetriedDht::new(FaultyDht::new(&dht, net), opts.retry);
-                            let ix =
-                                RstIndex::new(lossy, cfg).map_err(|e| setup_failure(opts, e))?;
-                            drive(&RstDriver { ix: &ix }, trace, opts, &mut env)
-                        }
-                    }
-                }
-            }
+            IndexKind::Pht => run.over_direct::<PhtNode<u32>>(None, None),
+            IndexKind::Dst => run.over_direct::<DstNode<u32>>(None, None),
+            IndexKind::Rst => run.over_direct::<RstNode<u32>>(None, None),
+        };
+    };
+
+    // Under a tier the ring stores one copy of each slot: the tier
+    // owns redundancy. Faults wrap the tier, not the slots under it —
+    // a lost RPC drops the whole logical op atomically, so the oracle
+    // never sees a partial quorum write or fragment scatter.
+    // (Per-slot loss *inside* a tier is E20's availability
+    // experiment, which measures rather than asserts.)
+    if let Some((k, m)) = erasure {
+        let ring: ChordDht<Fragment> = run.ring(nodes, 1);
+        let tier: ErasureDht<_, LeafBucket<u32>> = ErasureDht::new(&ring, ErasureConfig::new(k, m));
+        let rs = ReedSolomon::new(k, m);
+        let mut env = run.chord_env(&ring, Some(&tier), || {
+            erasure_projection(ring.all_entries(), &rs)
+        });
+        env.resync_lost_transfers = true;
+        run.over_chord(&tier, env)
+    } else if let Some((n, r, w)) = quorum {
+        let ring: ChordDht<Versioned<LeafBucket<u32>>> = run.ring(nodes, 1);
+        let tier = QuorumDht::new(&ring, QuorumConfig::new(n, r, w));
+        let env = run.chord_env(&ring, Some(&tier), || {
+            (quorum_projection(ring.all_entries()), Vec::new())
+        });
+        run.over_chord(&tier, env)
+    } else {
+        match opts.index {
+            IndexKind::Lht => run.over_plain_chord::<LeafBucket<u32>>(nodes, replicas),
+            IndexKind::Pht => run.over_plain_chord::<PhtNode<u32>>(nodes, replicas),
+            IndexKind::Dst => run.over_plain_chord::<DstNode<u32>>(nodes, replicas),
+            IndexKind::Rst => run.over_plain_chord::<RstNode<u32>>(nodes, replicas),
         }
     }
 }
 
-/// The DST shape the harness runs: the crate default (height 12 —
-/// resolution 2⁻¹², capacity 100), independent of the LHT θ under
-/// test.
-fn dst_config() -> DstConfig {
-    DstConfig::default()
+/// One soak's inputs after the accepted-combination rules: what every
+/// typed arm of [`run_trace`] hands to the one place that assembles
+/// the tower and drives the trace.
+struct Run<'a> {
+    trace: &'a Trace,
+    opts: &'a SoakOptions,
+    cfg: LhtConfig,
+    net: Option<(NetProfile, RetryPolicy)>,
+    cache: Option<usize>,
 }
 
-/// Copies the location cache's counters from the stack's final stats
-/// into a finished report, so cached soaks can prove the cache was
-/// actually exercised.
-fn annotate_cache(
-    report: Result<SoakReport, Box<DiffFailure>>,
-    stats: &DhtStats,
-) -> Result<SoakReport, Box<DiffFailure>> {
-    report.map(|mut r| {
-        r.cache_hits = stats.cache_hits;
-        r.cache_stale = stats.cache_stale;
-        r
-    })
+impl Run<'_> {
+    fn over_direct<V: Scheme>(
+        &self,
+        optimal: Option<fn(&DirectDht<V>, &KeyInterval) -> u64>,
+        mirror: Option<PhtMirror<'_>>,
+    ) -> Result<SoakReport, Box<DiffFailure>> {
+        let dht: DirectDht<V> = DirectDht::new();
+        let mut env = DirectEnv {
+            dht: &dht,
+            cfg: self.cfg,
+            optimal,
+            mirror,
+        };
+        V::drive(client_tower(&dht, self.net, None), self, &mut env)
+    }
+
+    fn ring<S>(&self, nodes: usize, replicas: usize) -> ChordDht<S> {
+        let cfg = ChordConfig {
+            replicas,
+            maintenance_loss: self.opts.maintenance_loss,
+            ..ChordConfig::default()
+        };
+        ChordDht::with_config(nodes, self.opts.seed ^ 0x5eed, cfg)
+    }
+
+    fn chord_env<'e, V>(
+        &self,
+        ring: &'e dyn RingControl,
+        tier: Option<&'e dyn TierMaintenance>,
+        entries: impl Fn() -> (Vec<(DhtKey, V)>, Vec<String>) + 'e,
+    ) -> ChordEnv<'e, V> {
+        ChordEnv {
+            ring,
+            tier,
+            entries: Box::new(entries),
+            cfg: self.cfg,
+            lossy_maintenance: self.opts.maintenance_loss > 0.0,
+            resync_lost_transfers: false,
+        }
+    }
+
+    fn over_plain_chord<V: Scheme>(
+        &self,
+        nodes: usize,
+        replicas: usize,
+    ) -> Result<SoakReport, Box<DiffFailure>> {
+        let ring: ChordDht<V> = self.ring(nodes, replicas);
+        let env = self.chord_env(&ring, None, || (ring.all_entries(), Vec::new()));
+        self.over_chord(&ring, env)
+    }
+
+    /// `base` is the ring or the tier over it; `env` holds the same
+    /// world with its stored value type erased.
+    fn over_chord<'e, V: Scheme + 'e>(
+        &self,
+        base: impl Dht<Value = V> + 'e,
+        mut env: ChordEnv<'e, V>,
+    ) -> Result<SoakReport, Box<DiffFailure>> {
+        let mut report = V::drive(client_tower(base, self.net, self.cache), self, &mut env)?;
+        // The repair counters live on the tier, below the client-side
+        // layers, so a tiered soak can hold its maintenance traffic
+        // against the availability it bought.
+        if let Some(tier) = env.tier {
+            let stats = tier.stats();
+            report.repair_transfers = stats.repair_transfers;
+            report.repair_bandwidth = stats.repair_bandwidth;
+        }
+        Ok(report)
+    }
 }
 
-/// Copies the quorum layer's repair counters into a finished report,
-/// so quorum soaks can hold their maintenance traffic against the
-/// availability they bought.
-fn annotate_repair(
-    report: Result<SoakReport, Box<DiffFailure>>,
-    stats: &DhtStats,
-) -> Result<SoakReport, Box<DiffFailure>> {
-    report.map(|mut r| {
-        r.repair_transfers = stats.repair_transfers;
-        r.repair_bandwidth = stats.repair_bandwidth;
-        r
-    })
+/// An index scheme, keyed by the node type it stores in the DHT: how
+/// to stand the index up over an assembled tower and drive the trace
+/// through it, and how to audit a materialized dump of its nodes.
+trait Scheme: Clone + Sized {
+    fn drive(
+        dht: BoxDht<'_, Self>,
+        run: &Run<'_>,
+        env: &mut impl SoakEnv,
+    ) -> Result<SoakReport, Box<DiffFailure>>;
+
+    /// Index-specific invariants over `(key, node)` entries, plus
+    /// record conservation against the oracle's `expect` snapshot.
+    fn audit(entries: Vec<(DhtKey, Self)>, cfg: LhtConfig, expect: &[(u64, u32)]) -> Vec<String>;
 }
 
 fn setup_failure(opts: &SoakOptions, e: impl std::fmt::Display) -> Box<DiffFailure> {
@@ -1156,133 +951,171 @@ where
     report.drops = stats.drops;
     report.timeouts = stats.timeouts;
     report.retries = stats.retries;
+    report.cache_hits = stats.cache_hits;
+    report.cache_stale = stats.cache_stale;
     Ok(report)
 }
 
-/// Index-specific invariant checking over a materialized `(key,
-/// value)` dump of the substrate, plus record conservation against
-/// the oracle's `expect` snapshot. Plugged into the envs as a fn
-/// pointer so one env type serves both index schemes.
-type EntryAudit<V> = fn(Vec<(DhtKey, V)>, LhtConfig, &[(u64, u32)]) -> Vec<String>;
+impl Scheme for LeafBucket<u32> {
+    fn drive(
+        dht: BoxDht<'_, Self>,
+        run: &Run<'_>,
+        env: &mut impl SoakEnv,
+    ) -> Result<SoakReport, Box<DiffFailure>> {
+        let ix = LhtIndex::new(dht, run.cfg).map_err(|e| setup_failure(run.opts, e))?;
+        drive(&LhtDriver { ix: &ix }, run.trace, run.opts, env)
+    }
 
-fn lht_entry_audit(
-    entries: Vec<(DhtKey, LeafBucket<u32>)>,
-    cfg: LhtConfig,
-    expect: &[(u64, u32)],
-) -> Vec<String> {
-    let records: Vec<(u64, u32)> = audit::entry_records(&entries)
-        .into_iter()
-        .map(|(k, v)| (k.bits(), v))
-        .collect();
-    let mut out: Vec<String> = audit::check_entries(entries, cfg)
-        .into_iter()
-        .map(|v| format!("lht: {v:?}"))
-        .collect();
-    if records != expect {
-        out.push(format!(
-            "lht: materialized {} records, oracle holds {}",
-            records.len(),
-            expect.len()
-        ));
-    }
-    out
-}
-
-fn pht_entry_audit(
-    entries: Vec<(DhtKey, PhtNode<u32>)>,
-    cfg: LhtConfig,
-    expect: &[(u64, u32)],
-) -> Vec<String> {
-    let mut out: Vec<String> = pht_audit::check_trie_entries(entries.clone(), cfg)
-        .into_iter()
-        .map(|v| format!("pht: {v:?}"))
-        .collect();
-    let records: Vec<(u64, u32)> = pht_audit::records_from_entries(entries)
-        .into_iter()
-        .map(|(k, v)| (k.bits(), v))
-        .collect();
-    if records != expect {
-        out.push(format!(
-            "pht: materialized {} records, oracle holds {}",
-            records.len(),
-            expect.len()
-        ));
-    }
-    out
-}
-
-/// DST audit. Records are replicated along root-leaf paths and a
-/// saturated ancestor legitimately keeps a stale value (queries
-/// descend past it), so value agreement is only required *somewhere*
-/// per key — the leaf always holds the authoritative copy. Key
-/// conservation is exact in both directions: no node may hold a key
-/// the oracle lost (removes erase the whole path) and no oracle key
-/// may be missing everywhere.
-fn dst_entry_audit(
-    entries: Vec<(DhtKey, DstNode<u32>)>,
-    _cfg: LhtConfig,
-    expect: &[(u64, u32)],
-) -> Vec<String> {
-    let mut values: std::collections::BTreeMap<u64, Vec<u32>> = std::collections::BTreeMap::new();
-    for (_, node) in &entries {
-        for (k, v) in node.records() {
-            values.entry(k.bits()).or_default().push(*v);
-        }
-    }
-    let mut out = Vec::new();
-    let keys: Vec<u64> = values.keys().copied().collect();
-    let expect_keys: Vec<u64> = expect.iter().map(|(k, _)| *k).collect();
-    if keys != expect_keys {
-        out.push(format!(
-            "dst: {} distinct keys stored, oracle holds {}",
-            keys.len(),
-            expect_keys.len()
-        ));
-    }
-    for (k, v) in expect {
-        if !values.get(k).is_some_and(|vs| vs.contains(v)) {
+    fn audit(entries: Vec<(DhtKey, Self)>, cfg: LhtConfig, expect: &[(u64, u32)]) -> Vec<String> {
+        let records: Vec<(u64, u32)> = audit::entry_records(&entries)
+            .into_iter()
+            .map(|(k, v)| (k.bits(), v))
+            .collect();
+        let mut out: Vec<String> = audit::check_entries(entries, cfg)
+            .into_iter()
+            .map(|v| format!("lht: {v:?}"))
+            .collect();
+        if records != expect {
             out.push(format!(
-                "dst: no replica of key {k:#018x} holds the oracle's value {v}"
+                "lht: materialized {} records, oracle holds {}",
+                records.len(),
+                expect.len()
             ));
         }
+        out
     }
-    out
 }
 
-/// RST audit: every record lives in exactly one leaf, so the sorted
-/// union of all stored record maps must equal the oracle verbatim;
-/// and the broadcast invariant — every stored structure replica lists
-/// exactly the live leaf set — must hold at every converged point.
-fn rst_entry_audit(
-    entries: Vec<(DhtKey, RstNode<u32>)>,
-    _cfg: LhtConfig,
-    expect: &[(u64, u32)],
-) -> Vec<String> {
-    let mut records: Vec<(u64, u32)> = entries
-        .iter()
-        .flat_map(|(_, n)| n.records.iter().map(|(k, v)| (k.bits(), *v)))
-        .collect();
-    records.sort_unstable();
-    let mut out = Vec::new();
-    if records != expect {
-        out.push(format!(
-            "rst: materialized {} records, oracle holds {}",
-            records.len(),
-            expect.len()
-        ));
+impl Scheme for PhtNode<u32> {
+    fn drive(
+        dht: BoxDht<'_, Self>,
+        run: &Run<'_>,
+        env: &mut impl SoakEnv,
+    ) -> Result<SoakReport, Box<DiffFailure>> {
+        let ix = PhtIndex::new(dht, run.cfg).map_err(|e| setup_failure(run.opts, e))?;
+        drive(&PhtDriver { ix: &ix }, run.trace, run.opts, env)
     }
-    let leaves = entries.len();
-    if let Some((_, node)) = entries
-        .iter()
-        .find(|(_, node)| node.structure.len() != leaves)
-    {
-        out.push(format!(
-            "rst: a structure replica lists {} leaves, {} entries live",
-            node.structure.len(),
-            leaves
-        ));
+
+    fn audit(entries: Vec<(DhtKey, Self)>, cfg: LhtConfig, expect: &[(u64, u32)]) -> Vec<String> {
+        let mut out: Vec<String> = pht_audit::check_trie_entries(entries.clone(), cfg)
+            .into_iter()
+            .map(|v| format!("pht: {v:?}"))
+            .collect();
+        let records: Vec<(u64, u32)> = pht_audit::records_from_entries(entries)
+            .into_iter()
+            .map(|(k, v)| (k.bits(), v))
+            .collect();
+        if records != expect {
+            out.push(format!(
+                "pht: materialized {} records, oracle holds {}",
+                records.len(),
+                expect.len()
+            ));
+        }
+        out
     }
-    out
+}
+
+impl Scheme for DstNode<u32> {
+    /// Runs the crate-default DST shape (height 12 — resolution 2⁻¹²,
+    /// capacity 100), independent of the LHT θ under test.
+    fn drive(
+        dht: BoxDht<'_, Self>,
+        run: &Run<'_>,
+        env: &mut impl SoakEnv,
+    ) -> Result<SoakReport, Box<DiffFailure>> {
+        let ix =
+            DstIndex::new(dht, DstConfig::default()).map_err(|e| setup_failure(run.opts, e))?;
+        drive(&DstDriver { ix: &ix }, run.trace, run.opts, env)
+    }
+
+    /// Records are replicated along root-leaf paths and a saturated
+    /// ancestor legitimately keeps a stale value (queries descend past
+    /// it), so value agreement is only required *somewhere* per key —
+    /// the leaf always holds the authoritative copy. Key conservation
+    /// is exact in both directions: no node may hold a key the oracle
+    /// lost (removes erase the whole path) and no oracle key may be
+    /// missing everywhere.
+    fn audit(entries: Vec<(DhtKey, Self)>, _cfg: LhtConfig, expect: &[(u64, u32)]) -> Vec<String> {
+        let mut values: std::collections::BTreeMap<u64, Vec<u32>> =
+            std::collections::BTreeMap::new();
+        for (_, node) in &entries {
+            for (k, v) in node.records() {
+                values.entry(k.bits()).or_default().push(*v);
+            }
+        }
+        let mut out = Vec::new();
+        let keys: Vec<u64> = values.keys().copied().collect();
+        let expect_keys: Vec<u64> = expect.iter().map(|(k, _)| *k).collect();
+        if keys != expect_keys {
+            out.push(format!(
+                "dst: {} distinct keys stored, oracle holds {}",
+                keys.len(),
+                expect_keys.len()
+            ));
+        }
+        for (k, v) in expect {
+            if !values.get(k).is_some_and(|vs| vs.contains(v)) {
+                out.push(format!(
+                    "dst: no replica of key {k:#018x} holds the oracle's value {v}"
+                ));
+            }
+        }
+        out
+    }
+}
+
+impl Scheme for RstNode<u32> {
+    fn drive(
+        dht: BoxDht<'_, Self>,
+        run: &Run<'_>,
+        env: &mut impl SoakEnv,
+    ) -> Result<SoakReport, Box<DiffFailure>> {
+        let ix = RstIndex::new(dht, run.cfg).map_err(|e| setup_failure(run.opts, e))?;
+        drive(&RstDriver { ix: &ix }, run.trace, run.opts, env)
+    }
+
+    /// Every record lives in exactly one leaf, so the sorted union of
+    /// all stored record maps must equal the oracle verbatim; and the
+    /// broadcast invariant — every stored structure replica lists
+    /// exactly the live leaf set — must hold at every converged point.
+    fn audit(entries: Vec<(DhtKey, Self)>, _cfg: LhtConfig, expect: &[(u64, u32)]) -> Vec<String> {
+        let mut records: Vec<(u64, u32)> = entries
+            .iter()
+            .flat_map(|(_, n)| n.records.iter().map(|(k, v)| (k.bits(), *v)))
+            .collect();
+        records.sort_unstable();
+        let mut out = Vec::new();
+        if records != expect {
+            out.push(format!(
+                "rst: materialized {} records, oracle holds {}",
+                records.len(),
+                expect.len()
+            ));
+        }
+        let leaves = entries.len();
+        if let Some((_, node)) = entries
+            .iter()
+            .find(|(_, node)| node.structure.len() != leaves)
+        {
+            out.push(format!(
+                "rst: a structure replica lists {} leaves, {} entries live",
+                node.structure.len(),
+                leaves
+            ));
+        }
+        out
+    }
+}
+
+/// The oracle's records in the `(key bits, value)` form the entry
+/// audits compare against.
+fn expected_records(oracle: &ShadowOracle) -> Vec<(u64, u32)> {
+    oracle
+        .snapshot()
+        .into_iter()
+        .map(|(k, v)| (k.bits(), v))
+        .collect()
 }
 
 /// Free enumeration of the oracle substrate's whole store.
@@ -1311,15 +1144,14 @@ struct PhtMirror<'a> {
 
 /// Direct-substrate environment: free inspection enables the full
 /// audit, PHT mirroring (LHT primary) and range cost-bound checks.
-struct DirectEnv<'a, V: Clone> {
+struct DirectEnv<'a, V> {
     dht: &'a DirectDht<V>,
     cfg: LhtConfig,
-    audit_entries: EntryAudit<V>,
     optimal: Option<fn(&DirectDht<V>, &KeyInterval) -> u64>,
     mirror: Option<PhtMirror<'a>>,
 }
 
-impl<V: Clone> SoakEnv for DirectEnv<'_, V> {
+impl<V: Scheme> SoakEnv for DirectEnv<'_, V> {
     fn churn(&mut self, _op: &Op) -> Result<bool, String> {
         Ok(false) // no membership on the one-hop oracle
     }
@@ -1383,14 +1215,10 @@ impl<V: Clone> SoakEnv for DirectEnv<'_, V> {
     }
 
     fn audit(&mut self, oracle: &ShadowOracle, _converged: bool) -> Vec<String> {
-        let expect: Vec<(u64, u32)> = oracle
-            .snapshot()
-            .into_iter()
-            .map(|(k, v)| (k.bits(), v))
-            .collect();
-        let mut out = (self.audit_entries)(direct_entries(self.dht), self.cfg, &expect);
+        let expect = expected_records(oracle);
+        let mut out = V::audit(direct_entries(self.dht), self.cfg, &expect);
         if let Some(mirror) = &self.mirror {
-            out.extend(pht_entry_audit(
+            out.extend(PhtNode::audit(
                 direct_entries(mirror.dht),
                 self.cfg,
                 &expect,
@@ -1412,18 +1240,36 @@ impl<V: Clone> SoakEnv for DirectEnv<'_, V> {
     }
 }
 
-/// Chord-substrate environment: audits go through the ring's oracle
-/// enumeration, and churn ops actually move nodes.
-struct ChordEnv<'a, V: Clone> {
-    dht: &'a ChordDht<V>,
+/// The audit's view of a Chord-backed store: the logical `(key,
+/// node)` entries the index wrote — projected out of whatever
+/// envelopes a durability tier keeps on the ring — plus every
+/// violation found reassembling them.
+type LogicalEntries<'a, V> = Box<dyn Fn() -> (Vec<(DhtKey, V)>, Vec<String>) + 'a>;
+
+/// Chord-backed environment, whatever the ring stores: churn ops
+/// actually move nodes, a durability tier's anti-entropy rides the
+/// stabilize cadence (its replacement for the ring's ad-hoc key-sync),
+/// and audits go through the ring's oracle enumeration, projected to
+/// the logical entries before they are held to the oracle. Departures
+/// are graceful — loss tolerance under *crashes* is the simulator's
+/// and E20's territory, where availability is measured rather than
+/// asserted.
+struct ChordEnv<'a, V> {
+    ring: &'a dyn RingControl,
+    tier: Option<&'a dyn TierMaintenance>,
+    entries: LogicalEntries<'a, V>,
     cfg: LhtConfig,
-    audit_entries: EntryAudit<V>,
     /// Whether maintenance RPCs can be lost — the strict audits then
     /// let repeated repair catch up before judging placement.
     lossy_maintenance: bool,
+    /// Coded tier: under lossy maintenance a transfer may have dropped
+    /// a fragment in flight, and the low-maintenance claim is that the
+    /// tier's own repair regenerates it — so a full sync pass runs
+    /// before the strict reassembly audit.
+    resync_lost_transfers: bool,
 }
 
-impl<V: Clone> SoakEnv for ChordEnv<'_, V> {
+impl<V: Scheme> SoakEnv for ChordEnv<'_, V> {
     fn churn(&mut self, op: &Op) -> Result<bool, String> {
         // Membership events run one immediate stabilization round —
         // the standing assumption (paper §3, and the seed suite's
@@ -1432,28 +1278,31 @@ impl<V: Clone> SoakEnv for ChordEnv<'_, V> {
         // and successor lists waits for the trace's next `stab`.
         match op {
             Op::Join(n) => {
-                let joined = self.dht.join(&format!("soak:{n}")).is_some();
+                let joined = self.ring.join(&format!("soak:{n}")).is_some();
                 if joined {
-                    self.dht.stabilize(1);
+                    self.ring.stabilize(1);
                 }
                 Ok(joined)
             }
             Op::Leave(n) => {
-                let ids = self.dht.snapshot().node_ids;
+                let ids = self.ring.snapshot().node_ids;
                 // Keep the ring big enough that routing stays
                 // meaningful.
                 if ids.len() <= 2 {
                     return Ok(false);
                 }
                 let victim = ids[*n as usize % ids.len()];
-                let left = self.dht.leave(&victim);
+                let left = self.ring.leave(&victim);
                 if left {
-                    self.dht.stabilize(1);
+                    self.ring.stabilize(1);
                 }
                 Ok(left)
             }
             Op::Stabilize => {
-                self.dht.stabilize(3);
+                self.ring.stabilize(3);
+                if let Some(tier) = self.tier {
+                    tier.anti_entropy_step();
+                }
                 Ok(true)
             }
             _ => Ok(false),
@@ -1484,20 +1333,20 @@ impl<V: Clone> SoakEnv for ChordEnv<'_, V> {
         // then hold the strict audits unconditionally.
         if self.lossy_maintenance {
             for _ in 0..4 {
-                if self.dht.audit_ring().is_empty() {
+                if self.ring.audit_ring().is_empty() {
                     break;
                 }
-                self.dht.stabilize(2);
+                self.ring.stabilize(2);
+            }
+            if let Some(tier) = self.tier.filter(|_| self.resync_lost_transfers) {
+                tier.sync_all();
             }
         }
-        let expect: Vec<(u64, u32)> = oracle
-            .snapshot()
-            .into_iter()
-            .map(|(k, v)| (k.bits(), v))
-            .collect();
-        let mut out = (self.audit_entries)(self.dht.all_entries(), self.cfg, &expect);
+        let expect = expected_records(oracle);
+        let (entries, mut out) = (self.entries)();
+        out.extend(V::audit(entries, self.cfg, &expect));
         out.extend(
-            self.dht
+            self.ring
                 .audit_ring()
                 .into_iter()
                 .map(|v| format!("ring: {v:?}")),
@@ -1510,23 +1359,12 @@ impl<V: Clone> SoakEnv for ChordEnv<'_, V> {
     }
 
     fn repair(&mut self) -> bool {
-        self.dht.stabilize(2);
+        self.ring.stabilize(2);
+        if let Some(tier) = self.tier {
+            tier.anti_entropy_step();
+        }
         true
     }
-}
-
-/// Chord environment for the quorum-replicated stack: churn moves
-/// ring nodes exactly as in [`ChordEnv`], the stabilize windows also
-/// run quorum anti-entropy (the layer's replacement for ad-hoc
-/// key-sync), and the audit projects the raw versioned slot store
-/// down to the newest live envelope per logical key before holding it
-/// to the oracle.
-struct QuorumChordEnv<'a> {
-    dht: &'a ChordDht<Versioned<LeafBucket<u32>>>,
-    quorum: &'a QuorumDht<&'a ChordDht<Versioned<LeafBucket<u32>>>>,
-    cfg: LhtConfig,
-    /// Whether maintenance RPCs can be lost (see [`ChordEnv`]).
-    lossy_maintenance: bool,
 }
 
 /// Collapses a dump of raw `(slot key, versioned envelope)` entries
@@ -1550,23 +1388,6 @@ fn quorum_projection(
         .into_iter()
         .filter_map(|(key, envelope)| envelope.value.map(|bucket| (key, bucket)))
         .collect()
-}
-
-/// Chord environment for the erasure-coded stack: churn moves ring
-/// nodes gracefully (departing nodes hand their fragments off — loss
-/// tolerance under *crashes* is the simulator's and E20's territory,
-/// where availability is measured rather than asserted), the
-/// stabilize windows run the erasure layer's anti-entropy, and the
-/// audit reassembles raw fragments into logical buckets before
-/// holding them to the oracle — so a single reconstruction mismatch
-/// anywhere in the store fails the soak.
-struct ErasureChordEnv<'a> {
-    dht: &'a ChordDht<Fragment>,
-    erasure: &'a ErasureDht<&'a ChordDht<Fragment>, LeafBucket<u32>>,
-    cfg: LhtConfig,
-    rs: ReedSolomon,
-    /// Whether maintenance RPCs can be lost (see [`ChordEnv`]).
-    lossy_maintenance: bool,
 }
 
 /// Collapses a dump of raw `(fragment key, fragment)` entries to the
@@ -1620,168 +1441,4 @@ fn erasure_projection(
         }
     }
     (out, violations)
-}
-
-impl SoakEnv for ErasureChordEnv<'_> {
-    fn churn(&mut self, op: &Op) -> Result<bool, String> {
-        match op {
-            Op::Join(n) => {
-                let joined = self.dht.join(&format!("soak:{n}")).is_some();
-                if joined {
-                    self.dht.stabilize(1);
-                }
-                Ok(joined)
-            }
-            Op::Leave(n) => {
-                let ids = self.dht.snapshot().node_ids;
-                if ids.len() <= 2 {
-                    return Ok(false);
-                }
-                let victim = ids[*n as usize % ids.len()];
-                let left = self.dht.leave(&victim);
-                if left {
-                    self.dht.stabilize(1);
-                }
-                Ok(left)
-            }
-            Op::Stabilize => {
-                self.dht.stabilize(3);
-                // Anti-entropy rides the stabilize cadence: flush
-                // deferred fragment handoffs and sweep tracked keys.
-                self.erasure.anti_entropy_step();
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    }
-
-    fn mirror(&mut self, _op: &Op, _oracle: &ShadowOracle) -> Result<(), String> {
-        Ok(())
-    }
-
-    fn optimal_buckets(&self, _range: &KeyInterval) -> Option<u64> {
-        None
-    }
-
-    fn audit(&mut self, oracle: &ShadowOracle, converged: bool) -> Vec<String> {
-        if !converged {
-            return Vec::new();
-        }
-        if self.lossy_maintenance {
-            for _ in 0..4 {
-                if self.dht.audit_ring().is_empty() {
-                    break;
-                }
-                self.dht.stabilize(2);
-            }
-            // A lost maintenance transfer may have dropped a fragment
-            // in flight; the low-maintenance claim is that the tier's
-            // own repair regenerates it, so let a full sync pass run
-            // before the strict reassembly audit below.
-            self.erasure.sync_all();
-        }
-        let expect: Vec<(u64, u32)> = oracle
-            .snapshot()
-            .into_iter()
-            .map(|(k, v)| (k.bits(), v))
-            .collect();
-        let (projected, mut out) = erasure_projection(self.dht.all_entries(), &self.rs);
-        out.extend(lht_entry_audit(projected, self.cfg, &expect));
-        out.extend(
-            self.dht
-                .audit_ring()
-                .into_iter()
-                .map(|v| format!("ring: {v:?}")),
-        );
-        out
-    }
-
-    fn sabotage(&mut self) -> bool {
-        false
-    }
-
-    fn repair(&mut self) -> bool {
-        self.dht.stabilize(2);
-        self.erasure.anti_entropy_step();
-        true
-    }
-}
-
-impl SoakEnv for QuorumChordEnv<'_> {
-    fn churn(&mut self, op: &Op) -> Result<bool, String> {
-        match op {
-            Op::Join(n) => {
-                let joined = self.dht.join(&format!("soak:{n}")).is_some();
-                if joined {
-                    self.dht.stabilize(1);
-                }
-                Ok(joined)
-            }
-            Op::Leave(n) => {
-                let ids = self.dht.snapshot().node_ids;
-                if ids.len() <= 2 {
-                    return Ok(false);
-                }
-                let victim = ids[*n as usize % ids.len()];
-                let left = self.dht.leave(&victim);
-                if left {
-                    self.dht.stabilize(1);
-                }
-                Ok(left)
-            }
-            Op::Stabilize => {
-                self.dht.stabilize(3);
-                // Anti-entropy rides the stabilize cadence: flush
-                // deferred handoffs and sweep one tracked key.
-                self.quorum.anti_entropy_step();
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    }
-
-    fn mirror(&mut self, _op: &Op, _oracle: &ShadowOracle) -> Result<(), String> {
-        Ok(())
-    }
-
-    fn optimal_buckets(&self, _range: &KeyInterval) -> Option<u64> {
-        None
-    }
-
-    fn audit(&mut self, oracle: &ShadowOracle, converged: bool) -> Vec<String> {
-        if !converged {
-            return Vec::new();
-        }
-        if self.lossy_maintenance {
-            for _ in 0..4 {
-                if self.dht.audit_ring().is_empty() {
-                    break;
-                }
-                self.dht.stabilize(2);
-            }
-        }
-        let expect: Vec<(u64, u32)> = oracle
-            .snapshot()
-            .into_iter()
-            .map(|(k, v)| (k.bits(), v))
-            .collect();
-        let mut out = lht_entry_audit(quorum_projection(self.dht.all_entries()), self.cfg, &expect);
-        out.extend(
-            self.dht
-                .audit_ring()
-                .into_iter()
-                .map(|v| format!("ring: {v:?}")),
-        );
-        out
-    }
-
-    fn sabotage(&mut self) -> bool {
-        false
-    }
-
-    fn repair(&mut self) -> bool {
-        self.dht.stabilize(2);
-        self.quorum.anti_entropy_step();
-        true
-    }
 }

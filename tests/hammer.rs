@@ -5,10 +5,11 @@
 //! These are the pieces a handle shared across OS threads exercises on
 //! every operation; a lost update or a double-counted hash here would
 //! silently skew every cost measurement taken under real concurrency.
-//! The counter-measuring phases live in ONE test function, and every
-//! other test of this binary that runs SHA-1 in bulk takes
-//! [`SHA1_COUNTER_GATE`], so the global `sha1_compressions()` deltas
-//! are not polluted by siblings running in parallel.
+//! Every test of this binary takes [`SHA1_COUNTER_GATE`], so the
+//! global `sha1_compressions()` deltas are not polluted by siblings
+//! running in parallel — which is also what lets the single-threaded
+//! digest-free bounds at the end of the naming section assert an
+//! exact zero.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -17,8 +18,9 @@ use std::thread;
 use lht::dht::gf256::ReedSolomon;
 use lht::id::sha1_compressions;
 use lht::{
-    fragment_key, slot_key, ChordDht, Dht, DhtKey, ErasureConfig, ErasureDht, Fragment, Label,
-    NamingCache, QuorumConfig, QuorumDht, Versioned, U160,
+    fragment_key, slot_key, ChordDht, Dht, DhtKey, DirectDht, ErasureConfig, ErasureDht, Fragment,
+    KeyFraction, Label, LeafBucket, LhtConfig, LhtIndex, NamingCache, QuorumConfig, QuorumDht,
+    Versioned, U160,
 };
 
 /// Headroom for SHA-1 work done concurrently by anything outside the
@@ -189,6 +191,102 @@ fn naming_cache_eviction_accounting_survives_contention() {
         st.misses - st.evictions,
         st.len,
         "eviction accounting drifted under contention"
+    );
+}
+
+/// The mid-point of the `i`-th of 64 equal cells of the key space.
+fn cell_key(i: u32) -> KeyFraction {
+    KeyFraction::from_f64((f64::from(i) + 0.5) / 64.0)
+}
+
+#[test]
+fn repeated_nav_walk_runs_off_the_warm_naming_cache() {
+    let _gate = SHA1_COUNTER_GATE.lock().unwrap_or_else(|e| e.into_inner());
+    // The nav/range neighbor walks resolve β and f_n(β) through the
+    // handle's naming cache; a repeated walk over the same spine must
+    // re-hash (at least 5x) less than its cold first pass.
+    let dht: DirectDht<LeafBucket<u32>> = DirectDht::new();
+    {
+        let ix = LhtIndex::new(&dht, LhtConfig::new(4, 20)).unwrap();
+        for i in 0..64 {
+            ix.insert(cell_key(i), i).unwrap();
+        }
+        // Empty a long stretch so the walk crosses many empty buckets
+        // (each crossing names two neighbor candidates).
+        for i in 20..44 {
+            ix.remove(cell_key(i)).unwrap();
+        }
+    }
+    let probe = KeyFraction::from_f64((20.0 + 0.2) / 64.0);
+
+    // A fresh handle pays the full naming cost once…
+    let ix = LhtIndex::new(&dht, LhtConfig::new(4, 20)).unwrap();
+    let before = sha1_compressions();
+    let cold_hit = ix.successor(probe).unwrap().value;
+    let cold = sha1_compressions() - before;
+    assert!(cold > 0, "the cold walk must name its spine");
+
+    // …then repeats of the same walk run off the warm cache.
+    let reps = 20u64;
+    let before = sha1_compressions();
+    for _ in 0..reps {
+        assert_eq!(ix.successor(probe).unwrap().value, cold_hit);
+    }
+    let warm = sha1_compressions() - before;
+    assert!(
+        warm * 5 <= cold * reps,
+        "cached nav walk must save >= 5x SHA-1 compressions: \
+         {warm} over {reps} warm walks vs {cold} for one cold walk"
+    );
+}
+
+#[test]
+fn steady_state_lookups_are_digest_free() {
+    let _gate = SHA1_COUNTER_GATE.lock().unwrap_or_else(|e| e.into_inner());
+    // The paper-scale hot-path contract: once a handle has seen its
+    // working set, further point lookups run **zero** SHA-1
+    // compressions. Every probed label resolves through the warm
+    // naming cache, every cached key clone carries its ring digest,
+    // and nothing else on the lookup path hashes — so the
+    // process-global counter must not move at all.
+    let dht: DirectDht<LeafBucket<u32>> = DirectDht::new();
+    let ix = LhtIndex::new(&dht, LhtConfig::new(4, 20)).unwrap();
+    for i in 0..64 {
+        ix.insert(cell_key(i), i).unwrap();
+    }
+    // Warm pass: every label on every lookup path resolves once.
+    for i in 0..64 {
+        assert_eq!(ix.exact_match(cell_key(i)).unwrap().value, Some(i));
+    }
+    let before = sha1_compressions();
+    for _ in 0..10 {
+        for i in 0..64 {
+            assert_eq!(ix.exact_match(cell_key(i)).unwrap().value, Some(i));
+        }
+    }
+    assert_eq!(
+        sha1_compressions() - before,
+        0,
+        "640 warm lookups must run no SHA-1 compression"
+    );
+}
+
+#[test]
+fn dht_key_ordering_is_digest_free() {
+    let _gate = SHA1_COUNTER_GATE.lock().unwrap_or_else(|e| e.into_inner());
+    // Ordering `DhtKey`s is byte-only: sorting a batch (the location
+    // cache orders its probes by key) never faults in ring digests.
+    let mut keys: Vec<DhtKey> = (0..512)
+        .map(|i| DhtKey::from(format!("#0{:09b}", i % 400)))
+        .collect();
+    let before = sha1_compressions();
+    keys.sort();
+    keys.dedup();
+    assert!(keys.windows(2).all(|w| w[0] < w[1]));
+    assert_eq!(
+        sha1_compressions() - before,
+        0,
+        "sorting 512 keys must run no SHA-1 compression"
     );
 }
 
