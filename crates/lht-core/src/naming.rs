@@ -799,9 +799,43 @@ mod tests {
         assert_eq!((is.hits, is.misses, is.evictions), (0, 4, 2));
     }
 
-    /// Cached labels, least recently used first.
+    /// Cached labels, most recently used first.
     fn lru_order(cache: &NamingCache) -> Vec<Label> {
-        cache.inner.lock().lru.values().copied().collect()
+        cache.inner.lock().lru.values().rev().copied().collect()
+    }
+
+    /// Pin: a seeded 5,000-resolve script over 64 labels (skewed
+    /// towards the low indices so every capacity sees hits) leaves
+    /// exactly these counters and this recency order. The literals
+    /// were recorded before the cache changed representation.
+    #[test]
+    fn seeded_resolve_script_leaves_the_pinned_counters_and_recency_order() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        let alphabet: Vec<Label> = (0..64u32).map(|i| l(&format!("#0{i:06b}"))).collect();
+        let run = |capacity: usize| {
+            let cache = NamingCache::new(capacity);
+            let mut rng = StdRng::seed_from_u64(2008);
+            for _ in 0..5_000 {
+                let i = rng.gen_range(0..64usize).min(rng.gen_range(0..64usize));
+                assert_eq!(cache.resolve(&alphabet[i]), alphabet[i].dht_key());
+            }
+            let st = cache.stats();
+            let order: Vec<usize> = lru_order(&cache)
+                .iter()
+                .map(|label| alphabet.iter().position(|a| a == label).unwrap())
+                .collect();
+            ((st.hits, st.misses, st.evictions, st.len), order)
+        };
+        assert_eq!(run(1), ((104, 4896, 4895, 1), vec![25]));
+        assert_eq!(run(3), ((338, 4662, 4659, 3), vec![25, 38, 23]));
+        assert_eq!(
+            run(16),
+            (
+                (1638, 3362, 3346, 16),
+                vec![25, 38, 23, 30, 6, 24, 35, 19, 7, 33, 16, 13, 41, 21, 10, 11]
+            )
+        );
     }
 
     proptest! {

@@ -79,3 +79,60 @@ fn bulk_load_compression_delta_is_one_pass_per_distinct_leaf_name() {
         "bulk load must hash each distinct leaf name exactly once"
     );
 }
+
+/// Pin: what a bulk load and a fixed lookup script after it leave in
+/// the naming cache, and the SHA-1 compressions each spent. The
+/// 60,000-record load mints more leaf names than the cache holds, so
+/// it overflows *during* the load and the script's hits and misses
+/// then depend on which names survived, in which recency order. The
+/// literals were recorded before `bulk_load` resolved its leaf names
+/// one by one and before the cache changed representation.
+#[test]
+fn bulk_load_then_lookup_script_leaves_the_pinned_cache_stats() {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    // ((hits, misses, evictions, len), compressions) after the load,
+    // then after the script (compressions are each phase's own).
+    type Pin = ((u64, u64, u64, u64), u64);
+    let run = |records: usize| -> (u64, Pin, Pin) {
+        let mut rng = StdRng::seed_from_u64(20);
+        let keys: Vec<KeyFraction> = (0..records)
+            .map(|_| KeyFraction::from_bits(rng.gen()))
+            .collect();
+        let dht = DirectDht::new();
+        let ix = LhtIndex::new(&dht, LhtConfig::new(8, 20)).unwrap();
+        let snapshot = |since: u64| {
+            let st = ix.naming_cache_stats();
+            (
+                (st.hits, st.misses, st.evictions, st.len),
+                sha1_compressions() - since,
+            )
+        };
+
+        let before = sha1_compressions();
+        let outcome = ix
+            .bulk_load(keys.iter().enumerate().map(|(i, k)| (*k, i as u32)))
+            .unwrap();
+        let loaded = snapshot(before);
+
+        let before = sha1_compressions();
+        for _ in 0..500 {
+            let i = rng.gen_range(0..records);
+            assert_eq!(ix.exact_match(keys[i]).unwrap().value, Some(i as u32));
+        }
+        (outcome.leaves, loaded, snapshot(before))
+    };
+    assert_eq!(
+        run(2_000),
+        (401, ((2, 401, 0, 401), 400), ((709, 491, 0, 491), 90))
+    );
+    assert_eq!(
+        run(60_000),
+        (
+            12313,
+            ((2, 12313, 8217, 4096), 12312),
+            ((472, 13148, 9052, 4096), 835)
+        )
+    );
+}
