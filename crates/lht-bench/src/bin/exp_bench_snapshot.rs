@@ -35,10 +35,11 @@
 //! ```
 //!
 //! A measuring run rewrites `BENCH_lht.json` (the one point `--check`
-//! compares against) and appends the same fields, with the commit and
-//! the CPU model they were measured on, as one line to
-//! `BENCH_history.jsonl` — the kept trajectory: wall-clock numbers
-//! only compare between lines from one machine.
+//! compares against) and appends the same fields, with the commit,
+//! the CPU model and the SHA-1 backend (`"sha-ni"` / `"scalar"`) they
+//! were measured on, as one line to `BENCH_history.jsonl` — the kept
+//! trajectory: wall-clock numbers only compare between lines from one
+//! machine, and hashing rates only between lines from one backend.
 //!
 //! `--check` re-measures and compares against the committed
 //! `BENCH_lht.json`: the run fails if `chord_hops_per_lookup`,
@@ -66,7 +67,7 @@ use lht::{
     NamingCache,
 };
 use lht_bench::experiments::{erasure, paper_scale, quorum, route_cache, threaded};
-use lht_id::{sha1, sha1_compressions};
+use lht_id::{sha1, sha1_backend, sha1_compressions};
 use lht_sim::checker::Outcome;
 
 struct Args {
@@ -441,7 +442,7 @@ fn main() {
     let (gets_per_lookup, hops_per_lookup) = chord_lookup(&args);
     eprintln!("measuring range rounds…");
     let (range_lookups, range_steps, range_rounds) = range_rounds(&args);
-    eprintln!("measuring sha1 throughput…");
+    eprintln!("measuring sha1 throughput ({})…", sha1_backend());
     let throughput = sha1_throughput(args.smoke);
     eprintln!("measuring naming cache…");
     let (hit_rate, saving) = naming_cache_saving();
@@ -543,9 +544,10 @@ fn main() {
     eprintln!("wrote BENCH_lht.json");
 
     let line = format!(
-        "{{\"commit\": {}, \"cpu\": {}, {}}}\n",
+        "{{\"commit\": {}, \"cpu\": {}, \"sha1_backend\": {}, {}}}\n",
         json_str(&commit),
         json_str(&cpu),
+        json_str(sha1_backend()),
         render(", ", "")
     );
     let appended = std::fs::OpenOptions::new()

@@ -137,10 +137,9 @@ pub fn run(keys: usize, peers: usize, threads: usize, seed: u64) -> PaperScaleRu
 
     // Phase 1: single-threaded pre-split via the bulk loader — the
     // partition tree over a uniform sample of the grid is computed
-    // locally and each leaf ships with one put, its name hashed in
-    // `bulk_load`'s single multi-lane SHA-1 batch. The scattered
-    // phase then lands on disjoint subtrees instead of racing the
-    // root bucket through its first splits.
+    // locally and each leaf ships with one put. The scattered phase
+    // then lands on disjoint subtrees instead of racing the root
+    // bucket through its first splits.
     let seed_start = Instant::now();
     {
         let ix: LhtIndex<_, u32> = LhtIndex::new(&dht, cfg).expect("bootstrap index");

@@ -84,21 +84,18 @@ where
             self.config().max_depth,
             &mut plan,
         );
-        let mut sorted = pairs.into_iter();
-        let buckets: Vec<LeafBucket<V>> = plan
-            .into_iter()
-            .map(|(label, len)| LeafBucket::from_sorted(label, sorted.by_ref().take(len).collect()))
-            .collect();
-
         // Ship every leaf in one batched round: the puts target
-        // distinct names, so no ordering between them is needed. The
-        // names are resolved as one batch, which hashes every cache
-        // miss through a single multi-lane `sha1_multi` pass — the
-        // same compressions a per-leaf resolution would have spent,
-        // through a wider pipe.
-        let labels: Vec<Label> = buckets.iter().map(|b| name(&b.label())).collect();
-        let keys = self.named_keys_batch(&labels);
-        let entries: Vec<(DhtKey, LeafBucket<V>)> = keys.into_iter().zip(buckets).collect();
+        // distinct names (Theorem 1), so no ordering between them is
+        // needed.
+        let mut sorted = pairs.into_iter();
+        let entries: Vec<(DhtKey, LeafBucket<V>)> = plan
+            .into_iter()
+            .map(|(label, len)| {
+                let records = sorted.by_ref().take(len).collect();
+                let bucket = LeafBucket::from_sorted(label, records);
+                (self.named_key(&name(&label)), bucket)
+            })
+            .collect();
         let leaves = entries.len() as u64;
         for shipped in self.dht().multi_put(entries) {
             shipped?;

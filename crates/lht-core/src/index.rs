@@ -166,13 +166,6 @@ where
         self.names.resolve(label)
     }
 
-    /// Batch form of [`named_key`](LhtIndex::named_key): all cache
-    /// misses are hashed in one multi-lane SHA-1 pass, spending
-    /// exactly the compressions the per-label path would have.
-    pub(crate) fn named_keys_batch(&self, labels: &[Label]) -> Vec<DhtKey> {
-        self.names.resolve_batch(labels)
-    }
-
     /// Statistics of the label → DHT-key naming cache (hits, misses,
     /// evictions, occupancy).
     pub fn naming_cache_stats(&self) -> NamingCacheStats {

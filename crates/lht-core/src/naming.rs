@@ -21,9 +21,8 @@
 //! label is computed once per label rather than once per probe.
 
 use crate::Label;
-use lht_dht::DhtKey;
+use lht_dht::{DhtKey, Lru};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
 
 /// The naming function `f_n` (Definition 1): strips the label's entire
 /// trailing run of equal bits.
@@ -201,18 +200,10 @@ impl NamingCacheStats {
     }
 }
 
-struct CacheSlot {
-    key: DhtKey,
-    /// Stamp of the slot's entry in the recency index.
-    stamp: u64,
-}
-
+#[derive(Default)]
 struct CacheInner {
-    map: HashMap<Label, CacheSlot>,
-    /// Recency index: stamp → label, oldest first. Stamps are unique
-    /// (one per resolution), so this is a faithful LRU queue.
-    lru: BTreeMap<u64, Label>,
-    tick: u64,
+    /// Rendered, digest-carrying keys by label, in recency order.
+    lru: Lru<Label, DhtKey>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -230,7 +221,8 @@ struct CacheInner {
 /// warmed [`DhtKey`] clone carries the digest along), so SHA-1 runs
 /// once per distinct label per index instead of once per probe.
 ///
-/// Resolution is O(log capacity); eviction is strict LRU. The cache
+/// Resolution is O(1) — one table probe and a relink in the [`Lru`]
+/// list the route cache uses too; eviction is strict LRU. The cache
 /// is shared behind `&self` (a mutex guards the few-word state), and
 /// determinism is untouched — caching changes *when* hashes are
 /// computed, never their values.
@@ -270,14 +262,7 @@ impl NamingCache {
     pub fn new(capacity: usize) -> NamingCache {
         NamingCache {
             capacity: capacity.max(1),
-            inner: Mutex::new(CacheInner {
-                map: HashMap::new(),
-                lru: BTreeMap::new(),
-                tick: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            }),
+            inner: Mutex::default(),
         }
     }
 
@@ -292,126 +277,21 @@ impl NamingCache {
     pub fn resolve(&self, label: &Label) -> DhtKey {
         let mut guard = self.inner.lock();
         let st = &mut *guard;
-        st.tick += 1;
-        let tick = st.tick;
-        if let Some(slot) = st.map.get_mut(label) {
+        if let Some(key) = st.lru.get(label) {
             st.hits += 1;
-            st.lru.remove(&slot.stamp);
-            slot.stamp = tick;
-            st.lru.insert(tick, *label);
-            return slot.key.clone();
+            return key.clone();
         }
         st.misses += 1;
         let key = label.dht_key();
         // Warm the digest before cloning: a clone taken *after*
         // hashing carries the digest, one taken before would re-hash.
         key.hash();
-        if st.map.len() >= self.capacity {
-            if let Some((_, victim)) = st.lru.pop_first() {
-                st.map.remove(&victim);
-                st.evictions += 1;
-            }
+        if st.lru.len() >= self.capacity {
+            st.lru.pop_lru();
+            st.evictions += 1;
         }
-        st.map.insert(
-            *label,
-            CacheSlot {
-                key: key.clone(),
-                stamp: tick,
-            },
-        );
-        st.lru.insert(tick, *label);
+        st.lru.insert(*label, key.clone());
         key
-    }
-
-    /// Resolves a whole batch of labels, hashing every cache miss
-    /// through a single [`DhtKey::hash_batch`] multi-lane SHA-1 pass
-    /// instead of one scalar pass per label.
-    ///
-    /// The returned keys always equal what [`resolve`] returns label
-    /// by label, and the batch always spends exactly one SHA-1
-    /// compression sequence per *distinct* label that was not cached
-    /// when the batch began — no more, no fewer — so compression
-    /// counters stay exact under the batched path.
-    ///
-    /// Admission is deferred until the misses have shared their one
-    /// hash pass, so the cache is left as if the batch's cached labels
-    /// had been resolved first (in order) and then each distinct
-    /// missing label once (in order of first appearance), every repeat
-    /// of a missing label counting as a hit. Against in-order
-    /// [`resolve`] that means:
-    ///
-    /// * hits, misses and evictions are the same **unless**, resolved
-    ///   in order, a miss would evict a label that appears later in
-    ///   the same batch. At capacity 2 with `A, B` warm, `[C, A]` in
-    ///   order has `C` evict `A`, which then misses again (0 hits,
-    ///   2 more misses, 2 evictions); batched, `A` is served before
-    ///   `C` is admitted (1 hit, 1 more miss, 1 eviction);
-    /// * a batch that fits — cached entries plus distinct misses
-    ///   within capacity — evicts nothing either way and leaves the
-    ///   same contents;
-    /// * recency is not preserved: a hit that follows a miss in the
-    ///   batch ends up older than that miss, so once a batch overflows
-    ///   the cache, *which* entries get evicted (and hence the
-    ///   contents) may differ.
-    ///
-    /// [`resolve`]: NamingCache::resolve
-    pub fn resolve_batch(&self, labels: &[Label]) -> Vec<DhtKey> {
-        let mut guard = self.inner.lock();
-        let st = &mut *guard;
-        // Pass 1: serve hits from the cache; render each distinct
-        // miss *without* hashing it yet.
-        let mut out: Vec<Result<DhtKey, usize>> = Vec::with_capacity(labels.len());
-        let mut pending: Vec<(Label, DhtKey)> = Vec::new();
-        let mut pending_at: HashMap<Label, usize> = HashMap::new();
-        for label in labels {
-            st.tick += 1;
-            let tick = st.tick;
-            if let Some(slot) = st.map.get_mut(label) {
-                st.hits += 1;
-                st.lru.remove(&slot.stamp);
-                slot.stamp = tick;
-                st.lru.insert(tick, *label);
-                out.push(Ok(slot.key.clone()));
-            } else if let Some(&at) = pending_at.get(label) {
-                // Re-resolved within the batch: the first occurrence
-                // owns the (single) SHA-1 pass, this one is a hit.
-                st.hits += 1;
-                out.push(Err(at));
-            } else {
-                st.misses += 1;
-                pending_at.insert(*label, pending.len());
-                pending.push((*label, label.dht_key()));
-                out.push(Err(pending.len() - 1));
-            }
-        }
-        // Pass 2: one multi-lane hash over the distinct misses.
-        DhtKey::hash_batch(pending.iter().map(|(_, key)| key));
-        // Pass 3: admit the now-warm keys under the usual LRU policy
-        // (clones taken after hashing carry the digest along).
-        for (label, key) in &pending {
-            st.tick += 1;
-            let tick = st.tick;
-            if st.map.len() >= self.capacity {
-                if let Some((_, victim)) = st.lru.pop_first() {
-                    st.map.remove(&victim);
-                    st.evictions += 1;
-                }
-            }
-            st.map.insert(
-                *label,
-                CacheSlot {
-                    key: key.clone(),
-                    stamp: tick,
-                },
-            );
-            st.lru.insert(tick, *label);
-        }
-        out.into_iter()
-            .map(|slot| match slot {
-                Ok(key) => key,
-                Err(at) => pending[at].1.clone(),
-            })
-            .collect()
     }
 
     /// A snapshot of the hit/miss counters.
@@ -421,7 +301,7 @@ impl NamingCache {
             hits: st.hits,
             misses: st.misses,
             evictions: st.evictions,
-            len: st.map.len() as u64,
+            len: st.lru.len() as u64,
         }
     }
 }
@@ -738,70 +618,9 @@ mod tests {
         assert_eq!(warm.hash(), cold.hash());
     }
 
-    #[test]
-    fn resolve_batch_matches_sequential_resolution() {
-        let batched = NamingCache::new(64);
-        let sequential = NamingCache::new(64);
-        let labels: Vec<Label> = ["#0", "#01", "#0110", "#01", "#00000", "#0110", "#0"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
-        // Warm one label so the batch mixes hits, misses, and
-        // within-batch repeats.
-        batched.resolve(&labels[0]);
-        sequential.resolve(&labels[0]);
-
-        let keys = batched.resolve_batch(&labels);
-        let expect: Vec<DhtKey> = labels.iter().map(|l| sequential.resolve(l)).collect();
-        assert_eq!(keys, expect);
-        for (key, label) in keys.iter().zip(&labels) {
-            assert_eq!(key.hash(), label.dht_key().hash(), "digest for {label}");
-        }
-        assert_eq!(batched.stats(), sequential.stats());
-    }
-
-    #[test]
-    fn resolve_batch_larger_than_capacity_evicts_like_resolve() {
-        let batched = NamingCache::new(2);
-        let sequential = NamingCache::new(2);
-        let labels: Vec<Label> = ["#00", "#01", "#010", "#011", "#0110"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
-        let keys = batched.resolve_batch(&labels);
-        let expect: Vec<DhtKey> = labels.iter().map(|l| sequential.resolve(l)).collect();
-        assert_eq!(keys, expect);
-        assert_eq!(batched.stats(), sequential.stats());
-        assert_eq!(batched.stats().evictions, 3);
-    }
-
-    #[test]
-    fn resolve_batch_serves_a_hit_that_in_order_eviction_would_lose() {
-        // The documented divergence: in order, C evicts A (the LRU
-        // entry) and A then misses again; batched, A is served before
-        // C is admitted.
-        let batched = NamingCache::new(2);
-        let in_order = NamingCache::new(2);
-        let (a, b, c) = (l("#00"), l("#01"), l("#010"));
-        for cache in [&batched, &in_order] {
-            cache.resolve(&a);
-            cache.resolve(&b);
-        }
-        let labels = [c, a];
-        let keys = batched.resolve_batch(&labels);
-        let expect: Vec<DhtKey> = labels.iter().map(|l| in_order.resolve(l)).collect();
-        assert_eq!(
-            keys, expect,
-            "keys agree even where the accounting does not"
-        );
-        let (bs, is) = (batched.stats(), in_order.stats());
-        assert_eq!((bs.hits, bs.misses, bs.evictions), (1, 3, 1));
-        assert_eq!((is.hits, is.misses, is.evictions), (0, 4, 2));
-    }
-
     /// Cached labels, most recently used first.
     fn lru_order(cache: &NamingCache) -> Vec<Label> {
-        cache.inner.lock().lru.values().rev().copied().collect()
+        cache.inner.lock().lru.keys().collect()
     }
 
     /// Pin: a seeded 5,000-resolve script over 64 labels (skewed
@@ -839,76 +658,39 @@ mod tests {
     }
 
     proptest! {
-        /// The `resolve_batch` contract, clause by clause, over random
-        /// capacity × warm-up × batch (ten labels, so batches mix
-        /// hits, misses, repeats and overflow).
+        /// `resolve` against a plain most-recent-first `Vec` bounded
+        /// the same way: the same hit-or-miss verdict from every call,
+        /// the same counters and the same recency order after it.
         #[test]
-        fn resolve_batch_contract_holds(
-            capacity in 1usize..7,
-            warm in proptest::collection::vec(0usize..10, 0..12),
-            batch in proptest::collection::vec(0usize..10, 0..24),
+        fn resolve_matches_a_bounded_most_recent_first_vec(
+            capacity in 1usize..8,
+            script in proptest::collection::vec(0usize..12, 0..120),
         ) {
-            let alphabet: Vec<Label> = (0..10u32).map(|i| l(&format!("#0{i:04b}"))).collect();
-            let batched = NamingCache::new(capacity);
-            let in_order = NamingCache::new(capacity);
-            let hits_first = NamingCache::new(capacity);
-            for &i in &warm {
-                for cache in [&batched, &in_order, &hits_first] {
-                    cache.resolve(&alphabet[i]);
+            let alphabet: Vec<Label> = (0..12u32).map(|i| l(&format!("#0{i:04b}"))).collect();
+            let cache = NamingCache::new(capacity);
+            let mut model: Vec<Label> = Vec::new();
+            let mut expect = NamingCacheStats::default();
+            for (step, &i) in script.iter().enumerate() {
+                let label = alphabet[i];
+                match model.iter().position(|held| *held == label) {
+                    Some(at) => {
+                        model.remove(at);
+                        expect.hits += 1;
+                    }
+                    None => {
+                        expect.misses += 1;
+                        if model.len() == capacity {
+                            model.pop();
+                            expect.evictions += 1;
+                        }
+                    }
                 }
-            }
-            let labels: Vec<Label> = batch.iter().map(|&i| alphabet[i]).collect();
-            let cached: BTreeSet<Label> = lru_order(&batched).into_iter().collect();
-            let start = batched.stats();
+                model.insert(0, label);
+                expect.len = model.len() as u64;
 
-            // Keys always equal label-by-label resolution.
-            let keys = batched.resolve_batch(&labels);
-            let expect: Vec<DhtKey> = labels.iter().map(Label::dht_key).collect();
-            prop_assert_eq!(keys, expect);
-
-            // One miss (one SHA-1 pass) per distinct uncached label.
-            let missing: BTreeSet<Label> =
-                labels.iter().filter(|l| !cached.contains(l)).copied().collect();
-            prop_assert_eq!(batched.stats().misses - start.misses, missing.len() as u64);
-
-            // State: cached labels first, then each distinct miss
-            // once; repeats of a miss are hits.
-            for label in labels.iter().filter(|l| cached.contains(l)) {
-                hits_first.resolve(label);
-            }
-            let mut admitted = BTreeSet::new();
-            let mut repeats = 0;
-            for label in labels.iter().filter(|l| !cached.contains(l)) {
-                if admitted.insert(*label) {
-                    hits_first.resolve(label);
-                } else {
-                    repeats += 1;
-                }
-            }
-            let mut model = hits_first.stats();
-            model.hits += repeats;
-            prop_assert_eq!(batched.stats(), model);
-            prop_assert_eq!(lru_order(&batched), lru_order(&hits_first));
-
-            // Accounting equals in-order resolution unless an in-order
-            // miss evicts a label the batch still has to resolve.
-            let mut evicts_a_later_label = false;
-            for (i, label) in labels.iter().enumerate() {
-                let before = lru_order(&in_order);
-                in_order.resolve(label);
-                let after = lru_order(&in_order);
-                evicts_a_later_label |= before
-                    .iter()
-                    .any(|v| !after.contains(v) && labels[i + 1..].contains(v));
-            }
-            if !evicts_a_later_label {
-                prop_assert_eq!(batched.stats(), in_order.stats());
-            }
-
-            // A batch that fits leaves the in-order contents.
-            if batched.stats().evictions == start.evictions {
-                let contents = |c: &NamingCache| lru_order(c).into_iter().collect::<BTreeSet<_>>();
-                prop_assert_eq!(contents(&batched), contents(&in_order));
+                prop_assert_eq!(cache.resolve(&label), label.dht_key(), "step {}", step);
+                prop_assert_eq!(cache.stats(), expect, "step {}", step);
+                prop_assert_eq!(lru_order(&cache), &model[..], "step {}", step);
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Compression-counter exactness for the batched bulk-load path.
+//! Compression-counter exactness for the bulk-load path.
 //!
 //! `lht_id::sha1_compressions` is a process-wide counter, and `cargo
 //! test` gives each integration-test file its own process — so this
@@ -8,8 +8,8 @@
 
 use std::sync::Mutex;
 
-use lht_core::naming::{name, NamingCache};
-use lht_core::{audit, Label, LhtConfig, LhtIndex};
+use lht_core::naming::name;
+use lht_core::{audit, LhtConfig, LhtIndex};
 use lht_dht::DirectDht;
 use lht_id::{sha1_compressions, KeyFraction};
 
@@ -22,33 +22,6 @@ static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 /// field are padded in.
 fn expected_blocks(len: usize) -> u64 {
     ((len + 8) / 64 + 1) as u64
-}
-
-#[test]
-fn batched_resolution_spends_the_same_compressions_as_sequential() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
-    let labels: Vec<Label> = ["#0", "#01", "#0110", "#01", "#00000", "#0110"]
-        .iter()
-        .map(|s| s.parse().unwrap())
-        .collect();
-
-    let sequential = NamingCache::new(64);
-    let before = sha1_compressions();
-    let expect: Vec<_> = labels.iter().map(|l| sequential.resolve(l)).collect();
-    let sequential_delta = sha1_compressions() - before;
-
-    let batched = NamingCache::new(64);
-    let before = sha1_compressions();
-    let keys = batched.resolve_batch(&labels);
-    let batched_delta = sha1_compressions() - before;
-
-    assert_eq!(keys, expect);
-    assert_eq!(
-        batched_delta, sequential_delta,
-        "batched resolution must spend exactly the sequential compressions"
-    );
-    // 4 distinct labels, every rendered name shorter than one block.
-    assert_eq!(batched_delta, 4);
 }
 
 #[test]

@@ -55,17 +55,14 @@
 //! answers [`Dht::owner_hint`] places a key by that digest alone, so
 //! two keys with one digest have one owner and a digest-keyed hint is
 //! exactly as right as a bytes-keyed one — and the entry becomes a
-//! small `Copy` record. The records live in a slab threaded into a
-//! doubly linked recency list by index, so a touch, an insert and an
-//! eviction are each a handful of word writes.
-
-use std::collections::HashMap;
+//! small `Copy` record. Recency is [`Lru`]'s linked slab (`lru.rs`),
+//! the list the naming cache in `lht-core` keeps its labels in too.
 
 use parking_lot::Mutex;
 
 use lht_id::U160;
 
-use crate::{Dht, DhtError, DhtKey, DhtStats, KeyHasherBuilder, Probe};
+use crate::{Dht, DhtError, DhtKey, DhtStats, Lru, Probe};
 
 /// Configuration for a [`CachedDht`] layer.
 #[derive(Clone, Copy, Debug)]
@@ -132,105 +129,23 @@ impl CacheHint {
     }
 }
 
-/// A slab index; [`NIL`] ends the recency list at either side.
-type Slot = u32;
-const NIL: Slot = Slot::MAX;
-
-/// One remembered location and its place in the recency list.
-#[derive(Clone, Copy)]
-struct Node {
-    digest: U160,
-    hint: CacheHint,
-    /// Towards the most recently used entry.
-    prev: Slot,
-    /// Towards the least recently used entry.
-    next: Slot,
-}
-
-/// Strict-LRU state: `index` finds a digest's slab slot, the slab's
-/// `prev`/`next` links order the resident slots from `head` (most
-/// recently used) to `tail` (the eviction victim), and `free` holds
-/// the vacated slots for reuse. Invalidation walks the list, never
-/// the `HashMap`, so behaviour is identical across processes.
+/// The remembered locations in strict-LRU order, keyed by ring digest,
+/// and the layer's own counters.
+#[derive(Default)]
 struct CacheState {
-    index: HashMap<U160, Slot, KeyHasherBuilder>,
-    nodes: Vec<Node>,
-    free: Vec<Slot>,
-    head: Slot,
-    tail: Slot,
+    lru: Lru<U160, CacheHint>,
     extra: DhtStats,
 }
 
 impl CacheState {
-    fn new() -> CacheState {
-        CacheState {
-            index: HashMap::default(),
-            nodes: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            extra: DhtStats::default(),
-        }
-    }
-
-    fn clear(&mut self) {
-        self.index.clear();
-        self.nodes.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-    }
-
-    /// Takes `slot` out of the recency list (its own links go stale).
-    fn unlink(&mut self, slot: Slot) {
-        let Node { prev, next, .. } = self.nodes[slot as usize];
-        match prev {
-            NIL => self.head = next,
-            p => self.nodes[p as usize].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.nodes[n as usize].prev = prev,
-        }
-    }
-
-    /// Links `slot` in as the most recently used entry.
-    fn push_front(&mut self, slot: Slot) {
-        let old = self.head;
-        let node = &mut self.nodes[slot as usize];
-        node.prev = NIL;
-        node.next = old;
-        match old {
-            NIL => self.tail = slot,
-            h => self.nodes[h as usize].prev = slot,
-        }
-        self.head = slot;
-    }
-
-    fn touch(&mut self, slot: Slot) {
-        if self.head != slot {
-            self.unlink(slot);
-            self.push_front(slot);
-        }
-    }
-
-    /// Unlinks `slot` and returns it to the free list; the caller has
-    /// removed (or is about to remove) its `index` entry.
-    fn release(&mut self, slot: Slot) {
-        self.unlink(slot);
-        self.free.push(slot);
-    }
-
     /// Looks up `key`, refreshing its recency on a hit. An empty cache
     /// answers before asking for the digest, so a stack that never
     /// learns a location never hashes a key on the cache's account.
     fn lookup(&mut self, key: &DhtKey) -> Option<CacheHint> {
-        if self.index.is_empty() {
+        if self.lru.is_empty() {
             return None;
         }
-        let slot = *self.index.get(&key.hash())?;
-        self.touch(slot);
-        Some(self.nodes[slot as usize].hint)
+        self.lru.get(&key.hash()).copied()
     }
 
     /// Inserts or refreshes `key → owner`, pricing the `kind` cost
@@ -248,17 +163,13 @@ impl CacheState {
             return;
         }
         let digest = key.hash();
-        if let Some(&slot) = self.index.get(&digest) {
-            let hint = &mut self.nodes[slot as usize].hint;
+        if let Some(hint) = self.lru.get(&digest) {
             hint.owner = owner;
             hint.set_cost(kind, route_hops);
-            self.touch(slot);
             return;
         }
-        while self.index.len() >= capacity {
-            let victim = self.tail;
-            self.index.remove(&self.nodes[victim as usize].digest);
-            self.release(victim);
+        while self.lru.len() >= capacity {
+            self.lru.pop_lru();
         }
         let mut hint = CacheHint {
             owner,
@@ -266,49 +177,19 @@ impl CacheState {
             write_hops: None,
         };
         hint.set_cost(kind, route_hops);
-        let node = Node {
-            digest,
-            hint,
-            prev: NIL,
-            next: NIL,
-        };
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.nodes[slot as usize] = node;
-                slot
-            }
-            None => {
-                let slot = Slot::try_from(self.nodes.len()).ok().filter(|s| *s != NIL);
-                self.nodes.push(node);
-                slot.expect("cache slab within u32 slots")
-            }
-        };
-        self.index.insert(digest, slot);
-        self.push_front(slot);
+        self.lru.insert(digest, hint);
     }
 
     /// Removes `key`'s entry, if any.
     fn evict(&mut self, key: &DhtKey) {
-        if let Some(slot) = self.index.remove(&key.hash()) {
-            self.release(slot);
-        }
+        self.lru.remove(&key.hash());
     }
 
     /// Negative feedback after a stale probe: drop every entry that
     /// points at `owner` — a node found departed (or displaced by a
     /// joiner) is stale for all the keys it was remembered for.
     fn invalidate_owner(&mut self, owner: &U160) {
-        let mut at = self.head;
-        while at != NIL {
-            let Node {
-                digest, hint, next, ..
-            } = self.nodes[at as usize];
-            if hint.owner == *owner {
-                self.index.remove(&digest);
-                self.release(at);
-            }
-            at = next;
-        }
+        self.lru.retain(|_, hint| hint.owner != *owner);
     }
 }
 
@@ -342,7 +223,7 @@ impl<D> CachedDht<D> {
         CachedDht {
             inner,
             cfg,
-            state: Mutex::new(CacheState::new()),
+            state: Mutex::new(CacheState::default()),
         }
     }
 
@@ -363,17 +244,17 @@ impl<D> CachedDht<D> {
 
     /// Number of locations currently remembered.
     pub fn len(&self) -> usize {
-        self.state.lock().index.len()
+        self.state.lock().lru.len()
     }
 
     /// Whether the cache currently remembers nothing.
     pub fn is_empty(&self) -> bool {
-        self.state.lock().index.is_empty()
+        self.state.lock().lru.is_empty()
     }
 
     /// Drops every cached location (stats are kept).
     pub fn clear(&self) {
-        self.state.lock().clear();
+        self.state.lock().lru.clear();
     }
 }
 
@@ -729,26 +610,6 @@ mod tests {
         DhtKey::from(s)
     }
 
-    impl CacheState {
-        /// Resident digests, most recently used first — walking the
-        /// list also checks it against the index and the back links.
-        fn recency_order(&self) -> Vec<U160> {
-            let mut order = Vec::new();
-            let (mut at, mut prev) = (self.head, NIL);
-            while at != NIL {
-                let node = &self.nodes[at as usize];
-                assert_eq!(node.prev, prev, "back link of slot {at}");
-                assert_eq!(self.index.get(&node.digest), Some(&at));
-                order.push(node.digest);
-                (prev, at) = (at, node.next);
-            }
-            assert_eq!(self.tail, prev);
-            assert_eq!(order.len(), self.index.len());
-            assert_eq!(order.len() + self.free.len(), self.nodes.len());
-            order
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -761,7 +622,7 @@ mod tests {
             script in proptest::collection::vec((0u8..6, 0u8..12, 0u8..4, 1u64..9), 0..200),
         ) {
             let keys: Vec<DhtKey> = (0..12).map(|i| k(&format!("#{i:04b}"))).collect();
-            let mut state = CacheState::new();
+            let mut state = CacheState::default();
             let mut model = ModelState::default();
             for (step, &(op, key, owner, hops)) in script.iter().enumerate() {
                 let key = &keys[key as usize];
@@ -782,8 +643,8 @@ mod tests {
                         model.invalidate_owner(&owner);
                     }
                 }
-                prop_assert_eq!(state.recency_order(), model.recency_order(), "step {}", step);
-                prop_assert!(state.nodes.len() <= capacity, "slab outgrew the capacity");
+                prop_assert_eq!(state.lru.audit(), model.recency_order(), "step {}", step);
+                prop_assert!(state.lru.slab().0 <= capacity, "slab outgrew the capacity");
             }
         }
     }
@@ -792,31 +653,31 @@ mod tests {
     fn vacated_slots_are_reused() {
         let keys: Vec<DhtKey> = (0..10).map(|i| k(&format!("key:{i}"))).collect();
         let (a, b) = (U160::from_u64(1), U160::from_u64(2));
-        let mut st = CacheState::new();
+        let mut st = CacheState::default();
         // Eviction hands the victim's slot to the newcomer.
         for key in &keys {
             st.learn(key, a, RouteKind::Read, 3, 4);
         }
-        assert_eq!((st.nodes.len(), st.free.len()), (4, 0));
+        assert_eq!(st.lru.slab(), (4, 0));
         // Invalidation frees slots; the next learns take them back.
         st.learn(&keys[8], b, RouteKind::Write, 2, 4);
         st.invalidate_owner(&a);
-        assert_eq!((st.index.len(), st.free.len()), (1, 3));
+        assert_eq!((st.lru.len(), st.lru.slab().1), (1, 3));
         for key in &keys[..3] {
             st.learn(key, b, RouteKind::Read, 3, 4);
         }
-        assert_eq!((st.nodes.len(), st.free.len()), (4, 0));
+        assert_eq!(st.lru.slab(), (4, 0));
         let order: Vec<U160> = [2, 1, 0, 8].iter().map(|&i| keys[i].hash()).collect();
-        assert_eq!(st.recency_order(), order);
+        assert_eq!(st.lru.audit(), order);
         // `clear` drops the slab with the entries.
-        st.clear();
-        assert!(st.recency_order().is_empty());
-        assert_eq!((st.nodes.len(), st.free.len()), (0, 0));
+        st.lru.clear();
+        assert!(st.lru.audit().is_empty());
+        assert_eq!(st.lru.slab(), (0, 0));
         assert_eq!(st.lookup(&keys[0]), None);
         for key in &keys[..6] {
             st.learn(key, a, RouteKind::Write, 1, 4);
         }
-        assert_eq!((st.nodes.len(), st.index.len()), (4, 4));
+        assert_eq!((st.lru.slab().0, st.lru.len()), (4, 4));
         assert_eq!(st.lookup(&keys[5]).map(|h| h.write_hops), Some(Some(1)));
     }
 

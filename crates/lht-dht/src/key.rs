@@ -101,29 +101,6 @@ impl DhtKey {
     pub fn hash(&self) -> U160 {
         *self.ring.get_or_init(|| sha1(self.as_bytes()))
     }
-
-    /// Hashes a batch of keys through [`lht_id::sha1_multi`] and
-    /// memoizes each digest, so subsequent [`hash`](DhtKey::hash)
-    /// calls (and clones taken afterwards) are cache hits.
-    ///
-    /// Exactly as many SHA-1 compressions run as the not-yet-hashed
-    /// keys would have spent lazily — already-memoized keys are
-    /// skipped — so bulk-load paths can hash a whole phase in one
-    /// call without changing the compression accounting.
-    pub fn hash_batch<'a>(keys: impl IntoIterator<Item = &'a DhtKey>) {
-        let pending: Vec<&DhtKey> = keys
-            .into_iter()
-            .filter(|k| k.ring.get().is_none())
-            .collect();
-        if pending.is_empty() {
-            return;
-        }
-        let inputs: Vec<&[u8]> = pending.iter().map(|k| k.as_bytes()).collect();
-        let digests = lht_id::sha1_multi(&inputs);
-        for (key, digest) in pending.iter().zip(digests) {
-            let _ = key.ring.set(digest);
-        }
-    }
 }
 
 impl Clone for DhtKey {
@@ -227,18 +204,6 @@ mod tests {
         let c = k.clone();
         assert_eq!(c, k);
         assert_eq!(c.hash(), first);
-    }
-
-    #[test]
-    fn hash_batch_memoizes_every_key_and_skips_prehashed() {
-        let keys: Vec<DhtKey> = (0..10).map(|i| DhtKey::from(format!("#b{i}"))).collect();
-        let pre = keys[3].hash();
-        DhtKey::hash_batch(&keys);
-        for k in &keys {
-            assert_eq!(k.ring.get().copied(), Some(sha1(k.as_bytes())));
-            assert_eq!(k.hash(), sha1(k.as_bytes()));
-        }
-        assert_eq!(keys[3].hash(), pre);
     }
 
     #[test]

@@ -56,6 +56,7 @@ mod error;
 mod fault;
 pub mod gf256;
 mod key;
+mod lru;
 mod quorum;
 mod retry;
 mod slots;
@@ -73,6 +74,7 @@ pub use erasure::{
 pub use error::DhtError;
 pub use fault::{Brownout, FaultyDht, LatencyProfile, NetProfile};
 pub use key::DhtKey;
+pub use lru::Lru;
 pub use quorum::{slot_key, split_slot_key, QuorumConfig, QuorumDht, Versioned};
 pub use retry::{Backoffs, RetriedDht, RetryPolicy};
 pub use stats::{DhtOp, DhtStats, LatencyHistogram};

@@ -42,5 +42,5 @@ mod u160;
 
 pub use bitstr::{BitStr, ParseBitStrError};
 pub use fraction::KeyFraction;
-pub use sha1::{sha1, sha1_compressions, sha1_digest_into, sha1_multi, Sha1};
+pub use sha1::{sha1, sha1_backend, sha1_compressions, sha1_digest_into, Sha1};
 pub use u160::U160;

@@ -13,11 +13,10 @@
 //! *roles* instead of being shuffled through a `tmp` chain, and the
 //! message schedule lives in a 16-word circular buffer computed on the
 //! fly instead of a pre-expanded `[u32; 80]`. One-shot digests
-//! ([`sha1`], [`sha1_digest_into`], [`sha1_multi`]) bypass the
-//! streaming buffer entirely: full blocks compress directly from the
-//! input slice and the padded tail is assembled on the stack, which is
-//! the common case for the `< 64` byte label strings LHT hashes on its
-//! hot path.
+//! ([`sha1`], [`sha1_digest_into`]) bypass the streaming buffer
+//! entirely: full blocks compress directly from the input slice and
+//! the padded tail is assembled on the stack, which is the common case
+//! for the `< 64` byte label strings LHT hashes on its hot path.
 
 use crate::U160;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -235,6 +234,22 @@ fn compress_blocks(state: &mut [u32; 5], data: &[u8]) {
     compress_blocks_scalar(state, data);
 }
 
+/// The compression path every digest takes on this CPU — `"sha-ni"`
+/// (the x86 SHA extensions) or `"scalar"` — for tools that record a
+/// hashing rate: the hardware path is ≈ 3–4× the other, so rates only
+/// compare between runs on one backend.
+///
+/// ```
+/// assert!(["sha-ni", "scalar"].contains(&lht_id::sha1_backend()));
+/// ```
+pub fn sha1_backend() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if crate::sha1_shani::available() {
+        return "sha-ni";
+    }
+    "scalar"
+}
+
 /// The portable fallback: one [`compress`] per block.
 fn compress_blocks_scalar(state: &mut [u32; 5], data: &[u8]) {
     for block in data.chunks_exact(64) {
@@ -391,24 +406,6 @@ pub fn sha1_digest_into(data: &[u8], out: &mut [u8; 20]) {
     *out = state_to_bytes(digest_state(data));
 }
 
-/// Digests a batch of independent inputs in one call.
-///
-/// Each input takes the same one-shot fast path as [`sha1`]; batching
-/// keeps the call overhead out of tight loops that hash many short
-/// label strings (bulk load, scatter-gather drivers).
-///
-/// # Examples
-///
-/// ```
-/// use lht_id::{sha1, sha1_multi};
-///
-/// let digests = sha1_multi(&[b"#0".as_slice(), b"#1".as_slice()]);
-/// assert_eq!(digests, vec![sha1(b"#0"), sha1(b"#1")]);
-/// ```
-pub fn sha1_multi(inputs: &[&[u8]]) -> Vec<U160> {
-    inputs.iter().map(|data| sha1(data)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,16 +494,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn multi_matches_oneshot() {
-        let inputs: Vec<Vec<u8>> = (0..10).map(|i| vec![i as u8; i * 7]).collect();
-        let slices: Vec<&[u8]> = inputs.iter().map(|v| v.as_slice()).collect();
-        let digests = sha1_multi(&slices);
-        for (input, digest) in inputs.iter().zip(&digests) {
-            assert_eq!(*digest, sha1(input));
-        }
-    }
-
     /// Number of compressions a message of `len` bytes must cost:
     /// padding adds the 0x80 byte plus an 8-byte length.
     fn expected_blocks(len: usize) -> u64 {
@@ -550,6 +537,15 @@ mod tests {
             compress_blocks_scalar(&mut scalar, &data[..blocks * 64]);
             assert_eq!(dispatched, scalar, "{blocks} blocks");
         }
+    }
+
+    #[test]
+    fn backend_names_the_path_dispatch_takes() {
+        #[cfg(target_arch = "x86_64")]
+        let hardware = crate::sha1_shani::try_compress_blocks(&mut INIT.clone(), &[]);
+        #[cfg(not(target_arch = "x86_64"))]
+        let hardware = false;
+        assert_eq!(sha1_backend(), if hardware { "sha-ni" } else { "scalar" });
     }
 
     proptest! {
