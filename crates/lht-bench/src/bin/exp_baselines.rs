@@ -1,93 +1,5 @@
-//! Extension experiment **E10** — LHT vs PHT vs DST, the three-way
-//! baseline comparison quantifying the paper's §2 qualitative claims.
-//!
-//! ```sh
-//! cargo run --release -p lht-bench --bin exp_baselines -- [--full]
-//! ```
-
-use lht_bench::experiments::baselines;
-use lht_bench::{write_csv, BenchOpts, Table};
-use lht_workload::KeyDist;
+//! `lht-exp baselines` under its historical binary name.
 
 fn main() {
-    let opts = BenchOpts::from_env();
-    let top = if opts.full { 16 } else { 14 };
-    let sizes: Vec<usize> = (10..=top).step_by(2).map(|e| 1usize << e).collect();
-
-    for dist in [KeyDist::Uniform, KeyDist::gaussian_paper()] {
-        eprintln!("baselines: {} data…", dist.tag());
-        let rows = baselines::compare(dist, &sizes, 0.1, 20);
-
-        let mut ti = Table::new(
-            format!("E10 — per-insert DHT-lookups, {} data", dist.tag()),
-            &["n", "LHT", "PHT", "DST", "RST"],
-        );
-        let mut tm = Table::new(
-            format!("E10 — replication/movement per record, {} data", dist.tag()),
-            &[
-                "n",
-                "LHT moved/rec",
-                "PHT moved/rec",
-                "DST replicas/rec",
-                "RST bcast/rec",
-            ],
-        );
-        let mut tq = Table::new(
-            format!(
-                "E10 — range query (span 0.1): lookups | steps, {} data",
-                dist.tag()
-            ),
-            &["n", "LHT", "PHT(seq)", "PHT(par)", "DST", "RST"],
-        );
-        for r in &rows {
-            ti.push_row(vec![
-                r.n.to_string(),
-                format!("{:.2}", r.insert_cost.lht),
-                format!("{:.2}", r.insert_cost.pht_seq),
-                format!("{:.2}", r.insert_cost.dst),
-                format!("{:.2}", r.insert_cost.rst),
-            ]);
-            tm.push_row(vec![
-                r.n.to_string(),
-                format!("{:.3}", r.lht_stats.records_moved as f64 / r.n as f64),
-                format!("{:.3}", r.pht_stats.records_moved as f64 / r.n as f64),
-                format!("{:.3}", r.dst_stats.records_moved as f64 / r.n as f64),
-                format!("{:.3}", r.rst_stats.maintenance_lookups as f64 / r.n as f64),
-            ]);
-            tq.push_row(vec![
-                r.n.to_string(),
-                format!("{:.1} | {:.1}", r.range_bandwidth.lht, r.range_latency.lht),
-                format!(
-                    "{:.1} | {:.1}",
-                    r.range_bandwidth.pht_seq, r.range_latency.pht_seq
-                ),
-                format!(
-                    "{:.1} | {:.1}",
-                    r.range_bandwidth.pht_par, r.range_latency.pht_par
-                ),
-                format!("{:.1} | {:.1}", r.range_bandwidth.dst, r.range_latency.dst),
-                format!("{:.1} | {:.1}", r.range_bandwidth.rst, r.range_latency.rst),
-            ]);
-        }
-        for t in [&ti, &tm, &tq] {
-            print!("{}", t.render());
-            println!();
-        }
-        let ok = rows.iter().all(baselines::section2_claims_hold);
-        println!(
-            "§2 qualitative ordering (DST insert ≫ LHT; RST queries optimal but broadcast maintenance; PHT-seq latency worst): {}",
-            if ok { "HOLDS" } else { "VIOLATED" }
-        );
-        println!();
-        report(write_csv(&ti, &format!("e10_insert_{}", dist.tag())));
-        report(write_csv(&tm, &format!("e10_moved_{}", dist.tag())));
-        report(write_csv(&tq, &format!("e10_range_{}", dist.tag())));
-    }
-}
-
-fn report(path: std::io::Result<std::path::PathBuf>) {
-    match path {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    lht_bench::cli::main_of("baselines")
 }

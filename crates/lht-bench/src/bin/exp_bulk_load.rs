@@ -1,54 +1,5 @@
-//! Extension experiment **E13** — the bulk-loading ablation:
-//! incremental growth (the paper's §4) vs a local build shipping one
-//! DHT-put per leaf.
-//!
-//! ```sh
-//! cargo run --release -p lht-bench --bin exp_bulk_load -- [--full]
-//! ```
-
-use lht_bench::experiments::bulk;
-use lht_bench::{write_csv, BenchOpts, Table};
-use lht_workload::KeyDist;
+//! `lht-exp bulk-load` under its historical binary name.
 
 fn main() {
-    let opts = BenchOpts::from_env();
-    let sizes = opts.data_sizes();
-
-    for dist in [KeyDist::Uniform, KeyDist::gaussian_paper()] {
-        eprintln!("bulk load: {} data…", dist.tag());
-        let rows = bulk::bulk_vs_incremental(dist, &sizes, 99);
-        let mut t = Table::new(
-            format!(
-                "E13 — incremental vs bulk loading, {} data (θ=100)",
-                dist.tag()
-            ),
-            &[
-                "n",
-                "incremental lookups",
-                "moved records",
-                "bulk lookups",
-                "leaves",
-                "ratio",
-            ],
-        );
-        for r in &rows {
-            t.push_row(vec![
-                r.n.to_string(),
-                r.incremental_lookups.to_string(),
-                r.incremental_moved.to_string(),
-                r.bulk_lookups.to_string(),
-                r.bulk_leaves.to_string(),
-                format!("{:.1}x", r.ratio()),
-            ]);
-        }
-        print!("{}", t.render());
-        println!();
-        match write_csv(&t, &format!("e13_bulk_{}", dist.tag())) {
-            Ok(p) => eprintln!("wrote {}", p.display()),
-            Err(e) => eprintln!("csv write failed: {e}"),
-        }
-    }
-    println!(
-        "(ablation: the per-insert lookup + split movement is the price of *online*\n distributed growth; with a complete dataset up front, one put per leaf\n suffices. LHT's low per-split cost is what keeps the online path viable.)"
-    );
+    lht_bench::cli::main_of("bulk-load")
 }

@@ -1,50 +1,5 @@
-//! Extension experiment **E11** — LHT availability under substrate
-//! churn (crashes + joins on the Chord ring), with and without
-//! replication.
-//!
-//! ```sh
-//! cargo run --release -p lht-bench --bin exp_churn -- [--full]
-//! ```
-
-use lht_bench::experiments::churn;
-use lht_bench::{write_csv, BenchOpts, Table};
+//! `lht-exp churn` under its historical binary name.
 
 fn main() {
-    let opts = BenchOpts::from_env();
-    let (n, peers) = if opts.full { (5_000, 64) } else { (1_500, 32) };
-    let fractions = [0.0, 0.1, 0.2, 0.3];
-    let replicas = [1usize, 2, 3];
-
-    eprintln!("churn: {n} records over {peers} Chord peers…");
-    let rows = churn::churn_availability(n, peers, &fractions, &replicas, 1234);
-
-    let mut t = Table::new(
-        format!("E11 — exact-match availability after churn ({n} records, {peers} peers)"),
-        &[
-            "crash %",
-            "replicas",
-            "correct",
-            "lost",
-            "availability",
-            "hops/lookup",
-        ],
-    );
-    for r in &rows {
-        t.push_row(vec![
-            format!("{:.0}%", 100.0 * r.crash_fraction),
-            r.replicas.to_string(),
-            r.correct.to_string(),
-            r.lost.to_string(),
-            format!("{:.1}%", 100.0 * r.availability()),
-            format!("{:.2}", r.hops_per_lookup),
-        ]);
-    }
-    print!("{}", t.render());
-    println!(
-        "\n(§8.2: LHT itself needs no periodic maintenance — integrity under churn is\n delegated to the DHT, so availability tracks the substrate's replication.)"
-    );
-    match write_csv(&t, "e11_churn") {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    lht_bench::cli::main_of("churn")
 }

@@ -1,58 +1,5 @@
-//! Extension experiment **E15** — deletion-phase maintenance, the
-//! dual of Fig. 7: drain a built index by random removals and compare
-//! cumulative merge traffic, LHT vs PHT.
-//!
-//! ```sh
-//! cargo run --release -p lht-bench --bin exp_deletion -- [--full]
-//! ```
-
-use lht_bench::experiments::deletion;
-use lht_bench::{write_csv, BenchOpts, Table};
-use lht_workload::KeyDist;
+//! `lht-exp deletion` under its historical binary name.
 
 fn main() {
-    let opts = BenchOpts::from_env();
-    let n = if opts.full { 1 << 17 } else { 1 << 14 };
-
-    for dist in [KeyDist::Uniform, KeyDist::gaussian_paper()] {
-        eprintln!("deletion drain: {} data, n = {n}…", dist.tag());
-        let pts = deletion::drain(dist, n, 8, 99);
-        let mut t = Table::new(
-            format!(
-                "E15 — cumulative merge maintenance while draining, {} data (θ=100)",
-                dist.tag()
-            ),
-            &[
-                "remaining",
-                "LHT merges",
-                "PHT merges",
-                "LHT lookups",
-                "PHT lookups",
-                "LHT moved",
-                "PHT moved",
-                "moved ratio",
-            ],
-        );
-        for p in &pts {
-            t.push_row(vec![
-                p.remaining.to_string(),
-                p.lht_merges.to_string(),
-                p.pht_merges.to_string(),
-                p.lht_lookups.to_string(),
-                p.pht_lookups.to_string(),
-                p.lht_moved.to_string(),
-                p.pht_moved.to_string(),
-                format!("{:.3}", p.lht_moved as f64 / p.pht_moved.max(1) as f64),
-            ]);
-        }
-        print!("{}", t.render());
-        println!();
-        match write_csv(&t, &format!("e15_deletion_{}", dist.tag())) {
-            Ok(p) => eprintln!("wrote {}", p.display()),
-            Err(e) => eprintln!("csv write failed: {e}"),
-        }
-    }
-    println!(
-        "(§8.2 calls merge the dual of split; LHT's movement advantage carries over\n to shrinkage. Our merges additionally pay an explicit sibling probe and\n tombstone removal — see EXPERIMENTS.md deviations — yet stay cheaper.)"
-    );
+    lht_bench::cli::main_of("deletion")
 }

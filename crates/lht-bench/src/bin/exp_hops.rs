@@ -1,50 +1,5 @@
-//! Extension experiment **E14** — physical hop costs on a routed
-//! Chord ring: does the index-level comparison survive the §8.1
-//! `O(log N)` multiplier?
-//!
-//! ```sh
-//! cargo run --release -p lht-bench --bin exp_hops -- [--full]
-//! ```
-
-use lht_bench::experiments::hops;
-use lht_bench::{write_csv, BenchOpts, Table};
+//! `lht-exp hops` under its historical binary name.
 
 fn main() {
-    let opts = BenchOpts::from_env();
-    let n = if opts.full { 16_384 } else { 4_096 };
-    let rings = [8usize, 16, 32, 64, 128];
-
-    eprintln!("hop costs: {n} records over Chord rings…");
-    let rows = hops::hops_over_chord(n, &rings, 200);
-    let mut t = Table::new(
-        format!("E14 — mean physical hops per operation ({n} records, span 0.1)"),
-        &[
-            "peers",
-            "hops/DHT-lookup",
-            "LHT lookup",
-            "PHT lookup",
-            "LHT range",
-            "PHT(seq) range",
-            "PHT(par) range",
-        ],
-    );
-    for r in &rows {
-        t.push_row(vec![
-            r.peers.to_string(),
-            format!("{:.2}", r.hops_per_dht_lookup),
-            format!("{:.1}", r.lht_lookup_hops),
-            format!("{:.1}", r.pht_lookup_hops),
-            format!("{:.1}", r.lht_range_hops),
-            format!("{:.1}", r.pht_seq_range_hops),
-            format!("{:.1}", r.pht_par_range_hops),
-        ]);
-    }
-    print!("{}", t.render());
-    println!(
-        "\n(§8.1: a DHT-lookup costs O(log N) hops; every index-level ordering from\n Figs. 8–9 survives multiplication by the measured per-ring hop factor.)"
-    );
-    match write_csv(&t, "e14_hops") {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    lht_bench::cli::main_of("hops")
 }

@@ -1,56 +1,5 @@
-//! Extension experiment **E12** — per-peer storage load: raw DHT
-//! hashing vs LHT bucket placement, for uniform / gaussian / zipf
-//! keys.
-//!
-//! ```sh
-//! cargo run --release -p lht-bench --bin exp_load_balance -- [--full]
-//! ```
-
-use lht_bench::experiments::balance;
-use lht_bench::{write_csv, BenchOpts, Table};
+//! `lht-exp load-balance` under its historical binary name.
 
 fn main() {
-    let opts = BenchOpts::from_env();
-    let (n, peers) = if opts.full {
-        (50_000, 64)
-    } else {
-        (10_000, 32)
-    };
-
-    eprintln!("load balance: {n} records over {peers} Chord peers…");
-    let rows = balance::storage_balance(n, peers, 4242);
-
-    let mut t = Table::new(
-        format!("E12 — records per peer ({n} records, {peers} peers)"),
-        &[
-            "distribution",
-            "scheme",
-            "mean",
-            "max",
-            "max/mean",
-            "cv",
-            "empty peers",
-        ],
-    );
-    for r in &rows {
-        for (scheme, m) in [("raw keys", r.raw), ("LHT buckets", r.lht)] {
-            t.push_row(vec![
-                r.dist.to_string(),
-                scheme.to_string(),
-                format!("{:.0}", m.mean),
-                m.max.to_string(),
-                format!("{:.2}", m.max as f64 / m.mean.max(1.0)),
-                format!("{:.2}", m.cv),
-                m.empty_peers.to_string(),
-            ]);
-        }
-    }
-    print!("{}", t.render());
-    println!(
-        "\n(§1/§3.4: consistent hashing spreads raw keys; LHT hashes bucket *names*, so\n even skewed data distributes across peers at bucket granularity. Bucket\n granularity costs some evenness — the trade for locality-preserving queries.)"
-    );
-    match write_csv(&t, "e12_load_balance") {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    lht_bench::cli::main_of("load-balance")
 }

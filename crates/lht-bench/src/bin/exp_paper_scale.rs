@@ -1,258 +1,5 @@
-//! Extension experiment E21 — paper-scale and beyond-paper-scale
-//! throughput and memory over a {keys} × {peers} grid.
-//!
-//! The paper's evaluation runs to 2^20 keys (§9); ROADMAP item 1 asks
-//! for 2^22–2^24 keys over ≥1024 peers. The default grid covers
-//! {2^20, 2^22} × {256, 1024} plus 2^20 × 4096; `--full` adds the
-//! expensive corner cells up to 2^24 × 4096. Every cell runs the real
-//! index hot path over a simulated Chord ring, scattered across real
-//! worker threads, and reports verified insert / point-lookup /
-//! range-query throughput and the cell's own peak resident set
-//! (`VmHWM`, reset per cell), as a table on stdout and as
-//! `results/e21_paper_scale.csv`.
-//!
-//! ```sh
-//! cargo run --release -p lht-bench --bin exp_paper_scale -- \
-//!     [--smoke] [--full] [--keys N] [--peers N] [--threads N] \
-//!     [--seed N] [--budget SECS]
-//! ```
-//!
-//! `--smoke` runs one 2^14-key scale at 256 **and** 1024 peers with
-//! conservative throughput floors asserted — the CI guard against the
-//! hot path (or the 1024-peer routing) silently falling off a cliff.
-//! The grid sweeps assert a wall-clock budget instead (default
-//! 1800 s): paper scale *completing* in bounded time is itself the
-//! claim under test. Whenever a keys scale ran at both 256 and 1024
-//! peers, the sweep additionally asserts the 1024-peer cell holds
-//! ≥ half the 256-peer insert throughput — the O(log n) routing
-//! claim, measured.
-//!
-//! Every run is self-verifying: lookup values, exact range
-//! cardinalities, min/max endpoints, and scatter-gather stats
-//! cross-checks all assert inside the experiment.
-
-use lht_bench::experiments::paper_scale;
-use lht_bench::rss::format_mb;
-use lht_bench::{write_csv, Table};
-
-struct Args {
-    smoke: bool,
-    full: bool,
-    keys: Option<usize>,
-    peers: Option<usize>,
-    threads: usize,
-    seed: u64,
-    budget_secs: f64,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            smoke: false,
-            full: false,
-            keys: None,
-            peers: None,
-            threads: 4,
-            seed: 21,
-            budget_secs: 1800.0,
-        }
-    }
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!(
-        "usage: exp_paper_scale [--smoke] [--full] [--keys N] [--peers N] \
-         [--threads N] [--seed N] [--budget SECS]"
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
-}
-
-fn parse_args() -> Args {
-    let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
-    let num = |it: &mut dyn Iterator<Item = String>, what: &str| -> u64 {
-        it.next()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| usage(&format!("{what} needs an unsigned integer")))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--full" => args.full = true,
-            "--keys" => args.keys = Some((num(&mut it, "--keys") as usize).max(8192)),
-            "--peers" => args.peers = Some((num(&mut it, "--peers") as usize).max(1)),
-            "--threads" => args.threads = (num(&mut it, "--threads") as usize).clamp(1, 64),
-            "--seed" => args.seed = num(&mut it, "--seed"),
-            "--budget" => args.budget_secs = num(&mut it, "--budget") as f64,
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown argument {other:?}")),
-        }
-    }
-    args
-}
-
-/// The `(keys, peers)` cells a run covers. An explicit `--keys` or
-/// `--peers` pins a single cell; otherwise smoke mode runs the two CI
-/// cells and the sweep runs the grid (plus the `--full` corners).
-fn cells(args: &Args) -> Vec<(usize, usize)> {
-    if args.keys.is_some() || args.peers.is_some() {
-        return vec![(
-            args.keys
-                .unwrap_or(if args.smoke { 1 << 14 } else { 1 << 20 }),
-            args.peers.unwrap_or(256),
-        )];
-    }
-    if args.smoke {
-        return vec![(1 << 14, 256), (1 << 14, 1024)];
-    }
-    let mut cells = vec![
-        (1 << 20, 256),
-        (1 << 20, 1024),
-        (1 << 20, 4096),
-        (1 << 22, 256),
-        (1 << 22, 1024),
-    ];
-    if args.full {
-        cells.extend([
-            (1 << 22, 4096),
-            (1 << 24, 256),
-            (1 << 24, 1024),
-            (1 << 24, 4096),
-        ]);
-    }
-    cells
-}
-
-/// Smoke-mode throughput floors: an order of magnitude below what a
-/// single shared CPU core sustains, so they only trip on a real
-/// regression (an accidental per-op allocation storm, a hashing
-/// slowdown, or super-logarithmic routing), not on scheduler noise.
-/// The same floors apply at 256 and 1024 peers — O(log n) routing
-/// costs the bigger ring only a fraction more hops.
-const SMOKE_MIN_INSERTS_PER_SEC: f64 = 10_000.0;
-const SMOKE_MIN_RANGE_QPS: f64 = 40.0;
-
-/// A 1024-peer ring must hold at least half the 256-peer insert
-/// throughput at equal keys: hops grow like log2(n), so a 4× ring
-/// costs ~10/8 hops — far from 2×. A miss means routing degraded
-/// super-logarithmically.
-const MAX_PEER_SCALING_SLOWDOWN: f64 = 2.0;
+//! `lht-exp paper-scale` under its historical binary name.
 
 fn main() {
-    let args = parse_args();
-    let cells = cells(&args);
-
-    let mut table = Table::new(
-        "E21 — paper-scale hot path (verified throughput, peak RSS)",
-        &[
-            "keys",
-            "peers",
-            "threads",
-            "inserts/s",
-            "lookups/s",
-            "range q/s",
-            "range recs",
-            "dht lookups/insert",
-            "hops/insert",
-            "peak RSS MB",
-        ],
-    );
-
-    let sweep_start = std::time::Instant::now();
-    let mut runs = Vec::new();
-    for &(keys, peers) in &cells {
-        eprintln!(
-            "E21: {keys} keys over {peers} peers, {} threads…",
-            args.threads
-        );
-        let r = paper_scale::run(keys, peers, args.threads, args.seed);
-        eprintln!(
-            "  inserts {:.0}/s ({:.1}s seed + {:.1}s scattered), lookups {:.0}/s, \
-             ranges {:.1}/s, peak RSS {} MB",
-            r.inserts_per_sec,
-            r.seed_secs,
-            r.insert_secs,
-            r.lookups_per_sec,
-            r.range_qps,
-            format_mb(r.peak_rss_mb)
-        );
-        table.push_row(vec![
-            r.keys.to_string(),
-            r.peers.to_string(),
-            r.threads.to_string(),
-            format!("{:.0}", r.inserts_per_sec),
-            format!("{:.0}", r.lookups_per_sec),
-            format!("{:.1}", r.range_qps),
-            r.range_records.to_string(),
-            format!("{:.2}", r.insert_dht_lookups as f64 / r.keys as f64),
-            format!("{:.2}", r.insert_hops as f64 / r.keys as f64),
-            format_mb(r.peak_rss_mb),
-        ]);
-        runs.push(r);
-    }
-    let elapsed = sweep_start.elapsed().as_secs_f64();
-
-    print!("{}", table.render());
-    match write_csv(&table, "e21_paper_scale") {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("failed to write CSV: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    // Peer-scaling guard: wherever a keys scale ran at both 256 and
-    // 1024 peers, the bigger ring must stay within the logarithmic
-    // slowdown envelope.
-    for r in &runs {
-        if r.peers != 1024 {
-            continue;
-        }
-        let Some(base) = runs.iter().find(|b| b.keys == r.keys && b.peers == 256) else {
-            continue;
-        };
-        assert!(
-            r.inserts_per_sec * MAX_PEER_SCALING_SLOWDOWN >= base.inserts_per_sec,
-            "{} keys: 1024-peer inserts/s {:.0} fell below half the \
-             256-peer figure {:.0}",
-            r.keys,
-            r.inserts_per_sec,
-            base.inserts_per_sec
-        );
-    }
-
-    if args.smoke {
-        for r in &runs {
-            assert!(
-                r.inserts_per_sec >= SMOKE_MIN_INSERTS_PER_SEC,
-                "smoke floor ({} peers): inserts/s {:.0} fell below \
-                 {SMOKE_MIN_INSERTS_PER_SEC}",
-                r.peers,
-                r.inserts_per_sec
-            );
-            assert!(
-                r.range_qps >= SMOKE_MIN_RANGE_QPS,
-                "smoke floor ({} peers): range q/s {:.1} fell below \
-                 {SMOKE_MIN_RANGE_QPS}",
-                r.peers,
-                r.range_qps
-            );
-        }
-        eprintln!("smoke floors passed ({elapsed:.1}s)");
-    } else {
-        // The budget is the in-bin claim that paper scale is
-        // *reachable*, not merely that partial progress was made.
-        assert!(
-            elapsed <= args.budget_secs,
-            "paper-scale sweep took {elapsed:.1}s, over the {:.0}s budget",
-            args.budget_secs
-        );
-        eprintln!(
-            "sweep completed in {elapsed:.1}s (budget {:.0}s)",
-            args.budget_secs
-        );
-    }
+    lht_bench::cli::main_of("paper-scale")
 }

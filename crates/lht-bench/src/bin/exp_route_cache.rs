@@ -1,98 +1,5 @@
-//! Extension experiment **E18** — churn-safe location cache on the
-//! index hot path: hops/lookup, hit rate and latency vs cache size
-//! and churn, LHT vs PHT over the same 32-peer Chord rings.
-//!
-//! ```sh
-//! cargo run --release -p lht-bench --bin exp_route_cache -- [--full]
-//! ```
-//!
-//! Self-asserting: at full capacity with no churn the LHT workload
-//! must route in ≤ 1.8 hops per DHT-lookup with a hit rate ≥ 0.6
-//! (the uncached Chord baseline is ~3.1), and no cell may ever
-//! diverge from its uncached reference handle.
-
-use lht_bench::experiments::route_cache;
-use lht_bench::{write_csv, BenchOpts, Table};
+//! `lht-exp route-cache` under its historical binary name.
 
 fn main() {
-    let opts = BenchOpts::from_env();
-    let (n, queries) = if opts.full {
-        (4_096, 512)
-    } else {
-        (4_096, 256)
-    };
-    let caps = [0usize, 64, 256, 1024, 4096];
-    let churn = [0usize, 8, 32];
-
-    eprintln!("route cache: {n} records, {queries} queries per cell…");
-    let rows = route_cache::route_cache_sweep(n, &caps, &churn, queries, 23);
-
-    let mut t = Table::new(
-        format!(
-            "E18 — location cache vs churn ({n} records, {SPAN}-key ranges, 80/20 skew)",
-            SPAN = 16
-        ),
-        &[
-            "index",
-            "cache",
-            "churn",
-            "hops/DHT-lookup",
-            "hit rate",
-            "p50 us",
-            "p99 us",
-            "divergences",
-        ],
-    );
-    for r in &rows {
-        t.push_row(vec![
-            r.index.to_string(),
-            r.capacity.to_string(),
-            r.churn_events.to_string(),
-            format!("{:.3}", r.hops_per_lookup),
-            format!("{:.3}", r.hit_rate),
-            format!("{:.1}", r.latency_p50_us),
-            format!("{:.1}", r.latency_p99_us),
-            r.divergences.to_string(),
-        ]);
-    }
-    print!("{}", t.render());
-
-    // Safety: the cache may change cost, never answers.
-    for r in &rows {
-        assert_eq!(
-            r.divergences, 0,
-            "{} cache={} churn={}: cached answers diverged",
-            r.index, r.capacity, r.churn_events
-        );
-    }
-    let cell = |cap: usize, churn: usize| {
-        rows.iter()
-            .find(|r| r.index == "lht" && r.capacity == cap && r.churn_events == churn)
-            .expect("cell present")
-    };
-    let best = cell(4096, 0);
-    let base = cell(0, 0);
-    assert!(
-        best.hops_per_lookup <= 1.8,
-        "full-capacity churn-free LHT must route in <= 1.8 hops/lookup, got {:.3} \
-         (uncached baseline {:.3})",
-        best.hops_per_lookup,
-        base.hops_per_lookup
-    );
-    assert!(
-        best.hit_rate >= 0.6,
-        "full-capacity churn-free LHT hit rate must be >= 0.6, got {:.3}",
-        best.hit_rate
-    );
-    println!(
-        "\n(cache 4096, churn 0: {:.3} hops/DHT-lookup at hit rate {:.3}, vs {:.3} uncached —\n \
-         a verified 1-hop probe replaces the O(log N) route on every hit, and churned cells\n \
-         degrade to the full route instead of answering stale.)",
-        best.hops_per_lookup, best.hit_rate, base.hops_per_lookup
-    );
-
-    match write_csv(&t, "e18_route_cache") {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    lht_bench::cli::main_of("route-cache")
 }

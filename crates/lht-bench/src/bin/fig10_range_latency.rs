@@ -1,76 +1,5 @@
-//! Reproduces **Figure 10** (§9.4): range-query latency — parallel
-//! steps of DHT-lookups per query — for LHT, PHT(sequential) and
-//! PHT(parallel), against data size (10a) and against span (10b).
-//!
-//! ```sh
-//! cargo run --release -p lht-bench --bin fig10_range_latency -- [--trials N] [--full] [--threads N]
-//! ```
-
-use lht_bench::experiments::fig9_10;
-use lht_bench::{write_csv, BenchOpts, Table};
-use lht_workload::KeyDist;
+//! `lht-exp fig10` under its historical binary name.
 
 fn main() {
-    let opts = BenchOpts::from_env();
-    let sizes = opts.data_sizes();
-    let span = 0.1;
-
-    for dist in [KeyDist::Uniform, KeyDist::gaussian_paper()] {
-        eprintln!("fig10a: {} data…", dist.tag());
-        let pts = fig9_10::range_vs_size(dist, &sizes, span, opts.trials, opts.threads);
-        let mut t = Table::new(
-            format!(
-                "Fig. 10a — range latency (parallel steps) vs data size, {} data (span {span})",
-                dist.tag()
-            ),
-            &["n", "LHT", "PHT(seq)", "PHT(par)", "LHT vs par"],
-        );
-        for p in &pts {
-            t.push_row(vec![
-                p.n.to_string(),
-                format!("{:.2}", p.latency.lht),
-                format!("{:.1}", p.latency.pht_seq),
-                format!("{:.2}", p.latency.pht_par),
-                format!("{:+.1}%", 100.0 * (1.0 - p.latency.lht / p.latency.pht_par)),
-            ]);
-        }
-        print!("{}", t.render());
-        println!();
-        report(write_csv(&t, &format!("fig10a_latency_{}", dist.tag())));
-    }
-
-    let n = if opts.full { 1 << 18 } else { 1 << 15 };
-    let spans = [0.02, 0.05, 0.1, 0.2, 0.3, 0.5];
-    for dist in [KeyDist::Uniform, KeyDist::gaussian_paper()] {
-        eprintln!("fig10b: {} data…", dist.tag());
-        let pts = fig9_10::range_vs_span(dist, n, &spans, opts.trials, opts.threads);
-        let mut t = Table::new(
-            format!(
-                "Fig. 10b — range latency (parallel steps) vs span, {} data (n = {n})",
-                dist.tag()
-            ),
-            &["span", "LHT", "PHT(seq)", "PHT(par)"],
-        );
-        for p in &pts {
-            t.push_row(vec![
-                format!("{:.2}", p.span),
-                format!("{:.2}", p.latency.lht),
-                format!("{:.1}", p.latency.pht_seq),
-                format!("{:.2}", p.latency.pht_par),
-            ]);
-        }
-        print!("{}", t.render());
-        println!();
-        report(write_csv(&t, &format!("fig10b_latency_{}", dist.tag())));
-    }
-    println!(
-        "(paper: PHT(sequential) needs about an order of magnitude more time; LHT is\n the most time-efficient, ≈18% below PHT(parallel), with the edge shrinking at\n large spans on uniform data)"
-    );
-}
-
-fn report(path: std::io::Result<std::path::PathBuf>) {
-    match path {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    lht_bench::cli::main_of("fig10")
 }

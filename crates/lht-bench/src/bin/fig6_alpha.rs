@@ -1,90 +1,5 @@
-//! Reproduces **Figure 6** (§9.2): average α.
-//!
-//! ```sh
-//! cargo run --release -p lht-bench --bin fig6_alpha -- [--trials N] [--full] [--threads N]
-//! ```
-
-use lht_bench::experiments::fig6;
-use lht_bench::{write_csv, BenchOpts, Table};
-use lht_workload::KeyDist;
+//! `lht-exp fig6` under its historical binary name.
 
 fn main() {
-    let opts = BenchOpts::from_env();
-    let dists = [KeyDist::Uniform, KeyDist::gaussian_paper()];
-
-    // Fig. 6a: average α vs data size, θ_split ∈ {40, 160}.
-    let sizes = opts.data_sizes();
-    let mut t6a = Table::new(
-        "Fig. 6a — average α vs data size (mean over trials)",
-        &[
-            "n",
-            "uniform θ=40",
-            "uniform θ=160",
-            "gaussian θ=40",
-            "gaussian θ=160",
-        ],
-    );
-    let mut cols: Vec<Vec<fig6::AlphaPoint>> = Vec::new();
-    for dist in dists {
-        for theta in [40usize, 160] {
-            eprintln!("fig6a: {} θ={theta}…", dist.tag());
-            cols.push(fig6::alpha_vs_size(
-                dist,
-                theta,
-                &sizes,
-                opts.trials,
-                opts.threads,
-            ));
-        }
-    }
-    for (i, n) in sizes.iter().enumerate() {
-        t6a.push_row(vec![
-            n.to_string(),
-            format!("{:.4}", cols[0][i].avg_alpha),
-            format!("{:.4}", cols[1][i].avg_alpha),
-            format!("{:.4}", cols[2][i].avg_alpha),
-            format!("{:.4}", cols[3][i].avg_alpha),
-        ]);
-    }
-    print!("{}", t6a.render());
-    println!(
-        "(paper: ᾱ approaches ½ + 1/(2θ): {:.4} for θ=40, {:.4} for θ=160)\n",
-        0.5 + 1.0 / 80.0,
-        0.5 + 1.0 / 320.0
-    );
-    report(write_csv(&t6a, "fig6a_alpha_vs_size"));
-
-    // Fig. 6b: average α vs θ_split at a fixed data size.
-    let n = if opts.full { 1 << 18 } else { 1 << 14 };
-    let thetas = [20usize, 40, 80, 160, 320];
-    let mut t6b = Table::new(
-        format!("Fig. 6b — average α vs θ_split (n = {n})"),
-        &["theta", "uniform", "gaussian", "predicted ½+1/2θ"],
-    );
-    eprintln!("fig6b…");
-    let uni = fig6::alpha_vs_theta(KeyDist::Uniform, n, &thetas, opts.trials, opts.threads);
-    let gau = fig6::alpha_vs_theta(
-        KeyDist::gaussian_paper(),
-        n,
-        &thetas,
-        opts.trials,
-        opts.threads,
-    );
-    for i in 0..thetas.len() {
-        t6b.push_row(vec![
-            thetas[i].to_string(),
-            format!("{:.4}", uni[i].avg_alpha),
-            format!("{:.4}", gau[i].avg_alpha),
-            format!("{:.4}", uni[i].predicted),
-        ]);
-    }
-    print!("{}", t6b.render());
-    report(write_csv(&t6b, "fig6b_alpha_vs_theta"));
-}
-
-fn report(path: std::io::Result<std::path::PathBuf>) {
-    match path {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    lht_bench::cli::main_of("fig6")
 }

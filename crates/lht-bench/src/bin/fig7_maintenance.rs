@@ -1,62 +1,5 @@
-//! Reproduces **Figure 7** (§9.2): cumulative maintenance cost of
-//! LHT vs PHT under progressive insertion, θ_split = 100.
-//!
-//! ```sh
-//! cargo run --release -p lht-bench --bin fig7_maintenance -- [--trials N] [--full] [--threads N]
-//! ```
-
-use lht_bench::experiments::fig7;
-use lht_bench::{write_csv, BenchOpts, Table};
-use lht_workload::KeyDist;
+//! `lht-exp fig7` under its historical binary name.
 
 fn main() {
-    let opts = BenchOpts::from_env();
-    let sizes = opts.data_sizes();
-
-    for dist in [KeyDist::Uniform, KeyDist::gaussian_paper()] {
-        eprintln!("fig7: {} data…", dist.tag());
-        let pts = fig7::maintenance_vs_size(dist, &sizes, opts.trials, opts.threads);
-
-        let mut t7a = Table::new(
-            format!(
-                "Fig. 7a — cumulative moved records, {} data (θ=100)",
-                dist.tag()
-            ),
-            &["n", "LHT", "PHT", "LHT/PHT"],
-        );
-        let mut t7b = Table::new(
-            format!(
-                "Fig. 7b — cumulative maintenance DHT-lookups, {} data (θ=100)",
-                dist.tag()
-            ),
-            &["n", "LHT", "PHT", "LHT/PHT"],
-        );
-        for p in &pts {
-            t7a.push_row(vec![
-                p.n.to_string(),
-                format!("{:.0}", p.lht_moved),
-                format!("{:.0}", p.pht_moved),
-                format!("{:.3}", p.moved_ratio()),
-            ]);
-            t7b.push_row(vec![
-                p.n.to_string(),
-                format!("{:.0}", p.lht_lookups),
-                format!("{:.0}", p.pht_lookups),
-                format!("{:.3}", p.lookup_ratio()),
-            ]);
-        }
-        print!("{}", t7a.render());
-        println!("(paper: LHT's movement cost remains half of PHT's)\n");
-        print!("{}", t7b.render());
-        println!("(paper: LHT's DHT-lookup cost is about 25% of PHT's)\n");
-        report(write_csv(&t7a, &format!("fig7a_moved_{}", dist.tag())));
-        report(write_csv(&t7b, &format!("fig7b_lookups_{}", dist.tag())));
-    }
-}
-
-fn report(path: std::io::Result<std::path::PathBuf>) {
-    match path {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    lht_bench::cli::main_of("fig7")
 }

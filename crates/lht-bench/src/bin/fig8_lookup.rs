@@ -1,53 +1,5 @@
-//! Reproduces **Figure 8** (§9.3): average DHT-lookups per lookup
-//! operation vs data size, D = 20, 1000 probes per point.
-//!
-//! ```sh
-//! cargo run --release -p lht-bench --bin fig8_lookup -- [--trials N] [--full] [--threads N]
-//! ```
-
-use lht_bench::experiments::fig8;
-use lht_bench::{write_csv, BenchOpts, Table};
-use lht_workload::{summary, KeyDist};
+//! `lht-exp fig8` under its historical binary name.
 
 fn main() {
-    let opts = BenchOpts::from_env();
-    // The paper sweeps data sizes up to 2^20; include the power-of-two
-    // "valley points" it highlights (2^12, 2^16, 2^20).
-    let top = if opts.full { 20 } else { 16 };
-    let sizes: Vec<usize> = (8..=top).map(|e| 1usize << e).collect();
-
-    for (fig, dist) in [("8a", KeyDist::Uniform), ("8b", KeyDist::gaussian_paper())] {
-        eprintln!("fig{fig}: {} data…", dist.tag());
-        let pts = fig8::lookup_vs_size(dist, &sizes, opts.trials, opts.threads);
-        let mut t = Table::new(
-            format!(
-                "Fig. {fig} — avg DHT-lookups per lookup, {} data (D=20, {} probes)",
-                dist.tag(),
-                fig8::PROBES
-            ),
-            &["n", "LHT", "PHT", "saving"],
-        );
-        for p in &pts {
-            t.push_row(vec![
-                p.n.to_string(),
-                format!("{:.3}", p.lht),
-                format!("{:.3}", p.pht),
-                format!("{:+.1}%", 100.0 * p.saving()),
-            ]);
-        }
-        print!("{}", t.render());
-        let savings: Vec<f64> = pts.iter().map(fig8::LookupPoint::saving).collect();
-        println!(
-            "(average saving across sizes: {:+.1}% — paper reports ≈20% uniform / ≈30% gaussian;\n curves fluctuate and PHT touches valley points at sizes 2^12, 2^16, 2^20)\n",
-            100.0 * summary::mean(&savings)
-        );
-        report(write_csv(&t, &format!("fig{fig}_lookup_{}", dist.tag())));
-    }
-}
-
-fn report(path: std::io::Result<std::path::PathBuf>) {
-    match path {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    lht_bench::cli::main_of("fig8")
 }

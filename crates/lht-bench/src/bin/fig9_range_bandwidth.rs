@@ -1,75 +1,5 @@
-//! Reproduces **Figure 9** (§9.4): range-query bandwidth — total
-//! DHT-lookups per query — for LHT, PHT(sequential) and
-//! PHT(parallel), against data size (9a) and against span (9b).
-//!
-//! ```sh
-//! cargo run --release -p lht-bench --bin fig9_range_bandwidth -- [--trials N] [--full] [--threads N]
-//! ```
-
-use lht_bench::experiments::fig9_10;
-use lht_bench::{write_csv, BenchOpts, Table};
-use lht_workload::KeyDist;
+//! `lht-exp fig9` under its historical binary name.
 
 fn main() {
-    let opts = BenchOpts::from_env();
-    let sizes = opts.data_sizes();
-    let span = 0.1;
-
-    for dist in [KeyDist::Uniform, KeyDist::gaussian_paper()] {
-        eprintln!("fig9a: {} data…", dist.tag());
-        let pts = fig9_10::range_vs_size(dist, &sizes, span, opts.trials, opts.threads);
-        let mut t = Table::new(
-            format!(
-                "Fig. 9a — range bandwidth vs data size, {} data (span {span})",
-                dist.tag()
-            ),
-            &["n", "LHT", "PHT(seq)", "PHT(par)"],
-        );
-        for p in &pts {
-            t.push_row(vec![
-                p.n.to_string(),
-                format!("{:.1}", p.bandwidth.lht),
-                format!("{:.1}", p.bandwidth.pht_seq),
-                format!("{:.1}", p.bandwidth.pht_par),
-            ]);
-        }
-        print!("{}", t.render());
-        println!();
-        report(write_csv(&t, &format!("fig9a_bandwidth_{}", dist.tag())));
-    }
-
-    let n = if opts.full { 1 << 18 } else { 1 << 15 };
-    let spans = [0.02, 0.05, 0.1, 0.2, 0.3, 0.5];
-    for dist in [KeyDist::Uniform, KeyDist::gaussian_paper()] {
-        eprintln!("fig9b: {} data…", dist.tag());
-        let pts = fig9_10::range_vs_span(dist, n, &spans, opts.trials, opts.threads);
-        let mut t = Table::new(
-            format!(
-                "Fig. 9b — range bandwidth vs span, {} data (n = {n})",
-                dist.tag()
-            ),
-            &["span", "LHT", "PHT(seq)", "PHT(par)"],
-        );
-        for p in &pts {
-            t.push_row(vec![
-                format!("{:.2}", p.span),
-                format!("{:.1}", p.bandwidth.lht),
-                format!("{:.1}", p.bandwidth.pht_seq),
-                format!("{:.1}", p.bandwidth.pht_par),
-            ]);
-        }
-        print!("{}", t.render());
-        println!();
-        report(write_csv(&t, &format!("fig9b_bandwidth_{}", dist.tag())));
-    }
-    println!(
-        "(paper: PHT(parallel) incurs the highest bandwidth; LHT and PHT(sequential)\n consume roughly the same, near-optimal amount — LHT slightly less)"
-    );
-}
-
-fn report(path: std::io::Result<std::path::PathBuf>) {
-    match path {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    lht_bench::cli::main_of("fig9")
 }

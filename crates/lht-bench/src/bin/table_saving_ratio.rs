@@ -1,48 +1,5 @@
-//! Reproduces the **§8 / Eq. 3 analysis**: the maintenance saving
-//! ratio `1 − Ψ_LHT/Ψ_PHT = (½γ + 3)/(γ + 4)` — the paper's "saves
-//! up to 75% (at least 50%)" claim — swept over γ analytically and
-//! cross-checked against measured split costs.
-//!
-//! ```sh
-//! cargo run --release -p lht-bench --bin table_saving_ratio -- [--trials N] [--full]
-//! ```
-
-use lht_bench::experiments::saving;
-use lht_bench::{write_csv, BenchOpts, Table};
-use lht_workload::KeyDist;
+//! `lht-exp saving-ratio` under its historical binary name.
 
 fn main() {
-    let opts = BenchOpts::from_env();
-    let n = if opts.full { 1 << 18 } else { 1 << 14 };
-    let gammas = [0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0, 1000.0];
-
-    for dist in [KeyDist::Uniform, KeyDist::gaussian_paper()] {
-        eprintln!("saving table: {} data…", dist.tag());
-        let rows = saving::saving_table(dist, n, &gammas, opts.trials);
-        let mut t = Table::new(
-            format!(
-                "Eq. 3 — maintenance saving ratio vs γ = θı/ȷ, {} data (θ=100, n={n})",
-                dist.tag()
-            ),
-            &["gamma", "analytic", "measured"],
-        );
-        for r in &rows {
-            t.push_row(vec![
-                format!("{:.2}", r.gamma),
-                format!("{:.1}%", 100.0 * r.analytic),
-                format!("{:.1}%", 100.0 * r.measured),
-            ]);
-        }
-        print!("{}", t.render());
-        println!();
-        report(write_csv(&t, &format!("eq3_saving_{}", dist.tag())));
-    }
-    println!("(paper: the saving ratio can be up to 75% and is at least 50%)");
-}
-
-fn report(path: std::io::Result<std::path::PathBuf>) {
-    match path {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    lht_bench::cli::main_of("saving-ratio")
 }

@@ -8,12 +8,16 @@
 //! This experiment adds both columns, measuring per-insert cost and
 //! range-query cost for all engines on identical datasets.
 
+use std::io::{self, Write};
+
 use lht_core::{IndexStats, LeafBucket, LhtConfig, LhtIndex};
 use lht_dht::{Dht, DirectDht};
 use lht_dst::{DstConfig, DstIndex, DstNode};
 use lht_pht::{PhtIndex, PhtNode};
 use lht_rst::{RstIndex, RstNode};
 use lht_workload::{summary, Dataset, KeyDist, RangeQueryGen};
+
+use crate::{BenchOpts, Table};
 
 /// Per-scheme results of the baseline comparison at one data size.
 #[derive(Clone, Copy, Debug)]
@@ -163,6 +167,86 @@ pub fn section2_claims_hold(row: &BaselineRow) -> bool {
         // …paid for by broadcast maintenance that dwarfs even DST's
         // per-record lookups at scale.
         && row.rst_stats.maintenance_lookups > row.lht_stats.maintenance_lookups * 4
+}
+
+/// `lht-exp baselines`: prints the three E10 tables per distribution
+/// with the §2 ordering verdict and writes the six CSVs.
+///
+/// # Errors
+///
+/// Propagates write errors from `out` and the CSV files.
+pub fn cmd(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
+    let opts = BenchOpts::parse(args.iter().cloned());
+    let top = if opts.full { 16 } else { 14 };
+    let sizes: Vec<usize> = (10..=top).step_by(2).map(|e| 1usize << e).collect();
+
+    for dist in [KeyDist::Uniform, KeyDist::gaussian_paper()] {
+        eprintln!("baselines: {} data…", dist.tag());
+        let rows = compare(dist, &sizes, 0.1, 20);
+
+        let mut ti = Table::new(
+            format!("E10 — per-insert DHT-lookups, {} data", dist.tag()),
+            &["n", "LHT", "PHT", "DST", "RST"],
+        );
+        let mut tm = Table::new(
+            format!("E10 — replication/movement per record, {} data", dist.tag()),
+            &[
+                "n",
+                "LHT moved/rec",
+                "PHT moved/rec",
+                "DST replicas/rec",
+                "RST bcast/rec",
+            ],
+        );
+        let mut tq = Table::new(
+            format!(
+                "E10 — range query (span 0.1): lookups | steps, {} data",
+                dist.tag()
+            ),
+            &["n", "LHT", "PHT(seq)", "PHT(par)", "DST", "RST"],
+        );
+        for r in &rows {
+            ti.push_row(vec![
+                r.n.to_string(),
+                format!("{:.2}", r.insert_cost.lht),
+                format!("{:.2}", r.insert_cost.pht_seq),
+                format!("{:.2}", r.insert_cost.dst),
+                format!("{:.2}", r.insert_cost.rst),
+            ]);
+            tm.push_row(vec![
+                r.n.to_string(),
+                format!("{:.3}", r.lht_stats.records_moved as f64 / r.n as f64),
+                format!("{:.3}", r.pht_stats.records_moved as f64 / r.n as f64),
+                format!("{:.3}", r.dst_stats.records_moved as f64 / r.n as f64),
+                format!("{:.3}", r.rst_stats.maintenance_lookups as f64 / r.n as f64),
+            ]);
+            tq.push_row(vec![
+                r.n.to_string(),
+                format!("{:.1} | {:.1}", r.range_bandwidth.lht, r.range_latency.lht),
+                format!(
+                    "{:.1} | {:.1}",
+                    r.range_bandwidth.pht_seq, r.range_latency.pht_seq
+                ),
+                format!(
+                    "{:.1} | {:.1}",
+                    r.range_bandwidth.pht_par, r.range_latency.pht_par
+                ),
+                format!("{:.1} | {:.1}", r.range_bandwidth.dst, r.range_latency.dst),
+                format!("{:.1} | {:.1}", r.range_bandwidth.rst, r.range_latency.rst),
+            ]);
+        }
+        for (t, csv) in [(&ti, "insert"), (&tm, "moved"), (&tq, "range")] {
+            t.emit(out, &format!("e10_{csv}_{}", dist.tag()))?;
+            writeln!(out)?;
+        }
+        let ok = rows.iter().all(section2_claims_hold);
+        writeln!(
+            out,
+            "§2 qualitative ordering (DST insert ≫ LHT; RST queries optimal but broadcast maintenance; PHT-seq latency worst): {}\n",
+            if ok { "HOLDS" } else { "VIOLATED" }
+        )?;
+    }
+    Ok(0)
 }
 
 #[cfg(test)]

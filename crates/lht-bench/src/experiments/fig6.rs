@@ -6,10 +6,13 @@
 //! `θ_split ∈ {40, 160}` and (b) against `θ_split`. The paper's
 //! closed form for uniform data is `ᾱ = ½ + 1/(2·θ_split)`.
 
+use std::io::{self, Write};
+
 use lht_core::LhtConfig;
 use lht_workload::{summary, KeyDist};
 
 use super::ScatterGrowthRun;
+use crate::{BenchOpts, Table};
 
 /// One point of Fig. 6a: data size → average α (mean over trials).
 #[derive(Clone, Copy, Debug)]
@@ -92,6 +95,85 @@ fn seed(dist: KeyDist, trial: u64) -> u64 {
         KeyDist::Zipf { .. } => 3,
     };
     0x6_1000 + tag * 1_000 + trial
+}
+
+/// `lht-exp fig6`: prints Fig. 6a/6b and writes both CSVs.
+///
+/// # Errors
+///
+/// Propagates write errors from `out` and the CSV files.
+pub fn cmd(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
+    let opts = BenchOpts::parse(args.iter().cloned());
+    let dists = [KeyDist::Uniform, KeyDist::gaussian_paper()];
+
+    // Fig. 6a: average α vs data size, θ_split ∈ {40, 160}.
+    let sizes = opts.data_sizes();
+    let mut t6a = Table::new(
+        "Fig. 6a — average α vs data size (mean over trials)",
+        &[
+            "n",
+            "uniform θ=40",
+            "uniform θ=160",
+            "gaussian θ=40",
+            "gaussian θ=160",
+        ],
+    );
+    let mut cols: Vec<Vec<AlphaPoint>> = Vec::new();
+    for dist in dists {
+        for theta in [40usize, 160] {
+            eprintln!("fig6a: {} θ={theta}…", dist.tag());
+            cols.push(alpha_vs_size(
+                dist,
+                theta,
+                &sizes,
+                opts.trials,
+                opts.threads,
+            ));
+        }
+    }
+    for (i, n) in sizes.iter().enumerate() {
+        t6a.push_row(vec![
+            n.to_string(),
+            format!("{:.4}", cols[0][i].avg_alpha),
+            format!("{:.4}", cols[1][i].avg_alpha),
+            format!("{:.4}", cols[2][i].avg_alpha),
+            format!("{:.4}", cols[3][i].avg_alpha),
+        ]);
+    }
+    t6a.emit(out, "fig6a_alpha_vs_size")?;
+    writeln!(
+        out,
+        "(paper: ᾱ approaches ½ + 1/(2θ): {:.4} for θ=40, {:.4} for θ=160)\n",
+        0.5 + 1.0 / 80.0,
+        0.5 + 1.0 / 320.0
+    )?;
+
+    // Fig. 6b: average α vs θ_split at a fixed data size.
+    let n = if opts.full { 1 << 18 } else { 1 << 14 };
+    let thetas = [20usize, 40, 80, 160, 320];
+    let mut t6b = Table::new(
+        format!("Fig. 6b — average α vs θ_split (n = {n})"),
+        &["theta", "uniform", "gaussian", "predicted ½+1/2θ"],
+    );
+    eprintln!("fig6b…");
+    let uni = alpha_vs_theta(KeyDist::Uniform, n, &thetas, opts.trials, opts.threads);
+    let gau = alpha_vs_theta(
+        KeyDist::gaussian_paper(),
+        n,
+        &thetas,
+        opts.trials,
+        opts.threads,
+    );
+    for i in 0..thetas.len() {
+        t6b.push_row(vec![
+            thetas[i].to_string(),
+            format!("{:.4}", uni[i].avg_alpha),
+            format!("{:.4}", gau[i].avg_alpha),
+            format!("{:.4}", uni[i].predicted),
+        ]);
+    }
+    t6b.emit(out, "fig6b_alpha_vs_theta")?;
+    Ok(0)
 }
 
 #[cfg(test)]

@@ -6,10 +6,13 @@
 //! recorded. Expected shape: LHT moves ≈ half the records PHT does
 //! and issues ≈ a quarter of the DHT-lookups.
 
+use std::io::{self, Write};
+
 use lht_core::LhtConfig;
 use lht_workload::{summary, KeyDist};
 
 use super::ScatterGrowthRun;
+use crate::{BenchOpts, Table};
 
 /// One data-size point of Fig. 7 (means over trials).
 #[derive(Clone, Copy, Debug)]
@@ -70,6 +73,59 @@ pub fn maintenance_vs_size(
             pht_lookups: summary::mean(&cols[3]),
         })
         .collect()
+}
+
+/// `lht-exp fig7`: prints Fig. 7a/7b per distribution and writes the
+/// four CSVs.
+///
+/// # Errors
+///
+/// Propagates write errors from `out` and the CSV files.
+pub fn cmd(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
+    let opts = BenchOpts::parse(args.iter().cloned());
+    let sizes = opts.data_sizes();
+
+    for dist in [KeyDist::Uniform, KeyDist::gaussian_paper()] {
+        eprintln!("fig7: {} data…", dist.tag());
+        let pts = maintenance_vs_size(dist, &sizes, opts.trials, opts.threads);
+
+        let mut t7a = Table::new(
+            format!(
+                "Fig. 7a — cumulative moved records, {} data (θ=100)",
+                dist.tag()
+            ),
+            &["n", "LHT", "PHT", "LHT/PHT"],
+        );
+        let mut t7b = Table::new(
+            format!(
+                "Fig. 7b — cumulative maintenance DHT-lookups, {} data (θ=100)",
+                dist.tag()
+            ),
+            &["n", "LHT", "PHT", "LHT/PHT"],
+        );
+        for p in &pts {
+            t7a.push_row(vec![
+                p.n.to_string(),
+                format!("{:.0}", p.lht_moved),
+                format!("{:.0}", p.pht_moved),
+                format!("{:.3}", p.moved_ratio()),
+            ]);
+            t7b.push_row(vec![
+                p.n.to_string(),
+                format!("{:.0}", p.lht_lookups),
+                format!("{:.0}", p.pht_lookups),
+                format!("{:.3}", p.lookup_ratio()),
+            ]);
+        }
+        t7a.emit(out, &format!("fig7a_moved_{}", dist.tag()))?;
+        writeln!(out, "(paper: LHT's movement cost remains half of PHT's)\n")?;
+        t7b.emit(out, &format!("fig7b_lookups_{}", dist.tag()))?;
+        writeln!(
+            out,
+            "(paper: LHT's DHT-lookup cost is about 25% of PHT's)\n"
+        )?;
+    }
+    Ok(0)
 }
 
 #[cfg(test)]

@@ -9,11 +9,15 @@
 //! copy, same code path, zero replication bandwidth).
 
 use std::collections::HashMap;
+use std::io::{self, Write};
 
 use lht::{
     ChordConfig, ChordDht, Dht, DhtKey, DhtStats, FaultyDht, NetProfile, QuorumConfig, QuorumDht,
     Versioned,
 };
+
+use super::erasure;
+use crate::Table;
 
 /// Ops per maintenance batch: between batches churn strikes (if the
 /// cell has it) and one anti-entropy round runs.
@@ -180,4 +184,240 @@ pub fn headline(ops: usize, nodes: usize, seed: u64) -> (f64, f64) {
     let quorum = run_cell((3, 2, 2), 0.20, true, ops, nodes, seed).availability();
     let primary = run_cell((1, 1, 1), 0.20, true, ops, nodes, seed).availability();
     (quorum, primary)
+}
+
+struct QuorumArgs {
+    smoke: bool,
+    ops: usize,
+    nodes: usize,
+    seed: u64,
+}
+
+impl Default for QuorumArgs {
+    fn default() -> Self {
+        QuorumArgs {
+            smoke: false,
+            ops: 4_000,
+            nodes: 16,
+            seed: 7,
+        }
+    }
+}
+
+fn usage(err: &str) -> ! {
+    if !err.is_empty() {
+        eprintln!("error: {err}");
+    }
+    eprintln!("usage: exp_quorum [--smoke] [--ops N] [--nodes N] [--seed N]");
+    eprintln!("  --smoke    shrunk grid (CI): 2 configs, 2 drop rates, no CSV");
+    eprintln!("  --ops N    logical ops per cell (default 4000)");
+    eprintln!("  --nodes N  chord ring size (default 16)");
+    eprintln!("  --seed N   base seed for ring, loss and workload (default 7)");
+    std::process::exit(if err.is_empty() { 0 } else { 2 });
+}
+
+fn parse_args(argv: &[String]) -> QuorumArgs {
+    let mut args = QuorumArgs::default();
+    let mut it = argv.iter().cloned();
+    let num = |it: &mut dyn Iterator<Item = String>, what: &str| -> u64 {
+        it.next()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or_else(|| usage(&format!("{what} needs an unsigned integer")))
+    };
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--smoke" => args.smoke = true,
+            "--ops" => args.ops = (num(&mut it, "--ops") as usize).max(64),
+            "--nodes" => args.nodes = (num(&mut it, "--nodes") as usize).max(4),
+            "--seed" => args.seed = num(&mut it, "--seed"),
+            "--help" | "-h" => usage(""),
+            other => usage(&format!("unknown argument {other:?}")),
+        }
+    }
+    if args.smoke {
+        args.ops = args.ops.min(800);
+        args.nodes = args.nodes.min(12);
+    }
+    args
+}
+
+/// `lht-exp quorum`: prints the E20 quorum grid and the coded rows
+/// with both headlines; exits 1 if a tier misses its bar, and the
+/// full grid rewrites both tracked CSVs.
+///
+/// # Errors
+///
+/// Propagates write errors from `out` and the CSV files.
+pub fn cmd(argv: &[String], out: &mut dyn Write) -> io::Result<i32> {
+    let args = parse_args(argv);
+    let configs: &[(usize, usize, usize)] = if args.smoke {
+        &[(1, 1, 1), (3, 2, 2)]
+    } else {
+        &[(1, 1, 1), (3, 1, 3), (3, 2, 2), (5, 3, 3)]
+    };
+    let drop_rates: &[f64] = if args.smoke {
+        &[0.0, 0.20]
+    } else {
+        &[0.0, 0.10, 0.20]
+    };
+
+    let mut t = Table::new(
+        format!(
+            "E20 quorum tier — {} ops/cell, {} nodes, seed {} (baseline = primary owner n1r1w1)",
+            args.ops, args.nodes, args.seed
+        ),
+        &[
+            "n",
+            "r",
+            "w",
+            "drop%",
+            "churn",
+            "ops",
+            "ok",
+            "avail%",
+            "stale%",
+            "hops/op",
+            "repair_xfers",
+            "repair_bw",
+            "drops",
+        ],
+    );
+
+    // The acceptance headline: quorum vs primary availability at the
+    // harshest cell (20% drop + churn).
+    let mut headline: HashMap<(usize, usize, usize), f64> = HashMap::new();
+
+    for &(n, r, w) in configs {
+        for &rate in drop_rates {
+            for churn in [false, true] {
+                eprintln!("cell n={n} r={r} w={w} drop={rate} churn={churn}…");
+                let cell = run_cell((n, r, w), rate, churn, args.ops, args.nodes, args.seed);
+                if (rate - 0.20).abs() < f64::EPSILON && churn {
+                    headline.insert((n, r, w), cell.availability());
+                }
+                t.push_row(vec![
+                    n.to_string(),
+                    r.to_string(),
+                    w.to_string(),
+                    format!("{:.0}", rate * 100.0),
+                    if churn { "yes" } else { "no" }.to_string(),
+                    cell.attempted.to_string(),
+                    cell.ok.to_string(),
+                    format!("{:.2}", cell.availability() * 100.0),
+                    format!("{:.2}", cell.staleness() * 100.0),
+                    format!("{:.2}", cell.stats.hops_per_lookup()),
+                    cell.stats.repair_transfers.to_string(),
+                    cell.stats.repair_bandwidth.to_string(),
+                    cell.stats.drops.to_string(),
+                ]);
+            }
+        }
+    }
+
+    write!(out, "{}", t.render())?;
+    let primary = headline.get(&(1, 1, 1)).copied().unwrap_or(0.0);
+    let quorum322 = headline.get(&(3, 2, 2)).copied().unwrap_or(0.0);
+    writeln!(
+        out,
+        "headline: availability at 20% drop + churn — quorum(3,2,2) {:.2}% vs primary {:.2}%",
+        quorum322 * 100.0,
+        primary * 100.0
+    )?;
+    if quorum322 <= primary {
+        eprintln!("FAIL: quorum(3,2,2) availability must be strictly above the primary baseline");
+        return Ok(1);
+    }
+
+    // ---- Coded rows: erasure tier over the same ring and workload,
+    // 512-byte payloads, vs full-copy replication of the same blobs.
+    let coded_configs: &[(usize, usize)] = if args.smoke {
+        &[(4, 6)]
+    } else {
+        &[(2, 3), (4, 6)]
+    };
+    let mut t2 = Table::new(
+        format!(
+            "E20 coded durability — {}-byte payloads, {} ops/cell, {} nodes, seed {} (repl rows = full copies via quorum)",
+            erasure::PAYLOAD_LEN,
+            args.ops,
+            args.nodes,
+            args.seed
+        ),
+        &[
+            "tier",
+            "drop%",
+            "churn",
+            "ops",
+            "ok",
+            "avail%",
+            "stale%",
+            "B/key",
+            "durable",
+            "repair_xfers",
+            "repair_bw",
+            "drops",
+        ],
+    );
+    let push_coded_row =
+        |t2: &mut Table, tier: String, rate: f64, churn: bool, cell: &erasure::ErasureCell| {
+            t2.push_row(vec![
+                tier,
+                format!("{:.0}", rate * 100.0),
+                if churn { "yes" } else { "no" }.to_string(),
+                cell.attempted.to_string(),
+                cell.ok.to_string(),
+                format!("{:.2}", cell.availability() * 100.0),
+                format!("{:.2}", cell.staleness() * 100.0),
+                format!("{:.0}", cell.bytes_per_durable_key()),
+                cell.durable_keys.to_string(),
+                cell.stats.repair_transfers.to_string(),
+                cell.stats.repair_bandwidth.to_string(),
+                cell.stats.drops.to_string(),
+            ]);
+        };
+    for &(k, m) in coded_configs {
+        for &rate in drop_rates {
+            for churn in [false, true] {
+                eprintln!("cell erasure k={k} m={m} drop={rate} churn={churn}…");
+                let cell = erasure::run_cell((k, m), rate, churn, args.ops, args.nodes, args.seed);
+                push_coded_row(&mut t2, format!("ec{{{k},{m}}}"), rate, churn, &cell);
+            }
+        }
+    }
+    for &(n, r, w) in &[(1usize, 1usize, 1usize), (3, 2, 2)] {
+        for churn in [false, true] {
+            eprintln!("cell repl n={n} r={r} w={w} drop=0.2 churn={churn}…");
+            let cell =
+                erasure::replication_cell((n, r, w), 0.20, churn, args.ops, args.nodes, args.seed);
+            push_coded_row(&mut t2, format!("repl{{{n},{r},{w}}}"), 0.20, churn, &cell);
+        }
+    }
+    write!(out, "{}", t2.render())?;
+
+    let h = erasure::headline(args.ops, args.nodes, args.seed);
+    writeln!(
+        out,
+        "headline: coded {{4,6}} at 20% drop + churn — availability {:.2}% vs primary {:.2}%, {:.0} B/durable key vs {:.0} for repl{{n=3}} (ratio {:.2}, bar ≤ 0.60)",
+        h.coded_availability * 100.0,
+        h.primary_availability * 100.0,
+        h.coded_bytes_per_key,
+        h.replicated_bytes_per_key,
+        h.coded_bytes_per_key / h.replicated_bytes_per_key.max(1.0)
+    )?;
+    if h.coded_availability < h.primary_availability {
+        eprintln!("FAIL: coded {{4,6}} availability must not fall below the primary baseline");
+        return Ok(1);
+    }
+    if h.replicated_bytes_per_key <= 0.0 || h.coded_bytes_per_key > 0.6 * h.replicated_bytes_per_key
+    {
+        eprintln!("FAIL: coded {{4,6}} must store at most 0.6x the bytes of {{n=3}} replication");
+        return Ok(1);
+    }
+
+    // Only a run that met both bars rewrites the tracked artifacts.
+    if !args.smoke {
+        t.save("e20_quorum")?;
+        t2.save("e20_erasure")?;
+    }
+    Ok(0)
 }

@@ -31,6 +31,7 @@
 //! and must be rejected — proof that the checker, not luck, is what
 //! accepts the clean runs.
 
+use std::io::{self, Write};
 use std::time::Instant;
 
 use lht::{
@@ -207,4 +208,126 @@ pub fn mutant_outcomes() -> (Outcome, Outcome) {
         checker::check(&rec.log().snapshot(), true, 100_000).outcome
     };
     (run(false), run(true))
+}
+
+struct Args {
+    clients: u32,
+    ops: u64,
+    nodes: usize,
+    seed: u64,
+    mutant_proof: bool,
+}
+
+impl Default for Args {
+    fn default() -> Self {
+        Args {
+            clients: 4,
+            ops: 1_000,
+            nodes: 8,
+            seed: 7,
+            mutant_proof: false,
+        }
+    }
+}
+
+fn usage(err: &str) -> ! {
+    if !err.is_empty() {
+        eprintln!("error: {err}");
+    }
+    eprintln!(
+        "usage: exp_threaded [--clients N] [--ops N] [--nodes N] [--seed N] \
+         [--smoke] [--mutant-proof]"
+    );
+    std::process::exit(if err.is_empty() { 0 } else { 2 });
+}
+
+fn parse_args(argv: &[String]) -> Args {
+    let mut args = Args::default();
+    let mut it = argv.iter().cloned();
+    let num = |it: &mut dyn Iterator<Item = String>, what: &str| -> u64 {
+        it.next()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or_else(|| usage(&format!("{what} needs an unsigned integer")))
+    };
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--clients" => args.clients = (num(&mut it, "--clients") as u32).max(1),
+            "--ops" => args.ops = num(&mut it, "--ops").max(1),
+            "--nodes" => args.nodes = (num(&mut it, "--nodes") as usize).max(1),
+            "--seed" => args.seed = num(&mut it, "--seed"),
+            "--smoke" => {
+                args.clients = 2;
+                args.ops = 500;
+            }
+            "--mutant-proof" => args.mutant_proof = true,
+            "--help" | "-h" => usage(""),
+            other => usage(&format!("unknown argument {other:?}")),
+        }
+    }
+    args
+}
+
+/// `lht-exp threaded`: drives the client threads and prints the
+/// checked throughput, or with `--mutant-proof` arms the torn-split
+/// mutant instead; exits 1 unless the history is linearizable (the
+/// mutant: unless it is caught while the clean trace passes).
+///
+/// # Errors
+///
+/// Propagates write errors from `out`.
+pub fn cmd(argv: &[String], out: &mut dyn Write) -> io::Result<i32> {
+    let args = parse_args(argv);
+
+    if args.mutant_proof {
+        eprintln!("arming the torn-split mutant…");
+        let (clean, armed) = mutant_outcomes();
+        if clean != Outcome::Linearizable {
+            eprintln!("control trace rejected ({clean:?}) — the harness is unsound");
+            return Ok(1);
+        }
+        return match armed {
+            Outcome::NotLinearizable { witness } => {
+                writeln!(out, "mutant caught: {witness}")?;
+                Ok(0)
+            }
+            other => {
+                eprintln!("mutant escaped the checker: {other:?}");
+                Ok(1)
+            }
+        };
+    }
+
+    eprintln!(
+        "driving {} client threads x {} ops over a {}-peer ring (seed {})…",
+        args.clients, args.ops, args.nodes, args.seed
+    );
+    let run = run(args.clients, args.ops, args.nodes, args.seed);
+
+    writeln!(
+        out,
+        "clients={} ops_per_client={} nodes={} elapsed={:.3}s",
+        run.clients, run.ops_per_client, run.nodes, run.elapsed_secs
+    )?;
+    writeln!(
+        out,
+        "checked_ops={} unchecked_ranges={} checker_states={} outcome={:?}",
+        run.checked_ops, run.unchecked_ranges, run.states, run.outcome
+    )?;
+    writeln!(
+        out,
+        "failed_ops={} ring_checked_ops_per_sec={:.0}",
+        run.failed_ops, run.ops_per_sec
+    )?;
+
+    Ok(match run.outcome {
+        Outcome::Linearizable => 0,
+        Outcome::NotLinearizable { ref witness } => {
+            eprintln!("history rejected: {witness}");
+            1
+        }
+        Outcome::Undecided => {
+            eprintln!("checker budget exhausted after {} states", run.states);
+            1
+        }
+    })
 }

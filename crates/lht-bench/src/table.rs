@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 
 /// A simple result table: named columns, rows of formatted cells.
@@ -79,6 +79,29 @@ impl Table {
         out
     }
 
+    /// The tail every experiment shares: prints the rendered table to
+    /// `out`, then [`save`](Table::save)s it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write errors from `out` and the filesystem.
+    pub fn emit(&self, out: &mut dyn Write, csv: &str) -> io::Result<()> {
+        write!(out, "{}", self.render())?;
+        self.save(csv)
+    }
+
+    /// Persists the table as `results/<csv>.csv` and reports the path
+    /// on stderr.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn save(&self, csv: &str) -> io::Result<()> {
+        let path = write_csv(self, csv)?;
+        eprintln!("wrote {}", path.display());
+        Ok(())
+    }
+
     /// Serializes as CSV (header + rows).
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
@@ -98,10 +121,15 @@ impl Table {
 /// Propagates filesystem errors.
 pub fn write_csv(table: &Table, name: &str) -> io::Result<std::path::PathBuf> {
     let dir = Path::new("results");
-    fs::create_dir_all(dir)?;
+    fs::create_dir_all(dir).map_err(named(dir))?;
     let path = dir.join(format!("{name}.csv"));
-    fs::write(&path, table.to_csv())?;
+    fs::write(&path, table.to_csv()).map_err(named(&path))?;
     Ok(path)
+}
+
+/// Names the file in a filesystem error, which `io::Error` does not.
+pub(crate) fn named(path: &Path) -> impl Fn(io::Error) -> io::Error + '_ {
+    move |e| io::Error::new(e.kind(), format!("{}: {e}", path.display()))
 }
 
 #[cfg(test)]
