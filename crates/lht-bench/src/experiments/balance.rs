@@ -10,11 +10,12 @@
 
 use std::io::{self, Write};
 
+use lht::harness::args::Parsed;
 use lht_core::{LeafBucket, LhtConfig, LhtIndex};
 use lht_dht::{ChordDht, Dht, DhtKey};
 use lht_workload::{Dataset, KeyDist};
 
-use crate::{BenchOpts, Table};
+use crate::Table;
 
 /// Load-balance metrics over the peers of one placement scheme.
 #[derive(Clone, Copy, Debug)]
@@ -156,17 +157,9 @@ where
 
 /// `lht-exp load-balance`: prints the E12 records-per-peer table and
 /// writes its CSV.
-///
-/// # Errors
-///
-/// Propagates write errors from `out` and the CSV file.
-pub fn cmd(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
-    let opts = BenchOpts::parse(args.iter().cloned());
-    let (n, peers) = if opts.full {
-        (50_000, 64)
-    } else {
-        (10_000, 32)
-    };
+pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+    let full = p.on("--full");
+    let (n, peers) = if full { (50_000, 64) } else { (10_000, 32) };
 
     eprintln!("load balance: {n} records over {peers} Chord peers…");
     let rows = storage_balance(n, peers, 4242);

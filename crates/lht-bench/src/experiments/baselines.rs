@@ -10,6 +10,7 @@
 
 use std::io::{self, Write};
 
+use lht::harness::args::Parsed;
 use lht_core::{IndexStats, LeafBucket, LhtConfig, LhtIndex};
 use lht_dht::{Dht, DirectDht};
 use lht_dst::{DstConfig, DstIndex, DstNode};
@@ -17,7 +18,7 @@ use lht_pht::{PhtIndex, PhtNode};
 use lht_rst::{RstIndex, RstNode};
 use lht_workload::{summary, Dataset, KeyDist, RangeQueryGen};
 
-use crate::{BenchOpts, Table};
+use crate::Table;
 
 /// Per-scheme results of the baseline comparison at one data size.
 #[derive(Clone, Copy, Debug)]
@@ -148,7 +149,7 @@ pub fn compare(dist: KeyDist, sizes: &[usize], span: f64, queries: usize) -> Vec
         .collect()
 }
 
-/// Sanity: the §2 qualitative ordering, used by the binary's footer
+/// Sanity: the §2 qualitative ordering, used by the command's footer
 /// and asserted by the unit test.
 pub fn section2_claims_hold(row: &BaselineRow) -> bool {
     // DST insertion pays ≈ height lookups per record — several times
@@ -171,70 +172,66 @@ pub fn section2_claims_hold(row: &BaselineRow) -> bool {
 
 /// `lht-exp baselines`: prints the three E10 tables per distribution
 /// with the §2 ordering verdict and writes the six CSVs.
-///
-/// # Errors
-///
-/// Propagates write errors from `out` and the CSV files.
-pub fn cmd(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
-    let opts = BenchOpts::parse(args.iter().cloned());
-    let top = if opts.full { 16 } else { 14 };
+pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+    let full = p.on("--full");
+    let top = if full { 16 } else { 14 };
     let sizes: Vec<usize> = (10..=top).step_by(2).map(|e| 1usize << e).collect();
 
     for dist in [KeyDist::Uniform, KeyDist::gaussian_paper()] {
         eprintln!("baselines: {} data…", dist.tag());
         let rows = compare(dist, &sizes, 0.1, 20);
 
-        let mut ti = Table::new(
+        let per_record = |moved: u64, r: &BaselineRow| format!("{:.3}", moved as f64 / r.n as f64);
+        let pair = |lookups: f64, steps: f64| format!("{lookups:.1} | {steps:.1}");
+        let ti = Table::of(
             format!("E10 — per-insert DHT-lookups, {} data", dist.tag()),
-            &["n", "LHT", "PHT", "DST", "RST"],
-        );
-        let mut tm = Table::new(
-            format!("E10 — replication/movement per record, {} data", dist.tag()),
+            &rows,
             &[
-                "n",
-                "LHT moved/rec",
-                "PHT moved/rec",
-                "DST replicas/rec",
-                "RST bcast/rec",
+                ("n", &|r| r.n.to_string()),
+                ("LHT", &|r| format!("{:.2}", r.insert_cost.lht)),
+                ("PHT", &|r| format!("{:.2}", r.insert_cost.pht_seq)),
+                ("DST", &|r| format!("{:.2}", r.insert_cost.dst)),
+                ("RST", &|r| format!("{:.2}", r.insert_cost.rst)),
             ],
         );
-        let mut tq = Table::new(
+        let tm = Table::of(
+            format!("E10 — replication/movement per record, {} data", dist.tag()),
+            &rows,
+            &[
+                ("n", &|r| r.n.to_string()),
+                ("LHT moved/rec", &|r| {
+                    per_record(r.lht_stats.records_moved, r)
+                }),
+                ("PHT moved/rec", &|r| {
+                    per_record(r.pht_stats.records_moved, r)
+                }),
+                ("DST replicas/rec", &|r| {
+                    per_record(r.dst_stats.records_moved, r)
+                }),
+                ("RST bcast/rec", &|r| {
+                    per_record(r.rst_stats.maintenance_lookups, r)
+                }),
+            ],
+        );
+        let tq = Table::of(
             format!(
                 "E10 — range query (span 0.1): lookups | steps, {} data",
                 dist.tag()
             ),
-            &["n", "LHT", "PHT(seq)", "PHT(par)", "DST", "RST"],
+            &rows,
+            &[
+                ("n", &|r| r.n.to_string()),
+                ("LHT", &|r| pair(r.range_bandwidth.lht, r.range_latency.lht)),
+                ("PHT(seq)", &|r| {
+                    pair(r.range_bandwidth.pht_seq, r.range_latency.pht_seq)
+                }),
+                ("PHT(par)", &|r| {
+                    pair(r.range_bandwidth.pht_par, r.range_latency.pht_par)
+                }),
+                ("DST", &|r| pair(r.range_bandwidth.dst, r.range_latency.dst)),
+                ("RST", &|r| pair(r.range_bandwidth.rst, r.range_latency.rst)),
+            ],
         );
-        for r in &rows {
-            ti.push_row(vec![
-                r.n.to_string(),
-                format!("{:.2}", r.insert_cost.lht),
-                format!("{:.2}", r.insert_cost.pht_seq),
-                format!("{:.2}", r.insert_cost.dst),
-                format!("{:.2}", r.insert_cost.rst),
-            ]);
-            tm.push_row(vec![
-                r.n.to_string(),
-                format!("{:.3}", r.lht_stats.records_moved as f64 / r.n as f64),
-                format!("{:.3}", r.pht_stats.records_moved as f64 / r.n as f64),
-                format!("{:.3}", r.dst_stats.records_moved as f64 / r.n as f64),
-                format!("{:.3}", r.rst_stats.maintenance_lookups as f64 / r.n as f64),
-            ]);
-            tq.push_row(vec![
-                r.n.to_string(),
-                format!("{:.1} | {:.1}", r.range_bandwidth.lht, r.range_latency.lht),
-                format!(
-                    "{:.1} | {:.1}",
-                    r.range_bandwidth.pht_seq, r.range_latency.pht_seq
-                ),
-                format!(
-                    "{:.1} | {:.1}",
-                    r.range_bandwidth.pht_par, r.range_latency.pht_par
-                ),
-                format!("{:.1} | {:.1}", r.range_bandwidth.dst, r.range_latency.dst),
-                format!("{:.1} | {:.1}", r.range_bandwidth.rst, r.range_latency.rst),
-            ]);
-        }
         for (t, csv) in [(&ti, "insert"), (&tm, "moved"), (&tq, "range")] {
             t.emit(out, &format!("e10_{csv}_{}", dist.tag()))?;
             writeln!(out)?;

@@ -1,4 +1,5 @@
-//! Batched vs sequential round execution — the payoff of
+//! Extension experiment E17 — batched vs sequential round
+//! execution: the payoff of
 //! [`Dht::multi_get`] batching for range queries, LHT vs PHT.
 //!
 //! Two clients run the *same* queries against the *same* store:
@@ -12,18 +13,14 @@
 //! The substrate is a latency-only [`FaultyDht`] (no drops), so the
 //! round-latency column shows the simulated wall-clock win: a batch of
 //! `k` lookups costs the *max* of its drawn latencies, a sequential
-//! client the *sum*. The binary asserts that both clients return
+//! client the *sum*. The run asserts that both clients return
 //! identical records and that the batched client strictly beats the
 //! sequential step count, then writes `results/e17_batch_speedup.csv`
 //! (in smoke mode too — CI checks the artifact).
-//!
-//! ```sh
-//! cargo run --release -p lht-bench --bin exp_batch_speedup -- \
-//!     [--smoke] [--keys N] [--seed N]
-//! ```
 
 use std::io::{self, Write};
 
+use lht::harness::args::{Flag, Parsed};
 use lht::pht::PhtNode;
 use lht::{
     Dht, DhtError, DhtKey, DhtStats, DirectDht, FaultyDht, KeyFraction, KeyInterval,
@@ -32,55 +29,8 @@ use lht::{
 
 use crate::Table;
 
-struct Args {
-    smoke: bool,
-    keys: usize,
-    seed: u64,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            smoke: false,
-            keys: 1 << 14,
-            seed: 17,
-        }
-    }
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!("usage: exp_batch_speedup [--smoke] [--keys N] [--seed N]");
-    eprintln!("  --smoke   shrunk workload for CI (still writes the CSV)");
-    eprintln!("  --keys N  indexed keys (default 16384)");
-    eprintln!("  --seed N  latency-draw seed (default 17)");
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
-}
-
-fn parse_args(argv: &[String]) -> Args {
-    let mut args = Args::default();
-    let mut it = argv.iter().cloned();
-    let num = |it: &mut dyn Iterator<Item = String>, what: &str| -> u64 {
-        it.next()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| usage(&format!("{what} needs an unsigned integer")))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--keys" => args.keys = (num(&mut it, "--keys") as usize).max(64),
-            "--seed" => args.seed = num(&mut it, "--seed"),
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown argument {other:?}")),
-        }
-    }
-    if args.smoke {
-        args.keys = args.keys.min(1 << 11);
-    }
-    args
-}
+/// The flags of `lht-exp batch-speedup`.
+pub const FLAGS: &[Flag] = &[Flag::switch("--smoke", "CI shape: 2048 keys, not 16384")];
 
 /// The "unbatched client": forwards every single op but inherits the
 /// trait's default sequential `multi_get`/`multi_put`, so each lookup
@@ -252,22 +202,19 @@ macro_rules! check {
 /// store, asserts the batching invariants (exit 1 at the first that
 /// fails) and writes the E17 CSV — in smoke mode too, CI checks the
 /// artifact.
-///
-/// # Errors
-///
-/// Propagates write errors from `out` and the CSV file.
-pub fn cmd(argv: &[String], out: &mut dyn Write) -> io::Result<i32> {
-    let args = parse_args(argv);
-    let qs = queries(args.smoke);
+pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+    let smoke = p.on("--smoke");
+    let (keys, seed): (usize, u64) = if smoke { (1 << 11, 17) } else { (1 << 14, 17) };
+    let qs = queries(smoke);
     let cfg = LhtConfig::new(8, 20);
-    let key = |i: usize| KeyFraction::from_f64((i as f64 + 0.5) / args.keys as f64);
+    let key = |i: usize| KeyFraction::from_f64((i as f64 + 0.5) / keys as f64);
 
     let mut t = Table::new(
         format!(
             "batched vs sequential rounds — {} keys, {} range queries, seed {}",
-            args.keys,
+            keys,
             qs.len(),
-            args.seed
+            seed
         ),
         &[
             "index",
@@ -285,10 +232,10 @@ pub fn cmd(argv: &[String], out: &mut dyn Write) -> io::Result<i32> {
 
     // --- LHT: one store, two clients -------------------------------
     let lht_dht: FaultyDht<DirectDht<LeafBucket<u32>>> =
-        FaultyDht::new(DirectDht::new(), profile(args.seed));
+        FaultyDht::new(DirectDht::new(), profile(seed));
     let lht_batched = LhtIndex::new(&lht_dht, cfg).expect("fresh index");
     let lht_seq = LhtIndex::new(Seq(&lht_dht), cfg).expect("same store");
-    for i in 0..args.keys {
+    for i in 0..keys {
         lht_batched.insert(key(i), i as u32).expect("no drops");
     }
 
@@ -314,15 +261,15 @@ pub fn cmd(argv: &[String], out: &mut dyn Write) -> io::Result<i32> {
         batched.stats.round_latency_ms < seq.stats.round_latency_ms,
         "LHT batched round latency must beat the sequential client",
     );
-    t.push_row(seq.row("lht", "seq", args.keys));
-    t.push_row(batched.row("lht", "batched", args.keys));
+    t.push_row(seq.row("lht", "seq", keys));
+    t.push_row(batched.row("lht", "batched", keys));
 
     // --- PHT: one store, sequential chain + two parallel clients ---
     let pht_dht: FaultyDht<DirectDht<PhtNode<u32>>> =
-        FaultyDht::new(DirectDht::new(), profile(args.seed ^ 0xbeef));
+        FaultyDht::new(DirectDht::new(), profile(seed ^ 0xbeef));
     let pht_batched = PhtIndex::new(&pht_dht, cfg).expect("fresh index");
     let pht_seq = PhtIndex::new(Seq(&pht_dht), cfg).expect("same store");
-    for i in 0..args.keys {
+    for i in 0..keys {
         pht_batched.insert(key(i), i as u32).expect("no drops");
     }
 
@@ -345,9 +292,9 @@ pub fn cmd(argv: &[String], out: &mut dyn Write) -> io::Result<i32> {
         par_batched.stats.round_latency_ms < par_seq.stats.round_latency_ms,
         "PHT(par) batched round latency must beat the sequential client",
     );
-    t.push_row(chain.row("pht-seq", "seq", args.keys));
-    t.push_row(par_seq.row("pht-par", "seq", args.keys));
-    t.push_row(par_batched.row("pht-par", "batched", args.keys));
+    t.push_row(chain.row("pht-seq", "seq", keys));
+    t.push_row(par_seq.row("pht-par", "seq", keys));
+    t.push_row(par_batched.row("pht-par", "batched", keys));
 
     // LHT's frontier also beats PHT(seq)'s chain on wall-clock rounds.
     check!(

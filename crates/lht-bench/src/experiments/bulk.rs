@@ -9,11 +9,13 @@
 
 use std::io::{self, Write};
 
+use lht::harness::args::Parsed;
 use lht_core::{LeafBucket, LhtConfig, LhtIndex};
 use lht_dht::{Dht, DirectDht};
 use lht_workload::{Dataset, KeyDist};
 
-use crate::{BenchOpts, Table};
+use super::common::data_sizes;
+use crate::Table;
 
 /// One data-size row of the ablation.
 #[derive(Clone, Copy, Debug)]
@@ -73,41 +75,30 @@ pub fn bulk_vs_incremental(dist: KeyDist, sizes: &[usize], seed: u64) -> Vec<Bul
 
 /// `lht-exp bulk-load`: prints the E13 table per distribution and
 /// writes both CSVs.
-///
-/// # Errors
-///
-/// Propagates write errors from `out` and the CSV files.
-pub fn cmd(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
-    let opts = BenchOpts::parse(args.iter().cloned());
-    let sizes = opts.data_sizes();
+pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+    let full = p.on("--full");
+    let sizes = data_sizes(full);
 
     for dist in [KeyDist::Uniform, KeyDist::gaussian_paper()] {
         eprintln!("bulk load: {} data…", dist.tag());
         let rows = bulk_vs_incremental(dist, &sizes, 99);
-        let mut t = Table::new(
+        let t = Table::of(
             format!(
                 "E13 — incremental vs bulk loading, {} data (θ=100)",
                 dist.tag()
             ),
+            &rows,
             &[
-                "n",
-                "incremental lookups",
-                "moved records",
-                "bulk lookups",
-                "leaves",
-                "ratio",
+                ("n", &|r| r.n.to_string()),
+                ("incremental lookups", &|r| {
+                    r.incremental_lookups.to_string()
+                }),
+                ("moved records", &|r| r.incremental_moved.to_string()),
+                ("bulk lookups", &|r| r.bulk_lookups.to_string()),
+                ("leaves", &|r| r.bulk_leaves.to_string()),
+                ("ratio", &|r| format!("{:.1}x", r.ratio())),
             ],
         );
-        for r in &rows {
-            t.push_row(vec![
-                r.n.to_string(),
-                r.incremental_lookups.to_string(),
-                r.incremental_moved.to_string(),
-                r.bulk_lookups.to_string(),
-                r.bulk_leaves.to_string(),
-                format!("{:.1}x", r.ratio()),
-            ]);
-        }
         t.emit(out, &format!("e13_bulk_{}", dist.tag()))?;
         writeln!(out)?;
     }

@@ -10,11 +10,12 @@
 
 use std::io::{self, Write};
 
+use lht::harness::args::Parsed;
 use lht_core::{LeafBucket, LhtConfig, LhtIndex};
 use lht_dht::{ChordConfig, ChordDht, Dht};
 use lht_workload::{Dataset, KeyDist};
 
-use crate::{BenchOpts, Table};
+use crate::Table;
 
 /// Result of one churn scenario.
 #[derive(Clone, Copy, Debug)]
@@ -100,40 +101,29 @@ pub fn churn_availability(
 
 /// `lht-exp churn`: prints the E11 availability table and writes its
 /// CSV.
-///
-/// # Errors
-///
-/// Propagates write errors from `out` and the CSV file.
-pub fn cmd(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
-    let opts = BenchOpts::parse(args.iter().cloned());
-    let (n, peers) = if opts.full { (5_000, 64) } else { (1_500, 32) };
+pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+    let full = p.on("--full");
+    let (n, peers) = if full { (5_000, 64) } else { (1_500, 32) };
     let fractions = [0.0, 0.1, 0.2, 0.3];
     let replicas = [1usize, 2, 3];
 
     eprintln!("churn: {n} records over {peers} Chord peers…");
     let rows = churn_availability(n, peers, &fractions, &replicas, 1234);
 
-    let mut t = Table::new(
+    let t = Table::of(
         format!("E11 — exact-match availability after churn ({n} records, {peers} peers)"),
+        &rows,
         &[
-            "crash %",
-            "replicas",
-            "correct",
-            "lost",
-            "availability",
-            "hops/lookup",
+            ("crash %", &|r| format!("{:.0}%", 100.0 * r.crash_fraction)),
+            ("replicas", &|r| r.replicas.to_string()),
+            ("correct", &|r| r.correct.to_string()),
+            ("lost", &|r| r.lost.to_string()),
+            ("availability", &|r| {
+                format!("{:.1}%", 100.0 * r.availability())
+            }),
+            ("hops/lookup", &|r| format!("{:.2}", r.hops_per_lookup)),
         ],
     );
-    for r in &rows {
-        t.push_row(vec![
-            format!("{:.0}%", 100.0 * r.crash_fraction),
-            r.replicas.to_string(),
-            r.correct.to_string(),
-            r.lost.to_string(),
-            format!("{:.1}%", 100.0 * r.availability()),
-            format!("{:.2}", r.hops_per_lookup),
-        ]);
-    }
     t.emit(out, "e11_churn")?;
     writeln!(
         out,

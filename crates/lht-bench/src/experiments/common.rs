@@ -1,6 +1,7 @@
 //! Shared experiment plumbing: progressive-growth runs, single- and
 //! multi-threaded.
 
+use lht::harness::args::{Flag, Parsed};
 use lht_core::{IndexStats, LeafBucket, LhtConfig, LhtIndex};
 use lht_dht::DirectDht;
 use lht_id::KeyFraction;
@@ -8,6 +9,34 @@ use lht_pht::{PhtIndex, PhtNode};
 use lht_workload::{Dataset, KeyDist};
 
 use crate::scatter::{partition_ranges, scatter};
+
+/// `--trials N` (0 refused).
+pub const TRIALS: Flag =
+    Flag::uint("--trials", 3, "datasets averaged per point (paper: 100)").positive();
+
+/// `--full`.
+pub const FULL: Flag = Flag::switch("--full", "paper-scale sizes instead of the faster subset");
+
+/// The flags of the progressive-growth figures.
+pub const GROWTH: &[Flag] = &[
+    TRIALS,
+    FULL,
+    Flag::uint("--threads", 4, "scatter workers (1 = sequential order)")
+        .positive()
+        .clamped(0, 64),
+];
+
+/// `(--trials, --full, --threads)` of a [`GROWTH`] command.
+pub(crate) fn growth_args(p: &Parsed) -> (u64, bool, usize) {
+    (p.uint("--trials"), p.on("--full"), p.size("--threads"))
+}
+
+/// The data-size sweep of the growth experiments: powers of two from
+/// `2^10`, up to `2^20` with `--full` and `2^16` otherwise.
+pub(crate) fn data_sizes(full: bool) -> Vec<usize> {
+    let top = if full { 20 } else { 16 };
+    (10..=top).map(|e| 1usize << e).collect()
+}
 
 /// Index statistics captured after the first `n` insertions of a
 /// growth run, for both schemes.
@@ -231,6 +260,13 @@ impl ScatterGrowthRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn data_sizes_scale_with_full() {
+        assert_eq!(*data_sizes(false).last().unwrap(), 1 << 16);
+        assert_eq!(*data_sizes(true).last().unwrap(), 1 << 20);
+        assert_eq!(data_sizes(false)[0], 1 << 10);
+    }
 
     #[test]
     fn checkpoints_land_on_requested_sizes() {

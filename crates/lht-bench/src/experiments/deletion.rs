@@ -13,6 +13,7 @@
 
 use std::io::{self, Write};
 
+use lht::harness::args::Parsed;
 use lht_core::{LeafBucket, LhtConfig, LhtIndex};
 use lht_dht::DirectDht;
 use lht_pht::{PhtIndex, PhtNode};
@@ -21,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::{BenchOpts, Table};
+use crate::Table;
 
 /// Checkpointed deletion statistics.
 #[derive(Clone, Copy, Debug)]
@@ -89,45 +90,31 @@ pub fn drain(dist: KeyDist, n: usize, checkpoints: usize, seed: u64) -> Vec<Dele
 
 /// `lht-exp deletion`: prints the E15 drain table per distribution
 /// and writes both CSVs.
-///
-/// # Errors
-///
-/// Propagates write errors from `out` and the CSV files.
-pub fn cmd(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
-    let opts = BenchOpts::parse(args.iter().cloned());
-    let n = if opts.full { 1 << 17 } else { 1 << 14 };
+pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+    let full = p.on("--full");
+    let n = if full { 1 << 17 } else { 1 << 14 };
 
     for dist in [KeyDist::Uniform, KeyDist::gaussian_paper()] {
         eprintln!("deletion drain: {} data, n = {n}…", dist.tag());
         let pts = drain(dist, n, 8, 99);
-        let mut t = Table::new(
+        let moved_ratio = |p: &DeletionPoint| p.lht_moved as f64 / p.pht_moved.max(1) as f64;
+        let t = Table::of(
             format!(
                 "E15 — cumulative merge maintenance while draining, {} data (θ=100)",
                 dist.tag()
             ),
+            &pts,
             &[
-                "remaining",
-                "LHT merges",
-                "PHT merges",
-                "LHT lookups",
-                "PHT lookups",
-                "LHT moved",
-                "PHT moved",
-                "moved ratio",
+                ("remaining", &|p| p.remaining.to_string()),
+                ("LHT merges", &|p| p.lht_merges.to_string()),
+                ("PHT merges", &|p| p.pht_merges.to_string()),
+                ("LHT lookups", &|p| p.lht_lookups.to_string()),
+                ("PHT lookups", &|p| p.pht_lookups.to_string()),
+                ("LHT moved", &|p| p.lht_moved.to_string()),
+                ("PHT moved", &|p| p.pht_moved.to_string()),
+                ("moved ratio", &|p| format!("{:.3}", moved_ratio(p))),
             ],
         );
-        for p in &pts {
-            t.push_row(vec![
-                p.remaining.to_string(),
-                p.lht_merges.to_string(),
-                p.pht_merges.to_string(),
-                p.lht_lookups.to_string(),
-                p.pht_lookups.to_string(),
-                p.lht_moved.to_string(),
-                p.pht_moved.to_string(),
-                format!("{:.3}", p.lht_moved as f64 / p.pht_moved.max(1) as f64),
-            ]);
-        }
         t.emit(out, &format!("e15_deletion_{}", dist.tag()))?;
         writeln!(out)?;
     }

@@ -1,5 +1,5 @@
-//! Fault sweep — availability and cost inflation vs network drop
-//! rate, LHT vs PHT, over a lossy Chord substrate.
+//! Extension experiment E16 — fault sweep: availability and cost
+//! inflation vs network drop rate, LHT vs PHT, over a lossy Chord substrate.
 //!
 //! Each cell wraps a Chord ring in a seeded
 //! [`FaultyDht`] at one drop rate, layers a bounded
@@ -10,16 +10,12 @@
 //! simulated latency inflate over the loss-free baseline — the price
 //! the retry stack pays to mask the faults.
 //!
-//! ```sh
-//! cargo run --release -p lht-bench --bin exp_fault_sweep -- \
-//!     [--smoke] [--ops N] [--nodes N] [--seed N]
-//! ```
-//!
 //! `--smoke` shrinks the sweep for CI; the full run persists
 //! `results/e16_fault_sweep.csv`.
 
 use std::io::{self, Write};
 
+use lht::harness::args::{Flag, Parsed};
 use lht::pht::PhtNode;
 use lht::{
     ChordConfig, ChordDht, Dht, DhtStats, FaultyDht, KeyFraction, KeyInterval, LeafBucket,
@@ -32,60 +28,14 @@ use crate::Table;
 /// heavy loss shows up as unavailability rather than unbounded delay.
 const SWEEP_ATTEMPTS: u32 = 4;
 
-struct SweepArgs {
-    smoke: bool,
-    ops: usize,
-    nodes: usize,
-    seed: u64,
-}
+/// Base seed for ring, workload and fault layer.
+const SEED: u64 = 7;
 
-impl Default for SweepArgs {
-    fn default() -> Self {
-        SweepArgs {
-            smoke: false,
-            ops: 2_000,
-            nodes: 16,
-            seed: 7,
-        }
-    }
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!("usage: exp_fault_sweep [--smoke] [--ops N] [--nodes N] [--seed N]");
-    eprintln!("  --smoke    shrunk sweep (CI): fewer keys, fewer drop rates, no CSV");
-    eprintln!("  --ops N    inserted keys per cell (default 2000)");
-    eprintln!("  --nodes N  chord ring size (default 16)");
-    eprintln!("  --seed N   base seed for ring, workload and fault layer (default 7)");
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
-}
-
-fn parse_args(argv: &[String]) -> SweepArgs {
-    let mut args = SweepArgs::default();
-    let mut it = argv.iter().cloned();
-    let num = |it: &mut dyn Iterator<Item = String>, what: &str| -> u64 {
-        it.next()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| usage(&format!("{what} needs an unsigned integer")))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--ops" => args.ops = (num(&mut it, "--ops") as usize).max(16),
-            "--nodes" => args.nodes = (num(&mut it, "--nodes") as usize).max(1),
-            "--seed" => args.seed = num(&mut it, "--seed"),
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown argument {other:?}")),
-        }
-    }
-    if args.smoke {
-        args.ops = args.ops.min(300);
-        args.nodes = args.nodes.min(12);
-    }
-    args
-}
+/// The flags of `lht-exp fault-sweep`.
+pub const FLAGS: &[Flag] = &[Flag::switch(
+    "--smoke",
+    "CI shape: 300 keys, 12 nodes, no CSV",
+)];
 
 /// One cell's outcome: logical operations attempted/completed plus
 /// the substrate stats as seen through the fault and retry layers.
@@ -187,7 +137,7 @@ fn run_pht<D: Dht<Value = PhtNode<u32>>>(ix: &PhtIndex<D, u32>, n: usize) -> (u6
     (w.attempted, w.ok)
 }
 
-fn sweep_cell(index: &str, drop_rate: f64, args: &SweepArgs) -> Cell {
+fn sweep_cell(index: &str, drop_rate: f64, ops: usize, nodes: usize) -> Cell {
     let cfg = LhtConfig::new(4, 20);
     let chord_cfg = ChordConfig {
         replicas: 2,
@@ -200,11 +150,11 @@ fn sweep_cell(index: &str, drop_rate: f64, args: &SweepArgs) -> Cell {
     // Mix the drop rate into the fault seed so each cell draws an
     // independent loss sequence; bump the seed on the (rare) bootstrap
     // failure so the retry is not doomed to replay the same drops.
-    let net_seed = args.seed ^ (drop_rate * 1000.0) as u64;
+    let net_seed = SEED ^ (drop_rate * 1000.0) as u64;
     match index {
         "lht" => {
             let dht: ChordDht<LeafBucket<u32>> =
-                ChordDht::with_config(args.nodes, args.seed ^ 0x5eed, chord_cfg);
+                ChordDht::with_config(nodes, SEED ^ 0x5eed, chord_cfg);
             let mut attempt = 0u64;
             let ix = loop {
                 let profile = NetProfile::lossy(net_seed.wrapping_add(attempt), drop_rate);
@@ -214,7 +164,7 @@ fn sweep_cell(index: &str, drop_rate: f64, args: &SweepArgs) -> Cell {
                     Err(_) => attempt += 1,
                 }
             };
-            let (attempted, ok) = run_lht(&ix, args.ops);
+            let (attempted, ok) = run_lht(&ix, ops);
             Cell {
                 attempted,
                 ok,
@@ -223,7 +173,7 @@ fn sweep_cell(index: &str, drop_rate: f64, args: &SweepArgs) -> Cell {
         }
         "pht" => {
             let dht: ChordDht<PhtNode<u32>> =
-                ChordDht::with_config(args.nodes, args.seed ^ 0x5eed, chord_cfg);
+                ChordDht::with_config(nodes, SEED ^ 0x5eed, chord_cfg);
             let mut attempt = 0u64;
             let ix = loop {
                 let profile = NetProfile::lossy(net_seed.wrapping_add(attempt), drop_rate);
@@ -233,7 +183,7 @@ fn sweep_cell(index: &str, drop_rate: f64, args: &SweepArgs) -> Cell {
                     Err(_) => attempt += 1,
                 }
             };
-            let (attempted, ok) = run_pht(&ix, args.ops);
+            let (attempted, ok) = run_pht(&ix, ops);
             Cell {
                 attempted,
                 ok,
@@ -246,13 +196,10 @@ fn sweep_cell(index: &str, drop_rate: f64, args: &SweepArgs) -> Cell {
 
 /// `lht-exp fault-sweep`: prints the E16 availability/inflation
 /// table; the full sweep also writes its CSV.
-///
-/// # Errors
-///
-/// Propagates write errors from `out` and the CSV file.
-pub fn cmd(argv: &[String], out: &mut dyn Write) -> io::Result<i32> {
-    let args = parse_args(argv);
-    let drop_rates: &[f64] = if args.smoke {
+pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+    let smoke = p.on("--smoke");
+    let (ops, nodes) = if smoke { (300, 12) } else { (2_000, 16) };
+    let drop_rates: &[f64] = if smoke {
         &[0.0, 0.10]
     } else {
         &[0.0, 0.02, 0.05, 0.10, 0.20]
@@ -260,8 +207,7 @@ pub fn cmd(argv: &[String], out: &mut dyn Write) -> io::Result<i32> {
 
     let mut t = Table::new(
         format!(
-            "fault sweep — {} keys, {} nodes, {} retry attempts, seed {}",
-            args.ops, args.nodes, SWEEP_ATTEMPTS, args.seed
+            "fault sweep — {ops} keys, {nodes} nodes, {SWEEP_ATTEMPTS} retry attempts, seed {SEED}"
         ),
         &[
             "drop%",
@@ -284,7 +230,7 @@ pub fn cmd(argv: &[String], out: &mut dyn Write) -> io::Result<i32> {
         let mut base_lat = 0.0f64;
         for &rate in drop_rates {
             eprintln!("sweeping {index} at drop {rate}…");
-            let cell = sweep_cell(index, rate, &args);
+            let cell = sweep_cell(index, rate, ops, nodes);
             let hops = cell.stats.hops_per_lookup();
             let lat = cell.stats.latency_per_lookup();
             if rate == 0.0 {
@@ -315,7 +261,7 @@ pub fn cmd(argv: &[String], out: &mut dyn Write) -> io::Result<i32> {
         }
     }
 
-    if args.smoke {
+    if smoke {
         write!(out, "{}", t.render())?;
     } else {
         t.emit(out, "e16_fault_sweep")?;

@@ -8,11 +8,13 @@
 
 use std::io::{self, Write};
 
+use lht::harness::args::Parsed;
 use lht_core::LhtConfig;
 use lht_workload::{summary, KeyDist};
 
+use super::common::{data_sizes, growth_args};
 use super::ScatterGrowthRun;
-use crate::{BenchOpts, Table};
+use crate::Table;
 
 /// One point of Fig. 6a: data size → average α (mean over trials).
 #[derive(Clone, Copy, Debug)]
@@ -98,16 +100,12 @@ fn seed(dist: KeyDist, trial: u64) -> u64 {
 }
 
 /// `lht-exp fig6`: prints Fig. 6a/6b and writes both CSVs.
-///
-/// # Errors
-///
-/// Propagates write errors from `out` and the CSV files.
-pub fn cmd(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
-    let opts = BenchOpts::parse(args.iter().cloned());
+pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+    let (trials, full, threads) = growth_args(p);
     let dists = [KeyDist::Uniform, KeyDist::gaussian_paper()];
 
     // Fig. 6a: average α vs data size, θ_split ∈ {40, 160}.
-    let sizes = opts.data_sizes();
+    let sizes = data_sizes(full);
     let mut t6a = Table::new(
         "Fig. 6a — average α vs data size (mean over trials)",
         &[
@@ -122,13 +120,7 @@ pub fn cmd(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
     for dist in dists {
         for theta in [40usize, 160] {
             eprintln!("fig6a: {} θ={theta}…", dist.tag());
-            cols.push(alpha_vs_size(
-                dist,
-                theta,
-                &sizes,
-                opts.trials,
-                opts.threads,
-            ));
+            cols.push(alpha_vs_size(dist, theta, &sizes, trials, threads));
         }
     }
     for (i, n) in sizes.iter().enumerate() {
@@ -149,21 +141,15 @@ pub fn cmd(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
     )?;
 
     // Fig. 6b: average α vs θ_split at a fixed data size.
-    let n = if opts.full { 1 << 18 } else { 1 << 14 };
+    let n = if full { 1 << 18 } else { 1 << 14 };
     let thetas = [20usize, 40, 80, 160, 320];
     let mut t6b = Table::new(
         format!("Fig. 6b — average α vs θ_split (n = {n})"),
         &["theta", "uniform", "gaussian", "predicted ½+1/2θ"],
     );
     eprintln!("fig6b…");
-    let uni = alpha_vs_theta(KeyDist::Uniform, n, &thetas, opts.trials, opts.threads);
-    let gau = alpha_vs_theta(
-        KeyDist::gaussian_paper(),
-        n,
-        &thetas,
-        opts.trials,
-        opts.threads,
-    );
+    let uni = alpha_vs_theta(KeyDist::Uniform, n, &thetas, trials, threads);
+    let gau = alpha_vs_theta(KeyDist::gaussian_paper(), n, &thetas, trials, threads);
     for i in 0..thetas.len() {
         t6b.push_row(vec![
             thetas[i].to_string(),

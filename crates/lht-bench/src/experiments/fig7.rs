@@ -8,11 +8,13 @@
 
 use std::io::{self, Write};
 
+use lht::harness::args::Parsed;
 use lht_core::LhtConfig;
 use lht_workload::{summary, KeyDist};
 
+use super::common::{data_sizes, growth_args};
 use super::ScatterGrowthRun;
-use crate::{BenchOpts, Table};
+use crate::Table;
 
 /// One data-size point of Fig. 7 (means over trials).
 #[derive(Clone, Copy, Debug)]
@@ -77,46 +79,40 @@ pub fn maintenance_vs_size(
 
 /// `lht-exp fig7`: prints Fig. 7a/7b per distribution and writes the
 /// four CSVs.
-///
-/// # Errors
-///
-/// Propagates write errors from `out` and the CSV files.
-pub fn cmd(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
-    let opts = BenchOpts::parse(args.iter().cloned());
-    let sizes = opts.data_sizes();
+pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+    let (trials, full, threads) = growth_args(p);
+    let sizes = data_sizes(full);
 
     for dist in [KeyDist::Uniform, KeyDist::gaussian_paper()] {
         eprintln!("fig7: {} data…", dist.tag());
-        let pts = maintenance_vs_size(dist, &sizes, opts.trials, opts.threads);
+        let pts = maintenance_vs_size(dist, &sizes, trials, threads);
 
-        let mut t7a = Table::new(
+        let t7a = Table::of(
             format!(
                 "Fig. 7a — cumulative moved records, {} data (θ=100)",
                 dist.tag()
             ),
-            &["n", "LHT", "PHT", "LHT/PHT"],
+            &pts,
+            &[
+                ("n", &|p| p.n.to_string()),
+                ("LHT", &|p| format!("{:.0}", p.lht_moved)),
+                ("PHT", &|p| format!("{:.0}", p.pht_moved)),
+                ("LHT/PHT", &|p| format!("{:.3}", p.moved_ratio())),
+            ],
         );
-        let mut t7b = Table::new(
+        let t7b = Table::of(
             format!(
                 "Fig. 7b — cumulative maintenance DHT-lookups, {} data (θ=100)",
                 dist.tag()
             ),
-            &["n", "LHT", "PHT", "LHT/PHT"],
+            &pts,
+            &[
+                ("n", &|p| p.n.to_string()),
+                ("LHT", &|p| format!("{:.0}", p.lht_lookups)),
+                ("PHT", &|p| format!("{:.0}", p.pht_lookups)),
+                ("LHT/PHT", &|p| format!("{:.3}", p.lookup_ratio())),
+            ],
         );
-        for p in &pts {
-            t7a.push_row(vec![
-                p.n.to_string(),
-                format!("{:.0}", p.lht_moved),
-                format!("{:.0}", p.pht_moved),
-                format!("{:.3}", p.moved_ratio()),
-            ]);
-            t7b.push_row(vec![
-                p.n.to_string(),
-                format!("{:.0}", p.lht_lookups),
-                format!("{:.0}", p.pht_lookups),
-                format!("{:.3}", p.lookup_ratio()),
-            ]);
-        }
         t7a.emit(out, &format!("fig7a_moved_{}", dist.tag()))?;
         writeln!(out, "(paper: LHT's movement cost remains half of PHT's)\n")?;
         t7b.emit(out, &format!("fig7b_lookups_{}", dist.tag()))?;

@@ -9,11 +9,13 @@
 
 use std::io::{self, Write};
 
+use lht::harness::args::Parsed;
 use lht_core::LhtConfig;
 use lht_workload::{summary, KeyDist, LookupGen};
 
+use super::common::growth_args;
 use super::ScatterGrowthRun;
-use crate::{BenchOpts, Table};
+use crate::Table;
 
 /// Number of lookup probes per data point (the paper's 1000).
 pub const PROBES: usize = 1000;
@@ -76,36 +78,30 @@ pub fn lookup_vs_size(
 }
 
 /// `lht-exp fig8`: prints Fig. 8a/8b and writes both CSVs.
-///
-/// # Errors
-///
-/// Propagates write errors from `out` and the CSV files.
-pub fn cmd(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
-    let opts = BenchOpts::parse(args.iter().cloned());
+pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+    let (trials, full, threads) = growth_args(p);
     // The paper sweeps data sizes up to 2^20; include the power-of-two
     // "valley points" it highlights (2^12, 2^16, 2^20).
-    let top = if opts.full { 20 } else { 16 };
+    let top = if full { 20 } else { 16 };
     let sizes: Vec<usize> = (8..=top).map(|e| 1usize << e).collect();
 
     for (fig, dist) in [("8a", KeyDist::Uniform), ("8b", KeyDist::gaussian_paper())] {
         eprintln!("fig{fig}: {} data…", dist.tag());
-        let pts = lookup_vs_size(dist, &sizes, opts.trials, opts.threads);
-        let mut t = Table::new(
+        let pts = lookup_vs_size(dist, &sizes, trials, threads);
+        let t = Table::of(
             format!(
                 "Fig. {fig} — avg DHT-lookups per lookup, {} data (D=20, {} probes)",
                 dist.tag(),
                 PROBES
             ),
-            &["n", "LHT", "PHT", "saving"],
+            &pts,
+            &[
+                ("n", &|p| p.n.to_string()),
+                ("LHT", &|p| format!("{:.3}", p.lht)),
+                ("PHT", &|p| format!("{:.3}", p.pht)),
+                ("saving", &|p| format!("{:+.1}%", 100.0 * p.saving())),
+            ],
         );
-        for p in &pts {
-            t.push_row(vec![
-                p.n.to_string(),
-                format!("{:.3}", p.lht),
-                format!("{:.3}", p.pht),
-                format!("{:+.1}%", 100.0 * p.saving()),
-            ]);
-        }
         t.emit(out, &format!("fig{fig}_lookup_{}", dist.tag()))?;
         let savings: Vec<f64> = pts.iter().map(LookupPoint::saving).collect();
         writeln!(

@@ -12,11 +12,13 @@
 
 use std::io::{self, Write};
 
+use lht::harness::args::Parsed;
 use lht_core::{LhtConfig, LhtError};
 use lht_workload::{summary, KeyDist, RangeQueryGen};
 
+use super::common::{data_sizes, growth_args};
 use super::ScatterGrowthRun;
-use crate::{BenchOpts, Table};
+use crate::Table;
 
 /// Range queries issued per data point.
 pub const QUERIES: usize = 25;
@@ -174,131 +176,85 @@ pub fn range_vs_span(
         .collect()
 }
 
-/// Span of the Fig. 9a/10a size sweeps and the spans of 9b/10b.
-const SIZE_SWEEP_SPAN: f64 = 0.1;
-const SPANS: [f64; 6] = [0.02, 0.05, 0.1, 0.2, 0.3, 0.5];
-
-/// `lht-exp fig9`: prints Fig. 9a/9b (bandwidth) per distribution and
-/// writes the four CSVs.
-///
-/// # Errors
-///
-/// Propagates write errors from `out` and the CSV files.
-pub fn cmd_bandwidth(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
-    let opts = BenchOpts::parse(args.iter().cloned());
-    let sizes = opts.data_sizes();
-    let span = SIZE_SWEEP_SPAN;
-
-    for dist in [KeyDist::Uniform, KeyDist::gaussian_paper()] {
-        eprintln!("fig9a: {} data…", dist.tag());
-        let pts = range_vs_size(dist, &sizes, span, opts.trials, opts.threads);
-        let mut t = Table::new(
-            format!(
-                "Fig. 9a — range bandwidth vs data size, {} data (span {span})",
-                dist.tag()
-            ),
-            &["n", "LHT", "PHT(seq)", "PHT(par)"],
-        );
-        for p in &pts {
-            t.push_row(vec![
-                p.n.to_string(),
-                format!("{:.1}", p.bandwidth.lht),
-                format!("{:.1}", p.bandwidth.pht_seq),
-                format!("{:.1}", p.bandwidth.pht_par),
-            ]);
-        }
-        t.emit(out, &format!("fig9a_bandwidth_{}", dist.tag()))?;
-        writeln!(out)?;
-    }
-
-    let n = if opts.full { 1 << 18 } else { 1 << 15 };
-    for dist in [KeyDist::Uniform, KeyDist::gaussian_paper()] {
-        eprintln!("fig9b: {} data…", dist.tag());
-        let pts = range_vs_span(dist, n, &SPANS, opts.trials, opts.threads);
-        let mut t = Table::new(
-            format!(
-                "Fig. 9b — range bandwidth vs span, {} data (n = {n})",
-                dist.tag()
-            ),
-            &["span", "LHT", "PHT(seq)", "PHT(par)"],
-        );
-        for p in &pts {
-            t.push_row(vec![
-                format!("{:.2}", p.span),
-                format!("{:.1}", p.bandwidth.lht),
-                format!("{:.1}", p.bandwidth.pht_seq),
-                format!("{:.1}", p.bandwidth.pht_par),
-            ]);
-        }
-        t.emit(out, &format!("fig9b_bandwidth_{}", dist.tag()))?;
-        writeln!(out)?;
-    }
-    writeln!(
-        out,
-        "(paper: PHT(parallel) incurs the highest bandwidth; LHT and PHT(sequential)\n consume roughly the same, near-optimal amount — LHT slightly less)"
-    )?;
-    Ok(0)
+/// `lht-exp fig9`: prints Fig. 9a/9b (bandwidth, DHT-lookups per
+/// query) per distribution and writes the four CSVs.
+pub fn cmd_bandwidth(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+    range_figure(p, out, false)
 }
 
-/// `lht-exp fig10`: prints Fig. 10a/10b (latency in parallel steps)
-/// per distribution and writes the four CSVs.
-///
-/// # Errors
-///
-/// Propagates write errors from `out` and the CSV files.
-pub fn cmd_latency(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
-    let opts = BenchOpts::parse(args.iter().cloned());
-    let sizes = opts.data_sizes();
-    let span = SIZE_SWEEP_SPAN;
+/// `lht-exp fig10`: prints Fig. 10a/10b (latency, parallel steps per
+/// query) per distribution and writes the four CSVs.
+pub fn cmd_latency(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+    range_figure(p, out, true)
+}
 
-    for dist in [KeyDist::Uniform, KeyDist::gaussian_paper()] {
-        eprintln!("fig10a: {} data…", dist.tag());
-        let pts = range_vs_size(dist, &sizes, span, opts.trials, opts.threads);
+/// Figs. 9 and 10 are two views of one pair of sweeps — against data
+/// size at span 0.1 (a), against span at a fixed size (b).
+fn range_figure(p: &Parsed, out: &mut dyn Write, latency: bool) -> io::Result<i32> {
+    let (trials, full, threads) = growth_args(p);
+    let (fig, what, csv, digits) = if latency {
+        (10, "range latency (parallel steps)", "latency", 2)
+    } else {
+        (9, "range bandwidth", "bandwidth", 1)
+    };
+    let cells = |t: SchemeTriple| {
+        vec![
+            format!("{:.digits$}", t.lht),
+            format!("{:.1}", t.pht_seq),
+            format!("{:.digits$}", t.pht_par),
+        ]
+    };
+    let dists = [KeyDist::Uniform, KeyDist::gaussian_paper()];
+    let span = 0.1;
+
+    for dist in dists {
+        eprintln!("fig{fig}a: {} data…", dist.tag());
+        let mut columns = vec!["n", "LHT", "PHT(seq)", "PHT(par)"];
+        columns.extend(latency.then_some("LHT vs par"));
         let mut t = Table::new(
             format!(
-                "Fig. 10a — range latency (parallel steps) vs data size, {} data (span {span})",
+                "Fig. {fig}a — {what} vs data size, {} data (span {span})",
                 dist.tag()
             ),
-            &["n", "LHT", "PHT(seq)", "PHT(par)", "LHT vs par"],
+            &columns,
         );
-        for p in &pts {
-            t.push_row(vec![
-                p.n.to_string(),
-                format!("{:.2}", p.latency.lht),
-                format!("{:.1}", p.latency.pht_seq),
-                format!("{:.2}", p.latency.pht_par),
-                format!("{:+.1}%", 100.0 * (1.0 - p.latency.lht / p.latency.pht_par)),
-            ]);
+        for p in range_vs_size(dist, &data_sizes(full), span, trials, threads) {
+            let mut row = vec![p.n.to_string()];
+            row.extend(cells(if latency { p.latency } else { p.bandwidth }));
+            let edge = 100.0 * (1.0 - p.latency.lht / p.latency.pht_par);
+            row.extend(latency.then(|| format!("{edge:+.1}%")));
+            t.push_row(row);
         }
-        t.emit(out, &format!("fig10a_latency_{}", dist.tag()))?;
+        t.emit(out, &format!("fig{fig}a_{csv}_{}", dist.tag()))?;
         writeln!(out)?;
     }
 
-    let n = if opts.full { 1 << 18 } else { 1 << 15 };
-    for dist in [KeyDist::Uniform, KeyDist::gaussian_paper()] {
-        eprintln!("fig10b: {} data…", dist.tag());
-        let pts = range_vs_span(dist, n, &SPANS, opts.trials, opts.threads);
+    let n = if full { 1 << 18 } else { 1 << 15 };
+    for dist in dists {
+        eprintln!("fig{fig}b: {} data…", dist.tag());
         let mut t = Table::new(
             format!(
-                "Fig. 10b — range latency (parallel steps) vs span, {} data (n = {n})",
+                "Fig. {fig}b — {what} vs span, {} data (n = {n})",
                 dist.tag()
             ),
             &["span", "LHT", "PHT(seq)", "PHT(par)"],
         );
-        for p in &pts {
-            t.push_row(vec![
-                format!("{:.2}", p.span),
-                format!("{:.2}", p.latency.lht),
-                format!("{:.1}", p.latency.pht_seq),
-                format!("{:.2}", p.latency.pht_par),
-            ]);
+        for p in range_vs_span(dist, n, &[0.02, 0.05, 0.1, 0.2, 0.3, 0.5], trials, threads) {
+            let mut row = vec![format!("{:.2}", p.span)];
+            row.extend(cells(if latency { p.latency } else { p.bandwidth }));
+            t.push_row(row);
         }
-        t.emit(out, &format!("fig10b_latency_{}", dist.tag()))?;
+        t.emit(out, &format!("fig{fig}b_{csv}_{}", dist.tag()))?;
         writeln!(out)?;
     }
     writeln!(
         out,
-        "(paper: PHT(sequential) needs about an order of magnitude more time; LHT is\n the most time-efficient, ≈18% below PHT(parallel), with the edge shrinking at\n large spans on uniform data)"
+        "{}",
+        if latency {
+            "(paper: PHT(sequential) needs about an order of magnitude more time; LHT is\n the most time-efficient, ≈18% below PHT(parallel), with the edge shrinking at\n large spans on uniform data)"
+        } else {
+            "(paper: PHT(parallel) incurs the highest bandwidth; LHT and PHT(sequential)\n consume roughly the same, near-optimal amount — LHT slightly less)"
+        }
     )?;
     Ok(0)
 }

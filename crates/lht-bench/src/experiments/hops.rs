@@ -9,12 +9,13 @@
 
 use std::io::{self, Write};
 
+use lht::harness::args::Parsed;
 use lht_core::{KeyInterval, LeafBucket, LhtConfig, LhtIndex};
 use lht_dht::{ChordDht, Dht};
 use lht_pht::{PhtIndex, PhtNode};
 use lht_workload::{summary, Dataset, KeyDist, LookupGen, RangeQueryGen};
 
-use crate::{BenchOpts, Table};
+use crate::Table;
 
 /// Hop-cost measurements for one workload.
 #[derive(Clone, Copy, Debug)]
@@ -100,40 +101,32 @@ pub fn hops_over_chord(n: usize, ring_sizes: &[usize], probes: usize) -> Vec<Hop
 }
 
 /// `lht-exp hops`: prints the E14 hop-cost table and writes its CSV.
-///
-/// # Errors
-///
-/// Propagates write errors from `out` and the CSV file.
-pub fn cmd(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
-    let opts = BenchOpts::parse(args.iter().cloned());
-    let n = if opts.full { 16_384 } else { 4_096 };
+pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+    let full = p.on("--full");
+    let n = if full { 16_384 } else { 4_096 };
     let rings = [8usize, 16, 32, 64, 128];
 
     eprintln!("hop costs: {n} records over Chord rings…");
     let rows = hops_over_chord(n, &rings, 200);
-    let mut t = Table::new(
+    let t = Table::of(
         format!("E14 — mean physical hops per operation ({n} records, span 0.1)"),
+        &rows,
         &[
-            "peers",
-            "hops/DHT-lookup",
-            "LHT lookup",
-            "PHT lookup",
-            "LHT range",
-            "PHT(seq) range",
-            "PHT(par) range",
+            ("peers", &|r| r.peers.to_string()),
+            ("hops/DHT-lookup", &|r| {
+                format!("{:.2}", r.hops_per_dht_lookup)
+            }),
+            ("LHT lookup", &|r| format!("{:.1}", r.lht_lookup_hops)),
+            ("PHT lookup", &|r| format!("{:.1}", r.pht_lookup_hops)),
+            ("LHT range", &|r| format!("{:.1}", r.lht_range_hops)),
+            ("PHT(seq) range", &|r| {
+                format!("{:.1}", r.pht_seq_range_hops)
+            }),
+            ("PHT(par) range", &|r| {
+                format!("{:.1}", r.pht_par_range_hops)
+            }),
         ],
     );
-    for r in &rows {
-        t.push_row(vec![
-            r.peers.to_string(),
-            format!("{:.2}", r.hops_per_dht_lookup),
-            format!("{:.1}", r.lht_lookup_hops),
-            format!("{:.1}", r.pht_lookup_hops),
-            format!("{:.1}", r.lht_range_hops),
-            format!("{:.1}", r.pht_seq_range_hops),
-            format!("{:.1}", r.pht_par_range_hops),
-        ]);
-    }
     t.emit(out, "e14_hops")?;
     writeln!(
         out,

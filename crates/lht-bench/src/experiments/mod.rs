@@ -6,7 +6,7 @@ pub mod baselines;
 pub mod batch_speedup;
 pub mod bulk;
 pub mod churn;
-mod common;
+pub(crate) mod common;
 pub mod deletion;
 pub mod erasure;
 pub mod fault_sweep;

@@ -26,6 +26,7 @@
 use std::io::{self, Write};
 use std::time::Instant;
 
+use lht::harness::args::{Flag, Parsed};
 use lht_core::{KeyInterval, LeafBucket, LhtConfig, LhtIndex};
 use lht_dht::ChordDht;
 use lht_id::KeyFraction;
@@ -270,77 +271,33 @@ pub fn headline(keys: usize, peers: usize, threads: usize, seed: u64) -> (f64, f
     (run.inserts_per_sec, run.range_qps, run.peak_rss_mb)
 }
 
-struct Args {
-    smoke: bool,
-    full: bool,
-    keys: Option<usize>,
-    peers: Option<usize>,
-    threads: usize,
-    seed: u64,
-    budget_secs: f64,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            smoke: false,
-            full: false,
-            keys: None,
-            peers: None,
-            threads: 4,
-            seed: 21,
-            budget_secs: 1800.0,
-        }
-    }
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!(
-        "usage: exp_paper_scale [--smoke] [--full] [--keys N] [--peers N] \
-         [--threads N] [--seed N] [--budget SECS]"
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
-}
-
-fn parse_args(argv: &[String]) -> Args {
-    let mut args = Args::default();
-    let mut it = argv.iter().cloned();
-    let num = |it: &mut dyn Iterator<Item = String>, what: &str| -> u64 {
-        it.next()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| usage(&format!("{what} needs an unsigned integer")))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--full" => args.full = true,
-            "--keys" => args.keys = Some((num(&mut it, "--keys") as usize).max(8192)),
-            "--peers" => args.peers = Some((num(&mut it, "--peers") as usize).max(1)),
-            "--threads" => args.threads = (num(&mut it, "--threads") as usize).clamp(1, 64),
-            "--seed" => args.seed = num(&mut it, "--seed"),
-            "--budget" => args.budget_secs = num(&mut it, "--budget") as f64,
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown argument {other:?}")),
-        }
-    }
-    args
-}
+/// The flags of `lht-exp paper-scale`.
+pub const FLAGS: &[Flag] = &[
+    Flag::switch(
+        "--smoke",
+        "2^14 keys at 256 and 1024 peers, floors asserted",
+    ),
+    Flag::switch("--full", "add the corners up to 2^24 keys x 4096 peers"),
+    Flag::opt_uint("--keys", "pin a single cell: this many keys").at_least(8192),
+    Flag::opt_uint("--peers", "pin a single cell (default 256 peers)").at_least(1),
+    Flag::uint("--threads", 4, "scatter workers").clamped(1, 64),
+    Flag::uint("--seed", 21, "ring and workload seed"),
+    Flag::uint("--budget", 1800, "seconds the sweep must finish within"),
+];
 
 /// The `(keys, peers)` cells a run covers. An explicit `--keys` or
 /// `--peers` pins a single cell; otherwise smoke mode runs the two CI
 /// cells and the sweep runs the grid (plus the `--full` corners).
-fn cells(args: &Args) -> Vec<(usize, usize)> {
-    if args.keys.is_some() || args.peers.is_some() {
+fn cells(p: &Parsed) -> Vec<(usize, usize)> {
+    let smoke = p.on("--smoke");
+    let (keys, peers) = (p.opt_uint("--keys"), p.opt_uint("--peers"));
+    if keys.is_some() || peers.is_some() {
         return vec![(
-            args.keys
-                .unwrap_or(if args.smoke { 1 << 14 } else { 1 << 20 }),
-            args.peers.unwrap_or(256),
+            keys.unwrap_or(if smoke { 1 << 14 } else { 1 << 20 }) as usize,
+            peers.unwrap_or(256) as usize,
         )];
     }
-    if args.smoke {
+    if smoke {
         return vec![(1 << 14, 256), (1 << 14, 1024)];
     }
     let mut cells = vec![
@@ -350,7 +307,7 @@ fn cells(args: &Args) -> Vec<(usize, usize)> {
         (1 << 22, 256),
         (1 << 22, 1024),
     ];
-    if args.full {
+    if p.on("--full") {
         cells.extend([
             (1 << 22, 4096),
             (1 << 24, 256),
@@ -378,43 +335,16 @@ const MAX_PEER_SCALING_SLOWDOWN: f64 = 2.0;
 
 /// `lht-exp paper-scale`: runs the selected `(keys, peers)` cells,
 /// prints the E21 table and writes its CSV.
-///
-/// # Errors
-///
-/// Propagates write errors from `out` and the CSV file.
-///
-/// # Panics
-///
-/// Panics if a smoke floor, the peer-scaling envelope or the sweep's
-/// wall-clock budget is missed.
-pub fn cmd(argv: &[String], out: &mut dyn Write) -> io::Result<i32> {
-    let args = parse_args(argv);
-    let cells = cells(&args);
-
-    let mut table = Table::new(
-        "E21 — paper-scale hot path (verified throughput, peak RSS)",
-        &[
-            "keys",
-            "peers",
-            "threads",
-            "inserts/s",
-            "lookups/s",
-            "range q/s",
-            "range recs",
-            "dht lookups/insert",
-            "hops/insert",
-            "peak RSS MB",
-        ],
-    );
+pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+    let cells = cells(p);
+    let (threads, seed) = (p.size("--threads"), p.uint("--seed"));
+    let budget_secs = p.uint("--budget") as f64;
 
     let sweep_start = std::time::Instant::now();
     let mut runs = Vec::new();
     for &(keys, peers) in &cells {
-        eprintln!(
-            "E21: {keys} keys over {peers} peers, {} threads…",
-            args.threads
-        );
-        let r = run(keys, peers, args.threads, args.seed);
+        eprintln!("E21: {keys} keys over {peers} peers, {threads} threads…");
+        let r = run(keys, peers, threads, seed);
         eprintln!(
             "  inserts {:.0}/s ({:.1}s seed + {:.1}s scattered), lookups {:.0}/s, \
              ranges {:.1}/s, peak RSS {} MB",
@@ -425,22 +355,27 @@ pub fn cmd(argv: &[String], out: &mut dyn Write) -> io::Result<i32> {
             r.range_qps,
             format_mb(r.peak_rss_mb)
         );
-        table.push_row(vec![
-            r.keys.to_string(),
-            r.peers.to_string(),
-            r.threads.to_string(),
-            format!("{:.0}", r.inserts_per_sec),
-            format!("{:.0}", r.lookups_per_sec),
-            format!("{:.1}", r.range_qps),
-            r.range_records.to_string(),
-            format!("{:.2}", r.insert_dht_lookups as f64 / r.keys as f64),
-            format!("{:.2}", r.insert_hops as f64 / r.keys as f64),
-            format_mb(r.peak_rss_mb),
-        ]);
         runs.push(r);
     }
     let elapsed = sweep_start.elapsed().as_secs_f64();
 
+    let per_key = |total: u64, r: &PaperScaleRun| format!("{:.2}", total as f64 / r.keys as f64);
+    let table = Table::of(
+        "E21 — paper-scale hot path (verified throughput, peak RSS)",
+        &runs,
+        &[
+            ("keys", &|r| r.keys.to_string()),
+            ("peers", &|r| r.peers.to_string()),
+            ("threads", &|r| r.threads.to_string()),
+            ("inserts/s", &|r| format!("{:.0}", r.inserts_per_sec)),
+            ("lookups/s", &|r| format!("{:.0}", r.lookups_per_sec)),
+            ("range q/s", &|r| format!("{:.1}", r.range_qps)),
+            ("range recs", &|r| r.range_records.to_string()),
+            ("dht lookups/insert", &|r| per_key(r.insert_dht_lookups, r)),
+            ("hops/insert", &|r| per_key(r.insert_hops, r)),
+            ("peak RSS MB", &|r| format_mb(r.peak_rss_mb)),
+        ],
+    );
     table.emit(out, "e21_paper_scale")?;
 
     // Peer-scaling guard: wherever a keys scale ran at both 256 and
@@ -463,7 +398,7 @@ pub fn cmd(argv: &[String], out: &mut dyn Write) -> io::Result<i32> {
         );
     }
 
-    if args.smoke {
+    if p.on("--smoke") {
         for r in &runs {
             assert!(
                 r.inserts_per_sec >= SMOKE_MIN_INSERTS_PER_SEC,
@@ -482,16 +417,16 @@ pub fn cmd(argv: &[String], out: &mut dyn Write) -> io::Result<i32> {
         }
         eprintln!("smoke floors passed ({elapsed:.1}s)");
     } else {
-        // The budget is the in-bin claim that paper scale is
+        // The budget is the run's own claim that paper scale is
         // *reachable*, not merely that partial progress was made.
         assert!(
-            elapsed <= args.budget_secs,
+            elapsed <= budget_secs,
             "paper-scale sweep took {elapsed:.1}s, over the {:.0}s budget",
-            args.budget_secs
+            budget_secs
         );
         eprintln!(
             "sweep completed in {elapsed:.1}s (budget {:.0}s)",
-            args.budget_secs
+            budget_secs
         );
     }
     Ok(0)

@@ -11,6 +11,7 @@
 use std::collections::HashMap;
 use std::io::{self, Write};
 
+use lht::harness::args::{Flag, Parsed};
 use lht::{
     ChordConfig, ChordDht, Dht, DhtKey, DhtStats, FaultyDht, NetProfile, QuorumConfig, QuorumDht,
     Versioned,
@@ -186,76 +187,24 @@ pub fn headline(ops: usize, nodes: usize, seed: u64) -> (f64, f64) {
     (quorum, primary)
 }
 
-struct QuorumArgs {
-    smoke: bool,
-    ops: usize,
-    nodes: usize,
-    seed: u64,
-}
-
-impl Default for QuorumArgs {
-    fn default() -> Self {
-        QuorumArgs {
-            smoke: false,
-            ops: 4_000,
-            nodes: 16,
-            seed: 7,
-        }
-    }
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!("usage: exp_quorum [--smoke] [--ops N] [--nodes N] [--seed N]");
-    eprintln!("  --smoke    shrunk grid (CI): 2 configs, 2 drop rates, no CSV");
-    eprintln!("  --ops N    logical ops per cell (default 4000)");
-    eprintln!("  --nodes N  chord ring size (default 16)");
-    eprintln!("  --seed N   base seed for ring, loss and workload (default 7)");
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
-}
-
-fn parse_args(argv: &[String]) -> QuorumArgs {
-    let mut args = QuorumArgs::default();
-    let mut it = argv.iter().cloned();
-    let num = |it: &mut dyn Iterator<Item = String>, what: &str| -> u64 {
-        it.next()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| usage(&format!("{what} needs an unsigned integer")))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--ops" => args.ops = (num(&mut it, "--ops") as usize).max(64),
-            "--nodes" => args.nodes = (num(&mut it, "--nodes") as usize).max(4),
-            "--seed" => args.seed = num(&mut it, "--seed"),
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown argument {other:?}")),
-        }
-    }
-    if args.smoke {
-        args.ops = args.ops.min(800);
-        args.nodes = args.nodes.min(12);
-    }
-    args
-}
+/// The flags of `lht-exp quorum`.
+pub const FLAGS: &[Flag] = &[Flag::switch(
+    "--smoke",
+    "CI shape: 800 ops/cell, 12 nodes, no CSV",
+)];
 
 /// `lht-exp quorum`: prints the E20 quorum grid and the coded rows
 /// with both headlines; exits 1 if a tier misses its bar, and the
 /// full grid rewrites both tracked CSVs.
-///
-/// # Errors
-///
-/// Propagates write errors from `out` and the CSV files.
-pub fn cmd(argv: &[String], out: &mut dyn Write) -> io::Result<i32> {
-    let args = parse_args(argv);
-    let configs: &[(usize, usize, usize)] = if args.smoke {
+pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+    let smoke = p.on("--smoke");
+    let (ops, nodes, seed) = if smoke { (800, 12, 7) } else { (4_000, 16, 7) };
+    let configs: &[(usize, usize, usize)] = if smoke {
         &[(1, 1, 1), (3, 2, 2)]
     } else {
         &[(1, 1, 1), (3, 1, 3), (3, 2, 2), (5, 3, 3)]
     };
-    let drop_rates: &[f64] = if args.smoke {
+    let drop_rates: &[f64] = if smoke {
         &[0.0, 0.20]
     } else {
         &[0.0, 0.10, 0.20]
@@ -264,7 +213,7 @@ pub fn cmd(argv: &[String], out: &mut dyn Write) -> io::Result<i32> {
     let mut t = Table::new(
         format!(
             "E20 quorum tier — {} ops/cell, {} nodes, seed {} (baseline = primary owner n1r1w1)",
-            args.ops, args.nodes, args.seed
+            ops, nodes, seed
         ),
         &[
             "n",
@@ -291,7 +240,7 @@ pub fn cmd(argv: &[String], out: &mut dyn Write) -> io::Result<i32> {
         for &rate in drop_rates {
             for churn in [false, true] {
                 eprintln!("cell n={n} r={r} w={w} drop={rate} churn={churn}…");
-                let cell = run_cell((n, r, w), rate, churn, args.ops, args.nodes, args.seed);
+                let cell = run_cell((n, r, w), rate, churn, ops, nodes, seed);
                 if (rate - 0.20).abs() < f64::EPSILON && churn {
                     headline.insert((n, r, w), cell.availability());
                 }
@@ -330,18 +279,14 @@ pub fn cmd(argv: &[String], out: &mut dyn Write) -> io::Result<i32> {
 
     // ---- Coded rows: erasure tier over the same ring and workload,
     // 512-byte payloads, vs full-copy replication of the same blobs.
-    let coded_configs: &[(usize, usize)] = if args.smoke {
-        &[(4, 6)]
-    } else {
-        &[(2, 3), (4, 6)]
-    };
+    let coded_configs: &[(usize, usize)] = if smoke { &[(4, 6)] } else { &[(2, 3), (4, 6)] };
     let mut t2 = Table::new(
         format!(
             "E20 coded durability — {}-byte payloads, {} ops/cell, {} nodes, seed {} (repl rows = full copies via quorum)",
             erasure::PAYLOAD_LEN,
-            args.ops,
-            args.nodes,
-            args.seed
+            ops,
+            nodes,
+            seed
         ),
         &[
             "tier",
@@ -379,7 +324,7 @@ pub fn cmd(argv: &[String], out: &mut dyn Write) -> io::Result<i32> {
         for &rate in drop_rates {
             for churn in [false, true] {
                 eprintln!("cell erasure k={k} m={m} drop={rate} churn={churn}…");
-                let cell = erasure::run_cell((k, m), rate, churn, args.ops, args.nodes, args.seed);
+                let cell = erasure::run_cell((k, m), rate, churn, ops, nodes, seed);
                 push_coded_row(&mut t2, format!("ec{{{k},{m}}}"), rate, churn, &cell);
             }
         }
@@ -387,14 +332,13 @@ pub fn cmd(argv: &[String], out: &mut dyn Write) -> io::Result<i32> {
     for &(n, r, w) in &[(1usize, 1usize, 1usize), (3, 2, 2)] {
         for churn in [false, true] {
             eprintln!("cell repl n={n} r={r} w={w} drop=0.2 churn={churn}…");
-            let cell =
-                erasure::replication_cell((n, r, w), 0.20, churn, args.ops, args.nodes, args.seed);
+            let cell = erasure::replication_cell((n, r, w), 0.20, churn, ops, nodes, seed);
             push_coded_row(&mut t2, format!("repl{{{n},{r},{w}}}"), 0.20, churn, &cell);
         }
     }
     write!(out, "{}", t2.render())?;
 
-    let h = erasure::headline(args.ops, args.nodes, args.seed);
+    let h = erasure::headline(ops, nodes, seed);
     writeln!(
         out,
         "headline: coded {{4,6}} at 20% drop + churn — availability {:.2}% vs primary {:.2}%, {:.0} B/durable key vs {:.0} for repl{{n=3}} (ratio {:.2}, bar ≤ 0.60)",
@@ -415,7 +359,7 @@ pub fn cmd(argv: &[String], out: &mut dyn Write) -> io::Result<i32> {
     }
 
     // Only a run that met both bars rewrites the tracked artifacts.
-    if !args.smoke {
+    if !smoke {
         t.save("e20_quorum")?;
         t2.save("e20_erasure")?;
     }

@@ -19,6 +19,7 @@
 use std::io::{self, Write};
 use std::time::Instant;
 
+use lht::harness::args::Parsed;
 use lht_core::{KeyInterval, LeafBucket, LhtConfig, LhtIndex};
 use lht_dht::{CachedDht, ChordDht, Dht};
 use lht_id::KeyFraction;
@@ -27,7 +28,7 @@ use lht_workload::{summary, Dataset, KeyDist};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{BenchOpts, Table};
+use crate::Table;
 
 /// Ring size for every cell (matches the snapshot's Chord baseline).
 const PEERS: usize = 32;
@@ -322,55 +323,32 @@ pub fn headline(n: usize, queries: usize, seed: u64) -> (f64, f64) {
 /// must route in ≤ 1.8 hops per DHT-lookup with a hit rate ≥ 0.6
 /// (the uncached Chord baseline is ~3.1), and no cell may ever
 /// diverge from its uncached reference handle.
-///
-/// # Errors
-///
-/// Propagates write errors from `out` and the CSV file.
-///
-/// # Panics
-///
-/// Panics if a cell diverged or the full-capacity cell missed a bar.
-pub fn cmd(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
-    let opts = BenchOpts::parse(args.iter().cloned());
-    let (n, queries) = if opts.full {
-        (4_096, 512)
-    } else {
-        (4_096, 256)
-    };
+pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+    let full = p.on("--full");
+    let (n, queries) = if full { (4_096, 512) } else { (4_096, 256) };
     let caps = [0usize, 64, 256, 1024, 4096];
     let churn = [0usize, 8, 32];
 
     eprintln!("route cache: {n} records, {queries} queries per cell…");
     let rows = route_cache_sweep(n, &caps, &churn, queries, 23);
 
-    let mut t = Table::new(
+    let t = Table::of(
         format!(
             "E18 — location cache vs churn ({n} records, {SPAN}-key ranges, 80/20 skew)",
             SPAN = 16
         ),
+        &rows,
         &[
-            "index",
-            "cache",
-            "churn",
-            "hops/DHT-lookup",
-            "hit rate",
-            "p50 us",
-            "p99 us",
-            "divergences",
+            ("index", &|r| r.index.to_string()),
+            ("cache", &|r| r.capacity.to_string()),
+            ("churn", &|r| r.churn_events.to_string()),
+            ("hops/DHT-lookup", &|r| format!("{:.3}", r.hops_per_lookup)),
+            ("hit rate", &|r| format!("{:.3}", r.hit_rate)),
+            ("p50 us", &|r| format!("{:.1}", r.latency_p50_us)),
+            ("p99 us", &|r| format!("{:.1}", r.latency_p99_us)),
+            ("divergences", &|r| r.divergences.to_string()),
         ],
     );
-    for r in &rows {
-        t.push_row(vec![
-            r.index.to_string(),
-            r.capacity.to_string(),
-            r.churn_events.to_string(),
-            format!("{:.3}", r.hops_per_lookup),
-            format!("{:.3}", r.hit_rate),
-            format!("{:.1}", r.latency_p50_us),
-            format!("{:.1}", r.latency_p99_us),
-            r.divergences.to_string(),
-        ]);
-    }
     t.emit(out, "e18_route_cache")?;
 
     // Safety: the cache may change cost, never answers.

@@ -8,12 +8,13 @@
 
 use std::io::{self, Write};
 
+use lht::harness::args::Parsed;
 use lht_core::LhtConfig;
 use lht_cost::{saving_ratio_from_gamma, CostModel};
 use lht_workload::KeyDist;
 
 use super::GrowthRun;
-use crate::{BenchOpts, Table};
+use crate::Table;
 
 /// One γ point of the saving-ratio table.
 #[derive(Clone, Copy, Debug)]
@@ -59,32 +60,26 @@ pub fn saving_table(dist: KeyDist, n: usize, gammas: &[f64], trials: u64) -> Vec
 
 /// `lht-exp saving-ratio`: prints the Eq. 3 table per distribution
 /// and writes both CSVs.
-///
-/// # Errors
-///
-/// Propagates write errors from `out` and the CSV files.
-pub fn cmd(args: &[String], out: &mut dyn Write) -> io::Result<i32> {
-    let opts = BenchOpts::parse(args.iter().cloned());
-    let n = if opts.full { 1 << 18 } else { 1 << 14 };
+pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+    let (trials, full) = (p.uint("--trials"), p.on("--full"));
+    let n = if full { 1 << 18 } else { 1 << 14 };
     let gammas = [0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0, 1000.0];
 
     for dist in [KeyDist::Uniform, KeyDist::gaussian_paper()] {
         eprintln!("saving table: {} data…", dist.tag());
-        let rows = saving_table(dist, n, &gammas, opts.trials);
-        let mut t = Table::new(
+        let rows = saving_table(dist, n, &gammas, trials);
+        let t = Table::of(
             format!(
                 "Eq. 3 — maintenance saving ratio vs γ = θı/ȷ, {} data (θ=100, n={n})",
                 dist.tag()
             ),
-            &["gamma", "analytic", "measured"],
+            &rows,
+            &[
+                ("gamma", &|r| format!("{:.2}", r.gamma)),
+                ("analytic", &|r| format!("{:.1}%", 100.0 * r.analytic)),
+                ("measured", &|r| format!("{:.1}%", 100.0 * r.measured)),
+            ],
         );
-        for r in &rows {
-            t.push_row(vec![
-                format!("{:.2}", r.gamma),
-                format!("{:.1}%", 100.0 * r.analytic),
-                format!("{:.1}%", 100.0 * r.measured),
-            ]);
-        }
         t.emit(out, &format!("eq3_saving_{}", dist.tag()))?;
         writeln!(out)?;
     }

@@ -29,11 +29,6 @@
 //!   as `"unsupported"` where the platform has no probe, never a fake
 //!   zero a check could pass vacuously).
 //!
-//! ```sh
-//! cargo run --release -p lht-bench --bin exp_bench_snapshot -- \
-//!     [--smoke] [--keys N] [--seed N] [--check]
-//! ```
-//!
 //! A measuring run rewrites `BENCH_lht.json` (the one point `--check`
 //! compares against) and appends the same fields, with the commit,
 //! the CPU model and the SHA-1 backend (`"sha-ni"` / `"scalar"`) they
@@ -63,6 +58,7 @@ use std::path::Path;
 use std::process::Command;
 use std::time::Instant;
 
+use lht::harness::args::{Flag, Parsed};
 use lht::{
     ChordDht, Dht, DirectDht, KeyFraction, KeyInterval, Label, LeafBucket, LhtConfig, LhtIndex,
     NamingCache,
@@ -73,69 +69,30 @@ use crate::table::named;
 use lht_id::{sha1, sha1_backend, sha1_compressions};
 use lht_sim::checker::Outcome;
 
-struct Args {
-    smoke: bool,
-    keys: usize,
-    seed: u64,
-    check: bool,
-}
+/// The flags of `lht-exp bench-snapshot`.
+pub const FLAGS: &[Flag] = &[Flag::switch(
+    "--check",
+    "compare with BENCH_lht.json, write nothing",
+)];
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            smoke: false,
-            keys: 4096,
-            seed: 23,
-            check: false,
-        }
-    }
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!("usage: exp_bench_snapshot [--smoke] [--keys N] [--seed N] [--check]");
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
-}
-
-fn parse_args(argv: &[String]) -> Args {
-    let mut args = Args::default();
-    let mut it = argv.iter().cloned();
-    let num = |it: &mut dyn Iterator<Item = String>, what: &str| -> u64 {
-        it.next()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| usage(&format!("{what} needs an unsigned integer")))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--keys" => args.keys = (num(&mut it, "--keys") as usize).max(64),
-            "--seed" => args.seed = num(&mut it, "--seed"),
-            "--check" => args.check = true,
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown argument {other:?}")),
-        }
-    }
-    if args.smoke {
-        args.keys = args.keys.min(512);
-    }
-    args
-}
+/// Indexed keys of the lookup, range and route-cache headlines.
+const KEYS: usize = 4096;
+/// Ring and workload seed of every headline.
+const SEED: u64 = 23;
 
 /// Lookup cost over a 32-node Chord ring: average DHT-lookups (gets)
 /// and routing hops per exact-match query.
-fn chord_lookup(args: &Args) -> (f64, f64) {
-    let dht: ChordDht<LeafBucket<u32>> = ChordDht::with_nodes(32, args.seed);
+fn chord_lookup() -> (f64, f64) {
+    let dht: ChordDht<LeafBucket<u32>> = ChordDht::with_nodes(32, SEED);
     let ix = LhtIndex::new(&dht, LhtConfig::new(8, 20)).expect("fresh index");
-    let key = |i: usize| KeyFraction::from_f64((i as f64 + 0.5) / args.keys as f64);
-    for i in 0..args.keys {
+    let key = |i: usize| KeyFraction::from_f64((i as f64 + 0.5) / KEYS as f64);
+    for i in 0..KEYS {
         ix.insert(key(i), i as u32).expect("chord insert");
     }
     dht.reset_stats();
     let mut gets = 0u64;
     let mut probes = 0u64;
-    for i in (0..args.keys).step_by((args.keys / 256).max(1)) {
+    for i in (0..KEYS).step_by((KEYS / 256).max(1)) {
         gets += ix.lookup(key(i)).expect("lookup").cost.dht_lookups;
         probes += 1;
     }
@@ -143,11 +100,11 @@ fn chord_lookup(args: &Args) -> (f64, f64) {
 }
 
 /// Range bandwidth vs batched rounds on a direct substrate.
-fn range_rounds(args: &Args) -> (u64, u64, u64) {
+fn range_rounds() -> (u64, u64, u64) {
     let dht: DirectDht<LeafBucket<u32>> = DirectDht::new();
     let ix = LhtIndex::new(&dht, LhtConfig::new(8, 20)).expect("fresh index");
-    let key = |i: usize| KeyFraction::from_f64((i as f64 + 0.5) / args.keys as f64);
-    for i in 0..args.keys {
+    let key = |i: usize| KeyFraction::from_f64((i as f64 + 0.5) / KEYS as f64);
+    for i in 0..KEYS {
         ix.insert(key(i), i as u32).expect("insert");
     }
     dht.reset_stats();
@@ -168,9 +125,9 @@ fn range_rounds(args: &Args) -> (u64, u64, u64) {
 /// scheduler noise; the max over repeats estimates what the digest
 /// path can actually sustain, which is the number a regression check
 /// can hold steady.
-fn sha1_throughput(smoke: bool) -> f64 {
+fn sha1_throughput() -> f64 {
     let buf = vec![0xabu8; 64 * 1024];
-    let reps: u32 = if smoke { 64 } else { 256 };
+    let reps = 256u32;
     // Warm up, then time.
     let _ = sha1(&buf);
     let mut best = 0.0f64;
@@ -200,12 +157,12 @@ struct PaperHeadline {
 /// the same scale over 1024 peers — plus each cell's peak RSS (the
 /// high-water mark is reset per cell inside the run). 2^16 keys is
 /// enough tree depth to exercise the paper hot path while keeping the
-/// snapshot fast; `--smoke` drops to 2^14.
-fn paper_scale_headline(args: &Args) -> PaperHeadline {
-    let keys = if args.smoke { 1 << 14 } else { 1 << 16 };
-    let (inserts_per_sec, range_qps, rss_mb) = paper_scale::headline(keys, 256, 4, args.seed);
+/// snapshot fast.
+fn paper_scale_headline() -> PaperHeadline {
+    let keys = 1 << 16;
+    let (inserts_per_sec, range_qps, rss_mb) = paper_scale::headline(keys, 256, 4, SEED);
     eprintln!("measuring paper-scale headline over 1024 peers…");
-    let r1024 = paper_scale::run(keys, 1024, 4, args.seed);
+    let r1024 = paper_scale::run(keys, 1024, 4, SEED);
     PaperHeadline {
         keys,
         inserts_per_sec,
@@ -254,11 +211,10 @@ fn naming_cache_saving() -> (f64, f64) {
 /// best of three short runs (wall-clock numbers are noisy; the max
 /// over repeats is the stable estimate of what the machine can do).
 /// Every counted run must produce a linearizable point-op history.
-fn ring_checked_throughput(args: &Args) -> f64 {
-    let ops_per_client = if args.smoke { 250 } else { 500 };
+fn ring_checked_throughput() -> f64 {
     let mut best = 0.0f64;
     for rep in 0..3u64 {
-        let run = threaded::run(4, ops_per_client, 8, args.seed.wrapping_add(rep));
+        let run = threaded::run(4, 500, 8, SEED.wrapping_add(rep));
         assert_eq!(
             run.outcome,
             Outcome::Linearizable,
@@ -275,9 +231,8 @@ fn ring_checked_throughput(args: &Args) -> f64 {
 /// the primary-owner baseline measured under the identical fault and
 /// workload schedule — the replication tier must actually buy
 /// availability, not just bandwidth.
-fn quorum_availability(args: &Args) -> f64 {
-    let ops = if args.smoke { 800 } else { 2_000 };
-    let (quorum, primary) = quorum::headline(ops, 16, args.seed);
+fn quorum_availability() -> f64 {
+    let (quorum, primary) = quorum::headline(2_000, 16, SEED);
     assert!(
         quorum > primary,
         "quorum(3,2,2) availability {quorum:.4} must be strictly above \
@@ -294,9 +249,8 @@ fn quorum_availability(args: &Args) -> f64 {
 /// replication of the same 512-byte payloads — durability priced
 /// below replication on the storage axis without giving the masking
 /// back.
-fn erasure_headline(args: &Args) -> (f64, f64) {
-    let ops = if args.smoke { 800 } else { 2_000 };
-    let h = erasure::headline(ops, 16, args.seed);
+fn erasure_headline() -> (f64, f64) {
+    let h = erasure::headline(2_000, 16, SEED);
     assert!(
         h.coded_availability >= h.primary_availability,
         "erasure(4,6) availability {:.4} must not fall below the \
@@ -326,7 +280,7 @@ fn json_mb(mb: Option<f64>) -> String {
 }
 
 /// Reads one numeric field out of the committed `BENCH_lht.json`.
-/// The file is written by this binary line-by-line, so a plain string
+/// The file is written by this command line-by-line, so a plain string
 /// scan is exact (the vendored serde shim has no JSON parser).
 fn committed_field(json: &str, field: &str) -> Option<f64> {
     let tag = format!("\"{field}\":");
@@ -442,38 +396,27 @@ fn json_str(s: &str) -> String {
 /// compares them against the committed `BENCH_lht.json` (exit 1 on a
 /// regression), otherwise the run rewrites the snapshot and appends
 /// to the history.
-///
-/// # Errors
-///
-/// Propagates write errors from `out` and the two snapshot files.
-///
-/// # Panics
-///
-/// Panics if a measured headline misses the bar its layer asserts.
-pub fn cmd(argv: &[String], out: &mut dyn Write) -> io::Result<i32> {
-    let args = parse_args(argv);
-
-    eprintln!("measuring chord lookup cost ({} keys)…", args.keys);
-    let (gets_per_lookup, hops_per_lookup) = chord_lookup(&args);
+pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+    eprintln!("measuring chord lookup cost ({} keys)…", KEYS);
+    let (gets_per_lookup, hops_per_lookup) = chord_lookup();
     eprintln!("measuring range rounds…");
-    let (range_lookups, range_steps, range_rounds) = range_rounds(&args);
+    let (range_lookups, range_steps, range_rounds) = range_rounds();
     eprintln!("measuring sha1 throughput ({})…", sha1_backend());
-    let throughput = sha1_throughput(args.smoke);
+    let throughput = sha1_throughput();
     eprintln!("measuring naming cache…");
     let (hit_rate, saving) = naming_cache_saving();
     eprintln!("measuring route cache…");
-    let route_queries = if args.smoke { 64 } else { 256 };
-    let (cached_hops, route_hit_rate) = route_cache::headline(args.keys, route_queries, args.seed);
+    let (cached_hops, route_hit_rate) = route_cache::headline(KEYS, 256, SEED);
     eprintln!("measuring ring throughput under 4 client threads (checked)…");
-    let ring_checked_ops = ring_checked_throughput(&args);
+    let ring_checked_ops = ring_checked_throughput();
     eprintln!("measuring quorum availability at 20% drop + churn…");
-    let quorum_avail = quorum_availability(&args);
+    let quorum_avail = quorum_availability();
     eprintln!("measuring erasure availability and storage at 20% drop + churn…");
-    let (erasure_avail, erasure_bytes) = erasure_headline(&args);
+    let (erasure_avail, erasure_bytes) = erasure_headline();
     eprintln!("measuring paper-scale headline (scattered verified run)…");
-    let paper = paper_scale_headline(&args);
+    let paper = paper_scale_headline();
 
-    if args.check {
+    if p.on("--check") {
         if let Err(e) = check_regressions(
             hops_per_lookup,
             cached_hops,
@@ -501,8 +444,10 @@ pub fn cmd(argv: &[String], out: &mut dyn Write) -> io::Result<i32> {
     // gets them one to a line (`committed_field` scans lines), the
     // history gets them on one line behind their provenance.
     let fields: Vec<(&str, String)> = vec![
-        ("keys", args.keys.to_string()),
-        ("smoke", args.smoke.to_string()),
+        ("keys", KEYS.to_string()),
+        // Kept so the snapshot and history lines keep one shape; the
+        // shrunk mode that set it is gone.
+        ("smoke", "false".to_string()),
         ("lookup_gets_avg", format!("{gets_per_lookup:.3}")),
         ("chord_hops_per_lookup", format!("{hops_per_lookup:.3}")),
         ("range_dht_lookups", range_lookups.to_string()),

@@ -10,7 +10,7 @@
 //! linearizability checker, so the reported throughput is only
 //! accepted when the run it measures was provably correct.
 //!
-//! The ring is one mutex (ROADMAP item 2): client threads overlap in
+//! The ring is one mutex (ROADMAP `[ring-lock]`): client threads overlap in
 //! everything *above* a DHT operation — naming, binary search, bucket
 //! decode — and take turns below it. Its `DhtStats` (lookups, hops)
 //! stay exact under contention; the wall-clock figure is the only
@@ -34,6 +34,7 @@
 use std::io::{self, Write};
 use std::time::Instant;
 
+use lht::harness::args::{Flag, Parsed};
 use lht::{
     ChordDht, Dht, HistoryCall, HistoryRecorder, HistoryReturn, KeyFraction, KeyInterval,
     LeafBucket, LhtConfig, LhtIndex,
@@ -53,7 +54,8 @@ pub struct ThreadedRun {
     /// Wall-clock seconds spent in the client phase.
     pub elapsed_secs: f64,
     /// Operations that returned an error (`Contention` /
-    /// `LookupExhausted` from the split window, ROADMAP item 0).
+    /// `LookupExhausted` from the split window, ROADMAP
+    /// `[split-window]`).
     /// Reported, not gated on.
     pub failed_ops: u64,
     /// *Succeeded* index operations per wall-clock second across all
@@ -210,75 +212,22 @@ pub fn mutant_outcomes() -> (Outcome, Outcome) {
     (run(false), run(true))
 }
 
-struct Args {
-    clients: u32,
-    ops: u64,
-    nodes: usize,
-    seed: u64,
-    mutant_proof: bool,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            clients: 4,
-            ops: 1_000,
-            nodes: 8,
-            seed: 7,
-            mutant_proof: false,
-        }
-    }
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!(
-        "usage: exp_threaded [--clients N] [--ops N] [--nodes N] [--seed N] \
-         [--smoke] [--mutant-proof]"
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
-}
-
-fn parse_args(argv: &[String]) -> Args {
-    let mut args = Args::default();
-    let mut it = argv.iter().cloned();
-    let num = |it: &mut dyn Iterator<Item = String>, what: &str| -> u64 {
-        it.next()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| usage(&format!("{what} needs an unsigned integer")))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--clients" => args.clients = (num(&mut it, "--clients") as u32).max(1),
-            "--ops" => args.ops = num(&mut it, "--ops").max(1),
-            "--nodes" => args.nodes = (num(&mut it, "--nodes") as usize).max(1),
-            "--seed" => args.seed = num(&mut it, "--seed"),
-            "--smoke" => {
-                args.clients = 2;
-                args.ops = 500;
-            }
-            "--mutant-proof" => args.mutant_proof = true,
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown argument {other:?}")),
-        }
-    }
-    args
-}
+/// The flags of `lht-exp threaded`.
+pub const FLAGS: &[Flag] = &[
+    Flag::opt_uint("--clients", "client threads (default 4)").at_least(1),
+    Flag::opt_uint("--ops", "operations per client (default 1000)").at_least(1),
+    Flag::uint("--nodes", 8, "peers on the ring").at_least(1),
+    Flag::uint("--seed", 7, "workload seed"),
+    Flag::switch("--smoke", "the CI shape: 2 clients x 500 ops"),
+    Flag::switch("--mutant-proof", "arm the torn-split mutant instead"),
+];
 
 /// `lht-exp threaded`: drives the client threads and prints the
 /// checked throughput, or with `--mutant-proof` arms the torn-split
 /// mutant instead; exits 1 unless the history is linearizable (the
 /// mutant: unless it is caught while the clean trace passes).
-///
-/// # Errors
-///
-/// Propagates write errors from `out`.
-pub fn cmd(argv: &[String], out: &mut dyn Write) -> io::Result<i32> {
-    let args = parse_args(argv);
-
-    if args.mutant_proof {
+pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+    if p.on("--mutant-proof") {
         eprintln!("arming the torn-split mutant…");
         let (clean, armed) = mutant_outcomes();
         if clean != Outcome::Linearizable {
@@ -297,11 +246,16 @@ pub fn cmd(argv: &[String], out: &mut dyn Write) -> io::Result<i32> {
         };
     }
 
+    let smoke = p.on("--smoke");
+    let clients = p.opt_uint("--clients").unwrap_or(if smoke { 2 } else { 4 }) as u32;
+    let ops = p
+        .opt_uint("--ops")
+        .unwrap_or(if smoke { 500 } else { 1_000 });
+    let (nodes, seed) = (p.size("--nodes"), p.uint("--seed"));
     eprintln!(
-        "driving {} client threads x {} ops over a {}-peer ring (seed {})…",
-        args.clients, args.ops, args.nodes, args.seed
+        "driving {clients} client threads x {ops} ops over a {nodes}-peer ring (seed {seed})…"
     );
-    let run = run(args.clients, args.ops, args.nodes, args.seed);
+    let run = run(clients, ops, nodes, seed);
 
     writeln!(
         out,

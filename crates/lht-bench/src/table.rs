@@ -5,6 +5,9 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
 
+/// A column of [`Table::of`]: its header and the cell it renders.
+pub type Column<'a, R> = (&'a str, &'a dyn Fn(&R) -> String);
+
 /// A simple result table: named columns, rows of formatted cells.
 ///
 /// The experiment binaries print one `Table` per paper sub-figure and
@@ -24,6 +27,17 @@ impl Table {
             columns: columns.iter().map(|c| c.to_string()).collect(),
             rows: Vec::new(),
         }
+    }
+
+    /// A table with one row per item of `rows`, each column given as
+    /// its header and the cell it renders from an item.
+    pub fn of<R>(title: impl Into<String>, rows: &[R], columns: &[Column<'_, R>]) -> Table {
+        let headers: Vec<&str> = columns.iter().map(|(header, _)| *header).collect();
+        let mut table = Table::new(title, &headers);
+        for row in rows {
+            table.push_row(columns.iter().map(|(_, cell)| cell(row)).collect());
+        }
+        table
     }
 
     /// Appends a row.
@@ -90,14 +104,17 @@ impl Table {
         self.save(csv)
     }
 
-    /// Persists the table as `results/<csv>.csv` and reports the path
-    /// on stderr.
+    /// Persists the table as `results/<csv>.csv` (creating the
+    /// directory) and reports the path on stderr.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn save(&self, csv: &str) -> io::Result<()> {
-        let path = write_csv(self, csv)?;
+        let dir = Path::new("results");
+        fs::create_dir_all(dir).map_err(named(dir))?;
+        let path = dir.join(format!("{csv}.csv"));
+        fs::write(&path, self.to_csv()).map_err(named(&path))?;
         eprintln!("wrote {}", path.display());
         Ok(())
     }
@@ -111,20 +128,6 @@ impl Table {
         }
         out
     }
-}
-
-/// Writes a table's CSV under `results/<name>.csv` (creating the
-/// directory), returning the path written.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_csv(table: &Table, name: &str) -> io::Result<std::path::PathBuf> {
-    let dir = Path::new("results");
-    fs::create_dir_all(dir).map_err(named(dir))?;
-    let path = dir.join(format!("{name}.csv"));
-    fs::write(&path, table.to_csv()).map_err(named(&path))?;
-    Ok(path)
 }
 
 /// Names the file in a filesystem error, which `io::Error` does not.
@@ -149,6 +152,20 @@ mod tests {
         assert!(r.contains("## Fig X"));
         assert!(r.contains("   n  lht  pht"));
         assert!(r.contains("1024  1.5  2.5"));
+    }
+
+    #[test]
+    fn of_renders_one_row_per_item_through_each_column() {
+        let by_columns = Table::of(
+            "Fig X",
+            &[(1024, 1.5, 2.5), (2048, 1.7, 2.9)],
+            &[
+                ("n", &|r| r.0.to_string()),
+                ("lht", &|r| format!("{:.1}", r.1)),
+                ("pht", &|r| format!("{:.1}", r.2)),
+            ],
+        );
+        assert_eq!(by_columns, sample());
     }
 
     #[test]

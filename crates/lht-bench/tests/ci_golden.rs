@@ -93,3 +93,23 @@ fn every_deterministic_ci_command_prints_its_pinned_output() {
         );
     }
 }
+
+/// The pins are the CI manifest minus what cannot be pinned here:
+/// rows that print wall-clock measurements, the seed sweeps (minutes
+/// in a debug build) and the full E20 grid, which CI holds to its
+/// tracked CSVs instead.
+#[test]
+fn the_pins_cover_the_ci_manifest() {
+    let unpinned = |args: &[&str]| {
+        let measured = ["route-cache", "threaded", "paper-scale", "bench-snapshot"];
+        measured.contains(&args[0]) || args.contains(&"--explore") || args == ["quorum"]
+    };
+    for (_, args) in lht_bench::cli::CI_SMOKE {
+        let pinned = PINS.iter().any(|(pin, _, _)| pin == args);
+        assert_ne!(pinned, unpinned(args), "{args:?}");
+    }
+    for (pin, _, _) in PINS {
+        let listed = lht_bench::cli::CI_SMOKE.iter().any(|(_, args)| args == pin);
+        assert!(listed, "{pin:?} is not a ci-smoke row");
+    }
+}

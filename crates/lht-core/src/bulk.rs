@@ -43,7 +43,7 @@ where
     ///
     /// Compared with inserting the same records one by one this skips
     /// all per-insert lookups *and* all split movement — the
-    /// `exp_bulk_load` experiment measures the gap.
+    /// `lht-exp bulk-load` experiment measures the gap.
     ///
     /// Records with duplicate keys keep the last value.
     ///

@@ -1817,7 +1817,7 @@ mod tests {
             assert_eq!(hops, HOPS[2]);
             // (A crashed node that rejoins before its successor has
             // dropped the dead predecessor pointer is handed that
-            // successor's whole store — ROADMAP item 4 — so only the
+            // successor's whole store — ROADMAP `[zave]` — so only the
             // graceful leaver is certain to read everything back.)
             assert!(!graceful || hits == 100);
 

@@ -1,7 +1,7 @@
 //! Erasure-coded durability over any [`Dht`] substrate.
 //!
 //! [`ErasureDht`] is the storage-efficiency half of the durability
-//! tier (ROADMAP item 3): where [`QuorumDht`](crate::QuorumDht)
+//! tier: where [`QuorumDht`](crate::QuorumDht)
 //! stores `N` full copies, this layer Reed-Solomon-encodes every
 //! logical value into `m` fragments of which any `k` reconstruct it
 //! ([`gf256::ReedSolomon`](crate::gf256::ReedSolomon), systematic

@@ -16,7 +16,7 @@
 //! that meet a saturated node descend (paying extra rounds). Leaves
 //! never refuse keys, so answers stay exact.
 //!
-//! The experiment binary `exp_baselines` uses this crate to extend
+//! The experiment binary `lht-exp baselines` uses this crate to extend
 //! the paper's Fig. 7–10 comparison with the DST column its §2
 //! qualitatively describes.
 //!

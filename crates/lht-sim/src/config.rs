@@ -2,6 +2,9 @@
 
 use std::fmt::Write as _;
 
+use lht::harness::args::{replay, Flag, Parsed};
+use lht::harness::{one_tier, tier_args, ERASURE_FLAG, QUORUM_FLAG};
+
 /// Everything that determines a simulation run. Two runs with equal
 /// configurations produce byte-identical schedule traces and
 /// verdicts; the replay line printed on a violation encodes the full
@@ -95,6 +98,11 @@ pub struct SimConfig {
     pub check_budget: u64,
 }
 
+/// Schedule picks are actor numbers.
+fn fits_u32(picks: &[u64]) -> bool {
+    picks.iter().all(|&actor| actor <= u32::MAX as u64)
+}
+
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
@@ -167,8 +175,93 @@ impl SimConfig {
         }
     }
 
-    /// The `exp_sim_explore` argument list reproducing this
-    /// configuration, without any `--schedule`.
+    /// The `lht-exp` subcommand that simulates.
+    pub const COMMAND: &'static str = "sim-explore";
+
+    /// The flags of [`COMMAND`](Self::COMMAND) that
+    /// [`from_args`](Self::from_args) reads and
+    /// [`replay_line`](Self::replay_line) writes: every field but
+    /// `check_budget`, and the schedule to replay.
+    pub const FLAGS: &'static [Flag] = &[
+        Flag::uint("--seed", 1, "first (or only) simulation seed"),
+        Flag::uint("--clients", 3, "logical clients").at_least(1),
+        Flag::uint("--ops", 30, "operations per client"),
+        Flag::uint("--nodes", 8, "initial chord ring size").at_least(1),
+        Flag::uint("--churn", 3, "join/leave events"),
+        Flag::uint("--replicas", 2, "replicas per key").at_least(1),
+        Flag::prob("--drop", "per-RPC drop probability (0 = strict mode)"),
+        Flag::uint("--theta", 4, "leaf-split threshold").at_least(2),
+        Flag::uint("--depth", 24, "max tree depth").clamped(2, 64),
+        QUORUM_FLAG,
+        ERASURE_FLAG,
+        Flag::switch("--stale-replica", "arm that mutant"),
+        Flag::opt_uint("--torn-split", "arm that mutant at the N-th split").at_least(1),
+        Flag::switch("--stale-cache-read", "arm that mutant (unverified probes)"),
+        Flag::switch(
+            "--sloppy-quorum-read",
+            "arm that mutant (implies --quorum 3,2,2)",
+        ),
+        Flag::switch(
+            "--lost-write-ack",
+            "arm that mutant (implies --quorum 3,2,2)",
+        ),
+        Flag::switch(
+            "--corrupt-fragment",
+            "arm that mutant (implies --erasure 2,5)",
+        ),
+        Flag::switch("--lazy-regen", "arm that mutant (implies --erasure 2,5)"),
+        Flag::list(
+            "--schedule",
+            "a,b,c",
+            fits_u32,
+            "replay this exact actor schedule",
+        ),
+    ];
+
+    /// The configuration an argument list asks for.
+    ///
+    /// # Errors
+    ///
+    /// Refuses a quorum stack together with an erasure stack, whether
+    /// named or implied by a mutant.
+    pub fn from_args(p: &Parsed) -> Result<SimConfig, String> {
+        let (quorum, erasure) = tier_args(p);
+        let cfg = SimConfig {
+            seed: p.uint("--seed"),
+            clients: p.uint("--clients") as u32,
+            ops_per_client: p.uint("--ops") as u32,
+            nodes: p.size("--nodes"),
+            churn_events: p.uint("--churn") as u32,
+            replicas: p.size("--replicas"),
+            drop_prob: p.prob("--drop"),
+            theta_split: p.size("--theta"),
+            max_depth: p.size("--depth"),
+            stale_replica: p.on("--stale-replica"),
+            torn_split: p.opt_uint("--torn-split"),
+            stale_cache_read: p.on("--stale-cache-read"),
+            quorum,
+            sloppy_quorum_read: p.on("--sloppy-quorum-read"),
+            lost_write_ack: p.on("--lost-write-ack"),
+            erasure,
+            corrupt_fragment: p.on("--corrupt-fragment"),
+            lazy_regen: p.on("--lazy-regen"),
+            ..SimConfig::default()
+        };
+        one_tier(
+            cfg.quorum_params().is_some(),
+            cfg.erasure_params().is_some(),
+        )?;
+        Ok(cfg)
+    }
+
+    /// The schedule an argument list asks to replay, if any.
+    pub fn schedule_from_args(p: &Parsed) -> Option<Vec<u32>> {
+        let picks = p.list("--schedule")?;
+        Some(picks.iter().map(|&actor| actor as u32).collect())
+    }
+
+    /// The [`FLAGS`](Self::FLAGS) reproducing this configuration,
+    /// without any `--schedule`.
     pub fn replay_args(&self) -> String {
         let mut s = format!(
             "--seed {} --clients {} --ops {} --nodes {} --churn {} --replicas {} --theta {} --depth {}",
@@ -217,10 +310,7 @@ impl SimConfig {
     /// The full one-line replay command for an explicit schedule.
     pub fn replay_line(&self, schedule: &[u32]) -> String {
         let csv: Vec<String> = schedule.iter().map(|a| a.to_string()).collect();
-        format!(
-            "cargo run --release -p lht-bench --bin exp_sim_explore -- {} --schedule {}",
-            self.replay_args(),
-            csv.join(",")
-        )
+        let flags = format!("{} --schedule {}", self.replay_args(), csv.join(","));
+        replay(Self::COMMAND, &flags)
     }
 }

@@ -32,7 +32,7 @@
 //! # Seed replay
 //!
 //! ```text
-//! cargo run --release -p lht-bench --bin exp_sim_explore -- \
+//! cargo run --release -p lht-bench -- sim-explore \
 //!     --seed 42 --clients 4 --ops 50 --nodes 12 --churn 4
 //! ```
 //!

@@ -8,6 +8,8 @@
 //! can be wrapped in a lossy network ([`SoakOptions::net`]) with a
 //! retry stack on top — the chaos matrix exercises every cell.
 
+use std::fmt::Write as _;
+
 use lht_core::{audit, KeyInterval, LeafBucket, LhtConfig, LhtError, LhtIndex};
 use lht_dht::gf256::ReedSolomon;
 use lht_dht::{
@@ -20,6 +22,7 @@ use lht_id::KeyFraction;
 use lht_pht::{audit as pht_audit, PhtIndex, PhtNode};
 use lht_rst::{RstIndex, RstNode};
 
+use super::args::{replay, Flag, Parsed};
 use super::oracle::ShadowOracle;
 use super::trace::{generate, Op, Trace, TraceConfig};
 
@@ -178,34 +181,174 @@ impl Default for SoakOptions {
     }
 }
 
+/// `--quorum N,R,W`, spelled and validated once for every command
+/// that builds a quorum tier.
+pub const QUORUM_FLAG: Flag = Flag::list(
+    "--quorum",
+    "N,R,W with 1 <= R,W <= N and R+W > N",
+    |v| matches!(*v, [n, r, w] if r >= 1 && w >= 1 && r.max(w) <= n && r + w > n),
+    "replicate through a strict-quorum tier over chord",
+);
+
+/// `--erasure K,M`, spelled and validated once for every command that
+/// builds an erasure tier.
+pub const ERASURE_FLAG: Flag = Flag::list(
+    "--erasure",
+    "K,M with 2 <= K < M <= 32",
+    |v| matches!(*v, [k, m] if k >= 2 && k < m && m <= 32),
+    "erasure-code through k-of-m fragment groups over chord",
+);
+
+/// What `--quorum` and `--erasure` were given as, if they were.
+#[allow(clippy::type_complexity)]
+pub fn tier_args(p: &Parsed) -> (Option<(usize, usize, usize)>, Option<(usize, usize)>) {
+    let usizes = |name| p.list(name).map(|v| v.iter().map(|&n| n as usize));
+    (
+        usizes("--quorum").and_then(|mut v| Some((v.next()?, v.next()?, v.next()?))),
+        usizes("--erasure").and_then(|mut v| Some((v.next()?, v.next()?))),
+    )
+}
+
+/// Both tiers own a key's redundancy, so a stack has at most one.
+///
+/// # Errors
+///
+/// Says so when both are asked for.
+pub fn one_tier(quorum: bool, erasure: bool) -> Result<(), String> {
+    if quorum && erasure {
+        return Err("the quorum and erasure tiers are mutually exclusive".into());
+    }
+    Ok(())
+}
+
 impl SoakOptions {
-    /// The one-line `exp_audit_soak` invocation reproducing this run.
+    /// The `lht-exp` subcommand that soaks.
+    pub const COMMAND: &'static str = "audit-soak";
+
+    /// The flags of [`COMMAND`](Self::COMMAND), which
+    /// [`from_args`](Self::from_args) reads and
+    /// [`replay_line`](Self::replay_line) writes.
+    pub const FLAGS: &'static [Flag] = &[
+        Flag::choice(
+            "--substrate",
+            &["both", "direct", "chord"],
+            "which DHT to soak",
+        ),
+        Flag::choice(
+            "--index",
+            &["lht", "pht", "dst", "rst"],
+            "the primary index scheme",
+        ),
+        Flag::uint("--seed", 1, "trace seed; the whole run replays from it"),
+        Flag::uint("--ops", 10_000, "operations per soak"),
+        Flag::uint("--theta", 4, "LHT split threshold").at_least(2),
+        Flag::switch(
+            "--churn",
+            "interleave ring churn ops (under `both`, on chord only)",
+        ),
+        Flag::uint("--nodes", 16, "initial chord ring size").at_least(1),
+        Flag::uint("--replicas", 2, "copies per key on chord").at_least(1),
+        Flag::prob("--drop", "per-RPC drop probability of the lossy network"),
+        Flag::uint("--net-seed", 1, "fault-layer seed"),
+        Flag::prob("--mloss", "chord maintenance-RPC loss probability"),
+        Flag::opt_uint(
+            "--cache",
+            "location cache of this capacity on the chord stack",
+        ),
+        QUORUM_FLAG,
+        ERASURE_FLAG,
+    ];
+
+    /// The soaks an argument list asks for, one per substrate it
+    /// names. Not flags, so set here: audits run every `ops / 10`
+    /// operations, PHT is mirrored on Direct under an LHT primary, and
+    /// `retry`, `max_depth` and `inject_loss_at` keep their defaults.
+    ///
+    /// # Errors
+    ///
+    /// Refuses `--quorum` together with `--erasure`.
+    pub fn from_args(p: &Parsed) -> Result<Vec<SoakOptions>, String> {
+        let (quorum, erasure) = tier_args(p);
+        one_tier(quorum.is_some(), erasure.is_some())?;
+        let index = match p.word("--index") {
+            "lht" => IndexKind::Lht,
+            "pht" => IndexKind::Pht,
+            "dst" => IndexKind::Dst,
+            _ => IndexKind::Rst,
+        };
+        let (drop_prob, ops) = (p.prob("--drop"), p.size("--ops"));
+        let which = p.word("--substrate");
+        let base = SoakOptions {
+            seed: p.uint("--seed"),
+            ops,
+            theta: p.size("--theta"),
+            index,
+            net: (drop_prob > 0.0).then(|| NetProfile::lossy(p.uint("--net-seed"), drop_prob)),
+            maintenance_loss: p.prob("--mloss"),
+            route_cache: p.opt_uint("--cache").map(|cap| cap as usize),
+            quorum,
+            erasure,
+            audit_every: (ops / 10).max(1),
+            ..SoakOptions::default()
+        };
+        let mut soaks = Vec::new();
+        if which != "chord" {
+            soaks.push(SoakOptions {
+                substrate: SubstrateKind::Direct,
+                mirror_pht: index == IndexKind::Lht,
+                churn: p.on("--churn") && which == "direct",
+                ..base
+            });
+        }
+        if which != "direct" {
+            soaks.push(SoakOptions {
+                substrate: SubstrateKind::Chord {
+                    nodes: p.size("--nodes"),
+                    replicas: p.size("--replicas"),
+                },
+                mirror_pht: false,
+                churn: p.on("--churn"),
+                ..base
+            });
+        }
+        Ok(soaks)
+    }
+
+    /// The one-line `lht-exp audit-soak` command for this soak:
+    /// every field [`FLAGS`](Self::FLAGS) can set, so
+    /// [`from_args`](Self::from_args) reads back what was written. It
+    /// does **not** carry `audit_every`, `retry`, `max_depth`,
+    /// `inject_loss_at` or `mirror_pht` (no flag sets them — see
+    /// `from_args` for what the command uses instead), nor any
+    /// [`NetProfile`] field but `drop_prob` and `seed`; a soak that
+    /// set those replays from its test, not from this line.
     pub fn replay_line(&self) -> String {
-        let churn = if self.churn { " --churn" } else { "" };
-        let mut line = format!(
-            "cargo run --release -p lht-bench --bin exp_audit_soak -- \
-             --substrate {} --index {} --seed {} --ops {} --theta {}{churn}",
+        let mut flags = format!(
+            "--substrate {} --index {} --seed {} --ops {} --theta {}",
             self.substrate, self.index, self.seed, self.ops, self.theta
         );
+        if let SubstrateKind::Chord { nodes, replicas } = self.substrate {
+            let _ = write!(flags, " --nodes {nodes} --replicas {replicas}");
+        }
+        if self.churn {
+            flags.push_str(" --churn");
+        }
         if let Some(net) = &self.net {
-            line.push_str(&format!(
-                " --drop {} --net-seed {}",
-                net.drop_prob, net.seed
-            ));
+            let _ = write!(flags, " --drop {} --net-seed {}", net.drop_prob, net.seed);
         }
         if self.maintenance_loss > 0.0 {
-            line.push_str(&format!(" --mloss {}", self.maintenance_loss));
+            let _ = write!(flags, " --mloss {}", self.maintenance_loss);
         }
         if let Some(cap) = self.route_cache {
-            line.push_str(&format!(" --cache {cap}"));
+            let _ = write!(flags, " --cache {cap}");
         }
         if let Some((n, r, w)) = self.quorum {
-            line.push_str(&format!(" --quorum {n},{r},{w}"));
+            let _ = write!(flags, " --quorum {n},{r},{w}");
         }
         if let Some((k, m)) = self.erasure {
-            line.push_str(&format!(" --erasure {k},{m}"));
+            let _ = write!(flags, " --erasure {k},{m}");
         }
-        line
+        replay(Self::COMMAND, &flags)
     }
 }
 

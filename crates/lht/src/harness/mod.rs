@@ -25,8 +25,9 @@
 //! is reproducible from its seed alone:
 //!
 //! ```text
-//! cargo run --release -p lht-bench --bin exp_audit_soak -- \
-//!     --substrate chord --seed 42 --ops 10000 --theta 4 --churn
+//! cargo run --release -p lht-bench -- audit-soak \
+//!     --substrate chord --index lht --seed 42 --ops 10000 --theta 4 \
+//!     --nodes 16 --replicas 2 --churn
 //! ```
 //!
 //! # Example
@@ -44,12 +45,14 @@
 //! assert_eq!(report.applied, 500);
 //! ```
 
+pub mod args;
 mod differ;
 mod oracle;
 mod trace;
 
 pub use differ::{
-    run_soak, run_trace, DiffFailure, IndexKind, SoakOptions, SoakReport, SubstrateKind,
+    one_tier, run_soak, run_trace, tier_args, DiffFailure, IndexKind, SoakOptions, SoakReport,
+    SubstrateKind, ERASURE_FLAG, QUORUM_FLAG,
 };
 pub use oracle::ShadowOracle;
 pub use trace::{generate, Op, Trace, TraceConfig};

@@ -6,7 +6,7 @@
 //! delayed repair); they must never change an answer.
 //!
 //! Every cell is reproducible from its seed alone; a failure's
-//! replay line is an `exp_audit_soak` invocation carrying the
+//! replay line is an `lht-exp audit-soak` invocation carrying the
 //! `--drop/--net-seed/--mloss` flags that rebuild the same lossy
 //! network.
 

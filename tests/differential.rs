@@ -3,9 +3,59 @@
 //! that the harness detects injected faults instead of vacuously
 //! passing.
 
+use lht::harness::args::parse_replay;
 use lht::harness::{
     generate, run_soak, run_trace, IndexKind, SoakOptions, SubstrateKind, Trace, TraceConfig,
 };
+use lht::NetProfile;
+use proptest::prelude::*;
+
+/// The soaks a replay line asks `lht-exp audit-soak` for.
+fn parse_line(replay: &str) -> Vec<SoakOptions> {
+    let parsed = parse_replay(replay, SoakOptions::COMMAND, &[SoakOptions::FLAGS])
+        .unwrap_or_else(|why| panic!("{why}"));
+    SoakOptions::from_args(&parsed).unwrap_or_else(|why| panic!("{why}: {replay}"))
+}
+
+proptest! {
+    /// `from_args(replay_line(soak)) == soak` over every field a flag
+    /// can set (the others at what `from_args` gives them). Before
+    /// the line carried `--nodes` / `--replicas` this failed for any
+    /// Chord ring but the default 16 x 2.
+    #[test]
+    fn replay_line_parses_back_to_the_soak(
+        scale in (any::<u64>(), 0usize..1_000_000, 2usize..200, 1usize..64, 1usize..8),
+        picks in (any::<bool>(), 0usize..4, any::<bool>(), 0usize..3),
+        net in (any::<bool>(), 0.001f64..1.0, any::<u64>(), any::<bool>(), 0.001f64..1.0),
+        cache in (any::<bool>(), 0usize..5_000),
+    ) {
+        let (seed, ops, theta, nodes, replicas) = scale;
+        let (chord, index, churn, tier) = picks;
+        let (lossy, drop_prob, net_seed, lossy_maintenance, maintenance_loss) = net;
+        let index = [IndexKind::Lht, IndexKind::Pht, IndexKind::Dst, IndexKind::Rst][index];
+        let soak = SoakOptions {
+            seed,
+            ops,
+            theta,
+            substrate: if chord {
+                SubstrateKind::Chord { nodes, replicas }
+            } else {
+                SubstrateKind::Direct
+            },
+            index,
+            audit_every: (ops / 10).max(1),
+            mirror_pht: !chord && index == IndexKind::Lht,
+            churn,
+            net: lossy.then(|| NetProfile::lossy(net_seed, drop_prob)),
+            maintenance_loss: if lossy_maintenance { maintenance_loss } else { 0.0 },
+            route_cache: cache.0.then_some(cache.1),
+            quorum: (tier == 1).then_some((nodes.min(5), nodes.min(5) / 2 + 1, nodes.min(5) / 2 + 1)),
+            erasure: (tier == 2).then_some((replicas + 1, replicas + 2 + nodes % 16)),
+            ..SoakOptions::default()
+        };
+        prop_assert_eq!(parse_line(&soak.replay_line()), vec![soak]);
+    }
+}
 
 /// 10k ops over the one-hop DHT with the PHT baseline mirroring every
 /// mutation: every query diffed against the oracle, audits every 500
@@ -158,15 +208,16 @@ fn harness_detects_injected_bucket_loss() {
         "failure at op {} predates the sabotage at 1500",
         failure.op_index
     );
-    assert!(
-        failure.replay.contains("--seed 9"),
-        "replay line must pin the seed: {}",
-        failure.replay
-    );
-    assert!(
-        failure.replay.contains("exp_audit_soak"),
-        "replay line must name the soak binary: {}",
-        failure.replay
+    // The replay line is an `lht-exp audit-soak` command for this
+    // soak, minus what no flag carries.
+    assert_eq!(
+        parse_line(&failure.replay),
+        vec![SoakOptions {
+            audit_every: 300,
+            mirror_pht: true,
+            inject_loss_at: None,
+            ..opts
+        }]
     );
 }
 

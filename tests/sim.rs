@@ -6,7 +6,58 @@
 //! (optionally with `--trace`) to step through the exact minimized
 //! interleaving.
 
+use lht::harness::args::parse_replay;
 use lht_sim::{replay_schedule, simulate, SimConfig, SimVerdict};
+use proptest::prelude::*;
+
+/// The configuration and schedule a replay line asks `lht-exp
+/// sim-explore` for.
+fn parse_line(replay: &str) -> (SimConfig, Option<Vec<u32>>) {
+    let parsed = parse_replay(replay, SimConfig::COMMAND, &[SimConfig::FLAGS])
+        .unwrap_or_else(|why| panic!("{why}"));
+    let cfg = SimConfig::from_args(&parsed).unwrap_or_else(|why| panic!("{why}: {replay}"));
+    (cfg, SimConfig::schedule_from_args(&parsed))
+}
+
+proptest! {
+    /// `from_args(replay_line(cfg, schedule)) == (cfg, schedule)` over
+    /// every field a flag can set.
+    #[test]
+    fn replay_line_parses_back_to_the_configuration(
+        scale in (any::<u64>(), 1u32..1_000, any::<u32>(), 1usize..4_096, any::<u32>(), 1usize..8),
+        tree in (2usize..500, 2usize..65, any::<bool>(), 0.001f64..1.0),
+        mutants in (any::<bool>(), any::<bool>(), 1u64..50, any::<bool>(), any::<bool>(), any::<bool>()),
+        tier in (0usize..3, any::<bool>(), 1usize..6, 1usize..6),
+        schedule in proptest::collection::vec(any::<u32>(), 1..40),
+    ) {
+        let (seed, clients, ops_per_client, nodes, churn_events, replicas) = scale;
+        let (theta_split, max_depth, lossy, drop_prob) = tree;
+        let (stale_replica, torn, nth, stale_cache_read, first, second) = mutants;
+        let (family, explicit, a, b) = tier;
+        let cfg = SimConfig {
+            seed,
+            clients,
+            ops_per_client,
+            nodes,
+            churn_events,
+            replicas,
+            drop_prob: if lossy { drop_prob } else { 0.0 },
+            theta_split,
+            max_depth,
+            stale_replica,
+            torn_split: torn.then_some(nth),
+            stale_cache_read,
+            quorum: (family == 1 && explicit).then_some((a + b, a.max(b), a.max(b) + 1)),
+            sloppy_quorum_read: family == 1 && first,
+            lost_write_ack: family == 1 && second,
+            erasure: (family == 2 && explicit).then_some((a + 1, a + b + 1)),
+            corrupt_fragment: family == 2 && first,
+            lazy_regen: family == 2 && second,
+            ..SimConfig::default()
+        };
+        prop_assert_eq!(parse_line(&cfg.replay_line(&schedule)), (cfg, Some(schedule)));
+    }
+}
 
 /// The pinned seed proving stale-replica detection (CI replays it
 /// too; see `sim-smoke` in the workflow).
@@ -117,7 +168,7 @@ fn stale_replica_mutant_is_caught_and_minimized_schedule_reproduces() {
         minimized.len() <= report.schedule.len(),
         "shrinking never grows the schedule"
     );
-    assert!(replay.contains("--stale-replica") && replay.contains("--schedule"));
+    assert_eq!(parse_line(replay), (cfg.clone(), Some(minimized.clone())));
 
     // The replay line's schedule reproduces the violation exactly.
     let replayed = replay_schedule(&cfg, minimized);
@@ -145,7 +196,7 @@ fn torn_split_mutant_is_caught_and_minimized_schedule_reproduces() {
             report.verdict
         );
     };
-    assert!(replay.contains("--torn-split") && replay.contains("--schedule"));
+    assert_eq!(parse_line(replay), (cfg.clone(), Some(minimized.clone())));
 
     let replayed = replay_schedule(&cfg, minimized);
     assert!(
@@ -177,7 +228,7 @@ fn stale_cache_read_mutant_is_caught_and_minimized_schedule_reproduces() {
             report.verdict
         );
     };
-    assert!(replay.contains("--stale-cache-read") && replay.contains("--schedule"));
+    assert_eq!(parse_line(replay), (cfg.clone(), Some(minimized.clone())));
 
     let replayed = replay_schedule(&cfg, minimized);
     assert!(
@@ -237,7 +288,7 @@ fn sloppy_quorum_read_mutant_is_caught_and_minimized_schedule_reproduces() {
             report.verdict
         );
     };
-    assert!(replay.contains("--sloppy-quorum-read") && replay.contains("--schedule"));
+    assert_eq!(parse_line(replay), (cfg.clone(), Some(minimized.clone())));
 
     let replayed = replay_schedule(&cfg, minimized);
     assert!(
@@ -266,7 +317,7 @@ fn lost_write_ack_mutant_is_caught_and_minimized_schedule_reproduces() {
             report.verdict
         );
     };
-    assert!(replay.contains("--lost-write-ack") && replay.contains("--schedule"));
+    assert_eq!(parse_line(replay), (cfg.clone(), Some(minimized.clone())));
 
     let replayed = replay_schedule(&cfg, minimized);
     assert!(
@@ -346,7 +397,7 @@ fn corrupt_fragment_mutant_is_caught_and_minimized_schedule_reproduces() {
             report.verdict
         );
     };
-    assert!(replay.contains("--corrupt-fragment") && replay.contains("--schedule"));
+    assert_eq!(parse_line(replay), (cfg.clone(), Some(minimized.clone())));
 
     let replayed = replay_schedule(&cfg, minimized);
     assert!(
@@ -377,7 +428,7 @@ fn lazy_regen_mutant_is_caught_and_minimized_schedule_reproduces() {
             report.verdict
         );
     };
-    assert!(replay.contains("--lazy-regen") && replay.contains("--schedule"));
+    assert_eq!(parse_line(replay), (cfg.clone(), Some(minimized.clone())));
 
     let replayed = replay_schedule(&cfg, minimized);
     assert!(

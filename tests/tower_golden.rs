@@ -31,7 +31,7 @@ enum Tier {
 /// lossy maintenance)`.
 type Cell = (IndexKind, SubstrateKind, Tier, bool, bool, bool);
 
-/// `exp_audit_soak --seed 1 --ops 2000 --churn` over the cell.
+/// `lht-exp audit-soak --seed 1 --ops 2000 --churn` over the cell.
 fn soak(cell: Cell) -> SoakReport {
     let (index, substrate, tier, lossy, cached, mloss) = cell;
     let opts = SoakOptions {
@@ -179,7 +179,7 @@ fn soak_reports_are_frozen_across_the_layer_grid() {
     );
 }
 
-/// The simulator configurations CI pins (`exp_sim_explore --seed N
+/// The simulator configurations CI pins (`lht-exp sim-explore --seed N
 /// [--quorum …] [--erasure …] [--drop …]` over its default small
 /// world).
 fn sim_cells() -> Vec<SimConfig> {
