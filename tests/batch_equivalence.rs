@@ -7,7 +7,8 @@
 use proptest::prelude::*;
 
 use lht::{
-    ChordDht, Dht, DhtKey, DirectDht, FaultyDht, KademliaDht, NetProfile, RetriedDht, RetryPolicy,
+    CachedDht, ChordDht, Dht, DhtKey, DirectDht, FaultyDht, KademliaDht, NetProfile, RetriedDht,
+    RetryPolicy,
 };
 
 /// Keys collide on purpose (32 slots) so batches contain duplicates,
@@ -48,6 +49,90 @@ where
     assert!(b.rounds <= b.lookups(), "rounds bounded by lookups");
     assert!(b.round_hops <= b.hops, "round hops bounded by total hops");
     assert_eq!(s.rounds, s.lookups(), "sequential ops are one round apiece");
+}
+
+/// `base` under the first `depth` client-side layers of the production
+/// tower, innermost first: bare, `FaultyDht`, `RetriedDht<FaultyDht>`,
+/// `CachedDht<RetriedDht<FaultyDht>>`, over a 20%-lossy network.
+fn client_stack<'a>(
+    base: impl Dht<Value = u32> + 'a,
+    depth: u8,
+    net_seed: u64,
+) -> Box<dyn Dht<Value = u32> + 'a> {
+    let faulty = |base| FaultyDht::new(base, NetProfile::lossy(net_seed, 0.20));
+    match depth {
+        0 => Box::new(base),
+        1 => Box::new(faulty(base)),
+        2 => Box::new(RetriedDht::new(faulty(base), RetryPolicy::default())),
+        _ => Box::new(CachedDht::with_capacity(
+            RetriedDht::new(faulty(base), RetryPolicy::default()),
+            8,
+        )),
+    }
+}
+
+/// The only result of a one-element round.
+fn only<T>(mut round: Vec<T>) -> T {
+    assert_eq!(round.len(), 1, "one result per op");
+    round.pop().expect("one result")
+}
+
+/// Drives twin stacks through `script` — `single` through `get` / `put`
+/// / `probe_get` / `probe_put`, `round` through the one-element batch
+/// form of each — and holds answers and whole ledgers equal after every
+/// step. Probes aim at the owner `owner_hint` names for the hint slot's
+/// key, so they are served when the two slots share an owner and stale
+/// otherwise.
+///
+/// With `routed_rounds` false, `round` issues `get` / `put` as single
+/// ops too. Over a fault layer a one-element *routed* round is not the
+/// single op: a dropped round still delivers its empty admitted subset,
+/// and an empty Chord or Kademlia round draws an initiator, so the
+/// twins' initiator streams part. An empty probe round draws nothing.
+fn assert_one_element_round_is_the_single_op(
+    single: &dyn Dht<Value = u32>,
+    round: &dyn Dht<Value = u32>,
+    script: &[(u8, u8, u8, u32)],
+    routed_rounds: bool,
+) -> Result<(), String> {
+    for (step, &(op, slot, hint, value)) in script.iter().enumerate() {
+        let k = DhtKey::from(format!("k{}", slot % 16));
+        let hint_key = DhtKey::from(format!("k{}", hint % 16));
+        let owner = single.owner_hint(&hint_key).expect("rings name owners");
+        prop_assert_eq!(Some(owner), round.owner_hint(&hint_key), "step {}", step);
+        let (a, b) = match op {
+            0 if !routed_rounds => (
+                format!("{:?}", single.get(&k)),
+                format!("{:?}", round.get(&k)),
+            ),
+            1 if !routed_rounds => (
+                format!("{:?}", single.put(&k, value)),
+                format!("{:?}", round.put(&k, value)),
+            ),
+            0 => (
+                format!("{:?}", single.get(&k)),
+                format!("{:?}", only(round.multi_get(std::slice::from_ref(&k)))),
+            ),
+            1 => (
+                format!("{:?}", single.put(&k, value)),
+                format!("{:?}", only(round.multi_put(vec![(k.clone(), value)]))),
+            ),
+            2 => (
+                format!("{:?}", single.probe_get(&k, owner)),
+                format!("{:?}", only(round.probe_multi_get(&[(k.clone(), owner)]))),
+            ),
+            _ => (
+                format!("{:?}", single.probe_put(&k, value, owner)),
+                format!(
+                    "{:?}",
+                    only(round.probe_multi_put(vec![(k.clone(), value, owner)]))
+                ),
+            ),
+        };
+        prop_assert_eq!(a, b, "step {}: answers", step);
+        prop_assert_eq!(single.stats(), round.stats(), "step {}: ledgers", step);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -169,5 +254,31 @@ proptest! {
         let st = stack.stats();
         prop_assert!(st.rounds <= st.lookups());
         prop_assert!(st.round_latency_ms <= st.latency_ms);
+    }
+
+    /// A one-element round is the single op, on both rings under every
+    /// client-side stack: same answer, same ledger, step by step. Probe
+    /// rounds are checked on every stack, routed rounds on the bare
+    /// rings (see `assert_one_element_round_is_the_single_op`).
+    #[test]
+    fn one_element_round_is_the_single_op(
+        script in proptest::collection::vec((0u8..4, any::<u8>(), any::<u8>(), any::<u32>()), 1..64),
+        ring_seed in any::<u64>(),
+        net_seed in any::<u64>(),
+    ) {
+        for depth in 0..4 {
+            assert_one_element_round_is_the_single_op(
+                &*client_stack(ChordDht::with_nodes(8, ring_seed), depth, net_seed),
+                &*client_stack(ChordDht::with_nodes(8, ring_seed), depth, net_seed),
+                &script,
+                depth == 0,
+            )?;
+            assert_one_element_round_is_the_single_op(
+                &*client_stack(KademliaDht::with_nodes(16, ring_seed), depth, net_seed),
+                &*client_stack(KademliaDht::with_nodes(16, ring_seed), depth, net_seed),
+                &script,
+                depth == 0,
+            )?;
+        }
     }
 }
