@@ -111,35 +111,13 @@ impl<D: Dht> Dht for MeteredDht<'_, D> {
         out
     }
 
-    fn probe_get(&self, key: &DhtKey, owner: U160) -> Result<Probe<Option<Self::Value>>, DhtError> {
-        let out = self.inner.probe_get(key, owner);
-        // Substrates count only *served* probes as lookups; a stale
-        // or unsupported probe routes nothing.
-        if let Ok(Probe::Served(v)) = &out {
-            let found = v.is_some();
-            self.stats.borrow_mut().record_op(DhtOp::Get { found }, 0);
-        }
-        out
-    }
-
-    fn probe_put(
-        &self,
-        key: &DhtKey,
-        value: Self::Value,
-        owner: U160,
-    ) -> Result<Probe<()>, DhtError> {
-        let out = self.inner.probe_put(key, value, owner);
-        if let Ok(Probe::Served(())) = &out {
-            self.stats.borrow_mut().record_op(DhtOp::Put, 0);
-        }
-        out
-    }
-
     fn probe_multi_get(
         &self,
         probes: &[(DhtKey, U160)],
     ) -> Vec<Result<Probe<Option<Self::Value>>, DhtError>> {
         let out = self.inner.probe_multi_get(probes);
+        // Substrates count only *served* probes as lookups; a stale
+        // or unsupported probe routes nothing.
         self.stats
             .borrow_mut()
             .record_batch(out.iter().filter_map(|r| match r {

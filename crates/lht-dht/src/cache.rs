@@ -64,21 +64,6 @@ use lht_id::U160;
 
 use crate::{Dht, DhtError, DhtKey, DhtStats, Lru, Probe};
 
-/// Configuration for a [`CachedDht`] layer.
-#[derive(Clone, Copy, Debug)]
-pub struct CacheConfig {
-    /// Maximum number of key → owner entries held; beyond it the
-    /// strictly least-recently-used entry is evicted. A capacity of
-    /// `0` disables the cache (every lookup takes the full route).
-    pub capacity: usize,
-}
-
-impl Default for CacheConfig {
-    fn default() -> CacheConfig {
-        CacheConfig { capacity: 4096 }
-    }
-}
-
 /// Which cost slot of a [`CacheHint`] a routed operation prices.
 ///
 /// Reads (`get`) and writes (`put`/`remove`/`update`) can route very
@@ -213,33 +198,26 @@ impl CacheState {
 /// ```
 pub struct CachedDht<D> {
     inner: D,
-    cfg: CacheConfig,
+    /// Maximum number of key → owner entries held; beyond it the
+    /// strictly least-recently-used entry is evicted. `0` disables
+    /// the cache (every lookup takes the full route).
+    capacity: usize,
     state: Mutex<CacheState>,
 }
 
 impl<D> CachedDht<D> {
-    /// Wraps `inner` with a location cache per `cfg`.
-    pub fn new(inner: D, cfg: CacheConfig) -> CachedDht<D> {
-        CachedDht {
-            inner,
-            cfg,
-            state: Mutex::new(CacheState::default()),
-        }
-    }
-
     /// Wraps `inner` with a cache of `capacity` entries.
     pub fn with_capacity(inner: D, capacity: usize) -> CachedDht<D> {
-        CachedDht::new(inner, CacheConfig { capacity })
+        CachedDht {
+            inner,
+            capacity,
+            state: Mutex::new(CacheState::default()),
+        }
     }
 
     /// The wrapped substrate.
     pub fn inner(&self) -> &D {
         &self.inner
-    }
-
-    /// The cache configuration.
-    pub fn config(&self) -> CacheConfig {
-        self.cfg
     }
 
     /// Number of locations currently remembered.
@@ -251,21 +229,47 @@ impl<D> CachedDht<D> {
     pub fn is_empty(&self) -> bool {
         self.state.lock().lru.is_empty()
     }
+}
 
-    /// Drops every cached location (stats are kept).
-    pub fn clear(&self) {
-        self.state.lock().lru.clear();
+/// One entry of a cached round: its key, and the probe and routed
+/// requests it becomes — a bare key for reads, a key and value for
+/// writes.
+trait Entry {
+    /// The entry as an owner probe.
+    type Probe;
+    /// The entry as a routed request.
+    type Route;
+    fn key(&self) -> &DhtKey;
+    fn probe(&self, owner: U160) -> Self::Probe;
+    fn route(self) -> Self::Route;
+}
+
+impl Entry for &DhtKey {
+    type Probe = (DhtKey, U160);
+    type Route = DhtKey;
+    fn key(&self) -> &DhtKey {
+        self
+    }
+    fn probe(&self, owner: U160) -> (DhtKey, U160) {
+        ((*self).clone(), owner)
+    }
+    fn route(self) -> DhtKey {
+        self.clone()
     }
 }
 
-/// A batch split by what the cache remembers, as positions in the
-/// caller's batch.
-struct Split {
-    /// Keys with a remembered owner, and the hint to probe with.
-    probes: Vec<(usize, CacheHint)>,
-    /// Keys to route in full, and whether each counts as a miss (a
-    /// stale fallback joins later and was already counted as stale).
-    routed: Vec<(usize, bool)>,
+impl<V: Clone> Entry for (DhtKey, V) {
+    type Probe = (DhtKey, V, U160);
+    type Route = (DhtKey, V);
+    fn key(&self) -> &DhtKey {
+        &self.0
+    }
+    fn probe(&self, owner: U160) -> (DhtKey, V, U160) {
+        (self.0.clone(), self.1.clone(), owner)
+    }
+    fn route(self) -> (DhtKey, V) {
+        self
+    }
 }
 
 impl<D: Dht> CachedDht<D> {
@@ -314,7 +318,7 @@ impl<D: Dht> CachedDht<D> {
         if count_miss {
             st.extra.cache_misses += 1;
         }
-        st.learn(key, owner, kind, route_hops.max(1), self.cfg.capacity);
+        st.learn(key, owner, kind, route_hops.max(1), self.capacity);
     }
 
     /// Credits served probes: the routed operations would have paid
@@ -344,21 +348,109 @@ impl<D: Dht> CachedDht<D> {
         out
     }
 
-    /// Splits a batch under one lock: keys with a cached location go
-    /// to the probe round, the rest to the full-route round.
-    fn split_batch<'a>(&self, keys: impl Iterator<Item = &'a DhtKey>) -> Split {
-        let mut split = Split {
-            probes: Vec::new(),
-            routed: Vec::new(),
+    /// One single op of `kind`: a verified probe at the remembered
+    /// owner when there is one, else — or when the probe was not
+    /// served — the full route. `arg` is what the op carries (the value
+    /// of a write); the probe borrows it, the route takes it.
+    fn single<A, T>(
+        &self,
+        key: &DhtKey,
+        kind: RouteKind,
+        arg: A,
+        probe: impl FnOnce(&A, U160) -> Result<Probe<T>, DhtError>,
+        route: impl FnOnce(A) -> Result<T, DhtError>,
+    ) -> Result<T, DhtError> {
+        let hint = self.state.lock().lookup(key);
+        let Some(hint) = hint else {
+            return self.routed(key, kind, true, || route(arg));
         };
-        let mut st = self.state.lock();
-        for (i, key) in keys.enumerate() {
-            match st.lookup(key) {
-                Some(hint) => split.probes.push((i, hint)),
-                None => split.routed.push((i, true)),
+        let before = self.inner.hops();
+        match probe(&arg, hint.owner) {
+            Ok(Probe::Served(value)) => {
+                let charged = self.inner.hops() - before;
+                let learned = hint.cost(kind).unwrap_or(0);
+                Self::credit_hits(&mut self.state.lock(), 1, learned, charged);
+                return Ok(value);
+            }
+            unserved => Self::on_unserved(&mut self.state.lock(), key, &hint.owner, &unserved),
+        }
+        self.routed(key, kind, false, || route(arg))
+    }
+
+    /// One batch of `kind` as at most two rounds: entries with a
+    /// remembered owner go to one probe round, the rest — and every
+    /// probe that was not served — to one full-route round.
+    fn round<E: Entry, T>(
+        &self,
+        entries: Vec<E>,
+        kind: RouteKind,
+        probe: impl FnOnce(Vec<E::Probe>) -> Vec<Result<Probe<T>, DhtError>>,
+        route: impl FnOnce(Vec<E::Route>) -> Vec<Result<T, DhtError>>,
+    ) -> Vec<Result<T, DhtError>> {
+        let mut slots: Vec<Option<Result<T, DhtError>>> = entries.iter().map(|_| None).collect();
+        // Split under one lock. Routed entries carry whether they count
+        // as a miss (a stale fallback was already counted as stale).
+        let mut hinted: Vec<(usize, CacheHint)> = Vec::new();
+        let mut routed: Vec<(usize, bool)> = Vec::new();
+        {
+            let mut st = self.state.lock();
+            for (i, entry) in entries.iter().enumerate() {
+                match st.lookup(entry.key()) {
+                    Some(hint) => hinted.push((i, hint)),
+                    None => routed.push((i, true)),
+                }
             }
         }
-        split
+        if !hinted.is_empty() {
+            let before = self.inner.hops();
+            let request = hinted.iter().map(|(i, hint)| entries[*i].probe(hint.owner));
+            let outcomes = probe(request.collect());
+            let charged = self.inner.hops() - before;
+            let (mut hits, mut learned) = (0, 0);
+            let mut st = self.state.lock();
+            for ((i, hint), outcome) in hinted.into_iter().zip(outcomes) {
+                match outcome {
+                    Ok(Probe::Served(value)) => {
+                        hits += 1;
+                        learned += hint.cost(kind).unwrap_or(0);
+                        slots[i] = Some(Ok(value));
+                    }
+                    unserved => {
+                        Self::on_unserved(&mut st, entries[i].key(), &hint.owner, &unserved);
+                        routed.push((i, false));
+                    }
+                }
+            }
+            // Stale probes' wasted hops come out of the savings — a
+            // stale hit costs one extra hop over the uncached run.
+            Self::credit_hits(&mut st, hits, learned, charged);
+        }
+        if !routed.is_empty() {
+            routed.sort_unstable_by_key(|(i, _)| *i);
+            let mut next = routed.iter().map(|(i, _)| *i).peekable();
+            let mut keys = Vec::with_capacity(routed.len());
+            let mut request = Vec::with_capacity(routed.len());
+            for (i, entry) in entries.into_iter().enumerate() {
+                if next.next_if_eq(&i).is_some() {
+                    keys.push(entry.key().clone());
+                    request.push(entry.route());
+                }
+            }
+            let before = self.inner.hops();
+            let results = route(request);
+            let per_key = ((self.inner.hops() - before) / keys.len() as u64).max(1);
+            let mut st = self.state.lock();
+            for (((i, count_miss), key), result) in routed.into_iter().zip(&keys).zip(results) {
+                if result.is_ok() {
+                    self.learn_after_route(&mut st, key, kind, per_key, count_miss);
+                }
+                slots[i] = Some(result);
+            }
+        }
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("every entry settled by probe or route"))
+            .collect()
     }
 }
 
@@ -369,39 +461,15 @@ where
     type Value = D::Value;
 
     fn get(&self, key: &DhtKey) -> Result<Option<D::Value>, DhtError> {
-        let hint = self.state.lock().lookup(key);
-        let Some(hint) = hint else {
-            return self.routed(key, RouteKind::Read, true, || self.inner.get(key));
-        };
-        let before = self.inner.hops();
-        match self.inner.probe_get(key, hint.owner) {
-            Ok(Probe::Served(value)) => {
-                let charged = self.inner.hops() - before;
-                let learned = hint.cost(RouteKind::Read).unwrap_or(0);
-                Self::credit_hits(&mut self.state.lock(), 1, learned, charged);
-                return Ok(value);
-            }
-            unserved => Self::on_unserved(&mut self.state.lock(), key, &hint.owner, &unserved),
-        }
-        self.routed(key, RouteKind::Read, false, || self.inner.get(key))
+        let probe = |_: &(), owner| self.inner.probe_get(key, owner);
+        self.single(key, RouteKind::Read, (), probe, |()| self.inner.get(key))
     }
 
     fn put(&self, key: &DhtKey, value: D::Value) -> Result<(), DhtError> {
-        let hint = self.state.lock().lookup(key);
-        let Some(hint) = hint else {
-            return self.routed(key, RouteKind::Write, true, || self.inner.put(key, value));
-        };
-        let before = self.inner.hops();
-        match self.inner.probe_put(key, value.clone(), hint.owner) {
-            Ok(Probe::Served(())) => {
-                let charged = self.inner.hops() - before;
-                let learned = hint.cost(RouteKind::Write).unwrap_or(0);
-                Self::credit_hits(&mut self.state.lock(), 1, learned, charged);
-                return Ok(());
-            }
-            unserved => Self::on_unserved(&mut self.state.lock(), key, &hint.owner, &unserved),
-        }
-        self.routed(key, RouteKind::Write, false, || self.inner.put(key, value))
+        let probe = |value: &D::Value, owner| self.inner.probe_put(key, value.clone(), owner);
+        self.single(key, RouteKind::Write, value, probe, |value| {
+            self.inner.put(key, value)
+        })
     }
 
     fn remove(&self, key: &DhtKey) -> Result<Option<D::Value>, DhtError> {
@@ -419,136 +487,24 @@ where
     }
 
     fn multi_get(&self, keys: &[DhtKey]) -> Vec<Result<Option<D::Value>, DhtError>> {
-        let mut slots: Vec<Option<Result<Option<D::Value>, DhtError>>> = Vec::new();
-        slots.resize_with(keys.len(), || None);
-        let Split { probes, mut routed } = self.split_batch(keys.iter());
-        if !probes.is_empty() {
-            let before = self.inner.hops();
-            let outcomes = if let [(i, hint)] = probes[..] {
-                vec![self.inner.probe_get(&keys[i], hint.owner)]
-            } else {
-                let request: Vec<(DhtKey, U160)> = probes
-                    .iter()
-                    .map(|(i, hint)| (keys[*i].clone(), hint.owner))
-                    .collect();
-                self.inner.probe_multi_get(&request)
-            };
-            let charged = self.inner.hops() - before;
-            let mut learned: u64 = 0;
-            let mut hits: u64 = 0;
-            let mut st = self.state.lock();
-            for ((i, hint), outcome) in probes.into_iter().zip(outcomes) {
-                match outcome {
-                    Ok(Probe::Served(value)) => {
-                        hits += 1;
-                        learned += hint.cost(RouteKind::Read).unwrap_or(0);
-                        slots[i] = Some(Ok(value));
-                    }
-                    unserved => {
-                        Self::on_unserved(&mut st, &keys[i], &hint.owner, &unserved);
-                        routed.push((i, false));
-                    }
-                }
-            }
-            // Stale probes' wasted hops come out of the savings — a
-            // stale hit costs one extra hop over the uncached run.
-            Self::credit_hits(&mut st, hits, learned, charged);
-        }
-        if !routed.is_empty() {
-            routed.sort_unstable_by_key(|(i, _)| *i);
-            let request: Vec<DhtKey> = routed.iter().map(|(i, _)| keys[*i].clone()).collect();
-            let before = self.inner.hops();
-            let results = self.inner.multi_get(&request);
-            let route_hops = self.inner.hops() - before;
-            let per_key = (route_hops / request.len() as u64).max(1);
-            let mut st = self.state.lock();
-            for ((i, count_miss), result) in routed.into_iter().zip(results) {
-                if result.is_ok() {
-                    self.learn_after_route(&mut st, &keys[i], RouteKind::Read, per_key, count_miss);
-                }
-                slots[i] = Some(result);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every index settled by probe or route"))
-            .collect()
+        self.round(
+            keys.iter().collect(),
+            RouteKind::Read,
+            |probes| self.inner.probe_multi_get(&probes),
+            |keys| self.inner.multi_get(&keys),
+        )
     }
 
     fn multi_put(&self, entries: Vec<(DhtKey, D::Value)>) -> Vec<Result<(), DhtError>> {
-        let mut slots: Vec<Option<Result<(), DhtError>>> = Vec::new();
-        slots.resize_with(entries.len(), || None);
-        let Split { probes, mut routed } = self.split_batch(entries.iter().map(|(key, _)| key));
-        let mut originals: Vec<Option<(DhtKey, D::Value)>> =
-            entries.into_iter().map(Some).collect();
-        if !probes.is_empty() {
-            let before = self.inner.hops();
-            let mut request = probes.iter().map(|(i, hint)| {
-                let (key, value) = originals[*i].as_ref().expect("untouched");
-                (key.clone(), value.clone(), hint.owner)
-            });
-            let outcomes = if probes.len() == 1 {
-                let (key, value, owner) = request.next().expect("one probe");
-                vec![self.inner.probe_put(&key, value, owner)]
-            } else {
-                self.inner.probe_multi_put(request.collect())
-            };
-            let charged = self.inner.hops() - before;
-            let mut learned: u64 = 0;
-            let mut hits: u64 = 0;
-            let mut st = self.state.lock();
-            for ((i, hint), outcome) in probes.into_iter().zip(outcomes) {
-                let (key, _) = originals[i].as_ref().expect("untouched");
-                match outcome {
-                    Ok(Probe::Served(())) => {
-                        hits += 1;
-                        learned += hint.cost(RouteKind::Write).unwrap_or(0);
-                        originals[i] = None;
-                        slots[i] = Some(Ok(()));
-                    }
-                    unserved => {
-                        Self::on_unserved(&mut st, key, &hint.owner, &unserved);
-                        routed.push((i, false));
-                    }
-                }
-            }
-            Self::credit_hits(&mut st, hits, learned, charged);
-        }
-        if !routed.is_empty() {
-            routed.sort_unstable_by_key(|(i, _)| *i);
-            let request: Vec<(DhtKey, D::Value)> = routed
-                .iter()
-                .map(|(i, _)| originals[*i].take().expect("routed exactly once"))
-                .collect();
-            let learn_keys: Vec<DhtKey> = request.iter().map(|(k, _)| k.clone()).collect();
-            let before = self.inner.hops();
-            let results = self.inner.multi_put(request);
-            let route_hops = self.inner.hops() - before;
-            let per_key = (route_hops / learn_keys.len() as u64).max(1);
-            let mut st = self.state.lock();
-            for (((i, count_miss), key), result) in routed.into_iter().zip(learn_keys).zip(results)
-            {
-                if result.is_ok() {
-                    self.learn_after_route(&mut st, &key, RouteKind::Write, per_key, count_miss);
-                }
-                slots[i] = Some(result);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every index settled by probe or route"))
-            .collect()
+        self.round(
+            entries,
+            RouteKind::Write,
+            |probes| self.inner.probe_multi_put(probes),
+            |entries| self.inner.multi_put(entries),
+        )
     }
 
     // Stacked caches compose: probes and hints pass straight through.
-    fn probe_get(&self, key: &DhtKey, owner: U160) -> Result<Probe<Option<D::Value>>, DhtError> {
-        self.inner.probe_get(key, owner)
-    }
-
-    fn probe_put(&self, key: &DhtKey, value: D::Value, owner: U160) -> Result<Probe<()>, DhtError> {
-        self.inner.probe_put(key, value, owner)
-    }
-
     fn probe_multi_get(
         &self,
         probes: &[(DhtKey, U160)],

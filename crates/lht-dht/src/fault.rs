@@ -47,7 +47,7 @@ use serde::{Deserialize, Serialize};
 
 use lht_id::U160;
 
-use crate::{Dht, DhtError, DhtKey, DhtStats};
+use crate::{Dht, DhtError, DhtKey, DhtStats, Probe};
 
 /// Simulated per-RPC latency distribution, in milliseconds.
 ///
@@ -261,87 +261,85 @@ impl<D> FaultyDht<D> {
         &self.inner
     }
 
-    /// Unwraps, returning the inner substrate.
-    pub fn into_inner(self) -> D {
-        self.inner
-    }
-
     /// The fault model in force.
     pub fn profile(&self) -> NetProfile {
         self.profile
     }
 
-    /// Total RPC attempts seen (delivered + dropped + timed out).
-    pub fn rpcs(&self) -> u64 {
-        self.state.lock().rpcs
-    }
-
     /// Decides the fate of one RPC attempt for `key` and charges the
     /// per-attempt (sum + histogram) counters: `Err` if the network
-    /// ate it, `Ok(latency)` if delivered. Round (critical-path)
-    /// latency is *not* charged here — the caller charges one round
-    /// wait per round, which for a batch is the max over its
-    /// attempts. A zero drawn latency charges nothing, keeping a
-    /// reliable zero-latency profile byte-transparent.
-    fn admit_one(profile: &NetProfile, st: &mut FaultState, key: &DhtKey) -> Result<u64, DhtError> {
+    /// ate it, `Ok(())` if delivered. Returns the attempt's wait too —
+    /// delivery latency or the full timeout — which the caller charges
+    /// once per round as the max over its attempts (all attempts of a
+    /// round are in flight concurrently). A zero drawn latency charges
+    /// nothing, keeping a reliable zero-latency profile
+    /// byte-transparent.
+    fn admit_one(&self, st: &mut FaultState, key: &DhtKey) -> (u64, Result<(), DhtError>) {
+        let profile = &self.profile;
         let rpc = st.rpcs;
         st.rpcs += 1;
         let p = profile.effective_drop(rpc, key);
+        let waited_ms = profile.timeout_ms;
         if p > 0.0 && st.rng.gen_bool(p) {
-            let waited_ms = profile.timeout_ms;
             st.faults.record_failed_attempt(waited_ms, false);
-            return Err(DhtError::Dropped { waited_ms });
+            return (waited_ms, Err(DhtError::Dropped { waited_ms }));
         }
         let latency = profile.latency.sample(&mut st.rng);
-        if latency > profile.timeout_ms {
-            let waited_ms = profile.timeout_ms;
+        if latency > waited_ms {
             st.faults.record_failed_attempt(waited_ms, true);
-            return Err(DhtError::Timeout { waited_ms });
+            return (waited_ms, Err(DhtError::Timeout { waited_ms }));
         }
         if latency > 0 {
             st.faults.record_delivery(latency);
         }
-        Ok(latency)
+        (latency, Ok(()))
     }
 
-    /// Single-op admission: a one-attempt round, so the attempt's
-    /// wait (delivery latency or full timeout) is also the round's
-    /// critical-path wait.
+    /// Single-op admission: a one-attempt round.
     fn admit(&self, key: &DhtKey) -> Result<(), DhtError> {
         let mut st = self.state.lock();
-        let wait = match Self::admit_one(&self.profile, &mut st, key) {
-            Ok(latency) => latency,
-            Err(e) => {
-                st.faults.record_round_latency(e.waited_ms());
-                return Err(e);
-            }
-        };
+        let (wait, fate) = self.admit_one(&mut st, key);
         st.faults.record_round_latency(wait);
-        Ok(())
+        fate
     }
 
-    /// Batch admission: every attempt draws its fate independently
-    /// (in batch order, so fault sequences stay replayable), the sum
-    /// counters charge each wait, and the round charges only the max
-    /// wait — all attempts of a round are in flight concurrently.
-    /// Returns one fate per key: `Ok(())` means admitted.
-    fn admit_round<'a>(&self, keys: impl Iterator<Item = &'a DhtKey>) -> Vec<Result<(), DhtError>> {
-        let mut st = self.state.lock();
-        let mut max_wait = 0u64;
-        let fates: Vec<Result<(), DhtError>> = keys
-            .map(|key| match Self::admit_one(&self.profile, &mut st, key) {
-                Ok(latency) => {
-                    max_wait = max_wait.max(latency);
-                    Ok(())
-                }
-                Err(e) => {
-                    max_wait = max_wait.max(e.waited_ms());
-                    Err(e)
-                }
-            })
-            .collect();
-        st.faults.record_round_latency(max_wait);
+    /// One round through the network: every entry draws its fate in
+    /// order (so fault sequences stay replayable) and the round is
+    /// charged its max wait; the admitted subset goes to the inner
+    /// substrate as one smaller round through `deliver`, and its
+    /// results are spliced back between the failed round-mates, which
+    /// fail independently.
+    fn round<E, T>(
+        &self,
+        entries: impl IntoIterator<Item = E>,
+        key: impl Fn(&E) -> &DhtKey,
+        deliver: impl FnOnce(Vec<E>) -> Vec<Result<T, DhtError>>,
+    ) -> Vec<Result<T, DhtError>> {
+        let mut admitted = Vec::new();
+        let fates: Vec<Result<(), DhtError>> = {
+            let mut st = self.state.lock();
+            let mut max_wait = 0;
+            let fates = entries
+                .into_iter()
+                .map(|entry| {
+                    let (wait, fate) = self.admit_one(&mut st, key(&entry));
+                    max_wait = max_wait.max(wait);
+                    if fate.is_ok() {
+                        admitted.push(entry);
+                    }
+                    fate
+                })
+                .collect();
+            st.faults.record_round_latency(max_wait);
+            fates
+        };
+        let mut delivered = deliver(admitted).into_iter();
         fates
+            .into_iter()
+            .map(|fate| {
+                fate.and_then(|()| delivered.next().expect("one result per admitted entry"))
+            })
+            .collect()
     }
 }
 
@@ -373,117 +371,45 @@ impl<D: Dht> Dht for FaultyDht<D> {
     }
 
     fn multi_get(&self, keys: &[DhtKey]) -> Vec<Result<Option<Self::Value>, DhtError>> {
-        let fates = self.admit_round(keys.iter());
-        // Deliver the admitted subset as one (smaller) round on the
-        // inner substrate; dropped round-mates fail independently.
-        let admitted: Vec<DhtKey> = keys
-            .iter()
-            .zip(&fates)
-            .filter(|(_, fate)| fate.is_ok())
-            .map(|(key, _)| key.clone())
-            .collect();
-        let mut delivered = self.inner.multi_get(&admitted).into_iter();
-        fates
-            .into_iter()
-            .map(|fate| match fate {
-                Ok(()) => delivered.next().expect("one result per admitted key"),
-                Err(e) => Err(e),
-            })
-            .collect()
+        self.round(
+            keys.iter().cloned(),
+            |key| key,
+            |keys| self.inner.multi_get(&keys),
+        )
     }
 
     fn multi_put(&self, entries: Vec<(DhtKey, Self::Value)>) -> Vec<Result<(), DhtError>> {
-        let fates = self.admit_round(entries.iter().map(|(key, _)| key));
-        let mut admitted = Vec::new();
-        let mut slots: Vec<Option<Result<(), DhtError>>> = Vec::with_capacity(entries.len());
-        for (entry, fate) in entries.into_iter().zip(fates) {
-            match fate {
-                Ok(()) => {
-                    admitted.push(entry);
-                    slots.push(None);
-                }
-                Err(e) => slots.push(Some(Err(e))),
-            }
-        }
-        let mut delivered = self.inner.multi_put(admitted).into_iter();
-        slots
-            .into_iter()
-            .map(|slot| match slot {
-                Some(failed) => failed,
-                None => delivered.next().expect("one result per admitted entry"),
-            })
-            .collect()
+        self.round(
+            entries,
+            |(key, _)| key,
+            |entries| self.inner.multi_put(entries),
+        )
     }
 
     // Owner probes are RPCs like any other: they pass the lossy
     // network first, and a dropped probe never reaches the substrate
     // (the cache layer then falls back to the — equally lossy —
     // routed path).
-    fn probe_get(
-        &self,
-        key: &DhtKey,
-        owner: U160,
-    ) -> Result<crate::Probe<Option<Self::Value>>, DhtError> {
-        self.admit(key)?;
-        self.inner.probe_get(key, owner)
-    }
-
-    fn probe_put(
-        &self,
-        key: &DhtKey,
-        value: Self::Value,
-        owner: U160,
-    ) -> Result<crate::Probe<()>, DhtError> {
-        self.admit(key)?;
-        self.inner.probe_put(key, value, owner)
-    }
-
     fn probe_multi_get(
         &self,
         probes: &[(DhtKey, U160)],
-    ) -> Vec<Result<crate::Probe<Option<Self::Value>>, DhtError>> {
-        let fates = self.admit_round(probes.iter().map(|(key, _)| key));
-        let admitted: Vec<(DhtKey, U160)> = probes
-            .iter()
-            .zip(&fates)
-            .filter(|(_, fate)| fate.is_ok())
-            .map(|(probe, _)| probe.clone())
-            .collect();
-        let mut delivered = self.inner.probe_multi_get(&admitted).into_iter();
-        fates
-            .into_iter()
-            .map(|fate| match fate {
-                Ok(()) => delivered.next().expect("one result per admitted probe"),
-                Err(e) => Err(e),
-            })
-            .collect()
+    ) -> Vec<Result<Probe<Option<Self::Value>>, DhtError>> {
+        self.round(
+            probes.iter().cloned(),
+            |(key, _)| key,
+            |probes| self.inner.probe_multi_get(&probes),
+        )
     }
 
     fn probe_multi_put(
         &self,
         entries: Vec<(DhtKey, Self::Value, U160)>,
-    ) -> Vec<Result<crate::Probe<()>, DhtError>> {
-        let fates = self.admit_round(entries.iter().map(|(key, _, _)| key));
-        let mut admitted = Vec::new();
-        let mut slots: Vec<Option<Result<crate::Probe<()>, DhtError>>> =
-            Vec::with_capacity(entries.len());
-        for (entry, fate) in entries.into_iter().zip(fates) {
-            match fate {
-                Ok(()) => {
-                    admitted.push(entry);
-                    slots.push(None);
-                }
-                Err(e) => slots.push(Some(Err(e))),
-            }
-        }
-        let mut delivered = self.inner.probe_multi_put(admitted).into_iter();
-        slots
-            .into_iter()
-            .map(|slot| match slot {
-                Some(failed) => failed,
-                None => delivered.next().expect("one result per admitted entry"),
-            })
-            .collect()
+    ) -> Vec<Result<Probe<()>, DhtError>> {
+        self.round(
+            entries,
+            |(key, _, _)| key,
+            |entries| self.inner.probe_multi_put(entries),
+        )
     }
 
     // Owner hints and prewarming are client-local (no RPC), so the

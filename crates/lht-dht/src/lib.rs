@@ -65,7 +65,7 @@ mod store;
 mod tower;
 mod traits;
 
-pub use cache::{CacheConfig, CachedDht};
+pub use cache::CachedDht;
 pub use chord::{ChordConfig, ChordDht, RingSnapshot, RingViolation};
 pub use direct::DirectDht;
 pub use erasure::{

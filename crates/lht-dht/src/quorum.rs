@@ -9,9 +9,9 @@
 //! ([`QuorumConfig`] enforces it) every read set intersects every
 //! completed write set in at least one slot, so a completed write is
 //! visible to every subsequent read — the availability knob the LHT
-//! paper's low-maintenance argument needs underneath it (ROADMAP
-//! item 4; Leslie's replica-maintenance cost model maps onto the
-//! `repair_*` counters this layer feeds).
+//! paper's low-maintenance argument needs underneath it (Leslie's
+//! replica-maintenance cost model maps onto the `repair_*` counters
+//! this layer feeds).
 //!
 //! # Replica placement
 //!

@@ -42,7 +42,7 @@ use serde::{Deserialize, Serialize};
 
 use lht_id::U160;
 
-use crate::{Dht, DhtError, DhtKey, DhtStats};
+use crate::{Dht, DhtError, DhtKey, DhtStats, Probe};
 
 /// Retry discipline for transient delivery failures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -175,124 +175,120 @@ impl<D> RetriedDht<D> {
     pub fn inner(&self) -> &D {
         &self.inner
     }
+}
 
-    /// Unwraps, returning the inner substrate.
-    pub fn into_inner(self) -> D {
-        self.inner
+/// One logical operation's retry allowance: its backoff stream, the
+/// attempts it has made and the simulated wait it has spent against
+/// the deadline.
+struct Budget {
+    backoffs: Backoffs,
+    attempts: u32,
+    waited_ms: u64,
+}
+
+impl Budget {
+    /// Charges a failed attempt's wait ([`DhtError::waited_ms`]: the
+    /// timeout the fault layer charged) and says whether the op may be
+    /// re-sent: only a transient failure with attempts and deadline
+    /// left.
+    fn charge(&mut self, err: &DhtError, policy: &RetryPolicy) -> bool {
+        self.attempts += 1;
+        self.waited_ms = self.waited_ms.saturating_add(err.waited_ms());
+        err.is_transient()
+            && self.attempts < policy.max_attempts.max(1)
+            && self.waited_ms < policy.deadline_ms
+    }
+}
+
+impl<D> RetriedDht<D> {
+    /// Budgets for `n` new logical operations, each with its own
+    /// jitter stream.
+    fn budgets(&self, n: usize) -> impl Iterator<Item = Budget> + '_ {
+        let first_op = {
+            let mut st = self.state.lock();
+            let first_op = st.ops;
+            st.ops += n as u64;
+            first_op
+        };
+        (first_op..first_op + n as u64).map(|op| Budget {
+            backoffs: self.policy.backoffs(op),
+            attempts: 0,
+            waited_ms: 0,
+        })
     }
 
-    /// The retry discipline in force.
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
+    /// Backs off the ops at `retrying` concurrently before their next
+    /// attempt: each delay is a retry and counts against its op's
+    /// deadline, and the round waits out only the longest.
+    fn back_off(&self, budgets: &mut [Budget], retrying: &[usize]) {
+        let mut st = self.state.lock();
+        let mut max_delay = 0;
+        for &i in retrying {
+            let budget = &mut budgets[i];
+            let delay = budget.backoffs.next().unwrap_or(0);
+            budget.waited_ms = budget.waited_ms.saturating_add(delay);
+            st.extra.record_retry(delay);
+            max_delay = max_delay.max(delay);
+        }
+        st.extra.record_round_latency(max_delay);
     }
 }
 
 impl<D: Dht> RetriedDht<D> {
     /// Runs one logical operation: re-sends on transient errors until
     /// success, a non-transient error, attempt exhaustion, or the
-    /// deadline budget runs dry.
+    /// deadline budget runs dry. The single-op twin of
+    /// [`run_batch`](Self::run_batch), kept apart so a single op
+    /// allocates nothing.
     fn run<T>(&self, mut attempt: impl FnMut(&D) -> Result<T, DhtError>) -> Result<T, DhtError> {
-        let op_index = {
-            let mut st = self.state.lock();
-            let i = st.ops;
-            st.ops += 1;
-            i
-        };
-        let mut backoffs = self.policy.backoffs(op_index);
-        let max_attempts = self.policy.max_attempts.max(1);
-        let mut waited_ms: u64 = 0;
-        let mut last_err: Option<DhtError> = None;
-        for attempt_no in 0..max_attempts {
-            if attempt_no > 0 {
-                let delay = backoffs.next().unwrap_or(0);
-                waited_ms = waited_ms.saturating_add(delay);
-                let mut st = self.state.lock();
-                st.extra.record_retry(delay);
-                // A lone op's backoff is its own critical path.
-                st.extra.record_round_latency(delay);
-            }
-            let before = self.inner.stats();
+        let mut budget = self.budgets(1).next().expect("one budget");
+        loop {
             match attempt(&self.inner) {
-                Ok(v) => return Ok(v),
-                Err(e) if e.is_transient() => {
-                    // The fault layer charged this attempt's timeout
-                    // wait into the inner latency counter; count it
-                    // against the deadline budget too.
-                    waited_ms = waited_ms.saturating_add((self.inner.stats() - before).latency_ms);
-                    last_err = Some(e);
-                    if waited_ms >= self.policy.deadline_ms {
-                        break;
-                    }
+                Err(e) if budget.charge(&e, &self.policy) => {
+                    self.back_off(std::slice::from_mut(&mut budget), &[0]);
                 }
-                Err(e) => return Err(e),
+                settled => return settled,
             }
         }
-        Err(last_err.expect("loop ran at least one attempt"))
     }
 
     /// Runs one logical *batch*: issues the whole batch, then
     /// re-sends only the transiently-failed subset each retry round
     /// (successes and structural errors are final). Each op keeps its
-    /// own jitter stream, deadline budget and attempt count, exactly
-    /// as if retried alone; what batching changes is the wall clock —
-    /// pending ops back off concurrently, so each retry round's
-    /// critical path is the *max* backoff rather than the sum.
+    /// own budget, exactly as if retried alone; what batching changes
+    /// is the wall clock — pending ops back off concurrently, so each
+    /// retry round's critical path is the *max* backoff rather than
+    /// the sum.
     ///
-    /// `issue(indices)` executes one round for the ops at `indices`
-    /// (into the original batch) and returns one result per index.
-    fn run_batch<T>(
+    /// `issue` executes one round over the still-pending entries and
+    /// returns one result per entry.
+    fn run_batch<E: Clone, T>(
         &self,
-        batch_len: usize,
-        mut issue: impl FnMut(&D, &[usize]) -> Vec<Result<T, DhtError>>,
+        entries: &[E],
+        mut issue: impl FnMut(&D, Vec<E>) -> Vec<Result<T, DhtError>>,
     ) -> Vec<Result<T, DhtError>> {
-        if batch_len == 0 {
-            return Vec::new();
-        }
-        let first_op = {
-            let mut st = self.state.lock();
-            let i = st.ops;
-            st.ops += batch_len as u64;
-            i
-        };
-        let mut backoffs: Vec<Backoffs> = (0..batch_len)
-            .map(|i| self.policy.backoffs(first_op + i as u64))
-            .collect();
-        let mut waited_ms = vec![0u64; batch_len];
-        let mut results: Vec<Option<Result<T, DhtError>>> = (0..batch_len).map(|_| None).collect();
-        let mut pending: Vec<usize> = (0..batch_len).collect();
-        let max_attempts = self.policy.max_attempts.max(1);
-        for attempt_no in 0..max_attempts {
-            if attempt_no > 0 {
-                let mut st = self.state.lock();
-                let mut max_delay = 0u64;
-                for &i in &pending {
-                    let delay = backoffs[i].next().unwrap_or(0);
-                    waited_ms[i] = waited_ms[i].saturating_add(delay);
-                    st.extra.record_retry(delay);
-                    max_delay = max_delay.max(delay);
-                }
-                st.extra.record_round_latency(max_delay);
-            }
-            let round = issue(&self.inner, &pending);
+        let mut budgets: Vec<Budget> = self.budgets(entries.len()).collect();
+        let mut results: Vec<Option<Result<T, DhtError>>> = entries.iter().map(|_| None).collect();
+        let mut pending: Vec<usize> = (0..entries.len()).collect();
+        while !pending.is_empty() {
+            // Re-sends clone only the still-pending subset; faults are
+            // request-path only, so re-sending a write is safe.
+            let round = issue(
+                &self.inner,
+                pending.iter().map(|&i| entries[i].clone()).collect(),
+            );
             debug_assert_eq!(round.len(), pending.len());
-            let mut still = Vec::new();
-            for (&i, res) in pending.iter().zip(round) {
-                match res {
-                    Err(e) if e.is_transient() => {
-                        waited_ms[i] = waited_ms[i].saturating_add(e.waited_ms());
-                        if attempt_no + 1 < max_attempts && waited_ms[i] < self.policy.deadline_ms {
-                            still.push(i);
-                        } else {
-                            results[i] = Some(Err(e));
-                        }
-                    }
+            let mut retrying = Vec::new();
+            for (i, result) in pending.into_iter().zip(round) {
+                match result {
+                    Err(e) if budgets[i].charge(&e, &self.policy) => retrying.push(i),
                     settled => results[i] = Some(settled),
                 }
             }
-            pending = still;
-            if pending.is_empty() {
-                break;
+            if !retrying.is_empty() {
+                self.back_off(&mut budgets, &retrying);
             }
+            pending = retrying;
         }
         results
             .into_iter()
@@ -330,62 +326,29 @@ where
     }
 
     fn multi_get(&self, keys: &[DhtKey]) -> Vec<Result<Option<Self::Value>, DhtError>> {
-        self.run_batch(keys.len(), |d, indices| {
-            let round: Vec<DhtKey> = indices.iter().map(|&i| keys[i].clone()).collect();
-            d.multi_get(&round)
-        })
+        self.run_batch(keys, |d, keys| d.multi_get(&keys))
     }
 
     fn multi_put(&self, entries: Vec<(DhtKey, Self::Value)>) -> Vec<Result<(), DhtError>> {
-        self.run_batch(entries.len(), |d, indices| {
-            // Re-sends clone only the still-pending subset; faults are
-            // request-path only, so re-sending a put is safe.
-            let round: Vec<(DhtKey, Self::Value)> =
-                indices.iter().map(|&i| entries[i].clone()).collect();
-            d.multi_put(round)
-        })
+        self.run_batch(&entries, |d, entries| d.multi_put(entries))
     }
 
     // Owner probes retry like any other RPC: a dropped probe is
     // re-sent (verification is read-only and a served probe write is
     // as idempotent as the routed put), while Stale/Unsupported are
     // successful responses and pass straight through.
-    fn probe_get(
-        &self,
-        key: &DhtKey,
-        owner: U160,
-    ) -> Result<crate::Probe<Option<Self::Value>>, DhtError> {
-        self.run(|d| d.probe_get(key, owner))
-    }
-
-    fn probe_put(
-        &self,
-        key: &DhtKey,
-        value: Self::Value,
-        owner: U160,
-    ) -> Result<crate::Probe<()>, DhtError> {
-        self.run(|d| d.probe_put(key, value.clone(), owner))
-    }
-
     fn probe_multi_get(
         &self,
         probes: &[(DhtKey, U160)],
-    ) -> Vec<Result<crate::Probe<Option<Self::Value>>, DhtError>> {
-        self.run_batch(probes.len(), |d, indices| {
-            let round: Vec<(DhtKey, U160)> = indices.iter().map(|&i| probes[i].clone()).collect();
-            d.probe_multi_get(&round)
-        })
+    ) -> Vec<Result<Probe<Option<Self::Value>>, DhtError>> {
+        self.run_batch(probes, |d, probes| d.probe_multi_get(&probes))
     }
 
     fn probe_multi_put(
         &self,
         entries: Vec<(DhtKey, Self::Value, U160)>,
-    ) -> Vec<Result<crate::Probe<()>, DhtError>> {
-        self.run_batch(entries.len(), |d, indices| {
-            let round: Vec<(DhtKey, Self::Value, U160)> =
-                indices.iter().map(|&i| entries[i].clone()).collect();
-            d.probe_multi_put(round)
-        })
+    ) -> Vec<Result<Probe<()>, DhtError>> {
+        self.run_batch(&entries, |d, entries| d.probe_multi_put(entries))
     }
 
     fn owner_hint(&self, key: &DhtKey) -> Option<U160> {
@@ -544,15 +507,27 @@ mod tests {
 
     #[test]
     fn non_transient_errors_pass_straight_through() {
-        // An empty-ring error must not be retried: wrap a Chord ring
-        // whose last node crashed? Simpler: routing failures via a
-        // zero-attempt policy are still surfaced unchanged.
-        let inner: DirectDht<u32> = DirectDht::new();
-        let dht = RetriedDht::new(&inner, RetryPolicy::default());
-        // DirectDht never fails; drive the pass-through path instead.
-        dht.put(&k("a"), 1).unwrap();
-        assert_eq!(dht.get(&k("a")).unwrap(), Some(1));
-        assert_eq!(dht.stats(), inner.stats(), "no-fault wrap is transparent");
+        // A ring never loses its last node, so the structural error is
+        // a routing breakdown: with a hop budget of 0 every route that
+        // needs to forward fails, and no retry can fix that.
+        let cfg = crate::ChordConfig {
+            max_hops: 0,
+            ..crate::ChordConfig::default()
+        };
+        let ring: crate::ChordDht<u32> = crate::ChordDht::with_config(64, 3, cfg);
+        let dht = RetriedDht::new(
+            FaultyDht::new(&ring, NetProfile::reliable(4)),
+            RetryPolicy::default(),
+        );
+        let broken = Err(DhtError::RoutingFailed { hops: 1 });
+        assert_eq!(dht.get(&k("a")), broken);
+        assert_eq!(dht.put(&k("a"), 1), broken.clone().map(drop));
+        assert_eq!(dht.multi_get(&[k("a"), k("b")]), vec![broken.clone(); 2]);
+        assert_eq!(dht.multi_put(vec![(k("a"), 1)]), vec![broken.map(drop)]);
+        let s = dht.stats();
+        assert_eq!(s.retries, 0, "structural errors are not retried");
+        assert_eq!(s.drops + s.timeouts, 0);
+        assert_eq!(s.lookups(), 0);
     }
 
     #[test]

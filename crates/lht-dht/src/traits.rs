@@ -56,6 +56,19 @@ pub enum Probe<T> {
 /// same way; Algorithm 1 line 10 "write b back to the local disk" is
 /// free precisely because it happens at the owner). It costs one
 /// DHT-lookup — the routing — just like a `put`.
+///
+/// # Probes
+///
+/// A layer over another `Dht` that probes on its behalf, or changes
+/// how a probe travels, implements the batch probes
+/// ([`probe_multi_get`](Dht::probe_multi_get) /
+/// [`probe_multi_put`](Dht::probe_multi_put)) and leaves the single
+/// ones alone: [`probe_get`](Dht::probe_get) /
+/// [`probe_put`](Dht::probe_put) default to a one-element round. A
+/// substrate may also override the single probes as its
+/// allocation-free hot path, provided each charges exactly what its
+/// one-element round charges (`tests/batch_equivalence.rs` pins that
+/// for Chord and Kademlia).
 pub trait Dht {
     /// The value type stored under each key.
     type Value;
@@ -137,66 +150,61 @@ pub trait Dht {
     /// Attempts a `get` directly at the node `owner` is believed to
     /// identify, verifying ownership first (the routing-cache fast
     /// path). Costs 1 hop when served, 1 *wasted* hop when
-    /// [`Probe::Stale`]; substrates without native support return
-    /// [`Probe::Unsupported`] (the default) and charge nothing.
+    /// [`Probe::Stale`].
+    ///
+    /// The default is a one-element
+    /// [`probe_multi_get`](Dht::probe_multi_get) round (see the trait
+    /// docs on which probes a layer implements).
     ///
     /// # Errors
     ///
     /// Returns an error only for substrate failures (e.g. the probe
     /// RPC dropped by a fault layer) — the caller may retry or fall
     /// back to a full route.
-    fn probe_get(
-        &self,
-        _key: &DhtKey,
-        _owner: U160,
-    ) -> Result<Probe<Option<Self::Value>>, DhtError> {
-        Ok(Probe::Unsupported)
+    fn probe_get(&self, key: &DhtKey, owner: U160) -> Result<Probe<Option<Self::Value>>, DhtError> {
+        only(self.probe_multi_get(&[(key.clone(), owner)]))
     }
 
     /// Attempts a `put` directly at the hinted owner, verifying
-    /// ownership first. Same contract as [`probe_get`](Dht::probe_get);
-    /// a served probe must preserve the substrate's write semantics
-    /// (replication, sequence numbers, tombstones) exactly as the
-    /// routed `put` would.
+    /// ownership first. Same contract as [`probe_get`](Dht::probe_get)
+    /// (a one-element [`probe_multi_put`](Dht::probe_multi_put) round
+    /// by default); a served probe must preserve the substrate's write
+    /// semantics (replication, sequence numbers, tombstones) exactly as
+    /// the routed `put` would.
     ///
     /// # Errors
     ///
     /// Returns an error only for substrate failures.
     fn probe_put(
         &self,
-        _key: &DhtKey,
-        _value: Self::Value,
-        _owner: U160,
+        key: &DhtKey,
+        value: Self::Value,
+        owner: U160,
     ) -> Result<Probe<()>, DhtError> {
-        Ok(Probe::Unsupported)
+        only(self.probe_multi_put(vec![(key.clone(), value, owner)]))
     }
 
     /// Probes every `(key, hinted owner)` pair as one concurrent
-    /// round, returning one probe outcome per pair in order. The
-    /// default loops over [`probe_get`](Dht::probe_get) (each probe
-    /// its own round); native implementations charge one round at the
-    /// max hops, like [`multi_get`](Dht::multi_get).
+    /// round, returning one probe outcome per pair in order; native
+    /// implementations charge one round at the max hops, like
+    /// [`multi_get`](Dht::multi_get). Substrates without native
+    /// support answer [`Probe::Unsupported`] (the default) and charge
+    /// nothing.
     fn probe_multi_get(
         &self,
         probes: &[(DhtKey, U160)],
     ) -> Vec<Result<Probe<Option<Self::Value>>, DhtError>> {
-        probes
-            .iter()
-            .map(|(key, owner)| self.probe_get(key, *owner))
-            .collect()
+        probes.iter().map(|_| Ok(Probe::Unsupported)).collect()
     }
 
     /// Probes every `(key, value, hinted owner)` write as one
-    /// concurrent round. Default loops over
-    /// [`probe_put`](Dht::probe_put).
+    /// concurrent round. Same contract as
+    /// [`probe_multi_get`](Dht::probe_multi_get).
     fn probe_multi_put(
         &self,
         entries: Vec<(DhtKey, Self::Value, U160)>,
     ) -> Vec<Result<Probe<()>, DhtError>> {
-        entries
-            .into_iter()
-            .map(|(key, value, owner)| self.probe_put(&key, value, owner))
-            .collect()
+        entries.iter().map(|_| Ok(Probe::Unsupported)).collect()
     }
 
     /// The identifier of the node currently owning `key`, if this
@@ -228,6 +236,15 @@ pub trait Dht {
 
     /// Resets the cumulative counters to zero.
     fn reset_stats(&self);
+}
+
+/// The result of a one-element round.
+fn only<T>(round: Vec<T>) -> T {
+    debug_assert_eq!(round.len(), 1, "a round answers once per op");
+    round
+        .into_iter()
+        .next()
+        .expect("a round answers once per op")
 }
 
 /// Implements [`Dht`] for a pointer type over `D` by forwarding every

@@ -59,10 +59,10 @@ pub use lht_core::{
 };
 pub use lht_cost::CostModel;
 pub use lht_dht::{
-    fragment_key, slot_key, split_fragment_key, split_slot_key, Brownout, CacheConfig, CachedDht,
-    ChordConfig, ChordDht, Dht, DhtError, DhtKey, DhtOp, DhtStats, DirectDht, ErasureConfig,
-    ErasureDht, ErasurePayload, FaultyDht, Fragment, LatencyHistogram, LatencyProfile, NetProfile,
-    Probe, QuorumConfig, QuorumDht, RetriedDht, RetryPolicy, Versioned,
+    fragment_key, slot_key, split_fragment_key, split_slot_key, Brownout, CachedDht, ChordConfig,
+    ChordDht, Dht, DhtError, DhtKey, DhtOp, DhtStats, DirectDht, ErasureConfig, ErasureDht,
+    ErasurePayload, FaultyDht, Fragment, LatencyHistogram, LatencyProfile, NetProfile, Probe,
+    QuorumConfig, QuorumDht, RetriedDht, RetryPolicy, Versioned,
 };
 pub use lht_dst::{DstConfig, DstIndex};
 pub use lht_id::{BitStr, KeyFraction, U160};

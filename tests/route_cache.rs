@@ -19,8 +19,8 @@
 use proptest::prelude::*;
 
 use lht::{
-    CacheConfig, CachedDht, ChordDht, Dht, DhtKey, DirectDht, FaultyDht, KademliaDht, NetProfile,
-    QuorumConfig, QuorumDht, RetriedDht, RetryPolicy,
+    CachedDht, ChordDht, Dht, DhtKey, DirectDht, FaultyDht, KademliaDht, NetProfile, QuorumConfig,
+    QuorumDht, RetriedDht, RetryPolicy,
 };
 
 /// Keys collide on purpose (16 slots) so workloads revisit keys and
@@ -138,7 +138,7 @@ fn hops_reads_the_same_counter_as_stats_on_every_layer() {
 /// probes, and the fault/retry layers must actually fire underneath.
 #[test]
 fn production_stack_serves_correct_answers_through_loss() {
-    let stack = CachedDht::new(
+    let stack = CachedDht::with_capacity(
         RetriedDht::new(
             FaultyDht::new(
                 ChordDht::<u32>::with_nodes(16, 0xcafe),
@@ -146,7 +146,7 @@ fn production_stack_serves_correct_answers_through_loss() {
             ),
             RetryPolicy::default(),
         ),
-        CacheConfig { capacity: 64 },
+        64,
     );
 
     // Cold get pre-pass: routes every key once so the cache learns
@@ -193,7 +193,7 @@ fn production_stack_serves_correct_answers_through_loss() {
 /// dropping every tenth attempt.
 #[test]
 fn cache_outermost_consults_once_per_logical_op() {
-    let stack = CachedDht::new(
+    let stack = CachedDht::with_capacity(
         RetriedDht::new(
             FaultyDht::new(
                 ChordDht::<u32>::with_nodes(16, 7),
@@ -201,7 +201,7 @@ fn cache_outermost_consults_once_per_logical_op() {
             ),
             RetryPolicy::default(),
         ),
-        CacheConfig { capacity: 64 },
+        64,
     );
 
     let mut ops = 0u64;
