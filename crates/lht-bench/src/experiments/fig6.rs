@@ -13,7 +13,7 @@ use lht_core::LhtConfig;
 use lht_workload::{summary, KeyDist};
 
 use super::common::{data_sizes, growth_args};
-use super::ScatterGrowthRun;
+use super::GrowthRun;
 use crate::Table;
 
 /// One point of Fig. 6a: data size → average α (mean over trials).
@@ -25,21 +25,17 @@ pub struct AlphaPoint {
     pub avg_alpha: f64,
 }
 
-/// Fig. 6a: average α as a function of data size. Growth runs through
-/// the scatter driver over `threads` workers (1 reproduces the
-/// sequential run exactly), which is what lets the `--full` sweeps
-/// reach the paper's 2^20 sizes.
+/// Fig. 6a: average α as a function of data size.
 pub fn alpha_vs_size(
     dist: KeyDist,
     theta_split: usize,
     sizes: &[usize],
     trials: u64,
-    threads: usize,
 ) -> Vec<AlphaPoint> {
     let cfg = LhtConfig::new(theta_split, 24);
     let mut per_size: Vec<Vec<f64>> = vec![Vec::new(); sizes.len()];
     for trial in 0..trials {
-        let run = ScatterGrowthRun::run(dist, sizes, cfg, seed(dist, trial), threads, |_, _, _| {});
+        let run = GrowthRun::run(dist, sizes, cfg, seed(dist, trial), |_, _, _| {});
         for (i, cp) in run.checkpoints.iter().enumerate() {
             if let Some(a) = cp.lht.average_alpha() {
                 per_size[i].push(a);
@@ -75,12 +71,11 @@ pub fn alpha_vs_theta(
     n: usize,
     thetas: &[usize],
     trials: u64,
-    threads: usize,
 ) -> Vec<AlphaThetaPoint> {
     thetas
         .iter()
         .map(|&theta| {
-            let points = alpha_vs_size(dist, theta, &[n], trials, threads);
+            let points = alpha_vs_size(dist, theta, &[n], trials);
             AlphaThetaPoint {
                 theta_split: theta,
                 avg_alpha: points[0].avg_alpha,
@@ -101,7 +96,7 @@ fn seed(dist: KeyDist, trial: u64) -> u64 {
 
 /// `lht-exp fig6`: prints Fig. 6a/6b and writes both CSVs.
 pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
-    let (trials, full, threads) = growth_args(p);
+    let (trials, full) = growth_args(p);
     let dists = [KeyDist::Uniform, KeyDist::gaussian_paper()];
 
     // Fig. 6a: average α vs data size, θ_split ∈ {40, 160}.
@@ -120,7 +115,7 @@ pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
     for dist in dists {
         for theta in [40usize, 160] {
             eprintln!("fig6a: {} θ={theta}…", dist.tag());
-            cols.push(alpha_vs_size(dist, theta, &sizes, trials, threads));
+            cols.push(alpha_vs_size(dist, theta, &sizes, trials));
         }
     }
     for (i, n) in sizes.iter().enumerate() {
@@ -148,8 +143,8 @@ pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
         &["theta", "uniform", "gaussian", "predicted ½+1/2θ"],
     );
     eprintln!("fig6b…");
-    let uni = alpha_vs_theta(KeyDist::Uniform, n, &thetas, trials, threads);
-    let gau = alpha_vs_theta(KeyDist::gaussian_paper(), n, &thetas, trials, threads);
+    let uni = alpha_vs_theta(KeyDist::Uniform, n, &thetas, trials);
+    let gau = alpha_vs_theta(KeyDist::gaussian_paper(), n, &thetas, trials);
     for i in 0..thetas.len() {
         t6b.push_row(vec![
             thetas[i].to_string(),
@@ -168,7 +163,7 @@ mod tests {
 
     #[test]
     fn uniform_alpha_tracks_closed_form() {
-        let pts = alpha_vs_size(KeyDist::Uniform, 40, &[4096], 2, 2);
+        let pts = alpha_vs_size(KeyDist::Uniform, 40, &[4096], 2);
         let predicted = 0.5 + 1.0 / 80.0;
         assert!(
             (pts[0].avg_alpha - predicted).abs() < 0.03,
@@ -179,7 +174,7 @@ mod tests {
 
     #[test]
     fn theta_sweep_shape() {
-        let rows = alpha_vs_theta(KeyDist::Uniform, 2048, &[8, 32], 1, 1);
+        let rows = alpha_vs_theta(KeyDist::Uniform, 2048, &[8, 32], 1);
         assert_eq!(rows.len(), 2);
         assert!(rows[0].predicted > rows[1].predicted, "ᾱ decreases with θ");
         for r in rows {

@@ -13,7 +13,7 @@ use lht_core::LhtConfig;
 use lht_workload::{summary, KeyDist};
 
 use super::common::{data_sizes, growth_args};
-use super::ScatterGrowthRun;
+use super::GrowthRun;
 use crate::Table;
 
 /// One data-size point of Fig. 7 (means over trials).
@@ -43,20 +43,14 @@ impl MaintenancePoint {
     }
 }
 
-/// Runs the Fig. 7 experiment: one growth pass per trial through the
-/// scatter driver over `threads` workers, cumulative stats at each
-/// size.
-pub fn maintenance_vs_size(
-    dist: KeyDist,
-    sizes: &[usize],
-    trials: u64,
-    threads: usize,
-) -> Vec<MaintenancePoint> {
+/// Runs the Fig. 7 experiment: one growth pass per trial, cumulative
+/// stats at each size.
+pub fn maintenance_vs_size(dist: KeyDist, sizes: &[usize], trials: u64) -> Vec<MaintenancePoint> {
     let cfg = LhtConfig::new(100, 24);
     let mut acc: Vec<[Vec<f64>; 4]> = (0..sizes.len()).map(|_| Default::default()).collect();
     for trial in 0..trials {
         let seed = 0x7_2000 + trial * 31 + dist.tag().len() as u64;
-        let run = ScatterGrowthRun::run(dist, sizes, cfg, seed, threads, |_, _, _| {});
+        let run = GrowthRun::run(dist, sizes, cfg, seed, |_, _, _| {});
         for (i, cp) in run.checkpoints.iter().enumerate() {
             acc[i][0].push(cp.lht.records_moved as f64);
             acc[i][1].push(cp.pht.records_moved as f64);
@@ -80,12 +74,12 @@ pub fn maintenance_vs_size(
 /// `lht-exp fig7`: prints Fig. 7a/7b per distribution and writes the
 /// four CSVs.
 pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
-    let (trials, full, threads) = growth_args(p);
+    let (trials, full) = growth_args(p);
     let sizes = data_sizes(full);
 
     for dist in [KeyDist::Uniform, KeyDist::gaussian_paper()] {
         eprintln!("fig7: {} data…", dist.tag());
-        let pts = maintenance_vs_size(dist, &sizes, trials, threads);
+        let pts = maintenance_vs_size(dist, &sizes, trials);
 
         let t7a = Table::of(
             format!(
@@ -130,7 +124,7 @@ mod tests {
 
     #[test]
     fn ratios_match_section8_shape() {
-        let pts = maintenance_vs_size(KeyDist::Uniform, &[2048, 8192], 1, 2);
+        let pts = maintenance_vs_size(KeyDist::Uniform, &[2048, 8192], 1);
         let last = pts.last().unwrap();
         assert!(
             (0.4..=0.6).contains(&last.moved_ratio()),

@@ -14,7 +14,7 @@ use lht_core::LhtConfig;
 use lht_workload::{summary, KeyDist, LookupGen};
 
 use super::common::growth_args;
-use super::ScatterGrowthRun;
+use super::GrowthRun;
 use crate::Table;
 
 /// Number of lookup probes per data point (the paper's 1000).
@@ -39,21 +39,15 @@ impl LookupPoint {
     }
 }
 
-/// Runs the Fig. 8 experiment for one distribution, growing through
-/// the scatter driver over `threads` workers.
-pub fn lookup_vs_size(
-    dist: KeyDist,
-    sizes: &[usize],
-    trials: u64,
-    threads: usize,
-) -> Vec<LookupPoint> {
+/// Runs the Fig. 8 experiment for one distribution.
+pub fn lookup_vs_size(dist: KeyDist, sizes: &[usize], trials: u64) -> Vec<LookupPoint> {
     let cfg = LhtConfig::new(100, 20); // the paper's D = 20
     let mut lht_acc: Vec<Vec<f64>> = vec![Vec::new(); sizes.len()];
     let mut pht_acc: Vec<Vec<f64>> = vec![Vec::new(); sizes.len()];
     for trial in 0..trials {
         let seed = 0x8_3000 + trial * 17 + dist.tag().len() as u64;
         let mut idx = 0usize;
-        ScatterGrowthRun::run(dist, sizes, cfg, seed, threads, |_n, lht, pht| {
+        GrowthRun::run(dist, sizes, cfg, seed, |_n, lht, pht| {
             let mut probes = LookupGen::new(seed ^ 0xbeef);
             let (mut l, mut p) = (0u64, 0u64);
             for _ in 0..PROBES {
@@ -79,7 +73,7 @@ pub fn lookup_vs_size(
 
 /// `lht-exp fig8`: prints Fig. 8a/8b and writes both CSVs.
 pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
-    let (trials, full, threads) = growth_args(p);
+    let (trials, full) = growth_args(p);
     // The paper sweeps data sizes up to 2^20; include the power-of-two
     // "valley points" it highlights (2^12, 2^16, 2^20).
     let top = if full { 20 } else { 16 };
@@ -87,7 +81,7 @@ pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
 
     for (fig, dist) in [("8a", KeyDist::Uniform), ("8b", KeyDist::gaussian_paper())] {
         eprintln!("fig{fig}: {} data…", dist.tag());
-        let pts = lookup_vs_size(dist, &sizes, trials, threads);
+        let pts = lookup_vs_size(dist, &sizes, trials);
         let t = Table::of(
             format!(
                 "Fig. {fig} — avg DHT-lookups per lookup, {} data (D=20, {} probes)",
@@ -120,7 +114,7 @@ mod tests {
     #[test]
     fn lookup_costs_are_logarithmic_and_lht_saves_on_average() {
         let sizes = [1 << 10, 1 << 11, 1 << 13, 1 << 14];
-        let pts = lookup_vs_size(KeyDist::Uniform, &sizes, 1, 2);
+        let pts = lookup_vs_size(KeyDist::Uniform, &sizes, 1);
         for p in &pts {
             assert!(p.lht >= 1.0 && p.lht <= 6.0, "LHT avg {}", p.lht);
             assert!(p.pht >= 1.0 && p.pht <= 6.0, "PHT avg {}", p.pht);

@@ -17,7 +17,7 @@ use lht_core::{LhtConfig, LhtError};
 use lht_workload::{summary, KeyDist, RangeQueryGen};
 
 use super::common::{data_sizes, growth_args};
-use super::ScatterGrowthRun;
+use super::GrowthRun;
 use crate::Table;
 
 /// Range queries issued per data point.
@@ -109,21 +109,14 @@ fn measure(
     Ok(())
 }
 
-/// Figs. 9a/10a: range cost against data size at a fixed span,
-/// growing through the scatter driver over `threads` workers.
-pub fn range_vs_size(
-    dist: KeyDist,
-    sizes: &[usize],
-    span: f64,
-    trials: u64,
-    threads: usize,
-) -> Vec<RangePoint> {
+/// Figs. 9a/10a: range cost against data size at a fixed span.
+pub fn range_vs_size(dist: KeyDist, sizes: &[usize], span: f64, trials: u64) -> Vec<RangePoint> {
     let cfg = LhtConfig::new(100, 20);
     let mut per_size: Vec<Samples> = sizes.iter().map(|_| Samples::new()).collect();
     for trial in 0..trials {
         let seed = 0x9_4000 + trial * 13 + dist.tag().len() as u64;
         let mut idx = 0usize;
-        ScatterGrowthRun::run(dist, sizes, cfg, seed, threads, |_n, lht, pht| {
+        GrowthRun::run(dist, sizes, cfg, seed, |_n, lht, pht| {
             measure(lht, pht, span, seed ^ 0xfeed, &mut per_size[idx]).expect("consistent tree");
             idx += 1;
         });
@@ -142,20 +135,13 @@ pub fn range_vs_size(
         .collect()
 }
 
-/// Figs. 9b/10b: range cost against span at a fixed data size,
-/// growing through the scatter driver over `threads` workers.
-pub fn range_vs_span(
-    dist: KeyDist,
-    n: usize,
-    spans: &[f64],
-    trials: u64,
-    threads: usize,
-) -> Vec<RangeSpanPoint> {
+/// Figs. 9b/10b: range cost against span at a fixed data size.
+pub fn range_vs_span(dist: KeyDist, n: usize, spans: &[f64], trials: u64) -> Vec<RangeSpanPoint> {
     let cfg = LhtConfig::new(100, 20);
     let mut per_span: Vec<Samples> = spans.iter().map(|_| Samples::new()).collect();
     for trial in 0..trials {
         let seed = 0x9_5000 + trial * 13 + dist.tag().len() as u64;
-        let run = ScatterGrowthRun::run(dist, &[n], cfg, seed, threads, |_, _, _| {});
+        let run = GrowthRun::run(dist, &[n], cfg, seed, |_, _, _| {});
         let lht = run.lht();
         let pht = run.pht();
         for (i, span) in spans.iter().enumerate() {
@@ -191,7 +177,7 @@ pub fn cmd_latency(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
 /// Figs. 9 and 10 are two views of one pair of sweeps — against data
 /// size at span 0.1 (a), against span at a fixed size (b).
 fn range_figure(p: &Parsed, out: &mut dyn Write, latency: bool) -> io::Result<i32> {
-    let (trials, full, threads) = growth_args(p);
+    let (trials, full) = growth_args(p);
     let (fig, what, csv, digits) = if latency {
         (10, "range latency (parallel steps)", "latency", 2)
     } else {
@@ -218,7 +204,7 @@ fn range_figure(p: &Parsed, out: &mut dyn Write, latency: bool) -> io::Result<i3
             ),
             &columns,
         );
-        for p in range_vs_size(dist, &data_sizes(full), span, trials, threads) {
+        for p in range_vs_size(dist, &data_sizes(full), span, trials) {
             let mut row = vec![p.n.to_string()];
             row.extend(cells(if latency { p.latency } else { p.bandwidth }));
             let edge = 100.0 * (1.0 - p.latency.lht / p.latency.pht_par);
@@ -239,7 +225,7 @@ fn range_figure(p: &Parsed, out: &mut dyn Write, latency: bool) -> io::Result<i3
             ),
             &["span", "LHT", "PHT(seq)", "PHT(par)"],
         );
-        for p in range_vs_span(dist, n, &[0.02, 0.05, 0.1, 0.2, 0.3, 0.5], trials, threads) {
+        for p in range_vs_span(dist, n, &[0.02, 0.05, 0.1, 0.2, 0.3, 0.5], trials) {
             let mut row = vec![format!("{:.2}", p.span)];
             row.extend(cells(if latency { p.latency } else { p.bandwidth }));
             t.push_row(row);
@@ -265,7 +251,7 @@ mod tests {
 
     #[test]
     fn shapes_match_section9_4() {
-        let pts = range_vs_size(KeyDist::Uniform, &[4096, 16384], 0.1, 1, 2);
+        let pts = range_vs_size(KeyDist::Uniform, &[4096, 16384], 0.1, 1);
         for p in &pts {
             // Fig. 9: parallel PHT burns the most bandwidth; LHT ≈
             // sequential PHT.
@@ -297,7 +283,7 @@ mod tests {
 
     #[test]
     fn span_sweep_grows_with_span() {
-        let pts = range_vs_span(KeyDist::Uniform, 8192, &[0.05, 0.3], 1, 2);
+        let pts = range_vs_span(KeyDist::Uniform, 8192, &[0.05, 0.3], 1);
         assert_eq!(pts.len(), 2);
         assert!(pts[1].bandwidth.lht > pts[0].bandwidth.lht);
         assert!(pts[1].latency.pht_seq > pts[0].latency.pht_seq);

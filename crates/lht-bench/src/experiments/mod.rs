@@ -23,4 +23,4 @@ pub mod sim_explore;
 pub mod snapshot;
 pub mod threaded;
 
-pub use common::{GrowthCheckpoint, GrowthRun, ScatterGrowthRun};
+pub use common::{GrowthCheckpoint, GrowthRun};

@@ -9,14 +9,11 @@
 //! the throughput and memory numbers reflect what the implementation
 //! actually does at the paper's data sizes.
 //!
-//! The load is scattered over real threads sharing one Chord ring
-//! ([`scatter`]): each worker owns one
-//! contiguous slice of the key grid and drives its own
-//! [`LhtIndex`] client handle, the way distinct
-//! DHT clients would. Per-thread stats are merged with `DhtStats`
-//! addition and cross-checked against the substrate's global delta —
-//! the run only reports numbers whose operation accounting survived
-//! the concurrency it was measured under.
+//! One client thread drives one [`LhtIndex`] handle over the Chord
+//! ring, so the DHT-lookups and hops it reports — read from the
+//! ring's own [`Dht::stats`] delta — are a pure function of
+//! `(keys, peers, seed)`. Extra client threads would buy nothing
+//! here: the ring sits behind one mutex, so they serialise.
 //!
 //! Every phase also *verifies* what it measures: point lookups check
 //! the stored value, every range query checks its exact expected
@@ -28,11 +25,10 @@ use std::time::Instant;
 
 use lht::harness::args::{Flag, Parsed};
 use lht_core::{KeyInterval, LeafBucket, LhtConfig, LhtIndex};
-use lht_dht::ChordDht;
+use lht_dht::{ChordDht, Dht};
 use lht_id::KeyFraction;
 
 use crate::rss::{format_mb, peak_rss_mb, reset_peak_rss};
-use crate::scatter::{partition_ranges, scatter};
 use crate::Table;
 
 /// θ_split for the paper-scale tree — the paper's default block
@@ -44,10 +40,9 @@ const THETA_SPLIT: usize = 100;
 /// rendering limit.
 const MAX_DEPTH: usize = 48;
 
-/// Keys bulk-loaded single-threaded before scattering, spread
-/// uniformly over the whole grid. They pre-split the tree into enough
-/// leaves that concurrent workers land on disjoint subtrees instead
-/// of all racing the root bucket through its first splits.
+/// Keys bulk-loaded before the incremental inserts, spread uniformly
+/// over the whole grid: the bulk loader builds the top of the tree
+/// with one put per leaf, and the client's inserts grow it from there.
 const SEED_INSERTS: usize = 4096;
 
 /// One measured paper-scale run.
@@ -57,17 +52,15 @@ pub struct PaperScaleRun {
     pub keys: usize,
     /// Simulated peers on the Chord ring.
     pub peers: usize,
-    /// Real worker threads sharing the substrate.
-    pub threads: usize,
-    /// Wall-clock seconds of the single-threaded pre-split phase.
+    /// Wall-clock seconds of the bulk-loaded seed phase.
     pub seed_secs: f64,
-    /// Wall-clock seconds of the scattered insert phase.
+    /// Wall-clock seconds of the incremental insert phase.
     pub insert_secs: f64,
     /// End-to-end insert throughput: all `keys` over both phases.
     pub inserts_per_sec: f64,
-    /// DHT-lookups the inserts consumed (merged thread-local view).
+    /// DHT-lookups the incremental inserts consumed.
     pub insert_dht_lookups: u64,
-    /// Routing hops the inserts cost (substrate view).
+    /// Routing hops the incremental inserts cost.
     pub insert_hops: u64,
     /// Point lookups issued (each verified against the stored value).
     pub point_lookups: u64,
@@ -93,8 +86,8 @@ fn grid_key(i: usize, keys: usize) -> KeyFraction {
     KeyFraction::from_f64((i as f64 + 0.5) / keys as f64)
 }
 
-/// Whether grid index `i` is inserted by the single-threaded seed
-/// phase (a uniform stride sample of [`SEED_INSERTS`] keys).
+/// Whether grid index `i` is inserted by the bulk-loaded seed phase
+/// (a uniform stride sample of [`SEED_INSERTS`] keys).
 fn is_seed(i: usize, stride: usize) -> bool {
     i.is_multiple_of(stride)
 }
@@ -120,16 +113,15 @@ fn grid_count_in(lo: f64, hi: f64, keys: usize) -> u64 {
     (end - start) as u64
 }
 
-/// Runs the full E21 pipeline at one scale: pre-split seed inserts,
-/// scattered bulk inserts, scattered verified point lookups,
-/// scattered verified range queries, then min/max.
+/// Runs the full E21 pipeline at one scale: bulk-loaded seed keys,
+/// incremental inserts, verified point lookups, verified range
+/// queries, then min/max.
 ///
 /// # Panics
 ///
 /// Panics on any correctness violation — a wrong lookup value, a
-/// range query of the wrong cardinality, a wrong min/max, or
-/// scatter-gather accounting drift.
-pub fn run(keys: usize, peers: usize, threads: usize, seed: u64) -> PaperScaleRun {
+/// range query of the wrong cardinality or a wrong min/max.
+pub fn run(keys: usize, peers: usize, seed: u64) -> PaperScaleRun {
     assert!(keys >= SEED_INSERTS, "scale must cover the seed phase");
     // Attribute the peak RSS to this run where the kernel lets us
     // reset the high-water mark (best-effort; see `rss`).
@@ -138,100 +130,76 @@ pub fn run(keys: usize, peers: usize, threads: usize, seed: u64) -> PaperScaleRu
     let dht: ChordDht<LeafBucket<u32>> = ChordDht::with_nodes(peers, seed);
     let stride = keys / SEED_INSERTS;
 
-    // Phase 1: single-threaded pre-split via the bulk loader — the
-    // partition tree over a uniform sample of the grid is computed
-    // locally and each leaf ships with one put. The scattered phase
-    // then lands on disjoint subtrees instead of racing the root
-    // bucket through its first splits.
+    // Phase 1: the bulk loader computes the partition tree over a
+    // uniform sample of the grid locally and ships each leaf with one
+    // put.
     let seed_start = Instant::now();
-    {
-        let ix: LhtIndex<_, u32> = LhtIndex::new(&dht, cfg).expect("bootstrap index");
-        ix.bulk_load(
+    LhtIndex::<_, u32>::new(&dht, cfg)
+        .expect("bootstrap index")
+        .bulk_load(
             (0..keys)
                 .step_by(stride)
                 .map(|i| (grid_key(i, keys), i as u32)),
         )
         .expect("bulk seed");
-    }
     let seed_secs = seed_start.elapsed().as_secs_f64();
 
-    // Phase 2: scattered inserts over partitioned contiguous ranges.
-    let ranges = partition_ranges(keys, threads);
-    let insert_run = scatter(&dht, threads, |t, d| {
-        let ix: LhtIndex<_, u32> = LhtIndex::new(d, cfg).expect("worker index");
-        let mut inserted = 0u64;
-        for i in ranges[t].clone() {
-            if is_seed(i, stride) {
-                continue;
-            }
-            ix.insert(grid_key(i, keys), i as u32)
-                .expect("scatter insert");
-            inserted += 1;
-        }
-        inserted
-    });
-    let scattered: u64 = insert_run.outputs.iter().sum();
-    let seeded = (0..keys).step_by(stride).len() as u64;
-    assert_eq!(
-        scattered + seeded,
-        keys as u64,
-        "every grid key must be inserted exactly once"
-    );
-    let insert_secs = insert_run.elapsed_secs;
+    // Phase 2: the client inserts the rest of the grid in order. Its
+    // handle is opened inside the measured window, so the one
+    // bootstrap `update` it issues counts with the inserts (moving it
+    // out would shift every initiator the ring draws after it, and
+    // with them the hop column).
+    let before = dht.stats();
+    let insert_start = Instant::now();
+    let ix: LhtIndex<_, u32> = LhtIndex::new(&dht, cfg).expect("client index");
+    for i in (0..keys).filter(|&i| !is_seed(i, stride)) {
+        ix.insert(grid_key(i, keys), i as u32).expect("insert");
+    }
+    let insert_secs = insert_start.elapsed().as_secs_f64();
+    let inserted = dht.stats() - before;
     let inserts_per_sec = keys as f64 / (seed_secs + insert_secs);
 
-    // Phase 3: scattered verified point lookups — every 4th key of
-    // each worker's own range, value checked.
-    let lookup_run = scatter(&dht, threads, |t, d| {
-        let ix: LhtIndex<_, u32> = LhtIndex::new(d, cfg).expect("worker index");
-        let mut checked = 0u64;
-        for i in ranges[t].clone().step_by(4) {
-            let hit = ix.exact_match(grid_key(i, keys)).expect("point lookup");
-            assert_eq!(hit.value, Some(i as u32), "lookup returned a wrong value");
-            checked += 1;
-        }
-        checked
-    });
-    let point_lookups: u64 = lookup_run.outputs.iter().sum();
-    let lookups_per_sec = point_lookups as f64 / lookup_run.elapsed_secs;
+    // Phase 3: verified point lookups — every 4th key, value checked.
+    let lookup_start = Instant::now();
+    let mut point_lookups = 0u64;
+    for i in (0..keys).step_by(4) {
+        let hit = ix.exact_match(grid_key(i, keys)).expect("point lookup");
+        assert_eq!(hit.value, Some(i as u32), "lookup returned a wrong value");
+        point_lookups += 1;
+    }
+    let lookups_per_sec = point_lookups as f64 / lookup_start.elapsed().as_secs_f64();
 
-    // Phase 4: scattered range queries, each spanning 1/256 of the
-    // keyspace at an offset that walks the whole ring, each verified
-    // for exact cardinality against the grid.
+    // Phase 4: range queries, each spanning 1/256 of the keyspace at an
+    // offset that walks the whole ring, each verified for exact
+    // cardinality against the grid.
     let total_queries = 256usize;
     let span = 1.0 / 256.0;
-    let queries = partition_ranges(total_queries, threads);
-    let range_run = scatter(&dht, threads, |t, d| {
-        let ix: LhtIndex<_, u32> = LhtIndex::new(d, cfg).expect("worker index");
-        let mut records = 0u64;
-        for q in queries[t].clone() {
-            // Offsets stride the unit interval co-prime-ishly so
-            // successive queries from one worker touch far-apart
-            // subtrees (no accidental cache-warm adjacency).
-            let lo = (q as f64 * 0.6180339887498949) % (1.0 - span);
-            let hi = lo + span;
-            let r = ix
-                .range(KeyInterval::half_open(
-                    KeyFraction::from_f64(lo),
-                    KeyFraction::from_f64(hi),
-                ))
-                .expect("range query");
-            let expected = grid_count_in(lo, hi, keys);
-            assert_eq!(
-                r.records.len() as u64,
-                expected,
-                "range [{lo}, {hi}) returned the wrong cardinality"
-            );
-            records += expected;
-        }
-        records
-    });
-    let range_records: u64 = range_run.outputs.iter().sum();
-    let range_qps = total_queries as f64 / range_run.elapsed_secs;
+    let range_start = Instant::now();
+    let mut range_records = 0u64;
+    for q in 0..total_queries {
+        // Offsets stride the unit interval co-prime-ishly so
+        // successive queries touch far-apart subtrees (no accidental
+        // cache-warm adjacency).
+        let lo = (q as f64 * 0.6180339887498949) % (1.0 - span);
+        let hi = lo + span;
+        let r = ix
+            .range(KeyInterval::half_open(
+                KeyFraction::from_f64(lo),
+                KeyFraction::from_f64(hi),
+            ))
+            .expect("range query");
+        let expected = grid_count_in(lo, hi, keys);
+        assert_eq!(
+            r.records.len() as u64,
+            expected,
+            "range [{lo}, {hi}) returned the wrong cardinality"
+        );
+        range_records += expected;
+    }
+    let range_qps = total_queries as f64 / range_start.elapsed().as_secs_f64();
 
     // Phase 5: min/max (§7, Theorem 3 — one lookup each) must return
     // the grid's endpoints.
-    let ix: LhtIndex<_, u32> = LhtIndex::new(&dht, cfg).expect("gather index");
     let min = ix.min().expect("min query");
     assert_eq!(
         min.value,
@@ -248,12 +216,11 @@ pub fn run(keys: usize, peers: usize, threads: usize, seed: u64) -> PaperScaleRu
     PaperScaleRun {
         keys,
         peers,
-        threads,
         seed_secs,
         insert_secs,
         inserts_per_sec,
-        insert_dht_lookups: insert_run.merged.lookups(),
-        insert_hops: insert_run.substrate_delta.hops,
+        insert_dht_lookups: inserted.lookups(),
+        insert_hops: inserted.hops,
         point_lookups,
         lookups_per_sec,
         range_queries: total_queries as u64,
@@ -266,8 +233,8 @@ pub fn run(keys: usize, peers: usize, threads: usize, seed: u64) -> PaperScaleRu
 /// The bench-snapshot headline: one modest-scale run (2^16 keys by
 /// default is the caller's choice) returning `(inserts_per_sec,
 /// range_qps, peak_rss_mb)`.
-pub fn headline(keys: usize, peers: usize, threads: usize, seed: u64) -> (f64, f64, Option<f64>) {
-    let run = run(keys, peers, threads, seed);
+pub fn headline(keys: usize, peers: usize, seed: u64) -> (f64, f64, Option<f64>) {
+    let run = run(keys, peers, seed);
     (run.inserts_per_sec, run.range_qps, run.peak_rss_mb)
 }
 
@@ -280,7 +247,6 @@ pub const FLAGS: &[Flag] = &[
     Flag::switch("--full", "add the corners up to 2^24 keys x 4096 peers"),
     Flag::opt_uint("--keys", "pin a single cell: this many keys").at_least(8192),
     Flag::opt_uint("--peers", "pin a single cell (default 256 peers)").at_least(1),
-    Flag::uint("--threads", 4, "scatter workers").clamped(1, 64),
     Flag::uint("--seed", 21, "ring and workload seed"),
     Flag::uint("--budget", 1800, "seconds the sweep must finish within"),
 ];
@@ -337,16 +303,16 @@ const MAX_PEER_SCALING_SLOWDOWN: f64 = 2.0;
 /// prints the E21 table and writes its CSV.
 pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
     let cells = cells(p);
-    let (threads, seed) = (p.size("--threads"), p.uint("--seed"));
+    let seed = p.uint("--seed");
     let budget_secs = p.uint("--budget") as f64;
 
     let sweep_start = std::time::Instant::now();
     let mut runs = Vec::new();
     for &(keys, peers) in &cells {
-        eprintln!("E21: {keys} keys over {peers} peers, {threads} threads…");
-        let r = run(keys, peers, threads, seed);
+        eprintln!("E21: {keys} keys over {peers} peers…");
+        let r = run(keys, peers, seed);
         eprintln!(
-            "  inserts {:.0}/s ({:.1}s seed + {:.1}s scattered), lookups {:.0}/s, \
+            "  inserts {:.0}/s ({:.1}s seed + {:.1}s incremental), lookups {:.0}/s, \
              ranges {:.1}/s, peak RSS {} MB",
             r.inserts_per_sec,
             r.seed_secs,
@@ -366,7 +332,6 @@ pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
         &[
             ("keys", &|r| r.keys.to_string()),
             ("peers", &|r| r.peers.to_string()),
-            ("threads", &|r| r.threads.to_string()),
             ("inserts/s", &|r| format!("{:.0}", r.inserts_per_sec)),
             ("lookups/s", &|r| format!("{:.0}", r.lookups_per_sec)),
             ("range q/s", &|r| format!("{:.1}", r.range_qps)),
@@ -454,10 +419,10 @@ mod tests {
 
     #[test]
     fn small_scale_run_is_fully_verified() {
-        // 2^12 keys over 32 peers, 2 threads: every assertion in the
-        // pipeline (value checks, cardinality checks, min/max,
-        // accounting cross-checks) fires on this path.
-        let r = run(4096, 32, 2, 11);
+        // 2^12 keys over 32 peers: every assertion in the pipeline
+        // (value checks, cardinality checks, min/max) fires on this
+        // path.
+        let r = run(4096, 32, 11);
         assert_eq!(r.keys, 4096);
         assert_eq!(r.point_lookups, 1024);
         assert_eq!(r.range_queries, 256);

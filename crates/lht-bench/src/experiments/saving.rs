@@ -13,6 +13,7 @@ use lht_core::LhtConfig;
 use lht_cost::{saving_ratio_from_gamma, CostModel};
 use lht_workload::KeyDist;
 
+use super::common::growth_args;
 use super::GrowthRun;
 use crate::Table;
 
@@ -61,7 +62,7 @@ pub fn saving_table(dist: KeyDist, n: usize, gammas: &[f64], trials: u64) -> Vec
 /// `lht-exp saving-ratio`: prints the Eq. 3 table per distribution
 /// and writes both CSVs.
 pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
-    let (trials, full) = (p.uint("--trials"), p.on("--full"));
+    let (trials, full) = growth_args(p);
     let n = if full { 1 << 18 } else { 1 << 14 };
     let gammas = [0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0, 1000.0];
 

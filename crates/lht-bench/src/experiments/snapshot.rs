@@ -23,7 +23,7 @@
 //!   most 0.6× the bytes of `{n=3}` replication of identical
 //!   payloads),
 //! * the E21 paper-scale headline: verified insert throughput and
-//!   range-query rate of a scattered 2^16-key run over 256 Chord
+//!   range-query rate of a one-client 2^16-key run over 256 Chord
 //!   peers — and the same scale again over **1024** peers — plus each
 //!   cell's own peak resident set (`VmHWM`, reset per cell; rendered
 //!   as `"unsupported"` where the platform has no probe, never a fake
@@ -153,16 +153,16 @@ struct PaperHeadline {
 }
 
 /// E21 headline at snapshot scale: verified insert throughput and
-/// range-query rate of a scattered run over 256 Chord peers — then
+/// range-query rate of a one-client run over 256 Chord peers — then
 /// the same scale over 1024 peers — plus each cell's peak RSS (the
 /// high-water mark is reset per cell inside the run). 2^16 keys is
 /// enough tree depth to exercise the paper hot path while keeping the
 /// snapshot fast.
 fn paper_scale_headline() -> PaperHeadline {
     let keys = 1 << 16;
-    let (inserts_per_sec, range_qps, rss_mb) = paper_scale::headline(keys, 256, 4, SEED);
+    let (inserts_per_sec, range_qps, rss_mb) = paper_scale::headline(keys, 256, SEED);
     eprintln!("measuring paper-scale headline over 1024 peers…");
-    let r1024 = paper_scale::run(keys, 1024, 4, SEED);
+    let r1024 = paper_scale::run(keys, 1024, SEED);
     PaperHeadline {
         keys,
         inserts_per_sec,
@@ -413,7 +413,7 @@ pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
     let quorum_avail = quorum_availability();
     eprintln!("measuring erasure availability and storage at 20% drop + churn…");
     let (erasure_avail, erasure_bytes) = erasure_headline();
-    eprintln!("measuring paper-scale headline (scattered verified run)…");
+    eprintln!("measuring paper-scale headline (one-client verified run)…");
     let paper = paper_scale_headline();
 
     if p.on("--check") {

@@ -16,7 +16,6 @@
 pub mod cli;
 pub mod experiments;
 pub mod rss;
-pub mod scatter;
 mod table;
 
 pub use table::Table;

@@ -108,9 +108,9 @@ impl IndexStats {
 }
 
 /// Every column is a cumulative sum, so merging the stats of several
-/// index handles over one shared substrate — the scatter-gather
-/// growth driver's view — is plain columnwise addition; `average_alpha`
-/// of the sum is the split-weighted mean across the handles.
+/// index handles over one shared substrate — concurrent clients, one
+/// handle each — is plain columnwise addition; `average_alpha` of the
+/// sum is the split-weighted mean across the handles.
 impl Add for IndexStats {
     type Output = IndexStats;
 
