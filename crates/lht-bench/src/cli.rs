@@ -53,7 +53,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment { name: "paper-scale", id: "E21", about: "throughput and peak RSS over a keys x peers grid", flags: &[paper_scale::FLAGS], csv: &["e21_paper_scale"], run: paper_scale::cmd },
     Experiment { name: SoakOptions::COMMAND, id: "—", about: "differential soak against the shadow oracle, every invariant audited", flags: &[SoakOptions::FLAGS], csv: &[], run: audit_soak::cmd },
     Experiment { name: SimConfig::COMMAND, id: "—", about: "deterministic-simulation explorer with a linearizability checker", flags: &[SimConfig::FLAGS, sim_explore::FLAGS], csv: &[], run: sim_explore::cmd },
-    Experiment { name: "bench-snapshot", id: "—", about: "headline numbers into BENCH_lht.json, or --check against it", flags: &[snapshot::FLAGS], csv: &[], run: snapshot::cmd },
+    Experiment { name: "bench-snapshot", id: "—", about: "rewrite BENCH_lht.json, the exact headline counters", flags: &[], csv: &[], run: snapshot::cmd },
 ];
 
 /// What CI runs, as `(group, lht-exp arguments)`; a group is one step
@@ -120,7 +120,6 @@ pub const CI_SMOKE: &[(&str, &[&str])] = &[
     ("erasure", &["sim-explore", "--seed", "2", "--corrupt-fragment", "--expect-violation"]),
     ("erasure", &["sim-explore", "--seed", "1", "--lazy-regen", "--churn", "8", "--expect-violation"]),
     ("paper-scale", &["paper-scale", "--smoke"]),
-    ("bench-guard", &["bench-snapshot", "--check"]),
 ];
 
 /// The error an experiment returns for arguments that parsed but do

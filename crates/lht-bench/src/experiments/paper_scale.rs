@@ -230,14 +230,6 @@ pub fn run(keys: usize, peers: usize, seed: u64) -> PaperScaleRun {
     }
 }
 
-/// The bench-snapshot headline: one modest-scale run (2^16 keys by
-/// default is the caller's choice) returning `(inserts_per_sec,
-/// range_qps, peak_rss_mb)`.
-pub fn headline(keys: usize, peers: usize, seed: u64) -> (f64, f64, Option<f64>) {
-    let run = run(keys, peers, seed);
-    (run.inserts_per_sec, run.range_qps, run.peak_rss_mb)
-}
-
 /// The flags of `lht-exp paper-scale`.
 pub const FLAGS: &[Flag] = &[
     Flag::switch(

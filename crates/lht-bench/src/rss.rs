@@ -9,8 +9,8 @@
 //! process reset it through `/proc/self/clear_refs`, which the grid
 //! experiments use to attribute a peak to each cell. Where `/proc`
 //! is unavailable the probe returns `None` and reports render an
-//! explicit `unsupported` marker — never a fake `0.0` that a
-//! regression `--check` could pass vacuously.
+//! explicit `unsupported` marker — never a fake `0.0` that a reader
+//! could take for a measurement.
 
 /// Peak resident set size of this process in megabytes (`VmHWM`), or
 /// `None` where `/proc/self/status` is unavailable (non-Linux).

@@ -110,7 +110,7 @@ fn every_deterministic_ci_command_prints_its_pinned_output() {
 #[test]
 fn the_pins_cover_the_ci_manifest() {
     let unpinned = |args: &[&str]| {
-        let measured = ["route-cache", "threaded", "paper-scale", "bench-snapshot"];
+        let measured = ["route-cache", "threaded", "paper-scale"];
         measured.contains(&args[0]) || args.contains(&"--explore") || args == ["quorum"]
     };
     for (_, args) in lht_bench::cli::CI_SMOKE {
