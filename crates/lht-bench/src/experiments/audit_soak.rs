@@ -22,7 +22,7 @@ use crate::Table;
 /// `lht-exp audit-soak`: soaks each selected substrate and prints one
 /// verdict row per soak; exits 1 if any soak diverged, printing the
 /// failing op and its one-line replay command.
-pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+pub(crate) fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
     let soaks = SoakOptions::from_args(p).map_err(bad_usage)?;
     let first = soaks[0];
     let mut t = Table::new(

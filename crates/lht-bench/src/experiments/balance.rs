@@ -19,7 +19,7 @@ use crate::Table;
 
 /// Load-balance metrics over the peers of one placement scheme.
 #[derive(Clone, Copy, Debug)]
-pub struct BalanceRow {
+pub(crate) struct BalanceRow {
     /// Mean records per peer.
     pub mean: f64,
     /// Records on the most loaded peer.
@@ -49,7 +49,7 @@ fn metrics(loads: &[usize], total_records: usize) -> BalanceRow {
 
 /// Results for one `(distribution, scheme)` pair.
 #[derive(Clone, Debug)]
-pub struct BalanceComparison {
+pub(crate) struct BalanceComparison {
     /// The key distribution tag.
     pub dist: &'static str,
     /// Raw per-key hashing (`κ = δ`, the paper's "raw DHT").
@@ -60,7 +60,7 @@ pub struct BalanceComparison {
 
 /// Measures per-peer record loads for raw hashing vs LHT placement on
 /// a `peers`-node Chord ring with `n` records.
-pub fn storage_balance(n: usize, peers: usize, seed: u64) -> Vec<BalanceComparison> {
+pub(crate) fn storage_balance(n: usize, peers: usize, seed: u64) -> Vec<BalanceComparison> {
     [
         KeyDist::Uniform,
         KeyDist::gaussian_paper(),
@@ -157,7 +157,7 @@ where
 
 /// `lht-exp load-balance`: prints the E12 records-per-peer table and
 /// writes its CSV.
-pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+pub(crate) fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
     let full = p.on("--full");
     let (n, peers) = if full { (50_000, 64) } else { (10_000, 32) };
 

@@ -22,7 +22,7 @@ use crate::Table;
 
 /// Per-scheme results of the baseline comparison at one data size.
 #[derive(Clone, Copy, Debug)]
-pub struct BaselineRow {
+pub(crate) struct BaselineRow {
     /// Records inserted.
     pub n: usize,
     /// Mean DHT-lookups per insertion, including maintenance.
@@ -43,7 +43,7 @@ pub struct BaselineRow {
 
 /// A `(LHT, PHT-seq, PHT-par, DST, RST)` measurement tuple.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct SchemeQuad {
+pub(crate) struct SchemeQuad {
     /// LHT's value.
     pub lht: f64,
     /// PHT using sequential range traversal.
@@ -58,7 +58,12 @@ pub struct SchemeQuad {
 
 /// Runs the three-way comparison at each size. DST's height is chosen
 /// as `log2(n/θ) + 4` so its leaf resolution matches the other trees.
-pub fn compare(dist: KeyDist, sizes: &[usize], span: f64, queries: usize) -> Vec<BaselineRow> {
+pub(crate) fn compare(
+    dist: KeyDist,
+    sizes: &[usize],
+    span: f64,
+    queries: usize,
+) -> Vec<BaselineRow> {
     let cfg = LhtConfig::new(100, 20);
     sizes
         .iter()
@@ -151,7 +156,7 @@ pub fn compare(dist: KeyDist, sizes: &[usize], span: f64, queries: usize) -> Vec
 
 /// Sanity: the §2 qualitative ordering, used by the command's footer
 /// and asserted by the unit test.
-pub fn section2_claims_hold(row: &BaselineRow) -> bool {
+pub(crate) fn section2_claims_hold(row: &BaselineRow) -> bool {
     // DST insertion pays ≈ height lookups per record — several times
     // the binary-search-based schemes.
     row.insert_cost.dst > 2.0 * row.insert_cost.lht
@@ -172,7 +177,7 @@ pub fn section2_claims_hold(row: &BaselineRow) -> bool {
 
 /// `lht-exp baselines`: prints the three E10 tables per distribution
 /// with the §2 ordering verdict and writes the six CSVs.
-pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+pub(crate) fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
     let full = p.on("--full");
     let top = if full { 16 } else { 14 };
     let sizes: Vec<usize> = (10..=top).step_by(2).map(|e| 1usize << e).collect();

@@ -30,7 +30,7 @@ use lht::{
 use crate::Table;
 
 /// The flags of `lht-exp batch-speedup`.
-pub const FLAGS: &[Flag] = &[Flag::switch("--smoke", "CI shape: 2048 keys, not 16384")];
+pub(crate) const FLAGS: &[Flag] = &[Flag::switch("--smoke", "CI shape: 2048 keys, not 16384")];
 
 /// The "unbatched client": forwards every single op but inherits the
 /// trait's default sequential `multi_get`/`multi_put`, so each lookup
@@ -202,7 +202,7 @@ macro_rules! check {
 /// store, asserts the batching invariants (exit 1 at the first that
 /// fails) and writes the E17 CSV — in smoke mode too, CI checks the
 /// artifact.
-pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+pub(crate) fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
     let smoke = p.on("--smoke");
     let (keys, seed): (usize, u64) = if smoke { (1 << 11, 17) } else { (1 << 14, 17) };
     let qs = queries(smoke);

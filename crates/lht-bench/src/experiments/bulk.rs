@@ -19,7 +19,7 @@ use crate::Table;
 
 /// One data-size row of the ablation.
 #[derive(Clone, Copy, Debug)]
-pub struct BulkRow {
+pub(crate) struct BulkRow {
     /// Records loaded.
     pub n: usize,
     /// Total DHT-lookups for one-by-one insertion (queries +
@@ -36,13 +36,13 @@ pub struct BulkRow {
 impl BulkRow {
     /// Incremental-to-bulk lookup ratio (how many times more
     /// expensive incremental growth is).
-    pub fn ratio(&self) -> f64 {
+    pub(crate) fn ratio(&self) -> f64 {
         self.incremental_lookups as f64 / self.bulk_lookups.max(1) as f64
     }
 }
 
 /// Runs the ablation at each size.
-pub fn bulk_vs_incremental(dist: KeyDist, sizes: &[usize], seed: u64) -> Vec<BulkRow> {
+pub(crate) fn bulk_vs_incremental(dist: KeyDist, sizes: &[usize], seed: u64) -> Vec<BulkRow> {
     let cfg = LhtConfig::new(100, 20);
     sizes
         .iter()
@@ -75,7 +75,7 @@ pub fn bulk_vs_incremental(dist: KeyDist, sizes: &[usize], seed: u64) -> Vec<Bul
 
 /// `lht-exp bulk-load`: prints the E13 table per distribution and
 /// writes both CSVs.
-pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+pub(crate) fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
     let full = p.on("--full");
     let sizes = data_sizes(full);
 

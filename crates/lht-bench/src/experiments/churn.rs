@@ -19,7 +19,7 @@ use crate::Table;
 
 /// Result of one churn scenario.
 #[derive(Clone, Copy, Debug)]
-pub struct ChurnRow {
+pub(crate) struct ChurnRow {
     /// Fraction of peers crashed (0.0–1.0).
     pub crash_fraction: f64,
     /// Substrate replication factor.
@@ -34,7 +34,7 @@ pub struct ChurnRow {
 
 impl ChurnRow {
     /// Fraction of probes that still answer correctly.
-    pub fn availability(&self) -> f64 {
+    pub(crate) fn availability(&self) -> f64 {
         self.correct as f64 / (self.correct + self.lost).max(1) as f64
     }
 }
@@ -43,7 +43,7 @@ impl ChurnRow {
 /// `peers`-node Chord ring, crash `crash_fraction` of the peers
 /// (plus an equal number of joins), stabilize, then probe every
 /// record.
-pub fn churn_availability(
+pub(crate) fn churn_availability(
     n: usize,
     peers: usize,
     crash_fractions: &[f64],
@@ -101,7 +101,7 @@ pub fn churn_availability(
 
 /// `lht-exp churn`: prints the E11 availability table and writes its
 /// CSV.
-pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+pub(crate) fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
     let full = p.on("--full");
     let (n, peers) = if full { (5_000, 64) } else { (1_500, 32) };
     let fractions = [0.0, 0.1, 0.2, 0.3];

@@ -7,11 +7,12 @@ use lht_pht::{PhtIndex, PhtNode};
 use lht_workload::{Dataset, KeyDist};
 
 /// `--full`.
-pub const FULL: Flag = Flag::switch("--full", "paper-scale sizes instead of the faster subset");
+pub(crate) const FULL: Flag =
+    Flag::switch("--full", "paper-scale sizes instead of the faster subset");
 
 /// The flags of the progressive-growth figures and the saving ratio:
 /// `--trials N` (0 refused) and `--full`.
-pub const GROWTH: &[Flag] = &[
+pub(crate) const GROWTH: &[Flag] = &[
     Flag::uint("--trials", 3, "datasets averaged per point (paper: 100)").positive(),
     FULL,
 ];
@@ -31,9 +32,7 @@ pub(crate) fn data_sizes(full: bool) -> Vec<usize> {
 /// Index statistics captured after the first `n` insertions of a
 /// growth run, for both schemes.
 #[derive(Clone, Copy, Debug)]
-pub struct GrowthCheckpoint {
-    /// Number of records inserted so far.
-    pub n: usize,
+pub(crate) struct GrowthCheckpoint {
     /// LHT's cumulative statistics at this point.
     pub lht: IndexStats,
     /// PHT's cumulative statistics at this point.
@@ -48,7 +47,7 @@ pub struct GrowthCheckpoint {
 /// checkpoint is a pure function of the arguments. The run keeps both
 /// populated substrates so follow-on measurements (lookups, range
 /// queries) can be taken at the final size.
-pub struct GrowthRun {
+pub(crate) struct GrowthRun {
     /// Checkpoints at each requested size.
     pub checkpoints: Vec<GrowthCheckpoint>,
     /// The populated LHT substrate.
@@ -66,7 +65,7 @@ impl GrowthRun {
     /// `with_queries` is invoked at each checkpoint with the two live
     /// index handles, letting per-size query experiments piggyback on
     /// one growth pass.
-    pub fn run(
+    pub(crate) fn run(
         dist: KeyDist,
         sizes: &[usize],
         cfg: LhtConfig,
@@ -97,7 +96,6 @@ impl GrowthRun {
                 pht.insert(key, i as u32).expect("insert over oracle DHT");
                 if i + 1 == sizes[next] {
                     checkpoints.push(GrowthCheckpoint {
-                        n: i + 1,
                         lht: lht.stats(),
                         pht: pht.stats(),
                     });
@@ -118,12 +116,12 @@ impl GrowthRun {
     }
 
     /// A fresh LHT handle over the populated substrate.
-    pub fn lht(&self) -> LhtIndex<&DirectDht<LeafBucket<u32>>, u32> {
+    pub(crate) fn lht(&self) -> LhtIndex<&DirectDht<LeafBucket<u32>>, u32> {
         LhtIndex::new(&self.lht_dht, self.cfg).expect("populated substrate")
     }
 
     /// A fresh PHT handle over the populated substrate.
-    pub fn pht(&self) -> PhtIndex<&DirectDht<PhtNode<u32>>, u32> {
+    pub(crate) fn pht(&self) -> PhtIndex<&DirectDht<PhtNode<u32>>, u32> {
         PhtIndex::new(&self.pht_dht, self.cfg).expect("populated substrate")
     }
 }
@@ -148,13 +146,12 @@ mod tests {
             1,
             |_, _, _| {},
         );
-        let ns: Vec<usize> = run.checkpoints.iter().map(|c| c.n).collect();
-        assert_eq!(ns, vec![100, 200, 400]);
         // Each checkpoint accounts every record inserted so far.
-        for c in &run.checkpoints {
-            assert_eq!(c.lht.inserts, c.n as u64);
-            assert_eq!(c.pht.inserts, c.n as u64);
+        for (c, n) in run.checkpoints.iter().zip([100, 200, 400]) {
+            assert_eq!(c.lht.inserts, n);
+            assert_eq!(c.pht.inserts, n);
         }
+        assert_eq!(run.checkpoints.len(), 3);
         // Stats are cumulative and monotone.
         for w in run.checkpoints.windows(2) {
             assert!(w[0].lht.splits <= w[1].lht.splits);

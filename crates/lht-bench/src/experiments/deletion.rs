@@ -26,7 +26,7 @@ use crate::Table;
 
 /// Checkpointed deletion statistics.
 #[derive(Clone, Copy, Debug)]
-pub struct DeletionPoint {
+pub(crate) struct DeletionPoint {
     /// Records remaining in the index.
     pub remaining: usize,
     /// LHT merges so far.
@@ -45,7 +45,7 @@ pub struct DeletionPoint {
 
 /// Builds an index of `n` records, then deletes all of them in a
 /// seeded random order, checkpointing every `n/checkpoints` removals.
-pub fn drain(dist: KeyDist, n: usize, checkpoints: usize, seed: u64) -> Vec<DeletionPoint> {
+pub(crate) fn drain(dist: KeyDist, n: usize, checkpoints: usize, seed: u64) -> Vec<DeletionPoint> {
     let cfg = LhtConfig::new(100, 24);
     let data = Dataset::generate(dist, n, seed);
 
@@ -90,7 +90,7 @@ pub fn drain(dist: KeyDist, n: usize, checkpoints: usize, seed: u64) -> Vec<Dele
 
 /// `lht-exp deletion`: prints the E15 drain table per distribution
 /// and writes both CSVs.
-pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+pub(crate) fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
     let full = p.on("--full");
     let n = if full { 1 << 17 } else { 1 << 14 };
 

@@ -24,12 +24,12 @@ const BATCH: usize = 64;
 
 /// Fixed payload size: large enough that fragment headers are noise
 /// and the `m/k` expansion dominates the byte count.
-pub const PAYLOAD_LEN: usize = 512;
+pub(crate) const PAYLOAD_LEN: usize = 512;
 
 /// Deterministic 512-byte payload carrying `v` in its first four
 /// bytes; the filler is position- and value-dependent so a shard-order
 /// bug cannot reassemble into a plausible blob.
-pub fn payload_bytes(v: u32) -> Vec<u8> {
+pub(crate) fn payload_bytes(v: u32) -> Vec<u8> {
     let tag = v.to_le_bytes();
     let mut out = Vec::with_capacity(PAYLOAD_LEN);
     out.extend_from_slice(&tag);
@@ -41,7 +41,7 @@ pub fn payload_bytes(v: u32) -> Vec<u8> {
 
 /// One cell's outcome — shared by the coded and replicated stacks so
 /// the comparison rows render from one shape.
-pub struct ErasureCell {
+pub(crate) struct ErasureCell {
     /// Logical client operations attempted.
     pub attempted: u64,
     /// Operations that completed despite the injected faults.
@@ -61,7 +61,7 @@ pub struct ErasureCell {
 
 impl ErasureCell {
     /// Fraction of logical ops that completed.
-    pub fn availability(&self) -> f64 {
+    pub(crate) fn availability(&self) -> f64 {
         if self.attempted == 0 {
             return 1.0;
         }
@@ -69,7 +69,7 @@ impl ErasureCell {
     }
 
     /// Fraction of judgeable reads that returned a wrong payload.
-    pub fn staleness(&self) -> f64 {
+    pub(crate) fn staleness(&self) -> f64 {
         if self.clean_reads == 0 {
             return 0.0;
         }
@@ -77,7 +77,7 @@ impl ErasureCell {
     }
 
     /// Steady-state storage price of one durable key.
-    pub fn bytes_per_durable_key(&self) -> f64 {
+    pub(crate) fn bytes_per_durable_key(&self) -> f64 {
         if self.durable_keys == 0 {
             return 0.0;
         }
@@ -262,7 +262,7 @@ fn measure_replicated(ring: &ChordDht<Versioned<Vec<u8>>>) -> (u64, u64) {
 /// Runs one coded E20 cell: `ops` logical operations through a
 /// `{k, m}` erasure tier over a fresh `nodes`-node ring under
 /// `drop_rate` loss, one leave+rejoin per batch when `churn` is set.
-pub fn run_cell(
+pub(crate) fn run_cell(
     (k, m): (usize, usize),
     drop_rate: f64,
     churn: bool,
@@ -303,7 +303,7 @@ pub fn run_cell(
 /// Runs the identical workload through an `{n, r, w}` quorum tier
 /// storing full 512-byte copies — the replication baseline the coded
 /// rows are judged against, on both axes.
-pub fn replication_cell(
+pub(crate) fn replication_cell(
     (n, r, w): (usize, usize, usize),
     drop_rate: f64,
     churn: bool,
@@ -341,7 +341,7 @@ pub fn replication_cell(
 /// The coded headline at the harshest sweep cell (20% drop + churn):
 /// `{4, 6}` coding vs the primary-owner baseline on availability, and
 /// vs `{n=3}` replication on bytes per durable key.
-pub struct ErasureHeadline {
+pub(crate) struct ErasureHeadline {
     /// `{4, 6}` coded availability.
     pub coded_availability: f64,
     /// Primary-owner (`{1,1,1}`, full copies) availability.
@@ -352,19 +352,8 @@ pub struct ErasureHeadline {
     pub replicated_bytes_per_key: f64,
 }
 
-impl ErasureHeadline {
-    /// The acceptance bar: coded durability may not cost availability
-    /// versus the primary baseline, and must store at most 0.6× the
-    /// bytes of 3-way replication.
-    pub fn passes(&self) -> bool {
-        self.coded_availability >= self.primary_availability
-            && self.replicated_bytes_per_key > 0.0
-            && self.coded_bytes_per_key <= 0.6 * self.replicated_bytes_per_key
-    }
-}
-
 /// Computes the headline from three cells at 20% drop + churn.
-pub fn headline(ops: usize, nodes: usize, seed: u64) -> ErasureHeadline {
+pub(crate) fn headline(ops: usize, nodes: usize, seed: u64) -> ErasureHeadline {
     let coded = run_cell((4, 6), 0.20, true, ops, nodes, seed);
     let primary = replication_cell((1, 1, 1), 0.20, true, ops, nodes, seed);
     let replicated = replication_cell((3, 2, 2), 0.20, true, ops, nodes, seed);

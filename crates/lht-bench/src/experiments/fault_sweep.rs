@@ -32,7 +32,7 @@ const SWEEP_ATTEMPTS: u32 = 4;
 const SEED: u64 = 7;
 
 /// The flags of `lht-exp fault-sweep`.
-pub const FLAGS: &[Flag] = &[Flag::switch(
+pub(crate) const FLAGS: &[Flag] = &[Flag::switch(
     "--smoke",
     "CI shape: 300 keys, 12 nodes, no CSV",
 )];
@@ -196,7 +196,7 @@ fn sweep_cell(index: &str, drop_rate: f64, ops: usize, nodes: usize) -> Cell {
 
 /// `lht-exp fault-sweep`: prints the E16 availability/inflation
 /// table; the full sweep also writes its CSV.
-pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+pub(crate) fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
     let smoke = p.on("--smoke");
     let (ops, nodes) = if smoke { (300, 12) } else { (2_000, 16) };
     let drop_rates: &[f64] = if smoke {

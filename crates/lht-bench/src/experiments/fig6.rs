@@ -18,15 +18,13 @@ use crate::Table;
 
 /// One point of Fig. 6a: data size → average α (mean over trials).
 #[derive(Clone, Copy, Debug)]
-pub struct AlphaPoint {
-    /// Data size (records inserted).
-    pub n: usize,
+pub(crate) struct AlphaPoint {
     /// Mean over trials of the run's average α.
     pub avg_alpha: f64,
 }
 
 /// Fig. 6a: average α as a function of data size.
-pub fn alpha_vs_size(
+pub(crate) fn alpha_vs_size(
     dist: KeyDist,
     theta_split: usize,
     sizes: &[usize],
@@ -42,12 +40,10 @@ pub fn alpha_vs_size(
             }
         }
     }
-    sizes
+    per_size
         .iter()
-        .zip(per_size)
-        .map(|(n, alphas)| AlphaPoint {
-            n: *n,
-            avg_alpha: summary::mean(&alphas),
+        .map(|alphas| AlphaPoint {
+            avg_alpha: summary::mean(alphas),
         })
         .collect()
 }
@@ -55,9 +51,7 @@ pub fn alpha_vs_size(
 /// One point of Fig. 6b: `θ_split` → average α, with the paper's
 /// predicted value for uniform data.
 #[derive(Clone, Copy, Debug)]
-pub struct AlphaThetaPoint {
-    /// The splitting threshold.
-    pub theta_split: usize,
+pub(crate) struct AlphaThetaPoint {
     /// Measured mean average α.
     pub avg_alpha: f64,
     /// The closed form `½ + 1/(2θ)`.
@@ -66,7 +60,7 @@ pub struct AlphaThetaPoint {
 
 /// Fig. 6b: average α as a function of `θ_split` at a fixed data
 /// size.
-pub fn alpha_vs_theta(
+pub(crate) fn alpha_vs_theta(
     dist: KeyDist,
     n: usize,
     thetas: &[usize],
@@ -77,7 +71,6 @@ pub fn alpha_vs_theta(
         .map(|&theta| {
             let points = alpha_vs_size(dist, theta, &[n], trials);
             AlphaThetaPoint {
-                theta_split: theta,
                 avg_alpha: points[0].avg_alpha,
                 predicted: 0.5 + 1.0 / (2.0 * theta as f64),
             }
@@ -95,7 +88,7 @@ fn seed(dist: KeyDist, trial: u64) -> u64 {
 }
 
 /// `lht-exp fig6`: prints Fig. 6a/6b and writes both CSVs.
-pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+pub(crate) fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
     let (trials, full) = growth_args(p);
     let dists = [KeyDist::Uniform, KeyDist::gaussian_paper()];
 

@@ -18,7 +18,7 @@ use crate::Table;
 
 /// One data-size point of Fig. 7 (means over trials).
 #[derive(Clone, Copy, Debug)]
-pub struct MaintenancePoint {
+pub(crate) struct MaintenancePoint {
     /// Records inserted.
     pub n: usize,
     /// Fig. 7a: cumulative record-storage units moved by LHT splits.
@@ -33,19 +33,23 @@ pub struct MaintenancePoint {
 
 impl MaintenancePoint {
     /// LHT/PHT ratio of moved records (≈ 0.5 expected).
-    pub fn moved_ratio(&self) -> f64 {
+    pub(crate) fn moved_ratio(&self) -> f64 {
         self.lht_moved / self.pht_moved.max(1.0)
     }
 
     /// LHT/PHT ratio of maintenance lookups (≈ 0.25 expected).
-    pub fn lookup_ratio(&self) -> f64 {
+    pub(crate) fn lookup_ratio(&self) -> f64 {
         self.lht_lookups / self.pht_lookups.max(1.0)
     }
 }
 
 /// Runs the Fig. 7 experiment: one growth pass per trial, cumulative
 /// stats at each size.
-pub fn maintenance_vs_size(dist: KeyDist, sizes: &[usize], trials: u64) -> Vec<MaintenancePoint> {
+pub(crate) fn maintenance_vs_size(
+    dist: KeyDist,
+    sizes: &[usize],
+    trials: u64,
+) -> Vec<MaintenancePoint> {
     let cfg = LhtConfig::new(100, 24);
     let mut acc: Vec<[Vec<f64>; 4]> = (0..sizes.len()).map(|_| Default::default()).collect();
     for trial in 0..trials {
@@ -73,7 +77,7 @@ pub fn maintenance_vs_size(dist: KeyDist, sizes: &[usize], trials: u64) -> Vec<M
 
 /// `lht-exp fig7`: prints Fig. 7a/7b per distribution and writes the
 /// four CSVs.
-pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+pub(crate) fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
     let (trials, full) = growth_args(p);
     let sizes = data_sizes(full);
 

@@ -18,11 +18,11 @@ use super::GrowthRun;
 use crate::Table;
 
 /// Number of lookup probes per data point (the paper's 1000).
-pub const PROBES: usize = 1000;
+pub(crate) const PROBES: usize = 1000;
 
 /// One data-size point of Fig. 8 (means over trials).
 #[derive(Clone, Copy, Debug)]
-pub struct LookupPoint {
+pub(crate) struct LookupPoint {
     /// Records inserted.
     pub n: usize,
     /// Average DHT-lookups per LHT lookup.
@@ -34,13 +34,13 @@ pub struct LookupPoint {
 impl LookupPoint {
     /// LHT's saving over PHT at this point (can be negative at PHT's
     /// valley points).
-    pub fn saving(&self) -> f64 {
+    pub(crate) fn saving(&self) -> f64 {
         1.0 - self.lht / self.pht
     }
 }
 
 /// Runs the Fig. 8 experiment for one distribution.
-pub fn lookup_vs_size(dist: KeyDist, sizes: &[usize], trials: u64) -> Vec<LookupPoint> {
+pub(crate) fn lookup_vs_size(dist: KeyDist, sizes: &[usize], trials: u64) -> Vec<LookupPoint> {
     let cfg = LhtConfig::new(100, 20); // the paper's D = 20
     let mut lht_acc: Vec<Vec<f64>> = vec![Vec::new(); sizes.len()];
     let mut pht_acc: Vec<Vec<f64>> = vec![Vec::new(); sizes.len()];
@@ -72,7 +72,7 @@ pub fn lookup_vs_size(dist: KeyDist, sizes: &[usize], trials: u64) -> Vec<Lookup
 }
 
 /// `lht-exp fig8`: prints Fig. 8a/8b and writes both CSVs.
-pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+pub(crate) fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
     let (trials, full) = growth_args(p);
     // The paper sweeps data sizes up to 2^20; include the power-of-two
     // "valley points" it highlights (2^12, 2^16, 2^20).

@@ -21,11 +21,11 @@ use super::GrowthRun;
 use crate::Table;
 
 /// Range queries issued per data point.
-pub const QUERIES: usize = 25;
+pub(crate) const QUERIES: usize = 25;
 
 /// One point of Figs. 9/10: mean bandwidth and latency per scheme.
 #[derive(Clone, Copy, Debug)]
-pub struct RangePoint {
+pub(crate) struct RangePoint {
     /// The x-value: records inserted (size sweeps) — see
     /// [`RangeSpanPoint`] for span sweeps.
     pub n: usize,
@@ -37,7 +37,7 @@ pub struct RangePoint {
 
 /// A `(LHT, PHT-sequential, PHT-parallel)` measurement triple.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct SchemeTriple {
+pub(crate) struct SchemeTriple {
     /// LHT's value.
     pub lht: f64,
     /// PHT(sequential)'s value.
@@ -48,7 +48,7 @@ pub struct SchemeTriple {
 
 /// One span point of Figs. 9b/10b.
 #[derive(Clone, Copy, Debug)]
-pub struct RangeSpanPoint {
+pub(crate) struct RangeSpanPoint {
     /// The query span `u − l`.
     pub span: f64,
     /// Mean DHT-lookups per query.
@@ -110,7 +110,12 @@ fn measure(
 }
 
 /// Figs. 9a/10a: range cost against data size at a fixed span.
-pub fn range_vs_size(dist: KeyDist, sizes: &[usize], span: f64, trials: u64) -> Vec<RangePoint> {
+pub(crate) fn range_vs_size(
+    dist: KeyDist,
+    sizes: &[usize],
+    span: f64,
+    trials: u64,
+) -> Vec<RangePoint> {
     let cfg = LhtConfig::new(100, 20);
     let mut per_size: Vec<Samples> = sizes.iter().map(|_| Samples::new()).collect();
     for trial in 0..trials {
@@ -136,7 +141,12 @@ pub fn range_vs_size(dist: KeyDist, sizes: &[usize], span: f64, trials: u64) -> 
 }
 
 /// Figs. 9b/10b: range cost against span at a fixed data size.
-pub fn range_vs_span(dist: KeyDist, n: usize, spans: &[f64], trials: u64) -> Vec<RangeSpanPoint> {
+pub(crate) fn range_vs_span(
+    dist: KeyDist,
+    n: usize,
+    spans: &[f64],
+    trials: u64,
+) -> Vec<RangeSpanPoint> {
     let cfg = LhtConfig::new(100, 20);
     let mut per_span: Vec<Samples> = spans.iter().map(|_| Samples::new()).collect();
     for trial in 0..trials {
@@ -164,13 +174,13 @@ pub fn range_vs_span(dist: KeyDist, n: usize, spans: &[f64], trials: u64) -> Vec
 
 /// `lht-exp fig9`: prints Fig. 9a/9b (bandwidth, DHT-lookups per
 /// query) per distribution and writes the four CSVs.
-pub fn cmd_bandwidth(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+pub(crate) fn cmd_bandwidth(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
     range_figure(p, out, false)
 }
 
 /// `lht-exp fig10`: prints Fig. 10a/10b (latency, parallel steps per
 /// query) per distribution and writes the four CSVs.
-pub fn cmd_latency(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+pub(crate) fn cmd_latency(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
     range_figure(p, out, true)
 }
 

@@ -19,7 +19,7 @@ use crate::Table;
 
 /// Hop-cost measurements for one workload.
 #[derive(Clone, Copy, Debug)]
-pub struct HopsRow {
+pub(crate) struct HopsRow {
     /// Ring size (peers).
     pub peers: usize,
     /// Mean physical hops per LHT lookup operation.
@@ -38,7 +38,7 @@ pub struct HopsRow {
 }
 
 /// Runs the hop-cost experiment on rings of the given sizes.
-pub fn hops_over_chord(n: usize, ring_sizes: &[usize], probes: usize) -> Vec<HopsRow> {
+pub(crate) fn hops_over_chord(n: usize, ring_sizes: &[usize], probes: usize) -> Vec<HopsRow> {
     ring_sizes
         .iter()
         .map(|&peers| {
@@ -101,7 +101,7 @@ pub fn hops_over_chord(n: usize, ring_sizes: &[usize], probes: usize) -> Vec<Hop
 }
 
 /// `lht-exp hops`: prints the E14 hop-cost table and writes its CSV.
-pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+pub(crate) fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
     let full = p.on("--full");
     let n = if full { 16_384 } else { 4_096 };
     let rings = [8usize, 16, 32, 64, 128];

@@ -1,26 +1,26 @@
 //! One module per reproduced figure/table of the paper's §9.
 
-pub mod audit_soak;
-pub mod balance;
-pub mod baselines;
-pub mod batch_speedup;
-pub mod bulk;
-pub mod churn;
+pub(crate) mod audit_soak;
+pub(crate) mod balance;
+pub(crate) mod baselines;
+pub(crate) mod batch_speedup;
+pub(crate) mod bulk;
+pub(crate) mod churn;
 pub(crate) mod common;
-pub mod deletion;
-pub mod erasure;
-pub mod fault_sweep;
-pub mod fig6;
-pub mod fig7;
-pub mod fig8;
-pub mod fig9_10;
-pub mod hops;
-pub mod paper_scale;
-pub mod quorum;
-pub mod route_cache;
-pub mod saving;
-pub mod sim_explore;
-pub mod snapshot;
-pub mod threaded;
+pub(crate) mod deletion;
+pub(crate) mod erasure;
+pub(crate) mod fault_sweep;
+pub(crate) mod fig6;
+pub(crate) mod fig7;
+pub(crate) mod fig8;
+pub(crate) mod fig9_10;
+pub(crate) mod hops;
+pub(crate) mod paper_scale;
+pub(crate) mod quorum;
+pub(crate) mod route_cache;
+pub(crate) mod saving;
+pub(crate) mod sim_explore;
+pub(crate) mod snapshot;
+pub(crate) mod threaded;
 
-pub use common::{GrowthCheckpoint, GrowthRun};
+pub(crate) use common::GrowthRun;

@@ -47,7 +47,7 @@ const SEED_INSERTS: usize = 4096;
 
 /// One measured paper-scale run.
 #[derive(Clone, Debug)]
-pub struct PaperScaleRun {
+pub(crate) struct PaperScaleRun {
     /// Records inserted (the scale; 2^18–2^20 in the full sweep).
     pub keys: usize,
     /// Simulated peers on the Chord ring.
@@ -62,12 +62,8 @@ pub struct PaperScaleRun {
     pub insert_dht_lookups: u64,
     /// Routing hops the incremental inserts cost.
     pub insert_hops: u64,
-    /// Point lookups issued (each verified against the stored value).
-    pub point_lookups: u64,
     /// Verified point-lookup throughput.
     pub lookups_per_sec: f64,
-    /// Range queries issued (each verified for exact cardinality).
-    pub range_queries: u64,
     /// Verified range-query throughput.
     pub range_qps: f64,
     /// Records returned across all range queries.
@@ -121,7 +117,7 @@ fn grid_count_in(lo: f64, hi: f64, keys: usize) -> u64 {
 ///
 /// Panics on any correctness violation — a wrong lookup value, a
 /// range query of the wrong cardinality or a wrong min/max.
-pub fn run(keys: usize, peers: usize, seed: u64) -> PaperScaleRun {
+pub(crate) fn run(keys: usize, peers: usize, seed: u64) -> PaperScaleRun {
     assert!(keys >= SEED_INSERTS, "scale must cover the seed phase");
     // Attribute the peak RSS to this run where the kernel lets us
     // reset the high-water mark (best-effort; see `rss`).
@@ -221,9 +217,7 @@ pub fn run(keys: usize, peers: usize, seed: u64) -> PaperScaleRun {
         inserts_per_sec,
         insert_dht_lookups: inserted.lookups(),
         insert_hops: inserted.hops,
-        point_lookups,
         lookups_per_sec,
-        range_queries: total_queries as u64,
         range_qps,
         range_records,
         peak_rss_mb: peak_rss_mb(),
@@ -231,7 +225,7 @@ pub fn run(keys: usize, peers: usize, seed: u64) -> PaperScaleRun {
 }
 
 /// The flags of `lht-exp paper-scale`.
-pub const FLAGS: &[Flag] = &[
+pub(crate) const FLAGS: &[Flag] = &[
     Flag::switch(
         "--smoke",
         "2^14 keys at 256 and 1024 peers, floors asserted",
@@ -293,7 +287,7 @@ const MAX_PEER_SCALING_SLOWDOWN: f64 = 2.0;
 
 /// `lht-exp paper-scale`: runs the selected `(keys, peers)` cells,
 /// prints the E21 table and writes its CSV.
-pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+pub(crate) fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
     let cells = cells(p);
     let seed = p.uint("--seed");
     let budget_secs = p.uint("--budget") as f64;
@@ -416,8 +410,6 @@ mod tests {
         // path.
         let r = run(4096, 32, 11);
         assert_eq!(r.keys, 4096);
-        assert_eq!(r.point_lookups, 1024);
-        assert_eq!(r.range_queries, 256);
         assert!(r.inserts_per_sec > 0.0);
         assert!(r.range_records > 0);
     }

@@ -25,7 +25,7 @@ use crate::Table;
 const BATCH: usize = 64;
 
 /// One cell's outcome.
-pub struct QuorumCell {
+pub(crate) struct QuorumCell {
     /// Logical client operations attempted.
     pub attempted: u64,
     /// Operations that completed despite the injected faults.
@@ -43,7 +43,7 @@ pub struct QuorumCell {
 
 impl QuorumCell {
     /// Fraction of logical ops that completed.
-    pub fn availability(&self) -> f64 {
+    pub(crate) fn availability(&self) -> f64 {
         if self.attempted == 0 {
             return 1.0;
         }
@@ -51,7 +51,7 @@ impl QuorumCell {
     }
 
     /// Fraction of judgeable reads that returned a stale value.
-    pub fn staleness(&self) -> f64 {
+    pub(crate) fn staleness(&self) -> f64 {
         if self.clean_reads == 0 {
             return 0.0;
         }
@@ -86,7 +86,7 @@ struct KeyModel {
 /// Runs one E20 cell: `ops` logical operations against a fresh
 /// `nodes`-node ring under `drop_rate` loss, with one leave+rejoin per
 /// batch when `churn` is set.
-pub fn run_cell(
+pub(crate) fn run_cell(
     (n, r, w): (usize, usize, usize),
     drop_rate: f64,
     churn: bool,
@@ -181,14 +181,14 @@ pub fn run_cell(
 /// The snapshot headline: availability of the `{n=3, r=2, w=2}` tier
 /// vs the primary-owner baseline at the harshest sweep cell — 20%
 /// drop rate with churn. Returns `(quorum, primary)`.
-pub fn headline(ops: usize, nodes: usize, seed: u64) -> (f64, f64) {
+pub(crate) fn headline(ops: usize, nodes: usize, seed: u64) -> (f64, f64) {
     let quorum = run_cell((3, 2, 2), 0.20, true, ops, nodes, seed).availability();
     let primary = run_cell((1, 1, 1), 0.20, true, ops, nodes, seed).availability();
     (quorum, primary)
 }
 
 /// The flags of `lht-exp quorum`.
-pub const FLAGS: &[Flag] = &[Flag::switch(
+pub(crate) const FLAGS: &[Flag] = &[Flag::switch(
     "--smoke",
     "CI shape: 800 ops/cell, 12 nodes, no CSV",
 )];
@@ -196,7 +196,7 @@ pub const FLAGS: &[Flag] = &[Flag::switch(
 /// `lht-exp quorum`: prints the E20 quorum grid and the coded rows
 /// with both headlines; exits 1 if a tier misses its bar, and the
 /// full grid rewrites both tracked CSVs.
-pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+pub(crate) fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
     let smoke = p.on("--smoke");
     let (ops, nodes, seed) = if smoke { (800, 12, 7) } else { (4_000, 16, 7) };
     let configs: &[(usize, usize, usize)] = if smoke {

@@ -41,7 +41,7 @@ const HOT_PROB: f64 = 0.8;
 
 /// One measured cell of the sweep.
 #[derive(Clone, Debug)]
-pub struct RouteCacheRow {
+pub(crate) struct RouteCacheRow {
     /// Which index ran: `"lht"` or `"pht"`.
     pub index: &'static str,
     /// Location-cache capacity (0 = disabled; the uncached baseline).
@@ -184,7 +184,7 @@ where
 }
 
 /// Runs the full sweep: every (index, capacity, churn) cell.
-pub fn route_cache_sweep(
+pub(crate) fn route_cache_sweep(
     n: usize,
     capacities: &[usize],
     churn_levels: &[usize],
@@ -310,7 +310,7 @@ fn run_pht_cell(
 /// The headline cell for the benchmark snapshot: LHT over a
 /// full-capacity cache, no churn. Returns `(hops per DHT-lookup,
 /// route-cache hit rate)`.
-pub fn headline(n: usize, queries: usize, seed: u64) -> (f64, f64) {
+pub(crate) fn headline(n: usize, queries: usize, seed: u64) -> (f64, f64) {
     let data = Dataset::generate(KeyDist::Uniform, n, seed ^ 0xE18);
     let cell = run_lht_cell(&data, n, 0, queries, seed);
     assert_eq!(cell.divergences, 0, "cache must never change answers");
@@ -323,7 +323,7 @@ pub fn headline(n: usize, queries: usize, seed: u64) -> (f64, f64) {
 /// must route in ≤ 1.8 hops per DHT-lookup with a hit rate ≥ 0.6
 /// (the uncached Chord baseline is ~3.1), and no cell may ever
 /// diverge from its uncached reference handle.
-pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+pub(crate) fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
     let full = p.on("--full");
     let (n, queries) = if full { (4_096, 512) } else { (4_096, 256) };
     let caps = [0usize, 64, 256, 1024, 4096];

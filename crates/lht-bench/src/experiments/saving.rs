@@ -19,7 +19,7 @@ use crate::Table;
 
 /// One γ point of the saving-ratio table.
 #[derive(Clone, Copy, Debug)]
-pub struct SavingPoint {
+pub(crate) struct SavingPoint {
     /// The cost-model ratio `γ = θ·ı/ȷ`.
     pub gamma: f64,
     /// Eq. 3's analytic saving ratio.
@@ -31,7 +31,12 @@ pub struct SavingPoint {
 
 /// Sweeps γ over `gammas`, measuring one growth run of `n` records
 /// and pricing its counters under each model.
-pub fn saving_table(dist: KeyDist, n: usize, gammas: &[f64], trials: u64) -> Vec<SavingPoint> {
+pub(crate) fn saving_table(
+    dist: KeyDist,
+    n: usize,
+    gammas: &[f64],
+    trials: u64,
+) -> Vec<SavingPoint> {
     let theta = 100usize;
     let cfg = LhtConfig::new(theta, 24);
     // Accumulate counters over trials.
@@ -61,7 +66,7 @@ pub fn saving_table(dist: KeyDist, n: usize, gammas: &[f64], trials: u64) -> Vec
 
 /// `lht-exp saving-ratio`: prints the Eq. 3 table per distribution
 /// and writes both CSVs.
-pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+pub(crate) fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
     let (trials, full) = growth_args(p);
     let n = if full { 1 << 18 } else { 1 << 14 };
     let gammas = [0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0, 1000.0];

@@ -23,7 +23,7 @@ use crate::cli::bad_usage;
 
 /// The explorer's own flags; the simulated configuration's are
 /// [`SimConfig::FLAGS`].
-pub const FLAGS: &[Flag] = &[
+pub(crate) const FLAGS: &[Flag] = &[
     Flag::uint("--explore", 1, "number of consecutive seeds to run").at_least(1),
     Flag::opt_uint("--budget-secs", "stop exploring after N wall-clock s"),
     Flag::switch("--expect-violation", "exit 0 iff a violation is found"),
@@ -54,7 +54,7 @@ fn describe(report: &SimReport) -> String {
 /// `lht-exp sim-explore`: replays one schedule or sweeps seeds.
 /// Exit status: 0 = all runs matched expectation, 1 = a violation was
 /// found (or, with `--expect-violation`, none was).
-pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+pub(crate) fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
     let base = SimConfig::from_args(p).map_err(bad_usage)?;
     let (explore, budget_secs) = (p.uint("--explore"), p.opt_uint("--budget-secs"));
     let (expect_violation, verbose) = (p.on("--expect-violation"), p.on("--trace"));

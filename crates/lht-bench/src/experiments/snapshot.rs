@@ -251,7 +251,7 @@ fn moved(old: &str, new: &str) -> Vec<String> {
 /// snapshot and rewrites `BENCH_lht.json` in the working directory,
 /// naming on stderr each field that moved against the file it
 /// replaces.
-pub fn cmd(_: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+pub(crate) fn cmd(_: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
     let json = measure();
     write!(out, "{json}")?;
     let snapshot = Path::new("BENCH_lht.json");

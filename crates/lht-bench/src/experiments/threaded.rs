@@ -44,7 +44,7 @@ use lht_sim::checker::{self, Outcome};
 
 /// One measured run of the concurrent workload.
 #[derive(Clone, Debug)]
-pub struct ThreadedRun {
+pub(crate) struct ThreadedRun {
     /// Real client threads driven.
     pub clients: u32,
     /// Index operations issued by each client.
@@ -79,7 +79,7 @@ pub struct ThreadedRun {
 /// Panics if the ring's [`DhtStats`](lht_dht::DhtStats) break
 /// their invariants — throughput from a run with broken accounting is
 /// not a number worth reporting.
-pub fn run(clients: u32, ops_per_client: u64, nodes: usize, seed: u64) -> ThreadedRun {
+pub(crate) fn run(clients: u32, ops_per_client: u64, nodes: usize, seed: u64) -> ThreadedRun {
     let cfg = LhtConfig::new(4, 20);
     let dht: ChordDht<LeafBucket<u32>> = ChordDht::with_nodes(nodes, seed);
     // Bootstrap the root bucket once, before clients race.
@@ -181,7 +181,7 @@ pub fn run(clients: u32, ops_per_client: u64, nodes: usize, seed: u64) -> Thread
 /// `(Linearizable, NotLinearizable { .. })`: the armed split strands
 /// its remote half, so keys whose inserts were acknowledged read back
 /// absent.
-pub fn mutant_outcomes() -> (Outcome, Outcome) {
+pub(crate) fn mutant_outcomes() -> (Outcome, Outcome) {
     let run = |armed: bool| -> Outcome {
         let dht: ChordDht<LeafBucket<u32>> = ChordDht::with_nodes(8, 1);
         let ix: LhtIndex<_, u32> = LhtIndex::new(&dht, LhtConfig::new(4, 20)).expect("index");
@@ -213,7 +213,7 @@ pub fn mutant_outcomes() -> (Outcome, Outcome) {
 }
 
 /// The flags of `lht-exp threaded`.
-pub const FLAGS: &[Flag] = &[
+pub(crate) const FLAGS: &[Flag] = &[
     Flag::opt_uint("--clients", "client threads (default 4)").at_least(1),
     Flag::opt_uint("--ops", "operations per client (default 1000)").at_least(1),
     Flag::uint("--nodes", 8, "peers on the ring").at_least(1),
@@ -226,7 +226,7 @@ pub const FLAGS: &[Flag] = &[
 /// checked throughput, or with `--mutant-proof` arms the torn-split
 /// mutant instead; exits 1 unless the history is linearizable (the
 /// mutant: unless it is caught while the clean trace passes).
-pub fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
+pub(crate) fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
     if p.on("--mutant-proof") {
         eprintln!("arming the torn-split mutant…");
         let (clean, armed) = mutant_outcomes();

@@ -2,8 +2,8 @@
 //! extension experiments E10–E21.
 //!
 //! One binary, `lht-exp <experiment> [flags]`: every experiment is a
-//! row of [`cli::EXPERIMENTS`] naming its subcommand, EXPERIMENTS.md
-//! id, flags, CSVs and the entry point in [`experiments`] that prints
+//! row of `cli::EXPERIMENTS` naming its subcommand, EXPERIMENTS.md
+//! id, flags, CSVs and the entry point in `experiments` that prints
 //! the series the paper plots (an aligned table on stdout, a CSV
 //! under `results/`). EXPERIMENTS.md opens with that table rendered;
 //! `lht-exp <experiment> --help` prints one row's flags with their
@@ -12,10 +12,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod cli;
-pub mod experiments;
-pub mod rss;
+mod experiments;
+mod rss;
 mod table;
 
-pub use table::Table;
+use table::Table;

@@ -19,7 +19,7 @@
 /// [`reset_peak_rss`], so grid drivers reset between cells to get
 /// per-cell peaks. Render `None` with [`format_mb`] — an explicit
 /// `unsupported`, not a fake zero.
-pub fn peak_rss_mb() -> Option<f64> {
+pub(crate) fn peak_rss_mb() -> Option<f64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     parse_vm_hwm_kb(&status).map(|kb| kb as f64 / 1024.0)
 }
@@ -28,14 +28,14 @@ pub fn peak_rss_mb() -> Option<f64> {
 /// this process by writing `5` to `/proc/self/clear_refs`, so the
 /// next [`peak_rss_mb`] reads the peak *since this call*. Returns
 /// `false` (and changes nothing) where the knob does not exist.
-pub fn reset_peak_rss() -> bool {
+pub(crate) fn reset_peak_rss() -> bool {
     std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
 /// Renders an optional megabyte figure for CSV/JSON-adjacent output:
 /// one decimal for a measured value, the literal `unsupported` where
 /// the platform has no probe.
-pub fn format_mb(mb: Option<f64>) -> String {
+pub(crate) fn format_mb(mb: Option<f64>) -> String {
     match mb {
         Some(mb) => format!("{mb:.1}"),
         None => "unsupported".to_string(),

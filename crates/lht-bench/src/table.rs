@@ -6,14 +6,14 @@ use std::io::{self, Write};
 use std::path::Path;
 
 /// A column of [`Table::of`]: its header and the cell it renders.
-pub type Column<'a, R> = (&'a str, &'a dyn Fn(&R) -> String);
+pub(crate) type Column<'a, R> = (&'a str, &'a dyn Fn(&R) -> String);
 
 /// A simple result table: named columns, rows of formatted cells.
 ///
 /// The experiment binaries print one `Table` per paper sub-figure and
 /// persist it under `results/<name>.csv`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Table {
+pub(crate) struct Table {
     title: String,
     columns: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -21,7 +21,7 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with a title and column headers.
-    pub fn new(title: impl Into<String>, columns: &[&str]) -> Table {
+    pub(crate) fn new(title: impl Into<String>, columns: &[&str]) -> Table {
         Table {
             title: title.into(),
             columns: columns.iter().map(|c| c.to_string()).collect(),
@@ -31,7 +31,7 @@ impl Table {
 
     /// A table with one row per item of `rows`, each column given as
     /// its header and the cell it renders from an item.
-    pub fn of<R>(title: impl Into<String>, rows: &[R], columns: &[Column<'_, R>]) -> Table {
+    pub(crate) fn of<R>(title: impl Into<String>, rows: &[R], columns: &[Column<'_, R>]) -> Table {
         let headers: Vec<&str> = columns.iter().map(|(header, _)| *header).collect();
         let mut table = Table::new(title, &headers);
         for row in rows {
@@ -45,7 +45,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the cell count differs from the column count.
-    pub fn push_row(&mut self, cells: Vec<String>) {
+    pub(crate) fn push_row(&mut self, cells: Vec<String>) {
         assert_eq!(
             cells.len(),
             self.columns.len(),
@@ -54,18 +54,8 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.columns.iter().map(|c| c.len()).collect();
         for row in &self.rows {
             for (i, cell) in row.iter().enumerate() {
@@ -99,7 +89,7 @@ impl Table {
     /// # Errors
     ///
     /// Propagates write errors from `out` and the filesystem.
-    pub fn emit(&self, out: &mut dyn Write, csv: &str) -> io::Result<()> {
+    pub(crate) fn emit(&self, out: &mut dyn Write, csv: &str) -> io::Result<()> {
         write!(out, "{}", self.render())?;
         self.save(csv)
     }
@@ -110,7 +100,7 @@ impl Table {
     /// # Errors
     ///
     /// Propagates filesystem errors.
-    pub fn save(&self, csv: &str) -> io::Result<()> {
+    pub(crate) fn save(&self, csv: &str) -> io::Result<()> {
         let dir = Path::new("results");
         fs::create_dir_all(dir).map_err(named(dir))?;
         let path = dir.join(format!("{csv}.csv"));
@@ -120,7 +110,7 @@ impl Table {
     }
 
     /// Serializes as CSV (header + rows).
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{}", self.columns.join(","));
         for row in &self.rows {
@@ -180,11 +170,5 @@ mod tests {
     fn row_width_checked() {
         let mut t = Table::new("t", &["a", "b"]);
         t.push_row(vec!["1".into()]);
-    }
-
-    #[test]
-    fn len_and_empty() {
-        assert!(Table::new("t", &["a"]).is_empty());
-        assert_eq!(sample().len(), 2);
     }
 }

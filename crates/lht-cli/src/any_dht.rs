@@ -4,7 +4,7 @@ use lht_core::LeafBucket;
 use lht_dht::BoxDht;
 
 /// The record value type the REPL stores.
-pub type Value = String;
+pub(crate) type Value = String;
 type Bucket = LeafBucket<Value>;
 
 /// A substrate chosen at runtime — one-hop oracle, Chord ring or
@@ -12,7 +12,7 @@ type Bucket = LeafBucket<Value>;
 /// the index code is substrate-agnostic even without generics and
 /// every trait method (batched rounds, owner probes, hints) reaches
 /// the substrate's own implementation.
-pub type AnyDht = BoxDht<'static, Bucket>;
+pub(crate) type AnyDht = BoxDht<'static, Bucket>;
 
 /// A Chord ring whose next few gets transiently answer "not found" —
 /// a test double for the window where index entries are mid-migration

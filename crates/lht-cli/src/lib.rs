@@ -14,9 +14,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod any_dht;
 mod repl;
 
-pub use any_dht::AnyDht;
 pub use repl::{Repl, Substrate};

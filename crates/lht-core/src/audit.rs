@@ -211,7 +211,7 @@ pub fn check_entries<V: Clone>(
 
 /// Enumerates `(stored-at key, bucket)` pairs out of a [`DirectDht`]
 /// (free oracle view).
-pub fn tree_entries<V: Clone>(
+pub(crate) fn tree_entries<V: Clone>(
     dht: &DirectDht<LeafBucket<V>>,
 ) -> Vec<(lht_dht::DhtKey, LeafBucket<V>)> {
     dht.keys()

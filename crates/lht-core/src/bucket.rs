@@ -71,7 +71,7 @@ impl<V> LeafBucket<V> {
     }
 
     /// The DHT key this bucket lives under: `f_n(λ)`.
-    pub fn dht_name(&self) -> Label {
+    pub(crate) fn dht_name(&self) -> Label {
         name(&self.label)
     }
 
@@ -142,26 +142,18 @@ impl<V> LeafBucket<V> {
     }
 
     /// The smallest data key stored, with its value.
-    pub fn min_record(&self) -> Option<(KeyFraction, &V)> {
+    pub(crate) fn min_record(&self) -> Option<(KeyFraction, &V)> {
         self.records.first().map(|(k, v)| (*k, v))
     }
 
     /// The largest data key stored, with its value.
-    pub fn max_record(&self) -> Option<(KeyFraction, &V)> {
+    pub(crate) fn max_record(&self) -> Option<(KeyFraction, &V)> {
         self.records.last().map(|(k, v)| (*k, v))
     }
 
     /// Iterates over records in key order.
     pub fn iter(&self) -> impl Iterator<Item = (KeyFraction, &V)> {
         self.records.iter().map(|(k, v)| (*k, v))
-    }
-
-    /// Records whose keys fall inside `range`, in key order: the
-    /// store is sorted, so the answer is one contiguous sub-slice
-    /// found by two binary searches.
-    pub fn records_in(&self, range: &KeyInterval) -> &[(KeyFraction, V)] {
-        let (from, to) = self.cut(range);
-        &self.records[from..to]
     }
 
     /// Consumes the bucket and moves out the records inside `range`,
@@ -395,9 +387,9 @@ mod tests {
     fn records_in_filters_by_interval() {
         let b = bucket_with("#0", &[0.1, 0.2, 0.3, 0.4]);
         let hits: Vec<_> = b
-            .records_in(&KeyInterval::half_open(kf(0.15), kf(0.35)))
-            .iter()
-            .map(|(k, _)| *k)
+            .into_records_in(&KeyInterval::half_open(kf(0.15), kf(0.35)))
+            .into_iter()
+            .map(|(k, _)| k)
             .collect();
         assert_eq!(hits, vec![kf(0.2), kf(0.3)]);
     }
@@ -552,7 +544,6 @@ mod tests {
                 .filter(|(k, _)| range.contains(*k))
                 .map(|(k, v)| (k, *v))
                 .collect();
-            prop_assert_eq!(bucket.records_in(&range), &oracle[..]);
             if matches!(shape, 4 | 5) {
                 prop_assert_eq!(oracle.len(), bucket.len());
             }

@@ -196,28 +196,6 @@ impl<V> HistoryLog<V> {
         }
     }
 
-    /// Whether the operation recorded since the last
-    /// [`set_context`](Self::set_context) — if any — failed.
-    pub fn last_failed(&self) -> bool {
-        let inner = self.inner.lock();
-        inner
-            .open
-            .map(|i| matches!(inner.records[i].ret, HistoryReturn::Failed { .. }))
-            .unwrap_or(false)
-    }
-
-    /// Discards the operation recorded since the last
-    /// [`set_context`](Self::set_context), if any. Used by harnesses
-    /// to drop operations whose effect on the object is provably
-    /// absent (request-path delivery failures) and which therefore
-    /// constrain no linearization.
-    pub fn discard_last(&self) {
-        let mut inner = self.inner.lock();
-        if let Some(i) = inner.open.take() {
-            inner.records.remove(i);
-        }
-    }
-
     /// Number of recorded operations.
     pub fn len(&self) -> usize {
         self.inner.lock().records.len()
@@ -310,18 +288,6 @@ impl<V> HistoryRecorder<V> {
     pub fn complete(&self) {
         self.log.close_last(self.now());
     }
-
-    /// Whether the operation recorded since [`invoke`](Self::invoke)
-    /// failed (delegates to [`HistoryLog::last_failed`]).
-    pub fn last_failed(&self) -> bool {
-        self.log.last_failed()
-    }
-
-    /// Discards the operation recorded since [`invoke`](Self::invoke)
-    /// (delegates to [`HistoryLog::discard_last`]).
-    pub fn discard_last(&self) {
-        self.log.discard_last()
-    }
 }
 
 /// Merges per-client logs into one history sorted by invocation time
@@ -360,26 +326,6 @@ mod tests {
         log.record(HistoryCall::Min, HistoryReturn::Extreme { record: None });
         log.close_last(10);
         assert_eq!(log.snapshot()[0].resp, 50);
-    }
-
-    #[test]
-    fn discard_drops_the_open_record_only() {
-        let log: Arc<HistoryLog<u32>> = HistoryLog::new();
-        log.set_context(0, 1);
-        log.record(HistoryCall::Max, HistoryReturn::Extreme { record: None });
-        log.close_last(2);
-        log.set_context(1, 3);
-        log.record(
-            HistoryCall::Insert { key: 9, value: 1 },
-            HistoryReturn::Failed { data_loss: false },
-        );
-        assert!(log.last_failed());
-        log.discard_last();
-        assert_eq!(log.len(), 1);
-        assert!(matches!(log.snapshot()[0].call, HistoryCall::Max));
-        // A second discard with no open record is a no-op.
-        log.discard_last();
-        assert_eq!(log.len(), 1);
     }
 
     #[test]
@@ -442,7 +388,6 @@ mod tests {
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].client, 7);
         assert!(recs[0].resp >= recs[0].inv);
-        assert!(!rec.last_failed());
     }
 
     #[test]

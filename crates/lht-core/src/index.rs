@@ -225,9 +225,11 @@ where
     /// [`LhtError::LookupExhausted`] if no covering bucket exists.
     /// In a quiescent consistent tree that indicates substrate data
     /// loss; while *another client is mid-split* (its remote half not
-    /// yet put) the same error can surface transiently, and readers
-    /// that share an index with writers should retry it. Substrate
-    /// failures are propagated.
+    /// yet put) or mid-merge (its mover taken but not yet merged) the
+    /// same error can surface transiently, and readers that share an
+    /// index with writers should retry it — the test
+    /// `split_and_merge_windows_hide_the_moving_half` pins both
+    /// windows. Substrate failures are propagated.
     pub fn lookup(&self, key: KeyFraction) -> Result<LookupHit<V>, LhtError> {
         let d = self.cfg.max_depth;
         let mu = Label::search_string(key, d);
@@ -799,8 +801,10 @@ pub fn retry_transient<T>(mut f: impl FnMut() -> Result<T, DhtError>) -> Result<
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+
     use super::*;
-    use lht_dht::DirectDht;
+    use lht_dht::{DhtStats, DirectDht};
 
     type Ix<'a> = LhtIndex<&'a DirectDht<LeafBucket<u32>>, u32>;
 
@@ -1036,5 +1040,157 @@ mod tests {
             );
         }
         assert!(ix.stats().splits <= 3);
+    }
+
+    /// The kinds of substrate call an [`Interleave`] tells apart.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Call {
+        Get,
+        Put,
+        Remove,
+        Update,
+    }
+
+    /// Which calls, seen since [`Interleave::arm`] and the current one
+    /// last, fire the hook.
+    type Trigger = fn(&[Call]) -> bool;
+
+    /// The reads another handle makes inside the window.
+    type Hook<'a> = Box<dyn FnOnce() + 'a>;
+
+    /// A substrate double over a [`DirectDht`]: forwards every call,
+    /// and once armed runs its hook just before forwarding the first
+    /// call its trigger picks. Another handle's reads then land at one
+    /// exact point of a protocol, with no threads and no timing.
+    struct Interleave<'a> {
+        inner: &'a DirectDht<LeafBucket<u32>>,
+        seen: RefCell<Vec<Call>>,
+        armed: RefCell<Option<(Trigger, Hook<'a>)>>,
+    }
+
+    impl<'a> Interleave<'a> {
+        fn new(inner: &'a DirectDht<LeafBucket<u32>>) -> Self {
+            Interleave {
+                inner,
+                seen: RefCell::new(Vec::new()),
+                armed: RefCell::new(None),
+            }
+        }
+
+        fn arm(&self, when: Trigger, hook: impl FnOnce() + 'a) {
+            self.seen.borrow_mut().clear();
+            *self.armed.borrow_mut() = Some((when, Box::new(hook)));
+        }
+
+        fn before(&self, call: Call) {
+            let mut seen = self.seen.borrow_mut();
+            seen.push(call);
+            let fire = matches!(&*self.armed.borrow(), Some((when, _)) if when(&seen));
+            drop(seen);
+            if fire {
+                let (_, hook) = self.armed.borrow_mut().take().expect("armed");
+                hook();
+            }
+        }
+    }
+
+    impl Dht for Interleave<'_> {
+        type Value = LeafBucket<u32>;
+
+        fn get(&self, key: &DhtKey) -> Result<Option<LeafBucket<u32>>, DhtError> {
+            self.before(Call::Get);
+            self.inner.get(key)
+        }
+
+        fn put(&self, key: &DhtKey, value: LeafBucket<u32>) -> Result<(), DhtError> {
+            self.before(Call::Put);
+            self.inner.put(key, value)
+        }
+
+        fn remove(&self, key: &DhtKey) -> Result<Option<LeafBucket<u32>>, DhtError> {
+            self.before(Call::Remove);
+            self.inner.remove(key)
+        }
+
+        fn update(
+            &self,
+            key: &DhtKey,
+            f: &mut dyn FnMut(&mut Option<LeafBucket<u32>>),
+        ) -> Result<(), DhtError> {
+            self.before(Call::Update);
+            self.inner.update(key, f)
+        }
+
+        fn stats(&self) -> DhtStats {
+            self.inner.stats()
+        }
+
+        fn reset_stats(&self) {
+            self.inner.reset_stats()
+        }
+    }
+
+    fn read(ix: &Ix<'_>, x: f64) -> Result<Option<u32>, LhtError> {
+        ix.exact_match(kf(x)).map(|hit| hit.value)
+    }
+
+    /// Pins the `[split-window]` defect (ROADMAP) on both of its
+    /// protocols, deterministically: a second handle reads from inside
+    /// the window, between the two DHT operations that move half a
+    /// bucket.
+    ///
+    /// - *Split.* With θ = 4 the leaf `#0` (named `#`) holds 0.1, 0.2
+    ///   and 0.6; inserting 0.7 splits it into a local `#00`, still
+    ///   named `#`, and a remote `#01`, named `#0`. The local relabel
+    ///   commits first, so just before the remote half's `put` the
+    ///   keys of `#01` are covered by no stored bucket.
+    /// - *Merge.* Removing 0.7 merges `#01` back: the mover `#01` is
+    ///   `remove`d, then `update`d into the keeper `#00`. In between,
+    ///   0.6 is again covered by nothing.
+    ///
+    /// In both windows a read of a moving key fails with
+    /// `LookupExhausted` while a key of the staying half still
+    /// resolves, and once the operation returns every key resolves.
+    /// The `[split-window]` product fix closes the window by
+    /// construction; it flips the two in-window `LookupExhausted`
+    /// assertions to `Ok(Some(2))` and must leave the rest unchanged.
+    #[test]
+    fn split_and_merge_windows_hide_the_moving_half() {
+        let dht = DirectDht::new();
+        let reader = new_index(&dht, 4);
+        let in_window = RefCell::new(Vec::new());
+        let double = Interleave::new(&dht);
+        let ix = LhtIndex::new(&double, LhtConfig::new(4, 20)).unwrap();
+        for (i, x) in [0.1, 0.2, 0.6].into_iter().enumerate() {
+            ix.insert(kf(x), i as u32).unwrap();
+        }
+        let exhausted = Err(LhtError::LookupExhausted {
+            key_bits: kf(0.6).bits(),
+        });
+
+        // Split: hook the remote half's put.
+        double.arm(
+            |calls| calls.last() == Some(&Call::Put),
+            || {
+                in_window
+                    .borrow_mut()
+                    .extend([read(&reader, 0.6), read(&reader, 0.1)])
+            },
+        );
+        assert!(ix.insert(kf(0.7), 3).unwrap().did_split);
+        assert_eq!(in_window.take(), vec![exhausted.clone(), Ok(Some(0))]);
+        assert_eq!(read(&reader, 0.6), Ok(Some(2)));
+
+        // Merge: hook the first update after the mover's remove.
+        double.arm(
+            |calls| {
+                calls.last() == Some(&Call::Update)
+                    && calls[..calls.len() - 1].contains(&Call::Remove)
+            },
+            || in_window.borrow_mut().push(read(&reader, 0.6)),
+        );
+        assert!(ix.remove(kf(0.7)).unwrap().did_merge);
+        assert_eq!(in_window.take(), vec![exhausted]);
+        assert_eq!(read(&reader, 0.6), Ok(Some(2)));
     }
 }

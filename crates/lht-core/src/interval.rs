@@ -109,11 +109,6 @@ impl KeyInterval {
         self.lo >= self.hi
     }
 
-    /// Number of representable keys inside the interval.
-    pub fn width(&self) -> u128 {
-        self.hi.saturating_sub(self.lo)
-    }
-
     /// Whether `key` lies inside.
     pub fn contains(&self, key: KeyFraction) -> bool {
         let k = key.bits() as u128;
@@ -133,7 +128,7 @@ impl KeyInterval {
 
     /// The intersection of the two intervals (possibly empty).
     #[must_use]
-    pub fn intersect(&self, other: &KeyInterval) -> KeyInterval {
+    pub(crate) fn intersect(&self, other: &KeyInterval) -> KeyInterval {
         KeyInterval {
             lo: self.lo.max(other.lo),
             hi: self.hi.min(other.hi),
@@ -177,7 +172,6 @@ mod tests {
     fn full_interval_contains_all_keys() {
         assert!(KeyInterval::FULL.contains(KeyFraction::ZERO));
         assert!(KeyInterval::FULL.contains(KeyFraction::MAX));
-        assert_eq!(KeyInterval::FULL.width(), ONE);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub struct Label {
 
 impl Label {
     /// The virtual root `#`.
-    pub const VIRTUAL_ROOT: Label = Label {
+    pub(crate) const VIRTUAL_ROOT: Label = Label {
         bits: BitStr::EMPTY,
     };
 
@@ -113,7 +113,7 @@ impl Label {
     }
 
     /// The final bit, or `None` for the virtual root.
-    pub fn last_bit(&self) -> Option<bool> {
+    pub(crate) fn last_bit(&self) -> Option<bool> {
         self.bits.last()
     }
 
@@ -157,7 +157,7 @@ impl Label {
     }
 
     /// The lowest common ancestor of two labels.
-    pub fn lowest_common_ancestor(&self, other: &Label) -> Label {
+    pub(crate) fn lowest_common_ancestor(&self, other: &Label) -> Label {
         let n = self.bits.common_prefix_len(&other.bits);
         self.prefix(n)
     }

@@ -57,11 +57,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod audit;
 mod bucket;
 mod bulk;
-pub mod codec;
 mod config;
 mod cost;
 mod error;

@@ -33,6 +33,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use serde::{Deserialize, Serialize};
 
@@ -111,23 +112,6 @@ pub fn saving_ratio_from_gamma(gamma: f64) -> f64 {
     (0.5 * gamma + 3.0) / (gamma + 4.0)
 }
 
-/// A `(γ, saving)` sweep of Eq. 3 over logarithmically spaced `γ`
-/// values — the analysis table behind the paper's 50%–75% claim.
-pub fn saving_ratio_sweep(gamma_lo: f64, gamma_hi: f64, points: usize) -> Vec<(f64, f64)> {
-    assert!(points >= 2, "a sweep needs at least two points");
-    assert!(
-        gamma_lo > 0.0 && gamma_hi > gamma_lo,
-        "sweep bounds must be positive and increasing"
-    );
-    let step = (gamma_hi / gamma_lo).powf(1.0 / (points - 1) as f64);
-    (0..points)
-        .map(|i| {
-            let g = gamma_lo * step.powi(i as i32);
-            (g, saving_ratio_from_gamma(g))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,18 +150,6 @@ mod tests {
         let m = CostModel::new(1.5, 8.0);
         assert_eq!(m.cost(10, 3), 15.0 + 24.0);
         assert_eq!(m.cost(0, 0), 0.0);
-    }
-
-    #[test]
-    fn sweep_spans_requested_range() {
-        let sweep = saving_ratio_sweep(0.01, 100.0, 9);
-        assert_eq!(sweep.len(), 9);
-        assert!((sweep[0].0 - 0.01).abs() < 1e-9);
-        assert!((sweep[8].0 - 100.0).abs() < 1e-6);
-        // All ratios inside the claimed band.
-        for (_, s) in sweep {
-            assert!((0.5..=0.75).contains(&s));
-        }
     }
 
     #[test]

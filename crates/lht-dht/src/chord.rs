@@ -25,14 +25,15 @@ use lht_id::{sha1, U160};
 
 use crate::{Dht, DhtError, DhtKey, DhtOp, DhtStats, NodeStore, Probe};
 
+/// Length of each node's successor list (Chord's `r`); larger lists
+/// survive more simultaneous failures.
+const SUCCESSOR_LIST_LEN: usize = 4;
+/// Hop budget per lookup before routing is declared failed.
+const MAX_HOPS: u64 = 512;
+
 /// Configuration for a [`ChordDht`] ring.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ChordConfig {
-    /// Length of each node's successor list (Chord's `r`); larger
-    /// lists survive more simultaneous failures.
-    pub successor_list_len: usize,
-    /// Hop budget per lookup before routing is declared failed.
-    pub max_hops: u64,
     /// Number of nodes storing each key (1 = no replication). Replicas
     /// are placed on the owner's immediate successors, so a crashed
     /// owner's keys survive on the node that inherits its range.
@@ -50,8 +51,6 @@ pub struct ChordConfig {
 impl Default for ChordConfig {
     fn default() -> Self {
         ChordConfig {
-            successor_list_len: 4,
-            max_hops: 512,
             replicas: 1,
             maintenance_loss: 0.0,
         }
@@ -258,7 +257,7 @@ impl<V> ChordDht<V> {
         assert!(n > 0, "a ring needs at least one node");
         assert!(cfg.replicas >= 1, "replicas must be at least 1");
         let ids = (0..n).map(|i| sha1(format!("node:{i}").as_bytes()));
-        let routing = Routing::converged(ids.collect(), cfg.successor_list_len);
+        let routing = Routing::converged(ids.collect());
         let stores = routing.nodes.iter().map(|_| NodeStore::default()).collect();
         ChordDht {
             inner: Mutex::new(Ring {
@@ -289,7 +288,6 @@ impl<V> ChordDht<V> {
     pub fn join(&self, name: &str) -> Option<U160> {
         let mut guard = self.inner.lock();
         let Ring {
-            cfg,
             routing,
             stores,
             stats,
@@ -334,7 +332,7 @@ impl<V> ChordDht<V> {
         if let Some(p) = pred.filter(|&p| routing.node(p).alive) {
             let pred = routing.node_mut(p);
             pred.successors.insert(0, slot);
-            pred.successors.truncate(cfg.successor_list_len);
+            pred.successors.truncate(SUCCESSOR_LIST_LEN);
         }
         // Fingers stay empty until stabilization builds them.
         let node = routing.node_mut(slot);
@@ -578,7 +576,7 @@ impl<V: Clone> ChordDht<V> {
 impl Routing {
     /// A converged ring over `ids`: every node live, with perfect
     /// successor lists, predecessors and fingers.
-    fn converged(mut ids: Vec<U160>, successor_list_len: usize) -> Routing {
+    fn converged(mut ids: Vec<U160>) -> Routing {
         ids.sort_unstable();
         ids.dedup();
         // Slots are handed out in ring order, so slot = position here.
@@ -588,7 +586,7 @@ impl Routing {
             slot_of: ids.iter().copied().zip(0..).collect(),
         };
         let n = ids.len();
-        let listed = successor_list_len.min(n.saturating_sub(1)).max(1);
+        let listed = SUCCESSOR_LIST_LEN.min(n.saturating_sub(1)).max(1);
         let at = |pos: usize| routing.index[pos % n].1;
         routing.nodes = (0..n)
             .map(|pos| Node {
@@ -727,12 +725,12 @@ impl Routing {
     /// initiator. Batched rounds share one initiator across all their
     /// finger walks — the round is issued by one client — while each
     /// walk still routes (and is charged hops) independently.
-    fn route_from(&self, start: Slot, h: &U160, max_hops: u64) -> Result<(Slot, u64), DhtError> {
+    fn route_from(&self, start: Slot, h: &U160) -> Result<(Slot, u64), DhtError> {
         let single = self.index.len() == 1;
         let mut cur = start;
         let mut hops: u64 = 0;
         loop {
-            if hops > max_hops {
+            if hops > MAX_HOPS {
                 return Err(DhtError::RoutingFailed { hops });
             }
             let succ = self.first_live_successor_entry(cur);
@@ -824,10 +822,9 @@ impl<V> Ring<V> {
     }
 
     fn stabilize_round(&mut self) {
-        let keep = self.cfg.successor_list_len;
         // Swapped with each node's old list in turn, so a round
         // allocates no successor lists once the first node is done.
-        let mut list: Vec<Slot> = Vec::with_capacity(keep);
+        let mut list: Vec<Slot> = Vec::with_capacity(SUCCESSOR_LIST_LEN);
         for pos in 0..self.routing.index.len() {
             // This node's stabilize/notify exchange is lost this
             // round; its routing state stays stale until a later
@@ -871,7 +868,7 @@ impl<V> Ring<V> {
             list.clear();
             list.push(new_succ);
             for &s in &routing.node(new_succ).successors {
-                if list.len() >= keep {
+                if list.len() >= SUCCESSOR_LIST_LEN {
                     break;
                 }
                 if routing.node(s).alive && s != me && !list.contains(&s) {
@@ -911,7 +908,7 @@ impl<V> Ring<V> {
     /// from a random initiator. Returns `(owner, hops)`.
     fn route(&mut self, h: &U160) -> Result<(Slot, u64), DhtError> {
         let start = self.draw_initiator()?;
-        self.routing.route_from(start, h, self.cfg.max_hops)
+        self.routing.route_from(start, h)
     }
 
     /// The slot a cached read probe hinted at `owner` may be served
@@ -1144,11 +1141,10 @@ impl<V: Clone> Dht for ChordDht<V> {
             Ok(s) => s,
             Err(e) => return keys.iter().map(|_| Err(e.clone())).collect(),
         };
-        let max_hops = inner.cfg.max_hops;
         let mut out = Vec::with_capacity(keys.len());
         let mut ops = Vec::with_capacity(keys.len());
         for key in keys {
-            match inner.routing.route_from(start, &key.hash(), max_hops) {
+            match inner.routing.route_from(start, &key.hash()) {
                 Ok((owner, hops)) => {
                     let found = inner.read(owner, key);
                     ops.push((
@@ -1172,11 +1168,10 @@ impl<V: Clone> Dht for ChordDht<V> {
             Ok(s) => s,
             Err(e) => return entries.iter().map(|_| Err(e.clone())).collect(),
         };
-        let max_hops = inner.cfg.max_hops;
         let mut out = Vec::with_capacity(entries.len());
         let mut ops = Vec::with_capacity(entries.len());
         for (key, value) in entries {
-            match inner.routing.route_from(start, &key.hash(), max_hops) {
+            match inner.routing.route_from(start, &key.hash()) {
                 Ok((owner, hops)) => {
                     // One extra hop per replica write beyond the owner.
                     let copies = inner.write(owner, key, Some(value));
@@ -1523,7 +1518,6 @@ mod tests {
         let cfg = ChordConfig {
             replicas: 3,
             maintenance_loss: 0.5,
-            ..ChordConfig::default()
         };
         let dht: ChordDht<u64> = ChordDht::with_config(24, 41, cfg);
         for i in 0..200u64 {
@@ -1851,7 +1845,7 @@ mod tests {
     }
 
     fn assert_fingers_match_full_scan(ids: Vec<U160>) {
-        let routing = Routing::converged(ids, 4);
+        let routing = Routing::converged(ids);
         for (pos, &(id, slot)) in routing.index.iter().enumerate() {
             let built = routing.perfect_fingers(pos);
             assert_eq!(

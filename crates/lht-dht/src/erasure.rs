@@ -144,11 +144,6 @@ impl ErasureConfig {
         }
         Ok(())
     }
-
-    /// Storage overhead factor `m / k` (replication's analogue is `n`).
-    pub fn overhead(&self) -> f64 {
-        self.m as f64 / self.k as f64
-    }
 }
 
 /// One Reed-Solomon fragment of a logical value: what the substrate
@@ -189,7 +184,7 @@ impl Fragment {
     }
 
     /// A deletion marker at `seq` for slot `index`.
-    pub fn tombstone(seq: u64, index: usize) -> Fragment {
+    pub(crate) fn tombstone(seq: u64, index: usize) -> Fragment {
         Fragment {
             seq,
             index: index as u8,

@@ -60,7 +60,7 @@ impl DhtError {
     ///
     /// [`Dropped`]: DhtError::Dropped
     /// [`Timeout`]: DhtError::Timeout
-    pub fn waited_ms(&self) -> u64 {
+    pub(crate) fn waited_ms(&self) -> u64 {
         match self {
             DhtError::Dropped { waited_ms } | DhtError::Timeout { waited_ms } => *waited_ms,
             _ => 0,

@@ -83,7 +83,7 @@ pub fn div(a: u8, b: u8) -> u8 {
 }
 
 /// Field exponentiation `a^e` (with `0⁰ = 1`).
-pub fn pow(a: u8, e: usize) -> u8 {
+pub(crate) fn pow(a: u8, e: usize) -> u8 {
     if e == 0 {
         return 1;
     }

@@ -47,6 +47,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod cache;
 mod chord;
@@ -77,7 +78,7 @@ pub use key::DhtKey;
 pub use lru::Lru;
 pub use quorum::{slot_key, split_slot_key, QuorumConfig, QuorumDht, Versioned};
 pub use retry::{Backoffs, RetriedDht, RetryPolicy};
-pub use stats::{DhtOp, DhtStats, LatencyHistogram};
+pub use stats::{DhtOp, DhtStats};
 pub use store::{node_store, KeyHasher, KeyHasherBuilder, NodeStore};
 pub use tower::{client_tower, BoxDht, RingControl, TierMaintenance};
 pub use traits::{Dht, Probe};

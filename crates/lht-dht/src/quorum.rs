@@ -164,11 +164,6 @@ impl<V> Versioned<V> {
             value: Some(value),
         }
     }
-
-    /// A deletion marker at `seq`.
-    pub fn tombstone(seq: u64) -> Versioned<V> {
-        Versioned { seq, value: None }
-    }
 }
 
 /// The derived key of replica slot `slot` for `base`. Slot 0 is the

@@ -505,18 +505,41 @@ mod tests {
         );
     }
 
+    /// A substrate whose routing has broken down: every operation
+    /// fails with the structural [`DhtError::RoutingFailed`].
+    struct Unroutable;
+
+    impl Dht for Unroutable {
+        type Value = u32;
+
+        fn get(&self, _: &DhtKey) -> Result<Option<u32>, DhtError> {
+            Err(DhtError::RoutingFailed { hops: 1 })
+        }
+
+        fn put(&self, _: &DhtKey, _: u32) -> Result<(), DhtError> {
+            Err(DhtError::RoutingFailed { hops: 1 })
+        }
+
+        fn remove(&self, _: &DhtKey) -> Result<Option<u32>, DhtError> {
+            Err(DhtError::RoutingFailed { hops: 1 })
+        }
+
+        fn update(&self, _: &DhtKey, _: &mut dyn FnMut(&mut Option<u32>)) -> Result<(), DhtError> {
+            Err(DhtError::RoutingFailed { hops: 1 })
+        }
+
+        fn stats(&self) -> DhtStats {
+            DhtStats::default()
+        }
+
+        fn reset_stats(&self) {}
+    }
+
     #[test]
     fn non_transient_errors_pass_straight_through() {
-        // A ring never loses its last node, so the structural error is
-        // a routing breakdown: with a hop budget of 0 every route that
-        // needs to forward fails, and no retry can fix that.
-        let cfg = crate::ChordConfig {
-            max_hops: 0,
-            ..crate::ChordConfig::default()
-        };
-        let ring: crate::ChordDht<u32> = crate::ChordDht::with_config(64, 3, cfg);
+        // A routing breakdown is structural: no retry can fix it.
         let dht = RetriedDht::new(
-            FaultyDht::new(&ring, NetProfile::reliable(4)),
+            FaultyDht::new(Unroutable, NetProfile::reliable(4)),
             RetryPolicy::default(),
         );
         let broken = Err(DhtError::RoutingFailed { hops: 1 });

@@ -54,7 +54,7 @@ use crate::{Dht, DhtError, DhtKey, DhtOp, DhtStats};
 const HANDOFF_BUDGET: usize = 8;
 
 /// Slot replies collected by a read: `(slot, envelope)` pairs.
-pub type Replies<E> = Vec<(usize, Option<E>)>;
+pub(crate) type Replies<E> = Vec<(usize, Option<E>)>;
 
 /// How many of a group's slots each phase of an operation needs.
 #[derive(Clone, Copy, Debug)]
@@ -291,7 +291,6 @@ impl<C: Codec, D: Dht<Value = C::Envelope>> SlotDht<D, C> {
         stats.keys_transferred += d.keys_transferred;
         stats.repair_transfers += d.repair_transfers;
         stats.repair_bandwidth += d.repair_bandwidth;
-        stats.latency_hist = stats.latency_hist + d.latency_hist;
     }
 
     /// Newest-wins install of `envelope` into one slot, via the

@@ -20,129 +20,6 @@ pub enum DhtOp {
     Update,
 }
 
-/// Number of log₂ latency buckets. Bucket `b` holds samples in
-/// `[2^(b-1), 2^b)` ms (bucket 0 holds exact zeros); the last bucket
-/// absorbs everything at or above `2^(BUCKETS-2)` ms (~4.4 minutes),
-/// far beyond any simulated timeout.
-const BUCKETS: usize = 20;
-
-/// A fixed-size log₂ histogram of per-attempt RPC waits (simulated
-/// milliseconds), cheap enough to live inside the [`Copy`]
-/// [`DhtStats`] snapshot.
-///
-/// Mean latency hides tail spikes — the paper's Fig. 10 argument is
-/// about *worst-case chains* of sequential round trips — so the fault
-/// layer feeds every attempt's wait (successful delivery latency or a
-/// full timeout wait) in here, and [`p50`]/[`p99`] read conservative
-/// upper-bound percentiles back out. Bucketing costs one
-/// `leading_zeros`; percentile error is at most 2× (one binary order
-/// of magnitude), which is ample for comparing latency *profiles*.
-///
-/// [`p50`]: LatencyHistogram::p50
-/// [`p99`]: LatencyHistogram::p99
-///
-/// # Examples
-///
-/// ```
-/// use lht_dht::LatencyHistogram;
-///
-/// let mut h = LatencyHistogram::default();
-/// for _ in 0..95 {
-///     h.record(10); // fast path
-/// }
-/// for _ in 0..5 {
-///     h.record(5_000); // 5% tail spikes
-/// }
-/// assert!(h.p50() < 20);
-/// assert!(h.p99() >= 5_000);
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LatencyHistogram {
-    counts: [u64; BUCKETS],
-}
-
-impl LatencyHistogram {
-    fn bucket(ms: u64) -> usize {
-        if ms == 0 {
-            0
-        } else {
-            ((64 - ms.leading_zeros()) as usize).min(BUCKETS - 1)
-        }
-    }
-
-    /// Upper bound (inclusive) of a bucket, used as the reported
-    /// percentile value so estimates err high, never low.
-    fn upper_bound(bucket: usize) -> u64 {
-        if bucket == 0 {
-            0
-        } else {
-            (1u64 << bucket) - 1
-        }
-    }
-
-    /// Records one wait of `ms` simulated milliseconds.
-    pub fn record(&mut self, ms: u64) {
-        self.counts[Self::bucket(ms)] += 1;
-    }
-
-    /// Total number of recorded samples.
-    pub fn samples(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// The `q`-quantile (`0.0 ..= 1.0`) as a conservative upper bound
-    /// in milliseconds, or 0 when no samples were recorded.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let total = self.samples();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (b, &count) in self.counts.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return Self::upper_bound(b);
-            }
-        }
-        Self::upper_bound(BUCKETS - 1)
-    }
-
-    /// Median per-attempt wait (upper bound, ms).
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// 99th-percentile per-attempt wait (upper bound, ms).
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-}
-
-impl Sub for LatencyHistogram {
-    type Output = LatencyHistogram;
-
-    fn sub(self, rhs: LatencyHistogram) -> LatencyHistogram {
-        let mut counts = [0u64; BUCKETS];
-        for (i, c) in counts.iter_mut().enumerate() {
-            *c = self.counts[i] - rhs.counts[i];
-        }
-        LatencyHistogram { counts }
-    }
-}
-
-impl Add for LatencyHistogram {
-    type Output = LatencyHistogram;
-
-    fn add(self, rhs: LatencyHistogram) -> LatencyHistogram {
-        let mut counts = [0u64; BUCKETS];
-        for (i, c) in counts.iter_mut().enumerate() {
-            *c = self.counts[i] + rhs.counts[i];
-        }
-        LatencyHistogram { counts }
-    }
-}
-
 /// Cumulative operation counters for a DHT instance.
 ///
 /// The paper's cost model (§8.1) charges `ȷ` units per DHT-lookup and
@@ -160,8 +37,8 @@ impl Add for LatencyHistogram {
 ///
 /// All operation/hop accounting funnels through [`record_op`] /
 /// [`record_batch`] (completed logical operations),
-/// [`record_failed_attempt`] (RPC attempts lost to the simulated
-/// network) and [`record_retry`] (re-sent attempts and their backoff
+/// `record_failed_attempt` (RPC attempts lost to the simulated
+/// network) and `record_retry` (re-sent attempts and their backoff
 /// waits). The invariant this enforces: **a failed or retried
 /// delivery attempt never counts as a DHT-lookup** — it shows up in
 /// `drops`/`timeouts`/`retries` and in `hops`/`latency_ms`, but not
@@ -186,8 +63,6 @@ impl Add for LatencyHistogram {
 ///
 /// [`record_op`]: DhtStats::record_op
 /// [`record_batch`]: DhtStats::record_batch
-/// [`record_failed_attempt`]: DhtStats::record_failed_attempt
-/// [`record_retry`]: DhtStats::record_retry
 /// [`lookups`]: DhtStats::lookups
 /// [`hops_per_lookup`]: DhtStats::hops_per_lookup
 ///
@@ -275,8 +150,6 @@ pub struct DhtStats {
     /// maintenance cost of a replication policy is separately
     /// chartable (E20's bandwidth axis).
     pub repair_bandwidth: u64,
-    /// Log₂ histogram of per-attempt RPC waits, for p50/p99.
-    pub latency_hist: LatencyHistogram,
 }
 
 impl DhtStats {
@@ -328,38 +201,36 @@ impl DhtStats {
     }
 
     /// Records the simulated delivery latency of one successful RPC
-    /// attempt into the sum counter and the percentile histogram.
+    /// attempt into the sum counter.
     /// Round latency is charged separately (per round, at the max)
     /// via [`record_round_latency`](DhtStats::record_round_latency).
-    pub fn record_delivery(&mut self, latency_ms: u64) {
+    pub(crate) fn record_delivery(&mut self, latency_ms: u64) {
         self.latency_ms += latency_ms;
-        self.latency_hist.record(latency_ms);
     }
 
     /// Charges `ms` to the critical-path latency. Fault/retry layers
     /// call this once per round with the max wait of the round (which
     /// for a single op is just that op's wait).
-    pub fn record_round_latency(&mut self, ms: u64) {
+    pub(crate) fn record_round_latency(&mut self, ms: u64) {
         self.round_latency_ms += ms;
     }
 
     /// Records an RPC attempt lost to the simulated network after
     /// waiting `waited_ms` (the timeout threshold): a timeout if
-    /// `timed_out`, otherwise a drop. The wait enters the sum latency
-    /// and the percentile histogram. Never counts a DHT-lookup.
-    pub fn record_failed_attempt(&mut self, waited_ms: u64, timed_out: bool) {
+    /// `timed_out`, otherwise a drop. The wait enters the sum latency.
+    /// Never counts a DHT-lookup.
+    pub(crate) fn record_failed_attempt(&mut self, waited_ms: u64, timed_out: bool) {
         if timed_out {
             self.timeouts += 1;
         } else {
             self.drops += 1;
         }
         self.latency_ms += waited_ms;
-        self.latency_hist.record(waited_ms);
     }
 
     /// Records one re-sent attempt and the backoff delay that
     /// preceded it. Never counts a DHT-lookup.
-    pub fn record_retry(&mut self, backoff_ms: u64) {
+    pub(crate) fn record_retry(&mut self, backoff_ms: u64) {
         self.retries += 1;
         self.latency_ms += backoff_ms;
     }
@@ -369,7 +240,7 @@ impl DhtStats {
     /// Repair traffic never counts a DHT-lookup and its hops go to
     /// `repair_bandwidth`, not `hops` — maintenance cost must not
     /// dilute the request-path `hops_per_lookup` metric.
-    pub fn record_repair(&mut self, hops: u64) {
+    pub(crate) fn record_repair(&mut self, hops: u64) {
         self.repair_transfers += 1;
         self.repair_bandwidth += hops;
     }
@@ -432,8 +303,6 @@ impl DhtStats {
     /// - `failed_gets <= gets` — a miss is still a get.
     /// - `cache_hits + cache_misses + cache_stale <= lookups()` — the
     ///   cache is outermost and consults at most once per logical op.
-    /// - `latency_hist.samples() >= drops + timeouts` — every dropped
-    ///   or timed-out attempt waited, and every wait is histogrammed.
     /// - `repair_transfers == 0 ⇒ repair_bandwidth == 0` — repair
     ///   hops can only be charged by a recorded repair transfer. (A
     ///   transfer *may* cost zero hops — the one-hop substrates route
@@ -477,15 +346,6 @@ impl DhtStats {
                 self.cache_hits, self.cache_misses, self.cache_stale
             ));
         }
-        if self.latency_hist.samples() < self.drops + self.timeouts {
-            return Err(format!(
-                "latency histogram holds {} samples but {} drops + {} timeouts occurred: \
-                 a failed attempt's wait went unrecorded",
-                self.latency_hist.samples(),
-                self.drops,
-                self.timeouts
-            ));
-        }
         if self.repair_transfers == 0 && self.repair_bandwidth > 0 {
             return Err(format!(
                 "repair_bandwidth ({}) charged with zero repair_transfers: \
@@ -494,16 +354,6 @@ impl DhtStats {
             ));
         }
         Ok(())
-    }
-
-    /// Median per-attempt RPC wait (upper bound, ms).
-    pub fn latency_p50(&self) -> u64 {
-        self.latency_hist.p50()
-    }
-
-    /// 99th-percentile per-attempt RPC wait (upper bound, ms).
-    pub fn latency_p99(&self) -> u64 {
-        self.latency_hist.p99()
     }
 }
 
@@ -532,7 +382,6 @@ impl Sub for DhtStats {
             hops_saved: self.hops_saved - rhs.hops_saved,
             repair_transfers: self.repair_transfers - rhs.repair_transfers,
             repair_bandwidth: self.repair_bandwidth - rhs.repair_bandwidth,
-            latency_hist: self.latency_hist - rhs.latency_hist,
         }
     }
 }
@@ -562,7 +411,6 @@ impl Add for DhtStats {
             hops_saved: self.hops_saved + rhs.hops_saved,
             repair_transfers: self.repair_transfers + rhs.repair_transfers,
             repair_bandwidth: self.repair_bandwidth + rhs.repair_bandwidth,
-            latency_hist: self.latency_hist + rhs.latency_hist,
         }
     }
 }
@@ -590,8 +438,6 @@ mod tests {
     fn zero_lookups_zero_rate() {
         assert_eq!(DhtStats::default().hops_per_lookup(), 0.0);
         assert_eq!(DhtStats::default().latency_per_lookup(), 0.0);
-        assert_eq!(DhtStats::default().latency_p50(), 0);
-        assert_eq!(DhtStats::default().latency_p99(), 0);
     }
 
     #[test]
@@ -672,127 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_are_log2_with_upper_bound_readout() {
-        let mut h = LatencyHistogram::default();
-        h.record(0);
-        assert_eq!(h.quantile(0.0), 0);
-        h.record(1);
-        h.record(2);
-        h.record(3);
-        // 4 samples in buckets {0:1, 1:1, 2:2}; the median (rank 2)
-        // lands in bucket 1, reported as its upper bound 1.
-        assert_eq!(h.samples(), 4);
-        assert_eq!(h.p50(), 1);
-        // rank ceil(0.99*4)=4 lands in bucket 2, upper bound 3.
-        assert_eq!(h.p99(), 3);
-    }
-
-    #[test]
-    fn empty_histogram_answers_zero_at_every_quantile() {
-        let h = LatencyHistogram::default();
-        assert_eq!(h.samples(), 0);
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), 0, "q = {q}");
-        }
-        assert_eq!(h.p50(), 0);
-        assert_eq!(h.p99(), 0);
-    }
-
-    #[test]
-    fn single_sample_dominates_every_quantile() {
-        let mut h = LatencyHistogram::default();
-        h.record(100);
-        // With one sample every rank resolves to its bucket; the
-        // reported value is the bucket's inclusive upper bound
-        // (100 ∈ [64, 127]).
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), 127, "q = {q}");
-        }
-        assert_eq!(h.p50(), h.p99());
-    }
-
-    #[test]
-    fn single_zero_sample_is_not_confused_with_empty() {
-        let mut h = LatencyHistogram::default();
-        h.record(0);
-        assert_eq!(h.samples(), 1);
-        assert_eq!(h.p50(), 0);
-        assert_eq!(h.p99(), 0);
-    }
-
-    #[test]
-    fn all_equal_samples_collapse_the_percentile_spread() {
-        let mut s = DhtStats::default();
-        for _ in 0..1_000 {
-            s.record_delivery(250);
-        }
-        let p50 = s.latency_p50();
-        let p99 = s.latency_p99();
-        assert_eq!(p50, p99, "no spread without a tail");
-        assert!(p50 >= 250, "upper-bound estimate never errs low");
-        assert!(p50 < 512, "…and stays within one binary order");
-    }
-
-    #[test]
-    fn out_of_range_and_nan_quantiles_are_clamped_not_panics() {
-        let mut h = LatencyHistogram::default();
-        h.record(10);
-        h.record(10_000);
-        // Below 0 / above 1 clamp to the extremes…
-        assert_eq!(h.quantile(-3.0), h.quantile(0.0));
-        assert_eq!(h.quantile(7.0), h.quantile(1.0));
-        // …and a NaN degenerates to rank 1 (the minimum) instead of
-        // panicking or propagating.
-        assert_eq!(h.quantile(f64::NAN), h.quantile(0.0));
-    }
-
-    #[test]
-    fn histogram_diff_drops_the_prefix_samples() {
-        // The simulator charges an op `latency_ms` deltas from stats
-        // snapshots around it; the histogram must subtract the same
-        // way so windowed percentiles are well-formed.
-        let mut s = DhtStats::default();
-        s.record_delivery(10);
-        let before = s;
-        s.record_delivery(5_000);
-        let window = s - before;
-        assert_eq!(window.latency_hist.samples(), 1);
-        assert!(window.latency_p50() >= 5_000);
-    }
-
-    #[test]
-    fn percentiles_split_fast_path_from_tail() {
-        let mut s = DhtStats::default();
-        for _ in 0..980 {
-            s.record_delivery(12); // LAN-ish fast path
-        }
-        for _ in 0..20 {
-            s.record_failed_attempt(4_000, true); // 2% tail timeouts
-        }
-        let p50 = s.latency_p50();
-        let p99 = s.latency_p99();
-        assert!((12..24).contains(&p50), "p50 ~ fast path, got {p50}");
-        assert!(p99 >= 4_000, "p99 must surface the tail, got {p99}");
-        // The mean alone would smear the tail across everything:
-        // 1000 attempts, 0 lookups -> use raw sums to see it.
-        assert_eq!(s.latency_ms, 980 * 12 + 20 * 4_000);
-    }
-
-    #[test]
-    fn percentiles_survive_snapshot_subtraction() {
-        let mut before = DhtStats::default();
-        before.record_delivery(8);
-        let mut after = before;
-        for _ in 0..99 {
-            after.record_delivery(100);
-        }
-        let diff = after - before;
-        assert_eq!(diff.latency_hist.samples(), 99);
-        assert!(diff.latency_p50() >= 100);
-        assert_eq!(after, before + diff, "addition inverts subtraction");
-    }
-
-    #[test]
     fn subtraction_diffs_fieldwise() {
         let a = DhtStats {
             gets: 5,
@@ -815,7 +540,6 @@ mod tests {
             hops_saved: 28,
             repair_transfers: 9,
             repair_bandwidth: 21,
-            latency_hist: LatencyHistogram::default(),
         };
         let b = DhtStats {
             gets: 1,
@@ -838,7 +562,6 @@ mod tests {
             hops_saved: 10,
             repair_transfers: 3,
             repair_bandwidth: 6,
-            latency_hist: LatencyHistogram::default(),
         };
         let d = a - b;
         assert_eq!(d.gets, 4);
@@ -941,13 +664,6 @@ mod tests {
             .check_invariants()
             .unwrap_err()
             .contains("cache consults"));
-
-        let mut unsampled_faults = healthy;
-        unsampled_faults.drops = 1;
-        assert!(unsampled_faults
-            .check_invariants()
-            .unwrap_err()
-            .contains("histogram"));
 
         let mut phantom_repair = healthy;
         phantom_repair.repair_bandwidth = 5;

@@ -29,6 +29,11 @@ use lht_id::{sha1, U160};
 
 type Stored = (u64, Option<u64>); // (seq, value-or-tombstone)
 
+/// The ring's successor-list length (Chord's `r`).
+const SUCCESSOR_LIST_LEN: usize = 4;
+/// The ring's hop budget per lookup.
+const MAX_HOPS: u64 = 512;
+
 fn merge_copy(store: &mut BTreeMap<DhtKey, Stored>, key: DhtKey, incoming: Stored) {
     match store.get(&key) {
         Some(existing) if existing.0 >= incoming.0 => {}
@@ -114,7 +119,7 @@ impl RefRing {
         let n = ids.len();
         for (pos, id) in ids.iter().enumerate() {
             let mut successors = Vec::new();
-            for k in 1..=self.cfg.successor_list_len.min(n.saturating_sub(1)).max(1) {
+            for k in 1..=SUCCESSOR_LIST_LEN.min(n.saturating_sub(1)).max(1) {
                 successors.push(ids[(pos + k) % n]);
             }
             let predecessor = Some(ids[(pos + n - 1) % n]);
@@ -166,7 +171,7 @@ impl RefRing {
             let mut list = vec![new_succ];
             let succ_list = self.nodes[&new_succ].successors.clone();
             for s in succ_list {
-                if list.len() >= self.cfg.successor_list_len {
+                if list.len() >= SUCCESSOR_LIST_LEN {
                     break;
                 }
                 if self.nodes.contains_key(&s) && s != *id && !list.contains(&s) {
@@ -252,7 +257,7 @@ impl RefRing {
         let mut cur = *start;
         let mut hops: u64 = 0;
         loop {
-            if hops > self.cfg.max_hops {
+            if hops > MAX_HOPS {
                 return Err(DhtError::RoutingFailed { hops });
             }
             let succ = self.first_live_successor_entry(&cur);
@@ -461,7 +466,7 @@ impl RefRing {
             .get_mut(&succ_id)
             .expect("successor exists")
             .predecessor = Some(id);
-        let keep = self.cfg.successor_list_len;
+        let keep = SUCCESSOR_LIST_LEN;
         if let Some(p) = pred_id {
             if let Some(pred) = self.nodes.get_mut(&p) {
                 pred.successors.insert(0, id);

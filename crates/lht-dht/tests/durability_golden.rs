@@ -238,8 +238,8 @@ fn quorum_1_1_1_is_frozen() {
     assert_eq!(
         quorum(1, 1, 1),
         Witness {
-            tier_stats: "DhtStats { gets: 745, failed_gets: 150, puts: 521, removes: 155, updates: 314, hops: 7085, keys_transferred: 0, drops: 252, timeouts: 19, retries: 0, latency_ms: 114736, rounds: 1735, round_hops: 6913, round_latency_ms: 114736, cache_hits: 0, cache_misses: 0, cache_stale: 0, hops_saved: 0, repair_transfers: 79, repair_bandwidth: 222, latency_hist: LatencyHistogram { counts: [0, 0, 0, 0, 650, 1683, 0, 0, 271, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] } }".into(),
-            ring_stats: "DhtStats { gets: 1343, failed_gets: 60, puts: 0, removes: 0, updates: 990, hops: 7307, keys_transferred: 14, drops: 0, timeouts: 0, retries: 0, latency_ms: 0, rounds: 2333, round_hops: 7307, round_latency_ms: 0, cache_hits: 0, cache_misses: 0, cache_stale: 0, hops_saved: 0, repair_transfers: 0, repair_bandwidth: 0, latency_hist: LatencyHistogram { counts: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] } }".into(),
+            tier_stats: "DhtStats { gets: 745, failed_gets: 150, puts: 521, removes: 155, updates: 314, hops: 7085, keys_transferred: 0, drops: 252, timeouts: 19, retries: 0, latency_ms: 114736, rounds: 1735, round_hops: 6913, round_latency_ms: 114736, cache_hits: 0, cache_misses: 0, cache_stale: 0, hops_saved: 0, repair_transfers: 79, repair_bandwidth: 222 }".into(),
+            ring_stats: "DhtStats { gets: 1343, failed_gets: 60, puts: 0, removes: 0, updates: 990, hops: 7307, keys_transferred: 14, drops: 0, timeouts: 0, retries: 0, latency_ms: 0, rounds: 2333, round_hops: 7307, round_latency_ms: 0, cache_hits: 0, cache_misses: 0, cache_stale: 0, hops_saved: 0, repair_transfers: 0, repair_bandwidth: 0 }".into(),
             pending_handoffs: 0,
             pending_after_sync: 0,
             tracked_keys: 48,
@@ -256,8 +256,8 @@ fn quorum_3_2_2_is_frozen() {
     assert_eq!(
         quorum(3, 2, 2),
         Witness {
-            tier_stats: "DhtStats { gets: 805, failed_gets: 173, puts: 569, removes: 174, updates: 373, hops: 15866, keys_transferred: 0, drops: 616, timeouts: 58, retries: 0, latency_ms: 285274, rounds: 1921, round_hops: 15499, round_latency_ms: 285274, cache_hits: 0, cache_misses: 0, cache_stale: 0, hops_saved: 0, repair_transfers: 841, repair_bandwidth: 2372, latency_hist: LatencyHistogram { counts: [0, 0, 0, 0, 1624, 4191, 0, 0, 674, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] } }".into(),
-            ring_stats: "DhtStats { gets: 2999, failed_gets: 172, puts: 0, removes: 0, updates: 2816, hops: 18238, keys_transferred: 38, drops: 0, timeouts: 0, retries: 0, latency_ms: 0, rounds: 5815, round_hops: 18238, round_latency_ms: 0, cache_hits: 0, cache_misses: 0, cache_stale: 0, hops_saved: 0, repair_transfers: 0, repair_bandwidth: 0, latency_hist: LatencyHistogram { counts: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] } }".into(),
+            tier_stats: "DhtStats { gets: 805, failed_gets: 173, puts: 569, removes: 174, updates: 373, hops: 15866, keys_transferred: 0, drops: 616, timeouts: 58, retries: 0, latency_ms: 285274, rounds: 1921, round_hops: 15499, round_latency_ms: 285274, cache_hits: 0, cache_misses: 0, cache_stale: 0, hops_saved: 0, repair_transfers: 841, repair_bandwidth: 2372 }".into(),
+            ring_stats: "DhtStats { gets: 2999, failed_gets: 172, puts: 0, removes: 0, updates: 2816, hops: 18238, keys_transferred: 38, drops: 0, timeouts: 0, retries: 0, latency_ms: 0, rounds: 5815, round_hops: 18238, round_latency_ms: 0, cache_hits: 0, cache_misses: 0, cache_stale: 0, hops_saved: 0, repair_transfers: 0, repair_bandwidth: 0 }".into(),
             pending_handoffs: 61,
             pending_after_sync: 38,
             tracked_keys: 48,
@@ -274,8 +274,8 @@ fn erasure_2_4_is_frozen() {
     assert_eq!(
         erasure(2, 4),
         Witness {
-            tier_stats: "DhtStats { gets: 767, failed_gets: 166, puts: 582, removes: 174, updates: 374, hops: 23791, keys_transferred: 0, drops: 969, timeouts: 88, retries: 0, latency_ms: 435203, rounds: 1897, round_hops: 23098, round_latency_ms: 435203, cache_hits: 0, cache_misses: 0, cache_stale: 0, hops_saved: 0, repair_transfers: 1078, repair_bandwidth: 2897, latency_hist: LatencyHistogram { counts: [0, 0, 0, 0, 2360, 6131, 0, 0, 1057, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] } }".into(),
-            ring_stats: "DhtStats { gets: 4604, failed_gets: 283, puts: 0, removes: 0, updates: 3887, hops: 26688, keys_transferred: 52, drops: 0, timeouts: 0, retries: 0, latency_ms: 0, rounds: 8491, round_hops: 26688, round_latency_ms: 0, cache_hits: 0, cache_misses: 0, cache_stale: 0, hops_saved: 0, repair_transfers: 0, repair_bandwidth: 0, latency_hist: LatencyHistogram { counts: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] } }".into(),
+            tier_stats: "DhtStats { gets: 767, failed_gets: 166, puts: 582, removes: 174, updates: 374, hops: 23791, keys_transferred: 0, drops: 969, timeouts: 88, retries: 0, latency_ms: 435203, rounds: 1897, round_hops: 23098, round_latency_ms: 435203, cache_hits: 0, cache_misses: 0, cache_stale: 0, hops_saved: 0, repair_transfers: 1078, repair_bandwidth: 2897 }".into(),
+            ring_stats: "DhtStats { gets: 4604, failed_gets: 283, puts: 0, removes: 0, updates: 3887, hops: 26688, keys_transferred: 52, drops: 0, timeouts: 0, retries: 0, latency_ms: 0, rounds: 8491, round_hops: 26688, round_latency_ms: 0, cache_hits: 0, cache_misses: 0, cache_stale: 0, hops_saved: 0, repair_transfers: 0, repair_bandwidth: 0 }".into(),
             pending_handoffs: 97,
             pending_after_sync: 69,
             tracked_keys: 48,
@@ -292,8 +292,8 @@ fn erasure_4_6_is_frozen() {
     assert_eq!(
         erasure(4, 6),
         Witness {
-            tier_stats: "DhtStats { gets: 767, failed_gets: 155, puts: 579, removes: 165, updates: 367, hops: 36247, keys_transferred: 0, drops: 1394, timeouts: 137, retries: 0, latency_ms: 635942, rounds: 1878, round_hops: 34609, round_latency_ms: 635942, cache_hits: 0, cache_misses: 0, cache_stale: 0, hops_saved: 0, repair_transfers: 1283, repair_bandwidth: 3575, latency_hist: LatencyHistogram { counts: [0, 0, 0, 0, 3534, 9085, 0, 0, 1531, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] } }".into(),
-            ring_stats: "DhtStats { gets: 6593, failed_gets: 352, puts: 0, removes: 0, updates: 6026, hops: 39822, keys_transferred: 79, drops: 0, timeouts: 0, retries: 0, latency_ms: 0, rounds: 12619, round_hops: 39822, round_latency_ms: 0, cache_hits: 0, cache_misses: 0, cache_stale: 0, hops_saved: 0, repair_transfers: 0, repair_bandwidth: 0, latency_hist: LatencyHistogram { counts: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] } }".into(),
+            tier_stats: "DhtStats { gets: 767, failed_gets: 155, puts: 579, removes: 165, updates: 367, hops: 36247, keys_transferred: 0, drops: 1394, timeouts: 137, retries: 0, latency_ms: 635942, rounds: 1878, round_hops: 34609, round_latency_ms: 635942, cache_hits: 0, cache_misses: 0, cache_stale: 0, hops_saved: 0, repair_transfers: 1283, repair_bandwidth: 3575 }".into(),
+            ring_stats: "DhtStats { gets: 6593, failed_gets: 352, puts: 0, removes: 0, updates: 6026, hops: 39822, keys_transferred: 79, drops: 0, timeouts: 0, retries: 0, latency_ms: 0, rounds: 12619, round_hops: 39822, round_latency_ms: 0, cache_hits: 0, cache_misses: 0, cache_stale: 0, hops_saved: 0, repair_transfers: 0, repair_bandwidth: 0 }".into(),
             pending_handoffs: 163,
             pending_after_sync: 144,
             tracked_keys: 48,

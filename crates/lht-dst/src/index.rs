@@ -71,17 +71,10 @@ impl<V> Default for DstNode<V> {
 impl<V> DstNode<V> {
     /// The records stored at this node. A leaf's set is exact; an
     /// ancestor holds a capacity-bounded replica that may be stale
-    /// once [saturated](DstNode::is_saturated) (queries descend past
-    /// it, so staleness is invisible — external auditors are the only
-    /// readers that care).
+    /// once saturated (queries descend past it, so staleness is
+    /// invisible — external auditors are the only readers that care).
     pub fn records(&self) -> &BTreeMap<KeyFraction, V> {
         &self.records
-    }
-
-    /// Whether the node has saturated and permanently delegates to
-    /// its children.
-    pub fn is_saturated(&self) -> bool {
-        self.saturated
     }
 }
 

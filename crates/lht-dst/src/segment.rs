@@ -18,14 +18,14 @@ pub struct Segment {
 
 impl Segment {
     /// The root segment `[0, 1)`.
-    pub const ROOT: Segment = Segment { level: 0, index: 0 };
+    pub(crate) const ROOT: Segment = Segment { level: 0, index: 0 };
 
     /// Creates a segment address.
     ///
     /// # Panics
     ///
     /// Panics if `level > 63` or `index >= 2^level`.
-    pub fn new(level: u8, index: u64) -> Segment {
+    pub(crate) fn new(level: u8, index: u64) -> Segment {
         assert!(level <= 63, "level {level} too deep");
         assert!(
             level == 63 || index < (1u64 << level),
@@ -35,7 +35,7 @@ impl Segment {
     }
 
     /// The segment containing `key` at `level`.
-    pub fn containing(key: KeyFraction, level: u8) -> Segment {
+    pub(crate) fn containing(key: KeyFraction, level: u8) -> Segment {
         assert!(level <= 63);
         let index = if level == 0 {
             0
@@ -46,24 +46,24 @@ impl Segment {
     }
 
     /// The key interval this segment covers.
-    pub fn interval(&self) -> KeyInterval {
+    pub(crate) fn interval(&self) -> KeyInterval {
         let width = 1u128 << (64 - self.level as u32);
         let lo = self.index as u128 * width;
         KeyInterval::from_raw(lo, lo + width)
     }
 
     /// Left child (one level deeper, lower half).
-    pub fn left(&self) -> Segment {
+    pub(crate) fn left(&self) -> Segment {
         Segment::new(self.level + 1, self.index * 2)
     }
 
     /// Right child.
-    pub fn right(&self) -> Segment {
+    pub(crate) fn right(&self) -> Segment {
         Segment::new(self.level + 1, self.index * 2 + 1)
     }
 
     /// Parent segment, or `None` at the root.
-    pub fn parent(&self) -> Option<Segment> {
+    pub(crate) fn parent(&self) -> Option<Segment> {
         if self.level == 0 {
             None
         } else {
@@ -76,7 +76,7 @@ impl Segment {
 
     /// The DHT key of this tree node (a `!level:index` rendering;
     /// never collides with LHT's `#` or PHT's `^` keys).
-    pub fn dht_key(&self) -> DhtKey {
+    pub(crate) fn dht_key(&self) -> DhtKey {
         DhtKey::from(self.to_string())
     }
 }
@@ -101,8 +101,8 @@ impl fmt::Display for Segment {
 /// use lht_dst::canonical_cover;
 /// use lht_id::KeyFraction;
 ///
-/// // [0.25, 0.75) at height 2 is exactly two level-2 segments — no,
-/// // it is segments [0.25,0.5) and [0.5,0.75): indices 1 and 2.
+/// // [0.25, 0.75) at height 2 is the two level-2 segments
+/// // [0.25, 0.5) and [0.5, 0.75): indices 1 and 2.
 /// let cover = canonical_cover(
 ///     &KeyInterval::half_open(KeyFraction::from_f64(0.25), KeyFraction::from_f64(0.75)),
 ///     2,

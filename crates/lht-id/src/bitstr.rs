@@ -230,7 +230,7 @@ impl BitStr {
 
     /// Length of the trailing run of equal bits (e.g. `0110̲0̲0̲` has a
     /// trailing run of 3). Zero for the empty string.
-    pub fn trailing_run(&self) -> usize {
+    pub(crate) fn trailing_run(&self) -> usize {
         let Some(last) = self.last() else { return 0 };
         let mut run = 1;
         while run < self.len() && self.bit(self.len() - 1 - run) == last {
@@ -265,31 +265,9 @@ impl BitStr {
         }
     }
 
-    /// Returns a copy extended to `n` bits by appending copies of
-    /// `bit`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < self.len()` or `n > MAX_LEN`.
-    #[must_use]
-    pub fn extend_with(&self, bit: bool, n: usize) -> BitStr {
-        assert!(n >= self.len() && n <= Self::MAX_LEN);
-        let mut s = *self;
-        while s.len() < n {
-            s.push(bit);
-        }
-        s
-    }
-
     /// Iterates over the bits from first to last.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len()).map(move |i| self.bit(i))
-    }
-
-    /// Canonical byte encoding (the ASCII rendering), handy as a DHT
-    /// key payload for hashing.
-    pub fn to_ascii(&self) -> Vec<u8> {
-        self.iter().map(|b| if b { b'1' } else { b'0' }).collect()
     }
 }
 
@@ -344,6 +322,11 @@ impl FromIterator<bool> for BitStr {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The ASCII rendering, one `b'0'`/`b'1'` per bit.
+    fn ascii(b: &BitStr) -> Vec<u8> {
+        b.iter().map(|b| if b { b'1' } else { b'0' }).collect()
+    }
 
     fn bs(s: &str) -> BitStr {
         s.parse().unwrap()
@@ -458,8 +441,6 @@ mod tests {
         assert_eq!(bs("01").concat(&bs("10")), bs("0110"));
         assert_eq!(bs("01").concat(&BitStr::EMPTY), bs("01"));
         assert_eq!(BitStr::EMPTY.concat(&bs("01")), bs("01"));
-        assert_eq!(bs("01").extend_with(true, 5), bs("01111"));
-        assert_eq!(bs("01").extend_with(false, 2), bs("01"));
     }
 
     #[test]
@@ -496,15 +477,15 @@ mod tests {
 
     #[test]
     fn ascii_encoding() {
-        assert_eq!(bs("0110").to_ascii(), b"0110".to_vec());
-        assert_eq!(BitStr::EMPTY.to_ascii(), Vec::<u8>::new());
+        assert_eq!(ascii(&bs("0110")), b"0110".to_vec());
+        assert_eq!(ascii(&BitStr::EMPTY), Vec::<u8>::new());
     }
 
     proptest! {
         #[test]
         fn round_trip_any_string(s in "[01]{0,128}") {
             let b: BitStr = s.parse().unwrap();
-            prop_assert_eq!(b.to_ascii(), s.as_bytes().to_vec());
+            prop_assert_eq!(ascii(&b), s.as_bytes().to_vec());
         }
 
         #[test]
@@ -544,7 +525,7 @@ mod tests {
         fn concat_respects_parts(a in "[01]{0,60}", b in "[01]{0,60}") {
             let (ba, bb): (BitStr, BitStr) = (a.parse().unwrap(), b.parse().unwrap());
             let joined = ba.concat(&bb);
-            prop_assert_eq!(joined.to_ascii(), format!("{a}{b}").into_bytes());
+            prop_assert_eq!(ascii(&joined), format!("{a}{b}").into_bytes());
         }
     }
 }

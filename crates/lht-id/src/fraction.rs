@@ -32,8 +32,6 @@ impl KeyFraction {
     pub const ZERO: KeyFraction = KeyFraction(0);
     /// The largest representable key, `1 - 2^-64`.
     pub const MAX: KeyFraction = KeyFraction(u64::MAX);
-    /// One unit in the last place, `2^-64`.
-    pub const ULP: KeyFraction = KeyFraction(1);
 
     /// Creates a key from its raw 64-bit numerator (the value is
     /// `bits / 2^64`).

@@ -32,6 +32,7 @@
 // single, runtime-feature-gated `unsafe` behind a scoped allow.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod bitstr;
 mod fraction;

@@ -3,42 +3,26 @@
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 
 use lht_dht::{Dht, DhtError, DhtKey, DhtOp, DhtStats, NodeStore, Probe};
 use lht_id::{sha1, U160};
 
-/// Configuration for a [`KademliaDht`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct KademliaConfig {
-    /// Bucket size and replication factor (Kademlia's `k`).
-    pub k: usize,
-    /// Lookup parallelism (Kademlia's `α`). In this step-simulation α
-    /// affects which contacts are probed, not wall-clock, but is kept
-    /// for fidelity of the probe pattern.
-    pub alpha: usize,
-    /// Hop budget per lookup.
-    pub max_hops: u64,
-}
-
-impl Default for KademliaConfig {
-    fn default() -> Self {
-        KademliaConfig {
-            k: 8,
-            alpha: 3,
-            max_hops: 512,
-        }
-    }
-}
+/// Bucket size and replication factor (Kademlia's `k`).
+const K: usize = 8;
+/// Lookup parallelism (Kademlia's `α`). In this step-simulation α
+/// affects which contacts are probed, not wall-clock, but is kept for
+/// fidelity of the probe pattern.
+const ALPHA: usize = 3;
+/// Hop budget per lookup.
+const MAX_HOPS: u64 = 512;
 
 #[derive(Debug)]
 struct Node<V> {
-    /// `buckets[i]` holds contacts whose XOR distance to this node
-    /// has its most significant bit at position `i` (0 = closest
-    /// half-space is bucket 159 … wait: bit 0 is the MSB of U160, so
-    /// bucket index = leading_zeros of the distance; smaller index =
-    /// farther). Most-recently-seen first, capped at `k`.
+    /// `buckets[i]` holds the contacts whose XOR distance to this node
+    /// has `i` leading zero bits, so bucket 0 is the farthest half of
+    /// the id space and bucket 159 the closest. Most-recently-seen
+    /// first, capped at `K`.
     buckets: Vec<Vec<U160>>,
     store: NodeStore<V>,
 }
@@ -53,7 +37,6 @@ impl<V> Node<V> {
 }
 
 struct Net<V> {
-    cfg: KademliaConfig,
     nodes: BTreeMap<U160, Node<V>>,
     stats: DhtStats,
     rng: StdRng,
@@ -87,32 +70,23 @@ impl<V> std::fmt::Debug for KademliaDht<V> {
         let inner = self.inner.lock();
         f.debug_struct("KademliaDht")
             .field("nodes", &inner.nodes.len())
-            .field("cfg", &inner.cfg)
             .finish()
     }
 }
 
 impl<V> KademliaDht<V> {
-    /// Creates a converged network of `n` nodes (ids `sha1("kad:i")`)
-    /// with the default configuration.
-    pub fn with_nodes(n: usize, seed: u64) -> KademliaDht<V> {
-        Self::with_config(n, seed, KademliaConfig::default())
-    }
-
-    /// Creates a converged network with the given configuration.
+    /// Creates a converged network of `n` nodes (ids `sha1("kad:i")`).
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`, `cfg.k == 0` or `cfg.alpha == 0`.
-    pub fn with_config(n: usize, seed: u64, cfg: KademliaConfig) -> KademliaDht<V> {
+    /// Panics if `n == 0`.
+    pub fn with_nodes(n: usize, seed: u64) -> KademliaDht<V> {
         assert!(n > 0, "a network needs at least one node");
-        assert!(cfg.k > 0 && cfg.alpha > 0, "k and alpha must be positive");
         let mut nodes = BTreeMap::new();
         for i in 0..n {
             nodes.insert(sha1(format!("kad:{i}").as_bytes()), Node::new());
         }
         let mut net = Net {
-            cfg,
             nodes,
             stats: DhtStats::default(),
             rng: StdRng::seed_from_u64(seed),
@@ -220,7 +194,6 @@ impl<V> Net<V> {
     /// converged state a long-running network reaches).
     fn rebuild_all_tables(&mut self) {
         let ids: Vec<U160> = self.nodes.keys().copied().collect();
-        let k = self.cfg.k;
         for id in &ids {
             let mut buckets = vec![Vec::new(); U160::BITS as usize];
             for other in &ids {
@@ -231,7 +204,7 @@ impl<V> Net<V> {
             for bucket in &mut buckets {
                 // Keep the k XOR-closest contacts per bucket.
                 bucket.sort_by_key(|c| *c ^ *id);
-                bucket.truncate(k);
+                bucket.truncate(K);
             }
             self.nodes.get_mut(id).expect("node exists").buckets = buckets;
         }
@@ -241,7 +214,7 @@ impl<V> Net<V> {
     fn k_closest_oracle(&self, h: &U160) -> Vec<U160> {
         let mut ids: Vec<U160> = self.nodes.keys().copied().collect();
         ids.sort_by_key(|id| *id ^ *h);
-        ids.truncate(self.cfg.k);
+        ids.truncate(K);
         ids
     }
 
@@ -257,7 +230,7 @@ impl<V> Net<V> {
         out.push(*node);
         out.sort_by_key(|c| *c ^ *target);
         out.dedup();
-        out.truncate(self.cfg.k);
+        out.truncate(K);
         out
     }
 
@@ -301,7 +274,7 @@ impl<V> Net<V> {
             let batch: Vec<U160> = shortlist
                 .iter()
                 .filter(|c| !queried.contains(*c) && self.nodes.contains_key(*c))
-                .take(self.cfg.alpha)
+                .take(ALPHA)
                 .copied()
                 .collect();
             if batch.is_empty() {
@@ -309,7 +282,7 @@ impl<V> Net<V> {
             }
             for probe in batch {
                 hops += 1;
-                if hops > self.cfg.max_hops {
+                if hops > MAX_HOPS {
                     break;
                 }
                 queried.insert(probe);
@@ -318,18 +291,17 @@ impl<V> Net<V> {
                 if let Some(adv) = advertise {
                     if adv != probe {
                         if let Some(i) = Self::bucket_index(&probe, &adv) {
-                            let k = self.cfg.k;
                             let bucket =
                                 &mut self.nodes.get_mut(&probe).expect("probed alive").buckets[i];
                             if !bucket.contains(&adv) {
                                 bucket.insert(0, adv);
-                                bucket.truncate(k);
+                                bucket.truncate(K);
                             }
                         }
                     }
                 }
             }
-            if hops > self.cfg.max_hops {
+            if hops > MAX_HOPS {
                 break;
             }
             // Termination: the k closest candidates have all been
@@ -339,7 +311,7 @@ impl<V> Net<V> {
             let done = shortlist
                 .iter()
                 .filter(|c| self.nodes.contains_key(*c))
-                .take(self.cfg.k)
+                .take(K)
                 .all(|c| queried.contains(c));
             if done {
                 break;
@@ -355,7 +327,7 @@ impl<V> Net<V> {
             return Err(DhtError::EmptyRing);
         }
         let (found, hops) = self.iterative_find(h, None);
-        if hops > self.cfg.max_hops {
+        if hops > MAX_HOPS {
             return Err(DhtError::RoutingFailed { hops });
         }
         Ok((found, hops))
@@ -368,7 +340,7 @@ impl<V> Net<V> {
             return Err(DhtError::EmptyRing);
         }
         let (found, hops) = self.iterative_find_from(start, h, None);
-        if hops > self.cfg.max_hops {
+        if hops > MAX_HOPS {
             return Err(DhtError::RoutingFailed { hops });
         }
         Ok((found, hops))
@@ -440,10 +412,9 @@ impl<V: Clone> Dht for KademliaDht<V> {
     fn get(&self, key: &DhtKey) -> Result<Option<V>, DhtError> {
         let mut inner = self.inner.lock();
         let (found, hops) = inner.route(&key.hash())?;
-        let k = inner.cfg.k;
         let hit = found
             .iter()
-            .take(k)
+            .take(K)
             .find_map(|n| inner.nodes[n].store.get(key).cloned());
         inner.stats.record_op(
             DhtOp::Get {
@@ -457,8 +428,7 @@ impl<V: Clone> Dht for KademliaDht<V> {
     fn put(&self, key: &DhtKey, value: V) -> Result<(), DhtError> {
         let mut inner = self.inner.lock();
         let (found, hops) = inner.route(&key.hash())?;
-        let k = inner.cfg.k;
-        let targets: Vec<U160> = found.into_iter().take(k).collect();
+        let targets: Vec<U160> = found.into_iter().take(K).collect();
         inner
             .stats
             .record_op(DhtOp::Put, hops + targets.len().saturating_sub(1) as u64);
@@ -476,8 +446,7 @@ impl<V: Clone> Dht for KademliaDht<V> {
     fn remove(&self, key: &DhtKey) -> Result<Option<V>, DhtError> {
         let mut inner = self.inner.lock();
         let (found, hops) = inner.route(&key.hash())?;
-        let k = inner.cfg.k;
-        let targets: Vec<U160> = found.into_iter().take(k).collect();
+        let targets: Vec<U160> = found.into_iter().take(K).collect();
         inner
             .stats
             .record_op(DhtOp::Remove, hops + targets.len().saturating_sub(1) as u64);
@@ -499,8 +468,7 @@ impl<V: Clone> Dht for KademliaDht<V> {
     fn update(&self, key: &DhtKey, f: &mut dyn FnMut(&mut Option<V>)) -> Result<(), DhtError> {
         let mut inner = self.inner.lock();
         let (found, hops) = inner.route(&key.hash())?;
-        let k = inner.cfg.k;
-        let targets: Vec<U160> = found.into_iter().take(k).collect();
+        let targets: Vec<U160> = found.into_iter().take(K).collect();
         inner
             .stats
             .record_op(DhtOp::Update, hops + targets.len().saturating_sub(1) as u64);
@@ -541,7 +509,6 @@ impl<V: Clone> Dht for KademliaDht<V> {
             return keys.iter().map(|_| Err(DhtError::EmptyRing)).collect();
         }
         let start = inner.draw_initiator();
-        let k = inner.cfg.k;
         let mut out = Vec::with_capacity(keys.len());
         let mut ops = Vec::with_capacity(keys.len());
         for key in keys {
@@ -549,7 +516,7 @@ impl<V: Clone> Dht for KademliaDht<V> {
                 Ok((found, hops)) => {
                     let hit = found
                         .iter()
-                        .take(k)
+                        .take(K)
                         .find_map(|n| inner.nodes[n].store.get(key).cloned());
                     ops.push((
                         DhtOp::Get {
@@ -572,13 +539,12 @@ impl<V: Clone> Dht for KademliaDht<V> {
             return entries.iter().map(|_| Err(DhtError::EmptyRing)).collect();
         }
         let start = inner.draw_initiator();
-        let k = inner.cfg.k;
         let mut out = Vec::with_capacity(entries.len());
         let mut ops = Vec::with_capacity(entries.len());
         for (key, value) in entries {
             match inner.route_from(&start, &key.hash()) {
                 Ok((found, hops)) => {
-                    let targets: Vec<U160> = found.into_iter().take(k).collect();
+                    let targets: Vec<U160> = found.into_iter().take(K).collect();
                     ops.push((DhtOp::Put, hops + targets.len().saturating_sub(1) as u64));
                     for t in targets {
                         inner
@@ -746,7 +712,7 @@ mod tests {
             .values()
             .filter(|n| n.store.contains_key(&k("target")))
             .count();
-        assert_eq!(holders, inner.cfg.k, "exactly k replicas");
+        assert_eq!(holders, K, "exactly k replicas");
     }
 
     #[test]
@@ -931,7 +897,7 @@ mod tests {
             for id in inner.k_closest_oracle(&key.hash()) {
                 assert!(inner.nodes[&id].store.contains_key(&key));
             }
-            assert_eq!(inner.stats.hops, inner.cfg.k as u64, "probe + fan-out");
+            assert_eq!(inner.stats.hops, K as u64, "probe + fan-out");
         }
         assert_eq!(dht.get(&key).unwrap(), Some(3));
     }

@@ -30,7 +30,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod kad;
 
-pub use kad::{KademliaConfig, KademliaDht};
+pub use kad::KademliaDht;

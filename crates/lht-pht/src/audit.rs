@@ -9,7 +9,7 @@ use lht_dht::{DhtKey, DirectDht};
 
 use crate::{PhtLabel, PhtNode};
 
-/// A violated PHT invariant found by [`check_trie`].
+/// A violated PHT invariant found by [`check_trie_entries`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PhtViolation {
     /// The root entry is missing.
@@ -54,25 +54,11 @@ pub enum PhtViolation {
     },
 }
 
-/// Checks every PHT structural invariant over the nodes stored in
-/// `dht`. Returns all violations (empty = consistent).
-pub fn check_trie<V: Clone>(dht: &DirectDht<PhtNode<V>>, cfg: LhtConfig) -> Vec<PhtViolation> {
-    check_trie_entries(
-        dht.keys()
-            .into_iter()
-            .map(|key| {
-                let node = dht.peek(&key, |n| n.cloned()).expect("just enumerated");
-                (key, node)
-            })
-            .collect(),
-        cfg,
-    )
-}
-
-/// [`check_trie`] over an already-materialized `(key, node)` dump —
-/// the form any substrate can supply (e.g.
+/// Checks every PHT structural invariant over a materialized
+/// `(key, node)` dump — the form any substrate can supply (e.g.
 /// [`ChordDht::all_entries`](lht_dht::ChordDht::all_entries)), so
 /// Chord-backed tries are held to the same invariants as the oracle.
+/// Returns all violations (empty = consistent).
 pub fn check_trie_entries<V: Clone>(
     entries: Vec<(DhtKey, PhtNode<V>)>,
     cfg: LhtConfig,
@@ -174,23 +160,10 @@ pub fn check_trie_entries<V: Clone>(
     violations
 }
 
-/// Every record stored across all leaves, sorted by key — the
-/// materialized trie contents, for differential comparison against a
-/// reference model or against the LHT built from the same workload.
-pub fn all_records<V: Clone>(dht: &DirectDht<PhtNode<V>>) -> Vec<(lht_id::KeyFraction, V)> {
-    records_from_entries(
-        dht.keys()
-            .into_iter()
-            .map(|key| {
-                let node = dht.peek(&key, |n| n.cloned()).expect("just enumerated");
-                (key, node)
-            })
-            .collect(),
-    )
-}
-
-/// [`all_records`] over an already-materialized `(key, node)` dump,
-/// for substrates other than the oracle.
+/// Every record stored across the leaves of a materialized
+/// `(key, node)` dump, sorted by key — the trie contents, for
+/// differential comparison against a reference model or against the
+/// LHT built from the same workload.
 pub fn records_from_entries<V: Clone>(
     entries: Vec<(DhtKey, PhtNode<V>)>,
 ) -> Vec<(lht_id::KeyFraction, V)> {
@@ -224,6 +197,21 @@ mod tests {
     use crate::PhtIndex;
     use lht_id::KeyFraction;
     use proptest::prelude::*;
+
+    /// Checks every PHT structural invariant over the nodes stored in
+    /// `dht`. Returns all violations (empty = consistent).
+    fn check_trie<V: Clone>(dht: &DirectDht<PhtNode<V>>, cfg: LhtConfig) -> Vec<PhtViolation> {
+        check_trie_entries(
+            dht.keys()
+                .into_iter()
+                .map(|key| {
+                    let node = dht.peek(&key, |n| n.cloned()).expect("just enumerated");
+                    (key, node)
+                })
+                .collect(),
+            cfg,
+        )
+    }
 
     fn kf(x: f64) -> KeyFraction {
         KeyFraction::from_f64(x)

@@ -151,38 +151,6 @@ where
         })
     }
 
-    /// PHT's *linear* lookup variant (the original PHT announcement's
-    /// simpler algorithm): walk down from the root one prefix bit at a
-    /// time until the leaf is reached. Costs `depth + 1` sequential
-    /// DHT-gets — worse than the binary search on average, but
-    /// latency-proportional to the *actual* leaf depth rather than to
-    /// `log D`, so it wins on very shallow trees. Provided for
-    /// completeness and ablation.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`lookup`](Self::lookup).
-    pub fn lookup_linear(&self, key: KeyFraction) -> Result<PhtLookupHit<V>, LhtError> {
-        let mut gets = 0u64;
-        for depth in 0..=self.cfg.max_depth {
-            let label = PhtLabel::key_prefix(key, depth);
-            gets += 1;
-            match self.dht.get(&label.dht_key())? {
-                Some(PhtNode::Leaf(leaf)) => {
-                    return Ok(PhtLookupHit {
-                        leaf,
-                        cost: OpCost::sequential(gets),
-                    });
-                }
-                Some(PhtNode::Internal) => continue,
-                None => break, // hole in the trie: corrupt
-            }
-        }
-        Err(LhtError::LookupExhausted {
-            key_bits: key.bits(),
-        })
-    }
-
     /// Exact-match query: lookup plus record extraction.
     ///
     /// # Errors
@@ -564,6 +532,44 @@ where
 mod tests {
     use super::*;
     use lht_dht::{DhtKey, DirectDht};
+
+    impl<D, V> PhtIndex<D, V>
+    where
+        D: Dht<Value = PhtNode<V>>,
+        V: Clone,
+    {
+        /// PHT's *linear* lookup variant (the original PHT announcement's
+        /// simpler algorithm): walk down from the root one prefix bit at a
+        /// time until the leaf is reached. Costs `depth + 1` sequential
+        /// DHT-gets — worse than the binary search on average, but
+        /// latency-proportional to the *actual* leaf depth rather than to
+        /// `log D`, so it wins on very shallow trees. Kept as the
+        /// reference the binary search is checked against.
+        ///
+        /// # Errors
+        ///
+        /// Same contract as [`lookup`](Self::lookup).
+        fn lookup_linear(&self, key: KeyFraction) -> Result<PhtLookupHit<V>, LhtError> {
+            let mut gets = 0u64;
+            for depth in 0..=self.cfg.max_depth {
+                let label = PhtLabel::key_prefix(key, depth);
+                gets += 1;
+                match self.dht.get(&label.dht_key())? {
+                    Some(PhtNode::Leaf(leaf)) => {
+                        return Ok(PhtLookupHit {
+                            leaf,
+                            cost: OpCost::sequential(gets),
+                        });
+                    }
+                    Some(PhtNode::Internal) => continue,
+                    None => break, // hole in the trie: corrupt
+                }
+            }
+            Err(LhtError::LookupExhausted {
+                key_bits: key.bits(),
+            })
+        }
+    }
 
     fn kf(x: f64) -> KeyFraction {
         KeyFraction::from_f64(x)

@@ -38,7 +38,7 @@ impl PhtLabel {
     /// # Panics
     ///
     /// Panics if `n > 64`.
-    pub fn key_prefix(key: KeyFraction, n: usize) -> PhtLabel {
+    pub(crate) fn key_prefix(key: KeyFraction, n: usize) -> PhtLabel {
         PhtLabel {
             bits: BitStr::from_key_prefix(key, n),
         }
@@ -175,7 +175,7 @@ pub enum PhtNode<V> {
 
 impl<V> PhtNode<V> {
     /// The leaf inside, if this is a leaf node.
-    pub fn as_leaf(&self) -> Option<&PhtLeaf<V>> {
+    pub(crate) fn as_leaf(&self) -> Option<&PhtLeaf<V>> {
         match self {
             PhtNode::Internal => None,
             PhtNode::Leaf(l) => Some(l),
@@ -183,7 +183,7 @@ impl<V> PhtNode<V> {
     }
 
     /// The leaf inside, mutably.
-    pub fn as_leaf_mut(&mut self) -> Option<&mut PhtLeaf<V>> {
+    pub(crate) fn as_leaf_mut(&mut self) -> Option<&mut PhtLeaf<V>> {
         match self {
             PhtNode::Internal => None,
             PhtNode::Leaf(l) => Some(l),

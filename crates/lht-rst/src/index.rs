@@ -111,11 +111,6 @@ where
         *self.stats.lock()
     }
 
-    /// Number of leaves in the local structure replica.
-    pub fn leaf_count(&self) -> usize {
-        self.structure.lock().len()
-    }
-
     fn adopt(&self, labels: BTreeSet<Label>) {
         let mut map = self.structure.lock();
         map.clear();
@@ -333,6 +328,16 @@ where
 mod tests {
     use super::*;
     use lht_dht::DirectDht;
+
+    impl<D, V> RstIndex<D, V>
+    where
+        D: Dht<Value = RstNode<V>>,
+    {
+        /// Number of leaves in the local structure replica.
+        fn leaf_count(&self) -> usize {
+            self.structure.lock().len()
+        }
+    }
 
     fn kf(x: f64) -> KeyFraction {
         KeyFraction::from_f64(x)

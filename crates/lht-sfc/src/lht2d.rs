@@ -79,7 +79,7 @@ where
     }
 
     /// The key fraction a point is stored under.
-    pub fn key_of(p: Point) -> KeyFraction {
+    pub(crate) fn key_of(p: Point) -> KeyFraction {
         KeyFraction::from_bits(p.morton())
     }
 

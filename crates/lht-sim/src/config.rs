@@ -143,13 +143,13 @@ impl SimConfig {
     }
 
     /// Whether the checker runs in strict (fault-free) mode.
-    pub fn strict(&self) -> bool {
+    pub(crate) fn strict(&self) -> bool {
         self.drop_prob == 0.0
     }
 
     /// The effective quorum parameters, if any: the explicit setting,
     /// or `(3, 2, 2)` when only a quorum mutant is armed.
-    pub fn quorum_params(&self) -> Option<(usize, usize, usize)> {
+    pub(crate) fn quorum_params(&self) -> Option<(usize, usize, usize)> {
         if self.quorum.is_some() {
             self.quorum
         } else if self.sloppy_quorum_read || self.lost_write_ack {
@@ -165,7 +165,7 @@ impl SimConfig {
     /// stale group: writes install `k + 1 = 3` fragments, leaving two
     /// deferred slots — exactly `k` fragments of the previous
     /// generation for the mutant's first-seen decode to land on.
-    pub fn erasure_params(&self) -> Option<(usize, usize)> {
+    pub(crate) fn erasure_params(&self) -> Option<(usize, usize)> {
         if self.erasure.is_some() {
             self.erasure
         } else if self.corrupt_fragment || self.lazy_regen {
@@ -262,7 +262,7 @@ impl SimConfig {
 
     /// The [`FLAGS`](Self::FLAGS) reproducing this configuration,
     /// without any `--schedule`.
-    pub fn replay_args(&self) -> String {
+    pub(crate) fn replay_args(&self) -> String {
         let mut s = format!(
             "--seed {} --clients {} --ops {} --nodes {} --churn {} --replicas {} --theta {} --depth {}",
             self.seed,

@@ -9,7 +9,7 @@ use crate::SimConfig;
 
 /// One planned client operation.
 #[derive(Clone, Copy, Debug)]
-pub enum PlannedOp {
+pub(crate) enum PlannedOp {
     /// Upsert `key → value`.
     Insert {
         /// Raw key bits.
@@ -43,7 +43,7 @@ pub enum PlannedOp {
 /// A client's full plan: operations plus a think time (virtual ms)
 /// after each, so clients drift out of lockstep.
 #[derive(Clone, Debug)]
-pub struct ClientPlan {
+pub(crate) struct ClientPlan {
     /// The operations, issued in order.
     pub ops: Vec<(PlannedOp, u64)>,
 }
@@ -52,7 +52,7 @@ pub struct ClientPlan {
 /// of *hot keys* they revisit with high probability — concurrent
 /// writes to the same key are what make replica-staleness and torn
 /// splits observable as inexplicable reads.
-pub fn client_plans(cfg: &SimConfig) -> Vec<ClientPlan> {
+pub(crate) fn client_plans(cfg: &SimConfig) -> Vec<ClientPlan> {
     let mut master = StdRng::seed_from_u64(cfg.seed ^ 0x9E37_79B9_7F4A_7C15);
     let hot: Vec<u64> = (0..8 + 2 * cfg.clients as usize)
         .map(|_| master.gen::<u64>())

@@ -271,7 +271,7 @@ impl Parsed {
     }
 
     /// The chosen word.
-    pub fn word(&self, name: &str) -> &'static str {
+    pub(crate) fn word(&self, name: &str) -> &'static str {
         let Kind::Choice(words) = self.row(name).kind else {
             panic!("{name} is not a choice flag");
         };

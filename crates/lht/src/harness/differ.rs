@@ -800,7 +800,6 @@ impl Run<'_> {
         let cfg = ChordConfig {
             replicas,
             maintenance_loss: self.opts.maintenance_loss,
-            ..ChordConfig::default()
         };
         ChordDht::with_config(nodes, self.opts.seed ^ 0x5eed, cfg)
     }

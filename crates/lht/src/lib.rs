@@ -37,6 +37,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod harness;
 
@@ -52,22 +53,19 @@ pub use lht_sfc as sfc;
 pub use lht_workload as workload;
 
 pub use lht_core::{
-    audit, merge_histories, naming, HistoryCall, HistoryLog, HistoryRecorder, HistoryReturn,
-    IndexStats, InsertOutcome, KeyInterval, Label, LeafBucket, LhtConfig, LhtError, LhtIndex,
-    LookupHit, MatchHit, MinMaxHit, NamingCache, NamingCacheStats, OpCost, OpRecord, RangeCost,
-    RangeResult, RemoveOutcome,
+    audit, HistoryCall, HistoryRecorder, HistoryReturn, IndexStats, KeyInterval, Label, LeafBucket,
+    LhtConfig, LhtError, LhtIndex, NamingCache, NamingCacheStats,
 };
 pub use lht_cost::CostModel;
 pub use lht_dht::{
-    fragment_key, slot_key, split_fragment_key, split_slot_key, Brownout, CachedDht, ChordConfig,
-    ChordDht, Dht, DhtError, DhtKey, DhtOp, DhtStats, DirectDht, ErasureConfig, ErasureDht,
-    ErasurePayload, FaultyDht, Fragment, LatencyHistogram, LatencyProfile, NetProfile, Probe,
-    QuorumConfig, QuorumDht, RetriedDht, RetryPolicy, Versioned,
+    fragment_key, slot_key, split_fragment_key, split_slot_key, CachedDht, ChordConfig, ChordDht,
+    Dht, DhtError, DhtKey, DhtStats, DirectDht, ErasureConfig, ErasureDht, ErasurePayload,
+    FaultyDht, Fragment, LatencyProfile, NetProfile, Probe, QuorumConfig, QuorumDht, RetriedDht,
+    RetryPolicy, Versioned,
 };
 pub use lht_dst::{DstConfig, DstIndex};
-pub use lht_id::{BitStr, KeyFraction, U160};
-pub use lht_kad::{KademliaConfig, KademliaDht};
-pub use lht_pht::{PhtIndex, PhtRangeResult};
-pub use lht_rst::RstIndex;
+pub use lht_id::{KeyFraction, U160};
+pub use lht_kad::KademliaDht;
+pub use lht_pht::PhtIndex;
 pub use lht_sfc::{Lht2d, Point, Rect};
-pub use lht_workload::{Dataset, KeyDist, LookupGen, RangeQueryGen};
+pub use lht_workload::KeyDist;
