@@ -4,9 +4,10 @@
 //! Every other experiment in this crate drives a substrate from one
 //! thread and *counts* costs; this one runs N real client threads
 //! against one shared [`ChordDht`] — the substrate the benchmark and
-//! E21 run on — and *times* them. Each client records its operations'
-//! wall-clock invocation/response intervals with a
-//! [`HistoryRecorder`]; the merged history is handed to the Wing–Gong
+//! E21 run on — and *times* them. Each client builds every operation
+//! as a [`HistoryCall`] and runs it through its own
+//! [`HistoryRecorder`], which stamps the wall-clock invocation and
+//! response around it; the merged history is handed to the Wing–Gong
 //! linearizability checker, so the reported throughput is only
 //! accepted when the run it measures was provably correct.
 //!
@@ -28,16 +29,15 @@
 //!
 //! The armed torn-split mutant ([`LhtIndex::arm_torn_split`]: a split
 //! that never puts its remote half) reuses the same recording path
-//! and must be rejected — proof that the checker, not luck, is what
-//! accepts the clean runs.
+//! ([`checker::torn_split_outcomes`]) and must be rejected — proof
+//! that the checker, not luck, is what accepts the clean runs.
 
 use std::io::{self, Write};
 use std::time::Instant;
 
 use lht::harness::args::{Flag, Parsed};
 use lht::{
-    ChordDht, Dht, HistoryCall, HistoryRecorder, HistoryReturn, KeyFraction, KeyInterval,
-    LeafBucket, LhtConfig, LhtIndex,
+    ChordDht, Dht, HistoryCall, HistoryRecorder, HistoryReturn, LeafBucket, LhtConfig, LhtIndex,
 };
 use lht_core::merge_histories;
 use lht_sim::checker::{self, Outcome};
@@ -87,44 +87,36 @@ pub(crate) fn run(clients: u32, ops_per_client: u64, nodes: usize, seed: u64) ->
 
     let epoch = Instant::now();
     let start = Instant::now();
-    let logs: Vec<_> = std::thread::scope(|s| {
+    let histories: Vec<_> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..clients)
             .map(|t| {
                 let dht = &dht;
                 s.spawn(move || {
-                    let rec: HistoryRecorder<u32> = HistoryRecorder::new(t, epoch);
+                    let mut rec: HistoryRecorder<u32> = HistoryRecorder::new(t, epoch);
                     let ix: LhtIndex<_, u32> = LhtIndex::new(dht, cfg).expect("client index");
-                    ix.attach_history(rec.log());
                     for i in 0..ops_per_client {
                         // Mostly per-client stripes with a shared band
                         // of 8 hot keys, so clients genuinely contend
                         // without blowing up the checker's search.
-                        let bits = if i % 5 == 0 {
+                        let key = if i % 5 == 0 {
                             (i % 8).wrapping_mul(0x0101_0101_0101_0101) | 1
                         } else {
                             ((u64::from(t) << 32 | i).wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1
                         };
-                        let k = KeyFraction::from_bits(bits);
-                        rec.invoke();
+                        let call = match i % 8 {
+                            0..=3 => HistoryCall::Insert {
+                                key,
+                                value: (u64::from(t) * 1_000_000 + i) as u32,
+                            },
+                            4 | 5 => HistoryCall::Get { key },
+                            6 => HistoryCall::Remove { key },
+                            _ => HistoryCall::Range { lo: key, hi: None },
+                        };
                         // Results are read back from the recorded
                         // history below, failures included.
-                        match i % 8 {
-                            0..=3 => {
-                                let _ = ix.insert(k, (u64::from(t) * 1_000_000 + i) as u32);
-                            }
-                            4 | 5 => {
-                                let _ = ix.exact_match(k);
-                            }
-                            6 => {
-                                let _ = ix.remove(k);
-                            }
-                            _ => {
-                                let _ = ix.range(KeyInterval::from_key_to_end(k));
-                            }
-                        }
-                        rec.complete();
+                        rec.run(&ix, call);
                     }
-                    rec.log()
+                    rec.into_records()
                 })
             })
             .collect();
@@ -139,7 +131,7 @@ pub(crate) fn run(clients: u32, ops_per_client: u64, nodes: usize, seed: u64) ->
         .check_invariants()
         .expect("the ring broke the stats contract under client threads");
 
-    let mut history = merge_histories(&logs);
+    let mut history = merge_histories(histories);
     let total_ops = u64::from(clients) * ops_per_client;
     assert_eq!(history.len() as u64, total_ops, "every op is recorded");
     let failed_ops = history
@@ -174,44 +166,6 @@ pub(crate) fn run(clients: u32, ops_per_client: u64, nodes: usize, seed: u64) ->
     }
 }
 
-/// Runs the same single-client insert-then-read-back trace twice
-/// over an 8-peer ring — once clean, once with the index's torn-split
-/// mutant armed on the first split — and returns both strict-mode
-/// verdicts. A sound harness yields
-/// `(Linearizable, NotLinearizable { .. })`: the armed split strands
-/// its remote half, so keys whose inserts were acknowledged read back
-/// absent.
-pub(crate) fn mutant_outcomes() -> (Outcome, Outcome) {
-    let run = |armed: bool| -> Outcome {
-        let dht: ChordDht<LeafBucket<u32>> = ChordDht::with_nodes(8, 1);
-        let ix: LhtIndex<_, u32> = LhtIndex::new(&dht, LhtConfig::new(4, 20)).expect("index");
-        let rec: HistoryRecorder<u32> = HistoryRecorder::new(0, Instant::now());
-        ix.attach_history(rec.log());
-        if armed {
-            ix.arm_torn_split(1);
-        }
-        // Eight keys spread over the key space: theta = 4 splits on
-        // the fifth insert, and both halves hold records.
-        let keys: Vec<KeyFraction> = (1..=8u64)
-            .map(|i| KeyFraction::from_bits(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1))
-            .collect();
-        for (i, &k) in keys.iter().enumerate() {
-            rec.invoke();
-            let _ = ix.insert(k, i as u32);
-            rec.complete();
-        }
-        // Each read is invoked strictly after every insert's
-        // response, so every linearization must order it after them.
-        for &k in &keys {
-            rec.invoke();
-            let _ = ix.exact_match(k);
-            rec.complete();
-        }
-        checker::check(&rec.log().snapshot(), true, 100_000).outcome
-    };
-    (run(false), run(true))
-}
-
 /// The flags of `lht-exp threaded`.
 pub(crate) const FLAGS: &[Flag] = &[
     Flag::opt_uint("--clients", "client threads (default 4)").at_least(1),
@@ -229,7 +183,7 @@ pub(crate) const FLAGS: &[Flag] = &[
 pub(crate) fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
     if p.on("--mutant-proof") {
         eprintln!("arming the torn-split mutant…");
-        let (clean, armed) = mutant_outcomes();
+        let (clean, armed) = checker::torn_split_outcomes();
         if clean != Outcome::Linearizable {
             eprintln!("control trace rejected ({clean:?}) — the harness is unsound");
             return Ok(1);

@@ -1,13 +1,10 @@
 //! The distributed LHT index (paper §4, §5, §7).
 
-use std::sync::Arc;
-
 use parking_lot::Mutex;
 
 use lht_dht::{Dht, DhtError, DhtKey};
 use lht_id::KeyFraction;
 
-use crate::history::{HistoryCall, HistoryLog, HistoryReturn};
 use crate::naming::{
     left_neighbor, name, next_name, right_neighbor, NamingCache, NamingCacheStats,
 };
@@ -93,11 +90,6 @@ where
     cfg: LhtConfig,
     stats: Mutex<IndexStats>,
     names: NamingCache,
-    /// Optional operation-history recorder (see [`attach_history`]
-    /// (Self::attach_history)). Every public operation takes this
-    /// mutex once and clones the `Arc` if one is attached; with `None`
-    /// that is an uncontended lock and no clone.
-    history: Mutex<Option<Arc<HistoryLog<V>>>>,
     /// Torn-split fault injection: when `Some(n)`, the `n`-th
     /// subsequent split "forgets" the DHT-put of its remote half —
     /// the seeded bug re-introduction the simulation checker must
@@ -123,7 +115,6 @@ where
             cfg,
             stats: Mutex::new(IndexStats::default()),
             names: NamingCache::new(NAMING_CACHE_CAPACITY),
-            history: Mutex::new(None),
             torn_split: Mutex::new(None),
         };
         // Bootstrap: a brand-new LHT is the single leaf #0, named #.
@@ -170,20 +161,6 @@ where
     /// evictions, occupancy).
     pub fn naming_cache_stats(&self) -> NamingCacheStats {
         self.names.stats()
-    }
-
-    /// Attaches an operation-history recorder: every subsequent
-    /// public operation (insert / remove / exact-match / range /
-    /// min / max) appends one [`OpRecord`](crate::OpRecord) to `log`
-    /// under the context the driving harness set with
-    /// [`HistoryLog::set_context`].
-    pub fn attach_history(&self, log: Arc<HistoryLog<V>>) {
-        *self.history.lock() = Some(log);
-    }
-
-    /// The attached history recorder, if any.
-    pub(crate) fn history(&self) -> Option<Arc<HistoryLog<V>>> {
-        self.history.lock().clone()
     }
 
     /// Arms the torn-split fault injection: the `nth` split (1-based,
@@ -287,22 +264,10 @@ where
     ///
     /// Propagates [`lookup`](Self::lookup) errors.
     pub fn exact_match(&self, key: KeyFraction) -> Result<MatchHit<V>, LhtError> {
-        let out = self.lookup(key).map(|hit| MatchHit {
+        self.lookup(key).map(|hit| MatchHit {
             value: hit.bucket.get(key).cloned(),
             cost: hit.cost,
-        });
-        if let Some(log) = self.history() {
-            log.record(
-                HistoryCall::Get { key: key.bits() },
-                match &out {
-                    Ok(hit) => HistoryReturn::Value {
-                        value: hit.value.clone(),
-                    },
-                    Err(e) => HistoryReturn::failure(e),
-                },
-            );
-        }
-        out
+        })
     }
 
     /// Inserts a record (§5): an LHT lookup of `key` followed by a
@@ -329,25 +294,6 @@ where
     /// Propagates lookup errors and substrate failures;
     /// [`LhtError::Contention`] if the retry budget is exhausted.
     pub fn insert(&self, key: KeyFraction, value: V) -> Result<InsertOutcome, LhtError> {
-        let log = self.history();
-        let logged = log.as_ref().map(|_| value.clone());
-        let out = self.insert_impl(key, value);
-        if let Some(log) = log {
-            log.record(
-                HistoryCall::Insert {
-                    key: key.bits(),
-                    value: logged.expect("cloned when history attached"),
-                },
-                match &out {
-                    Ok(_) => HistoryReturn::Inserted,
-                    Err(e) => HistoryReturn::failure(e),
-                },
-            );
-        }
-        out
-    }
-
-    fn insert_impl(&self, key: KeyFraction, value: V) -> Result<InsertOutcome, LhtError> {
         let theta = self.cfg.theta_split;
         let max_depth = self.cfg.max_depth;
         let mut holder = Some(value);
@@ -452,22 +398,6 @@ where
     /// Propagates lookup errors and substrate failures;
     /// [`LhtError::Contention`] if the retry budget is exhausted.
     pub fn remove(&self, key: KeyFraction) -> Result<RemoveOutcome<V>, LhtError> {
-        let out = self.remove_impl(key);
-        if let Some(log) = self.history() {
-            log.record(
-                HistoryCall::Remove { key: key.bits() },
-                match &out {
-                    Ok(o) => HistoryReturn::Removed {
-                        prior: o.value.clone(),
-                    },
-                    Err(e) => HistoryReturn::failure(e),
-                },
-            );
-        }
-        out
-    }
-
-    fn remove_impl(&self, key: KeyFraction) -> Result<RemoveOutcome<V>, LhtError> {
         let mut cost = OpCost::ZERO;
         for attempt in 1..=CONTENTION_RETRIES {
             let hit = match self.lookup(key) {
@@ -639,9 +569,7 @@ where
     /// Propagates substrate failures; [`LhtError::MissingBucket`] if
     /// the root bucket vanished.
     pub fn min(&self) -> Result<MinMaxHit<V>, LhtError> {
-        let out = self.extreme(true);
-        self.record_extreme(HistoryCall::Min, &out);
-        out
+        self.extreme(true)
     }
 
     /// Max query (§7, Theorem 3): one DHT-lookup of `#0` returns the
@@ -654,24 +582,7 @@ where
     /// Propagates substrate failures; [`LhtError::MissingBucket`] if
     /// the root bucket vanished.
     pub fn max(&self) -> Result<MinMaxHit<V>, LhtError> {
-        let out = self.extreme(false);
-        self.record_extreme(HistoryCall::Max, &out);
-        out
-    }
-
-    /// Records a min/max outcome on the attached history log, if any.
-    fn record_extreme(&self, call: HistoryCall<V>, out: &Result<MinMaxHit<V>, LhtError>) {
-        if let Some(log) = self.history() {
-            log.record(
-                call,
-                match out {
-                    Ok(hit) => HistoryReturn::Extreme {
-                        record: hit.value.as_ref().map(|(k, v)| (k.bits(), v.clone())),
-                    },
-                    Err(e) => HistoryReturn::failure(e),
-                },
-            );
-        }
+        self.extreme(false)
     }
 
     fn extreme(&self, smallest: bool) -> Result<MinMaxHit<V>, LhtError> {

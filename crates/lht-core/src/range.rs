@@ -20,7 +20,6 @@ use std::collections::BTreeMap;
 use lht_dht::{Dht, DhtKey};
 use lht_id::KeyFraction;
 
-use crate::history::{HistoryCall, HistoryReturn};
 use crate::naming::{left_neighbor, name, right_neighbor};
 use crate::{KeyInterval, Label, LeafBucket, LhtError, LhtIndex, RangeCost};
 
@@ -80,34 +79,6 @@ where
     /// Propagates substrate failures; [`LhtError::LookupExhausted`] /
     /// [`LhtError::MissingBucket`] if index entries were lost.
     pub fn range(&self, range: KeyInterval) -> Result<RangeResult<V>, LhtError> {
-        let out = self.range_impl(range);
-        if let Some(log) = self.history() {
-            let hi = if range.hi_raw() >= 1u128 << 64 {
-                None
-            } else {
-                Some(range.hi_raw() as u64)
-            };
-            log.record(
-                HistoryCall::Range {
-                    lo: range.lo_raw() as u64,
-                    hi,
-                },
-                match &out {
-                    Ok(r) => HistoryReturn::Records {
-                        records: r
-                            .records
-                            .iter()
-                            .map(|(k, v)| (k.bits(), v.clone()))
-                            .collect(),
-                    },
-                    Err(e) => HistoryReturn::failure(e),
-                },
-            );
-        }
-        out
-    }
-
-    fn range_impl(&self, range: KeyInterval) -> Result<RangeResult<V>, LhtError> {
         let mut runs: Vec<Vec<(KeyFraction, V)>> = Vec::new();
         let mut cost = RangeCost::default();
         if range.is_empty() {

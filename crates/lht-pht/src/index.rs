@@ -1,13 +1,8 @@
 //! The PHT index: lookup, insertion with splits, removal with merges.
 
-use std::sync::Arc;
-
 use parking_lot::Mutex;
 
-use lht_core::{
-    retry_transient, HistoryCall, HistoryLog, HistoryReturn, IndexStats, LhtConfig, LhtError,
-    MinMaxHit, OpCost,
-};
+use lht_core::{retry_transient, IndexStats, LhtConfig, LhtError, MinMaxHit, OpCost};
 use lht_dht::Dht;
 use lht_id::KeyFraction;
 
@@ -48,11 +43,6 @@ where
     dht: D,
     cfg: LhtConfig,
     stats: Mutex<IndexStats>,
-    /// Optional operation-history recorder, mirroring
-    /// [`LhtIndex::attach_history`](lht_core::LhtIndex::attach_history)
-    /// so the baseline can be driven by the same linearizability
-    /// harness as the LHT index.
-    history: Mutex<Option<Arc<HistoryLog<V>>>>,
 }
 
 impl<D, V> PhtIndex<D, V>
@@ -71,7 +61,6 @@ where
             dht,
             cfg,
             stats: Mutex::new(IndexStats::default()),
-            history: Mutex::new(None),
         };
         let root = PhtLabel::root();
         index.dht.update(&root.dht_key(), &mut |slot| {
@@ -100,18 +89,6 @@ where
     /// Resets the cumulative statistics.
     pub fn reset_stats(&self) {
         *self.stats.lock() = IndexStats::default();
-    }
-
-    /// Attaches an operation-history recorder: insert / remove /
-    /// exact-match / min / max append [`OpRecord`](lht_core::OpRecord)s
-    /// to `log` under the context set by
-    /// [`HistoryLog::set_context`].
-    pub fn attach_history(&self, log: Arc<HistoryLog<V>>) {
-        *self.history.lock() = Some(log);
-    }
-
-    pub(crate) fn history(&self) -> Option<Arc<HistoryLog<V>>> {
-        self.history.lock().clone()
     }
 
     /// PHT lookup: binary search over the `D + 1` candidate prefix
@@ -157,21 +134,8 @@ where
     ///
     /// Propagates [`lookup`](Self::lookup) errors.
     pub fn exact_match(&self, key: KeyFraction) -> Result<(Option<V>, OpCost), LhtError> {
-        let out = self
-            .lookup(key)
-            .map(|hit| (hit.leaf.records.get(&key).cloned(), hit.cost));
-        if let Some(log) = self.history() {
-            log.record(
-                HistoryCall::Get { key: key.bits() },
-                match &out {
-                    Ok((value, _)) => HistoryReturn::Value {
-                        value: value.clone(),
-                    },
-                    Err(e) => HistoryReturn::failure(e),
-                },
-            );
-        }
-        out
+        self.lookup(key)
+            .map(|hit| (hit.leaf.records.get(&key).cloned(), hit.cost))
     }
 
     /// Inserts a record: a PHT lookup plus a DHT-put towards the
@@ -185,25 +149,6 @@ where
     ///
     /// Propagates lookup errors and substrate failures.
     pub fn insert(&self, key: KeyFraction, value: V) -> Result<PhtInsertOutcome, LhtError> {
-        let log = self.history();
-        let logged = log.as_ref().map(|_| value.clone());
-        let out = self.insert_impl(key, value);
-        if let Some(log) = log {
-            log.record(
-                HistoryCall::Insert {
-                    key: key.bits(),
-                    value: logged.expect("cloned when history attached"),
-                },
-                match &out {
-                    Ok(_) => HistoryReturn::Inserted,
-                    Err(e) => HistoryReturn::failure(e),
-                },
-            );
-        }
-        out
-    }
-
-    fn insert_impl(&self, key: KeyFraction, value: V) -> Result<PhtInsertOutcome, LhtError> {
         let hit = self.lookup(key)?;
         let label = hit.leaf.label;
         let theta = self.cfg.theta_split;
@@ -322,23 +267,6 @@ where
     /// Propagates lookup errors and substrate failures.
     #[allow(clippy::type_complexity)]
     pub fn remove(&self, key: KeyFraction) -> Result<(Option<V>, bool, OpCost, OpCost), LhtError> {
-        let out = self.remove_impl(key);
-        if let Some(log) = self.history() {
-            log.record(
-                HistoryCall::Remove { key: key.bits() },
-                match &out {
-                    Ok((prior, ..)) => HistoryReturn::Removed {
-                        prior: prior.clone(),
-                    },
-                    Err(e) => HistoryReturn::failure(e),
-                },
-            );
-        }
-        out
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn remove_impl(&self, key: KeyFraction) -> Result<(Option<V>, bool, OpCost, OpCost), LhtError> {
         let hit = self.lookup(key)?;
         let label = hit.leaf.label;
         let mut removed = None;
@@ -383,9 +311,7 @@ where
     /// Propagates [`lookup`](Self::lookup) errors and substrate
     /// failures; [`LhtError::MissingBucket`] if a leaf link dangles.
     pub fn min(&self) -> Result<MinMaxHit<V>, LhtError> {
-        let out = self.extreme(true);
-        self.record_extreme(HistoryCall::Min, &out);
-        out
+        self.extreme(true)
     }
 
     /// Max query: the mirror of [`min`](Self::min) — a lookup of the
@@ -396,23 +322,7 @@ where
     ///
     /// Same contract as [`min`](Self::min).
     pub fn max(&self) -> Result<MinMaxHit<V>, LhtError> {
-        let out = self.extreme(false);
-        self.record_extreme(HistoryCall::Max, &out);
-        out
-    }
-
-    fn record_extreme(&self, call: HistoryCall<V>, out: &Result<MinMaxHit<V>, LhtError>) {
-        if let Some(log) = self.history() {
-            log.record(
-                call,
-                match out {
-                    Ok(hit) => HistoryReturn::Extreme {
-                        record: hit.value.as_ref().map(|(k, v)| (k.bits(), v.clone())),
-                    },
-                    Err(e) => HistoryReturn::failure(e),
-                },
-            );
-        }
+        self.extreme(false)
     }
 
     fn extreme(&self, smallest: bool) -> Result<MinMaxHit<V>, LhtError> {

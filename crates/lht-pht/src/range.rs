@@ -1,7 +1,7 @@
 //! PHT range queries: the sequential and parallel algorithms
 //! (the paper's refs. \[16\] and \[4\]).
 
-use lht_core::{assemble_runs, HistoryCall, HistoryReturn, KeyInterval, LhtError, RangeCost};
+use lht_core::{assemble_runs, KeyInterval, LhtError, RangeCost};
 use lht_dht::{Dht, DhtKey};
 use lht_id::{BitStr, KeyFraction};
 
@@ -37,38 +37,6 @@ where
     /// Propagates lookup errors and substrate failures;
     /// [`LhtError::MissingBucket`] on a broken leaf chain.
     pub fn range_sequential(&self, range: KeyInterval) -> Result<PhtRangeResult<V>, LhtError> {
-        let out = self.range_sequential_impl(range);
-        self.record_range(range, &out);
-        out
-    }
-
-    fn record_range(&self, range: KeyInterval, out: &Result<PhtRangeResult<V>, LhtError>) {
-        if let Some(log) = self.history() {
-            let hi = if range.hi_raw() >= 1u128 << 64 {
-                None
-            } else {
-                Some(range.hi_raw() as u64)
-            };
-            log.record(
-                HistoryCall::Range {
-                    lo: range.lo_raw() as u64,
-                    hi,
-                },
-                match out {
-                    Ok(res) => HistoryReturn::Records {
-                        records: res
-                            .records
-                            .iter()
-                            .map(|(k, v)| (k.bits(), v.clone()))
-                            .collect(),
-                    },
-                    Err(e) => HistoryReturn::failure(e),
-                },
-            );
-        }
-    }
-
-    fn range_sequential_impl(&self, range: KeyInterval) -> Result<PhtRangeResult<V>, LhtError> {
         let mut runs: Vec<Vec<(KeyFraction, V)>> = Vec::new();
         let mut cost = RangeCost::default();
         if range.is_empty() {
@@ -125,12 +93,6 @@ where
     ///
     /// Propagates lookup errors and substrate failures.
     pub fn range_parallel(&self, range: KeyInterval) -> Result<PhtRangeResult<V>, LhtError> {
-        let out = self.range_parallel_impl(range);
-        self.record_range(range, &out);
-        out
-    }
-
-    fn range_parallel_impl(&self, range: KeyInterval) -> Result<PhtRangeResult<V>, LhtError> {
         let mut runs: Vec<Vec<(KeyFraction, V)>> = Vec::new();
         let mut cost = RangeCost::default();
         if range.is_empty() {

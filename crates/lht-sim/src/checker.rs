@@ -38,9 +38,13 @@
 //!   response.
 
 use std::collections::HashSet;
+use std::time::Instant;
 
 use lht::harness::ShadowOracle;
-use lht_core::{HistoryCall, HistoryReturn, OpRecord};
+use lht_core::{
+    HistoryCall, HistoryRecorder, HistoryReturn, LeafBucket, LhtConfig, LhtIndex, OpRecord,
+};
+use lht_dht::ChordDht;
 
 /// The checker's decision about one history.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -297,8 +301,45 @@ pub fn check(history: &[OpRecord<u32>], strict: bool, budget: u64) -> CheckResul
     }
 }
 
+/// Runs the same single-client insert-then-read-back trace twice over
+/// an 8-peer Chord ring, recorded through a [`HistoryRecorder`] — once
+/// clean, once with the index's torn-split mutant
+/// ([`LhtIndex::arm_torn_split`]) armed on the first split — and
+/// returns both strict-mode verdicts. A sound harness yields
+/// `(Linearizable, NotLinearizable { .. })`: the armed split strands
+/// its remote half, so keys whose inserts were acknowledged read back
+/// absent.
+pub fn torn_split_outcomes() -> (Outcome, Outcome) {
+    let run = |armed: bool| -> Outcome {
+        let dht: ChordDht<LeafBucket<u32>> = ChordDht::with_nodes(8, 1);
+        let ix = LhtIndex::new(&dht, LhtConfig::new(4, 20)).expect("bootstrap index");
+        if armed {
+            ix.arm_torn_split(1);
+        }
+        let mut rec = HistoryRecorder::new(0, Instant::now());
+        // Eight keys spread over the key space: theta = 4 splits on
+        // the fifth insert, and both halves hold records.
+        let keys: Vec<u64> = (1..=8u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
+            .collect();
+        for (i, &key) in keys.iter().enumerate() {
+            let value = i as u32;
+            rec.run(&ix, HistoryCall::Insert { key, value });
+        }
+        // Each read is invoked strictly after every insert's
+        // response, so every linearization must order it after them.
+        for &key in &keys {
+            rec.run(&ix, HistoryCall::Get { key });
+        }
+        check(&rec.into_records(), true, 100_000).outcome
+    };
+    (run(false), run(true))
+}
+
 #[cfg(test)]
 mod tests {
+    use lht_dht::DirectDht;
+
     use super::*;
 
     fn rec(
@@ -504,5 +545,48 @@ mod tests {
         ];
         let r = check(&h, true, 0);
         assert_eq!(r.outcome, Outcome::Undecided);
+    }
+
+    /// The executor and the spec agree call by call: one client's
+    /// seeded plan, run sequentially on a fault-free substrate, must
+    /// return exactly what [`apply`] answers on the oracle.
+    #[test]
+    fn executor_matches_the_sequential_spec_on_a_seeded_plan() {
+        let cfg = crate::SimConfig {
+            ops_per_client: 400,
+            ..crate::SimConfig::default()
+        };
+        let plan = &crate::plan::client_plans(&cfg)[0];
+        // On the still-empty index: min, max, a remove of an absent key
+        // and a range to the top of the key space.
+        let calls: Vec<HistoryCall<u32>> = [
+            HistoryCall::Min,
+            HistoryCall::Max,
+            HistoryCall::Remove { key: 1 << 63 },
+            HistoryCall::Range { lo: 0, hi: None },
+        ]
+        .into_iter()
+        .chain(plan.ops.iter().map(|(call, _)| call.clone()))
+        .chain([HistoryCall::Range { lo: 0, hi: None }])
+        .collect();
+        assert!(
+            calls
+                .iter()
+                .any(|c| matches!(c, HistoryCall::Range { hi: Some(_), .. })),
+            "the plan must hold a bounded range"
+        );
+
+        let dht: DirectDht<LeafBucket<u32>> = DirectDht::new();
+        let index = LhtIndex::new(&dht, LhtConfig::new(cfg.theta_split, cfg.max_depth)).unwrap();
+        let mut spec = ShadowOracle::new();
+        for call in &calls {
+            let got = call
+                .execute(&index)
+                .unwrap_or_else(|e| panic!("{call:?} failed on a fault-free substrate: {e}"));
+            assert_eq!(got, apply(&mut spec, call), "{call:?}");
+        }
+        assert!(index.stats().splits > 0 && index.stats().merges > 0);
+        let variants: HashSet<_> = calls.iter().map(std::mem::discriminant).collect();
+        assert_eq!(variants.len(), 6, "every call variant is exercised");
     }
 }

@@ -19,8 +19,12 @@
 //! [`DhtStats`](lht_dht::DhtStats) deltas. An operation is *atomic at
 //! invocation* but its response lands `duration` virtual
 //! milliseconds later, so operation intervals genuinely overlap and
-//! the recorded history ([`HistoryLog`](lht_core::HistoryLog)) is a
-//! real concurrent history.
+//! the recorded history is a real concurrent history. Each client's
+//! plan is a list of [`HistoryCall`](lht_core::HistoryCall)s; the
+//! scheduler runs them through
+//! [`HistoryCall::execute`](lht_core::HistoryCall::execute) and keeps
+//! the stamped [`OpRecord`](lht_core::OpRecord)s itself — the index
+//! records nothing.
 //!
 //! The [`checker`] then decides whether that history is
 //! **linearizable** against the [`ShadowOracle`](lht::harness::ShadowOracle)

@@ -2,50 +2,19 @@
 //! before the run so execution consumes no scheduler randomness and
 //! an explicit schedule replays identically.
 
+use lht_core::HistoryCall;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::SimConfig;
 
-/// One planned client operation.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum PlannedOp {
-    /// Upsert `key → value`.
-    Insert {
-        /// Raw key bits.
-        key: u64,
-        /// The value; unique per (client, op) so clobbers are visible.
-        value: u32,
-    },
-    /// Remove `key`.
-    Remove {
-        /// Raw key bits.
-        key: u64,
-    },
-    /// Exact-match lookup of `key`.
-    Get {
-        /// Raw key bits.
-        key: u64,
-    },
-    /// Range query `[lo, hi)`, or `[lo, 2^64)` when `hi` is `None`.
-    Range {
-        /// Lower bound (inclusive).
-        lo: u64,
-        /// Upper bound (exclusive); `None` means top-of-space.
-        hi: Option<u64>,
-    },
-    /// Min query.
-    Min,
-    /// Max query.
-    Max,
-}
-
 /// A client's full plan: operations plus a think time (virtual ms)
 /// after each, so clients drift out of lockstep.
 #[derive(Clone, Debug)]
 pub(crate) struct ClientPlan {
-    /// The operations, issued in order.
-    pub ops: Vec<(PlannedOp, u64)>,
+    /// The operations, issued in order. Insert values are unique per
+    /// (client, op) so clobbers are visible.
+    pub ops: Vec<(HistoryCall<u32>, u64)>,
 }
 
 /// Generates every client's plan. Clients share a seed-derived pool
@@ -74,23 +43,23 @@ pub(crate) fn client_plans(cfg: &SimConfig) -> Vec<ClientPlan> {
                 .map(|i| {
                     let roll = rng.gen_range(0u32..100);
                     let op = if roll < 40 {
-                        PlannedOp::Insert {
+                        HistoryCall::Insert {
                             key: pick_key(&mut rng),
                             value: c * 1_000_000 + i,
                         }
                     } else if roll < 55 {
-                        PlannedOp::Remove {
+                        HistoryCall::Remove {
                             key: pick_key(&mut rng),
                         }
                     } else if roll < 75 {
-                        PlannedOp::Get {
+                        HistoryCall::Get {
                             key: pick_key(&mut rng),
                         }
                     } else if roll < 88 {
                         let lo = pick_key(&mut rng);
                         let width = 1u128 << rng.gen_range(48u32..63);
                         let hi = lo as u128 + width;
-                        PlannedOp::Range {
+                        HistoryCall::Range {
                             lo,
                             hi: if hi >= 1u128 << 64 {
                                 None
@@ -99,9 +68,9 @@ pub(crate) fn client_plans(cfg: &SimConfig) -> Vec<ClientPlan> {
                             },
                         }
                     } else if roll < 94 {
-                        PlannedOp::Min
+                        HistoryCall::Min
                     } else {
-                        PlannedOp::Max
+                        HistoryCall::Max
                     };
                     (op, rng.gen_range(0u64..4))
                 })
@@ -138,9 +107,9 @@ mod tests {
             p.ops
                 .iter()
                 .filter_map(|(op, _)| match op {
-                    PlannedOp::Insert { key, .. }
-                    | PlannedOp::Remove { key }
-                    | PlannedOp::Get { key } => Some(*key),
+                    HistoryCall::Insert { key, .. }
+                    | HistoryCall::Remove { key }
+                    | HistoryCall::Get { key } => Some(*key),
                     _ => None,
                 })
                 .collect()

@@ -25,16 +25,16 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use lht_core::{HistoryLog, KeyInterval, LeafBucket, LhtConfig, LhtIndex};
+use lht_core::{HistoryCall, HistoryReturn, LeafBucket, LhtConfig, LhtError, LhtIndex, OpRecord};
 use lht_dht::{
     client_tower, BoxDht, ChordConfig, ChordDht, Dht, ErasureConfig, ErasureDht, Fragment,
     NetProfile, QuorumConfig, QuorumDht, RetryPolicy, RingControl, TierMaintenance, Versioned,
 };
-use lht_id::{KeyFraction, U160};
+use lht_id::U160;
 
 use crate::checker::{self, Outcome};
 use crate::config::SimConfig;
-use crate::plan::{client_plans, ClientPlan, PlannedOp};
+use crate::plan::{client_plans, ClientPlan};
 use crate::shrink;
 
 fn net_profile(cfg: &SimConfig) -> NetProfile {
@@ -147,7 +147,9 @@ struct World {
     /// successor).
     crash_on_leave: bool,
     index: LhtIndex<BoxDht<'static, LeafBucket<u32>>, u32>,
-    log: Arc<HistoryLog<u32>>,
+    /// Every client operation, stamped in virtual milliseconds, in
+    /// execution order.
+    history: Vec<OpRecord<u32>>,
     plans: Vec<ClientPlan>,
     churn_rng: StdRng,
     joined: u32,
@@ -221,8 +223,6 @@ impl World {
         );
         let index = LhtIndex::new(stack, LhtConfig::new(cfg.theta_split, cfg.max_depth))
             .expect("bootstrap on a fresh ring");
-        let log = HistoryLog::new();
-        index.attach_history(Arc::clone(&log));
         if let Some(n) = cfg.torn_split {
             index.arm_torn_split(n);
         }
@@ -236,7 +236,7 @@ impl World {
             tier,
             crash_on_leave,
             index,
-            log,
+            history: Vec::new(),
             plans: client_plans(cfg),
             churn_rng: StdRng::seed_from_u64(cfg.seed ^ 0x5EED_0004),
             joined: 0,
@@ -286,7 +286,7 @@ impl World {
         self.schedule.push(actor as u32);
         let t = self.now;
         let desc = if actor < c {
-            self.client_step(cfg, actor)
+            self.client_step(actor)
         } else if actor == c {
             self.ring.stabilize_step();
             self.next_ready[actor] = t + STABILIZE_INTERVAL;
@@ -307,59 +307,26 @@ impl World {
         let _ = writeln!(self.trace, "[{t:>6}] {name}: {desc}");
     }
 
-    fn client_step(&mut self, _cfg: &SimConfig, actor: usize) -> String {
-        let (op, think) = self.plans[actor].ops[self.done_ops[actor] as usize];
+    fn client_step(&mut self, actor: usize) -> String {
+        let (call, think) = self.plans[actor].ops[self.done_ops[actor] as usize].clone();
         self.done_ops[actor] += 1;
-        self.log.set_context(actor as u32, self.now);
+        let splits = self.index.stats().splits;
         let before = self.index.dht().stats();
-        let desc = match op {
-            PlannedOp::Insert { key, value } => {
-                let r = self.index.insert(KeyFraction::from_bits(key), value);
-                match r {
-                    Ok(o) => format!("insert k={key:016x} v={value} -> ok split={}", o.did_split),
-                    Err(e) => format!("insert k={key:016x} v={value} -> err {e}"),
-                }
-            }
-            PlannedOp::Remove { key } => match self.index.remove(KeyFraction::from_bits(key)) {
-                Ok(o) => format!("remove k={key:016x} -> prior={:?}", o.value),
-                Err(e) => format!("remove k={key:016x} -> err {e}"),
-            },
-            PlannedOp::Get { key } => match self.index.exact_match(KeyFraction::from_bits(key)) {
-                Ok(h) => format!("get k={key:016x} -> {:?}", h.value),
-                Err(e) => format!("get k={key:016x} -> err {e}"),
-            },
-            PlannedOp::Range { lo, hi } => {
-                let interval = match hi {
-                    Some(hi) => KeyInterval::half_open(
-                        KeyFraction::from_bits(lo),
-                        KeyFraction::from_bits(hi),
-                    ),
-                    None => KeyInterval::from_key_to_end(KeyFraction::from_bits(lo)),
-                };
-                match self.index.range(interval) {
-                    Ok(r) => format!(
-                        "range lo={lo:016x} hi={hi:?} -> {} records",
-                        r.records.len()
-                    ),
-                    Err(e) => format!("range lo={lo:016x} hi={hi:?} -> err {e}"),
-                }
-            }
-            PlannedOp::Min => match self.index.min() {
-                Ok(h) => format!("min -> {:?}", h.value.map(|(k, v)| (k.bits(), v))),
-                Err(e) => format!("min -> err {e}"),
-            },
-            PlannedOp::Max => match self.index.max() {
-                Ok(h) => format!("max -> {:?}", h.value.map(|(k, v)| (k.bits(), v))),
-                Err(e) => format!("max -> err {e}"),
-            },
-        };
+        let out = call.execute(&self.index);
         let after = self.index.dht().stats();
+        let desc = describe(&call, &out, self.index.stats().splits > splits);
         // The operation's virtual duration: one base millisecond,
         // plus its routing hops, plus every wait the fault/retry
         // adapters charged (delivery latency, timeout waits, retry
         // backoffs). This is what makes operation intervals overlap.
         let duration = 1 + (after.hops - before.hops) / 2 + (after.latency_ms - before.latency_ms);
-        self.log.close_last(self.now + duration);
+        self.history.push(OpRecord {
+            client: actor as u32,
+            inv: self.now,
+            resp: self.now + duration,
+            call,
+            ret: out.unwrap_or_else(|e| HistoryReturn::failure(&e)),
+        });
         self.next_ready[actor] = self.now + duration + think;
         format!("{desc} dur={duration}")
     }
@@ -384,6 +351,32 @@ impl World {
             format!("join {name} -> {:?}", id.map(|i| i.to_string()))
         }
     }
+}
+
+/// One client step's trace text: the call, then what it returned.
+fn describe(
+    call: &HistoryCall<u32>,
+    out: &Result<HistoryReturn<u32>, LhtError>,
+    split: bool,
+) -> String {
+    let call = match call {
+        HistoryCall::Insert { key, value } => format!("insert k={key:016x} v={value}"),
+        HistoryCall::Remove { key } => format!("remove k={key:016x}"),
+        HistoryCall::Get { key } => format!("get k={key:016x}"),
+        HistoryCall::Range { lo, hi } => format!("range lo={lo:016x} hi={hi:?}"),
+        HistoryCall::Min => "min".to_string(),
+        HistoryCall::Max => "max".to_string(),
+    };
+    let ret = match out {
+        Err(e) => format!("err {e}"),
+        Ok(HistoryReturn::Inserted) => format!("ok split={split}"),
+        Ok(HistoryReturn::Removed { prior }) => format!("prior={prior:?}"),
+        Ok(HistoryReturn::Value { value }) => format!("{value:?}"),
+        Ok(HistoryReturn::Records { records }) => format!("{} records", records.len()),
+        Ok(HistoryReturn::Extreme { record }) => format!("{record:?}"),
+        Ok(HistoryReturn::Failed { .. }) => unreachable!("the executor reports failures as Err"),
+    };
+    format!("{call} -> {ret}")
 }
 
 /// Runs the scheduler loop to completion (all client operations
@@ -429,8 +422,7 @@ fn run(cfg: &SimConfig, mut chooser: Chooser) -> World {
 }
 
 fn verdict_of(cfg: &SimConfig, world: &World) -> (SimVerdict, usize) {
-    let history = world.log.snapshot();
-    let result = checker::check(&history, cfg.strict(), cfg.check_budget);
+    let result = checker::check(&world.history, cfg.strict(), cfg.check_budget);
     let verdict = match result.outcome {
         Outcome::Linearizable => SimVerdict::Pass {
             ops: result.ops,
@@ -448,9 +440,8 @@ fn verdict_of(cfg: &SimConfig, world: &World) -> (SimVerdict, usize) {
                         at: 0,
                     },
                 );
-                let history = replayed.log.snapshot();
                 matches!(
-                    checker::check(&history, cfg.strict(), cfg.check_budget).outcome,
+                    checker::check(&replayed.history, cfg.strict(), cfg.check_budget).outcome,
                     Outcome::NotLinearizable { .. }
                 )
             });
@@ -462,7 +453,7 @@ fn verdict_of(cfg: &SimConfig, world: &World) -> (SimVerdict, usize) {
             }
         }
     };
-    (verdict, history.len())
+    (verdict, world.history.len())
 }
 
 /// Runs one seed-determined simulation end to end: schedule, record,
@@ -508,8 +499,7 @@ pub fn replay_schedule(cfg: &SimConfig, schedule: &[u32]) -> SimReport {
             at: 0,
         },
     );
-    let history = world.log.snapshot();
-    let result = checker::check(&history, cfg.strict(), cfg.check_budget);
+    let result = checker::check(&world.history, cfg.strict(), cfg.check_budget);
     let verdict = match result.outcome {
         Outcome::Linearizable => SimVerdict::Pass {
             ops: result.ops,
@@ -528,7 +518,7 @@ pub fn replay_schedule(cfg: &SimConfig, schedule: &[u32]) -> SimReport {
         config: cfg.clone(),
         trace: world.trace,
         schedule: world.schedule,
-        history_len: history.len(),
+        history_len: world.history.len(),
         verdict,
     }
 }

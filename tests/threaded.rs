@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 
-use lht::{ChordDht, Dht, HistoryRecorder, KeyFraction, LeafBucket, LhtConfig, LhtIndex};
+use lht::{ChordDht, Dht, HistoryCall, HistoryRecorder, LeafBucket, LhtConfig, LhtIndex};
 use lht_core::merge_histories;
 use lht_sim::checker::{self, Outcome};
 
@@ -25,46 +25,40 @@ fn multi_client_history_passes_the_checker() {
     let epoch = Instant::now();
     let clients = 4u32;
     let per_client = 80u64;
-    let logs: Vec<_> = std::thread::scope(|s| {
+    let histories: Vec<_> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..clients)
             .map(|t| {
                 let dht = &dht;
                 s.spawn(move || {
-                    let rec: HistoryRecorder<u32> = HistoryRecorder::new(t, epoch);
+                    let mut rec: HistoryRecorder<u32> = HistoryRecorder::new(t, epoch);
                     let ix: LhtIndex<_, u32> = LhtIndex::new(dht, cfg).unwrap();
-                    ix.attach_history(rec.log());
                     for i in 0..per_client {
                         // Mostly per-client stripes with a shared band
                         // of 8 hot keys, so operations genuinely
                         // contend without blowing up the search.
-                        let bits = if i % 5 == 0 {
+                        let key = if i % 5 == 0 {
                             (i % 8).wrapping_mul(0x0101_0101_0101_0101) | 1
                         } else {
                             (u64::from(t) << 32 | i).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1
                         };
-                        let k = KeyFraction::from_bits(bits);
-                        rec.invoke();
-                        match i % 4 {
-                            0 | 1 => {
-                                let _ = ix.insert(k, (t as u64 * 1000 + i) as u32);
-                            }
-                            2 => {
-                                let _ = ix.exact_match(k);
-                            }
-                            _ => {
-                                let _ = ix.remove(k);
-                            }
-                        }
-                        rec.complete();
+                        let call = match i % 4 {
+                            0 | 1 => HistoryCall::Insert {
+                                key,
+                                value: (t as u64 * 1000 + i) as u32,
+                            },
+                            2 => HistoryCall::Get { key },
+                            _ => HistoryCall::Remove { key },
+                        };
+                        rec.run(&ix, call);
                     }
-                    rec.log()
+                    rec.into_records()
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    let history = merge_histories(&logs);
+    let history = merge_histories(histories);
     assert_eq!(history.len(), (clients as u64 * per_client) as usize);
     // Lossy (non-strict) mode: a read racing another client's split
     // may transiently fail; such a failure constrains nothing.
@@ -81,39 +75,13 @@ fn multi_client_history_passes_the_checker() {
 /// The armed torn-split mutant, recorded through a
 /// [`HistoryRecorder`], produces a history the checker rejects — and
 /// the identical unarmed trace passes, so the rejection is the
-/// mutant's doing, not the harness's.
+/// mutant's doing, not the harness's. `lht-exp threaded
+/// --mutant-proof` runs the same proof.
 #[test]
 fn torn_split_mutant_is_caught_through_the_recorder() {
-    let run = |armed: bool| -> Outcome {
-        let dht: ChordDht<LeafBucket<u32>> = ChordDht::with_nodes(8, 1);
-        let ix: LhtIndex<_, u32> = LhtIndex::new(&dht, LhtConfig::new(4, 20)).unwrap();
-        let rec: HistoryRecorder<u32> = HistoryRecorder::new(0, Instant::now());
-        ix.attach_history(rec.log());
-        if armed {
-            ix.arm_torn_split(1);
-        }
-        // Eight keys spread over the key space: theta = 4 splits on
-        // the fifth insert, and both halves hold records.
-        let keys: Vec<KeyFraction> = (1..=8u64)
-            .map(|i| KeyFraction::from_bits(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1))
-            .collect();
-        for (i, &k) in keys.iter().enumerate() {
-            rec.invoke();
-            let _ = ix.insert(k, i as u32);
-            rec.complete();
-        }
-        // Each read is invoked strictly after every insert's
-        // response, so every linearization must order it after them.
-        for &k in &keys {
-            rec.invoke();
-            let _ = ix.exact_match(k);
-            rec.complete();
-        }
-        checker::check(&rec.log().snapshot(), true, 100_000).outcome
-    };
-
-    assert_eq!(run(false), Outcome::Linearizable, "control trace must pass");
-    match run(true) {
+    let (clean, armed) = checker::torn_split_outcomes();
+    assert_eq!(clean, Outcome::Linearizable, "control trace must pass");
+    match armed {
         Outcome::NotLinearizable { witness } => {
             assert!(!witness.is_empty(), "witness should describe the anomaly");
         }
