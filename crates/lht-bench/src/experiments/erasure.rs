@@ -39,9 +39,10 @@ pub(crate) fn payload_bytes(v: u32) -> Vec<u8> {
     out
 }
 
-/// One cell's outcome — shared by the coded and replicated stacks so
-/// the comparison rows render from one shape.
-pub(crate) struct ErasureCell {
+/// One cell's outcome — shared by the quorum, coded and replicated
+/// stacks so every E20 row renders from one shape (the quorum rows
+/// leave the storage fields zero).
+pub(crate) struct E20Cell {
     /// Logical client operations attempted.
     pub attempted: u64,
     /// Operations that completed despite the injected faults.
@@ -59,7 +60,7 @@ pub(crate) struct ErasureCell {
     pub stats: DhtStats,
 }
 
-impl ErasureCell {
+impl E20Cell {
     /// Fraction of logical ops that completed.
     pub(crate) fn availability(&self) -> f64 {
         if self.attempted == 0 {
@@ -85,7 +86,8 @@ impl ErasureCell {
     }
 }
 
-/// Same deterministic generator as the quorum rows.
+/// Tiny deterministic generator for workload/churn choices, so every
+/// cell replays the same op sequence regardless of config.
 struct Lcg(u64);
 
 impl Lcg {
@@ -98,49 +100,49 @@ impl Lcg {
     }
 }
 
-/// Per-key client model: newest acked value, invalidated when a write
-/// to the key fails (the failed write may have partially landed).
+/// Per-key client model for the staleness measure: the newest acked
+/// value, invalidated (`dirty`) when a write to the key fails — after
+/// that, reads of the key are no longer judged (the failed write may
+/// or may not have partially landed).
 #[derive(Default)]
 struct KeyModel {
     acked: Option<u32>,
     dirty: bool,
 }
 
-/// Judges one completed read against the model and updates the cell's
-/// staleness tallies. A reconstruction mismatch (right key, corrupt
-/// bytes) counts as stale — the measure is "did the client get the
-/// newest acked payload, byte for byte".
-fn judge_read(cell: &mut ErasureCell, m: &KeyModel, got: Option<Vec<u8>>) {
-    cell.ok += 1;
-    if m.dirty {
-        return;
-    }
-    cell.clean_reads += 1;
-    if got != m.acked.map(payload_bytes) {
-        cell.stale_reads += 1;
-    }
+/// A fresh `nodes`-node ring storing one copy of each slot: every E20
+/// tier owns its own redundancy.
+pub(crate) fn single_copy_ring<W>(nodes: usize, seed: u64) -> ChordDht<W> {
+    let cfg = ChordConfig {
+        replicas: 1,
+        ..ChordConfig::default()
+    };
+    ChordDht::with_config(nodes, seed ^ 0x5eed, cfg)
 }
 
-/// Runs the shared workload against `tier`, with churn/maintenance at
-/// batch boundaries driven by the callbacks so both stacks reuse one
-/// op sequence. Returns the cell with storage fields still zero.
-fn drive_workload<T, W>(
+/// Runs the shared workload against `tier`, storing `payload(v)` for
+/// the `v`-th op's write, with churn/maintenance at batch boundaries
+/// driven by the callback so every stack reuses one op sequence.
+/// Returns the cell with stats and storage fields still zero.
+pub(crate) fn drive_workload<T, W, P>(
     tier: &T,
     ring: &ChordDht<W>,
     ops: usize,
     seed: u64,
     churn: bool,
     anti_entropy: &dyn Fn(),
-) -> ErasureCell
+    payload: fn(u32) -> P,
+) -> E20Cell
 where
-    T: Dht<Value = Vec<u8>>,
+    T: Dht<Value = P>,
     W: Clone,
+    P: PartialEq,
 {
     let key_space = 64usize;
     let key = |i: usize| DhtKey::from(format!("e20:{i}"));
     let mut gen = Lcg(seed ^ 0xE20);
     let mut model: HashMap<usize, KeyModel> = HashMap::new();
-    let mut cell = ErasureCell {
+    let mut cell = E20Cell {
         attempted: 0,
         ok: 0,
         clean_reads: 0,
@@ -170,16 +172,25 @@ where
         let m = model.entry(k).or_default();
         cell.attempted += 1;
         match gen.next() % 8 {
-            // 5/8 reads, 2/8 puts, 1/8 removes — identical mix to the
-            // quorum rows.
+            // 5/8 reads, 2/8 puts, 1/8 removes — read-heavy, like the
+            // index hot path the tier sits under. A read is stale when
+            // it returns anything but the newest acked payload: for
+            // the coded rows a reconstruction mismatch (right key,
+            // corrupt bytes) counts too.
             0..=4 => {
                 if let Ok(got) = tier.get(&key(k)) {
-                    judge_read(&mut cell, m, got);
+                    cell.ok += 1;
+                    if !m.dirty {
+                        cell.clean_reads += 1;
+                        if got != m.acked.map(payload) {
+                            cell.stale_reads += 1;
+                        }
+                    }
                 }
             }
             5 | 6 => {
                 let v = i as u32;
-                match tier.put(&key(k), payload_bytes(v)) {
+                match tier.put(&key(k), payload(v)) {
                     Ok(()) => {
                         cell.ok += 1;
                         m.acked = Some(v);
@@ -269,22 +280,24 @@ pub(crate) fn run_cell(
     ops: usize,
     nodes: usize,
     seed: u64,
-) -> ErasureCell {
-    let ring: ChordDht<Fragment> = ChordDht::with_config(
-        nodes,
-        seed ^ 0x5eed,
-        ChordConfig {
-            replicas: 1,
-            ..ChordConfig::default()
-        },
-    );
+) -> E20Cell {
+    let ring: ChordDht<Fragment> = single_copy_ring(nodes, seed);
     let net_seed = seed ^ (drop_rate * 1000.0) as u64 ^ ((k * 10 + m) as u64) << 8;
     let lossy = FaultyDht::new(&ring, NetProfile::lossy(net_seed, drop_rate));
     let coded: ErasureDht<_, Vec<u8>> = ErasureDht::new(&lossy, ErasureConfig::new(k, m));
 
-    let mut cell = drive_workload(&coded, &ring, ops, seed, churn, &|| {
+    let anti_entropy = || {
         coded.anti_entropy_step();
-    });
+    };
+    let mut cell = drive_workload(
+        &coded,
+        &ring,
+        ops,
+        seed,
+        churn,
+        &anti_entropy,
+        payload_bytes,
+    );
 
     // Healing sweep before pricing storage: regenerate what loss and
     // churn destroyed, so `stored_bytes` is the steady-state cost and
@@ -310,22 +323,24 @@ pub(crate) fn replication_cell(
     ops: usize,
     nodes: usize,
     seed: u64,
-) -> ErasureCell {
-    let ring: ChordDht<Versioned<Vec<u8>>> = ChordDht::with_config(
-        nodes,
-        seed ^ 0x5eed,
-        ChordConfig {
-            replicas: 1,
-            ..ChordConfig::default()
-        },
-    );
+) -> E20Cell {
+    let ring: ChordDht<Versioned<Vec<u8>>> = single_copy_ring(nodes, seed);
     let net_seed = seed ^ (drop_rate * 1000.0) as u64 ^ ((n * 100 + r * 10 + w) as u64) << 8;
     let lossy = FaultyDht::new(&ring, NetProfile::lossy(net_seed, drop_rate));
     let quorum = QuorumDht::new(&lossy, QuorumConfig::new(n, r, w));
 
-    let mut cell = drive_workload(&quorum, &ring, ops, seed, churn, &|| {
+    let anti_entropy = || {
         quorum.anti_entropy_step();
-    });
+    };
+    let mut cell = drive_workload(
+        &quorum,
+        &ring,
+        ops,
+        seed,
+        churn,
+        &anti_entropy,
+        payload_bytes,
+    );
 
     for _ in 0..4 {
         ring.stabilize(2);

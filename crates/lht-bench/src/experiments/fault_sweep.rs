@@ -18,8 +18,8 @@ use std::io::{self, Write};
 use lht::harness::args::{Flag, Parsed};
 use lht::pht::PhtNode;
 use lht::{
-    ChordConfig, ChordDht, Dht, DhtStats, FaultyDht, KeyFraction, KeyInterval, LeafBucket,
-    LhtConfig, LhtIndex, NetProfile, PhtIndex, RetriedDht, RetryPolicy,
+    ChordConfig, ChordDht, Dht, DhtStats, Executor, FaultyDht, HistoryCall, KeyFraction,
+    LeafBucket, LhtConfig, LhtError, LhtIndex, NetProfile, PhtIndex, RetriedDht, RetryPolicy,
 };
 
 use crate::Table;
@@ -57,92 +57,51 @@ impl Cell {
 /// The shared workload: insert `n` keys, look each up, run `n/8`
 /// small ranges, a handful of extremes, then remove a quarter.
 /// Failures are counted, never fatal — that is the availability being
-/// measured.
-struct Workload {
-    n: usize,
-    attempted: u64,
-    ok: u64,
-}
-
-impl Workload {
-    fn new(n: usize) -> Workload {
-        Workload {
-            n,
-            attempted: 0,
-            ok: 0,
+/// measured. Returns `(attempted, ok)`.
+fn run_workload(ix: &impl Executor<u32>, n: usize) -> (u64, u64) {
+    let bits = |x: f64| KeyFraction::from_f64(x).bits();
+    let key = |i: usize| bits((i as f64 + 0.5) / n as f64);
+    let range = |i: usize| {
+        let lo = (i % 16) as f64 / 16.0;
+        HistoryCall::Range {
+            lo: bits(lo),
+            hi: Some(bits(lo + 1.0 / 16.0)),
         }
-    }
-
-    fn tally(&mut self, ok: bool) {
-        self.attempted += 1;
-        self.ok += ok as u64;
-    }
-
-    fn key(&self, i: usize) -> KeyFraction {
-        KeyFraction::from_f64((i as f64 + 0.5) / self.n as f64)
-    }
-}
-
-fn run_lht<D: Dht<Value = LeafBucket<u32>>>(ix: &LhtIndex<D, u32>, n: usize) -> (u64, u64) {
-    let mut w = Workload::new(n);
-    for i in 0..n {
-        let ok = ix.insert(w.key(i), i as u32).is_ok();
-        w.tally(ok);
-    }
-    for i in 0..n {
-        w.tally(ix.exact_match(w.key(i)).is_ok());
-    }
-    for i in 0..n / 8 {
-        let lo = (i % 16) as f64 / 16.0;
-        let iv = KeyInterval::half_open(
-            KeyFraction::from_f64(lo),
-            KeyFraction::from_f64(lo + 1.0 / 16.0),
-        );
-        w.tally(ix.range(iv).is_ok());
-    }
-    for _ in 0..8 {
-        w.tally(ix.min().is_ok());
-        w.tally(ix.max().is_ok());
-    }
-    for i in (0..n).step_by(4) {
-        w.tally(ix.remove(w.key(i)).is_ok());
-    }
-    (w.attempted, w.ok)
-}
-
-fn run_pht<D: Dht<Value = PhtNode<u32>>>(ix: &PhtIndex<D, u32>, n: usize) -> (u64, u64) {
-    let mut w = Workload::new(n);
-    for i in 0..n {
-        let ok = ix.insert(w.key(i), i as u32).is_ok();
-        w.tally(ok);
-    }
-    for i in 0..n {
-        w.tally(ix.exact_match(w.key(i)).is_ok());
-    }
-    for i in 0..n / 8 {
-        let lo = (i % 16) as f64 / 16.0;
-        let iv = KeyInterval::half_open(
-            KeyFraction::from_f64(lo),
-            KeyFraction::from_f64(lo + 1.0 / 16.0),
-        );
-        w.tally(ix.range_sequential(iv).is_ok());
-    }
-    for _ in 0..8 {
-        w.tally(ix.min().is_ok());
-        w.tally(ix.max().is_ok());
-    }
-    for i in (0..n).step_by(4) {
-        w.tally(ix.remove(w.key(i)).is_ok());
-    }
-    (w.attempted, w.ok)
-}
-
-fn sweep_cell(index: &str, drop_rate: f64, ops: usize, nodes: usize) -> Cell {
-    let cfg = LhtConfig::new(4, 20);
-    let chord_cfg = ChordConfig {
-        replicas: 2,
-        ..ChordConfig::default()
     };
+    let calls = (0..n)
+        .map(|i| HistoryCall::Insert {
+            key: key(i),
+            value: i as u32,
+        })
+        .chain((0..n).map(|i| HistoryCall::Get { key: key(i) }))
+        .chain((0..n / 8).map(range))
+        .chain((0..8).flat_map(|_| [HistoryCall::Min, HistoryCall::Max]))
+        .chain(
+            (0..n)
+                .step_by(4)
+                .map(|i| HistoryCall::Remove { key: key(i) }),
+        );
+    let (mut attempted, mut ok) = (0, 0);
+    for call in calls {
+        attempted += 1;
+        ok += ix.execute(&call).is_ok() as u64;
+    }
+    (attempted, ok)
+}
+
+/// The lossy stack one cell's index runs over.
+type Lossy<'a, V> = RetriedDht<FaultyDht<&'a ChordDht<V>>>;
+
+/// Stands an index up over `ring` behind a lossy stack at `drop_rate`
+/// (`open` builds it; `stats` reads the stack back out of it), drives
+/// the shared workload through it and returns the cell.
+fn sweep_cell<'a, V, I: Executor<u32>>(
+    ring: &'a ChordDht<V>,
+    drop_rate: f64,
+    ops: usize,
+    open: impl Fn(Lossy<'a, V>) -> Result<I, LhtError>,
+    stats: impl Fn(&I) -> DhtStats,
+) -> Cell {
     let policy = RetryPolicy {
         max_attempts: SWEEP_ATTEMPTS,
         ..RetryPolicy::default()
@@ -151,46 +110,19 @@ fn sweep_cell(index: &str, drop_rate: f64, ops: usize, nodes: usize) -> Cell {
     // independent loss sequence; bump the seed on the (rare) bootstrap
     // failure so the retry is not doomed to replay the same drops.
     let net_seed = SEED ^ (drop_rate * 1000.0) as u64;
-    match index {
-        "lht" => {
-            let dht: ChordDht<LeafBucket<u32>> =
-                ChordDht::with_config(nodes, SEED ^ 0x5eed, chord_cfg);
-            let mut attempt = 0u64;
-            let ix = loop {
-                let profile = NetProfile::lossy(net_seed.wrapping_add(attempt), drop_rate);
-                let lossy = RetriedDht::new(FaultyDht::new(&dht, profile), policy);
-                match LhtIndex::new(lossy, cfg) {
-                    Ok(ix) => break ix,
-                    Err(_) => attempt += 1,
-                }
-            };
-            let (attempted, ok) = run_lht(&ix, ops);
-            Cell {
-                attempted,
-                ok,
-                stats: ix.dht().stats(),
-            }
+    let mut attempt = 0u64;
+    let ix = loop {
+        let profile = NetProfile::lossy(net_seed.wrapping_add(attempt), drop_rate);
+        match open(RetriedDht::new(FaultyDht::new(ring, profile), policy)) {
+            Ok(ix) => break ix,
+            Err(_) => attempt += 1,
         }
-        "pht" => {
-            let dht: ChordDht<PhtNode<u32>> =
-                ChordDht::with_config(nodes, SEED ^ 0x5eed, chord_cfg);
-            let mut attempt = 0u64;
-            let ix = loop {
-                let profile = NetProfile::lossy(net_seed.wrapping_add(attempt), drop_rate);
-                let lossy = RetriedDht::new(FaultyDht::new(&dht, profile), policy);
-                match PhtIndex::new(lossy, cfg) {
-                    Ok(ix) => break ix,
-                    Err(_) => attempt += 1,
-                }
-            };
-            let (attempted, ok) = run_pht(&ix, ops);
-            Cell {
-                attempted,
-                ok,
-                stats: ix.dht().stats(),
-            }
-        }
-        other => unreachable!("unknown index {other}"),
+    };
+    let (attempted, ok) = run_workload(&ix, ops);
+    Cell {
+        attempted,
+        ok,
+        stats: stats(&ix),
     }
 }
 
@@ -230,7 +162,22 @@ pub(crate) fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
         let mut base_lat = 0.0f64;
         for &rate in drop_rates {
             eprintln!("sweeping {index} at drop {rate}…");
-            let cell = sweep_cell(index, rate, ops, nodes);
+            let cfg = LhtConfig::new(4, 20);
+            let chord_cfg = ChordConfig {
+                replicas: 2,
+                ..ChordConfig::default()
+            };
+            let cell = if index == "lht" {
+                let ring: ChordDht<LeafBucket<u32>> =
+                    ChordDht::with_config(nodes, SEED ^ 0x5eed, chord_cfg);
+                let open = |dht| LhtIndex::new(dht, cfg);
+                sweep_cell(&ring, rate, ops, open, |ix| ix.dht().stats())
+            } else {
+                let ring: ChordDht<PhtNode<u32>> =
+                    ChordDht::with_config(nodes, SEED ^ 0x5eed, chord_cfg);
+                let open = |dht| PhtIndex::new(dht, cfg);
+                sweep_cell(&ring, rate, ops, open, |ix| ix.dht().stats())
+            };
             let hops = cell.stats.hops_per_lookup();
             let lat = cell.stats.latency_per_lookup();
             if rate == 0.0 {

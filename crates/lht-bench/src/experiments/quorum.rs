@@ -12,76 +12,10 @@ use std::collections::HashMap;
 use std::io::{self, Write};
 
 use lht::harness::args::{Flag, Parsed};
-use lht::{
-    ChordConfig, ChordDht, Dht, DhtKey, DhtStats, FaultyDht, NetProfile, QuorumConfig, QuorumDht,
-    Versioned,
-};
+use lht::{ChordDht, Dht, FaultyDht, NetProfile, QuorumConfig, QuorumDht, Versioned};
 
 use super::erasure;
 use crate::Table;
-
-/// Ops per maintenance batch: between batches churn strikes (if the
-/// cell has it) and one anti-entropy round runs.
-const BATCH: usize = 64;
-
-/// One cell's outcome.
-pub(crate) struct QuorumCell {
-    /// Logical client operations attempted.
-    pub attempted: u64,
-    /// Operations that completed despite the injected faults.
-    pub ok: u64,
-    /// Successful reads of keys whose writes all acked (the only reads
-    /// the staleness measure may judge).
-    pub clean_reads: u64,
-    /// Clean reads that returned something older than the newest
-    /// acked write.
-    pub stale_reads: u64,
-    /// The quorum layer's own stats: request hops on the client path,
-    /// every maintenance byte in `repair_transfers`/`repair_bandwidth`.
-    pub stats: DhtStats,
-}
-
-impl QuorumCell {
-    /// Fraction of logical ops that completed.
-    pub(crate) fn availability(&self) -> f64 {
-        if self.attempted == 0 {
-            return 1.0;
-        }
-        self.ok as f64 / self.attempted as f64
-    }
-
-    /// Fraction of judgeable reads that returned a stale value.
-    pub(crate) fn staleness(&self) -> f64 {
-        if self.clean_reads == 0 {
-            return 0.0;
-        }
-        self.stale_reads as f64 / self.clean_reads as f64
-    }
-}
-
-/// Tiny deterministic generator for workload/churn choices, so every
-/// cell replays the same op sequence regardless of config.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 16
-    }
-}
-
-/// Per-key client model for the staleness measure: the newest acked
-/// value, invalidated (`dirty`) when a write to the key fails — after
-/// that, reads of the key are no longer judged (the failed write may
-/// or may not have partially landed).
-#[derive(Default)]
-struct KeyModel {
-    acked: Option<u32>,
-    dirty: bool,
-}
 
 /// Runs one E20 cell: `ops` logical operations against a fresh
 /// `nodes`-node ring under `drop_rate` loss, with one leave+rejoin per
@@ -93,87 +27,16 @@ pub(crate) fn run_cell(
     ops: usize,
     nodes: usize,
     seed: u64,
-) -> QuorumCell {
-    let ring: ChordDht<Versioned<u32>> = ChordDht::with_config(
-        nodes,
-        seed ^ 0x5eed,
-        ChordConfig {
-            replicas: 1,
-            ..ChordConfig::default()
-        },
-    );
+) -> erasure::E20Cell {
+    let ring: ChordDht<Versioned<u32>> = erasure::single_copy_ring(nodes, seed);
     let net_seed = seed ^ (drop_rate * 1000.0) as u64 ^ ((n * 100 + r * 10 + w) as u64) << 8;
     let lossy = FaultyDht::new(&ring, NetProfile::lossy(net_seed, drop_rate));
     let quorum = QuorumDht::new(&lossy, QuorumConfig::new(n, r, w));
 
-    let key_space = 64usize;
-    let key = |i: usize| DhtKey::from(format!("e20:{i}"));
-    let mut gen = Lcg(seed ^ 0xE20);
-    let mut model: HashMap<usize, KeyModel> = HashMap::new();
-    let mut cell = QuorumCell {
-        attempted: 0,
-        ok: 0,
-        clean_reads: 0,
-        stale_reads: 0,
-        stats: DhtStats::default(),
+    let anti_entropy = || {
+        quorum.anti_entropy_step();
     };
-    let mut joined = 0u64;
-
-    for i in 0..ops {
-        // Batch boundary: churn (one leave + one rejoin) then one
-        // anti-entropy round — the maintenance cadence whose traffic
-        // the repair_* counters price.
-        if i > 0 && i % BATCH == 0 {
-            if churn {
-                let ids = ring.snapshot().node_ids;
-                if ids.len() > 2 {
-                    let victim = ids[(gen.next() as usize) % ids.len()];
-                    ring.leave(&victim);
-                }
-                joined += 1;
-                ring.join(&format!("e20-join-{joined}"));
-                ring.stabilize(2);
-            }
-            quorum.anti_entropy_step();
-        }
-
-        let k = (gen.next() as usize) % key_space;
-        let m = model.entry(k).or_default();
-        cell.attempted += 1;
-        match gen.next() % 8 {
-            // 5/8 reads, 2/8 puts, 1/8 removes — read-heavy, like the
-            // index hot path the tier sits under.
-            0..=4 => {
-                if let Ok(got) = quorum.get(&key(k)) {
-                    cell.ok += 1;
-                    if !m.dirty {
-                        cell.clean_reads += 1;
-                        if got != m.acked {
-                            cell.stale_reads += 1;
-                        }
-                    }
-                }
-            }
-            5 | 6 => {
-                let v = i as u32;
-                match quorum.put(&key(k), v) {
-                    Ok(()) => {
-                        cell.ok += 1;
-                        m.acked = Some(v);
-                    }
-                    Err(_) => m.dirty = true,
-                }
-            }
-            _ => match quorum.remove(&key(k)) {
-                Ok(_) => {
-                    cell.ok += 1;
-                    m.acked = None;
-                }
-                Err(_) => m.dirty = true,
-            },
-        }
-    }
-
+    let mut cell = erasure::drive_workload(&quorum, &ring, ops, seed, churn, &anti_entropy, |v| v);
     cell.stats = quorum.stats();
     cell
 }
@@ -304,7 +167,7 @@ pub(crate) fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
         ],
     );
     let push_coded_row =
-        |t2: &mut Table, tier: String, rate: f64, churn: bool, cell: &erasure::ErasureCell| {
+        |t2: &mut Table, tier: String, rate: f64, churn: bool, cell: &erasure::E20Cell| {
             t2.push_row(vec![
                 tier,
                 format!("{:.0}", rate * 100.0),

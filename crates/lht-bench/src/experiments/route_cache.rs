@@ -20,7 +20,7 @@ use std::io::{self, Write};
 use std::time::Instant;
 
 use lht::harness::args::Parsed;
-use lht_core::{KeyInterval, LeafBucket, LhtConfig, LhtIndex};
+use lht_core::{Executor, HistoryCall, LeafBucket, LhtConfig, LhtIndex};
 use lht_dht::{CachedDht, ChordDht, Dht};
 use lht_id::KeyFraction;
 use lht_pht::{PhtIndex, PhtNode};
@@ -77,7 +77,7 @@ impl SkewedStarts {
         SkewedStarts { rng, hot, n }
     }
 
-    fn next_interval(&mut self) -> KeyInterval {
+    fn next_range(&mut self) -> HistoryCall<u32> {
         let idx = if self.rng.gen_bool(HOT_PROB) {
             self.hot[self.rng.gen_range(0..self.hot.len())]
         } else {
@@ -85,7 +85,10 @@ impl SkewedStarts {
         };
         let lo = idx as f64 / self.n as f64;
         let hi = (lo + SPAN_KEYS as f64 / self.n as f64).min(1.0);
-        KeyInterval::half_open(KeyFraction::from_f64(lo), KeyFraction::from_f64(hi))
+        HistoryCall::Range {
+            lo: KeyFraction::from_f64(lo).bits(),
+            hi: Some(KeyFraction::from_f64(hi).bits()),
+        }
     }
 }
 
@@ -104,12 +107,6 @@ fn churn_ring<V: Clone>(ring: &ChordDht<V>, events: usize, seed: u64) {
     }
 }
 
-/// Sorted `(key bits, value)` pairs — the comparable essence of a
-/// range answer.
-fn canon(records: &[(KeyFraction, u32)]) -> Vec<(u64, u32)> {
-    records.iter().map(|(k, v)| (k.bits(), *v)).collect()
-}
-
 struct CellOutcome {
     hops_per_lookup: f64,
     hit_rate: f64,
@@ -123,7 +120,7 @@ enum CellStep {
     /// Run this range query through the cached stack, compare the
     /// answer to the uncached reference handle, and return the
     /// measured cached-stack stats delta plus whether answers agreed.
-    Query(KeyInterval),
+    Query(HistoryCall<u32>),
     /// Inject one leave/join churn event and stabilize the ring.
     Churn,
 }
@@ -142,7 +139,7 @@ where
 {
     let mut warm = SkewedStarts::new(n, seed ^ 0x11A7);
     for _ in 0..queries / 2 {
-        step(CellStep::Query(warm.next_interval()));
+        step(CellStep::Query(warm.next_range()));
     }
 
     let mut gen = SkewedStarts::new(n, seed ^ 0x22B8);
@@ -158,7 +155,7 @@ where
             step(CellStep::Churn);
         }
         let start = Instant::now();
-        let out = step(CellStep::Query(gen.next_interval()));
+        let out = step(CellStep::Query(gen.next_range()));
         latencies.push(start.elapsed().as_secs_f64() * 1e6);
         hops += out.delta.hops;
         lookups += out.delta.lookups();
@@ -195,28 +192,20 @@ pub(crate) fn route_cache_sweep(
     let mut rows = Vec::new();
     for &capacity in capacities {
         for &churn_events in churn_levels {
-            let cell = run_lht_cell(&data, capacity, churn_events, queries, seed);
-            rows.push(RouteCacheRow {
-                index: "lht",
-                capacity,
-                churn_events,
-                hops_per_lookup: cell.hops_per_lookup,
-                hit_rate: cell.hit_rate,
-                latency_p50_us: cell.p50_us,
-                latency_p99_us: cell.p99_us,
-                divergences: cell.divergences,
-            });
-            let cell = run_pht_cell(&data, capacity, churn_events, queries, seed);
-            rows.push(RouteCacheRow {
-                index: "pht",
-                capacity,
-                churn_events,
-                hops_per_lookup: cell.hops_per_lookup,
-                hit_rate: cell.hit_rate,
-                latency_p50_us: cell.p50_us,
-                latency_p99_us: cell.p99_us,
-                divergences: cell.divergences,
-            });
+            let lht = run_lht_cell(&data, capacity, churn_events, queries, seed);
+            let pht = run_pht_cell(&data, capacity, churn_events, queries, seed);
+            for (index, cell) in [("lht", lht), ("pht", pht)] {
+                rows.push(RouteCacheRow {
+                    index,
+                    capacity,
+                    churn_events,
+                    hops_per_lookup: cell.hops_per_lookup,
+                    hit_rate: cell.hit_rate,
+                    latency_p50_us: cell.p50_us,
+                    latency_p99_us: cell.p99_us,
+                    divergences: cell.divergences,
+                });
+            }
         }
     }
     rows
@@ -231,33 +220,8 @@ fn run_lht_cell(
 ) -> CellOutcome {
     let ring: ChordDht<LeafBucket<u32>> = ChordDht::with_nodes(PEERS, seed);
     let cached = CachedDht::with_capacity(&ring, capacity);
-    let ix = LhtIndex::new(&cached, LhtConfig::new(8, 20)).expect("fresh ring");
-    for (i, k) in data.iter().enumerate() {
-        ix.insert(k, i as u32).expect("loss-free ring");
-    }
-    // The uncached reference handle shares the ring, so both always
-    // see the same post-churn state.
-    let truth = LhtIndex::new(&ring, LhtConfig::new(8, 20)).expect("attach");
-    let mut churned = 0u64;
-    run_cell(data.len(), churn_events, queries, seed, |s| match s {
-        CellStep::Churn => {
-            churned += 1;
-            churn_ring(&ring, 1, seed ^ churned);
-            StepOutcome {
-                delta: lht_dht::DhtStats::default(),
-                agreed: true,
-            }
-        }
-        CellStep::Query(interval) => {
-            let before = Dht::stats(&cached);
-            let got = canon(&ix.range(interval).expect("loss-free ring").records);
-            let delta = Dht::stats(&cached) - before;
-            let want = canon(&truth.range(interval).expect("loss-free ring").records);
-            StepOutcome {
-                delta,
-                agreed: got == want,
-            }
-        }
+    run_index_cell(data, &ring, &cached, churn_events, queries, seed, |dht| {
+        LhtIndex::new(dht, LhtConfig::new(8, 20)).expect("loss-free ring")
     })
 }
 
@@ -270,35 +234,47 @@ fn run_pht_cell(
 ) -> CellOutcome {
     let ring: ChordDht<PhtNode<u32>> = ChordDht::with_nodes(PEERS, seed);
     let cached = CachedDht::with_capacity(&ring, capacity);
-    let ix = PhtIndex::new(&cached, LhtConfig::new(8, 20)).expect("fresh ring");
+    run_index_cell(data, &ring, &cached, churn_events, queries, seed, |dht| {
+        PhtIndex::new(dht, LhtConfig::new(8, 20)).expect("loss-free ring")
+    })
+}
+
+/// Loads `data` through an index `open`ed over the cached stack, then
+/// measures it against a reference handle `open`ed over the bare ring
+/// — it shares the ring, so both always see the same post-churn state.
+fn run_index_cell<'a, V: Clone, I: Executor<u32>>(
+    data: &Dataset,
+    ring: &'a ChordDht<V>,
+    cached: &'a CachedDht<&'a ChordDht<V>>,
+    churn_events: usize,
+    queries: usize,
+    seed: u64,
+    open: impl Fn(&'a dyn Dht<Value = V>) -> I,
+) -> CellOutcome {
+    let ix = open(cached);
     for (i, k) in data.iter().enumerate() {
-        ix.insert(k, i as u32).expect("loss-free ring");
+        let insert = HistoryCall::Insert {
+            key: k.bits(),
+            value: i as u32,
+        };
+        ix.execute(&insert).expect("loss-free ring");
     }
-    let truth = PhtIndex::new(&ring, LhtConfig::new(8, 20)).expect("attach");
+    let truth = open(ring);
     let mut churned = 0u64;
     run_cell(data.len(), churn_events, queries, seed, |s| match s {
         CellStep::Churn => {
             churned += 1;
-            churn_ring(&ring, 1, seed ^ churned);
+            churn_ring(ring, 1, seed ^ churned);
             StepOutcome {
                 delta: lht_dht::DhtStats::default(),
                 agreed: true,
             }
         }
-        CellStep::Query(interval) => {
-            let before = Dht::stats(&cached);
-            let got = canon(
-                &ix.range_sequential(interval)
-                    .expect("loss-free ring")
-                    .records,
-            );
-            let delta = Dht::stats(&cached) - before;
-            let want = canon(
-                &truth
-                    .range_sequential(interval)
-                    .expect("loss-free ring")
-                    .records,
-            );
+        CellStep::Query(range) => {
+            let before = Dht::stats(cached);
+            let (got, _) = ix.execute(&range).expect("loss-free ring");
+            let delta = Dht::stats(cached) - before;
+            let (want, _) = truth.execute(&range).expect("loss-free ring");
             StepOutcome {
                 delta,
                 agreed: got == want,

@@ -67,6 +67,16 @@ pub struct RangeCost {
     pub buckets_visited: u64,
 }
 
+impl From<RangeCost> for OpCost {
+    /// A range query's lookups and steps, without the bucket count.
+    fn from(cost: RangeCost) -> OpCost {
+        OpCost {
+            dht_lookups: cost.dht_lookups,
+            steps: cost.steps,
+        }
+    }
+}
+
 /// Cumulative statistics of an index instance, separating *query*
 /// traffic from *maintenance* traffic the way the paper's cost model
 /// does (§8.2: maintenance cost is paid only for structural

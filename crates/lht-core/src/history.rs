@@ -1,9 +1,12 @@
-//! Operation histories: index calls as data, one executor that runs
-//! them, and the records a linearizability checker reads.
+//! Operation histories: index calls as data, one executor trait that
+//! every index scheme implements, and the records a linearizability
+//! checker reads.
 //!
 //! A [`HistoryCall`] names one public index operation and its
-//! arguments; [`HistoryCall::execute`] runs it against an
-//! [`LhtIndex`] and reports what came back as a [`HistoryReturn`].
+//! arguments; an [`Executor`] runs it and reports what came back as a
+//! [`HistoryReturn`] plus what it cost. [`LhtIndex`] implements the
+//! trait here, the PHT, DST and RST baselines in their own crates, so
+//! one driver holds any of the four to one sequential spec.
 //! The index itself records nothing: whoever drives the operations
 //! owns the clock, stamps each call's invocation and response, and
 //! keeps the resulting [`OpRecord`]s — the raw material for
@@ -17,7 +20,7 @@ use std::time::Instant;
 use lht_dht::Dht;
 use lht_id::KeyFraction;
 
-use crate::{KeyInterval, LeafBucket, LhtError, LhtIndex};
+use crate::{KeyInterval, LeafBucket, LhtError, LhtIndex, OpCost};
 
 /// The invocation side of a recorded operation: which index API was
 /// called and with what arguments. Keys are raw 64-bit fractions
@@ -92,6 +95,20 @@ pub enum HistoryReturn<V> {
 }
 
 impl<V> HistoryReturn<V> {
+    /// The `Records` answer for a range query's records.
+    pub fn records(records: Vec<(KeyFraction, V)>) -> HistoryReturn<V> {
+        HistoryReturn::Records {
+            records: records.into_iter().map(|(k, v)| (k.bits(), v)).collect(),
+        }
+    }
+
+    /// The `Extreme` answer for a min/max query's record.
+    pub fn extreme(record: Option<(KeyFraction, V)>) -> HistoryReturn<V> {
+        HistoryReturn::Extreme {
+            record: record.map(|(k, v)| (k.bits(), v)),
+        }
+    }
+
     /// The `Failed` record for an index error.
     pub fn failure(e: &LhtError) -> HistoryReturn<V> {
         HistoryReturn::Failed {
@@ -119,47 +136,73 @@ pub struct OpRecord<V> {
     pub ret: HistoryReturn<V>,
 }
 
-impl<V: Clone> HistoryCall<V> {
-    /// Runs this call against `index` and returns what came back.
-    /// Callers that record the outcome map an error through
-    /// [`HistoryReturn::failure`]; the error itself is returned so
-    /// its text stays available.
+impl<V> HistoryCall<V> {
+    /// Whether the call writes (insert or remove) rather than reads.
+    pub fn is_mutation(&self) -> bool {
+        matches!(
+            self,
+            HistoryCall::Insert { .. } | HistoryCall::Remove { .. }
+        )
+    }
+}
+
+/// An index scheme that runs [`HistoryCall`]s: the one entry point a
+/// driver needs to hold any scheme to the same sequential spec.
+pub trait Executor<V> {
+    /// Whether the scheme answers `call` at all. Every scheme inserts,
+    /// looks up and ranges; the RST baseline has no remove, and
+    /// neither DST nor RST has min/max.
+    fn supports(&self, _call: &HistoryCall<V>) -> bool {
+        true
+    }
+
+    /// Runs `call` and returns what came back plus everything it
+    /// cost, split/merge maintenance included. Callers that record the
+    /// outcome map an error through [`HistoryReturn::failure`]; the
+    /// error itself is returned so its text stays available.
     ///
     /// # Errors
     ///
     /// Whatever the index operation returns.
-    pub fn execute<D>(&self, index: &LhtIndex<D, V>) -> Result<HistoryReturn<V>, LhtError>
-    where
-        D: Dht<Value = LeafBucket<V>>,
-    {
-        let bits = |(k, v): (KeyFraction, V)| (k.bits(), v);
-        Ok(match self {
+    ///
+    /// # Panics
+    ///
+    /// On a call the scheme does not [support](Self::supports).
+    fn execute(&self, call: &HistoryCall<V>) -> Result<(HistoryReturn<V>, OpCost), LhtError>;
+}
+
+impl<D, V> Executor<V> for LhtIndex<D, V>
+where
+    D: Dht<Value = LeafBucket<V>>,
+    V: Clone,
+{
+    fn execute(&self, call: &HistoryCall<V>) -> Result<(HistoryReturn<V>, OpCost), LhtError> {
+        Ok(match call {
             HistoryCall::Insert { key, value } => {
-                index.insert(KeyFraction::from_bits(*key), value.clone())?;
-                HistoryReturn::Inserted
+                let out = self.insert(KeyFraction::from_bits(*key), value.clone())?;
+                (HistoryReturn::Inserted, out.cost + out.maintenance)
             }
-            HistoryCall::Remove { key } => HistoryReturn::Removed {
-                prior: index.remove(KeyFraction::from_bits(*key))?.value,
-            },
-            HistoryCall::Get { key } => HistoryReturn::Value {
-                value: index.exact_match(KeyFraction::from_bits(*key))?.value,
-            },
+            HistoryCall::Remove { key } => {
+                let out = self.remove(KeyFraction::from_bits(*key))?;
+                let prior = out.value;
+                (HistoryReturn::Removed { prior }, out.cost + out.maintenance)
+            }
+            HistoryCall::Get { key } => {
+                let hit = self.exact_match(KeyFraction::from_bits(*key))?;
+                (HistoryReturn::Value { value: hit.value }, hit.cost)
+            }
             HistoryCall::Range { lo, hi } => {
-                let lo = KeyFraction::from_bits(*lo);
-                let range = match hi {
-                    Some(hi) => KeyInterval::half_open(lo, KeyFraction::from_bits(*hi)),
-                    None => KeyInterval::from_key_to_end(lo),
-                };
-                HistoryReturn::Records {
-                    records: index.range(range)?.records.into_iter().map(bits).collect(),
-                }
+                let out = self.range(KeyInterval::from_bits(*lo, *hi))?;
+                (HistoryReturn::records(out.records), out.cost.into())
             }
-            HistoryCall::Min => HistoryReturn::Extreme {
-                record: index.min()?.value.map(bits),
-            },
-            HistoryCall::Max => HistoryReturn::Extreme {
-                record: index.max()?.value.map(bits),
-            },
+            HistoryCall::Min => {
+                let hit = self.min()?;
+                (HistoryReturn::extreme(hit.value), hit.cost)
+            }
+            HistoryCall::Max => {
+                let hit = self.max()?;
+                (HistoryReturn::extreme(hit.value), hit.cost)
+            }
         })
     }
 }
@@ -213,16 +256,13 @@ impl<V: Clone> HistoryRecorder<V> {
         self.last_stamp
     }
 
-    /// Stamps the invocation, [executes](HistoryCall::execute) `call`
+    /// Stamps the invocation, [executes](Executor::execute) `call`
     /// against `index`, stamps the response and records the pair.
-    pub fn run<D>(&mut self, index: &LhtIndex<D, V>, call: HistoryCall<V>)
-    where
-        D: Dht<Value = LeafBucket<V>>,
-    {
+    pub fn run(&mut self, index: &impl Executor<V>, call: HistoryCall<V>) {
         let inv = self.now();
-        let ret = call
-            .execute(index)
-            .unwrap_or_else(|e| HistoryReturn::failure(&e));
+        let ret = index
+            .execute(&call)
+            .map_or_else(|e| HistoryReturn::failure(&e), |(ret, _)| ret);
         let resp = self.now();
         self.records.push(OpRecord {
             client: self.client,
@@ -303,7 +343,7 @@ mod tests {
             dht.inject_loss(&key);
         }
         assert!(matches!(
-            HistoryCall::Max.execute(&index),
+            index.execute(&HistoryCall::Max),
             Err(LhtError::MissingBucket { .. })
         ));
         // ...and the recorder keeps it as a data-loss failure.

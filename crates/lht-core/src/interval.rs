@@ -60,6 +60,17 @@ impl KeyInterval {
         }
     }
 
+    /// Creates `[lo, hi)` from raw key bits, or `[lo, 1)` when `hi` is
+    /// `None` — the bounds a [`HistoryCall::Range`](crate::HistoryCall::Range)
+    /// carries.
+    pub fn from_bits(lo: u64, hi: Option<u64>) -> KeyInterval {
+        let lo = KeyFraction::from_bits(lo);
+        match hi {
+            Some(hi) => KeyInterval::half_open(lo, KeyFraction::from_bits(hi)),
+            None => KeyInterval::from_key_to_end(lo),
+        }
+    }
+
     /// Creates an interval from raw `u128` numerators over `2^64`.
     ///
     /// # Panics

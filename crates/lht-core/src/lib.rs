@@ -78,7 +78,9 @@ pub use bulk::BulkLoadOutcome;
 pub use config::LhtConfig;
 pub use cost::{IndexStats, OpCost, RangeCost};
 pub use error::LhtError;
-pub use history::{merge_histories, HistoryCall, HistoryRecorder, HistoryReturn, OpRecord};
+pub use history::{
+    merge_histories, Executor, HistoryCall, HistoryRecorder, HistoryReturn, OpRecord,
+};
 pub use index::{
     retry_transient, InsertOutcome, LhtIndex, LookupHit, MatchHit, MinMaxHit, RemoveOutcome,
 };

@@ -5,7 +5,9 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-use lht_core::{IndexStats, KeyInterval, LhtError, OpCost, RangeCost};
+use lht_core::{
+    Executor, HistoryCall, HistoryReturn, IndexStats, KeyInterval, LhtError, OpCost, RangeCost,
+};
 use lht_dht::Dht;
 use lht_id::KeyFraction;
 
@@ -260,6 +262,40 @@ where
         Ok(DstRangeResult {
             records: records.into_iter().collect(),
             cost,
+        })
+    }
+}
+
+/// The segment tree has no cheap leftmost/rightmost descent, so DST
+/// answers no min/max.
+impl<D, V> Executor<V> for DstIndex<D, V>
+where
+    D: Dht<Value = DstNode<V>>,
+    V: Clone,
+{
+    fn supports(&self, call: &HistoryCall<V>) -> bool {
+        !matches!(call, HistoryCall::Min | HistoryCall::Max)
+    }
+
+    fn execute(&self, call: &HistoryCall<V>) -> Result<(HistoryReturn<V>, OpCost), LhtError> {
+        Ok(match call {
+            HistoryCall::Insert { key, value } => {
+                let cost = self.insert(KeyFraction::from_bits(*key), value.clone())?;
+                (HistoryReturn::Inserted, cost)
+            }
+            HistoryCall::Remove { key } => {
+                let (prior, cost) = self.remove(KeyFraction::from_bits(*key))?;
+                (HistoryReturn::Removed { prior }, cost)
+            }
+            HistoryCall::Get { key } => {
+                let (value, cost) = self.exact_match(KeyFraction::from_bits(*key))?;
+                (HistoryReturn::Value { value }, cost)
+            }
+            HistoryCall::Range { lo, hi } => {
+                let out = self.range(KeyInterval::from_bits(*lo, *hi))?;
+                (HistoryReturn::records(out.records), out.cost.into())
+            }
+            HistoryCall::Min | HistoryCall::Max => panic!("DST has no min/max"),
         })
     }
 }

@@ -2,7 +2,10 @@
 
 use parking_lot::Mutex;
 
-use lht_core::{retry_transient, IndexStats, LhtConfig, LhtError, MinMaxHit, OpCost};
+use lht_core::{
+    retry_transient, Executor, HistoryCall, HistoryReturn, IndexStats, KeyInterval, LhtConfig,
+    LhtError, MinMaxHit, OpCost,
+};
 use lht_dht::Dht;
 use lht_id::KeyFraction;
 
@@ -435,6 +438,44 @@ where
         stats.maintenance_lookups += lookups;
         stats.records_moved += moved_units;
         Ok((true, OpCost::sequential(lookups)))
+    }
+}
+
+/// PHT answers every call; a range is
+/// [`range_sequential`](PhtIndex::range_sequential), the leaf-chain
+/// walk the paper's comparison prices.
+impl<D, V> Executor<V> for PhtIndex<D, V>
+where
+    D: Dht<Value = PhtNode<V>>,
+    V: Clone,
+{
+    fn execute(&self, call: &HistoryCall<V>) -> Result<(HistoryReturn<V>, OpCost), LhtError> {
+        Ok(match call {
+            HistoryCall::Insert { key, value } => {
+                let out = self.insert(KeyFraction::from_bits(*key), value.clone())?;
+                (HistoryReturn::Inserted, out.cost + out.maintenance)
+            }
+            HistoryCall::Remove { key } => {
+                let (prior, _, cost, maintenance) = self.remove(KeyFraction::from_bits(*key))?;
+                (HistoryReturn::Removed { prior }, cost + maintenance)
+            }
+            HistoryCall::Get { key } => {
+                let (value, cost) = self.exact_match(KeyFraction::from_bits(*key))?;
+                (HistoryReturn::Value { value }, cost)
+            }
+            HistoryCall::Range { lo, hi } => {
+                let out = self.range_sequential(KeyInterval::from_bits(*lo, *hi))?;
+                (HistoryReturn::records(out.records), out.cost.into())
+            }
+            HistoryCall::Min => {
+                let hit = self.min()?;
+                (HistoryReturn::extreme(hit.value), hit.cost)
+            }
+            HistoryCall::Max => {
+                let hit = self.max()?;
+                (HistoryReturn::extreme(hit.value), hit.cost)
+            }
+        })
     }
 }
 

@@ -4,7 +4,10 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
-use lht_core::{IndexStats, KeyInterval, Label, LhtConfig, LhtError, OpCost, RangeCost};
+use lht_core::{
+    Executor, HistoryCall, HistoryReturn, IndexStats, KeyInterval, Label, LhtConfig, LhtError,
+    OpCost, RangeCost,
+};
 use lht_dht::Dht;
 use lht_id::KeyFraction;
 
@@ -321,6 +324,41 @@ where
             });
         }
         Err(LhtError::Contention { attempts: 4 })
+    }
+}
+
+/// RST is append-only — its range-search tree only ever splits — and
+/// has no min/max, so it answers inserts, lookups and ranges.
+impl<D, V> Executor<V> for RstIndex<D, V>
+where
+    D: Dht<Value = RstNode<V>>,
+    V: Clone,
+{
+    fn supports(&self, call: &HistoryCall<V>) -> bool {
+        !matches!(
+            call,
+            HistoryCall::Remove { .. } | HistoryCall::Min | HistoryCall::Max
+        )
+    }
+
+    fn execute(&self, call: &HistoryCall<V>) -> Result<(HistoryReturn<V>, OpCost), LhtError> {
+        Ok(match call {
+            HistoryCall::Insert { key, value } => {
+                let cost = self.insert(KeyFraction::from_bits(*key), value.clone())?;
+                (HistoryReturn::Inserted, cost)
+            }
+            HistoryCall::Get { key } => {
+                let (value, cost) = self.exact_match(KeyFraction::from_bits(*key))?;
+                (HistoryReturn::Value { value }, cost)
+            }
+            HistoryCall::Range { lo, hi } => {
+                let out = self.range(KeyInterval::from_bits(*lo, *hi))?;
+                (HistoryReturn::records(out.records), out.cost.into())
+            }
+            HistoryCall::Remove { .. } | HistoryCall::Min | HistoryCall::Max => {
+                panic!("RST has no remove or min/max")
+            }
+        })
     }
 }
 

@@ -1,5 +1,6 @@
 //! Wing–Gong linearizability checking of recorded index histories
-//! against the [`ShadowOracle`] sequential specification.
+//! against the [`ShadowOracle::apply`] sequential specification — the
+//! same spec the differential soak diffs every answer against.
 //!
 //! A history (a list of [`OpRecord`]s with virtual invocation and
 //! response times) is **linearizable** iff there is a total order of
@@ -83,42 +84,6 @@ struct CheckOp {
     optional: bool,
 }
 
-/// Applies `call` to the oracle and returns what a correct sequential
-/// execution would have answered.
-fn apply(state: &mut ShadowOracle, call: &HistoryCall<u32>) -> HistoryReturn<u32> {
-    match call {
-        HistoryCall::Insert { key, value } => {
-            state.insert(*key, *value);
-            HistoryReturn::Inserted
-        }
-        HistoryCall::Remove { key } => HistoryReturn::Removed {
-            prior: state.remove(*key),
-        },
-        HistoryCall::Get { key } => HistoryReturn::Value {
-            value: state.get(*key),
-        },
-        HistoryCall::Range { lo, hi } => HistoryReturn::Records {
-            records: match hi {
-                Some(hi) => state.range(*lo, *hi),
-                None => state.range_to_end(*lo),
-            },
-        },
-        HistoryCall::Min => HistoryReturn::Extreme {
-            record: state.min(),
-        },
-        HistoryCall::Max => HistoryReturn::Extreme {
-            record: state.max(),
-        },
-    }
-}
-
-fn is_mutation(call: &HistoryCall<u32>) -> bool {
-    matches!(
-        call,
-        HistoryCall::Insert { .. } | HistoryCall::Remove { .. }
-    )
-}
-
 /// The "observed absent" claim a data-loss read failure maps to in
 /// strict mode.
 fn absent_claim(call: &HistoryCall<u32>) -> HistoryReturn<u32> {
@@ -137,7 +102,7 @@ fn preprocess(history: &[OpRecord<u32>], strict: bool) -> Vec<CheckOp> {
     for rec in history {
         match &rec.ret {
             HistoryReturn::Failed { data_loss } => {
-                if is_mutation(&rec.call) {
+                if rec.call.is_mutation() {
                     ops.push(CheckOp {
                         inv: rec.inv,
                         resp: u64::MAX,
@@ -179,7 +144,7 @@ fn describe(op: &CheckOp, expected: &HistoryReturn<u32>) -> String {
 /// FNV-1a over the oracle contents, the state half of the memo key.
 fn state_hash(state: &ShadowOracle) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for (k, v) in state.range_to_end(0) {
+    for (k, v) in state.records() {
         for word in [k, v as u64] {
             h ^= word;
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
@@ -233,7 +198,7 @@ impl Search<'_> {
                 continue;
             }
             let mut next = state.clone();
-            let expected = apply(&mut next, &op.call);
+            let expected = next.apply(&op.call);
             if !op.optional && expected != op.ret {
                 continue;
             }
@@ -264,7 +229,7 @@ pub fn check(history: &[OpRecord<u32>], strict: bool, budget: u64) -> CheckResul
         if op.optional {
             continue;
         }
-        let expected = apply(&mut state, &op.call);
+        let expected = state.apply(&op.call);
         if expected != op.ret {
             first_mismatch = Some(describe(op, &expected));
             break;
@@ -338,6 +303,11 @@ pub fn torn_split_outcomes() -> (Outcome, Outcome) {
 
 #[cfg(test)]
 mod tests {
+    use lht::dst::DstNode;
+    use lht::pht::PhtNode;
+    use lht::rst::{RstIndex, RstNode};
+    use lht::{DstConfig, DstIndex, PhtIndex};
+    use lht_core::Executor;
     use lht_dht::DirectDht;
 
     use super::*;
@@ -547,9 +517,27 @@ mod tests {
         assert_eq!(r.outcome, Outcome::Undecided);
     }
 
-    /// The executor and the spec agree call by call: one client's
-    /// seeded plan, run sequentially on a fault-free substrate, must
-    /// return exactly what [`apply`] answers on the oracle.
+    /// Runs every call `index` supports through its executor on a
+    /// fault-free substrate and holds each answer to the spec, which
+    /// sees the same calls. Returns how many calls ran.
+    fn replay_against_the_spec(index: &impl Executor<u32>, calls: &[HistoryCall<u32>]) -> usize {
+        let mut spec = ShadowOracle::new();
+        let mut ran = 0;
+        for call in calls.iter().filter(|call| index.supports(call)) {
+            let (got, _) = index
+                .execute(call)
+                .unwrap_or_else(|e| panic!("{call:?} failed on a fault-free substrate: {e}"));
+            assert_eq!(got, spec.apply(call), "{call:?}");
+            ran += 1;
+        }
+        ran
+    }
+
+    /// The executors and the spec agree call by call: one client's
+    /// seeded plan, run sequentially on a fault-free substrate through
+    /// each of the four schemes, must return exactly what
+    /// [`ShadowOracle::apply`] answers. A scheme skips only the calls
+    /// it has no operation for.
     #[test]
     fn executor_matches_the_sequential_spec_on_a_seeded_plan() {
         let cfg = crate::SimConfig {
@@ -575,18 +563,35 @@ mod tests {
                 .any(|c| matches!(c, HistoryCall::Range { hi: Some(_), .. })),
             "the plan must hold a bounded range"
         );
-
-        let dht: DirectDht<LeafBucket<u32>> = DirectDht::new();
-        let index = LhtIndex::new(&dht, LhtConfig::new(cfg.theta_split, cfg.max_depth)).unwrap();
-        let mut spec = ShadowOracle::new();
-        for call in &calls {
-            let got = call
-                .execute(&index)
-                .unwrap_or_else(|e| panic!("{call:?} failed on a fault-free substrate: {e}"));
-            assert_eq!(got, apply(&mut spec, call), "{call:?}");
-        }
-        assert!(index.stats().splits > 0 && index.stats().merges > 0);
         let variants: HashSet<_> = calls.iter().map(std::mem::discriminant).collect();
         assert_eq!(variants.len(), 6, "every call variant is exercised");
+        let count = |f: fn(&HistoryCall<u32>) -> bool| calls.iter().filter(|c| f(c)).count();
+        let extremes = count(|c| matches!(c, HistoryCall::Min | HistoryCall::Max));
+        let removes = count(|c| matches!(c, HistoryCall::Remove { .. }));
+        let ix_cfg = LhtConfig::new(cfg.theta_split, cfg.max_depth);
+
+        let dht: DirectDht<LeafBucket<u32>> = DirectDht::new();
+        let lht = LhtIndex::new(&dht, ix_cfg).unwrap();
+        assert_eq!(replay_against_the_spec(&lht, &calls), calls.len());
+        assert!(lht.stats().splits > 0 && lht.stats().merges > 0);
+
+        let dht: DirectDht<PhtNode<u32>> = DirectDht::new();
+        let pht = PhtIndex::new(&dht, ix_cfg).unwrap();
+        assert_eq!(replay_against_the_spec(&pht, &calls), calls.len());
+        assert!(pht.stats().splits > 0 && pht.stats().merges > 0);
+
+        let dht: DirectDht<DstNode<u32>> = DirectDht::new();
+        let dst = DstIndex::new(&dht, DstConfig::default()).unwrap();
+        assert_eq!(
+            replay_against_the_spec(&dst, &calls),
+            calls.len() - extremes
+        );
+
+        let dht: DirectDht<RstNode<u32>> = DirectDht::new();
+        let rst = RstIndex::new(&dht, ix_cfg).unwrap();
+        assert_eq!(
+            replay_against_the_spec(&rst, &calls),
+            calls.len() - extremes - removes
+        );
     }
 }

@@ -21,14 +21,16 @@
 //! milliseconds later, so operation intervals genuinely overlap and
 //! the recorded history is a real concurrent history. Each client's
 //! plan is a list of [`HistoryCall`](lht_core::HistoryCall)s; the
-//! scheduler runs them through
-//! [`HistoryCall::execute`](lht_core::HistoryCall::execute) and keeps
-//! the stamped [`OpRecord`](lht_core::OpRecord)s itself — the index
-//! records nothing.
+//! scheduler runs them through the index's
+//! [`Executor`](lht_core::Executor) and keeps the stamped
+//! [`OpRecord`](lht_core::OpRecord)s itself — the index records
+//! nothing.
 //!
 //! The [`checker`] then decides whether that history is
-//! **linearizable** against the [`ShadowOracle`](lht::harness::ShadowOracle)
-//! sequential spec — a Wing–Gong search with memoization. On a
+//! **linearizable** against
+//! [`ShadowOracle::apply`](lht::harness::ShadowOracle::apply), the
+//! sequential spec the differential soak also diffs against — a
+//! Wing–Gong search with memoization. On a
 //! violation, the schedule is greedily [shrunk](shrink) and the
 //! report carries a one-line replay command reproducing the minimized
 //! interleaving exactly.

@@ -25,7 +25,9 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use lht_core::{HistoryCall, HistoryReturn, LeafBucket, LhtConfig, LhtError, LhtIndex, OpRecord};
+use lht_core::{
+    Executor, HistoryCall, HistoryReturn, LeafBucket, LhtConfig, LhtError, LhtIndex, OpRecord,
+};
 use lht_dht::{
     client_tower, BoxDht, ChordConfig, ChordDht, Dht, ErasureConfig, ErasureDht, Fragment,
     NetProfile, QuorumConfig, QuorumDht, RetryPolicy, RingControl, TierMaintenance, Versioned,
@@ -312,7 +314,7 @@ impl World {
         self.done_ops[actor] += 1;
         let splits = self.index.stats().splits;
         let before = self.index.dht().stats();
-        let out = call.execute(&self.index);
+        let out = self.index.execute(&call).map(|(ret, _)| ret);
         let after = self.index.dht().stats();
         let desc = describe(&call, &out, self.index.stats().splits > splits);
         // The operation's virtual duration: one base millisecond,

@@ -10,15 +10,17 @@
 
 use std::fmt::Write as _;
 
-use lht_core::{audit, KeyInterval, LeafBucket, LhtConfig, LhtError, LhtIndex};
+use lht_core::{
+    audit, Executor, HistoryCall, HistoryReturn, KeyInterval, LeafBucket, LhtConfig, LhtError,
+    LhtIndex,
+};
 use lht_dht::gf256::ReedSolomon;
 use lht_dht::{
     client_tower, split_fragment_key, split_slot_key, BoxDht, ChordConfig, ChordDht, Dht, DhtKey,
-    DhtStats, DirectDht, ErasureConfig, ErasureDht, ErasurePayload, Fragment, NetProfile,
-    QuorumConfig, QuorumDht, RetryPolicy, RingControl, TierMaintenance, Versioned,
+    DirectDht, ErasureConfig, ErasureDht, ErasurePayload, Fragment, NetProfile, QuorumConfig,
+    QuorumDht, RetryPolicy, RingControl, TierMaintenance, Versioned,
 };
 use lht_dst::{DstConfig, DstIndex, DstNode};
-use lht_id::KeyFraction;
 use lht_pht::{audit as pht_audit, PhtIndex, PhtNode};
 use lht_rst::{RstIndex, RstNode};
 
@@ -424,206 +426,21 @@ impl std::fmt::Display for DiffFailure {
 
 impl std::error::Error for DiffFailure {}
 
-/// The index scheme under test, behind one differential surface. Both
-/// implementations answer the same queries, so the drive loop and the
-/// oracle never care which scheme is running.
-trait IndexDriver {
-    fn insert(&self, key: KeyFraction, value: u32) -> Result<(), LhtError>;
-    fn remove(&self, key: KeyFraction) -> Result<Option<u32>, LhtError>;
-    fn exact(&self, key: KeyFraction) -> Result<Option<u32>, LhtError>;
-    /// Records in the interval plus the query's DHT-lookup count.
-    #[allow(clippy::type_complexity)]
-    fn range(&self, range: KeyInterval) -> Result<(Vec<(u64, u32)>, u64), LhtError>;
-    fn extreme(&self, smallest: bool) -> Result<Option<(u64, u32)>, LhtError>;
-    /// Substrate stats as the index sees them — through the fault and
-    /// retry layers when present, so drops/timeouts/retries show up.
-    fn dht_stats(&self) -> DhtStats;
-
-    /// Whether the scheme implements deletion (RST does not — its
-    /// range-search tree only ever splits). When `false` the drive
-    /// loop skips remove ops on the index *and* the oracle, keeping
-    /// the two in lockstep.
-    fn supports_remove(&self) -> bool {
-        true
-    }
-
-    /// Whether the scheme answers min/max (only the trie-structured
-    /// indexes with a leftmost/rightmost-leaf descent do).
-    fn supports_extreme(&self) -> bool {
-        true
-    }
-}
-
-/// The typed error a driver returns for an operation its scheme does
-/// not implement. The drive loop checks the capability flags before
-/// issuing the op, so surfacing one of these means the harness itself
-/// is broken — it fails the soak loudly instead of panicking.
-fn unsupported(what: &str) -> LhtError {
-    LhtError::MissingBucket {
-        key: format!("<unsupported op: {what}>"),
-    }
-}
-
-struct LhtDriver<'a, D: Dht<Value = LeafBucket<u32>>> {
-    ix: &'a LhtIndex<D, u32>,
-}
-
-impl<D: Dht<Value = LeafBucket<u32>>> IndexDriver for LhtDriver<'_, D> {
-    fn insert(&self, key: KeyFraction, value: u32) -> Result<(), LhtError> {
-        self.ix.insert(key, value).map(|_| ())
-    }
-
-    fn remove(&self, key: KeyFraction) -> Result<Option<u32>, LhtError> {
-        self.ix.remove(key).map(|out| out.value)
-    }
-
-    fn exact(&self, key: KeyFraction) -> Result<Option<u32>, LhtError> {
-        self.ix.exact_match(key).map(|hit| hit.value)
-    }
-
-    fn range(&self, range: KeyInterval) -> Result<(Vec<(u64, u32)>, u64), LhtError> {
-        let result = self.ix.range(range)?;
-        let records = result.records.iter().map(|(k, v)| (k.bits(), *v)).collect();
-        Ok((records, result.cost.dht_lookups))
-    }
-
-    fn extreme(&self, smallest: bool) -> Result<Option<(u64, u32)>, LhtError> {
-        let hit = if smallest {
-            self.ix.min()?
-        } else {
-            self.ix.max()?
-        };
-        Ok(hit.value.map(|(k, v)| (k.bits(), v)))
-    }
-
-    fn dht_stats(&self) -> DhtStats {
-        self.ix.dht().stats()
-    }
-}
-
-struct PhtDriver<'a, D: Dht<Value = PhtNode<u32>>> {
-    ix: &'a PhtIndex<D, u32>,
-}
-
-impl<D: Dht<Value = PhtNode<u32>>> IndexDriver for PhtDriver<'_, D> {
-    fn insert(&self, key: KeyFraction, value: u32) -> Result<(), LhtError> {
-        self.ix.insert(key, value).map(|_| ())
-    }
-
-    fn remove(&self, key: KeyFraction) -> Result<Option<u32>, LhtError> {
-        self.ix.remove(key).map(|(value, ..)| value)
-    }
-
-    fn exact(&self, key: KeyFraction) -> Result<Option<u32>, LhtError> {
-        self.ix.exact_match(key).map(|(value, _)| value)
-    }
-
-    fn range(&self, range: KeyInterval) -> Result<(Vec<(u64, u32)>, u64), LhtError> {
-        let result = self.ix.range_sequential(range)?;
-        let records = result.records.iter().map(|(k, v)| (k.bits(), *v)).collect();
-        Ok((records, result.cost.dht_lookups))
-    }
-
-    fn extreme(&self, smallest: bool) -> Result<Option<(u64, u32)>, LhtError> {
-        let hit = if smallest {
-            self.ix.min()?
-        } else {
-            self.ix.max()?
-        };
-        Ok(hit.value.map(|(k, v)| (k.bits(), v)))
-    }
-
-    fn dht_stats(&self) -> DhtStats {
-        self.ix.dht().stats()
-    }
-}
-
-struct DstDriver<'a, D: Dht<Value = DstNode<u32>>> {
-    ix: &'a DstIndex<D, u32>,
-}
-
-impl<D: Dht<Value = DstNode<u32>>> IndexDriver for DstDriver<'_, D> {
-    fn insert(&self, key: KeyFraction, value: u32) -> Result<(), LhtError> {
-        self.ix.insert(key, value).map(|_| ())
-    }
-
-    fn remove(&self, key: KeyFraction) -> Result<Option<u32>, LhtError> {
-        self.ix.remove(key).map(|(value, _)| value)
-    }
-
-    fn exact(&self, key: KeyFraction) -> Result<Option<u32>, LhtError> {
-        self.ix.exact_match(key).map(|(value, _)| value)
-    }
-
-    fn range(&self, range: KeyInterval) -> Result<(Vec<(u64, u32)>, u64), LhtError> {
-        let result = self.ix.range(range)?;
-        let records = result.records.iter().map(|(k, v)| (k.bits(), *v)).collect();
-        Ok((records, result.cost.dht_lookups))
-    }
-
-    fn extreme(&self, _smallest: bool) -> Result<Option<(u64, u32)>, LhtError> {
-        Err(unsupported("dst min/max"))
-    }
-
-    fn dht_stats(&self) -> DhtStats {
-        self.ix.dht().stats()
-    }
-
-    fn supports_extreme(&self) -> bool {
-        false
-    }
-}
-
-struct RstDriver<'a, D: Dht<Value = RstNode<u32>>> {
-    ix: &'a RstIndex<D, u32>,
-}
-
-impl<D: Dht<Value = RstNode<u32>>> IndexDriver for RstDriver<'_, D> {
-    fn insert(&self, key: KeyFraction, value: u32) -> Result<(), LhtError> {
-        self.ix.insert(key, value).map(|_| ())
-    }
-
-    fn remove(&self, _key: KeyFraction) -> Result<Option<u32>, LhtError> {
-        Err(unsupported("rst remove"))
-    }
-
-    fn exact(&self, key: KeyFraction) -> Result<Option<u32>, LhtError> {
-        self.ix.exact_match(key).map(|(value, _)| value)
-    }
-
-    fn range(&self, range: KeyInterval) -> Result<(Vec<(u64, u32)>, u64), LhtError> {
-        let result = self.ix.range(range)?;
-        let records = result.records.iter().map(|(k, v)| (k.bits(), *v)).collect();
-        Ok((records, result.cost.dht_lookups))
-    }
-
-    fn extreme(&self, _smallest: bool) -> Result<Option<(u64, u32)>, LhtError> {
-        Err(unsupported("rst min/max"))
-    }
-
-    fn dht_stats(&self) -> DhtStats {
-        self.ix.dht().stats()
-    }
-
-    fn supports_remove(&self) -> bool {
-        false
-    }
-
-    fn supports_extreme(&self) -> bool {
-        false
-    }
-}
-
 /// Substrate-specific behaviour plugged into the generic drive loop.
 trait SoakEnv {
     /// Applies a churn op. Returns whether it did anything, or a
     /// failure description.
     fn churn(&mut self, op: &Op) -> Result<bool, String>;
 
-    /// Mirrors `op` into the PHT baseline (diffing its answers
-    /// against `oracle`, which holds the *pre-op* state). No-op when
-    /// mirroring is off.
-    fn mirror(&mut self, op: &Op, oracle: &ShadowOracle) -> Result<(), String>;
+    /// Runs `call` on the mirrored PHT baseline and diffs its answer
+    /// against `expect`, the spec's. No-op when mirroring is off.
+    fn mirror(
+        &mut self,
+        _call: &HistoryCall<u32>,
+        _expect: &HistoryReturn<u32>,
+    ) -> Result<(), String> {
+        Ok(())
+    }
 
     /// The optimal bucket count `B` for a range (None = bound checks
     /// disabled on this substrate/index).
@@ -793,7 +610,7 @@ impl Run<'_> {
             optimal,
             mirror,
         };
-        V::drive(client_tower(&dht, self.net, None), self, &mut env)
+        drive(client_tower(&dht, self.net, None), self, &mut env)
     }
 
     fn ring<S>(&self, nodes: usize, replicas: usize) -> ChordDht<S> {
@@ -837,7 +654,7 @@ impl Run<'_> {
         base: impl Dht<Value = V> + 'e,
         mut env: ChordEnv<'e, V>,
     ) -> Result<SoakReport, Box<DiffFailure>> {
-        let mut report = V::drive(client_tower(base, self.net, self.cache), self, &mut env)?;
+        let mut report = drive(client_tower(base, self.net, self.cache), self, &mut env)?;
         // The repair counters live on the tier, below the client-side
         // layers, so a tiered soak can hold its maintenance traffic
         // against the availability it bought.
@@ -851,14 +668,13 @@ impl Run<'_> {
 }
 
 /// An index scheme, keyed by the node type it stores in the DHT: how
-/// to stand the index up over an assembled tower and drive the trace
-/// through it, and how to audit a materialized dump of its nodes.
+/// to stand the index up over an assembled tower, and how to audit a
+/// materialized dump of its nodes.
 trait Scheme: Clone + Sized {
-    fn drive(
-        dht: BoxDht<'_, Self>,
-        run: &Run<'_>,
-        env: &mut impl SoakEnv,
-    ) -> Result<SoakReport, Box<DiffFailure>>;
+    fn open<'a>(
+        dht: &'a BoxDht<'_, Self>,
+        cfg: LhtConfig,
+    ) -> Result<impl Executor<u32> + 'a, LhtError>;
 
     /// Index-specific invariants over `(key, node)` entries, plus
     /// record conservation against the oracle's `expect` snapshot.
@@ -874,24 +690,46 @@ fn setup_failure(opts: &SoakOptions, e: impl std::fmt::Display) -> Box<DiffFailu
     })
 }
 
-/// Upper bound on a binary-search lookup's DHT-lookups at depth cap
-/// `d`: ceil(log2(d + 1)) + 1 (the property suite's `6` at d = 24).
-fn lookup_bound(max_depth: usize) -> u64 {
+/// The most DHT-lookups an LHT range over `b_opt` leaves may take:
+/// `B + 3` (§6.3), or for a range inside one or no leaf, one
+/// binary-search lookup — ceil(log2(d + 1)) + 1 at depth cap `d`, the
+/// property suite's `6` at d = 24 — plus one.
+fn range_bound(b_opt: u64, max_depth: usize) -> u64 {
+    if b_opt >= 2 {
+        return b_opt + 3;
+    }
     let depths = (max_depth + 1) as u64;
     let ceil_log2 = 64 - (depths - 1).leading_zeros() as u64;
-    ceil_log2 + 1
+    1 + ceil_log2 + 1
 }
 
-fn drive<I, E>(
-    ix: &I,
-    trace: &Trace,
-    opts: &SoakOptions,
-    env: &mut E,
-) -> Result<SoakReport, Box<DiffFailure>>
-where
-    I: IndexDriver,
-    E: SoakEnv,
-{
+/// Diffs one index call's answer against the spec's.
+fn diff(got: &HistoryReturn<u32>, expect: &HistoryReturn<u32>) -> Result<(), String> {
+    if got == expect {
+        return Ok(());
+    }
+    Err(match (got, expect) {
+        (HistoryReturn::Records { records: got }, HistoryReturn::Records { records: expect }) => {
+            format!(
+                "range returned {} records, oracle says {} \
+                 (first divergence: {:?} vs {:?})",
+                got.len(),
+                expect.len(),
+                got.iter().find(|g| !expect.contains(g)),
+                expect.iter().find(|e| !got.contains(e)),
+            )
+        }
+        _ => format!("returned {got:?}, oracle says {expect:?}"),
+    })
+}
+
+fn drive<V: Scheme>(
+    dht: BoxDht<'_, V>,
+    run: &Run<'_>,
+    env: &mut impl SoakEnv,
+) -> Result<SoakReport, Box<DiffFailure>> {
+    let opts = run.opts;
+    let ix = V::open(&dht, run.cfg).map_err(|e| setup_failure(opts, e))?;
     let mut oracle = ShadowOracle::new();
     let mut report = SoakReport::default();
     let mut converged = true;
@@ -908,141 +746,66 @@ where
         })
     };
 
-    for (i, op) in trace.ops.iter().enumerate() {
+    for (i, op) in run.trace.ops.iter().enumerate() {
         if opts.inject_loss_at == Some(i) {
             env.sabotage();
         }
-        // Mirror first: the oracle still holds the pre-op state the
-        // mirrored mutation/query must be diffed against.
-        env.mirror(op, &oracle).map_err(|d| fail(i, op, d))?;
-
         match op {
-            Op::Insert(k, v) => {
-                attempt_with_repair(env, &mut report, repair_budget, || {
-                    ix.insert(KeyFraction::from_bits(*k), *v)
-                        .map_err(|e| format!("insert failed: {e}"))
-                })
-                .map_err(|d| fail(i, op, d))?;
-                oracle.insert(*k, *v);
-                report.mutations += 1;
-            }
-            // A scheme without deletion (RST) skips the remove on the
-            // index *and* the oracle — mutating only the oracle would
-            // make every subsequent query a phantom divergence.
-            Op::Remove(_) if !ix.supports_remove() => {}
-            Op::Remove(k) => {
-                // The oracle mutates exactly once; re-attempts after a
-                // repair are held to the same captured expectation (an
+            // A scheme without the call (RST's remove, DST's and
+            // RST's min/max) skips it on the index *and* the oracle —
+            // mutating only the oracle would make every later query a
+            // phantom divergence.
+            Op::Index(call) if !ix.supports(call) => {}
+            Op::Index(call) => {
+                // The oracle applies the call exactly once; re-attempts
+                // after a repair are held to the same expectation (an
                 // unserved key removes nothing on the first try, then
                 // surfaces once repair lands the copy at its owner).
-                // An attempt that *errored* has indeterminate effect —
-                // the record may already be gone when the error struck
-                // mid-merge — so a re-attempt after an error accepts
-                // `None` too, the idempotent-delete semantics a real
-                // client uses when re-issuing a failed delete.
-                let expect = oracle.remove(*k);
+                let expect = oracle.apply(call);
+                env.mirror(call, &expect).map_err(|d| fail(i, op, d))?;
+                // The B + 3 bound is LHT's (§6.3, Algorithms 3/4),
+                // checked where the substrate can count `B`.
+                let bound = match call {
+                    HistoryCall::Range { lo, hi } if opts.index == IndexKind::Lht => {
+                        let range = KeyInterval::from_bits(*lo, *hi);
+                        env.optimal_buckets(&range)
+                            .filter(|_| !range.is_empty())
+                            .map(|b| (b, range_bound(b, opts.max_depth)))
+                    }
+                    _ => None,
+                };
                 let mut errored = false;
                 attempt_with_repair(env, &mut report, repair_budget, || {
-                    let value = ix.remove(KeyFraction::from_bits(*k)).map_err(|e| {
+                    let (got, cost) = ix.execute(call).map_err(|e| {
                         errored = true;
-                        format!("remove failed: {e}")
+                        format!("index error: {e}")
                     })?;
-                    if value != expect && !(errored && value.is_none()) {
-                        return Err(format!("remove returned {value:?}, oracle says {expect:?}"));
+                    // An attempt that *errored* has indeterminate
+                    // effect — the record may already be gone when the
+                    // error struck mid-merge — so a remove re-attempted
+                    // after an error may also find nothing: the
+                    // idempotent-delete semantics a real client uses.
+                    let absent = HistoryReturn::Removed { prior: None };
+                    if !(errored && got == absent) {
+                        diff(&got, &expect)?;
                     }
-                    Ok(())
-                })
-                .map_err(|d| fail(i, op, d))?;
-                report.mutations += 1;
-            }
-            Op::Lookup(k) => {
-                let expect = oracle.get(*k);
-                attempt_with_repair(env, &mut report, repair_budget, || {
-                    let value = ix
-                        .exact(KeyFraction::from_bits(*k))
-                        .map_err(|e| format!("lookup failed: {e}"))?;
-                    if value != expect {
-                        return Err(format!("lookup returned {value:?}, oracle says {expect:?}"));
-                    }
-                    Ok(())
-                })
-                .map_err(|d| fail(i, op, d))?;
-                report.queries += 1;
-            }
-            Op::Range(..) | Op::RangeToEnd(..) => {
-                let (range, expect) = match op {
-                    Op::Range(a, b) => (
-                        KeyInterval::half_open(
-                            KeyFraction::from_bits(*a),
-                            KeyFraction::from_bits(*b),
-                        ),
-                        oracle.range(*a, *b),
-                    ),
-                    Op::RangeToEnd(a) => (
-                        KeyInterval::from_key_to_end(KeyFraction::from_bits(*a)),
-                        oracle.range_to_end(*a),
-                    ),
-                    _ => unreachable!("outer match arm"),
-                };
-                // Precomputed: `env` is lent to the repair loop below.
-                let b_opt = env.optimal_buckets(&range);
-                attempt_with_repair(env, &mut report, repair_budget, || {
-                    let (got, dht_lookups) =
-                        ix.range(range).map_err(|e| format!("range failed: {e}"))?;
-                    if got != expect {
-                        return Err(format!(
-                            "range returned {} records, oracle says {} \
-                             (first divergence: {:?} vs {:?})",
-                            got.len(),
-                            expect.len(),
-                            got.iter().find(|g| !expect.contains(g)),
-                            expect.iter().find(|e| !got.contains(e)),
-                        ));
-                    }
-                    // The B + 3 bound is LHT's (§6.3, Algorithms 3/4);
-                    // retries may inflate hops and latency but never
+                    // Retries may inflate hops and latency but never
                     // the index-level DHT-lookup count, so the bound
                     // holds on a lossy substrate too.
-                    if !range.is_empty() && opts.index == IndexKind::Lht {
-                        if let Some(b_opt) = b_opt {
-                            let bound = if b_opt >= 2 {
-                                b_opt + 3
-                            } else {
-                                1 + lookup_bound(opts.max_depth)
-                            };
-                            if dht_lookups > bound {
-                                return Err(format!(
-                                    "range used {dht_lookups} DHT-lookups for B = {b_opt} \
-                                     (bound {bound})"
-                                ));
-                            }
-                        }
+                    match bound {
+                        Some((b_opt, bound)) if cost.dht_lookups > bound => Err(format!(
+                            "range used {} DHT-lookups for B = {b_opt} (bound {bound})",
+                            cost.dht_lookups
+                        )),
+                        _ => Ok(()),
                     }
-                    Ok(())
                 })
                 .map_err(|d| fail(i, op, d))?;
-                report.queries += 1;
-            }
-            // Baselines without a leftmost/rightmost descent skip
-            // extreme queries (reads — the oracle is untouched).
-            Op::Min | Op::Max if !ix.supports_extreme() => {}
-            Op::Min | Op::Max => {
-                let expect = if matches!(op, Op::Min) {
-                    oracle.min()
+                if call.is_mutation() {
+                    report.mutations += 1;
                 } else {
-                    oracle.max()
-                };
-                attempt_with_repair(env, &mut report, repair_budget, || {
-                    let got = ix
-                        .extreme(matches!(op, Op::Min))
-                        .map_err(|e| format!("min/max failed: {e}"))?;
-                    if got != expect {
-                        return Err(format!("extreme returned {got:?}, oracle says {expect:?}"));
-                    }
-                    Ok(())
-                })
-                .map_err(|d| fail(i, op, d))?;
-                report.queries += 1;
+                    report.queries += 1;
+                }
             }
             Op::Join(..) | Op::Leave(..) => {
                 if env.churn(op).map_err(|d| fail(i, op, d))? {
@@ -1078,7 +841,7 @@ where
     }
     report.audits += 1;
     report.final_records = oracle.len();
-    let stats = ix.dht_stats();
+    let stats = dht.stats();
     // Every soak ends by cross-checking the accounting contract: a
     // counter bumped on one record path but missed on a sibling shows
     // up here no matter which layer stack the options assembled.
@@ -1099,13 +862,11 @@ where
 }
 
 impl Scheme for LeafBucket<u32> {
-    fn drive(
-        dht: BoxDht<'_, Self>,
-        run: &Run<'_>,
-        env: &mut impl SoakEnv,
-    ) -> Result<SoakReport, Box<DiffFailure>> {
-        let ix = LhtIndex::new(dht, run.cfg).map_err(|e| setup_failure(run.opts, e))?;
-        drive(&LhtDriver { ix: &ix }, run.trace, run.opts, env)
+    fn open<'a>(
+        dht: &'a BoxDht<'_, Self>,
+        cfg: LhtConfig,
+    ) -> Result<impl Executor<u32> + 'a, LhtError> {
+        LhtIndex::new(dht, cfg)
     }
 
     fn audit(entries: Vec<(DhtKey, Self)>, cfg: LhtConfig, expect: &[(u64, u32)]) -> Vec<String> {
@@ -1129,13 +890,11 @@ impl Scheme for LeafBucket<u32> {
 }
 
 impl Scheme for PhtNode<u32> {
-    fn drive(
-        dht: BoxDht<'_, Self>,
-        run: &Run<'_>,
-        env: &mut impl SoakEnv,
-    ) -> Result<SoakReport, Box<DiffFailure>> {
-        let ix = PhtIndex::new(dht, run.cfg).map_err(|e| setup_failure(run.opts, e))?;
-        drive(&PhtDriver { ix: &ix }, run.trace, run.opts, env)
+    fn open<'a>(
+        dht: &'a BoxDht<'_, Self>,
+        cfg: LhtConfig,
+    ) -> Result<impl Executor<u32> + 'a, LhtError> {
+        PhtIndex::new(dht, cfg)
     }
 
     fn audit(entries: Vec<(DhtKey, Self)>, cfg: LhtConfig, expect: &[(u64, u32)]) -> Vec<String> {
@@ -1159,16 +918,13 @@ impl Scheme for PhtNode<u32> {
 }
 
 impl Scheme for DstNode<u32> {
-    /// Runs the crate-default DST shape (height 12 — resolution 2⁻¹²,
+    /// Opens the crate-default DST shape (height 12 — resolution 2⁻¹²,
     /// capacity 100), independent of the LHT θ under test.
-    fn drive(
-        dht: BoxDht<'_, Self>,
-        run: &Run<'_>,
-        env: &mut impl SoakEnv,
-    ) -> Result<SoakReport, Box<DiffFailure>> {
-        let ix =
-            DstIndex::new(dht, DstConfig::default()).map_err(|e| setup_failure(run.opts, e))?;
-        drive(&DstDriver { ix: &ix }, run.trace, run.opts, env)
+    fn open<'a>(
+        dht: &'a BoxDht<'_, Self>,
+        _cfg: LhtConfig,
+    ) -> Result<impl Executor<u32> + 'a, LhtError> {
+        DstIndex::new(dht, DstConfig::default())
     }
 
     /// Records are replicated along root-leaf paths and a saturated
@@ -1208,13 +964,11 @@ impl Scheme for DstNode<u32> {
 }
 
 impl Scheme for RstNode<u32> {
-    fn drive(
-        dht: BoxDht<'_, Self>,
-        run: &Run<'_>,
-        env: &mut impl SoakEnv,
-    ) -> Result<SoakReport, Box<DiffFailure>> {
-        let ix = RstIndex::new(dht, run.cfg).map_err(|e| setup_failure(run.opts, e))?;
-        drive(&RstDriver { ix: &ix }, run.trace, run.opts, env)
+    fn open<'a>(
+        dht: &'a BoxDht<'_, Self>,
+        cfg: LhtConfig,
+    ) -> Result<impl Executor<u32> + 'a, LhtError> {
+        RstIndex::new(dht, cfg)
     }
 
     /// Every record lives in exactly one leaf, so the sorted union of
@@ -1248,16 +1002,6 @@ impl Scheme for RstNode<u32> {
         }
         out
     }
-}
-
-/// The oracle's records in the `(key bits, value)` form the entry
-/// audits compare against.
-fn expected_records(oracle: &ShadowOracle) -> Vec<(u64, u32)> {
-    oracle
-        .snapshot()
-        .into_iter()
-        .map(|(k, v)| (k.bits(), v))
-        .collect()
 }
 
 /// Free enumeration of the oracle substrate's whole store.
@@ -1298,58 +1042,19 @@ impl<V: Scheme> SoakEnv for DirectEnv<'_, V> {
         Ok(false) // no membership on the one-hop oracle
     }
 
-    fn mirror(&mut self, op: &Op, oracle: &ShadowOracle) -> Result<(), String> {
+    fn mirror(
+        &mut self,
+        call: &HistoryCall<u32>,
+        expect: &HistoryReturn<u32>,
+    ) -> Result<(), String> {
         let Some(mirror) = &self.mirror else {
             return Ok(());
         };
-        let pht = &mirror.ix;
-        match op {
-            Op::Insert(k, v) => {
-                pht.insert(KeyFraction::from_bits(*k), *v)
-                    .map_err(|e| format!("pht insert failed: {e}"))?;
-            }
-            Op::Remove(k) => {
-                let (value, ..) = pht
-                    .remove(KeyFraction::from_bits(*k))
-                    .map_err(|e| format!("pht remove failed: {e}"))?;
-                let expect = oracle.get(*k);
-                if value != expect {
-                    return Err(format!(
-                        "pht remove returned {value:?}, oracle says {expect:?}"
-                    ));
-                }
-            }
-            Op::Lookup(k) => {
-                let (value, _) = pht
-                    .exact_match(KeyFraction::from_bits(*k))
-                    .map_err(|e| format!("pht lookup failed: {e}"))?;
-                let expect = oracle.get(*k);
-                if value != expect {
-                    return Err(format!(
-                        "pht lookup returned {value:?}, oracle says {expect:?}"
-                    ));
-                }
-            }
-            Op::Range(a, b) => {
-                let range =
-                    KeyInterval::half_open(KeyFraction::from_bits(*a), KeyFraction::from_bits(*b));
-                let result = pht
-                    .range_sequential(range)
-                    .map_err(|e| format!("pht range failed: {e}"))?;
-                let got: Vec<(u64, u32)> =
-                    result.records.iter().map(|(k, v)| (k.bits(), *v)).collect();
-                let expect = oracle.range(*a, *b);
-                if got != expect {
-                    return Err(format!(
-                        "pht range returned {} records, oracle says {}",
-                        got.len(),
-                        expect.len()
-                    ));
-                }
-            }
-            _ => {}
-        }
-        Ok(())
+        let (got, _) = mirror
+            .ix
+            .execute(call)
+            .map_err(|e| format!("pht: index error: {e}"))?;
+        diff(&got, expect).map_err(|d| format!("pht: {d}"))
     }
 
     fn optimal_buckets(&self, range: &KeyInterval) -> Option<u64> {
@@ -1357,7 +1062,7 @@ impl<V: Scheme> SoakEnv for DirectEnv<'_, V> {
     }
 
     fn audit(&mut self, oracle: &ShadowOracle, _converged: bool) -> Vec<String> {
-        let expect = expected_records(oracle);
+        let expect = oracle.records();
         let mut out = V::audit(direct_entries(self.dht), self.cfg, &expect);
         if let Some(mirror) = &self.mirror {
             out.extend(PhtNode::audit(
@@ -1451,10 +1156,6 @@ impl<V: Scheme> SoakEnv for ChordEnv<'_, V> {
         }
     }
 
-    fn mirror(&mut self, _op: &Op, _oracle: &ShadowOracle) -> Result<(), String> {
-        Ok(())
-    }
-
     fn optimal_buckets(&self, _range: &KeyInterval) -> Option<u64> {
         None // bound checks need per-op leaf enumeration; Direct covers them
     }
@@ -1484,7 +1185,7 @@ impl<V: Scheme> SoakEnv for ChordEnv<'_, V> {
                 tier.sync_all();
             }
         }
-        let expect = expected_records(oracle);
+        let expect = oracle.records();
         let (entries, mut out) = (self.entries)();
         out.extend(V::audit(entries, self.cfg, &expect));
         out.extend(

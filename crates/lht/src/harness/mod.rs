@@ -1,23 +1,29 @@
 //! Cross-crate differential-testing and invariant-audit harness.
 //!
 //! The harness holds the whole workspace to one standard of
-//! correctness by driving three implementations of the same record
-//! store through one deterministic operation trace:
+//! correctness by driving one deterministic operation [`Trace`]
+//! through:
 //!
-//! 1. the **LHT index** under test, over either the one-hop
+//! 1. the **primary index** under test — LHT, or the PHT, DST or RST
+//!    baseline ([`IndexKind`]) — over either the one-hop
 //!    [`DirectDht`](crate::DirectDht) or a churning
 //!    [`ChordDht`](crate::ChordDht) ring;
-//! 2. the **PHT baseline** (Direct substrate only), mirroring every
-//!    mutation;
+//! 2. the **PHT baseline** mirrored beside an LHT primary (Direct
+//!    substrate only);
 //! 3. a local [`ShadowOracle`] — a plain `BTreeMap` whose semantics
 //!    are beyond suspicion.
 //!
-//! Every query answer is diffed against the oracle's the moment it is
-//! produced, range costs are checked against the paper's §6.3
-//! `B + 3` bound, and at a fixed cadence the whole system is audited:
-//! Theorem 1 bijectivity, interval-partition coverage of `[0, 1)`,
-//! record conservation against the oracle, θ-occupancy, PHT trie and
-//! chain consistency, and (between churn windows) Chord ring
+//! A trace's index ops are [`HistoryCall`](crate::HistoryCall)s. Every
+//! scheme runs them through its one [`Executor`](crate::Executor), and
+//! [`ShadowOracle::apply`] is the one sequential spec each answer is
+//! diffed against the moment it is produced (the simulator's
+//! linearizability checker uses the same spec). A call a scheme has no
+//! operation for is skipped on the index and the oracle alike. LHT's
+//! range costs are checked against the paper's §6.3 `B + 3` bound,
+//! and at a fixed cadence the whole system is audited: Theorem 1
+//! bijectivity, interval-partition coverage of `[0, 1)`, record
+//! conservation against the oracle, θ-occupancy, PHT trie and chain
+//! consistency, and (between churn windows) Chord ring
 //! well-formedness.
 //!
 //! Failures abort with a [`DiffFailure`] carrying the op, the op's

@@ -1,14 +1,16 @@
 //! The shadow oracle: a local, trivially-correct reference index.
 //!
-//! Every mutation a differential run applies to the distributed
-//! index is mirrored here; every query answer is diffed against the
-//! oracle's. The oracle is a plain [`BTreeMap`] over raw key bits, so
-//! its semantics — upsert on insert, half-open ranges, first/last for
-//! min/max — are beyond suspicion and cheap to audit by eye.
+//! [`ShadowOracle::apply`] is the one sequential spec of the index
+//! operations: the differential soak diffs every scheme's answer
+//! against it, and the simulator's linearizability checker searches
+//! for an order of a concurrent history that it explains. The oracle
+//! is a plain [`BTreeMap`] over raw key bits, so its semantics —
+//! upsert on insert, half-open ranges, first/last for min/max — are
+//! beyond suspicion and cheap to audit by eye.
 
 use std::collections::BTreeMap;
 
-use lht_id::KeyFraction;
+use lht_core::{HistoryCall, HistoryReturn};
 
 /// A reference index over `(u64 key bits, u32 value)` records with
 /// the exact operation semantics of [`LhtIndex`](crate::LhtIndex).
@@ -23,42 +25,34 @@ impl ShadowOracle {
         ShadowOracle::default()
     }
 
-    /// Upserts a record (the index's insert semantics).
-    pub fn insert(&mut self, key: u64, value: u32) {
-        self.map.insert(key, value);
-    }
-
-    /// Removes a record, returning the stored value if present.
-    pub fn remove(&mut self, key: u64) -> Option<u32> {
-        self.map.remove(&key)
-    }
-
-    /// Exact-match lookup.
-    pub fn get(&self, key: u64) -> Option<u32> {
-        self.map.get(&key).copied()
-    }
-
-    /// All records with key in the half-open range `[lo, hi)`, in key
-    /// order.
-    pub fn range(&self, lo: u64, hi: u64) -> Vec<(u64, u32)> {
-        self.map.range(lo..hi).map(|(k, v)| (*k, *v)).collect()
-    }
-
-    /// All records with key in `[lo, 2^64)` — the closed-at-the-top
-    /// range [`KeyInterval::from_key_to_end`](crate::KeyInterval::from_key_to_end)
-    /// queries.
-    pub fn range_to_end(&self, lo: u64) -> Vec<(u64, u32)> {
-        self.map.range(lo..).map(|(k, v)| (*k, *v)).collect()
-    }
-
-    /// The smallest-keyed record.
-    pub fn min(&self) -> Option<(u64, u32)> {
-        self.map.iter().next().map(|(k, v)| (*k, *v))
-    }
-
-    /// The largest-keyed record.
-    pub fn max(&self) -> Option<(u64, u32)> {
-        self.map.iter().next_back().map(|(k, v)| (*k, *v))
+    /// Applies `call` and returns what a correct sequential execution
+    /// answers.
+    pub fn apply(&mut self, call: &HistoryCall<u32>) -> HistoryReturn<u32> {
+        let pair = |(k, v): (&u64, &u32)| (*k, *v);
+        match call {
+            HistoryCall::Insert { key, value } => {
+                self.map.insert(*key, *value);
+                HistoryReturn::Inserted
+            }
+            HistoryCall::Remove { key } => HistoryReturn::Removed {
+                prior: self.map.remove(key),
+            },
+            HistoryCall::Get { key } => HistoryReturn::Value {
+                value: self.map.get(key).copied(),
+            },
+            HistoryCall::Range { lo, hi } => HistoryReturn::Records {
+                records: match hi {
+                    Some(hi) => self.map.range(lo..hi).map(pair).collect(),
+                    None => self.map.range(lo..).map(pair).collect(),
+                },
+            },
+            HistoryCall::Min => HistoryReturn::Extreme {
+                record: self.map.iter().next().map(pair),
+            },
+            HistoryCall::Max => HistoryReturn::Extreme {
+                record: self.map.iter().next_back().map(pair),
+            },
+        }
     }
 
     /// Number of records.
@@ -71,13 +65,10 @@ impl ShadowOracle {
         self.map.is_empty()
     }
 
-    /// The full contents as `(KeyFraction, value)` pairs in key order
-    /// — directly comparable with a materialized index snapshot.
-    pub fn snapshot(&self) -> Vec<(KeyFraction, u32)> {
-        self.map
-            .iter()
-            .map(|(k, v)| (KeyFraction::from_bits(*k), *v))
-            .collect()
+    /// The full contents as `(key bits, value)` pairs in key order —
+    /// directly comparable with a materialized index's records.
+    pub fn records(&self) -> Vec<(u64, u32)> {
+        self.map.iter().map(|(k, v)| (*k, *v)).collect()
     }
 }
 
@@ -89,18 +80,38 @@ mod tests {
     fn semantics_match_the_contract() {
         let mut o = ShadowOracle::new();
         assert!(o.is_empty());
-        o.insert(10, 1);
-        o.insert(10, 2); // upsert
-        o.insert(20, 3);
-        o.insert(u64::MAX, 4);
-        assert_eq!(o.len(), 3);
-        assert_eq!(o.get(10), Some(2));
-        assert_eq!(o.range(10, 20), vec![(10, 2)]);
-        assert_eq!(o.range(10, 10), vec![]);
-        assert_eq!(o.range_to_end(20), vec![(20, 3), (u64::MAX, 4)]);
-        assert_eq!(o.min(), Some((10, 2)));
-        assert_eq!(o.max(), Some((u64::MAX, 4)));
-        assert_eq!(o.remove(10), Some(2));
-        assert_eq!(o.remove(10), None);
+        for (key, value) in [(10, 1), (10, 2), (20, 3), (u64::MAX, 4)] {
+            assert_eq!(
+                o.apply(&HistoryCall::Insert { key, value }),
+                HistoryReturn::Inserted
+            );
+        }
+        assert_eq!(o.len(), 3, "the second insert of key 10 upserts");
+        let mut ask = |call| o.apply(&call);
+        assert_eq!(
+            ask(HistoryCall::Get { key: 10 }),
+            HistoryReturn::Value { value: Some(2) }
+        );
+        let records = |records: Vec<(u64, u32)>| HistoryReturn::Records { records };
+        let range = |lo, hi| HistoryCall::Range { lo, hi };
+        assert_eq!(ask(range(10, Some(20))), records(vec![(10, 2)]));
+        assert_eq!(ask(range(10, Some(10))), records(vec![]));
+        assert_eq!(ask(range(20, None)), records(vec![(20, 3), (u64::MAX, 4)]));
+        assert_eq!(
+            ask(HistoryCall::Min),
+            HistoryReturn::Extreme {
+                record: Some((10, 2))
+            }
+        );
+        assert_eq!(
+            ask(HistoryCall::Max),
+            HistoryReturn::Extreme {
+                record: Some((u64::MAX, 4))
+            }
+        );
+        let removed = |prior| HistoryReturn::Removed { prior };
+        assert_eq!(ask(HistoryCall::Remove { key: 10 }), removed(Some(2)));
+        assert_eq!(ask(HistoryCall::Remove { key: 10 }), removed(None));
+        assert_eq!(o.records(), vec![(20, 3), (u64::MAX, 4)]);
     }
 }

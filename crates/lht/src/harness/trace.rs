@@ -7,32 +7,22 @@
 //! [`Trace::parse_line`] serialize the exact operation stream for
 //! cases where the generator has changed since the failure was filed.
 
+use lht_core::HistoryCall;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One operation of a differential run.
+/// One operation of a differential run: an index call, or a ring
+/// membership event.
 ///
-/// Keys and values are raw bits; index ops interpret keys via
+/// Index calls carry raw key bits, which the index interprets via
 /// [`KeyFraction::from_bits`](crate::KeyFraction::from_bits). Churn
 /// ops apply only on substrates with membership (the Chord ring) and
 /// are skipped elsewhere.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Op {
-    /// Upsert `key → value`.
-    Insert(u64, u32),
-    /// Remove `key`.
-    Remove(u64),
-    /// Exact-match `key`.
-    Lookup(u64),
-    /// Range query over the half-open `[lo, hi)` (by raw key bits).
-    Range(u64, u64),
-    /// Range query over `[lo, 2^64)` — exercises the top-of-space
-    /// boundary the half-open constructor cannot express.
-    RangeToEnd(u64),
-    /// Min query.
-    Min,
-    /// Max query.
-    Max,
+    /// One index operation. A range with `hi: None` is `[lo, 2^64)`,
+    /// the top-of-space boundary a half-open range cannot express.
+    Index(HistoryCall<u32>),
     /// A new node joins the ring (the number makes its name unique).
     Join(u32),
     /// The `n mod live-nodes`-th node leaves gracefully.
@@ -44,13 +34,13 @@ pub enum Op {
 impl std::fmt::Display for Op {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Op::Insert(k, v) => write!(f, "i:{k}:{v}"),
-            Op::Remove(k) => write!(f, "r:{k}"),
-            Op::Lookup(k) => write!(f, "l:{k}"),
-            Op::Range(a, b) => write!(f, "q:{a}:{b}"),
-            Op::RangeToEnd(a) => write!(f, "qe:{a}"),
-            Op::Min => write!(f, "min"),
-            Op::Max => write!(f, "max"),
+            Op::Index(HistoryCall::Insert { key, value }) => write!(f, "i:{key}:{value}"),
+            Op::Index(HistoryCall::Remove { key }) => write!(f, "r:{key}"),
+            Op::Index(HistoryCall::Get { key }) => write!(f, "l:{key}"),
+            Op::Index(HistoryCall::Range { lo, hi: Some(hi) }) => write!(f, "q:{lo}:{hi}"),
+            Op::Index(HistoryCall::Range { lo, hi: None }) => write!(f, "qe:{lo}"),
+            Op::Index(HistoryCall::Min) => write!(f, "min"),
+            Op::Index(HistoryCall::Max) => write!(f, "max"),
             Op::Join(n) => write!(f, "join:{n}"),
             Op::Leave(n) => write!(f, "leave:{n}"),
             Op::Stabilize => write!(f, "stab"),
@@ -72,13 +62,16 @@ impl std::str::FromStr for Op {
                 .map_err(|e| format!("op {s:?}: bad {what}: {e}"))
         };
         let op = match tag {
-            "i" => Op::Insert(num("key")?, num("value")? as u32),
-            "r" => Op::Remove(num("key")?),
-            "l" => Op::Lookup(num("key")?),
-            "q" => Op::Range(num("lo")?, num("hi")?),
-            "qe" => Op::RangeToEnd(num("lo")?),
-            "min" => Op::Min,
-            "max" => Op::Max,
+            "i" => Op::Index(HistoryCall::Insert {
+                key: num("key")?,
+                value: num("value")? as u32,
+            }),
+            "r" => Op::Index(HistoryCall::Remove { key: num("key")? }),
+            "l" => Op::Index(HistoryCall::Get { key: num("key")? }),
+            "q" => range(num("lo")?, Some(num("hi")?)),
+            "qe" => range(num("lo")?, None),
+            "min" => Op::Index(HistoryCall::Min),
+            "max" => Op::Index(HistoryCall::Max),
             "join" => Op::Join(num("ordinal")? as u32),
             "leave" => Op::Leave(num("ordinal")? as u32),
             "stab" => Op::Stabilize,
@@ -89,6 +82,10 @@ impl std::str::FromStr for Op {
         }
         Ok(op)
     }
+}
+
+fn range(lo: u64, hi: Option<u64>) -> Op {
+    Op::Index(HistoryCall::Range { lo, hi })
 }
 
 /// Parameters of the deterministic trace generator.
@@ -181,35 +178,42 @@ pub fn generate(cfg: &TraceConfig) -> Trace {
         let roll = rng.gen_range(0u32..100);
         let op = match roll {
             0..=39 => {
-                let k = pick_key(&mut rng, &touched);
-                touched.push(k);
-                Op::Insert(k, rng.gen())
+                let key = pick_key(&mut rng, &touched);
+                touched.push(key);
+                Op::Index(HistoryCall::Insert {
+                    key,
+                    value: rng.gen(),
+                })
             }
-            40..=59 => Op::Remove(pick_key(&mut rng, &touched)),
-            60..=71 => Op::Lookup(pick_key(&mut rng, &touched)),
+            40..=59 => Op::Index(HistoryCall::Remove {
+                key: pick_key(&mut rng, &touched),
+            }),
+            60..=71 => Op::Index(HistoryCall::Get {
+                key: pick_key(&mut rng, &touched),
+            }),
             72..=89 => {
                 let a = pick_key(&mut rng, &touched);
                 match rng.gen_range(0u32..6) {
                     // Empty range.
-                    0 => Op::Range(a, a),
+                    0 => range(a, Some(a)),
                     // Narrow window around a known key.
-                    1 => Op::Range(a.saturating_sub(8), a.saturating_add(8)),
+                    1 => range(a.saturating_sub(8), Some(a.saturating_add(8))),
                     // Deep-LCA: both bounds in one tiny cell.
                     2 => {
                         let b = a ^ (rng.gen::<u64>() & 0xFF);
-                        Op::Range(a.min(b), a.max(b))
+                        range(a.min(b), Some(a.max(b)))
                     }
                     // Closed at the top of the key space.
-                    3 => Op::RangeToEnd(a),
+                    3 => range(a, None),
                     // Arbitrary span.
                     _ => {
                         let b = pick_key(&mut rng, &touched);
-                        Op::Range(a.min(b), a.max(b))
+                        range(a.min(b), Some(a.max(b)))
                     }
                 }
             }
-            90..=92 => Op::Min,
-            93..=95 => Op::Max,
+            90..=92 => Op::Index(HistoryCall::Min),
+            93..=95 => Op::Index(HistoryCall::Max),
             _ if cfg.churn => {
                 // Membership events; stabilize with the same odds so
                 // the ring repeatedly re-converges mid-trace.
@@ -229,7 +233,9 @@ pub fn generate(cfg: &TraceConfig) -> Trace {
                     }
                 }
             }
-            _ => Op::Lookup(pick_key(&mut rng, &touched)),
+            _ => Op::Index(HistoryCall::Get {
+                key: pick_key(&mut rng, &touched),
+            }),
         };
         ops.push(op);
     }
@@ -290,13 +296,18 @@ mod tests {
         };
         let trace = generate(&cfg);
         let has = |f: &dyn Fn(&Op) -> bool| trace.ops.iter().any(f);
-        assert!(has(&|o| matches!(o, Op::Insert(..))));
-        assert!(has(&|o| matches!(o, Op::Remove(..))));
-        assert!(has(&|o| matches!(o, Op::Lookup(..))));
-        assert!(has(&|o| matches!(o, Op::Range(..))));
-        assert!(has(&|o| matches!(o, Op::RangeToEnd(..))));
-        assert!(has(&|o| matches!(o, Op::Min)));
-        assert!(has(&|o| matches!(o, Op::Max)));
+        let call =
+            |f: &dyn Fn(&HistoryCall<u32>) -> bool| has(&|o| matches!(o, Op::Index(c) if f(c)));
+        assert!(call(&|c| matches!(c, HistoryCall::Insert { .. })));
+        assert!(call(&|c| matches!(c, HistoryCall::Remove { .. })));
+        assert!(call(&|c| matches!(c, HistoryCall::Get { .. })));
+        assert!(call(&|c| matches!(
+            c,
+            HistoryCall::Range { hi: Some(_), .. }
+        )));
+        assert!(call(&|c| matches!(c, HistoryCall::Range { hi: None, .. })));
+        assert!(call(&|c| matches!(c, HistoryCall::Min)));
+        assert!(call(&|c| matches!(c, HistoryCall::Max)));
         assert!(has(&|o| matches!(o, Op::Join(..))));
         assert!(has(&|o| matches!(o, Op::Leave(..))));
         assert!(has(&|o| matches!(o, Op::Stabilize)));

@@ -53,8 +53,8 @@ pub use lht_sfc as sfc;
 pub use lht_workload as workload;
 
 pub use lht_core::{
-    audit, HistoryCall, HistoryRecorder, HistoryReturn, IndexStats, KeyInterval, Label, LeafBucket,
-    LhtConfig, LhtError, LhtIndex, NamingCache, NamingCacheStats,
+    audit, Executor, HistoryCall, HistoryRecorder, HistoryReturn, IndexStats, KeyInterval, Label,
+    LeafBucket, LhtConfig, LhtError, LhtIndex, NamingCache, NamingCacheStats,
 };
 pub use lht_cost::CostModel;
 pub use lht_dht::{
