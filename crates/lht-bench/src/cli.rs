@@ -73,6 +73,8 @@ pub const CI_SMOKE: &[(&str, &[&str])] = &[
     ("figures", &["fig10", "--trials", "1"]),
     ("figures", &["saving-ratio", "--trials", "1"]),
     ("audit-soak", &["audit-soak", "--substrate", "both", "--seed", "1", "--ops", "10000", "--churn"]),
+    // The PHT baseline through the same trace, spec and audits (§9).
+    ("audit-soak", &["audit-soak", "--substrate", "direct", "--index", "pht", "--seed", "1", "--ops", "10000"]),
     ("fault-sweep", &["fault-sweep", "--smoke"]),
     // Pinned clean seeds must replay byte-identically and pass.
     ("sim", &["sim-explore", "--seed", "1"]),
@@ -312,7 +314,7 @@ mod tests {
     }
 
     #[test]
-    fn one_tier_check_guards_both_harness_commands() {
+    fn layers_a_run_cannot_hold_are_refused_by_both_harness_commands() {
         let both = ["--quorum", "3,2,2", "--erasure", "2,4"];
         for name in ["audit-soak", "sim-explore"] {
             let argv: Vec<&str> = std::iter::once(name).chain(both).collect();
@@ -321,6 +323,28 @@ mod tests {
         // A mutant implies its tier.
         let implied = ["sim-explore", "--erasure", "2,5", "--lost-write-ack"];
         assert_eq!(run(&implied, &mut Vec::new()), 2);
+        // One mutant per run.
+        for two in [
+            &["--stale-replica", "--torn-split", "2"][..],
+            &["--sloppy-quorum-read", "--lost-write-ack"],
+        ] {
+            let argv: Vec<&str> = std::iter::once("sim-explore")
+                .chain(two.iter().copied())
+                .collect();
+            assert_eq!(run(&argv, &mut Vec::new()), 2, "{two:?}");
+        }
+        // A soak's replay line names no layer its index never runs.
+        for layer in [
+            &["--index", "pht", "--quorum", "3,2,2"][..],
+            &["--index", "dst", "--erasure", "2,4"],
+            &["--index", "rst", "--cache", "16"],
+            &["--index", "dst", "--substrate", "chord", "--cache", "16"],
+        ] {
+            let argv: Vec<&str> = std::iter::once("audit-soak")
+                .chain(layer.iter().copied())
+                .collect();
+            assert_eq!(run(&argv, &mut Vec::new()), 2, "{layer:?}");
+        }
     }
 
     #[test]

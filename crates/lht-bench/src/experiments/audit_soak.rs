@@ -1,9 +1,10 @@
-//! Differential-testing soak — drives the index under test (LHT or
-//! PHT), the mirrored PHT baseline and a shadow oracle through one
+//! Differential-testing soak — drives the index under test (LHT, or
+//! the PHT, DST or RST baseline) and a shadow oracle through one
 //! deterministic trace, diffing every answer and auditing every
 //! structural invariant (Theorem 1 bijectivity, partition coverage,
 //! record conservation, θ-occupancy, PHT trie/chain consistency,
-//! Chord ring well-formedness).
+//! Chord ring well-formedness). `--index pht` holds the paper's
+//! baseline to the very trace an LHT soak of the same seed runs.
 //!
 //! Exits non-zero on the first divergence or invariant violation,
 //! printing the failing op and the one-line replay command. The

@@ -40,8 +40,11 @@ const PINS: &[(&[&str], i32, &str)] = &[
     (&["sim-explore", "--seed", "0", "--erasure", "2,5"], 0, "42056df811f149d8dcd5d2628fa23c594bb08010"),
     (&["sim-explore", "--seed", "1", "--erasure", "4,6"], 0, "afbe21451635e15cfa67852247becb74529f5938"),
     (&["sim-explore", "--seed", "2", "--erasure", "2,5", "--drop", "0.1"], 0, "ffd9a719145511e521fa4365d5357d9edda98cc1"),
-    // Differential soaks: plain, cached + lossy, quorum, erasure.
+    // Differential soaks: plain, PHT, cached + lossy, quorum, erasure.
     (&["audit-soak", "--substrate", "both", "--seed", "1", "--ops", "10000", "--churn"], 0, "0dc1dd6e7324df0577a5326b2520ef76e941ff42"),
+    // Recorded on the commit before the PHT mirror was removed from
+    // the LHT soak.
+    (&["audit-soak", "--substrate", "direct", "--index", "pht", "--seed", "1", "--ops", "10000"], 0, "78941a7359454a23989fc4376835f5fb1335825c"),
     (&["audit-soak", "--substrate", "chord", "--seed", "1", "--ops", "5000", "--churn", "--cache", "256", "--drop", "0.1", "--mloss", "0.15"], 0, "311aaa79f1fbcb97dbe3aab84ce1e2fd253006f9"),
     (&["audit-soak", "--substrate", "chord", "--seed", "1", "--ops", "5000", "--churn", "--drop", "0.1", "--quorum", "3,2,2"], 0, "358bcbd4eac6b8067196e48056f7bfc6632b4f55"),
     (&["audit-soak", "--substrate", "chord", "--seed", "1", "--ops", "5000", "--churn", "--drop", "0.1", "--mloss", "0.15", "--erasure", "2,4"], 0, "358bcbd4eac6b8067196e48056f7bfc6632b4f55"),

@@ -39,13 +39,12 @@
 //! always *observed*. The read then either decodes that generation
 //! (`≥ k` of its fragments gathered) or **fails** — it never falls
 //! back to an older generation, so a stale read is structurally
-//! impossible rather than merely quorum-unlikely. The two armed
-//! mutants each break one side of this argument:
-//! [`arm_corrupt_fragment_mutant`] decodes the first-seen generation
-//! without reconciling to the newest, and [`arm_lazy_regen_mutant`]
-//! makes repair count fragments as healed without writing them, so
-//! fragment loss erodes groups below `k` and reads start lying about
-//! absence.
+//! impossible rather than merely quorum-unlikely. Two of the
+//! engine's mutant switches each break one side of this argument:
+//! [`arm_first_seen_read`] decodes the first-seen generation without
+//! reconciling to the newest, and [`arm_lazy_repair`] makes repair
+//! count fragments as healed without writing them, so fragment loss
+//! erodes groups below `k` and reads start lying about absence.
 //!
 //! # One engine, this codec
 //!
@@ -64,8 +63,8 @@
 //! slot by re-encoding that slot's shard from any `k` survivors.
 //!
 //! [`anti_entropy_step`]: ErasureDht::anti_entropy_step
-//! [`arm_corrupt_fragment_mutant`]: ErasureDht::arm_corrupt_fragment_mutant
-//! [`arm_lazy_regen_mutant`]: ErasureDht::arm_lazy_regen_mutant
+//! [`arm_first_seen_read`]: SlotDht::arm_first_seen_read
+//! [`arm_lazy_repair`]: SlotDht::arm_lazy_repair
 //!
 //! # Examples
 //!
@@ -415,27 +414,6 @@ impl<V: ErasurePayload, D: Dht<Value = Fragment>> SlotDht<D, Coding<V>> {
     pub fn config(&self) -> ErasureConfig {
         self.codec().cfg
     }
-
-    /// Arms the corrupt-fragment mutant: a read adopts the sequence
-    /// number of the *first* fragment it gathered and decodes that
-    /// generation if it can, skipping newest-wins reconciliation (and
-    /// read-repair). A rotated read that starts on a deferred slot
-    /// holding a previous generation with `≥ k` surviving fragments
-    /// serves the stale value — the linearizability violation the
-    /// checker must flag.
-    pub fn arm_corrupt_fragment_mutant(&self) {
-        self.arm_first_seen_read();
-    }
-
-    /// Arms the lazy-regen mutant: every repair write — handoff
-    /// flush, read-repair, anti-entropy regeneration — is counted in
-    /// `repair_transfers` as if issued, but the fragment is never
-    /// written. Under fragment loss (node crashes) groups erode below
-    /// `k`, and a fully eroded key reads back as *absent* — the data
-    /// loss the Wing-Gong checker's strict mode pins on the layer.
-    pub fn arm_lazy_regen_mutant(&self) {
-        self.arm_lazy_repair();
-    }
 }
 
 #[cfg(test)]
@@ -533,7 +511,7 @@ mod tests {
     fn corrupt_fragment_mutant_serves_a_stale_generation() {
         let ring: DirectDht<Fragment> = DirectDht::new();
         let ec: ErasureDht<_, u32> = ErasureDht::new(&ring, ErasureConfig::new(2, 5));
-        ec.arm_corrupt_fragment_mutant();
+        ec.arm_first_seen_read();
         ec.put(&key("a"), 1).unwrap();
         // Converge generation 1 into all 5 slots, then write
         // generation 2: slots {0, 1, 2} move on while the deferred
@@ -559,7 +537,7 @@ mod tests {
         let honest: ErasureDht<_, u32> = ErasureDht::new(&honest_ring, ErasureConfig::new(2, 5));
         let lazy_ring: DirectDht<Fragment> = DirectDht::new();
         let lazy: ErasureDht<_, u32> = ErasureDht::new(&lazy_ring, ErasureConfig::new(2, 5));
-        lazy.arm_lazy_regen_mutant();
+        lazy.arm_lazy_repair();
         for ec in [&honest, &lazy] {
             ec.put(&key("a"), 7).unwrap();
             assert_eq!(ec.pending_handoffs(), 2);

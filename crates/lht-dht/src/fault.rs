@@ -5,9 +5,9 @@
 //! drop, stall and time out; the simulators in this crate are
 //! perfect-delivery by default. [`FaultyDht`] closes that gap: it
 //! intercepts every operation, consults a deterministic [`NetProfile`]
-//! (drop probability, latency distribution, timeout threshold, an
-//! optional brown-out window) and either charges the drawn latency
-//! and delegates to the wrapped substrate, or fails the attempt with
+//! (drop probability, latency distribution, timeout threshold) and
+//! either charges the drawn latency and delegates to the wrapped
+//! substrate, or fails the attempt with
 //! [`DhtError::Dropped`] / [`DhtError::Timeout`] after charging the
 //! full timeout wait.
 //!
@@ -105,43 +105,8 @@ impl Default for LatencyProfile {
     }
 }
 
-/// A window of elevated drop probability over part of the keyspace —
-/// the "brown-out" of a struggling node or rack: requests for keys it
-/// owns mostly vanish for a while, then recover.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Brownout {
-    /// First RPC index (0-based, counted across the wrapper's
-    /// lifetime) the brown-out affects.
-    pub from_rpc: u64,
-    /// First RPC index after the window ends.
-    pub until_rpc: u64,
-    /// Drop probability inside the window for affected keys
-    /// (replaces the baseline probability when higher).
-    pub drop_prob: f64,
-    /// Fraction of the keyspace affected: keys whose 160-bit ring
-    /// hash falls in the lowest `keyspace_frac` of the identifier
-    /// space — a contiguous ring arc, i.e. one node neighbourhood.
-    pub keyspace_frac: f64,
-}
-
-impl Brownout {
-    fn covers(&self, rpc: u64, key: &DhtKey) -> bool {
-        if rpc < self.from_rpc || rpc >= self.until_rpc {
-            return false;
-        }
-        // Position of the key on the ring as a fraction of the
-        // space, from the top 64 bits of its 160-bit hash.
-        let bytes = key.hash().to_be_bytes();
-        let mut top = [0u8; 8];
-        top.copy_from_slice(&bytes[..8]);
-        let pos = u64::from_be_bytes(top) as f64 / (u64::MAX as f64);
-        pos < self.keyspace_frac
-    }
-}
-
 /// A deterministic lossy-network model: what fraction of RPCs drop,
-/// how long delivery takes, when the sender gives up, and an optional
-/// [`Brownout`] window.
+/// how long delivery takes, and when the sender gives up.
 ///
 /// All randomness derives from `seed`, independently of the wrapped
 /// substrate's own RNG, so fault sequences replay exactly.
@@ -157,8 +122,6 @@ pub struct NetProfile {
     /// this, or which was dropped, costs exactly this much simulated
     /// wait before the error surfaces.
     pub timeout_ms: u64,
-    /// Optional brown-out window of elevated loss.
-    pub brownout: Option<Brownout>,
 }
 
 impl NetProfile {
@@ -172,7 +135,6 @@ impl NetProfile {
             drop_prob: 0.0,
             latency: LatencyProfile::ZERO,
             timeout_ms: 250,
-            brownout: None,
         }
     }
 
@@ -184,14 +146,6 @@ impl NetProfile {
             drop_prob,
             latency: LatencyProfile::default(),
             timeout_ms: 250,
-            brownout: None,
-        }
-    }
-
-    fn effective_drop(&self, rpc: u64, key: &DhtKey) -> f64 {
-        match &self.brownout {
-            Some(b) if b.covers(rpc, key) => self.drop_prob.max(b.drop_prob),
-            _ => self.drop_prob,
         }
     }
 }
@@ -206,8 +160,6 @@ impl Default for NetProfile {
 
 struct FaultState {
     rng: StdRng,
-    /// RPC attempts admitted or faulted (drives brown-out windows).
-    rpcs: u64,
     /// Fault-layer counters merged into the inner substrate's stats:
     /// only `drops`, `timeouts` and `latency_ms` are ever non-zero.
     faults: DhtStats,
@@ -236,7 +188,6 @@ impl<D> std::fmt::Debug for FaultyDht<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FaultyDht")
             .field("profile", &self.profile)
-            .field("rpcs", &self.state.lock().rpcs)
             .finish()
     }
 }
@@ -249,7 +200,6 @@ impl<D> FaultyDht<D> {
             profile,
             state: Mutex::new(FaultState {
                 rng: StdRng::seed_from_u64(profile.seed),
-                rpcs: 0,
                 faults: DhtStats::default(),
             }),
         }
@@ -261,7 +211,7 @@ impl<D> FaultyDht<D> {
         &self.inner
     }
 
-    /// Decides the fate of one RPC attempt for `key` and charges the
+    /// Decides the fate of one RPC attempt and charges the
     /// per-attempt sum counters: `Err` if the network ate it, `Ok(())`
     /// if delivered. Returns the attempt's wait too —
     /// delivery latency or the full timeout — which the caller charges
@@ -269,11 +219,9 @@ impl<D> FaultyDht<D> {
     /// round are in flight concurrently). A zero drawn latency charges
     /// nothing, keeping a reliable zero-latency profile
     /// byte-transparent.
-    fn admit_one(&self, st: &mut FaultState, key: &DhtKey) -> (u64, Result<(), DhtError>) {
+    fn admit_one(&self, st: &mut FaultState) -> (u64, Result<(), DhtError>) {
         let profile = &self.profile;
-        let rpc = st.rpcs;
-        st.rpcs += 1;
-        let p = profile.effective_drop(rpc, key);
+        let p = profile.drop_prob;
         let waited_ms = profile.timeout_ms;
         if p > 0.0 && st.rng.gen_bool(p) {
             st.faults.record_failed_attempt(waited_ms, false);
@@ -291,9 +239,9 @@ impl<D> FaultyDht<D> {
     }
 
     /// Single-op admission: a one-attempt round.
-    fn admit(&self, key: &DhtKey) -> Result<(), DhtError> {
+    fn admit(&self) -> Result<(), DhtError> {
         let mut st = self.state.lock();
-        let (wait, fate) = self.admit_one(&mut st, key);
+        let (wait, fate) = self.admit_one(&mut st);
         st.faults.record_round_latency(wait);
         fate
     }
@@ -307,7 +255,6 @@ impl<D> FaultyDht<D> {
     fn round<E, T>(
         &self,
         entries: impl IntoIterator<Item = E>,
-        key: impl Fn(&E) -> &DhtKey,
         deliver: impl FnOnce(Vec<E>) -> Vec<Result<T, DhtError>>,
     ) -> Vec<Result<T, DhtError>> {
         let mut admitted = Vec::new();
@@ -317,7 +264,7 @@ impl<D> FaultyDht<D> {
             let fates = entries
                 .into_iter()
                 .map(|entry| {
-                    let (wait, fate) = self.admit_one(&mut st, key(&entry));
+                    let (wait, fate) = self.admit_one(&mut st);
                     max_wait = max_wait.max(wait);
                     if fate.is_ok() {
                         admitted.push(entry);
@@ -342,17 +289,17 @@ impl<D: Dht> Dht for FaultyDht<D> {
     type Value = D::Value;
 
     fn get(&self, key: &DhtKey) -> Result<Option<Self::Value>, DhtError> {
-        self.admit(key)?;
+        self.admit()?;
         self.inner.get(key)
     }
 
     fn put(&self, key: &DhtKey, value: Self::Value) -> Result<(), DhtError> {
-        self.admit(key)?;
+        self.admit()?;
         self.inner.put(key, value)
     }
 
     fn remove(&self, key: &DhtKey) -> Result<Option<Self::Value>, DhtError> {
-        self.admit(key)?;
+        self.admit()?;
         self.inner.remove(key)
     }
 
@@ -361,24 +308,16 @@ impl<D: Dht> Dht for FaultyDht<D> {
         key: &DhtKey,
         f: &mut dyn FnMut(&mut Option<Self::Value>),
     ) -> Result<(), DhtError> {
-        self.admit(key)?;
+        self.admit()?;
         self.inner.update(key, f)
     }
 
     fn multi_get(&self, keys: &[DhtKey]) -> Vec<Result<Option<Self::Value>, DhtError>> {
-        self.round(
-            keys.iter().cloned(),
-            |key| key,
-            |keys| self.inner.multi_get(&keys),
-        )
+        self.round(keys.iter().cloned(), |keys| self.inner.multi_get(&keys))
     }
 
     fn multi_put(&self, entries: Vec<(DhtKey, Self::Value)>) -> Vec<Result<(), DhtError>> {
-        self.round(
-            entries,
-            |(key, _)| key,
-            |entries| self.inner.multi_put(entries),
-        )
+        self.round(entries, |entries| self.inner.multi_put(entries))
     }
 
     // Owner probes are RPCs like any other: they pass the lossy
@@ -389,22 +328,16 @@ impl<D: Dht> Dht for FaultyDht<D> {
         &self,
         probes: &[(DhtKey, U160)],
     ) -> Vec<Result<Probe<Option<Self::Value>>, DhtError>> {
-        self.round(
-            probes.iter().cloned(),
-            |(key, _)| key,
-            |probes| self.inner.probe_multi_get(&probes),
-        )
+        self.round(probes.iter().cloned(), |probes| {
+            self.inner.probe_multi_get(&probes)
+        })
     }
 
     fn probe_multi_put(
         &self,
         entries: Vec<(DhtKey, Self::Value, U160)>,
     ) -> Vec<Result<Probe<()>, DhtError>> {
-        self.round(
-            entries,
-            |(key, _, _)| key,
-            |entries| self.inner.probe_multi_put(entries),
-        )
+        self.round(entries, |entries| self.inner.probe_multi_put(entries))
     }
 
     // Owner hints and prewarming are client-local (no RPC), so the
@@ -489,7 +422,6 @@ mod tests {
                 tail_ms: 400,
             },
             timeout_ms: 250,
-            brownout: None,
         };
         let dht = FaultyDht::new(DirectDht::<u32>::new(), profile);
         match dht.get(&k("a")) {
@@ -499,48 +431,6 @@ mod tests {
         let s = dht.stats();
         assert_eq!(s.timeouts, 1);
         assert_eq!(s.gets, 0);
-    }
-
-    #[test]
-    fn brownout_elevates_loss_only_in_window_and_arc() {
-        let profile = NetProfile {
-            seed: 11,
-            drop_prob: 0.0,
-            latency: LatencyProfile::ZERO,
-            timeout_ms: 250,
-            brownout: Some(Brownout {
-                from_rpc: 0,
-                until_rpc: u64::MAX,
-                drop_prob: 1.0,
-                keyspace_frac: 0.5,
-            }),
-        };
-        let dht = FaultyDht::new(DirectDht::<u32>::new(), profile);
-        let (mut dropped, mut delivered) = (0, 0);
-        for i in 0..200u32 {
-            match dht.put(&k(&format!("k{i}")), i) {
-                Ok(()) => delivered += 1,
-                Err(DhtError::Dropped { .. }) => dropped += 1,
-                Err(e) => panic!("unexpected {e}"),
-            }
-        }
-        // Half the keyspace always drops, the other half never does.
-        assert!(dropped > 60 && delivered > 60, "{dropped}/{delivered}");
-
-        // Outside the window the same keys all deliver.
-        let healthy = NetProfile {
-            brownout: Some(Brownout {
-                from_rpc: 1_000_000,
-                until_rpc: 2_000_000,
-                drop_prob: 1.0,
-                keyspace_frac: 0.5,
-            }),
-            ..profile
-        };
-        let dht = FaultyDht::new(DirectDht::<u32>::new(), healthy);
-        for i in 0..200u32 {
-            dht.put(&k(&format!("k{i}")), i).unwrap();
-        }
     }
 
     #[test]

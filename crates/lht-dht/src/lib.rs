@@ -24,8 +24,8 @@
 //!
 //! Delivery is perfect by default. To study behaviour on a lossy
 //! network — the conditions of the paper's LAN deployment (§9) —
-//! wrap any substrate in [`FaultyDht`] (seeded drops, latency,
-//! timeouts, brown-outs per a [`NetProfile`]) and layer
+//! wrap any substrate in [`FaultyDht`] (seeded drops, latency and
+//! timeouts per a [`NetProfile`]) and layer
 //! [`RetriedDht`] (bounded attempts, seeded exponential backoff per a
 //! [`RetryPolicy`]) on top to mask the transient failures. On the
 //! outside, [`CachedDht`] adds a churn-safe key → owner location cache
@@ -73,7 +73,7 @@ pub use erasure::{
     fragment_key, split_fragment_key, ErasureConfig, ErasureDht, ErasurePayload, Fragment,
 };
 pub use error::DhtError;
-pub use fault::{Brownout, FaultyDht, LatencyProfile, NetProfile};
+pub use fault::{FaultyDht, LatencyProfile, NetProfile};
 pub use key::DhtKey;
 pub use lru::Lru;
 pub use quorum::{slot_key, split_slot_key, QuorumConfig, QuorumDht, Versioned};

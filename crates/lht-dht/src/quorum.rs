@@ -35,9 +35,10 @@
 //! handoff) — are queued and flushed by [`anti_entropy_step`]. The
 //! deferred slots are the layer's deliberate staleness window: reads
 //! close it through the `R + W > N` intersection plus read-repair,
-//! and the two armed mutants ([`arm_sloppy_read_mutant`],
-//! [`arm_lost_write_ack_mutant`]) each break one side of that
-//! argument in a way the linearizability checker catches.
+//! and two of the engine's mutant switches
+//! ([`arm_first_seen_read`], [`arm_lost_write_ack`]) each break one
+//! side of that argument in a way the linearizability checker
+//! catches.
 //!
 //! # One engine, this codec
 //!
@@ -53,8 +54,8 @@
 //! number among them wins.
 //!
 //! [`anti_entropy_step`]: QuorumDht::anti_entropy_step
-//! [`arm_sloppy_read_mutant`]: QuorumDht::arm_sloppy_read_mutant
-//! [`arm_lost_write_ack_mutant`]: QuorumDht::arm_lost_write_ack_mutant
+//! [`arm_first_seen_read`]: SlotDht::arm_first_seen_read
+//! [`arm_lost_write_ack`]: SlotDht::arm_lost_write_ack
 //!
 //! # Examples
 //!
@@ -270,24 +271,6 @@ impl<V: Clone, D: Dht<Value = Versioned<V>>> SlotDht<D, Replication<Versioned<V>
     pub fn config(&self) -> QuorumConfig {
         self.codec().cfg
     }
-
-    /// Arms the sloppy-quorum-read mutant: reads answer from the
-    /// first successful reply among the `R` contacted slots without
-    /// seq reconciliation (and without read-repair). With `w < n` the
-    /// deferred slots hold stale versions, so a rotated read surfaces
-    /// an old value — a linearizability violation the checker must
-    /// flag.
-    pub fn arm_sloppy_read_mutant(&self) {
-        self.arm_first_seen_read();
-    }
-
-    /// Arms the lost-write-ack mutant: a write acks after only
-    /// `w − 1` slot installs and forgets the remaining handoffs. The
-    /// `R + W > N` intersection argument breaks — some read quorums
-    /// miss the "completed" write entirely.
-    pub fn arm_lost_write_ack_mutant(&self) {
-        self.arm_lost_write_ack();
-    }
 }
 
 #[cfg(test)]
@@ -343,7 +326,7 @@ mod tests {
     fn sloppy_read_mutant_surfaces_a_stale_deferred_slot() {
         let ring: DirectDht<Versioned<u32>> = DirectDht::new();
         let q = QuorumDht::new(&ring, QuorumConfig::new(3, 2, 2));
-        q.arm_sloppy_read_mutant();
+        q.arm_first_seen_read();
         q.put(&key("a"), 1).unwrap();
         q.put(&key("a"), 2).unwrap();
         // Converge everything to value 2, then write value 3: slots
@@ -367,7 +350,7 @@ mod tests {
     fn lost_write_ack_mutant_leaves_a_read_quorum_blind() {
         let ring: DirectDht<Versioned<u32>> = DirectDht::new();
         let q = QuorumDht::new(&ring, QuorumConfig::new(3, 2, 2));
-        q.arm_lost_write_ack_mutant();
+        q.arm_lost_write_ack();
         q.put(&key("a"), 7).unwrap(); // only slot 0 written, no handoffs
         assert_eq!(q.pending_handoffs(), 0, "the mutant forgets its handoffs");
         // Advance the rotor past offset 0 so the next read's quorum is

@@ -405,36 +405,88 @@ mod tests {
         assert!(s.drops > 50, "the loss was really injected");
     }
 
-    /// The satellite's stats-pinning test: one retried get is ONE
-    /// logical lookup; its failed attempts surface in drops/retries
-    /// and latency, never in the lookup denominator.
+    /// A network that drops the first `n` attempts, charging each the
+    /// 250 ms timeout wait, and delivers every attempt after them.
+    struct DropFirst<D> {
+        inner: D,
+        left: Mutex<u32>,
+        faults: Mutex<DhtStats>,
+    }
+
+    impl<D> DropFirst<D> {
+        fn new(inner: D, n: u32) -> Self {
+            DropFirst {
+                inner,
+                left: Mutex::new(n),
+                faults: Mutex::new(DhtStats::default()),
+            }
+        }
+
+        fn admit(&self) -> Result<(), DhtError> {
+            let mut left = self.left.lock();
+            if *left == 0 {
+                return Ok(());
+            }
+            *left -= 1;
+            self.faults.lock().record_failed_attempt(250, false);
+            Err(DhtError::Dropped { waited_ms: 250 })
+        }
+    }
+
+    impl<D: Dht> Dht for DropFirst<D> {
+        type Value = D::Value;
+
+        fn get(&self, key: &DhtKey) -> Result<Option<D::Value>, DhtError> {
+            self.admit()?;
+            self.inner.get(key)
+        }
+
+        fn put(&self, key: &DhtKey, value: D::Value) -> Result<(), DhtError> {
+            self.admit()?;
+            self.inner.put(key, value)
+        }
+
+        fn remove(&self, key: &DhtKey) -> Result<Option<D::Value>, DhtError> {
+            self.admit()?;
+            self.inner.remove(key)
+        }
+
+        fn update(
+            &self,
+            key: &DhtKey,
+            f: &mut dyn FnMut(&mut Option<D::Value>),
+        ) -> Result<(), DhtError> {
+            self.admit()?;
+            self.inner.update(key, f)
+        }
+
+        fn stats(&self) -> DhtStats {
+            self.inner.stats() + *self.faults.lock()
+        }
+
+        fn reset_stats(&self) {
+            self.inner.reset_stats();
+            *self.faults.lock() = DhtStats::default();
+        }
+    }
+
+    /// One retried get is ONE logical lookup; its failed attempts
+    /// surface in drops/retries and latency, never in the lookup
+    /// denominator.
     #[test]
     fn stats_pin_across_a_retried_get() {
-        // p = 1 inside a brown-out covering the first attempts only:
-        // deterministic "fail twice, then succeed".
-        let profile = NetProfile {
-            seed: 1,
-            drop_prob: 0.0,
-            latency: crate::LatencyProfile::ZERO,
-            timeout_ms: 250,
-            brownout: Some(crate::Brownout {
-                from_rpc: 0,
-                until_rpc: 2,
-                drop_prob: 1.0,
-                keyspace_frac: 1.0,
-            }),
-        };
+        // Deterministic "fail twice, then succeed".
         let inner: DirectDht<u32> = DirectDht::new();
         inner.put(&k("a"), 42).unwrap();
         inner.reset_stats();
-        let dht = RetriedDht::new(FaultyDht::new(&inner, profile), RetryPolicy::default());
+        let dht = RetriedDht::new(DropFirst::new(&inner, 2), RetryPolicy::default());
 
         assert_eq!(dht.get(&k("a")).unwrap(), Some(42));
         let s = dht.stats();
         assert_eq!(s.gets, 1, "one logical lookup");
         assert_eq!(s.lookups(), 1);
         assert_eq!(s.failed_gets, 0);
-        assert_eq!(s.drops, 2, "two attempts ate by the brown-out");
+        assert_eq!(s.drops, 2, "two attempts dropped");
         assert_eq!(s.retries, 2, "both were retried");
         assert_eq!(s.hops, 1, "only the delivered attempt hopped");
         assert_eq!(s.hops_per_lookup(), 1.0, "no silent inflation");
@@ -568,20 +620,8 @@ mod tests {
 
     #[test]
     fn update_closure_runs_at_most_once_per_logical_op() {
-        let profile = NetProfile {
-            seed: 2,
-            drop_prob: 0.0,
-            latency: crate::LatencyProfile::ZERO,
-            timeout_ms: 250,
-            brownout: Some(crate::Brownout {
-                from_rpc: 0,
-                until_rpc: 3,
-                drop_prob: 1.0,
-                keyspace_frac: 1.0,
-            }),
-        };
         let dht = RetriedDht::new(
-            FaultyDht::new(DirectDht::<u32>::new(), profile),
+            DropFirst::new(DirectDht::<u32>::new(), 3),
             RetryPolicy::default(),
         );
         let mut calls = 0;

@@ -263,15 +263,24 @@ impl<D, C: Codec> SlotDht<D, C> {
         self.state.lock().known.len()
     }
 
-    pub(crate) fn arm_first_seen_read(&self) {
+    /// Mutant switch: reads serve the generation of the first reply
+    /// they gather, without reconciling to the newest and without
+    /// read-repair. A rotated read that starts on a deferred slot then
+    /// serves a stale value — a linearizability violation.
+    pub fn arm_first_seen_read(&self) {
         self.state.lock().first_seen_read = true;
     }
 
-    pub(crate) fn arm_lost_write_ack(&self) {
+    /// Mutant switch: a write acks one slot install early and forgets
+    /// its handoffs, so some read sets miss a completed write.
+    pub fn arm_lost_write_ack(&self) {
         self.state.lock().lost_write_ack = true;
     }
 
-    pub(crate) fn arm_lazy_repair(&self) {
+    /// Mutant switch: every repair write — handoff flush, read-repair,
+    /// anti-entropy — is counted in `repair_transfers` as if issued
+    /// but never written, so lost slots never heal.
+    pub fn arm_lazy_repair(&self) {
         self.state.lock().lazy_repair = true;
     }
 }

@@ -38,6 +38,13 @@ pub struct PhtInsertOutcome {
 /// Shares [`LhtConfig`] with LHT so experiments drive both schemes
 /// with identical `θ_split` and `D`. See the
 /// [crate documentation](crate) for the structural differences.
+///
+/// Single-client: the repository drives a trie from one handle at a
+/// time (the differential soak, the figure drivers), and concurrent
+/// handles over one trie are unsupported. A thread-free sweep that ran
+/// one whole op of a second handle inside every DHT call of a first
+/// found acknowledged pairs whose final trie matches no linearization —
+/// some left the trie unreadable, one brought back a removed record.
 #[derive(Debug)]
 pub struct PhtIndex<D, V>
 where

@@ -3,7 +3,8 @@
 use std::fmt::Write as _;
 
 use lht::harness::args::{replay, Flag, Parsed};
-use lht::harness::{one_tier, tier_args, ERASURE_FLAG, QUORUM_FLAG};
+use lht::harness::{Tier, ERASURE_FLAG, QUORUM_FLAG};
+use lht_dht::{ErasureConfig, QuorumConfig};
 
 /// Everything that determines a simulation run. Two runs with equal
 /// configurations produce byte-identical schedule traces and
@@ -38,64 +39,114 @@ pub struct SimConfig {
     pub theta_split: usize,
     /// Maximum tree depth `D`.
     pub max_depth: usize,
-    /// Re-introduces the PR-1 stale-replica bug: churn handoff and
-    /// key-sync ignore sequence numbers and blindly overwrite.
-    pub stale_replica: bool,
-    /// Arms the torn-split bug: the `n`-th leaf split (1-based)
-    /// "forgets" the DHT-put of its remote half.
-    pub torn_split: Option<u64>,
-    /// Arms the stale-cache-read bug: probe reads answer from any
-    /// live holder of a copy instead of verifying ownership, so a
-    /// cached owner hint that churn has invalidated serves stale
-    /// data instead of degrading to a full route.
-    pub stale_cache_read: bool,
-    /// Replication parameters `(n, r, w)` for the quorum layer. When
-    /// set, the stack becomes
-    /// `CachedDht<RetriedDht<FaultyDht<QuorumDht<ChordDht>>>>`, the
-    /// ring runs with a single copy per slot (the quorum layer owns
-    /// redundancy) and the key-sync actor is replaced by the quorum's
-    /// anti-entropy rounds. `None` keeps the historical plain stack
-    /// and its traces byte-identical.
-    pub quorum: Option<(usize, usize, usize)>,
-    /// Arms the sloppy-quorum-read bug: quorum reads answer from the
-    /// first successful replica without seq reconciliation, so a
-    /// rotated read serves a deferred slot's stale version. Implies a
-    /// quorum stack (defaulted to `(3, 2, 2)` when [`quorum`] is
-    /// unset).
-    ///
-    /// [`quorum`]: SimConfig::quorum
-    pub sloppy_quorum_read: bool,
-    /// Arms the lost-write-ack bug: a quorum write acks after only
-    /// `w − 1` replica installs and forgets the handoffs, so some
-    /// read quorums miss a completed write entirely. Implies a quorum
-    /// stack like `sloppy_quorum_read`.
-    pub lost_write_ack: bool,
-    /// Coding parameters `(k, m)` for the erasure layer. When set,
-    /// the stack becomes
-    /// `CachedDht<RetriedDht<FaultyDht<ErasureDht<ChordDht>>>>`, the
-    /// ring runs with a single copy per fragment slot (the coded
-    /// group owns redundancy), the key-sync actor is replaced by the
-    /// erasure layer's anti-entropy rounds, and — unlike every other
+    /// The durability tier under the client tower. A quorum tier makes
+    /// the stack `CachedDht<RetriedDht<FaultyDht<QuorumDht<ChordDht>>>>`,
+    /// an erasure tier the same over an `ErasureDht`. Either way the
+    /// ring runs with a single copy per slot (the tier owns
+    /// redundancy) and the key-sync actor is replaced by the tier's
+    /// anti-entropy rounds; under an erasure tier — unlike every other
     /// stack — churn departures **crash** nodes instead of leaving
     /// gracefully: losing fragments outright is precisely what makes
-    /// regeneration load-bearing, so an anti-entropy bug has
-    /// schedules where it loses data. Mutually exclusive with
-    /// [`quorum`](SimConfig::quorum).
-    pub erasure: Option<(usize, usize)>,
-    /// Arms the corrupt-fragment bug: a decoded read adopts the first
+    /// regeneration load-bearing, so an anti-entropy bug has schedules
+    /// where it loses data. `None` keeps the historical plain stack
+    /// and its traces byte-identical, unless a tier mutant implies one
+    /// ([`Mutant::tier`]).
+    pub tier: Option<Tier>,
+    /// The seeded bug this run re-introduces, if any.
+    pub mutant: Option<Mutant>,
+}
+
+/// One seeded bug re-introduced on demand, so the checker can prove
+/// it would have caught it. Each lives in one layer: the ring, the
+/// index, or a tier's slot engine.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Mutant {
+    /// The stale-replica bug: churn handoff and key-sync ignore
+    /// sequence numbers and blindly overwrite.
+    StaleReplica,
+    /// The torn-split bug: the `n`-th leaf split (1-based) "forgets"
+    /// the DHT-put of its remote half.
+    TornSplit(u64),
+    /// The stale-cache-read bug: probe reads answer from any live
+    /// holder of a copy instead of verifying ownership, so a cached
+    /// owner hint that churn has invalidated serves stale data instead
+    /// of degrading to a full route.
+    StaleCacheRead,
+    /// The sloppy-quorum-read bug: quorum reads answer from the first
+    /// successful replica without seq reconciliation (and without
+    /// read-repair). With `w < n` the deferred slots hold stale
+    /// versions, so a rotated read serves an old value.
+    SloppyQuorumRead,
+    /// The lost-write-ack bug: a quorum write acks after only `w − 1`
+    /// replica installs and forgets the handoffs, so the `R + W > N`
+    /// intersection breaks and some read quorums miss a completed
+    /// write entirely.
+    LostWriteAck,
+    /// The corrupt-fragment bug: a decoded read adopts the first
     /// gathered fragment's generation without reconciling to the
-    /// newest, so a rotated read starting on deferred slots decodes a
-    /// stale generation. Implies an erasure stack (defaulted to
-    /// `(2, 5)` when [`erasure`](SimConfig::erasure) is unset).
-    pub corrupt_fragment: bool,
-    /// Arms the lazy-regen bug: anti-entropy counts a fragment as
-    /// repaired without writing it, so crashed fragments never heal
-    /// and groups erode below `k` — reads then report durable keys as
-    /// absent. Implies an erasure stack like `corrupt_fragment`.
-    pub lazy_regen: bool,
-    /// State budget for the linearizability search; exceeding it
-    /// yields [`SimVerdict::Undecided`](crate::SimVerdict).
-    pub check_budget: u64,
+    /// newest, so a rotated read starting on deferred slots holding a
+    /// previous generation with `≥ k` surviving fragments decodes a
+    /// stale value.
+    CorruptFragment,
+    /// The lazy-regen bug: anti-entropy counts a fragment as repaired
+    /// without writing it, so crashed fragments never heal, groups
+    /// erode below `k` and reads report durable keys as absent.
+    LazyRegen,
+}
+
+/// Every mutant but the torn split, by its flag.
+const SWITCHES: [(&str, Mutant); 6] = [
+    ("--stale-replica", Mutant::StaleReplica),
+    ("--stale-cache-read", Mutant::StaleCacheRead),
+    ("--sloppy-quorum-read", Mutant::SloppyQuorumRead),
+    ("--lost-write-ack", Mutant::LostWriteAck),
+    ("--corrupt-fragment", Mutant::CorruptFragment),
+    ("--lazy-regen", Mutant::LazyRegen),
+];
+
+impl Mutant {
+    /// The tier a tier mutant lives in, at the geometry its proofs run
+    /// when no tier is named: quorum `(3, 2, 2)`, or erasure `(2, 5)`
+    /// because a corrupt-fragment read needs a *decodable* stale
+    /// group — writes install `k + 1 = 3` fragments, leaving two
+    /// deferred slots, exactly `k` fragments of the previous
+    /// generation for the mutant's first-seen decode to land on.
+    /// `None` for a ring or index mutant.
+    pub fn tier(self) -> Option<Tier> {
+        match self {
+            Mutant::SloppyQuorumRead | Mutant::LostWriteAck => {
+                Some(Tier::Quorum(QuorumConfig::new(3, 2, 2)))
+            }
+            Mutant::CorruptFragment | Mutant::LazyRegen => {
+                Some(Tier::Erasure(ErasureConfig::new(2, 5)))
+            }
+            Mutant::StaleReplica | Mutant::TornSplit(_) | Mutant::StaleCacheRead => None,
+        }
+    }
+
+    /// The mutant the flags arm, if any.
+    fn from_args(p: &Parsed) -> Result<Option<Mutant>, String> {
+        let torn = p.opt_uint("--torn-split").map(Mutant::TornSplit);
+        let switched = SWITCHES.iter().filter(|(flag, _)| p.on(flag));
+        let mut armed = torn.into_iter().chain(switched.map(|&(_, m)| m));
+        match (armed.next(), armed.next()) {
+            (Some(_), Some(_)) => Err("arm at most one mutant".into()),
+            (mutant, _) => Ok(mutant),
+        }
+    }
+}
+
+impl std::fmt::Display for Mutant {
+    /// The flag that arms this mutant.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Mutant::TornSplit(n) => write!(f, "--torn-split {n}"),
+            m => {
+                let (flag, _) = SWITCHES.iter().find(|(_, s)| s == m).expect("every switch");
+                f.write_str(flag)
+            }
+        }
+    }
 }
 
 /// Schedule picks are actor numbers.
@@ -115,16 +166,8 @@ impl Default for SimConfig {
             drop_prob: 0.0,
             theta_split: 4,
             max_depth: 24,
-            stale_replica: false,
-            torn_split: None,
-            stale_cache_read: false,
-            quorum: None,
-            sloppy_quorum_read: false,
-            lost_write_ack: false,
-            erasure: None,
-            corrupt_fragment: false,
-            lazy_regen: false,
-            check_budget: 2_000_000,
+            tier: None,
+            mutant: None,
         }
     }
 }
@@ -147,32 +190,10 @@ impl SimConfig {
         self.drop_prob == 0.0
     }
 
-    /// The effective quorum parameters, if any: the explicit setting,
-    /// or `(3, 2, 2)` when only a quorum mutant is armed.
-    pub(crate) fn quorum_params(&self) -> Option<(usize, usize, usize)> {
-        if self.quorum.is_some() {
-            self.quorum
-        } else if self.sloppy_quorum_read || self.lost_write_ack {
-            Some((3, 2, 2))
-        } else {
-            None
-        }
-    }
-
-    /// The effective erasure parameters, if any: the explicit
-    /// setting, or `(2, 5)` when only an erasure mutant is armed.
-    /// `(2, 5)` because a corrupt-fragment read needs a *decodable*
-    /// stale group: writes install `k + 1 = 3` fragments, leaving two
-    /// deferred slots — exactly `k` fragments of the previous
-    /// generation for the mutant's first-seen decode to land on.
-    pub(crate) fn erasure_params(&self) -> Option<(usize, usize)> {
-        if self.erasure.is_some() {
-            self.erasure
-        } else if self.corrupt_fragment || self.lazy_regen {
-            Some((2, 5))
-        } else {
-            None
-        }
+    /// The tier the stack runs: the one named, else the one a tier
+    /// mutant implies.
+    pub(crate) fn stack_tier(&self) -> Option<Tier> {
+        self.tier.or_else(|| self.mutant.and_then(Mutant::tier))
     }
 
     /// The `lht-exp` subcommand that simulates.
@@ -180,8 +201,8 @@ impl SimConfig {
 
     /// The flags of [`COMMAND`](Self::COMMAND) that
     /// [`from_args`](Self::from_args) reads and
-    /// [`replay_line`](Self::replay_line) writes: every field but
-    /// `check_budget`, and the schedule to replay.
+    /// [`replay_line`](Self::replay_line) writes: every field, and the
+    /// schedule to replay.
     pub const FLAGS: &'static [Flag] = &[
         Flag::uint("--seed", 1, "first (or only) simulation seed"),
         Flag::uint("--clients", 3, "logical clients").at_least(1),
@@ -222,11 +243,17 @@ impl SimConfig {
     ///
     /// # Errors
     ///
-    /// Refuses a quorum stack together with an erasure stack, whether
-    /// named or implied by a mutant.
+    /// Refuses two mutants, and a quorum stack together with an
+    /// erasure stack, whether named or implied by a mutant.
     pub fn from_args(p: &Parsed) -> Result<SimConfig, String> {
-        let (quorum, erasure) = tier_args(p);
-        let cfg = SimConfig {
+        let tier = Tier::from_args(p)?;
+        let mutant = Mutant::from_args(p)?;
+        if let (Some(named), Some(implied)) = (tier, mutant.and_then(Mutant::tier)) {
+            if std::mem::discriminant(&named) != std::mem::discriminant(&implied) {
+                return Err("the quorum and erasure tiers are mutually exclusive".into());
+            }
+        }
+        Ok(SimConfig {
             seed: p.uint("--seed"),
             clients: p.uint("--clients") as u32,
             ops_per_client: p.uint("--ops") as u32,
@@ -236,22 +263,9 @@ impl SimConfig {
             drop_prob: p.prob("--drop"),
             theta_split: p.size("--theta"),
             max_depth: p.size("--depth"),
-            stale_replica: p.on("--stale-replica"),
-            torn_split: p.opt_uint("--torn-split"),
-            stale_cache_read: p.on("--stale-cache-read"),
-            quorum,
-            sloppy_quorum_read: p.on("--sloppy-quorum-read"),
-            lost_write_ack: p.on("--lost-write-ack"),
-            erasure,
-            corrupt_fragment: p.on("--corrupt-fragment"),
-            lazy_regen: p.on("--lazy-regen"),
-            ..SimConfig::default()
-        };
-        one_tier(
-            cfg.quorum_params().is_some(),
-            cfg.erasure_params().is_some(),
-        )?;
-        Ok(cfg)
+            tier,
+            mutant,
+        })
     }
 
     /// The schedule an argument list asks to replay, if any.
@@ -261,7 +275,8 @@ impl SimConfig {
     }
 
     /// The [`FLAGS`](Self::FLAGS) reproducing this configuration,
-    /// without any `--schedule`.
+    /// without any `--schedule`: a ring or index mutant before the
+    /// tier, a tier mutant after it.
     pub(crate) fn replay_args(&self) -> String {
         let mut s = format!(
             "--seed {} --clients {} --ops {} --nodes {} --churn {} --replicas {} --theta {} --depth {}",
@@ -277,32 +292,20 @@ impl SimConfig {
         if self.drop_prob > 0.0 {
             let _ = write!(s, " --drop {}", self.drop_prob);
         }
-        if self.stale_replica {
-            s.push_str(" --stale-replica");
-        }
-        if let Some(n) = self.torn_split {
-            let _ = write!(s, " --torn-split {n}");
-        }
-        if self.stale_cache_read {
-            s.push_str(" --stale-cache-read");
-        }
-        if let Some((n, r, w)) = self.quorum {
-            let _ = write!(s, " --quorum {n},{r},{w}");
-        }
-        if self.sloppy_quorum_read {
-            s.push_str(" --sloppy-quorum-read");
-        }
-        if self.lost_write_ack {
-            s.push_str(" --lost-write-ack");
-        }
-        if let Some((k, m)) = self.erasure {
-            let _ = write!(s, " --erasure {k},{m}");
-        }
-        if self.corrupt_fragment {
-            s.push_str(" --corrupt-fragment");
-        }
-        if self.lazy_regen {
-            s.push_str(" --lazy-regen");
+        let (before, after) = match self.mutant {
+            Some(m) if m.tier().is_some() => (None, Some(m)),
+            m => (m, None),
+        };
+        let tier = self.tier.map(|t| t.to_string());
+        for flag in [
+            before.map(|m| m.to_string()),
+            tier,
+            after.map(|m| m.to_string()),
+        ]
+        .into_iter()
+        .flatten()
+        {
+            let _ = write!(s, " {flag}");
         }
         s
     }

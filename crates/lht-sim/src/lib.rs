@@ -55,6 +55,6 @@ mod plan;
 mod scheduler;
 mod shrink;
 
-pub use config::SimConfig;
+pub use config::{Mutant, SimConfig};
 pub use scheduler::{replay_schedule, simulate, SimReport, SimVerdict};
 pub use shrink::shrink;

@@ -25,17 +25,18 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use lht::harness::Tier;
 use lht_core::{
     Executor, HistoryCall, HistoryReturn, LeafBucket, LhtConfig, LhtError, LhtIndex, OpRecord,
 };
 use lht_dht::{
-    client_tower, BoxDht, ChordConfig, ChordDht, Dht, ErasureConfig, ErasureDht, Fragment,
-    NetProfile, QuorumConfig, QuorumDht, RetryPolicy, RingControl, TierMaintenance, Versioned,
+    client_tower, BoxDht, ChordConfig, ChordDht, Dht, ErasureDht, Fragment, NetProfile, QuorumDht,
+    RetryPolicy, RingControl, TierMaintenance, Versioned,
 };
 use lht_id::U160;
 
 use crate::checker::{self, Outcome};
-use crate::config::SimConfig;
+use crate::config::{Mutant, SimConfig};
 use crate::plan::{client_plans, ClientPlan};
 use crate::shrink;
 
@@ -54,24 +55,47 @@ fn retry_policy(cfg: &SimConfig) -> RetryPolicy {
     }
 }
 
-/// A fresh ring storing `S`, with whichever ring mutants `cfg` arms.
+/// A fresh ring storing `S`.
 fn new_ring<S: Clone>(cfg: &SimConfig, replicas: usize) -> Arc<ChordDht<S>> {
-    let ring = ChordDht::with_config(
+    Arc::new(ChordDht::with_config(
         cfg.nodes,
         cfg.seed ^ 0x5EED_0001,
         ChordConfig {
             replicas,
             ..ChordConfig::default()
         },
-    );
-    if cfg.stale_replica {
-        ring.arm_stale_replica_mutant();
-    }
-    if cfg.stale_cache_read {
-        ring.arm_stale_cache_mutant();
-    }
-    Arc::new(ring)
+    ))
 }
+
+type Index = LhtIndex<BoxDht<'static, LeafBucket<u32>>, u32>;
+type Quorum = QuorumDht<Arc<ChordDht<Versioned<LeafBucket<u32>>>>>;
+type Coded = ErasureDht<Arc<ChordDht<Fragment>>, LeafBucket<u32>>;
+
+/// Throws `mutant`'s switch on the layer it lives in, with every
+/// layer still typed and before the index bootstraps over them. The
+/// index's own switch, a torn split, waits for the index to exist.
+fn arm<S: Clone>(
+    mutant: Option<Mutant>,
+    ring: &ChordDht<S>,
+    quorum: Option<&Quorum>,
+    coded: Option<&Coded>,
+) {
+    let quorum = || quorum.expect("a quorum mutant runs over a quorum tier");
+    let coded = || coded.expect("an erasure mutant runs over an erasure tier");
+    match mutant {
+        None | Some(Mutant::TornSplit(_)) => {}
+        Some(Mutant::StaleReplica) => ring.arm_stale_replica_mutant(),
+        Some(Mutant::StaleCacheRead) => ring.arm_stale_cache_mutant(),
+        Some(Mutant::SloppyQuorumRead) => quorum().arm_first_seen_read(),
+        Some(Mutant::LostWriteAck) => quorum().arm_lost_write_ack(),
+        Some(Mutant::CorruptFragment) => coded().arm_first_seen_read(),
+        Some(Mutant::LazyRegen) => coded().arm_lazy_repair(),
+    }
+}
+
+/// State budget for the linearizability search; exceeding it yields
+/// [`SimVerdict::Undecided`].
+const CHECK_BUDGET: u64 = 2_000_000;
 
 /// Location-cache capacity for the simulated index stack. Small
 /// enough that eviction actually happens inside a run, large enough
@@ -148,7 +172,7 @@ struct World {
     /// lost) instead of leaving gracefully (its keys move to its
     /// successor).
     crash_on_leave: bool,
-    index: LhtIndex<BoxDht<'static, LeafBucket<u32>>, u32>,
+    index: Index,
     /// Every client operation, stamped in virtual milliseconds, in
     /// execution order.
     history: Vec<OpRecord<u32>>,
@@ -166,57 +190,41 @@ impl World {
     /// Builds the world `cfg` describes (see [`simulate`] for which
     /// stack a configuration selects). Under a tier the ring runs
     /// single-copy: the tier owns redundancy, so the ring's key-sync
-    /// would have nothing to reconcile. Mutants are armed here, on the
-    /// typed handles, before the stored value types are erased.
+    /// would have nothing to reconcile.
     fn build(cfg: &SimConfig) -> World {
         let base: BoxDht<'static, LeafBucket<u32>>;
         let ring: Arc<dyn RingControl>;
         let tier: Option<Arc<dyn TierMaintenance>>;
         let mut crash_on_leave = false;
-        if let Some((k, m)) = cfg.erasure_params() {
-            assert!(
-                cfg.quorum_params().is_none(),
-                "quorum and erasure stacks are mutually exclusive"
-            );
-            let fragments = new_ring::<Fragment>(cfg, 1);
-            let coded = Arc::new(ErasureDht::new(
-                Arc::clone(&fragments),
-                ErasureConfig::new(k, m),
-            ));
-            if cfg.corrupt_fragment {
-                coded.arm_corrupt_fragment_mutant();
+        match cfg.stack_tier() {
+            Some(Tier::Erasure(coding)) => {
+                let fragments = new_ring::<Fragment>(cfg, 1);
+                let coded: Arc<Coded> = Arc::new(ErasureDht::new(Arc::clone(&fragments), coding));
+                arm(cfg.mutant, &fragments, None, Some(&coded));
+                // Surviving the outright loss of a departed node's
+                // fragments is the coded tier's contract, and it is what
+                // gives a broken regeneration path schedules where it
+                // destroys data.
+                crash_on_leave = true;
+                base = Box::new(Arc::clone(&coded));
+                ring = fragments;
+                tier = Some(coded);
             }
-            if cfg.lazy_regen {
-                coded.arm_lazy_regen_mutant();
+            Some(Tier::Quorum(replication)) => {
+                let slots = new_ring::<Versioned<LeafBucket<u32>>>(cfg, 1);
+                let quorum: Arc<Quorum> = Arc::new(QuorumDht::new(Arc::clone(&slots), replication));
+                arm(cfg.mutant, &slots, Some(&quorum), None);
+                base = Box::new(Arc::clone(&quorum));
+                ring = slots;
+                tier = Some(quorum);
             }
-            // Surviving the outright loss of a departed node's
-            // fragments is the coded tier's contract, and it is what
-            // gives a broken regeneration path schedules where it
-            // destroys data.
-            crash_on_leave = true;
-            base = Box::new(Arc::clone(&coded));
-            ring = fragments;
-            tier = Some(coded);
-        } else if let Some((n, r, w)) = cfg.quorum_params() {
-            let slots = new_ring::<Versioned<LeafBucket<u32>>>(cfg, 1);
-            let quorum = Arc::new(QuorumDht::new(
-                Arc::clone(&slots),
-                QuorumConfig::new(n, r, w),
-            ));
-            if cfg.sloppy_quorum_read {
-                quorum.arm_sloppy_read_mutant();
+            None => {
+                let buckets = new_ring::<LeafBucket<u32>>(cfg, cfg.replicas);
+                arm(cfg.mutant, &buckets, None, None);
+                base = Box::new(Arc::clone(&buckets));
+                ring = buckets;
+                tier = None;
             }
-            if cfg.lost_write_ack {
-                quorum.arm_lost_write_ack_mutant();
-            }
-            base = Box::new(Arc::clone(&quorum));
-            ring = slots;
-            tier = Some(quorum);
-        } else {
-            let buckets = new_ring::<LeafBucket<u32>>(cfg, cfg.replicas);
-            base = Box::new(Arc::clone(&buckets));
-            ring = buckets;
-            tier = None;
         }
         let stack = client_tower(
             base,
@@ -225,7 +233,7 @@ impl World {
         );
         let index = LhtIndex::new(stack, LhtConfig::new(cfg.theta_split, cfg.max_depth))
             .expect("bootstrap on a fresh ring");
-        if let Some(n) = cfg.torn_split {
+        if let Some(Mutant::TornSplit(n)) = cfg.mutant {
             index.arm_torn_split(n);
         }
         let actor_count = cfg.clients as usize + 3;
@@ -423,9 +431,15 @@ fn run(cfg: &SimConfig, mut chooser: Chooser) -> World {
     world
 }
 
-fn verdict_of(cfg: &SimConfig, world: &World) -> (SimVerdict, usize) {
-    let result = checker::check(&world.history, cfg.strict(), cfg.check_budget);
-    let verdict = match result.outcome {
+/// The checker's verdict on `world`'s history. A failure carries the
+/// schedule `failing` makes of the world's own.
+fn verdict_of(
+    cfg: &SimConfig,
+    world: &World,
+    failing: impl FnOnce(&[u32]) -> Vec<u32>,
+) -> SimVerdict {
+    let result = checker::check(&world.history, cfg.strict(), CHECK_BUDGET);
+    match result.outcome {
         Outcome::Linearizable => SimVerdict::Pass {
             ops: result.ops,
             states: result.states,
@@ -434,19 +448,7 @@ fn verdict_of(cfg: &SimConfig, world: &World) -> (SimVerdict, usize) {
             states: result.states,
         },
         Outcome::NotLinearizable { witness } => {
-            let minimized = shrink::shrink(&world.schedule, |candidate| {
-                let replayed = run(
-                    cfg,
-                    Chooser::Scripted {
-                        picks: candidate.to_vec(),
-                        at: 0,
-                    },
-                );
-                matches!(
-                    checker::check(&replayed.history, cfg.strict(), cfg.check_budget).outcome,
-                    Outcome::NotLinearizable { .. }
-                )
-            });
+            let minimized = failing(&world.schedule);
             let replay = cfg.replay_line(&minimized);
             SimVerdict::Fail {
                 witness,
@@ -454,8 +456,17 @@ fn verdict_of(cfg: &SimConfig, world: &World) -> (SimVerdict, usize) {
                 replay,
             }
         }
-    };
-    (verdict, world.history.len())
+    }
+}
+
+fn report(cfg: &SimConfig, world: World, verdict: SimVerdict) -> SimReport {
+    SimReport {
+        config: cfg.clone(),
+        history_len: world.history.len(),
+        trace: world.trace,
+        schedule: world.schedule,
+        verdict,
+    }
 }
 
 /// Runs one seed-determined simulation end to end: schedule, record,
@@ -479,14 +490,22 @@ pub fn simulate(cfg: &SimConfig) -> SimReport {
             cfg.seed
         );
     }
-    let (verdict, history_len) = verdict_of(cfg, &world);
-    SimReport {
-        config: cfg.clone(),
-        trace: world.trace,
-        schedule: world.schedule,
-        history_len,
-        verdict,
-    }
+    let verdict = verdict_of(cfg, &world, |schedule| {
+        shrink::shrink(schedule, |candidate| {
+            let replayed = run(
+                cfg,
+                Chooser::Scripted {
+                    picks: candidate.to_vec(),
+                    at: 0,
+                },
+            );
+            matches!(
+                checker::check(&replayed.history, cfg.strict(), CHECK_BUDGET).outcome,
+                Outcome::NotLinearizable { .. }
+            )
+        })
+    });
+    report(cfg, world, verdict)
 }
 
 /// Replays an explicit schedule (e.g. a minimized one from a
@@ -501,33 +520,14 @@ pub fn replay_schedule(cfg: &SimConfig, schedule: &[u32]) -> SimReport {
             at: 0,
         },
     );
-    let result = checker::check(&world.history, cfg.strict(), cfg.check_budget);
-    let verdict = match result.outcome {
-        Outcome::Linearizable => SimVerdict::Pass {
-            ops: result.ops,
-            states: result.states,
-        },
-        Outcome::Undecided => SimVerdict::Undecided {
-            states: result.states,
-        },
-        Outcome::NotLinearizable { witness } => SimVerdict::Fail {
-            witness,
-            minimized: schedule.to_vec(),
-            replay: cfg.replay_line(schedule),
-        },
-    };
-    SimReport {
-        config: cfg.clone(),
-        trace: world.trace,
-        schedule: world.schedule,
-        history_len: world.history.len(),
-        verdict,
-    }
+    let verdict = verdict_of(cfg, &world, <[u32]>::to_vec);
+    report(cfg, world, verdict)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lht_dht::{ErasureConfig, QuorumConfig};
 
     #[test]
     fn same_seed_same_trace_and_verdict() {
@@ -576,7 +576,7 @@ mod tests {
     #[test]
     fn quorum_mode_is_deterministic_and_runs_anti_entropy() {
         let cfg = SimConfig {
-            quorum: Some((3, 2, 2)),
+            tier: Some(Tier::Quorum(QuorumConfig::new(3, 2, 2))),
             ..SimConfig::small(11)
         };
         let a = simulate(&cfg);
@@ -594,7 +594,7 @@ mod tests {
     #[test]
     fn correct_quorum_stack_passes_under_churn() {
         let cfg = SimConfig {
-            quorum: Some((3, 2, 2)),
+            tier: Some(Tier::Quorum(QuorumConfig::new(3, 2, 2))),
             ..SimConfig::small(3)
         };
         let report = simulate(&cfg);
@@ -610,7 +610,7 @@ mod tests {
     #[test]
     fn erasure_mode_is_deterministic_runs_anti_entropy_and_crashes() {
         let cfg = SimConfig {
-            erasure: Some((2, 5)),
+            tier: Some(Tier::Erasure(ErasureConfig::new(2, 5))),
             ..SimConfig::small(11)
         };
         let a = simulate(&cfg);
@@ -634,7 +634,7 @@ mod tests {
     fn correct_erasure_stack_passes_under_crash_churn() {
         for seed in [3u64, 11] {
             let cfg = SimConfig {
-                erasure: Some((2, 5)),
+                tier: Some(Tier::Erasure(ErasureConfig::new(2, 5))),
                 ..SimConfig::small(seed)
             };
             let report = simulate(&cfg);
@@ -651,17 +651,23 @@ mod tests {
     #[test]
     fn erasure_mutants_imply_the_erasure_stack_in_replays() {
         let cfg = SimConfig {
-            corrupt_fragment: true,
+            mutant: Some(Mutant::CorruptFragment),
             ..SimConfig::small(1)
         };
-        assert_eq!(cfg.erasure_params(), Some((2, 5)));
+        assert_eq!(
+            cfg.stack_tier(),
+            Some(Tier::Erasure(ErasureConfig::new(2, 5)))
+        );
         assert!(cfg.replay_args().contains("--corrupt-fragment"));
         let explicit = SimConfig {
-            erasure: Some((4, 6)),
-            lazy_regen: true,
+            tier: Some(Tier::Erasure(ErasureConfig::new(4, 6))),
+            mutant: Some(Mutant::LazyRegen),
             ..SimConfig::small(1)
         };
-        assert_eq!(explicit.erasure_params(), Some((4, 6)));
+        assert_eq!(
+            explicit.stack_tier(),
+            Some(Tier::Erasure(ErasureConfig::new(4, 6)))
+        );
         assert!(explicit.replay_args().contains("--erasure 4,6"));
         assert!(explicit.replay_args().contains("--lazy-regen"));
     }
@@ -669,17 +675,23 @@ mod tests {
     #[test]
     fn quorum_mutants_imply_the_quorum_stack_in_replays() {
         let cfg = SimConfig {
-            sloppy_quorum_read: true,
+            mutant: Some(Mutant::SloppyQuorumRead),
             ..SimConfig::small(1)
         };
-        assert_eq!(cfg.quorum_params(), Some((3, 2, 2)));
+        assert_eq!(
+            cfg.stack_tier(),
+            Some(Tier::Quorum(QuorumConfig::new(3, 2, 2)))
+        );
         assert!(cfg.replay_args().contains("--sloppy-quorum-read"));
         let explicit = SimConfig {
-            quorum: Some((3, 1, 3)),
-            lost_write_ack: true,
+            tier: Some(Tier::Quorum(QuorumConfig::new(3, 1, 3))),
+            mutant: Some(Mutant::LostWriteAck),
             ..SimConfig::small(1)
         };
-        assert_eq!(explicit.quorum_params(), Some((3, 1, 3)));
+        assert_eq!(
+            explicit.stack_tier(),
+            Some(Tier::Quorum(QuorumConfig::new(3, 1, 3)))
+        );
         assert!(explicit.replay_args().contains("--quorum 3,1,3"));
         assert!(explicit.replay_args().contains("--lost-write-ack"));
     }

@@ -1,9 +1,8 @@
-//! The differential runner: applies a trace to the distributed
-//! index, the shadow oracle, and (optionally) the PHT baseline,
-//! diffing answers after every operation and running whole-system
-//! invariant audits at a fixed cadence.
+//! The differential runner: applies a trace to the distributed index
+//! and the shadow oracle, diffing answers after every operation and
+//! running whole-system invariant audits at a fixed cadence.
 //!
-//! Either index scheme can be the primary under test
+//! Any index scheme can be the one under test
 //! ([`SoakOptions::index`]), over either substrate, and the substrate
 //! can be wrapped in a lossy network ([`SoakOptions::net`]) with a
 //! retry stack on top — the chaos matrix exercises every cell.
@@ -31,8 +30,8 @@ use super::trace::{generate, Op, Trace, TraceConfig};
 /// Which substrate a soak runs the index over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubstrateKind {
-    /// The one-hop oracle DHT (free inspection; PHT mirroring and
-    /// range cost-bound checks enabled).
+    /// The one-hop oracle DHT (free inspection; range cost-bound
+    /// checks enabled).
     Direct,
     /// A simulated Chord ring, with membership churn when the trace
     /// carries churn ops.
@@ -59,9 +58,9 @@ impl std::fmt::Display for SubstrateKind {
 pub enum IndexKind {
     /// The LHT index under test (range cost-bound checks enabled).
     Lht,
-    /// The PHT baseline as the primary — it must satisfy the same
-    /// differential contract, so a divergence localizes to the scheme
-    /// rather than the harness.
+    /// The PHT baseline — it must satisfy the same differential
+    /// contract, so a divergence localizes to the scheme rather than
+    /// the harness.
     Pht,
     /// The DST baseline (§2). No min/max — the segment tree has no
     /// cheap leftmost/rightmost descent — so extreme ops are skipped.
@@ -93,12 +92,15 @@ impl std::fmt::Display for IndexKind {
 ///
 /// | fields | honoured on |
 /// |---|---|
-/// | `net` + `retry` | every substrate, every index |
+/// | `net` | every substrate, every index |
 /// | `churn`, `maintenance_loss` | Chord |
-/// | `route_cache` | Chord, LHT or PHT primary (the routed stacks a cache accelerates) |
-/// | `quorum`, `erasure` (mutually exclusive) | Chord, LHT primary |
-/// | `mirror_pht` | Direct, LHT primary, no `net` |
+/// | `route_cache` | Chord, LHT or PHT (the routed stacks a cache accelerates) |
+/// | `tier` | Chord, LHT |
 /// | `inject_loss_at` | Direct |
+///
+/// [`from_args`](Self::from_args) refuses a tier or cache the index
+/// never runs; under `--substrate both` they apply to the Chord soak
+/// only.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SoakOptions {
     /// Trace seed: the whole run is reproducible from this value.
@@ -107,8 +109,6 @@ pub struct SoakOptions {
     pub ops: usize,
     /// LHT split threshold θ.
     pub theta: usize,
-    /// Partition-tree depth cap.
-    pub max_depth: usize,
     /// The substrate to run over.
     pub substrate: SubstrateKind,
     /// The index scheme under test.
@@ -116,21 +116,14 @@ pub struct SoakOptions {
     /// Run the whole-system audit every this many operations
     /// (and always once at the end).
     pub audit_every: usize,
-    /// Mirror every mutation into a PHT baseline and diff its answers
-    /// too. Off under a fault layer: mirroring diffs a second whole
-    /// index per op, and a lossy run is about the primary's
-    /// degradation.
-    pub mirror_pht: bool,
     /// Interleave ring churn ops into the trace.
     pub churn: bool,
     /// Wrap the substrate in a lossy network: every index-issued RPC
     /// goes through a [`FaultyDht`](lht_dht::FaultyDht) with this
     /// profile, masked by a [`RetriedDht`](lht_dht::RetriedDht)
-    /// running [`SoakOptions::retry`]. The differential contract is
-    /// unchanged — retries must fully absorb the loss.
+    /// running the default [`RetryPolicy`]. The differential contract
+    /// is unchanged — retries must fully absorb the loss.
     pub net: Option<NetProfile>,
-    /// Retry stack configuration (used only when `net` is set).
-    pub retry: RetryPolicy,
     /// Probability each Chord maintenance RPC (stabilize round /
     /// key-sync transfer) is lost.
     pub maintenance_loss: f64,
@@ -147,18 +140,15 @@ pub struct SoakOptions {
     /// harness detects re-introduced faults rather than vacuously
     /// passing.
     pub inject_loss_at: Option<usize>,
-    /// Replicate every logical key through a [`QuorumDht`] with these
-    /// `(n, r, w)` parameters. The ring then runs single-copy — the
-    /// quorum layer owns redundancy — and the repair counters land in
-    /// [`SoakReport::repair_transfers`] /
+    /// Keep every logical key in a durability tier. The ring then runs
+    /// single-copy — the tier owns redundancy — and the repair
+    /// counters land in [`SoakReport::repair_transfers`] /
     /// [`SoakReport::repair_bandwidth`].
-    pub quorum: Option<(usize, usize, usize)>,
-    /// Erasure-code every logical key into `(k, m)` Reed–Solomon
-    /// fragment groups through an [`ErasureDht`]. The ring runs
-    /// single-copy — the coded group owns redundancy — and repair
-    /// counters land in the same report fields as the quorum tier's.
-    pub erasure: Option<(usize, usize)>,
+    pub tier: Option<Tier>,
 }
+
+/// Partition-tree depth cap of every soak.
+const MAX_DEPTH: usize = 24;
 
 impl Default for SoakOptions {
     fn default() -> Self {
@@ -166,19 +156,15 @@ impl Default for SoakOptions {
             seed: 1,
             ops: 10_000,
             theta: 4,
-            max_depth: 24,
             substrate: SubstrateKind::Direct,
             index: IndexKind::Lht,
             audit_every: 1_000,
-            mirror_pht: true,
             churn: false,
             net: None,
-            retry: RetryPolicy::default(),
             maintenance_loss: 0.0,
             route_cache: None,
             inject_loss_at: None,
-            quorum: None,
-            erasure: None,
+            tier: None,
         }
     }
 }
@@ -201,26 +187,49 @@ pub const ERASURE_FLAG: Flag = Flag::list(
     "erasure-code through k-of-m fragment groups over chord",
 );
 
-/// What `--quorum` and `--erasure` were given as, if they were.
-#[allow(clippy::type_complexity)]
-pub fn tier_args(p: &Parsed) -> (Option<(usize, usize, usize)>, Option<(usize, usize)>) {
-    let usizes = |name| p.list(name).map(|v| v.iter().map(|&n| n as usize));
-    (
-        usizes("--quorum").and_then(|mut v| Some((v.next()?, v.next()?, v.next()?))),
-        usizes("--erasure").and_then(|mut v| Some((v.next()?, v.next()?))),
-    )
+/// The durability tier a run keeps every logical key in: the two
+/// members of one k-of-m family, replication being k = 1 (Leslie et
+/// al., *Reliable Data Storage in DHTs*). Each owns a key's
+/// redundancy, so a stack has at most one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Tier {
+    /// Strict-quorum replication through a [`QuorumDht`].
+    Quorum(QuorumConfig),
+    /// k-of-m Reed–Solomon fragment groups through an [`ErasureDht`].
+    Erasure(ErasureConfig),
 }
 
-/// Both tiers own a key's redundancy, so a stack has at most one.
-///
-/// # Errors
-///
-/// Says so when both are asked for.
-pub fn one_tier(quorum: bool, erasure: bool) -> Result<(), String> {
-    if quorum && erasure {
-        return Err("the quorum and erasure tiers are mutually exclusive".into());
+impl Tier {
+    /// The tier [`QUORUM_FLAG`] or [`ERASURE_FLAG`] names, if either
+    /// was given.
+    ///
+    /// # Errors
+    ///
+    /// Refuses both at once.
+    pub fn from_args(p: &Parsed) -> Result<Option<Tier>, String> {
+        let size = |n: u64| n as usize;
+        match (p.list("--quorum"), p.list("--erasure")) {
+            (Some(_), Some(_)) => Err("the quorum and erasure tiers are mutually exclusive".into()),
+            (Some(&[n, r, w]), None) => Ok(Some(Tier::Quorum(QuorumConfig::new(
+                size(n),
+                size(r),
+                size(w),
+            )))),
+            (None, Some(&[k, m])) => Ok(Some(Tier::Erasure(ErasureConfig::new(size(k), size(m))))),
+            _ => Ok(None),
+        }
     }
-    Ok(())
+}
+
+impl std::fmt::Display for Tier {
+    /// The flag that names this tier: `--quorum N,R,W` or
+    /// `--erasure K,M`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Tier::Quorum(QuorumConfig { n, r, w }) => write!(f, "--quorum {n},{r},{w}"),
+            Tier::Erasure(ErasureConfig { k, m }) => write!(f, "--erasure {k},{m}"),
+        }
+    }
 }
 
 impl SoakOptions {
@@ -263,21 +272,27 @@ impl SoakOptions {
 
     /// The soaks an argument list asks for, one per substrate it
     /// names. Not flags, so set here: audits run every `ops / 10`
-    /// operations, PHT is mirrored on Direct under an LHT primary, and
-    /// `retry`, `max_depth` and `inject_loss_at` keep their defaults.
+    /// operations, and `inject_loss_at` keeps its default.
     ///
     /// # Errors
     ///
-    /// Refuses `--quorum` together with `--erasure`.
+    /// Refuses `--quorum` together with `--erasure`, a tier under any
+    /// index but LHT, and `--cache` under DST or RST.
     pub fn from_args(p: &Parsed) -> Result<Vec<SoakOptions>, String> {
-        let (quorum, erasure) = tier_args(p);
-        one_tier(quorum.is_some(), erasure.is_some())?;
+        let tier = Tier::from_args(p)?;
+        let route_cache = p.opt_uint("--cache").map(|cap| cap as usize);
         let index = match p.word("--index") {
             "lht" => IndexKind::Lht,
             "pht" => IndexKind::Pht,
             "dst" => IndexKind::Dst,
             _ => IndexKind::Rst,
         };
+        if tier.is_some() && index != IndexKind::Lht {
+            return Err(format!("--index {index} runs no durability tier"));
+        }
+        if route_cache.is_some() && matches!(index, IndexKind::Dst | IndexKind::Rst) {
+            return Err(format!("--index {index} runs no location cache"));
+        }
         let (drop_prob, ops) = (p.prob("--drop"), p.size("--ops"));
         let which = p.word("--substrate");
         let base = SoakOptions {
@@ -287,9 +302,8 @@ impl SoakOptions {
             index,
             net: (drop_prob > 0.0).then(|| NetProfile::lossy(p.uint("--net-seed"), drop_prob)),
             maintenance_loss: p.prob("--mloss"),
-            route_cache: p.opt_uint("--cache").map(|cap| cap as usize),
-            quorum,
-            erasure,
+            route_cache,
+            tier,
             audit_every: (ops / 10).max(1),
             ..SoakOptions::default()
         };
@@ -297,7 +311,6 @@ impl SoakOptions {
         if which != "chord" {
             soaks.push(SoakOptions {
                 substrate: SubstrateKind::Direct,
-                mirror_pht: index == IndexKind::Lht,
                 churn: p.on("--churn") && which == "direct",
                 ..base
             });
@@ -308,7 +321,6 @@ impl SoakOptions {
                     nodes: p.size("--nodes"),
                     replicas: p.size("--replicas"),
                 },
-                mirror_pht: false,
                 churn: p.on("--churn"),
                 ..base
             });
@@ -319,11 +331,10 @@ impl SoakOptions {
     /// The one-line `lht-exp audit-soak` command for this soak:
     /// every field [`FLAGS`](Self::FLAGS) can set, so
     /// [`from_args`](Self::from_args) reads back what was written. It
-    /// does **not** carry `audit_every`, `retry`, `max_depth`,
-    /// `inject_loss_at` or `mirror_pht` (no flag sets them — see
-    /// `from_args` for what the command uses instead), nor any
-    /// [`NetProfile`] field but `drop_prob` and `seed`; a soak that
-    /// set those replays from its test, not from this line.
+    /// does **not** carry `audit_every` or `inject_loss_at` (no flag
+    /// sets them — see `from_args` for what the command uses instead),
+    /// nor any [`NetProfile`] field but `drop_prob` and `seed`; a soak
+    /// that set those replays from its test, not from this line.
     pub fn replay_line(&self) -> String {
         let mut flags = format!(
             "--substrate {} --index {} --seed {} --ops {} --theta {}",
@@ -344,11 +355,8 @@ impl SoakOptions {
         if let Some(cap) = self.route_cache {
             let _ = write!(flags, " --cache {cap}");
         }
-        if let Some((n, r, w)) = self.quorum {
-            let _ = write!(flags, " --quorum {n},{r},{w}");
-        }
-        if let Some((k, m)) = self.erasure {
-            let _ = write!(flags, " --erasure {k},{m}");
+        if let Some(tier) = self.tier {
+            let _ = write!(flags, " {tier}");
         }
         replay(Self::COMMAND, &flags)
     }
@@ -387,9 +395,9 @@ pub struct SoakReport {
     /// metric the quorum cells must not regress below the
     /// primary-owner baseline.
     pub first_attempt_failures: u64,
-    /// Maintenance RPCs the quorum layer spent on read-repair,
+    /// Maintenance RPCs the durability tier spent on read-repair,
     /// deferred-handoff flushes and anti-entropy (0 without
-    /// [`SoakOptions::quorum`]).
+    /// [`SoakOptions::tier`]).
     pub repair_transfers: u64,
     /// Routed hops those repair RPCs cost.
     pub repair_bandwidth: u64,
@@ -431,16 +439,6 @@ trait SoakEnv {
     /// Applies a churn op. Returns whether it did anything, or a
     /// failure description.
     fn churn(&mut self, op: &Op) -> Result<bool, String>;
-
-    /// Runs `call` on the mirrored PHT baseline and diffs its answer
-    /// against `expect`, the spec's. No-op when mirroring is off.
-    fn mirror(
-        &mut self,
-        _call: &HistoryCall<u32>,
-        _expect: &HistoryReturn<u32>,
-    ) -> Result<(), String> {
-        Ok(())
-    }
 
     /// The optimal bucket count `B` for a range (None = bound checks
     /// disabled on this substrate/index).
@@ -516,41 +514,23 @@ pub fn run_soak(opts: &SoakOptions) -> Result<SoakReport, Box<DiffFailure>> {
 pub fn run_trace(trace: &Trace, opts: &SoakOptions) -> Result<SoakReport, Box<DiffFailure>> {
     // Which optional layers this cell honours (the table on
     // [`SoakOptions`]), decided here and nowhere else.
-    let on_chord = matches!(opts.substrate, SubstrateKind::Chord { .. });
     let lht = opts.index == IndexKind::Lht;
+    let tier = opts.tier.filter(|_| lht);
     let run = Run {
         trace,
         opts,
-        cfg: LhtConfig::new(opts.theta, opts.max_depth),
-        net: opts.net.map(|profile| (profile, opts.retry)),
+        cfg: LhtConfig::new(opts.theta, MAX_DEPTH),
+        net: opts.net.map(|profile| (profile, RetryPolicy::default())),
         cache: opts
             .route_cache
-            .filter(|_| on_chord && (lht || opts.index == IndexKind::Pht)),
+            .filter(|_| lht || opts.index == IndexKind::Pht),
     };
-    let quorum = opts.quorum.filter(|_| on_chord && lht);
-    let erasure = opts.erasure.filter(|_| on_chord && lht);
-    assert!(
-        quorum.is_none() || erasure.is_none(),
-        "the quorum and erasure tiers are mutually exclusive"
-    );
-
     let SubstrateKind::Chord { nodes, replicas } = opts.substrate else {
         return match opts.index {
-            IndexKind::Lht => {
-                let pht_dht: DirectDht<PhtNode<u32>> = DirectDht::new();
-                let mirror = if opts.mirror_pht && opts.net.is_none() {
-                    Some(PhtMirror {
-                        dht: &pht_dht,
-                        ix: PhtIndex::new(&pht_dht, run.cfg).map_err(|e| setup_failure(opts, e))?,
-                    })
-                } else {
-                    None
-                };
-                run.over_direct::<LeafBucket<u32>>(Some(lht_optimal_buckets), mirror)
-            }
-            IndexKind::Pht => run.over_direct::<PhtNode<u32>>(None, None),
-            IndexKind::Dst => run.over_direct::<DstNode<u32>>(None, None),
-            IndexKind::Rst => run.over_direct::<RstNode<u32>>(None, None),
+            IndexKind::Lht => run.over_direct::<LeafBucket<u32>>(Some(lht_optimal_buckets)),
+            IndexKind::Pht => run.over_direct::<PhtNode<u32>>(None),
+            IndexKind::Dst => run.over_direct::<DstNode<u32>>(None),
+            IndexKind::Rst => run.over_direct::<RstNode<u32>>(None),
         };
     };
 
@@ -560,29 +540,31 @@ pub fn run_trace(trace: &Trace, opts: &SoakOptions) -> Result<SoakReport, Box<Di
     // never sees a partial quorum write or fragment scatter.
     // (Per-slot loss *inside* a tier is E20's availability
     // experiment, which measures rather than asserts.)
-    if let Some((k, m)) = erasure {
-        let ring: ChordDht<Fragment> = run.ring(nodes, 1);
-        let tier: ErasureDht<_, LeafBucket<u32>> = ErasureDht::new(&ring, ErasureConfig::new(k, m));
-        let rs = ReedSolomon::new(k, m);
-        let mut env = run.chord_env(&ring, Some(&tier), || {
-            erasure_projection(ring.all_entries(), &rs)
-        });
-        env.resync_lost_transfers = true;
-        run.over_chord(&tier, env)
-    } else if let Some((n, r, w)) = quorum {
-        let ring: ChordDht<Versioned<LeafBucket<u32>>> = run.ring(nodes, 1);
-        let tier = QuorumDht::new(&ring, QuorumConfig::new(n, r, w));
-        let env = run.chord_env(&ring, Some(&tier), || {
-            (quorum_projection(ring.all_entries()), Vec::new())
-        });
-        run.over_chord(&tier, env)
-    } else {
-        match opts.index {
+    match tier {
+        Some(Tier::Erasure(coding)) => {
+            let ring: ChordDht<Fragment> = run.ring(nodes, 1);
+            let tier: ErasureDht<_, LeafBucket<u32>> = ErasureDht::new(&ring, coding);
+            let rs = ReedSolomon::new(coding.k, coding.m);
+            let mut env = run.chord_env(&ring, Some(&tier), || {
+                erasure_projection(ring.all_entries(), &rs)
+            });
+            env.resync_lost_transfers = true;
+            run.over_chord(&tier, env)
+        }
+        Some(Tier::Quorum(replication)) => {
+            let ring: ChordDht<Versioned<LeafBucket<u32>>> = run.ring(nodes, 1);
+            let tier = QuorumDht::new(&ring, replication);
+            let env = run.chord_env(&ring, Some(&tier), || {
+                (quorum_projection(ring.all_entries()), Vec::new())
+            });
+            run.over_chord(&tier, env)
+        }
+        None => match opts.index {
             IndexKind::Lht => run.over_plain_chord::<LeafBucket<u32>>(nodes, replicas),
             IndexKind::Pht => run.over_plain_chord::<PhtNode<u32>>(nodes, replicas),
             IndexKind::Dst => run.over_plain_chord::<DstNode<u32>>(nodes, replicas),
             IndexKind::Rst => run.over_plain_chord::<RstNode<u32>>(nodes, replicas),
-        }
+        },
     }
 }
 
@@ -601,14 +583,12 @@ impl Run<'_> {
     fn over_direct<V: Scheme>(
         &self,
         optimal: Option<fn(&DirectDht<V>, &KeyInterval) -> u64>,
-        mirror: Option<PhtMirror<'_>>,
     ) -> Result<SoakReport, Box<DiffFailure>> {
         let dht: DirectDht<V> = DirectDht::new();
         let mut env = DirectEnv {
             dht: &dht,
             cfg: self.cfg,
             optimal,
-            mirror,
         };
         drive(client_tower(&dht, self.net, None), self, &mut env)
     }
@@ -762,7 +742,6 @@ fn drive<V: Scheme>(
                 // unserved key removes nothing on the first try, then
                 // surfaces once repair lands the copy at its owner).
                 let expect = oracle.apply(call);
-                env.mirror(call, &expect).map_err(|d| fail(i, op, d))?;
                 // The B + 3 bound is LHT's (§6.3, Algorithms 3/4),
                 // checked where the substrate can count `B`.
                 let bound = match call {
@@ -770,7 +749,7 @@ fn drive<V: Scheme>(
                         let range = KeyInterval::from_bits(*lo, *hi);
                         env.optimal_buckets(&range)
                             .filter(|_| !range.is_empty())
-                            .map(|b| (b, range_bound(b, opts.max_depth)))
+                            .map(|b| (b, range_bound(b, MAX_DEPTH)))
                     }
                     _ => None,
                 };
@@ -1022,19 +1001,12 @@ fn lht_optimal_buckets(dht: &DirectDht<LeafBucket<u32>>, range: &KeyInterval) ->
         .count() as u64
 }
 
-/// A PHT baseline mirrored alongside an LHT-primary Direct soak.
-struct PhtMirror<'a> {
-    dht: &'a DirectDht<PhtNode<u32>>,
-    ix: PhtIndex<&'a DirectDht<PhtNode<u32>>, u32>,
-}
-
 /// Direct-substrate environment: free inspection enables the full
-/// audit, PHT mirroring (LHT primary) and range cost-bound checks.
+/// audit and range cost-bound checks.
 struct DirectEnv<'a, V> {
     dht: &'a DirectDht<V>,
     cfg: LhtConfig,
     optimal: Option<fn(&DirectDht<V>, &KeyInterval) -> u64>,
-    mirror: Option<PhtMirror<'a>>,
 }
 
 impl<V: Scheme> SoakEnv for DirectEnv<'_, V> {
@@ -1042,36 +1014,12 @@ impl<V: Scheme> SoakEnv for DirectEnv<'_, V> {
         Ok(false) // no membership on the one-hop oracle
     }
 
-    fn mirror(
-        &mut self,
-        call: &HistoryCall<u32>,
-        expect: &HistoryReturn<u32>,
-    ) -> Result<(), String> {
-        let Some(mirror) = &self.mirror else {
-            return Ok(());
-        };
-        let (got, _) = mirror
-            .ix
-            .execute(call)
-            .map_err(|e| format!("pht: index error: {e}"))?;
-        diff(&got, expect).map_err(|d| format!("pht: {d}"))
-    }
-
     fn optimal_buckets(&self, range: &KeyInterval) -> Option<u64> {
         self.optimal.map(|f| f(self.dht, range))
     }
 
     fn audit(&mut self, oracle: &ShadowOracle, _converged: bool) -> Vec<String> {
-        let expect = oracle.records();
-        let mut out = V::audit(direct_entries(self.dht), self.cfg, &expect);
-        if let Some(mirror) = &self.mirror {
-            out.extend(PhtNode::audit(
-                direct_entries(mirror.dht),
-                self.cfg,
-                &expect,
-            ));
-        }
-        out
+        V::audit(direct_entries(self.dht), self.cfg, &oracle.records())
     }
 
     fn sabotage(&mut self) -> bool {

@@ -10,8 +10,8 @@
 //! `--drop/--net-seed/--mloss` flags that rebuild the same lossy
 //! network.
 
-use lht::harness::{run_soak, IndexKind, SoakOptions, SoakReport, SubstrateKind};
-use lht::{NetProfile, RetryPolicy};
+use lht::harness::{run_soak, IndexKind, SoakOptions, SoakReport, SubstrateKind, Tier};
+use lht::{ErasureConfig, NetProfile, QuorumConfig};
 
 const OPS: usize = 5_000;
 /// The DST/RST baseline cells run shorter soaks: DST pays a full
@@ -120,14 +120,13 @@ fn soak_cell_full(
         substrate,
         index,
         audit_every: 500,
-        mirror_pht: false,
         churn,
         net,
-        retry: RetryPolicy::default(),
         maintenance_loss,
         route_cache,
-        quorum,
-        erasure,
+        tier: quorum
+            .map(|(n, r, w)| Tier::Quorum(QuorumConfig::new(n, r, w)))
+            .or(erasure.map(|(k, m)| Tier::Erasure(ErasureConfig::new(k, m)))),
         ..SoakOptions::default()
     };
     let report = run_soak(&opts).unwrap_or_else(|f| panic!("{f}"));

@@ -5,9 +5,9 @@
 
 use lht::harness::args::parse_replay;
 use lht::harness::{
-    generate, run_soak, run_trace, IndexKind, SoakOptions, SubstrateKind, Trace, TraceConfig,
+    generate, run_soak, run_trace, IndexKind, SoakOptions, SubstrateKind, Tier, Trace, TraceConfig,
 };
-use lht::NetProfile;
+use lht::{ErasureConfig, NetProfile, QuorumConfig};
 use proptest::prelude::*;
 
 /// The soaks a replay line asks `lht-exp audit-soak` for.
@@ -44,38 +44,44 @@ proptest! {
             },
             index,
             audit_every: (ops / 10).max(1),
-            mirror_pht: !chord && index == IndexKind::Lht,
             churn,
             net: lossy.then(|| NetProfile::lossy(net_seed, drop_prob)),
             maintenance_loss: if lossy_maintenance { maintenance_loss } else { 0.0 },
-            route_cache: cache.0.then_some(cache.1),
-            quorum: (tier == 1).then_some((nodes.min(5), nodes.min(5) / 2 + 1, nodes.min(5) / 2 + 1)),
-            erasure: (tier == 2).then_some((replicas + 1, replicas + 2 + nodes % 16)),
+            // `from_args` refuses a cache under DST or RST and a tier
+            // under any index but LHT.
+            route_cache: (cache.0 && matches!(index, IndexKind::Lht | IndexKind::Pht)).then_some(cache.1),
+            tier: match tier {
+                1 if index == IndexKind::Lht => Some(Tier::Quorum(QuorumConfig::new(nodes.min(5), nodes.min(5) / 2 + 1, nodes.min(5) / 2 + 1))),
+                2 if index == IndexKind::Lht => Some(Tier::Erasure(ErasureConfig::new(replicas + 1, replicas + 2 + nodes % 16))),
+                _ => None,
+            },
             ..SoakOptions::default()
         };
         prop_assert_eq!(parse_line(&soak.replay_line()), vec![soak]);
     }
 }
 
-/// 10k ops over the one-hop DHT with the PHT baseline mirroring every
-/// mutation: every query diffed against the oracle, audits every 500
-/// ops, range costs held to the paper's B + 3 bound.
+/// 10k ops over the one-hop DHT, run by LHT and then by the PHT
+/// baseline: every query diffed against the oracle, audits every 500
+/// ops, LHT's range costs held to the paper's B + 3 bound.
 #[test]
-fn soak_direct_with_pht_mirror() {
-    let opts = SoakOptions {
-        seed: 2008,
-        ops: 10_000,
-        theta: 4,
-        substrate: SubstrateKind::Direct,
-        audit_every: 500,
-        mirror_pht: true,
-        ..SoakOptions::default()
-    };
-    let report = run_soak(&opts).unwrap_or_else(|f| panic!("{f}"));
-    assert_eq!(report.applied, 10_000);
-    assert!(report.mutations > 3_000, "trace should be mutation-heavy");
-    assert!(report.queries > 2_000, "trace should be query-heavy");
-    assert!(report.audits >= 20);
+fn soak_direct_lht_and_pht() {
+    for index in [IndexKind::Lht, IndexKind::Pht] {
+        let opts = SoakOptions {
+            seed: 2008,
+            ops: 10_000,
+            theta: 4,
+            substrate: SubstrateKind::Direct,
+            index,
+            audit_every: 500,
+            ..SoakOptions::default()
+        };
+        let report = run_soak(&opts).unwrap_or_else(|f| panic!("{f}"));
+        assert_eq!(report.applied, 10_000);
+        assert!(report.mutations > 3_000, "trace should be mutation-heavy");
+        assert!(report.queries > 2_000, "trace should be query-heavy");
+        assert!(report.audits >= 20);
+    }
 }
 
 /// A tighter θ forces much deeper trees and far more split/merge
@@ -88,7 +94,6 @@ fn soak_direct_minimum_theta() {
         theta: 2,
         substrate: SubstrateKind::Direct,
         audit_every: 1_000,
-        mirror_pht: false,
         ..SoakOptions::default()
     };
     let report = run_soak(&opts).unwrap_or_else(|f| panic!("{f}"));
@@ -110,7 +115,6 @@ fn soak_chord_with_churn() {
             replicas: 2,
         },
         audit_every: 1_000,
-        mirror_pht: false,
         churn: true,
         ..SoakOptions::default()
     };
@@ -132,7 +136,6 @@ fn soak_direct_dst_baseline() {
         substrate: SubstrateKind::Direct,
         index: IndexKind::Dst,
         audit_every: 1_000,
-        mirror_pht: false,
         ..SoakOptions::default()
     };
     let report = run_soak(&opts).unwrap_or_else(|f| panic!("{f}"));
@@ -153,7 +156,6 @@ fn soak_direct_rst_baseline() {
         substrate: SubstrateKind::Direct,
         index: IndexKind::Rst,
         audit_every: 1_000,
-        mirror_pht: false,
         ..SoakOptions::default()
     };
     let report = run_soak(&opts).unwrap_or_else(|f| panic!("{f}"));
@@ -172,7 +174,6 @@ fn serialized_trace_replays_identically() {
         theta: 3,
         substrate: SubstrateKind::Direct,
         audit_every: 500,
-        mirror_pht: false,
         ..SoakOptions::default()
     };
     let trace = generate(&TraceConfig {
@@ -198,7 +199,6 @@ fn harness_detects_injected_bucket_loss() {
         theta: 4,
         substrate: SubstrateKind::Direct,
         audit_every: 100,
-        mirror_pht: false,
         inject_loss_at: Some(1_500),
         ..SoakOptions::default()
     };
@@ -214,7 +214,6 @@ fn harness_detects_injected_bucket_loss() {
         parse_line(&failure.replay),
         vec![SoakOptions {
             audit_every: 300,
-            mirror_pht: true,
             inject_loss_at: None,
             ..opts
         }]
@@ -232,7 +231,6 @@ fn per_op_diffs_detect_loss_without_audits() {
         theta: 4,
         substrate: SubstrateKind::Direct,
         audit_every: 0, // end-of-run audit only
-        mirror_pht: false,
         inject_loss_at: Some(1_500),
         ..SoakOptions::default()
     };

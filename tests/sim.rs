@@ -7,7 +7,9 @@
 //! interleaving.
 
 use lht::harness::args::parse_replay;
-use lht_sim::{replay_schedule, simulate, SimConfig, SimVerdict};
+use lht::harness::Tier;
+use lht::{ErasureConfig, QuorumConfig};
+use lht_sim::{replay_schedule, simulate, Mutant, SimConfig, SimVerdict};
 use proptest::prelude::*;
 
 /// The configuration and schedule a replay line asks `lht-exp
@@ -44,16 +46,23 @@ proptest! {
             drop_prob: if lossy { drop_prob } else { 0.0 },
             theta_split,
             max_depth,
-            stale_replica,
-            torn_split: torn.then_some(nth),
-            stale_cache_read,
-            quorum: (family == 1 && explicit).then_some((a + b, a.max(b), a.max(b) + 1)),
-            sloppy_quorum_read: family == 1 && first,
-            lost_write_ack: family == 1 && second,
-            erasure: (family == 2 && explicit).then_some((a + 1, a + b + 1)),
-            corrupt_fragment: family == 2 && first,
-            lazy_regen: family == 2 && second,
-            ..SimConfig::default()
+            tier: match family {
+                1 if explicit => Some(Tier::Quorum(QuorumConfig::new(a + b, a.max(b), a.max(b) + 1))),
+                2 if explicit => Some(Tier::Erasure(ErasureConfig::new(a + 1, a + b + 1))),
+                _ => None,
+            },
+            // At most one mutant: the first the draw arms.
+            mutant: [
+                (stale_replica, Mutant::StaleReplica),
+                (torn, Mutant::TornSplit(nth)),
+                (stale_cache_read, Mutant::StaleCacheRead),
+                (family == 1 && first, Mutant::SloppyQuorumRead),
+                (family == 1 && second, Mutant::LostWriteAck),
+                (family == 2 && first, Mutant::CorruptFragment),
+                (family == 2 && second, Mutant::LazyRegen),
+            ]
+            .into_iter()
+            .find_map(|(armed, mutant)| armed.then_some(mutant)),
         };
         prop_assert_eq!(parse_line(&cfg.replay_line(&schedule)), (cfg, Some(schedule)));
     }
@@ -151,7 +160,7 @@ fn unmutated_histories_linearize_with_more_clients_and_contention() {
 #[test]
 fn stale_replica_mutant_is_caught_and_minimized_schedule_reproduces() {
     let cfg = SimConfig {
-        stale_replica: true,
+        mutant: Some(Mutant::StaleReplica),
         ..SimConfig::small(STALE_REPLICA_SEED)
     };
     let report = simulate(&cfg);
@@ -183,7 +192,7 @@ fn stale_replica_mutant_is_caught_and_minimized_schedule_reproduces() {
 #[test]
 fn torn_split_mutant_is_caught_and_minimized_schedule_reproduces() {
     let cfg = SimConfig {
-        torn_split: Some(TORN_SPLIT_NTH),
+        mutant: Some(Mutant::TornSplit(TORN_SPLIT_NTH)),
         ..SimConfig::small(TORN_SPLIT_SEED)
     };
     let report = simulate(&cfg);
@@ -215,7 +224,7 @@ fn stale_cache_read_mutant_is_caught_and_minimized_schedule_reproduces() {
     // owner hint invalidated by churn reads stale data. The checker
     // must see that as a linearizability violation.
     let cfg = SimConfig {
-        stale_cache_read: true,
+        mutant: Some(Mutant::StaleCacheRead),
         ..SimConfig::small(STALE_CACHE_READ_SEED)
     };
     let report = simulate(&cfg);
@@ -245,7 +254,7 @@ fn unmutated_quorum_stack_linearizes_across_seeds() {
     // must never surface a non-linearizable history on their own.
     for seed in 0..8 {
         let cfg = SimConfig {
-            quorum: Some((3, 2, 2)),
+            tier: Some(Tier::Quorum(QuorumConfig::new(3, 2, 2))),
             ..SimConfig::small(seed)
         };
         assert_pass(&simulate(&cfg));
@@ -254,12 +263,12 @@ fn unmutated_quorum_stack_linearizes_across_seeds() {
     // lossy mode exercises retries over quorum ops.
     for seed in 0..3 {
         let cfg = SimConfig {
-            quorum: Some((3, 1, 3)),
+            tier: Some(Tier::Quorum(QuorumConfig::new(3, 1, 3))),
             ..SimConfig::small(seed)
         };
         assert_pass(&simulate(&cfg));
         let lossy = SimConfig {
-            quorum: Some((3, 2, 2)),
+            tier: Some(Tier::Quorum(QuorumConfig::new(3, 2, 2))),
             drop_prob: 0.10,
             ..SimConfig::small(seed)
         };
@@ -275,7 +284,7 @@ fn sloppy_quorum_read_mutant_is_caught_and_minimized_schedule_reproduces() {
     // lands on a deferred slot serves a stale version — the checker
     // must flag it.
     let cfg = SimConfig {
-        sloppy_quorum_read: true,
+        mutant: Some(Mutant::SloppyQuorumRead),
         ..SimConfig::small(SLOPPY_QUORUM_READ_SEED)
     };
     let report = simulate(&cfg);
@@ -304,7 +313,7 @@ fn lost_write_ack_mutant_is_caught_and_minimized_schedule_reproduces() {
     // forgotten) breaks the R+W>N intersection argument: some read
     // quorum misses the completed write entirely.
     let cfg = SimConfig {
-        lost_write_ack: true,
+        mutant: Some(Mutant::LostWriteAck),
         ..SimConfig::small(LOST_WRITE_ACK_SEED)
     };
     let report = simulate(&cfg);
@@ -335,12 +344,12 @@ fn quorum_mutants_are_caught_across_a_seed_band() {
             .count()
     };
     let sloppy = caught(&|s| SimConfig {
-        sloppy_quorum_read: true,
+        mutant: Some(Mutant::SloppyQuorumRead),
         ..SimConfig::small(s)
     });
     assert!(sloppy >= 1, "sloppy-quorum-read caught in {sloppy}/8");
     let lost = caught(&|s| SimConfig {
-        lost_write_ack: true,
+        mutant: Some(Mutant::LostWriteAck),
         ..SimConfig::small(s)
     });
     assert!(lost >= 3, "lost-write-ack caught in {lost}/8");
@@ -354,7 +363,7 @@ fn unmutated_erasure_stack_linearizes_across_seeds() {
     // even though churn departures crash nodes under this stack.
     for seed in 0..8 {
         let cfg = SimConfig {
-            erasure: Some((2, 5)),
+            tier: Some(Tier::Erasure(ErasureConfig::new(2, 5))),
             ..SimConfig::small(seed)
         };
         assert_pass(&simulate(&cfg));
@@ -363,12 +372,12 @@ fn unmutated_erasure_stack_linearizes_across_seeds() {
     // lossy run exercising retries over coded reads and writes.
     for seed in 0..3 {
         let cfg = SimConfig {
-            erasure: Some((4, 6)),
+            tier: Some(Tier::Erasure(ErasureConfig::new(4, 6))),
             ..SimConfig::small(seed)
         };
         assert_pass(&simulate(&cfg));
         let lossy = SimConfig {
-            erasure: Some((2, 5)),
+            tier: Some(Tier::Erasure(ErasureConfig::new(2, 5))),
             drop_prob: 0.10,
             ..SimConfig::small(seed)
         };
@@ -384,7 +393,7 @@ fn corrupt_fragment_mutant_is_caught_and_minimized_schedule_reproduces() {
     // the rest, so a rotated read starting on deferred slots decodes
     // a complete stale generation — the checker must flag it.
     let cfg = SimConfig {
-        corrupt_fragment: true,
+        mutant: Some(Mutant::CorruptFragment),
         ..SimConfig::small(CORRUPT_FRAGMENT_SEED)
     };
     let report = simulate(&cfg);
@@ -414,7 +423,7 @@ fn lazy_regen_mutant_is_caught_and_minimized_schedule_reproduces() {
     // below k and a durable key reads back as absent — in strict mode
     // that data loss is a linearizability violation.
     let cfg = SimConfig {
-        lazy_regen: true,
+        mutant: Some(Mutant::LazyRegen),
         churn_events: LAZY_REGEN_CHURN,
         ..SimConfig::small(LAZY_REGEN_SEED)
     };
@@ -446,12 +455,12 @@ fn erasure_mutants_are_caught_across_a_seed_band() {
             .count()
     };
     let corrupt = caught(&|s| SimConfig {
-        corrupt_fragment: true,
+        mutant: Some(Mutant::CorruptFragment),
         ..SimConfig::small(s)
     });
     assert!(corrupt >= 2, "corrupt-fragment caught in {corrupt}/8");
     let lazy = caught(&|s| SimConfig {
-        lazy_regen: true,
+        mutant: Some(Mutant::LazyRegen),
         churn_events: LAZY_REGEN_CHURN,
         ..SimConfig::small(s)
     });
@@ -468,17 +477,17 @@ fn mutants_are_caught_across_a_seed_band_not_just_the_pinned_seed() {
             .count()
     };
     let stale = caught(&|s| SimConfig {
-        stale_replica: true,
+        mutant: Some(Mutant::StaleReplica),
         ..SimConfig::small(s)
     });
     assert!(stale >= 1, "stale-replica caught in {stale}/8 schedules");
     let torn = caught(&|s| SimConfig {
-        torn_split: Some(TORN_SPLIT_NTH),
+        mutant: Some(Mutant::TornSplit(TORN_SPLIT_NTH)),
         ..SimConfig::small(s)
     });
     assert!(torn >= 2, "torn-split caught in {torn}/8 schedules");
     let cache = caught(&|s| SimConfig {
-        stale_cache_read: true,
+        mutant: Some(Mutant::StaleCacheRead),
         ..SimConfig::small(s)
     });
     assert!(cache >= 2, "stale-cache-read caught in {cache}/8 schedules");

@@ -10,9 +10,9 @@
 //! mismatch prints the whole actual table; paste it back only for a
 //! change that means to move a counter, and say which in CHANGES.md.
 
-use lht::harness::{run_soak, IndexKind, SoakOptions, SoakReport, SubstrateKind};
+use lht::harness::{self, run_soak, IndexKind, SoakOptions, SoakReport, SubstrateKind};
 use lht::id::sha1;
-use lht::NetProfile;
+use lht::{ErasureConfig, NetProfile, QuorumConfig};
 use lht_sim::{simulate, SimConfig};
 
 const CHORD: SubstrateKind = SubstrateKind::Chord {
@@ -39,13 +39,15 @@ fn soak(cell: Cell) -> SoakReport {
         ops: 2_000,
         substrate,
         index,
-        mirror_pht: substrate == SubstrateKind::Direct && index == IndexKind::Lht,
         churn: true,
         net: lossy.then(|| NetProfile::lossy(7, 0.1)),
         maintenance_loss: if mloss { 0.15 } else { 0.0 },
         route_cache: cached.then_some(256),
-        quorum: (tier == Tier::Quorum).then_some((3, 2, 2)),
-        erasure: (tier == Tier::Erasure).then_some((2, 4)),
+        tier: match tier {
+            Tier::Plain => None,
+            Tier::Quorum => Some(harness::Tier::Quorum(QuorumConfig::new(3, 2, 2))),
+            Tier::Erasure => Some(harness::Tier::Erasure(ErasureConfig::new(2, 4))),
+        },
         audit_every: 200,
         ..SoakOptions::default()
     };
@@ -189,20 +191,20 @@ fn sim_cells() -> Vec<SimConfig> {
         small(42),
         small(2008),
         SimConfig {
-            quorum: Some((3, 2, 2)),
+            tier: Some(harness::Tier::Quorum(QuorumConfig::new(3, 2, 2))),
             ..small(0)
         },
         SimConfig {
-            quorum: Some((3, 2, 2)),
+            tier: Some(harness::Tier::Quorum(QuorumConfig::new(3, 2, 2))),
             drop_prob: 0.1,
             ..small(2)
         },
         SimConfig {
-            erasure: Some((4, 6)),
+            tier: Some(harness::Tier::Erasure(ErasureConfig::new(4, 6))),
             ..small(1)
         },
         SimConfig {
-            erasure: Some((2, 5)),
+            tier: Some(harness::Tier::Erasure(ErasureConfig::new(2, 5))),
             drop_prob: 0.1,
             ..small(2)
         },
