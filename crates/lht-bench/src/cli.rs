@@ -75,6 +75,8 @@ pub const CI_SMOKE: &[(&str, &[&str])] = &[
     ("audit-soak", &["audit-soak", "--substrate", "both", "--seed", "1", "--ops", "10000", "--churn"]),
     // The PHT baseline through the same trace, spec and audits (§9).
     ("audit-soak", &["audit-soak", "--substrate", "direct", "--index", "pht", "--seed", "1", "--ops", "10000"]),
+    // A tier over the one-hop substrate, through loss.
+    ("audit-soak", &["audit-soak", "--substrate", "direct", "--seed", "1", "--ops", "10000", "--churn", "--drop", "0.1", "--quorum", "3,2,2"]),
     ("fault-sweep", &["fault-sweep", "--smoke"]),
     // Pinned clean seeds must replay byte-identically and pass.
     ("sim", &["sim-explore", "--seed", "1"]),
@@ -333,18 +335,32 @@ mod tests {
                 .collect();
             assert_eq!(run(&argv, &mut Vec::new()), 2, "{two:?}");
         }
-        // A soak's replay line names no layer its index never runs.
+        // A soak's replay line names no layer its index or its
+        // substrate never runs.
         for layer in [
             &["--index", "pht", "--quorum", "3,2,2"][..],
             &["--index", "dst", "--erasure", "2,4"],
             &["--index", "rst", "--cache", "16"],
             &["--index", "dst", "--substrate", "chord", "--cache", "16"],
+            &["--substrate", "direct", "--cache", "16"],
+            &["--substrate", "direct", "--mloss", "0.1"],
         ] {
             let argv: Vec<&str> = std::iter::once("audit-soak")
                 .chain(layer.iter().copied())
                 .collect();
             assert_eq!(run(&argv, &mut Vec::new()), 2, "{layer:?}");
         }
+        // A tier over Direct is a layer Direct holds.
+        let tiered = [
+            "audit-soak",
+            "--substrate",
+            "direct",
+            "--quorum",
+            "3,2,2",
+            "--ops",
+            "50",
+        ];
+        assert_eq!(run(&tiered, &mut Vec::new()), 0);
     }
 
     #[test]

@@ -45,6 +45,10 @@ const PINS: &[(&[&str], i32, &str)] = &[
     // Recorded on the commit before the PHT mirror was removed from
     // the LHT soak.
     (&["audit-soak", "--substrate", "direct", "--index", "pht", "--seed", "1", "--ops", "10000"], 0, "78941a7359454a23989fc4376835f5fb1335825c"),
+    // The table has no repair column, so this digest cannot tell a
+    // built tier from an ignored one; tests/tower_golden.rs's Direct
+    // tier rows do.
+    (&["audit-soak", "--substrate", "direct", "--seed", "1", "--ops", "10000", "--churn", "--drop", "0.1", "--quorum", "3,2,2"], 0, "42a78858896d32ecbccfe82385074b6456f5467e"),
     (&["audit-soak", "--substrate", "chord", "--seed", "1", "--ops", "5000", "--churn", "--cache", "256", "--drop", "0.1", "--mloss", "0.15"], 0, "311aaa79f1fbcb97dbe3aab84ce1e2fd253006f9"),
     (&["audit-soak", "--substrate", "chord", "--seed", "1", "--ops", "5000", "--churn", "--drop", "0.1", "--quorum", "3,2,2"], 0, "358bcbd4eac6b8067196e48056f7bfc6632b4f55"),
     (&["audit-soak", "--substrate", "chord", "--seed", "1", "--ops", "5000", "--churn", "--drop", "0.1", "--mloss", "0.15", "--erasure", "2,4"], 0, "358bcbd4eac6b8067196e48056f7bfc6632b4f55"),

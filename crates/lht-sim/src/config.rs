@@ -3,8 +3,7 @@
 use std::fmt::Write as _;
 
 use lht::harness::args::{replay, Flag, Parsed};
-use lht::harness::{Tier, ERASURE_FLAG, QUORUM_FLAG};
-use lht_dht::{ErasureConfig, QuorumConfig};
+use lht::harness::{Mutant, Tier, ERASURE_FLAG, QUORUM_FLAG};
 
 /// Everything that determines a simulation run. Two runs with equal
 /// configurations produce byte-identical schedule traces and
@@ -48,105 +47,11 @@ pub struct SimConfig {
     /// stack — churn departures **crash** nodes instead of leaving
     /// gracefully: losing fragments outright is precisely what makes
     /// regeneration load-bearing, so an anti-entropy bug has schedules
-    /// where it loses data. `None` keeps the historical plain stack
-    /// and its traces byte-identical, unless a tier mutant implies one
-    /// ([`Mutant::tier`]).
+    /// where it loses data. `None` keeps the plain replicated ring,
+    /// unless a tier mutant implies a tier ([`Mutant::tier`]).
     pub tier: Option<Tier>,
     /// The seeded bug this run re-introduces, if any.
     pub mutant: Option<Mutant>,
-}
-
-/// One seeded bug re-introduced on demand, so the checker can prove
-/// it would have caught it. Each lives in one layer: the ring, the
-/// index, or a tier's slot engine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Mutant {
-    /// The stale-replica bug: churn handoff and key-sync ignore
-    /// sequence numbers and blindly overwrite.
-    StaleReplica,
-    /// The torn-split bug: the `n`-th leaf split (1-based) "forgets"
-    /// the DHT-put of its remote half.
-    TornSplit(u64),
-    /// The stale-cache-read bug: probe reads answer from any live
-    /// holder of a copy instead of verifying ownership, so a cached
-    /// owner hint that churn has invalidated serves stale data instead
-    /// of degrading to a full route.
-    StaleCacheRead,
-    /// The sloppy-quorum-read bug: quorum reads answer from the first
-    /// successful replica without seq reconciliation (and without
-    /// read-repair). With `w < n` the deferred slots hold stale
-    /// versions, so a rotated read serves an old value.
-    SloppyQuorumRead,
-    /// The lost-write-ack bug: a quorum write acks after only `w − 1`
-    /// replica installs and forgets the handoffs, so the `R + W > N`
-    /// intersection breaks and some read quorums miss a completed
-    /// write entirely.
-    LostWriteAck,
-    /// The corrupt-fragment bug: a decoded read adopts the first
-    /// gathered fragment's generation without reconciling to the
-    /// newest, so a rotated read starting on deferred slots holding a
-    /// previous generation with `≥ k` surviving fragments decodes a
-    /// stale value.
-    CorruptFragment,
-    /// The lazy-regen bug: anti-entropy counts a fragment as repaired
-    /// without writing it, so crashed fragments never heal, groups
-    /// erode below `k` and reads report durable keys as absent.
-    LazyRegen,
-}
-
-/// Every mutant but the torn split, by its flag.
-const SWITCHES: [(&str, Mutant); 6] = [
-    ("--stale-replica", Mutant::StaleReplica),
-    ("--stale-cache-read", Mutant::StaleCacheRead),
-    ("--sloppy-quorum-read", Mutant::SloppyQuorumRead),
-    ("--lost-write-ack", Mutant::LostWriteAck),
-    ("--corrupt-fragment", Mutant::CorruptFragment),
-    ("--lazy-regen", Mutant::LazyRegen),
-];
-
-impl Mutant {
-    /// The tier a tier mutant lives in, at the geometry its proofs run
-    /// when no tier is named: quorum `(3, 2, 2)`, or erasure `(2, 5)`
-    /// because a corrupt-fragment read needs a *decodable* stale
-    /// group — writes install `k + 1 = 3` fragments, leaving two
-    /// deferred slots, exactly `k` fragments of the previous
-    /// generation for the mutant's first-seen decode to land on.
-    /// `None` for a ring or index mutant.
-    pub fn tier(self) -> Option<Tier> {
-        match self {
-            Mutant::SloppyQuorumRead | Mutant::LostWriteAck => {
-                Some(Tier::Quorum(QuorumConfig::new(3, 2, 2)))
-            }
-            Mutant::CorruptFragment | Mutant::LazyRegen => {
-                Some(Tier::Erasure(ErasureConfig::new(2, 5)))
-            }
-            Mutant::StaleReplica | Mutant::TornSplit(_) | Mutant::StaleCacheRead => None,
-        }
-    }
-
-    /// The mutant the flags arm, if any.
-    fn from_args(p: &Parsed) -> Result<Option<Mutant>, String> {
-        let torn = p.opt_uint("--torn-split").map(Mutant::TornSplit);
-        let switched = SWITCHES.iter().filter(|(flag, _)| p.on(flag));
-        let mut armed = torn.into_iter().chain(switched.map(|&(_, m)| m));
-        match (armed.next(), armed.next()) {
-            (Some(_), Some(_)) => Err("arm at most one mutant".into()),
-            (mutant, _) => Ok(mutant),
-        }
-    }
-}
-
-impl std::fmt::Display for Mutant {
-    /// The flag that arms this mutant.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Mutant::TornSplit(n) => write!(f, "--torn-split {n}"),
-            m => {
-                let (flag, _) = SWITCHES.iter().find(|(_, s)| s == m).expect("every switch");
-                f.write_str(flag)
-            }
-        }
-    }
 }
 
 /// Schedule picks are actor numbers.

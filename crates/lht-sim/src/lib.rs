@@ -55,6 +55,7 @@ mod plan;
 mod scheduler;
 mod shrink;
 
-pub use config::{Mutant, SimConfig};
+pub use config::SimConfig;
+pub use lht::harness::Mutant;
 pub use scheduler::{replay_schedule, simulate, SimReport, SimVerdict};
 pub use shrink::shrink;

@@ -25,73 +25,19 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use lht::harness::Tier;
+use lht::harness::{self, Mutant, SubstrateKind, Tier, WorldSpec};
 use lht_core::{
     Executor, HistoryCall, HistoryReturn, LeafBucket, LhtConfig, LhtError, LhtIndex, OpRecord,
 };
-use lht_dht::{
-    client_tower, BoxDht, ChordConfig, ChordDht, Dht, ErasureDht, Fragment, NetProfile, QuorumDht,
-    RetryPolicy, RingControl, TierMaintenance, Versioned,
-};
+use lht_dht::{BoxDht, NetProfile, RetryPolicy, RingControl, TierMaintenance};
 use lht_id::U160;
 
 use crate::checker::{self, Outcome};
-use crate::config::{Mutant, SimConfig};
+use crate::config::SimConfig;
 use crate::plan::{client_plans, ClientPlan};
 use crate::shrink;
 
-fn net_profile(cfg: &SimConfig) -> NetProfile {
-    if cfg.drop_prob > 0.0 {
-        NetProfile::lossy(cfg.seed ^ 0x5EED_0002, cfg.drop_prob)
-    } else {
-        NetProfile::reliable(cfg.seed ^ 0x5EED_0002)
-    }
-}
-
-fn retry_policy(cfg: &SimConfig) -> RetryPolicy {
-    RetryPolicy {
-        seed: cfg.seed ^ 0x5EED_0003,
-        ..RetryPolicy::default()
-    }
-}
-
-/// A fresh ring storing `S`.
-fn new_ring<S: Clone>(cfg: &SimConfig, replicas: usize) -> Arc<ChordDht<S>> {
-    Arc::new(ChordDht::with_config(
-        cfg.nodes,
-        cfg.seed ^ 0x5EED_0001,
-        ChordConfig {
-            replicas,
-            ..ChordConfig::default()
-        },
-    ))
-}
-
 type Index = LhtIndex<BoxDht<'static, LeafBucket<u32>>, u32>;
-type Quorum = QuorumDht<Arc<ChordDht<Versioned<LeafBucket<u32>>>>>;
-type Coded = ErasureDht<Arc<ChordDht<Fragment>>, LeafBucket<u32>>;
-
-/// Throws `mutant`'s switch on the layer it lives in, with every
-/// layer still typed and before the index bootstraps over them. The
-/// index's own switch, a torn split, waits for the index to exist.
-fn arm<S: Clone>(
-    mutant: Option<Mutant>,
-    ring: &ChordDht<S>,
-    quorum: Option<&Quorum>,
-    coded: Option<&Coded>,
-) {
-    let quorum = || quorum.expect("a quorum mutant runs over a quorum tier");
-    let coded = || coded.expect("an erasure mutant runs over an erasure tier");
-    match mutant {
-        None | Some(Mutant::TornSplit(_)) => {}
-        Some(Mutant::StaleReplica) => ring.arm_stale_replica_mutant(),
-        Some(Mutant::StaleCacheRead) => ring.arm_stale_cache_mutant(),
-        Some(Mutant::SloppyQuorumRead) => quorum().arm_first_seen_read(),
-        Some(Mutant::LostWriteAck) => quorum().arm_lost_write_ack(),
-        Some(Mutant::CorruptFragment) => coded().arm_first_seen_read(),
-        Some(Mutant::LazyRegen) => coded().arm_lazy_repair(),
-    }
-}
 
 /// State budget for the linearizability search; exceeding it yields
 /// [`SimVerdict::Undecided`].
@@ -188,50 +134,31 @@ struct World {
 
 impl World {
     /// Builds the world `cfg` describes (see [`simulate`] for which
-    /// stack a configuration selects). Under a tier the ring runs
-    /// single-copy: the tier owns redundancy, so the ring's key-sync
-    /// would have nothing to reconcile.
+    /// stack a configuration selects).
     fn build(cfg: &SimConfig) -> World {
-        let base: BoxDht<'static, LeafBucket<u32>>;
-        let ring: Arc<dyn RingControl>;
-        let tier: Option<Arc<dyn TierMaintenance>>;
-        let mut crash_on_leave = false;
-        match cfg.stack_tier() {
-            Some(Tier::Erasure(coding)) => {
-                let fragments = new_ring::<Fragment>(cfg, 1);
-                let coded: Arc<Coded> = Arc::new(ErasureDht::new(Arc::clone(&fragments), coding));
-                arm(cfg.mutant, &fragments, None, Some(&coded));
-                // Surviving the outright loss of a departed node's
-                // fragments is the coded tier's contract, and it is what
-                // gives a broken regeneration path schedules where it
-                // destroys data.
-                crash_on_leave = true;
-                base = Box::new(Arc::clone(&coded));
-                ring = fragments;
-                tier = Some(coded);
-            }
-            Some(Tier::Quorum(replication)) => {
-                let slots = new_ring::<Versioned<LeafBucket<u32>>>(cfg, 1);
-                let quorum: Arc<Quorum> = Arc::new(QuorumDht::new(Arc::clone(&slots), replication));
-                arm(cfg.mutant, &slots, Some(&quorum), None);
-                base = Box::new(Arc::clone(&quorum));
-                ring = slots;
-                tier = Some(quorum);
-            }
-            None => {
-                let buckets = new_ring::<LeafBucket<u32>>(cfg, cfg.replicas);
-                arm(cfg.mutant, &buckets, None, None);
-                base = Box::new(Arc::clone(&buckets));
-                ring = buckets;
-                tier = None;
-            }
-        }
-        let stack = client_tower(
-            base,
-            Some((net_profile(cfg), retry_policy(cfg))),
-            Some(CACHE_CAPACITY),
-        );
-        let index = LhtIndex::new(stack, LhtConfig::new(cfg.theta_split, cfg.max_depth))
+        let seed = cfg.seed;
+        let net = if cfg.drop_prob > 0.0 {
+            NetProfile::lossy(seed ^ 0x5EED_0002, cfg.drop_prob)
+        } else {
+            NetProfile::reliable(seed ^ 0x5EED_0002)
+        };
+        let retry = RetryPolicy {
+            seed: seed ^ 0x5EED_0003,
+            ..RetryPolicy::default()
+        };
+        let world = harness::World::build(&WorldSpec {
+            substrate: SubstrateKind::Chord {
+                nodes: cfg.nodes,
+                replicas: cfg.replicas,
+            },
+            ring_seed: seed ^ 0x5EED_0001,
+            maintenance_loss: 0.0,
+            tier: cfg.stack_tier(),
+            net: Some((net, retry)),
+            cache: Some(CACHE_CAPACITY),
+            mutant: cfg.mutant,
+        });
+        let index = LhtIndex::new(world.dht, LhtConfig::new(cfg.theta_split, cfg.max_depth))
             .expect("bootstrap on a fresh ring");
         if let Some(Mutant::TornSplit(n)) = cfg.mutant {
             index.arm_torn_split(n);
@@ -242,9 +169,13 @@ impl World {
         next_ready[cfg.clients as usize + 1] = KEY_SYNC_INTERVAL;
         next_ready[cfg.clients as usize + 2] = CHURN_INTERVAL;
         World {
-            ring,
-            tier,
-            crash_on_leave,
+            ring: world.ring.expect("the simulator runs over a ring"),
+            tier: world.tier,
+            // Surviving the outright loss of a departed node's
+            // fragments is the coded tier's contract, and it is what
+            // gives a broken regeneration path schedules where it
+            // destroys data.
+            crash_on_leave: matches!(cfg.stack_tier(), Some(Tier::Erasure(_))),
             index,
             history: Vec::new(),
             plans: client_plans(cfg),
@@ -473,12 +404,11 @@ fn report(cfg: &SimConfig, world: World, verdict: SimVerdict) -> SimReport {
 /// check, and — on a violation — shrink the schedule and build the
 /// replay line.
 ///
-/// The stack is picked by the configuration: any erasure setting (or
-/// armed erasure mutant) selects the erasure-coded stack, any quorum
-/// setting (or armed quorum mutant) the quorum-replicated stack —
-/// both replace the key-sync actor slot with anti-entropy — and
-/// otherwise the historical plain stack runs with byte-identical
-/// traces. Quorum and erasure are mutually exclusive.
+/// The stack is picked by the configuration: an erasure tier (named,
+/// or implied by an armed erasure mutant) selects the erasure-coded
+/// stack, a quorum tier the quorum-replicated stack — both replace
+/// the key-sync actor slot with anti-entropy — and otherwise the
+/// plain replicated ring runs.
 pub fn simulate(cfg: &SimConfig) -> SimReport {
     let world = run(cfg, Chooser::Random(StdRng::seed_from_u64(cfg.seed)));
     // Accounting soundness rides along with every simulation: the

@@ -3,9 +3,10 @@
 //! running whole-system invariant audits at a fixed cadence.
 //!
 //! Any index scheme can be the one under test
-//! ([`SoakOptions::index`]), over either substrate, and the substrate
-//! can be wrapped in a lossy network ([`SoakOptions::net`]) with a
-//! retry stack on top — the chaos matrix exercises every cell.
+//! ([`SoakOptions::index`]), over either substrate, LHT under a
+//! durability tier too, and the stack can be wrapped in a lossy
+//! network ([`SoakOptions::net`]) with a retry stack on top — the
+//! chaos matrix exercises every cell. [`World::build`] assembles it.
 
 use std::fmt::Write as _;
 
@@ -13,12 +14,7 @@ use lht_core::{
     audit, Executor, HistoryCall, HistoryReturn, KeyInterval, LeafBucket, LhtConfig, LhtError,
     LhtIndex,
 };
-use lht_dht::gf256::ReedSolomon;
-use lht_dht::{
-    client_tower, split_fragment_key, split_slot_key, BoxDht, ChordConfig, ChordDht, Dht, DhtKey,
-    DirectDht, ErasureConfig, ErasureDht, ErasurePayload, Fragment, NetProfile, QuorumConfig,
-    QuorumDht, RetryPolicy, RingControl, TierMaintenance, Versioned,
-};
+use lht_dht::{BoxDht, DhtKey, NetProfile, RetryPolicy};
 use lht_dst::{DstConfig, DstIndex, DstNode};
 use lht_pht::{audit as pht_audit, PhtIndex, PhtNode};
 use lht_rst::{RstIndex, RstNode};
@@ -26,32 +22,7 @@ use lht_rst::{RstIndex, RstNode};
 use super::args::{replay, Flag, Parsed};
 use super::oracle::ShadowOracle;
 use super::trace::{generate, Op, Trace, TraceConfig};
-
-/// Which substrate a soak runs the index over.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SubstrateKind {
-    /// The one-hop oracle DHT (free inspection; range cost-bound
-    /// checks enabled).
-    Direct,
-    /// A simulated Chord ring, with membership churn when the trace
-    /// carries churn ops.
-    Chord {
-        /// Initial ring size.
-        nodes: usize,
-        /// Copies per key (1 = no replication). Graceful-leave churn
-        /// is lossless even unreplicated.
-        replicas: usize,
-    },
-}
-
-impl std::fmt::Display for SubstrateKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SubstrateKind::Direct => write!(f, "direct"),
-            SubstrateKind::Chord { .. } => write!(f, "chord"),
-        }
-    }
-}
+use super::world::{Stored, SubstrateKind, Tier, World, WorldSpec, ERASURE_FLAG, QUORUM_FLAG};
 
 /// Which index scheme a soak holds against the oracle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,25 +53,9 @@ impl std::fmt::Display for IndexKind {
     }
 }
 
-/// Parameters of one differential soak.
-///
-/// # Which cells honour which layer
-///
-/// The optional layers exist only where the stack they belong to
-/// does. [`run_trace`] applies these rules once, up front, and a
-/// layer requested on any other cell is ignored:
-///
-/// | fields | honoured on |
-/// |---|---|
-/// | `net` | every substrate, every index |
-/// | `churn`, `maintenance_loss` | Chord |
-/// | `route_cache` | Chord, LHT or PHT (the routed stacks a cache accelerates) |
-/// | `tier` | Chord, LHT |
-/// | `inject_loss_at` | Direct |
-///
-/// [`from_args`](Self::from_args) refuses a tier or cache the index
-/// never runs; under `--substrate both` they apply to the Chord soak
-/// only.
+/// Parameters of one differential soak. Every layer it names is
+/// built, by [`World::build`]; [`from_args`](Self::from_args) refuses
+/// the layers a run could not hold.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SoakOptions {
     /// Trace seed: the whole run is reproducible from this value.
@@ -125,7 +80,7 @@ pub struct SoakOptions {
     /// is unchanged — retries must fully absorb the loss.
     pub net: Option<NetProfile>,
     /// Probability each Chord maintenance RPC (stabilize round /
-    /// key-sync transfer) is lost.
+    /// key-sync transfer) is lost; Direct has none.
     pub maintenance_loss: f64,
     /// Wrap the index's substrate stack in a
     /// [`CachedDht`](lht_dht::CachedDht) location cache of this
@@ -140,9 +95,10 @@ pub struct SoakOptions {
     /// harness detects re-introduced faults rather than vacuously
     /// passing.
     pub inject_loss_at: Option<usize>,
-    /// Keep every logical key in a durability tier. The ring then runs
-    /// single-copy — the tier owns redundancy — and the repair
-    /// counters land in [`SoakReport::repair_transfers`] /
+    /// Keep every logical key in a durability tier, on either
+    /// substrate. A ring then runs single-copy — the tier owns
+    /// redundancy — and the repair counters land in
+    /// [`SoakReport::repair_transfers`] /
     /// [`SoakReport::repair_bandwidth`].
     pub tier: Option<Tier>,
 }
@@ -165,69 +121,6 @@ impl Default for SoakOptions {
             route_cache: None,
             inject_loss_at: None,
             tier: None,
-        }
-    }
-}
-
-/// `--quorum N,R,W`, spelled and validated once for every command
-/// that builds a quorum tier.
-pub const QUORUM_FLAG: Flag = Flag::list(
-    "--quorum",
-    "N,R,W with 1 <= R,W <= N and R+W > N",
-    |v| matches!(*v, [n, r, w] if r >= 1 && w >= 1 && r.max(w) <= n && r + w > n),
-    "replicate through a strict-quorum tier over chord",
-);
-
-/// `--erasure K,M`, spelled and validated once for every command that
-/// builds an erasure tier.
-pub const ERASURE_FLAG: Flag = Flag::list(
-    "--erasure",
-    "K,M with 2 <= K < M <= 32",
-    |v| matches!(*v, [k, m] if k >= 2 && k < m && m <= 32),
-    "erasure-code through k-of-m fragment groups over chord",
-);
-
-/// The durability tier a run keeps every logical key in: the two
-/// members of one k-of-m family, replication being k = 1 (Leslie et
-/// al., *Reliable Data Storage in DHTs*). Each owns a key's
-/// redundancy, so a stack has at most one.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Tier {
-    /// Strict-quorum replication through a [`QuorumDht`].
-    Quorum(QuorumConfig),
-    /// k-of-m Reed–Solomon fragment groups through an [`ErasureDht`].
-    Erasure(ErasureConfig),
-}
-
-impl Tier {
-    /// The tier [`QUORUM_FLAG`] or [`ERASURE_FLAG`] names, if either
-    /// was given.
-    ///
-    /// # Errors
-    ///
-    /// Refuses both at once.
-    pub fn from_args(p: &Parsed) -> Result<Option<Tier>, String> {
-        let size = |n: u64| n as usize;
-        match (p.list("--quorum"), p.list("--erasure")) {
-            (Some(_), Some(_)) => Err("the quorum and erasure tiers are mutually exclusive".into()),
-            (Some(&[n, r, w]), None) => Ok(Some(Tier::Quorum(QuorumConfig::new(
-                size(n),
-                size(r),
-                size(w),
-            )))),
-            (None, Some(&[k, m])) => Ok(Some(Tier::Erasure(ErasureConfig::new(size(k), size(m))))),
-            _ => Ok(None),
-        }
-    }
-}
-
-impl std::fmt::Display for Tier {
-    /// The flag that names this tier: `--quorum N,R,W` or
-    /// `--erasure K,M`.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Tier::Quorum(QuorumConfig { n, r, w }) => write!(f, "--quorum {n},{r},{w}"),
-            Tier::Erasure(ErasureConfig { k, m }) => write!(f, "--erasure {k},{m}"),
         }
     }
 }
@@ -264,7 +157,7 @@ impl SoakOptions {
         Flag::prob("--mloss", "chord maintenance-RPC loss probability"),
         Flag::opt_uint(
             "--cache",
-            "location cache of this capacity on the chord stack",
+            "location cache of this capacity atop the chord tower",
         ),
         QUORUM_FLAG,
         ERASURE_FLAG,
@@ -272,15 +165,20 @@ impl SoakOptions {
 
     /// The soaks an argument list asks for, one per substrate it
     /// names. Not flags, so set here: audits run every `ops / 10`
-    /// operations, and `inject_loss_at` keeps its default.
+    /// operations, and `inject_loss_at` keeps its default. Under
+    /// `--substrate both` the Direct soak carries no cache and no
+    /// maintenance loss.
     ///
     /// # Errors
     ///
     /// Refuses `--quorum` together with `--erasure`, a tier under any
-    /// index but LHT, and `--cache` under DST or RST.
+    /// index but LHT, `--cache` under DST or RST, and `--cache` or
+    /// `--mloss` under `--substrate direct`: Direct gives a cache no
+    /// owner hints to learn and has no maintenance RPCs to lose.
     pub fn from_args(p: &Parsed) -> Result<Vec<SoakOptions>, String> {
         let tier = Tier::from_args(p)?;
         let route_cache = p.opt_uint("--cache").map(|cap| cap as usize);
+        let maintenance_loss = p.prob("--mloss");
         let index = match p.word("--index") {
             "lht" => IndexKind::Lht,
             "pht" => IndexKind::Pht,
@@ -293,16 +191,17 @@ impl SoakOptions {
         if route_cache.is_some() && matches!(index, IndexKind::Dst | IndexKind::Rst) {
             return Err(format!("--index {index} runs no location cache"));
         }
-        let (drop_prob, ops) = (p.prob("--drop"), p.size("--ops"));
         let which = p.word("--substrate");
+        if which == "direct" && (route_cache.is_some() || maintenance_loss > 0.0) {
+            return Err("--substrate direct runs no location cache and no maintenance".into());
+        }
+        let (drop_prob, ops) = (p.prob("--drop"), p.size("--ops"));
         let base = SoakOptions {
             seed: p.uint("--seed"),
             ops,
             theta: p.size("--theta"),
             index,
             net: (drop_prob > 0.0).then(|| NetProfile::lossy(p.uint("--net-seed"), drop_prob)),
-            maintenance_loss: p.prob("--mloss"),
-            route_cache,
             tier,
             audit_every: (ops / 10).max(1),
             ..SoakOptions::default()
@@ -322,6 +221,8 @@ impl SoakOptions {
                     replicas: p.size("--replicas"),
                 },
                 churn: p.on("--churn"),
+                maintenance_loss,
+                route_cache,
                 ..base
             });
         }
@@ -434,32 +335,6 @@ impl std::fmt::Display for DiffFailure {
 
 impl std::error::Error for DiffFailure {}
 
-/// Substrate-specific behaviour plugged into the generic drive loop.
-trait SoakEnv {
-    /// Applies a churn op. Returns whether it did anything, or a
-    /// failure description.
-    fn churn(&mut self, op: &Op) -> Result<bool, String>;
-
-    /// The optimal bucket count `B` for a range (None = bound checks
-    /// disabled on this substrate/index).
-    fn optimal_buckets(&self, range: &KeyInterval) -> Option<u64>;
-
-    /// Runs the whole-system audit; `converged` is false inside a
-    /// churn window (between membership events and stabilization).
-    fn audit(&mut self, oracle: &ShadowOracle, converged: bool) -> Vec<String>;
-
-    /// Destroys one stored leaf bucket behind the oracle's back
-    /// (fault-injection support). Returns whether anything was lost.
-    fn sabotage(&mut self) -> bool;
-
-    /// Runs one round of delayed-maintenance repair (Chord:
-    /// stabilization + key sync). Returns whether the substrate has a
-    /// repair mechanism at all; the drive loop only calls this under
-    /// lossy maintenance, where a query may transiently fail or miss
-    /// until a repair pass lands.
-    fn repair(&mut self) -> bool;
-}
-
 /// Runs `attempt`; on failure asks the env to repair delayed
 /// maintenance and re-runs, up to `budget` repair rounds. This models
 /// the client a low-maintenance index actually has: under lossy
@@ -467,8 +342,8 @@ trait SoakEnv {
 /// miss (routed owner not yet synced), but once repair catches up the
 /// answer must agree with the oracle exactly — a disagreement that
 /// survives repair is a real divergence.
-fn attempt_with_repair<E: SoakEnv>(
-    env: &mut E,
+fn attempt_with_repair<V: Scheme>(
+    env: &Env<'_, V>,
     report: &mut SoakReport,
     budget: u32,
     mut attempt: impl FnMut() -> Result<(), String>,
@@ -481,7 +356,9 @@ fn attempt_with_repair<E: SoakEnv>(
         report.first_attempt_failures += 1;
     }
     for _ in 0..budget {
-        if last.is_ok() || !env.repair() {
+        // One repair round: stabilization and tier anti-entropy. The
+        // one-hop oracle has no maintenance to catch up on.
+        if last.is_ok() || !env.maintain(2) {
             break;
         }
         last = attempt();
@@ -512,145 +389,18 @@ pub fn run_soak(opts: &SoakOptions) -> Result<SoakReport, Box<DiffFailure>> {
 ///
 /// Same contract as [`run_soak`].
 pub fn run_trace(trace: &Trace, opts: &SoakOptions) -> Result<SoakReport, Box<DiffFailure>> {
-    // Which optional layers this cell honours (the table on
-    // [`SoakOptions`]), decided here and nowhere else.
-    let lht = opts.index == IndexKind::Lht;
-    let tier = opts.tier.filter(|_| lht);
-    let run = Run {
-        trace,
-        opts,
-        cfg: LhtConfig::new(opts.theta, MAX_DEPTH),
-        net: opts.net.map(|profile| (profile, RetryPolicy::default())),
-        cache: opts
-            .route_cache
-            .filter(|_| lht || opts.index == IndexKind::Pht),
-    };
-    let SubstrateKind::Chord { nodes, replicas } = opts.substrate else {
-        return match opts.index {
-            IndexKind::Lht => run.over_direct::<LeafBucket<u32>>(Some(lht_optimal_buckets)),
-            IndexKind::Pht => run.over_direct::<PhtNode<u32>>(None),
-            IndexKind::Dst => run.over_direct::<DstNode<u32>>(None),
-            IndexKind::Rst => run.over_direct::<RstNode<u32>>(None),
-        };
-    };
-
-    // Under a tier the ring stores one copy of each slot: the tier
-    // owns redundancy. Faults wrap the tier, not the slots under it —
-    // a lost RPC drops the whole logical op atomically, so the oracle
-    // never sees a partial quorum write or fragment scatter.
-    // (Per-slot loss *inside* a tier is E20's availability
-    // experiment, which measures rather than asserts.)
-    match tier {
-        Some(Tier::Erasure(coding)) => {
-            let ring: ChordDht<Fragment> = run.ring(nodes, 1);
-            let tier: ErasureDht<_, LeafBucket<u32>> = ErasureDht::new(&ring, coding);
-            let rs = ReedSolomon::new(coding.k, coding.m);
-            let mut env = run.chord_env(&ring, Some(&tier), || {
-                erasure_projection(ring.all_entries(), &rs)
-            });
-            env.resync_lost_transfers = true;
-            run.over_chord(&tier, env)
-        }
-        Some(Tier::Quorum(replication)) => {
-            let ring: ChordDht<Versioned<LeafBucket<u32>>> = run.ring(nodes, 1);
-            let tier = QuorumDht::new(&ring, replication);
-            let env = run.chord_env(&ring, Some(&tier), || {
-                (quorum_projection(ring.all_entries()), Vec::new())
-            });
-            run.over_chord(&tier, env)
-        }
-        None => match opts.index {
-            IndexKind::Lht => run.over_plain_chord::<LeafBucket<u32>>(nodes, replicas),
-            IndexKind::Pht => run.over_plain_chord::<PhtNode<u32>>(nodes, replicas),
-            IndexKind::Dst => run.over_plain_chord::<DstNode<u32>>(nodes, replicas),
-            IndexKind::Rst => run.over_plain_chord::<RstNode<u32>>(nodes, replicas),
-        },
-    }
-}
-
-/// One soak's inputs after the accepted-combination rules: what every
-/// typed arm of [`run_trace`] hands to the one place that assembles
-/// the tower and drives the trace.
-struct Run<'a> {
-    trace: &'a Trace,
-    opts: &'a SoakOptions,
-    cfg: LhtConfig,
-    net: Option<(NetProfile, RetryPolicy)>,
-    cache: Option<usize>,
-}
-
-impl Run<'_> {
-    fn over_direct<V: Scheme>(
-        &self,
-        optimal: Option<fn(&DirectDht<V>, &KeyInterval) -> u64>,
-    ) -> Result<SoakReport, Box<DiffFailure>> {
-        let dht: DirectDht<V> = DirectDht::new();
-        let mut env = DirectEnv {
-            dht: &dht,
-            cfg: self.cfg,
-            optimal,
-        };
-        drive(client_tower(&dht, self.net, None), self, &mut env)
-    }
-
-    fn ring<S>(&self, nodes: usize, replicas: usize) -> ChordDht<S> {
-        let cfg = ChordConfig {
-            replicas,
-            maintenance_loss: self.opts.maintenance_loss,
-        };
-        ChordDht::with_config(nodes, self.opts.seed ^ 0x5eed, cfg)
-    }
-
-    fn chord_env<'e, V>(
-        &self,
-        ring: &'e dyn RingControl,
-        tier: Option<&'e dyn TierMaintenance>,
-        entries: impl Fn() -> (Vec<(DhtKey, V)>, Vec<String>) + 'e,
-    ) -> ChordEnv<'e, V> {
-        ChordEnv {
-            ring,
-            tier,
-            entries: Box::new(entries),
-            cfg: self.cfg,
-            lossy_maintenance: self.opts.maintenance_loss > 0.0,
-            resync_lost_transfers: false,
-        }
-    }
-
-    fn over_plain_chord<V: Scheme>(
-        &self,
-        nodes: usize,
-        replicas: usize,
-    ) -> Result<SoakReport, Box<DiffFailure>> {
-        let ring: ChordDht<V> = self.ring(nodes, replicas);
-        let env = self.chord_env(&ring, None, || (ring.all_entries(), Vec::new()));
-        self.over_chord(&ring, env)
-    }
-
-    /// `base` is the ring or the tier over it; `env` holds the same
-    /// world with its stored value type erased.
-    fn over_chord<'e, V: Scheme + 'e>(
-        &self,
-        base: impl Dht<Value = V> + 'e,
-        mut env: ChordEnv<'e, V>,
-    ) -> Result<SoakReport, Box<DiffFailure>> {
-        let mut report = drive(client_tower(base, self.net, self.cache), self, &mut env)?;
-        // The repair counters live on the tier, below the client-side
-        // layers, so a tiered soak can hold its maintenance traffic
-        // against the availability it bought.
-        if let Some(tier) = env.tier {
-            let stats = tier.stats();
-            report.repair_transfers = stats.repair_transfers;
-            report.repair_bandwidth = stats.repair_bandwidth;
-        }
-        Ok(report)
+    match opts.index {
+        IndexKind::Lht => drive::<LeafBucket<u32>>(trace, opts),
+        IndexKind::Pht => drive::<PhtNode<u32>>(trace, opts),
+        IndexKind::Dst => drive::<DstNode<u32>>(trace, opts),
+        IndexKind::Rst => drive::<RstNode<u32>>(trace, opts),
     }
 }
 
 /// An index scheme, keyed by the node type it stores in the DHT: how
 /// to stand the index up over an assembled tower, and how to audit a
 /// materialized dump of its nodes.
-trait Scheme: Clone + Sized {
+trait Scheme: Stored {
     fn open<'a>(
         dht: &'a BoxDht<'_, Self>,
         cfg: LhtConfig,
@@ -659,6 +409,13 @@ trait Scheme: Clone + Sized {
     /// Index-specific invariants over `(key, node)` entries, plus
     /// record conservation against the oracle's `expect` snapshot.
     fn audit(entries: Vec<(DhtKey, Self)>, cfg: LhtConfig, expect: &[(u64, u32)]) -> Vec<String>;
+
+    /// `B` of §6.3 — how many of the stored leaves `range` overlaps —
+    /// for the scheme held to the `B + 3` range bound; `None` for the
+    /// others.
+    fn optimal_buckets(_entries: Vec<(DhtKey, Self)>, _range: &KeyInterval) -> Option<u64> {
+        None
+    }
 }
 
 fn setup_failure(opts: &SoakOptions, e: impl std::fmt::Display) -> Box<DiffFailure> {
@@ -703,13 +460,23 @@ fn diff(got: &HistoryReturn<u32>, expect: &HistoryReturn<u32>) -> Result<(), Str
     })
 }
 
-fn drive<V: Scheme>(
-    dht: BoxDht<'_, V>,
-    run: &Run<'_>,
-    env: &mut impl SoakEnv,
-) -> Result<SoakReport, Box<DiffFailure>> {
-    let opts = run.opts;
-    let ix = V::open(&dht, run.cfg).map_err(|e| setup_failure(opts, e))?;
+fn config(opts: &SoakOptions) -> LhtConfig {
+    LhtConfig::new(opts.theta, MAX_DEPTH)
+}
+
+fn drive<V: Scheme>(trace: &Trace, opts: &SoakOptions) -> Result<SoakReport, Box<DiffFailure>> {
+    let world = World::build(&WorldSpec {
+        substrate: opts.substrate,
+        ring_seed: opts.seed ^ 0x5eed,
+        maintenance_loss: opts.maintenance_loss,
+        tier: opts.tier,
+        net: opts.net.map(|profile| (profile, RetryPolicy::default())),
+        cache: opts.route_cache,
+        mutant: None,
+    });
+    let env = Env { world, opts };
+    let dht = &env.world.dht;
+    let ix = V::open(dht, config(opts)).map_err(|e| setup_failure(opts, e))?;
     let mut oracle = ShadowOracle::new();
     let mut report = SoakReport::default();
     let mut converged = true;
@@ -726,9 +493,9 @@ fn drive<V: Scheme>(
         })
     };
 
-    for (i, op) in run.trace.ops.iter().enumerate() {
+    for (i, op) in trace.ops.iter().enumerate() {
         if opts.inject_loss_at == Some(i) {
-            env.sabotage();
+            (env.world.lose_one)();
         }
         match op {
             // A scheme without the call (RST's remove, DST's and
@@ -754,7 +521,7 @@ fn drive<V: Scheme>(
                     _ => None,
                 };
                 let mut errored = false;
-                attempt_with_repair(env, &mut report, repair_budget, || {
+                attempt_with_repair(&env, &mut report, repair_budget, || {
                     let (got, cost) = ix.execute(call).map_err(|e| {
                         errored = true;
                         format!("index error: {e}")
@@ -787,15 +554,14 @@ fn drive<V: Scheme>(
                 }
             }
             Op::Join(..) | Op::Leave(..) => {
-                if env.churn(op).map_err(|d| fail(i, op, d))? {
+                if env.churn(op) {
                     report.churn_events += 1;
                     converged = false;
                 }
             }
             Op::Stabilize => {
-                if env.churn(op).map_err(|d| fail(i, op, d))? {
-                    converged = true;
-                }
+                env.maintain(3);
+                converged = true;
             }
         }
         report.applied += 1;
@@ -837,6 +603,14 @@ fn drive<V: Scheme>(
     report.retries = stats.retries;
     report.cache_hits = stats.cache_hits;
     report.cache_stale = stats.cache_stale;
+    // The repair counters live on the tier, below the client-side
+    // layers, so a tiered soak can hold its maintenance traffic
+    // against the availability it bought.
+    if let Some(tier) = &env.world.tier {
+        let stats = tier.stats();
+        report.repair_transfers = stats.repair_transfers;
+        report.repair_bandwidth = stats.repair_bandwidth;
+    }
     Ok(report)
 }
 
@@ -846,6 +620,13 @@ impl Scheme for LeafBucket<u32> {
         cfg: LhtConfig,
     ) -> Result<impl Executor<u32> + 'a, LhtError> {
         LhtIndex::new(dht, cfg)
+    }
+
+    fn optimal_buckets(entries: Vec<(DhtKey, Self)>, range: &KeyInterval) -> Option<u64> {
+        let overlapping = entries
+            .iter()
+            .filter(|(_, b)| b.label().interval().overlaps(range));
+        Some(overlapping.count() as u64)
     }
 
     fn audit(entries: Vec<(DhtKey, Self)>, cfg: LhtConfig, expect: &[(u64, u32)]) -> Vec<String> {
@@ -983,132 +764,70 @@ impl Scheme for RstNode<u32> {
     }
 }
 
-/// Free enumeration of the oracle substrate's whole store.
-fn direct_entries<V: Clone>(dht: &DirectDht<V>) -> Vec<(DhtKey, V)> {
-    dht.keys()
-        .into_iter()
-        .map(|key| {
-            let value = dht.peek(&key, |v| v.cloned()).expect("just enumerated");
-            (key, value)
-        })
-        .collect()
+/// The world below one soak's index, and what the drive loop does
+/// with it: churn ops move a ring's nodes, a tier's anti-entropy rides
+/// the stabilize cadence (its replacement for the ring's key-sync),
+/// and audits read the logical entries. Departures are graceful — loss
+/// tolerance under *crashes* is the simulator's and E20's territory.
+struct Env<'a, V> {
+    world: World<V>,
+    opts: &'a SoakOptions,
 }
 
-fn lht_optimal_buckets(dht: &DirectDht<LeafBucket<u32>>, range: &KeyInterval) -> u64 {
-    audit::leaf_labels(dht)
-        .into_iter()
-        .filter(|l| l.interval().overlaps(range))
-        .count() as u64
-}
-
-/// Direct-substrate environment: free inspection enables the full
-/// audit and range cost-bound checks.
-struct DirectEnv<'a, V> {
-    dht: &'a DirectDht<V>,
-    cfg: LhtConfig,
-    optimal: Option<fn(&DirectDht<V>, &KeyInterval) -> u64>,
-}
-
-impl<V: Scheme> SoakEnv for DirectEnv<'_, V> {
-    fn churn(&mut self, _op: &Op) -> Result<bool, String> {
-        Ok(false) // no membership on the one-hop oracle
-    }
-
-    fn optimal_buckets(&self, range: &KeyInterval) -> Option<u64> {
-        self.optimal.map(|f| f(self.dht, range))
-    }
-
-    fn audit(&mut self, oracle: &ShadowOracle, _converged: bool) -> Vec<String> {
-        V::audit(direct_entries(self.dht), self.cfg, &oracle.records())
-    }
-
-    fn sabotage(&mut self) -> bool {
-        // Deterministic victim: the smallest stored DHT key.
-        match self.dht.keys().into_iter().min() {
-            Some(victim) => self.dht.inject_loss(&victim),
-            None => false,
-        }
-    }
-
-    fn repair(&mut self) -> bool {
-        false // the one-hop oracle has no maintenance to catch up on
-    }
-}
-
-/// The audit's view of a Chord-backed store: the logical `(key,
-/// node)` entries the index wrote — projected out of whatever
-/// envelopes a durability tier keeps on the ring — plus every
-/// violation found reassembling them.
-type LogicalEntries<'a, V> = Box<dyn Fn() -> (Vec<(DhtKey, V)>, Vec<String>) + 'a>;
-
-/// Chord-backed environment, whatever the ring stores: churn ops
-/// actually move nodes, a durability tier's anti-entropy rides the
-/// stabilize cadence (its replacement for the ring's ad-hoc key-sync),
-/// and audits go through the ring's oracle enumeration, projected to
-/// the logical entries before they are held to the oracle. Departures
-/// are graceful — loss tolerance under *crashes* is the simulator's
-/// and E20's territory, where availability is measured rather than
-/// asserted.
-struct ChordEnv<'a, V> {
-    ring: &'a dyn RingControl,
-    tier: Option<&'a dyn TierMaintenance>,
-    entries: LogicalEntries<'a, V>,
-    cfg: LhtConfig,
-    /// Whether maintenance RPCs can be lost — the strict audits then
-    /// let repeated repair catch up before judging placement.
-    lossy_maintenance: bool,
-    /// Coded tier: under lossy maintenance a transfer may have dropped
-    /// a fragment in flight, and the low-maintenance claim is that the
-    /// tier's own repair regenerates it — so a full sync pass runs
-    /// before the strict reassembly audit.
-    resync_lost_transfers: bool,
-}
-
-impl<V: Scheme> SoakEnv for ChordEnv<'_, V> {
-    fn churn(&mut self, op: &Op) -> Result<bool, String> {
+impl<V: Scheme> Env<'_, V> {
+    /// Applies a membership op; returns whether a node moved.
+    fn churn(&self, op: &Op) -> bool {
+        let Some(ring) = &self.world.ring else {
+            return false; // no membership on the one-hop oracle
+        };
         // Membership events run one immediate stabilization round —
         // the standing assumption (paper §3, and the seed suite's
         // churn test) that stabilization outpaces churn. Routing and
         // key placement recover at once; full convergence of fingers
         // and successor lists waits for the trace's next `stab`.
-        match op {
-            Op::Join(n) => {
-                let joined = self.ring.join(&format!("soak:{n}")).is_some();
-                if joined {
-                    self.ring.stabilize(1);
-                }
-                Ok(joined)
-            }
+        let moved = match op {
+            Op::Join(n) => ring.join(&format!("soak:{n}")).is_some(),
             Op::Leave(n) => {
-                let ids = self.ring.snapshot().node_ids;
+                let ids = ring.snapshot().node_ids;
                 // Keep the ring big enough that routing stays
                 // meaningful.
-                if ids.len() <= 2 {
-                    return Ok(false);
-                }
-                let victim = ids[*n as usize % ids.len()];
-                let left = self.ring.leave(&victim);
-                if left {
-                    self.ring.stabilize(1);
-                }
-                Ok(left)
+                ids.len() > 2 && ring.leave(&ids[*n as usize % ids.len()])
             }
-            Op::Stabilize => {
-                self.ring.stabilize(3);
-                if let Some(tier) = self.tier {
-                    tier.anti_entropy_step();
-                }
-                Ok(true)
-            }
-            _ => Ok(false),
+            _ => false,
+        };
+        if moved {
+            ring.stabilize(1);
         }
+        moved
     }
 
-    fn optimal_buckets(&self, _range: &KeyInterval) -> Option<u64> {
-        None // bound checks need per-op leaf enumeration; Direct covers them
+    /// `rounds` of stabilization and one tier anti-entropy round.
+    /// Returns whether there is a ring to maintain.
+    fn maintain(&self, rounds: usize) -> bool {
+        if let Some(ring) = &self.world.ring {
+            ring.stabilize(rounds);
+        }
+        if let Some(tier) = &self.world.tier {
+            tier.anti_entropy_step();
+        }
+        self.world.ring.is_some()
     }
 
-    fn audit(&mut self, oracle: &ShadowOracle, converged: bool) -> Vec<String> {
+    /// The optimal bucket count `B` for a range, counted on the bare
+    /// one-hop store, whose entries cost nothing to enumerate between
+    /// ops; `None` elsewhere or for a scheme without the bound. (The
+    /// bound counts index-level DHT-lookups, which no tier or ring
+    /// changes, so the bare Direct soak covers it.)
+    fn optimal_buckets(&self, range: &KeyInterval) -> Option<u64> {
+        if self.world.ring.is_some() || self.world.tier.is_some() {
+            return None;
+        }
+        V::optimal_buckets((self.world.entries)().0, range)
+    }
+
+    /// Runs the whole-system audit; `converged` is false inside a
+    /// churn window (between membership events and stabilization).
+    fn audit(&self, oracle: &ShadowOracle, converged: bool) -> Vec<String> {
         // Inside a churn window bucket placement is transiently stale
         // (keys migrate at the next stabilization), so the strict
         // enumeration audits would report phantom gaps. Correctness
@@ -1121,115 +840,32 @@ impl<V: Scheme> SoakEnv for ChordEnv<'_, V> {
         // transfers, leaving keys transiently unservable even at a
         // converged point. The low-maintenance claim is that repeated
         // repair heals everything — so give it bounded extra passes,
-        // then hold the strict audits unconditionally.
-        if self.lossy_maintenance {
-            for _ in 0..4 {
-                if self.ring.audit_ring().is_empty() {
-                    break;
+        // then hold the strict audits unconditionally. A dropped
+        // transfer may have lost a fragment in flight, which the coded
+        // tier's own repair must regenerate before the strict
+        // reassembly audit.
+        if self.opts.maintenance_loss > 0.0 {
+            if let Some(ring) = &self.world.ring {
+                for _ in 0..4 {
+                    if ring.audit_ring().is_empty() {
+                        break;
+                    }
+                    ring.stabilize(2);
                 }
-                self.ring.stabilize(2);
             }
-            if let Some(tier) = self.tier.filter(|_| self.resync_lost_transfers) {
+            if let (Some(tier), Some(Tier::Erasure(_))) = (&self.world.tier, self.opts.tier) {
                 tier.sync_all();
             }
         }
-        let expect = oracle.records();
-        let (entries, mut out) = (self.entries)();
-        out.extend(V::audit(entries, self.cfg, &expect));
-        out.extend(
-            self.ring
-                .audit_ring()
-                .into_iter()
-                .map(|v| format!("ring: {v:?}")),
-        );
+        let (entries, mut out) = (self.world.entries)();
+        out.extend(V::audit(entries, config(self.opts), &oracle.records()));
+        if let Some(ring) = &self.world.ring {
+            out.extend(
+                ring.audit_ring()
+                    .into_iter()
+                    .map(|v| format!("ring: {v:?}")),
+            );
+        }
         out
     }
-
-    fn sabotage(&mut self) -> bool {
-        false // fault injection is a Direct-substrate feature
-    }
-
-    fn repair(&mut self) -> bool {
-        self.ring.stabilize(2);
-        if let Some(tier) = self.tier {
-            tier.anti_entropy_step();
-        }
-        true
-    }
-}
-
-/// Collapses a dump of raw `(slot key, versioned envelope)` entries
-/// to the logical `(base key, bucket)` view a client observes:
-/// newest seq wins per base key, tombstones disappear.
-fn quorum_projection(
-    entries: Vec<(DhtKey, Versioned<LeafBucket<u32>>)>,
-) -> Vec<(DhtKey, LeafBucket<u32>)> {
-    let mut newest: std::collections::BTreeMap<DhtKey, Versioned<LeafBucket<u32>>> =
-        std::collections::BTreeMap::new();
-    for (key, envelope) in entries {
-        let (base, _slot) = split_slot_key(&key);
-        match newest.get(&base) {
-            Some(cur) if cur.seq >= envelope.seq => {}
-            _ => {
-                newest.insert(base, envelope);
-            }
-        }
-    }
-    newest
-        .into_iter()
-        .filter_map(|(key, envelope)| envelope.value.map(|bucket| (key, bucket)))
-        .collect()
-}
-
-/// Collapses a dump of raw `(fragment key, fragment)` entries to the
-/// logical `(base key, bucket)` view: per base key the newest
-/// generation wins, tombstones disappear, and anything that fails to
-/// reconstruct or decode is a violation, not a skip.
-fn erasure_projection(
-    entries: Vec<(DhtKey, Fragment)>,
-    rs: &ReedSolomon,
-) -> (Vec<(DhtKey, LeafBucket<u32>)>, Vec<String>) {
-    let mut groups: std::collections::BTreeMap<DhtKey, Vec<Fragment>> =
-        std::collections::BTreeMap::new();
-    for (key, fragment) in entries {
-        let (base, _slot) = split_fragment_key(&key);
-        groups.entry(base).or_default().push(fragment);
-    }
-    let mut out = Vec::new();
-    let mut violations = Vec::new();
-    for (base, fragments) in groups {
-        let newest = fragments
-            .iter()
-            .map(|f| f.seq)
-            .max()
-            .expect("group is nonempty by construction");
-        let generation: Vec<&Fragment> = fragments.iter().filter(|f| f.seq == newest).collect();
-        if generation.iter().any(|f| f.tomb) {
-            continue;
-        }
-        let len = generation[0].len as usize;
-        let mut shards: Vec<(usize, &[u8])> = Vec::new();
-        for f in &generation {
-            if !shards.iter().any(|(i, _)| *i == f.index as usize) {
-                shards.push((f.index as usize, &f.data));
-            }
-        }
-        let Some(bytes) = rs.reconstruct(&shards, len) else {
-            violations.push(format!(
-                "erasure: base key {base:?} newest generation {newest} holds {} of {} \
-                 fragments — undecodable",
-                shards.len(),
-                rs.m()
-            ));
-            continue;
-        };
-        match <LeafBucket<u32> as ErasurePayload>::decode_payload(&bytes) {
-            Some(bucket) => out.push((base, bucket)),
-            None => violations.push(format!(
-                "erasure: base key {base:?} generation {newest} reconstructed to \
-                 undecodable payload bytes"
-            )),
-        }
-    }
-    (out, violations)
 }

@@ -5,9 +5,12 @@
 //! through:
 //!
 //! 1. the **index** under test — LHT, or the PHT, DST or RST
-//!    baseline ([`IndexKind`]) — over either the one-hop
-//!    [`DirectDht`](crate::DirectDht) or a churning
-//!    [`ChordDht`](crate::ChordDht) ring;
+//!    baseline ([`IndexKind`]) — over the [`World`] its options name:
+//!    the one-hop [`DirectDht`](crate::DirectDht) or a churning
+//!    [`ChordDht`](crate::ChordDht) ring, an optional durability
+//!    [`Tier`] on either, and the client tower on top, all built by
+//!    [`World::build`] (the simulator, `lht-sim`, builds its world by
+//!    the same call);
 //! 2. a local [`ShadowOracle`] — a plain `BTreeMap` whose semantics
 //!    are beyond suspicion.
 //!
@@ -57,10 +60,9 @@ pub mod args;
 mod differ;
 mod oracle;
 mod trace;
+mod world;
 
-pub use differ::{
-    run_soak, run_trace, DiffFailure, IndexKind, SoakOptions, SoakReport, SubstrateKind, Tier,
-    ERASURE_FLAG, QUORUM_FLAG,
-};
+pub use differ::{run_soak, run_trace, DiffFailure, IndexKind, SoakOptions, SoakReport};
 pub use oracle::ShadowOracle;
 pub use trace::{generate, Op, Trace, TraceConfig};
+pub use world::{Mutant, Stored, SubstrateKind, Tier, World, WorldSpec, ERASURE_FLAG, QUORUM_FLAG};

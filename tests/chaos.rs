@@ -34,75 +34,36 @@ enum Faults {
     LossAndChurn,
 }
 
-/// Runs one cell of the matrix and applies the assertions every cell
-/// shares: the soak completes, answers never diverge from the oracle
-/// (`run_soak` returning `Ok` is exactly that claim), and when loss
-/// is injected the fault layer really fired — a cell that saw zero
-/// drops would be vacuous.
-fn soak_cell(substrate: SubstrateKind, index: IndexKind, faults: Faults, seed: u64) -> SoakReport {
-    soak_cell_sized(substrate, index, faults, seed, OPS, 4)
-}
+/// The sizes and layers of a cell unless it overrides them: `OPS`
+/// operations at θ = 4, audited every 500 ops, no cache, no tier.
+/// [`soak_cell`] sets the rest.
+const CELL: SoakOptions = SoakOptions {
+    seed: 0,
+    ops: OPS,
+    theta: 4,
+    substrate: SubstrateKind::Direct,
+    index: IndexKind::Lht,
+    audit_every: 500,
+    churn: false,
+    net: None,
+    maintenance_loss: 0.0,
+    route_cache: None,
+    inject_loss_at: None,
+    tier: None,
+};
 
-fn soak_cell_sized(
+/// Runs one cell of the matrix — `index` over `substrate` under
+/// `faults`, seeded by `seed`, with `cell`'s sizes and layers — and
+/// applies the assertions every cell shares: the soak completes,
+/// answers never diverge from the oracle (`run_soak` returning `Ok`
+/// is exactly that claim), and when loss is injected the fault layer
+/// really fired — a cell that saw zero drops would be vacuous.
+fn soak_cell(
     substrate: SubstrateKind,
     index: IndexKind,
     faults: Faults,
     seed: u64,
-    ops: usize,
-    theta: usize,
-) -> SoakReport {
-    soak_cell_opts(substrate, index, faults, seed, ops, theta, None, None)
-}
-
-/// A chaos cell with the location cache live: the production stack
-/// `CachedDht<RetriedDht<FaultyDht<ChordDht>>>` under the same
-/// faults, still required to never diverge — and required to have
-/// actually exercised the cache (a cell with zero probe hits would
-/// prove nothing).
-fn cached_cell(index: IndexKind, faults: Faults, seed: u64) -> SoakReport {
-    let report = soak_cell_opts(CHORD, index, faults, seed, OPS, 4, Some(256), None);
-    assert!(
-        report.cache_hits > 0,
-        "cached cell never hit the location cache — cache inert"
-    );
-    report
-}
-
-#[allow(clippy::too_many_arguments)]
-fn soak_cell_opts(
-    substrate: SubstrateKind,
-    index: IndexKind,
-    faults: Faults,
-    seed: u64,
-    ops: usize,
-    theta: usize,
-    route_cache: Option<usize>,
-    quorum: Option<(usize, usize, usize)>,
-) -> SoakReport {
-    soak_cell_full(
-        substrate,
-        index,
-        faults,
-        seed,
-        ops,
-        theta,
-        route_cache,
-        quorum,
-        None,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn soak_cell_full(
-    substrate: SubstrateKind,
-    index: IndexKind,
-    faults: Faults,
-    seed: u64,
-    ops: usize,
-    theta: usize,
-    route_cache: Option<usize>,
-    quorum: Option<(usize, usize, usize)>,
-    erasure: Option<(usize, usize)>,
+    cell: SoakOptions,
 ) -> SoakReport {
     let (net, churn) = match faults {
         Faults::LossOnly => (Some(NetProfile::lossy(seed ^ 0xbad, DROP)), false),
@@ -115,21 +76,15 @@ fn soak_cell_full(
     };
     let opts = SoakOptions {
         seed,
-        ops,
-        theta,
         substrate,
         index,
-        audit_every: 500,
         churn,
         net,
         maintenance_loss,
-        route_cache,
-        tier: quorum
-            .map(|(n, r, w)| Tier::Quorum(QuorumConfig::new(n, r, w)))
-            .or(erasure.map(|(k, m)| Tier::Erasure(ErasureConfig::new(k, m)))),
-        ..SoakOptions::default()
+        ..cell
     };
     let report = run_soak(&opts).unwrap_or_else(|f| panic!("{f}"));
+    let ops = opts.ops;
     assert!(
         report.applied >= ops,
         "soak stopped early: {} of {ops} ops",
@@ -151,6 +106,24 @@ fn soak_cell_full(
     report
 }
 
+/// A chaos cell with the location cache live: the production stack
+/// `CachedDht<RetriedDht<FaultyDht<ChordDht>>>` under the same
+/// faults, still required to never diverge — and required to have
+/// actually exercised the cache (a cell with zero probe hits would
+/// prove nothing).
+fn cached_cell(index: IndexKind, faults: Faults, seed: u64) -> SoakReport {
+    let cached = SoakOptions {
+        route_cache: Some(256),
+        ..CELL
+    };
+    let report = soak_cell(CHORD, index, faults, seed, cached);
+    assert!(
+        report.cache_hits > 0,
+        "cached cell never hit the location cache — cache inert"
+    );
+    report
+}
+
 // ---- DirectDht (churn ops are no-ops on the one-hop oracle, so its
 // ---- churn cells degrade to clean soaks — kept for matrix symmetry).
 
@@ -161,6 +134,7 @@ fn direct_loss_lht() {
         IndexKind::Lht,
         Faults::LossOnly,
         0xc0,
+        CELL,
     );
 }
 
@@ -171,6 +145,7 @@ fn direct_loss_pht() {
         IndexKind::Pht,
         Faults::LossOnly,
         0xc1,
+        CELL,
     );
 }
 
@@ -181,6 +156,7 @@ fn direct_churn_lht() {
         IndexKind::Lht,
         Faults::ChurnOnly,
         0xc2,
+        CELL,
     );
 }
 
@@ -191,6 +167,7 @@ fn direct_churn_pht() {
         IndexKind::Pht,
         Faults::ChurnOnly,
         0xc3,
+        CELL,
     );
 }
 
@@ -201,6 +178,7 @@ fn direct_loss_and_churn_lht() {
         IndexKind::Lht,
         Faults::LossAndChurn,
         0xc4,
+        CELL,
     );
 }
 
@@ -211,6 +189,7 @@ fn direct_loss_and_churn_pht() {
         IndexKind::Pht,
         Faults::LossAndChurn,
         0xc5,
+        CELL,
     );
 }
 
@@ -220,32 +199,32 @@ fn direct_loss_and_churn_pht() {
 
 #[test]
 fn chord_loss_lht() {
-    soak_cell(CHORD, IndexKind::Lht, Faults::LossOnly, 0xd0);
+    soak_cell(CHORD, IndexKind::Lht, Faults::LossOnly, 0xd0, CELL);
 }
 
 #[test]
 fn chord_loss_pht() {
-    soak_cell(CHORD, IndexKind::Pht, Faults::LossOnly, 0xd1);
+    soak_cell(CHORD, IndexKind::Pht, Faults::LossOnly, 0xd1, CELL);
 }
 
 #[test]
 fn chord_churn_lht() {
-    soak_cell(CHORD, IndexKind::Lht, Faults::ChurnOnly, 0xd2);
+    soak_cell(CHORD, IndexKind::Lht, Faults::ChurnOnly, 0xd2, CELL);
 }
 
 #[test]
 fn chord_churn_pht() {
-    soak_cell(CHORD, IndexKind::Pht, Faults::ChurnOnly, 0xd3);
+    soak_cell(CHORD, IndexKind::Pht, Faults::ChurnOnly, 0xd3, CELL);
 }
 
 #[test]
 fn chord_loss_and_churn_lht() {
-    soak_cell(CHORD, IndexKind::Lht, Faults::LossAndChurn, 0xd4);
+    soak_cell(CHORD, IndexKind::Lht, Faults::LossAndChurn, 0xd4, CELL);
 }
 
 #[test]
 fn chord_loss_and_churn_pht() {
-    soak_cell(CHORD, IndexKind::Pht, Faults::LossAndChurn, 0xd5);
+    soak_cell(CHORD, IndexKind::Pht, Faults::LossAndChurn, 0xd5, CELL);
 }
 
 // ---- Cached-stack cells: the location cache rides on top of the
@@ -285,7 +264,12 @@ fn chord_cached_loss_and_churn_pht() {
 
 fn baseline_cell(substrate: SubstrateKind, index: IndexKind, faults: Faults, seed: u64) {
     let theta = if index == IndexKind::Rst { 8 } else { 4 };
-    soak_cell_sized(substrate, index, faults, seed, BASELINE_OPS, theta);
+    let sized = SoakOptions {
+        ops: BASELINE_OPS,
+        theta,
+        ..CELL
+    };
+    soak_cell(substrate, index, faults, seed, sized);
 }
 
 #[test]
@@ -350,16 +334,14 @@ fn chord_loss_and_churn_rst() {
 /// availability ≥ baseline. Under churn the quorum layer must also
 /// prove its repair machinery ran (`repair_transfers > 0`).
 fn quorum_cell(n: usize, r: usize, w: usize, faults: Faults, seed: u64) -> SoakReport {
-    let baseline = soak_cell(CHORD, IndexKind::Lht, faults, seed);
-    let report = soak_cell_opts(
+    let baseline = soak_cell(CHORD, IndexKind::Lht, faults, seed, CELL);
+    let tier = Some(Tier::Quorum(QuorumConfig::new(n, r, w)));
+    let report = soak_cell(
         CHORD,
         IndexKind::Lht,
         faults,
         seed,
-        OPS,
-        4,
-        None,
-        Some((n, r, w)),
+        SoakOptions { tier, ..CELL },
     );
     assert!(
         report.first_attempt_failures <= baseline.first_attempt_failures,
@@ -429,17 +411,14 @@ fn chord_quorum_n3r2w2_loss_and_churn() {
 /// same trace, same fault profile) and holds the coded stack to
 /// availability ≥ baseline plus live repair accounting under churn.
 fn erasure_cell(k: usize, m: usize, faults: Faults, seed: u64) -> SoakReport {
-    let baseline = soak_cell(CHORD, IndexKind::Lht, faults, seed);
-    let report = soak_cell_full(
+    let baseline = soak_cell(CHORD, IndexKind::Lht, faults, seed, CELL);
+    let tier = Some(Tier::Erasure(ErasureConfig::new(k, m)));
+    let report = soak_cell(
         CHORD,
         IndexKind::Lht,
         faults,
         seed,
-        OPS,
-        4,
-        None,
-        None,
-        Some((k, m)),
+        SoakOptions { tier, ..CELL },
     );
     assert!(
         report.first_attempt_failures <= baseline.first_attempt_failures,
@@ -499,7 +478,7 @@ fn chord_erasure_k4m6_loss_and_churn() {
 /// report's fault counters prove the loss was real and absorbed.
 #[test]
 fn chord_ten_percent_drop_soak_is_clean() {
-    let report = soak_cell(CHORD, IndexKind::Lht, Faults::LossOnly, 2008);
+    let report = soak_cell(CHORD, IndexKind::Lht, Faults::LossOnly, 2008, CELL);
     assert!(
         report.drops + report.timeouts > 100,
         "a 5k-op soak at 10% loss should lose hundreds of attempts, saw {}",

@@ -46,10 +46,11 @@ proptest! {
             audit_every: (ops / 10).max(1),
             churn,
             net: lossy.then(|| NetProfile::lossy(net_seed, drop_prob)),
-            maintenance_loss: if lossy_maintenance { maintenance_loss } else { 0.0 },
-            // `from_args` refuses a cache under DST or RST and a tier
-            // under any index but LHT.
-            route_cache: (cache.0 && matches!(index, IndexKind::Lht | IndexKind::Pht)).then_some(cache.1),
+            // `from_args` refuses a cache or maintenance loss under
+            // Direct, a cache under DST or RST and a tier under any
+            // index but LHT.
+            maintenance_loss: if lossy_maintenance && chord { maintenance_loss } else { 0.0 },
+            route_cache: (cache.0 && chord && matches!(index, IndexKind::Lht | IndexKind::Pht)).then_some(cache.1),
             tier: match tier {
                 1 if index == IndexKind::Lht => Some(Tier::Quorum(QuorumConfig::new(nodes.min(5), nodes.min(5) / 2 + 1, nodes.min(5) / 2 + 1))),
                 2 if index == IndexKind::Lht => Some(Tier::Erasure(ErasureConfig::new(replicas + 1, replicas + 2 + nodes % 16))),

@@ -105,7 +105,8 @@ fn fields(r: &SoakReport) -> [u64; 14] {
 /// LHT over every tier × net × cache, PHT plain over net × cache, the
 /// DST/RST baselines over net on both substrates, and each tier's full
 /// tower once more with 15 % of maintenance RPCs lost (the cells whose
-/// audits and repair passes lean on the tier's own maintenance).
+/// audits and repair passes lean on the tier's own maintenance), and
+/// each tier over Direct with and without the net.
 fn soak_cells() -> Vec<Cell> {
     let mut cells = Vec::new();
     for tier in [Tier::Plain, Tier::Quorum, Tier::Erasure] {
@@ -129,6 +130,18 @@ fn soak_cells() -> Vec<Cell> {
     }
     for tier in [Tier::Plain, Tier::Quorum, Tier::Erasure] {
         cells.push((IndexKind::Lht, CHORD, tier, true, true, true));
+    }
+    for tier in [Tier::Quorum, Tier::Erasure] {
+        for lossy in [false, true] {
+            cells.push((
+                IndexKind::Lht,
+                SubstrateKind::Direct,
+                tier,
+                lossy,
+                false,
+                false,
+            ));
+        }
     }
     cells
 }
@@ -163,6 +176,12 @@ const SOAK_GOLDEN: &[[u64; 14]] = &[
     [2001, 1199, 727, 54, 11, 312, 1257, 117, 1374, 8504, 57, 0, 0, 0], // lht chord plain +net +cache +mloss
     [2001, 1199, 727, 54, 11, 312, 1247, 117, 1364, 0, 0, 0, 1286, 2876], // lht chord quorum +net +cache +mloss
     [2001, 1199, 727, 54, 11, 312, 1247, 117, 1364, 0, 0, 0, 2372, 4968], // lht chord erasure +net +cache +mloss
+    // Appended once tiers were built over Direct too; before, a Direct
+    // soak ignored its tier and these read no repair transfers.
+    [2001, 1199, 727, 0, 11, 312, 0, 0, 0, 0, 0, 0, 1284, 1284], // lht direct quorum
+    [2001, 1199, 727, 0, 11, 312, 1247, 117, 1364, 0, 0, 0, 1286, 1286], // lht direct quorum +net
+    [2001, 1199, 727, 0, 11, 312, 0, 0, 0, 0, 0, 0, 1421, 1421], // lht direct erasure
+    [2001, 1199, 727, 0, 11, 312, 1247, 117, 1364, 0, 0, 0, 1424, 1424], // lht direct erasure +net
 ];
 
 #[test]
