@@ -20,6 +20,21 @@ use lht::harness::{run_soak, SoakOptions, SoakReport, SubstrateKind};
 use crate::cli::bad_usage;
 use crate::Table;
 
+const COLUMNS: &[&str] = &[
+    "substrate",
+    "ops",
+    "mutations",
+    "queries",
+    "churn",
+    "audits",
+    "records",
+    "drops",
+    "retries",
+    "first_fails",
+    "repairs",
+    "verdict",
+];
+
 /// `lht-exp audit-soak`: soaks each selected substrate and prints one
 /// verdict row per soak; exits 1 if any soak diverged, printing the
 /// failing op and its one-line replay command.
@@ -35,18 +50,7 @@ pub(crate) fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
             first.theta,
             p.prob("--drop")
         ),
-        &[
-            "substrate",
-            "ops",
-            "mutations",
-            "queries",
-            "churn",
-            "audits",
-            "records",
-            "drops",
-            "retries",
-            "verdict",
-        ],
+        COLUMNS,
     );
     let mut failed = false;
     for opts in soaks {
@@ -60,18 +64,12 @@ pub(crate) fn cmd(p: &Parsed, out: &mut dyn Write) -> io::Result<i32> {
             Err(failure) => {
                 failed = true;
                 eprintln!("{failure}");
-                t.push_row(vec![
-                    substrate.to_string(),
-                    failure.op_index.to_string(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "FAILED".into(),
-                ]);
+                // The failing op's index in the ops column, dashes in
+                // every counter, the verdict last.
+                let mut row = vec![substrate.to_string(), failure.op_index.to_string()];
+                row.resize(COLUMNS.len() - 1, "-".into());
+                row.push("FAILED".into());
+                t.push_row(row);
             }
         }
     }
@@ -90,6 +88,8 @@ fn push_report(t: &mut Table, substrate: SubstrateKind, r: &SoakReport) {
         r.final_records.to_string(),
         (r.drops + r.timeouts).to_string(),
         r.retries.to_string(),
+        r.first_attempt_failures.to_string(),
+        r.repair_transfers.to_string(),
         "ok".into(),
     ]);
 }

@@ -60,7 +60,7 @@ where
     ) -> Result<BulkLoadOutcome, LhtError> {
         // Fresh-index check: the root bucket must be the sole, empty
         // leaf (1 DHT-get).
-        let root_key = self.named_key(&Label::virtual_root());
+        let root_key = Label::virtual_root().dht_key();
         match self.dht().get(&root_key)? {
             Some(b) if b.label() == Label::root() && b.is_empty() => {}
             Some(_) | None => {
@@ -93,7 +93,7 @@ where
             .map(|(label, len)| {
                 let records = sorted.by_ref().take(len).collect();
                 let bucket = LeafBucket::from_sorted(label, records);
-                (self.named_key(&name(&label)), bucket)
+                (name(&label).dht_key(), bucket)
             })
             .collect();
         let leaves = entries.len() as u64;

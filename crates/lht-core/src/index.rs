@@ -2,12 +2,10 @@
 
 use parking_lot::Mutex;
 
-use lht_dht::{Dht, DhtError, DhtKey};
+use lht_dht::{Dht, DhtError};
 use lht_id::KeyFraction;
 
-use crate::naming::{
-    left_neighbor, name, next_name, right_neighbor, NamingCache, NamingCacheStats,
-};
+use crate::naming::{left_neighbor, name, next_name, right_neighbor, NamingCacheStats};
 use crate::{IndexStats, Label, LeafBucket, LhtConfig, LhtError, OpCost};
 
 /// The result of an LHT lookup (Algorithm 2): the covering leaf
@@ -89,7 +87,6 @@ where
     dht: D,
     cfg: LhtConfig,
     stats: Mutex<IndexStats>,
-    names: NamingCache,
     /// Torn-split fault injection: when `Some(n)`, the `n`-th
     /// subsequent split "forgets" the DHT-put of its remote half —
     /// the seeded bug re-introduction the simulation checker must
@@ -114,11 +111,10 @@ where
             dht,
             cfg,
             stats: Mutex::new(IndexStats::default()),
-            names: NamingCache::new(NAMING_CACHE_CAPACITY),
             torn_split: Mutex::new(None),
         };
         // Bootstrap: a brand-new LHT is the single leaf #0, named #.
-        let root_key = index.named_key(&Label::virtual_root());
+        let root_key = Label::virtual_root().dht_key();
         index.dht.update(&root_key, &mut |slot| {
             if slot.is_none() {
                 *slot = Some(LeafBucket::new(Label::root()));
@@ -148,19 +144,14 @@ where
         *self.stats.lock() = IndexStats::default();
     }
 
-    /// Resolves a label to its DHT key through the handle's shared
-    /// naming cache: the SHA-1 of each distinct label string is
-    /// computed at most once per index handle (until evicted), so hot
-    /// labels — the root, the binary-search pivots, range frontiers —
-    /// cost a map probe instead of a digest.
-    pub(crate) fn named_key(&self, label: &Label) -> DhtKey {
-        self.names.resolve(label)
-    }
-
-    /// Statistics of the label → DHT-key naming cache (hits, misses,
-    /// evictions, occupancy).
+    /// Naming-cache statistics: always [`NamingCacheStats::default()`].
+    /// The index resolves every label with [`Label::dht_key`] and
+    /// keeps no naming cache (a key's ring digest is memoized by the
+    /// [`DhtKey`](lht_dht::DhtKey) itself, on whichever layer routes
+    /// it), so there is nothing to count; the method stays for callers
+    /// that report the counters, whose `hit_rate()` reads 0.0.
     pub fn naming_cache_stats(&self) -> NamingCacheStats {
-        self.names.stats()
+        NamingCacheStats::default()
     }
 
     /// Arms the torn-split fault injection: the `nth` split (1-based,
@@ -220,7 +211,7 @@ where
             let x = mu.prefix(mid);
             let nm = name(&x);
             gets += 1;
-            match self.dht.get(&self.named_key(&nm))? {
+            match self.dht.get(&nm.dht_key())? {
                 None => {
                     // Failed get: the tree is shallower here. Every
                     // prefix strictly between f_n(x) and x shares the
@@ -314,7 +305,7 @@ where
 
             let mut split_put: Option<(Label, LeafBucket<V>, u64)> = None;
             let mut stale = false;
-            self.dht.update(&self.named_key(&hit.name), &mut |slot| {
+            self.dht.update(&hit.name.dht_key(), &mut |slot| {
                 // The bucket may have been split (relabeled) or merged
                 // away by another client since our lookup.
                 let Some(bucket) = slot.as_mut() else {
@@ -360,7 +351,7 @@ where
                 // rather than strand the remote half's records.
                 // An armed torn-split mutant skips exactly this put,
                 // stranding the remote half (fault injection only).
-                let remote_key = self.named_key(&remote_label);
+                let remote_key = remote_label.dht_key();
                 if !self.torn_split_fires() {
                     retry_transient(|| self.dht.put(&remote_key, remote.clone()))?;
                 }
@@ -413,16 +404,14 @@ where
             let mut removed: Option<V> = None;
             let mut post: Option<LeafBucket<V>> = None;
             let mut stale = false;
-            self.dht.update(
-                &self.named_key(&hit.name),
-                &mut |slot| match slot.as_mut() {
+            self.dht
+                .update(&hit.name.dht_key(), &mut |slot| match slot.as_mut() {
                     Some(bucket) if bucket.covers(key) => {
                         removed = bucket.remove(key);
                         post = Some(bucket.clone());
                     }
                     Some(_) | None => stale = true,
-                },
-            )?;
+                })?;
             cost += OpCost::sequential(1);
             if stale {
                 std::thread::yield_now();
@@ -476,7 +465,7 @@ where
         // would be stored under f_n(sibling). 1 DHT-get.
         let probe_name = name(&sibling_label);
         let mut lookups = 1u64;
-        let Some(sibling) = self.dht.get(&self.named_key(&probe_name))? else {
+        let Some(sibling) = self.dht.get(&probe_name.dht_key())? else {
             return Ok((false, OpCost::sequential(lookups)));
         };
         if sibling.label() != sibling_label {
@@ -509,7 +498,7 @@ where
         // snapshot would drop records concurrently inserted into the
         // mover). A concurrent structural change means the entry is
         // gone or relabeled: abort (and restore if relabeled).
-        let parent_key = self.named_key(&parent);
+        let parent_key = parent.dht_key();
         let taken = self.dht.remove(&parent_key)?;
         lookups += 1;
         let moving = match taken {
@@ -532,7 +521,7 @@ where
         // Phase 1 already removed the mover, so phase 2 (and any
         // restore) must ride out transient delivery failures — giving
         // up here would lose the mover's records.
-        let keep_key = self.named_key(&keep_name);
+        let keep_key = keep_name.dht_key();
         retry_transient(|| {
             self.dht.update(&keep_key, &mut |slot| {
                 if let Some(kept) = slot.as_mut() {
@@ -593,14 +582,14 @@ where
         };
         let mut lookups = 1u64;
         let mut steps = 1u64;
-        let mut bucket = match self.dht.get(&self.named_key(&first_name))? {
+        let mut bucket = match self.dht.get(&first_name.dht_key())? {
             Some(b) => b,
             None if !smallest => {
                 // Single-leaf tree: the only bucket lives at #.
                 lookups += 1;
                 steps += 1;
                 self.dht
-                    .get(&self.named_key(&Label::virtual_root()))?
+                    .get(&Label::virtual_root().dht_key())?
                     .ok_or_else(|| LhtError::MissingBucket {
                         key: "#".to_string(),
                     })?
@@ -649,7 +638,7 @@ where
             // candidates speculatively in one batched round.
             lookups += 2;
             steps += 1;
-            let keys = [self.named_key(&beta), self.named_key(&name(&beta))];
+            let keys = [beta.dht_key(), name(&beta).dht_key()];
             self.dht.prewarm(&keys);
             let mut got = self.dht.multi_get(&keys);
             let at_fallback = got.pop().expect("two results for two keys")?;
@@ -663,13 +652,6 @@ where
         }
     }
 }
-
-/// Capacity of the per-handle label → DHT-key naming cache. Sized for
-/// the working set of a deep tree walk: a depth-20 index has at most
-/// ~20 hot spine labels per active query plus the binary-search
-/// pivots, so 4096 distinct labels covers many concurrent access
-/// patterns while bounding memory to a few hundred KiB.
-const NAMING_CACHE_CAPACITY: usize = 4096;
 
 /// Retry budget for mutating operations racing concurrent structural
 /// changes (see [`LhtIndex::insert`]'s concurrency note). Generous:
@@ -715,7 +697,7 @@ mod tests {
     use std::cell::RefCell;
 
     use super::*;
-    use lht_dht::{DhtStats, DirectDht};
+    use lht_dht::{DhtKey, DhtStats, DirectDht};
 
     type Ix<'a> = LhtIndex<&'a DirectDht<LeafBucket<u32>>, u32>;
 

@@ -15,10 +15,11 @@
 //!   right/left *branch node*, letting a leaf bucket walk its local
 //!   tree during range queries with zero extra state.
 //!
-//! The module also hosts the [`NamingCache`]: an LRU memo of
-//! `Label → DhtKey` resolutions shared by an index's lookup binary
-//! search and range expansion, so the SHA-1 placement hash behind a
-//! label is computed once per label rather than once per probe.
+//! The index resolves a label to its DHT key with [`Label::dht_key`]
+//! on every probe: rendering is pure local work, and the key's ring
+//! digest is computed lazily, once, by whichever layer routes it. The
+//! module also hosts the [`NamingCache`], a standalone LRU memo of
+//! `Label → DhtKey` resolutions that no index uses.
 
 use crate::Label;
 use lht_dht::{DhtKey, Lru};
@@ -209,17 +210,16 @@ struct CacheInner {
     evictions: u64,
 }
 
-/// An LRU-memoized `Label → DhtKey` resolver.
+/// An LRU-memoized `Label → DhtKey` resolver — a standalone type that
+/// no index uses.
 ///
-/// Every DHT probe an index issues starts by rendering a tree label
-/// into its textual DHT key and hashing that key onto the ring —
-/// a SHA-1 pass per probe. But the label working set is tiny and
-/// wildly re-used: a lookup's binary search re-probes prefixes of
-/// earlier search strings, range expansion re-visits sibling names,
-/// and every retry re-resolves the same label. The cache memoizes the
-/// rendered key *with its ring digest already computed* (an eagerly
-/// warmed [`DhtKey`] clone carries the digest along), so SHA-1 runs
-/// once per distinct label per index instead of once per probe.
+/// It memoizes the rendered key *with its ring digest already
+/// computed* (an eagerly warmed [`DhtKey`] clone carries the digest
+/// along), so SHA-1 runs once per distinct label held. `LhtIndex`
+/// resolves with [`Label::dht_key`] instead: on the `sha-ni` SHA-1
+/// backend a hit here costs about half of hashing a label and a miss
+/// two to three times as much, so at the index's hit rates the memo
+/// cost more than it saved (DESIGN.md §3.7).
 ///
 /// Resolution is O(1) — one table probe and a relink in the [`Lru`]
 /// list the route cache uses too; eviction is strict LRU. The cache

@@ -78,12 +78,10 @@ where
                 });
             }
             // Both candidate names (β; f_n(β) if β is itself a leaf)
-            // come from the handle's naming cache — the walk revisits
-            // spine labels, so the SHA-1 work is paid once — and are
-            // prewarmed so a location-cache layer below has both
+            // are prewarmed so a location-cache layer below has both
             // resident before the lookups fire.
-            let beta_key = self.named_key(&beta);
-            let fallback_key = self.named_key(&name(&beta));
+            let beta_key = beta.dht_key();
+            let fallback_key = name(&beta).dht_key();
             self.dht()
                 .prewarm(&[beta_key.clone(), fallback_key.clone()]);
             lookups += 1;

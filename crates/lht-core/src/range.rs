@@ -101,7 +101,7 @@ where
         // Alg. 4 line 2: DHT-lookup(f_n(LCA)).
         cost.dht_lookups += 1;
         cost.steps = 1;
-        match self.dht().get(&self.named_key(&name(&lca)))? {
+        match self.dht().get(&name(&lca).dht_key())? {
             None => {
                 // Case 1: the whole range lies in one leaf; fall back
                 // to an exact-match-style lookup of the lower bound
@@ -149,10 +149,7 @@ where
         while let Some((step, tasks)) = frontier.pop_first() {
             cost.dht_lookups += tasks.len() as u64;
             cost.steps = cost.steps.max(step);
-            let keys: Vec<DhtKey> = tasks
-                .iter()
-                .map(|task| self.named_key(&task.target))
-                .collect();
+            let keys: Vec<DhtKey> = tasks.iter().map(|task| task.target.dht_key()).collect();
             // Prime per-key state (ring digests, location-cache
             // recency) below before the round fires — the prewarm
             // hook never routes.

@@ -56,7 +56,8 @@
 //! two keys with one digest have one owner and a digest-keyed hint is
 //! exactly as right as a bytes-keyed one — and the entry becomes a
 //! small `Copy` record. Recency is [`Lru`]'s linked slab (`lru.rs`),
-//! the list the naming cache in `lht-core` keeps its labels in too.
+//! the list `lht-core`'s standalone `NamingCache` keeps its labels in
+//! too.
 
 use parking_lot::Mutex;
 

@@ -6,7 +6,9 @@
 //! log/antilog tables built at compile time — no runtime
 //! initialization, no heap, and the brute-force table construction is
 //! itself the reference the property suite checks the operators
-//! against.
+//! against. The shard kernel (`mul_acc`) reads a full 256 × 256
+//! product table instead, also built at compile time from the log
+//! tables: one lookup per byte rather than three.
 //!
 //! [`ReedSolomon`] builds the classic *systematic Vandermonde* code:
 //! an `m × k` Vandermonde matrix over distinct field points is
@@ -42,6 +44,27 @@ const fn build_tables() -> ([u8; 512], [u8; 256]) {
         i += 1;
     }
     (exp, log)
+}
+
+/// Every product `a · b` at `PRODUCTS[a][b]` (64 KiB): a
+/// matrix–shard product multiplies a whole shard by one coefficient,
+/// so [`mul_acc`] indexes that coefficient's row once per byte instead
+/// of two log lookups and an antilog lookup.
+static PRODUCTS: [[u8; 256]; 256] = build_products();
+
+const fn build_products() -> [[u8; 256]; 256] {
+    let (exp, log) = (&TABLES.0, &TABLES.1);
+    let mut products = [[0u8; 256]; 256];
+    let mut a = 1;
+    while a < 256 {
+        let mut b = 1;
+        while b < 256 {
+            products[a][b] = exp[log[a] as usize + log[b] as usize];
+            b += 1;
+        }
+        a += 1;
+    }
+    products
 }
 
 /// Field addition (= subtraction): carry-less, just XOR.
@@ -100,8 +123,9 @@ fn mul_acc(out: &mut [u8], coef: u8, src: &[u8]) {
     if coef == 0 {
         return;
     }
+    let row = &PRODUCTS[coef as usize];
     for (out, byte) in out.iter_mut().zip(src) {
-        *out ^= mul(coef, *byte);
+        *out ^= row[*byte as usize];
     }
 }
 
@@ -350,6 +374,20 @@ mod tests {
         for a in 0..=255u8 {
             for b in 0..=255u8 {
                 assert_eq!(mul(a, b), slow_mul(a, b), "{a} * {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn mul_acc_matches_mul_for_every_product() {
+        // All 65,536 products through the shard kernel's table: row
+        // `coef` applied to every byte value, starting from zero.
+        let every_byte: Vec<u8> = (0..=255u8).collect();
+        for coef in 0..=255u8 {
+            let mut out = vec![0u8; 256];
+            mul_acc(&mut out, coef, &every_byte);
+            for (b, got) in every_byte.iter().zip(&out) {
+                assert_eq!(*got, mul(coef, *b), "{coef} * {b}");
             }
         }
     }

@@ -1,6 +1,6 @@
-//! Strict-LRU recency over a map — the one list both client-side
-//! caches keep: the route cache ([`CachedDht`](crate::CachedDht)) and
-//! `lht-core`'s naming cache.
+//! Strict-LRU recency over a map — the one list both caches keep: the
+//! route cache ([`CachedDht`](crate::CachedDht)) and `lht-core`'s
+//! standalone `NamingCache`, which no index uses.
 
 use std::collections::HashMap;
 use std::hash::Hash;

@@ -28,8 +28,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// choke point ([`compress`]): each of its callers tallies blocks via
 /// [`record_compressions`], batched once per call rather than once per
 /// block so the hot loop carries no atomic traffic. Benchmarks diff
-/// [`sha1_compressions`] around a workload to measure how many
-/// compressions a cache (e.g. the naming cache in `lht-core`) avoids.
+/// [`sha1_compressions`] around a workload to count the compressions
+/// it spends per operation.
 static COMPRESSIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Tallies `n` compression-function invocations.
