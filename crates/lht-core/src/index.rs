@@ -842,6 +842,85 @@ mod tests {
         assert_eq!(ix.max().unwrap().value, Some((kf(0.42), 7)));
     }
 
+    /// The key that sits where `k` does with the key space flipped end
+    /// for end: every leaf interval maps onto its mirror image.
+    fn mirror(k: KeyFraction) -> KeyFraction {
+        KeyFraction::from_bits(!k.bits())
+    }
+
+    /// A θ = 4 tree whose lower half combs in towards 1/2 (one record
+    /// at 0.1, then 0.25, 0.375, 0.4375, … each alone in its leaf) and
+    /// whose upper half is its mirror image; then the three lowest
+    /// records and their mirrors are removed. Each emptied leaf's
+    /// sibling is an internal node, so no removal can merge it away.
+    fn index_with_empty_outer_leaves(dht: &DirectDht<LeafBucket<u32>>) -> Ix<'_> {
+        let ix = new_index(dht, 4);
+        let lower: Vec<KeyFraction> = std::iter::once(kf(0.1))
+            .chain((2..12).map(|j| kf(0.5 - 0.5f64.powi(j))))
+            .collect();
+        for (i, &k) in lower.iter().enumerate() {
+            ix.insert(k, i as u32).unwrap();
+            ix.insert(mirror(k), 100 + i as u32).unwrap();
+        }
+        for &k in &lower[..3] {
+            assert!(ix.remove(k).unwrap().value.is_some());
+            assert!(ix.remove(mirror(k)).unwrap().value.is_some());
+        }
+        assert_eq!(ix.stats().merges, 0, "the emptied leaves stay leaves");
+        ix
+    }
+
+    /// Every leaf's record count, left to right, read off the
+    /// substrate without a DHT operation.
+    fn leaf_sizes(dht: &DirectDht<LeafBucket<u32>>) -> Vec<usize> {
+        let mut leaves: Vec<(u128, usize)> = dht
+            .keys()
+            .iter()
+            .map(|key| {
+                dht.peek(key, |b| {
+                    let b = b.expect("listed key holds a bucket");
+                    (b.interval().lo_raw(), b.len())
+                })
+            })
+            .collect();
+        leaves.sort_unstable();
+        leaves.into_iter().map(|(_, len)| len).collect()
+    }
+
+    #[test]
+    fn min_walks_empty_leaves_at_one_two_name_round_each() {
+        let dht = DirectDht::new();
+        let ix = index_with_empty_outer_leaves(&dht);
+        let c = leaf_sizes(&dht).iter().take_while(|&&n| n == 0).count() as u64;
+        assert_eq!(c, 3);
+        let min = ix.min().unwrap();
+        assert_eq!(min.value.map(|(k, _)| k), Some(kf(0.4375)));
+        let expected = OpCost {
+            dht_lookups: 1 + 2 * c,
+            steps: 1 + c,
+        };
+        assert_eq!(min.cost, expected);
+    }
+
+    #[test]
+    fn max_walks_empty_leaves_at_one_two_name_round_each() {
+        let dht = DirectDht::new();
+        let ix = index_with_empty_outer_leaves(&dht);
+        let c = leaf_sizes(&dht)
+            .iter()
+            .rev()
+            .take_while(|&&n| n == 0)
+            .count() as u64;
+        assert_eq!(c, 3);
+        let max = ix.max().unwrap();
+        assert_eq!(max.value.map(|(k, _)| k), Some(mirror(kf(0.4375))));
+        let expected = OpCost {
+            dht_lookups: 1 + 2 * c,
+            steps: 1 + c,
+        };
+        assert_eq!(max.cost, expected);
+    }
+
     #[test]
     fn remove_returns_value_and_absence() {
         let dht = DirectDht::new();

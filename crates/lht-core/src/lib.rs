@@ -70,7 +70,6 @@ mod index;
 mod interval;
 mod label;
 pub mod naming;
-mod nav;
 mod range;
 
 pub use bucket::LeafBucket;
