@@ -445,6 +445,23 @@ mod tests {
         let _: ErasureDht<_, u32> = ErasureDht::new(&ring, ErasureConfig { k: 1, m: 3 });
     }
 
+    /// The erasure twin of quorum's
+    /// `second_coordinator_loses_an_acknowledged_put`: one clock per
+    /// handle loses B's acknowledged write. ROADMAP `[one-clock]`
+    /// flips both reads to 100.
+    #[test]
+    fn second_coordinator_loses_an_acknowledged_put() {
+        let ring: DirectDht<Fragment> = DirectDht::new();
+        let a: ErasureDht<_, u32> = ErasureDht::new(&ring, ErasureConfig::new(2, 3));
+        let b: ErasureDht<_, u32> = ErasureDht::new(&ring, ErasureConfig::new(2, 3));
+        for v in 0..=4 {
+            a.put(&key("k"), v).unwrap();
+        }
+        b.put(&key("k"), 100).unwrap();
+        assert_eq!(a.get(&key("k")).unwrap(), Some(4));
+        assert_eq!(b.get(&key("k")).unwrap(), Some(4));
+    }
+
     #[test]
     fn payload_codecs_round_trip() {
         assert_eq!(u32::decode_payload(&7u32.encode_payload()), Some(7));

@@ -322,6 +322,23 @@ mod tests {
         assert_eq!(q.pending_handoffs(), 0, "n = w leaves nothing deferred");
     }
 
+    /// Pins a known defect: two coordinators over one substrate each
+    /// stamp from their own clock, so B's acknowledged write sorts
+    /// below A's older ones and is lost. ROADMAP `[one-clock]` flips
+    /// both reads to 100.
+    #[test]
+    fn second_coordinator_loses_an_acknowledged_put() {
+        let ring: DirectDht<Versioned<u32>> = DirectDht::new();
+        let a = QuorumDht::new(&ring, QuorumConfig::new(3, 2, 2));
+        let b = QuorumDht::new(&ring, QuorumConfig::new(3, 2, 2));
+        for v in 0..=4 {
+            a.put(&key("k"), v).unwrap();
+        }
+        b.put(&key("k"), 100).unwrap();
+        assert_eq!(a.get(&key("k")).unwrap(), Some(4));
+        assert_eq!(b.get(&key("k")).unwrap(), Some(4));
+    }
+
     #[test]
     fn sloppy_read_mutant_surfaces_a_stale_deferred_slot() {
         let ring: DirectDht<Versioned<u32>> = DirectDht::new();

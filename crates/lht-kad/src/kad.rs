@@ -27,15 +27,6 @@ struct Node<V> {
     store: NodeStore<V>,
 }
 
-impl<V> Node<V> {
-    fn new() -> Node<V> {
-        Node {
-            buckets: vec![Vec::new(); U160::BITS as usize],
-            store: NodeStore::default(),
-        }
-    }
-}
-
 struct Net<V> {
     nodes: BTreeMap<U160, Node<V>>,
     stats: DhtStats,
@@ -44,7 +35,9 @@ struct Net<V> {
 
 /// A simulated Kademlia DHT: XOR-metric routing tables of 160
 /// k-buckets per node, iterative lookups with per-probe hop
-/// accounting, k-closest replication and periodic republish.
+/// accounting and k-closest replication over a static membership
+/// that is converged at construction (membership churn is modelled
+/// by [`ChordDht`](lht_dht::ChordDht)).
 ///
 /// Implements the same [`Dht`] trait as the other substrates, so any
 /// over-DHT index runs on it unchanged.
@@ -82,135 +75,45 @@ impl<V> KademliaDht<V> {
     /// Panics if `n == 0`.
     pub fn with_nodes(n: usize, seed: u64) -> KademliaDht<V> {
         assert!(n > 0, "a network needs at least one node");
-        let mut nodes = BTreeMap::new();
-        for i in 0..n {
-            nodes.insert(sha1(format!("kad:{i}").as_bytes()), Node::new());
-        }
-        let mut net = Net {
-            nodes,
-            stats: DhtStats::default(),
-            rng: StdRng::seed_from_u64(seed),
-        };
-        net.rebuild_all_tables();
+        let ids: Vec<U160> = (0..n)
+            .map(|i| sha1(format!("kad:{i}").as_bytes()))
+            .collect();
+        let nodes = ids
+            .iter()
+            .map(|id| {
+                let mut buckets = vec![Vec::new(); U160::BITS as usize];
+                for other in &ids {
+                    let d = *id ^ *other;
+                    if d != U160::ZERO {
+                        buckets[d.leading_zeros() as usize].push(*other);
+                    }
+                }
+                for bucket in &mut buckets {
+                    // Keep the k XOR-closest contacts per bucket.
+                    bucket.sort_by_key(|c| *c ^ *id);
+                    bucket.truncate(K);
+                }
+                let store = NodeStore::default();
+                (*id, Node { buckets, store })
+            })
+            .collect();
         KademliaDht {
-            inner: Mutex::new(net),
+            inner: Mutex::new(Net {
+                nodes,
+                stats: DhtStats::default(),
+                rng: StdRng::seed_from_u64(seed),
+            }),
         }
     }
 
-    /// Number of live nodes.
-    pub fn node_count(&self) -> usize {
-        self.inner.lock().nodes.len()
-    }
-
-    /// Live node identifiers (oracle view; free).
+    /// Node identifiers (oracle view; free).
     pub fn node_ids(&self) -> Vec<U160> {
         self.inner.lock().nodes.keys().copied().collect()
-    }
-
-    /// Adds a node named `name`: it bootstraps its routing table by
-    /// looking itself up through an existing node, and the contacted
-    /// nodes learn about it. Stored data is **not** rebalanced until
-    /// [`republish`](Self::republish) runs (as in real Kademlia,
-    /// where republication is periodic).
-    ///
-    /// Returns the new identifier, or `None` if it already exists.
-    pub fn join(&self, name: &str) -> Option<U160> {
-        let mut inner = self.inner.lock();
-        let id = sha1(name.as_bytes());
-        if inner.nodes.contains_key(&id) {
-            return None;
-        }
-        inner.nodes.insert(id, Node::new());
-        // Self-lookup populates the joiner's table and advertises it
-        // to the nodes it probes (maintenance traffic: not counted in
-        // operation stats).
-        let (_, _) = inner.iterative_find(&id, Some(id));
-        Some(id)
-    }
-
-    /// Crashes the node `id`, losing its stored replicas. Returns
-    /// `false` for unknown ids or the last node.
-    pub fn crash(&self, id: &U160) -> bool {
-        let mut inner = self.inner.lock();
-        if !inner.nodes.contains_key(id) || inner.nodes.len() == 1 {
-            return false;
-        }
-        inner.nodes.remove(id);
-        true
-    }
-}
-
-impl<V: Clone> KademliaDht<V> {
-    /// Re-replicates every stored key onto its current `k` closest
-    /// nodes and prunes replicas that no longer belong — Kademlia's
-    /// periodic republish, modeled as one pass. Transferred keys are
-    /// counted in [`DhtStats::keys_transferred`].
-    pub fn republish(&self) {
-        let mut inner = self.inner.lock();
-        let keys: HashSet<DhtKey> = inner
-            .nodes
-            .values()
-            .flat_map(|n| n.store.keys().cloned())
-            .collect();
-        let mut moved = 0u64;
-        for key in keys {
-            let h = key.hash();
-            let closest = inner.k_closest_oracle(&h);
-            // Fetch the value from any current holder.
-            let value = inner
-                .nodes
-                .values()
-                .find_map(|n| n.store.get(&key))
-                .cloned();
-            let Some(value) = value else { continue };
-            let target: HashSet<U160> = closest.iter().copied().collect();
-            for (nid, node) in inner.nodes.iter_mut() {
-                let has = node.store.contains_key(&key);
-                let should = target.contains(nid);
-                if should && !has {
-                    node.store.insert(key.clone(), value.clone());
-                    moved += 1;
-                } else if !should && has {
-                    node.store.remove(&key);
-                }
-            }
-        }
-        inner.stats.keys_transferred += moved;
-        inner.rebuild_all_tables();
     }
 }
 
 impl<V> Net<V> {
-    fn bucket_index(a: &U160, b: &U160) -> Option<usize> {
-        let d = *a ^ *b;
-        if d == U160::ZERO {
-            None
-        } else {
-            Some(d.leading_zeros() as usize)
-        }
-    }
-
-    /// Rebuilds every node's k-buckets from global membership (the
-    /// converged state a long-running network reaches).
-    fn rebuild_all_tables(&mut self) {
-        let ids: Vec<U160> = self.nodes.keys().copied().collect();
-        for id in &ids {
-            let mut buckets = vec![Vec::new(); U160::BITS as usize];
-            for other in &ids {
-                if let Some(i) = Self::bucket_index(id, other) {
-                    buckets[i].push(*other);
-                }
-            }
-            for bucket in &mut buckets {
-                // Keep the k XOR-closest contacts per bucket.
-                bucket.sort_by_key(|c| *c ^ *id);
-                bucket.truncate(K);
-            }
-            self.nodes.get_mut(id).expect("node exists").buckets = buckets;
-        }
-    }
-
-    /// The true `k` closest live nodes to `h` (placement oracle).
+    /// The true `k` closest nodes to `h` (placement oracle).
     fn k_closest_oracle(&self, h: &U160) -> Vec<U160> {
         let mut ids: Vec<U160> = self.nodes.keys().copied().collect();
         ids.sort_by_key(|id| *id ^ *h);
@@ -220,13 +123,7 @@ impl<V> Net<V> {
 
     /// A node's view: its `k` closest known contacts to `target`.
     fn node_closest(&self, node: &U160, target: &U160) -> Vec<U160> {
-        let mut out: Vec<U160> = self.nodes[node]
-            .buckets
-            .iter()
-            .flatten()
-            .copied()
-            .filter(|c| self.nodes.contains_key(c))
-            .collect();
+        let mut out: Vec<U160> = self.nodes[node].buckets.iter().flatten().copied().collect();
         out.push(*node);
         out.sort_by_key(|c| *c ^ *target);
         out.dedup();
@@ -234,46 +131,33 @@ impl<V> Net<V> {
         out
     }
 
-    /// Iterative FIND_NODE: returns the queried-and-alive nodes
-    /// sorted by distance to `target`, and the hop count (one per
-    /// probe). When `advertise` is set, probed nodes insert that id
-    /// into their buckets (used by joins).
-    fn iterative_find(&mut self, target: &U160, advertise: Option<U160>) -> (Vec<U160>, u64) {
-        let start = self.draw_initiator();
-        self.iterative_find_from(&start, target, advertise)
-    }
-
-    /// Draws a random live node to act as the querying client.
+    /// Draws a random node to act as the querying client. A round
+    /// draws once and shares the initiator across its lookups — one
+    /// client issues the whole round — while each lookup still probes
+    /// (and is charged hops) independently.
     fn draw_initiator(&mut self) -> U160 {
         let ids: Vec<U160> = self.nodes.keys().copied().collect();
-        debug_assert!(!ids.is_empty());
         ids[self.rng.gen_range(0..ids.len())]
     }
 
-    /// [`iterative_find`](Self::iterative_find) from a fixed starting
-    /// node. Batched rounds share one initiator across their lookups
-    /// — one client issues the whole round — while each lookup still
-    /// probes (and is charged hops) independently.
-    fn iterative_find_from(
-        &mut self,
-        start: &U160,
-        target: &U160,
-        advertise: Option<U160>,
-    ) -> (Vec<U160>, u64) {
+    /// Iterative FIND_NODE from `start`: returns the queried nodes
+    /// sorted by distance to `h`, and the hop count (one per probe),
+    /// or [`DhtError::RoutingFailed`] past the hop budget.
+    fn route_from(&self, start: &U160, h: &U160) -> Result<(Vec<U160>, u64), DhtError> {
         let start = *start;
-        let mut shortlist: Vec<U160> = self.node_closest(&start, target);
+        let mut shortlist: Vec<U160> = self.node_closest(&start, h);
         if !shortlist.contains(&start) {
             shortlist.push(start);
         }
         let mut queried: HashSet<U160> = HashSet::new();
         let mut hops = 0u64;
         loop {
-            shortlist.sort_by_key(|c| *c ^ *target);
+            shortlist.sort_by_key(|c| *c ^ *h);
             shortlist.dedup();
             // Probe the α closest unqueried candidates.
             let batch: Vec<U160> = shortlist
                 .iter()
-                .filter(|c| !queried.contains(*c) && self.nodes.contains_key(*c))
+                .filter(|c| !queried.contains(*c))
                 .take(ALPHA)
                 .copied()
                 .collect();
@@ -283,73 +167,34 @@ impl<V> Net<V> {
             for probe in batch {
                 hops += 1;
                 if hops > MAX_HOPS {
-                    break;
+                    return Err(DhtError::RoutingFailed { hops });
                 }
                 queried.insert(probe);
-                let learned = self.node_closest(&probe, target);
-                shortlist.extend(learned);
-                if let Some(adv) = advertise {
-                    if adv != probe {
-                        if let Some(i) = Self::bucket_index(&probe, &adv) {
-                            let bucket =
-                                &mut self.nodes.get_mut(&probe).expect("probed alive").buckets[i];
-                            if !bucket.contains(&adv) {
-                                bucket.insert(0, adv);
-                                bucket.truncate(K);
-                            }
-                        }
-                    }
-                }
-            }
-            if hops > MAX_HOPS {
-                break;
+                shortlist.extend(self.node_closest(&probe, h));
             }
             // Termination: the k closest candidates have all been
             // queried.
-            shortlist.sort_by_key(|c| *c ^ *target);
+            shortlist.sort_by_key(|c| *c ^ *h);
             shortlist.dedup();
-            let done = shortlist
-                .iter()
-                .filter(|c| self.nodes.contains_key(*c))
-                .take(K)
-                .all(|c| queried.contains(c));
-            if done {
+            if shortlist.iter().take(K).all(|c| queried.contains(c)) {
                 break;
             }
         }
         let mut found: Vec<U160> = queried.into_iter().collect();
-        found.sort_by_key(|c| *c ^ *target);
-        (found, hops)
+        found.sort_by_key(|c| *c ^ *h);
+        Ok((found, hops))
     }
 
+    /// [`route_from`](Self::route_from) a freshly drawn initiator.
     fn route(&mut self, h: &U160) -> Result<(Vec<U160>, u64), DhtError> {
-        if self.nodes.is_empty() {
-            return Err(DhtError::EmptyRing);
-        }
-        let (found, hops) = self.iterative_find(h, None);
-        if hops > MAX_HOPS {
-            return Err(DhtError::RoutingFailed { hops });
-        }
-        Ok((found, hops))
-    }
-
-    /// [`route`](Self::route) from a fixed initiator, for batched
-    /// rounds.
-    fn route_from(&mut self, start: &U160, h: &U160) -> Result<(Vec<U160>, u64), DhtError> {
-        if self.nodes.is_empty() {
-            return Err(DhtError::EmptyRing);
-        }
-        let (found, hops) = self.iterative_find_from(start, h, None);
-        if hops > MAX_HOPS {
-            return Err(DhtError::RoutingFailed { hops });
-        }
-        Ok((found, hops))
+        let start = self.draw_initiator();
+        self.route_from(&start, h)
     }
 
     /// Whether a location-cache probe at `hint` may serve `h`: the
-    /// node must be live and still be the XOR-closest node to `h` —
-    /// the stand-in for "owner" under the Kademlia metric, and the
-    /// node a routed lookup is guaranteed to query.
+    /// node must exist and be the XOR-closest node to `h` — the
+    /// stand-in for "owner" under the Kademlia metric, and the node a
+    /// routed lookup is guaranteed to query.
     fn probe_verifies(&self, hint: &U160, h: &U160) -> bool {
         self.nodes.contains_key(hint) && self.k_closest_oracle(h).first() == Some(hint)
     }
@@ -357,12 +202,12 @@ impl<V> Net<V> {
 
 impl<V: Clone> Net<V> {
     /// Serves a verified read probe for `key` at `hint`, or reports
-    /// it stale. Kademlia replicates on the k closest nodes and a key
-    /// may legitimately be missing from the *current* closest (a
-    /// joiner that republish has not yet backfilled), so a store miss
-    /// at the hint while a replica-set neighbour still holds the key
-    /// is answered `Stale` — the full route will find the copy. A
-    /// probe can therefore never turn a live key into a false miss.
+    /// it stale. Kademlia replicates on the k closest nodes, and a
+    /// routed write lands on the k closest nodes its lookup *found*,
+    /// so a store miss at the hint while a replica-set neighbour
+    /// still holds the key is answered `Stale` — the full route will
+    /// find the copy. A probe can therefore never turn a live key
+    /// into a false miss.
     fn probe_read(&mut self, key: &DhtKey, hint: &U160) -> Probe<Option<V>> {
         let h = key.hash();
         if !self.probe_verifies(hint, &h) {
@@ -386,23 +231,26 @@ impl<V: Clone> Net<V> {
 
     /// Executes a verified write probe: the hint (the closest node)
     /// fans the value out to the current k-closest replica set, as
-    /// the routed `put` would. Returns the charged hops.
-    fn probe_write(&mut self, key: &DhtKey, value: V, hint: &U160) -> Probe<u64> {
+    /// the routed `put` would. Returns the charged hops, or `None`
+    /// (one wasted hop) when the hint does not verify.
+    fn probe_write(&mut self, key: &DhtKey, value: V, hint: &U160) -> Option<u64> {
         let h = key.hash();
         if !self.probe_verifies(hint, &h) {
             self.stats.hops += 1;
-            return Probe::Stale;
+            return None;
         }
         let targets = self.k_closest_oracle(&h);
         let hops = targets.len() as u64; // 1 probe + (k-1) fan-out
+        self.store_on(&targets, key, value);
+        Some(hops)
+    }
+
+    /// Writes `value` under `key` on every node of `targets`.
+    fn store_on(&mut self, targets: &[U160], key: &DhtKey, value: V) {
         for t in targets {
-            self.nodes
-                .get_mut(&t)
-                .expect("oracle nodes are alive")
-                .store
-                .insert(key.clone(), value.clone());
+            let node = self.nodes.get_mut(t).expect("targets are nodes");
+            node.store.insert(key.clone(), value.clone());
         }
-        Probe::Served(hops)
     }
 }
 
@@ -410,37 +258,13 @@ impl<V: Clone> Dht for KademliaDht<V> {
     type Value = V;
 
     fn get(&self, key: &DhtKey) -> Result<Option<V>, DhtError> {
-        let mut inner = self.inner.lock();
-        let (found, hops) = inner.route(&key.hash())?;
-        let hit = found
-            .iter()
-            .take(K)
-            .find_map(|n| inner.nodes[n].store.get(key).cloned());
-        inner.stats.record_op(
-            DhtOp::Get {
-                found: hit.is_some(),
-            },
-            hops,
-        );
-        Ok(hit)
+        let mut round = self.multi_get(std::slice::from_ref(key));
+        round.pop().expect("a round answers once per op")
     }
 
     fn put(&self, key: &DhtKey, value: V) -> Result<(), DhtError> {
-        let mut inner = self.inner.lock();
-        let (found, hops) = inner.route(&key.hash())?;
-        let targets: Vec<U160> = found.into_iter().take(K).collect();
-        inner
-            .stats
-            .record_op(DhtOp::Put, hops + targets.len().saturating_sub(1) as u64);
-        for t in targets {
-            inner
-                .nodes
-                .get_mut(&t)
-                .expect("found nodes are alive")
-                .store
-                .insert(key.clone(), value.clone());
-        }
-        Ok(())
+        let mut round = self.multi_put(vec![(key.clone(), value)]);
+        round.pop().expect("a round answers once per op")
     }
 
     fn remove(&self, key: &DhtKey) -> Result<Option<V>, DhtError> {
@@ -505,97 +329,41 @@ impl<V: Clone> Dht for KademliaDht<V> {
 
     fn multi_get(&self, keys: &[DhtKey]) -> Vec<Result<Option<V>, DhtError>> {
         let mut inner = self.inner.lock();
-        if inner.nodes.is_empty() {
-            return keys.iter().map(|_| Err(DhtError::EmptyRing)).collect();
-        }
         let start = inner.draw_initiator();
-        let mut out = Vec::with_capacity(keys.len());
         let mut ops = Vec::with_capacity(keys.len());
-        for key in keys {
-            match inner.route_from(&start, &key.hash()) {
-                Ok((found, hops)) => {
-                    let hit = found
-                        .iter()
-                        .take(K)
-                        .find_map(|n| inner.nodes[n].store.get(key).cloned());
-                    ops.push((
-                        DhtOp::Get {
-                            found: hit.is_some(),
-                        },
-                        hops,
-                    ));
-                    out.push(Ok(hit));
-                }
-                Err(e) => out.push(Err(e)),
-            }
-        }
+        let out = keys
+            .iter()
+            .map(|key| {
+                let (found, hops) = inner.route_from(&start, &key.hash())?;
+                let hit = found
+                    .iter()
+                    .take(K)
+                    .find_map(|n| inner.nodes[n].store.get(key).cloned());
+                let found = hit.is_some();
+                ops.push((DhtOp::Get { found }, hops));
+                Ok(hit)
+            })
+            .collect();
         inner.stats.record_batch(ops);
         out
     }
 
     fn multi_put(&self, entries: Vec<(DhtKey, V)>) -> Vec<Result<(), DhtError>> {
         let mut inner = self.inner.lock();
-        if inner.nodes.is_empty() {
-            return entries.iter().map(|_| Err(DhtError::EmptyRing)).collect();
-        }
         let start = inner.draw_initiator();
-        let mut out = Vec::with_capacity(entries.len());
         let mut ops = Vec::with_capacity(entries.len());
-        for (key, value) in entries {
-            match inner.route_from(&start, &key.hash()) {
-                Ok((found, hops)) => {
-                    let targets: Vec<U160> = found.into_iter().take(K).collect();
-                    ops.push((DhtOp::Put, hops + targets.len().saturating_sub(1) as u64));
-                    for t in targets {
-                        inner
-                            .nodes
-                            .get_mut(&t)
-                            .expect("found nodes are alive")
-                            .store
-                            .insert(key.clone(), value.clone());
-                    }
-                    out.push(Ok(()));
-                }
-                Err(e) => out.push(Err(e)),
-            }
-        }
+        let out = entries
+            .into_iter()
+            .map(|(key, value)| {
+                let (found, hops) = inner.route_from(&start, &key.hash())?;
+                let targets: Vec<U160> = found.into_iter().take(K).collect();
+                ops.push((DhtOp::Put, hops + targets.len().saturating_sub(1) as u64));
+                inner.store_on(&targets, &key, value);
+                Ok(())
+            })
+            .collect();
         inner.stats.record_batch(ops);
         out
-    }
-
-    fn probe_get(&self, key: &DhtKey, owner: U160) -> Result<Probe<Option<V>>, DhtError> {
-        let mut inner = self.inner.lock();
-        if inner.nodes.is_empty() {
-            return Err(DhtError::EmptyRing);
-        }
-        match inner.probe_read(key, &owner) {
-            Probe::Served(hit) => {
-                inner.stats.record_op(
-                    DhtOp::Get {
-                        found: hit.is_some(),
-                    },
-                    1,
-                );
-                Ok(Probe::Served(hit))
-            }
-            Probe::Stale => Ok(Probe::Stale),
-            Probe::Unsupported => Ok(Probe::Unsupported),
-        }
-    }
-
-    fn probe_put(&self, key: &DhtKey, value: V, owner: U160) -> Result<Probe<()>, DhtError> {
-        let mut inner = self.inner.lock();
-        if inner.nodes.is_empty() {
-            return Err(DhtError::EmptyRing);
-        }
-        match inner.probe_write(key, value, &owner) {
-            Probe::Served(hops) => {
-                inner.stats.record_op(DhtOp::Put, hops);
-                Ok(Probe::Served(()))
-            }
-            Probe::Stale => Ok(Probe::Stale),
-            Probe::Unsupported => Ok(Probe::Unsupported),
-        }
     }
 
     fn probe_multi_get(
@@ -603,47 +371,41 @@ impl<V: Clone> Dht for KademliaDht<V> {
         probes: &[(DhtKey, U160)],
     ) -> Vec<Result<Probe<Option<V>>, DhtError>> {
         let mut inner = self.inner.lock();
-        if inner.nodes.is_empty() {
-            return probes.iter().map(|_| Err(DhtError::EmptyRing)).collect();
-        }
-        let mut out = Vec::with_capacity(probes.len());
         let mut ops = Vec::new();
-        for (key, owner) in probes {
-            match inner.probe_read(key, owner) {
-                Probe::Served(hit) => {
+        let out = probes
+            .iter()
+            .map(|(key, owner)| {
+                let probe = inner.probe_read(key, owner);
+                if let Probe::Served(hit) = &probe {
                     ops.push((
                         DhtOp::Get {
                             found: hit.is_some(),
                         },
                         1,
                     ));
-                    out.push(Ok(Probe::Served(hit)));
                 }
-                Probe::Stale => out.push(Ok(Probe::Stale)),
-                Probe::Unsupported => out.push(Ok(Probe::Unsupported)),
-            }
-        }
+                Ok(probe)
+            })
+            .collect();
         inner.stats.record_batch(ops);
         out
     }
 
     fn probe_multi_put(&self, entries: Vec<(DhtKey, V, U160)>) -> Vec<Result<Probe<()>, DhtError>> {
         let mut inner = self.inner.lock();
-        if inner.nodes.is_empty() {
-            return entries.iter().map(|_| Err(DhtError::EmptyRing)).collect();
-        }
-        let mut out = Vec::with_capacity(entries.len());
         let mut ops = Vec::new();
-        for (key, value, owner) in entries {
-            match inner.probe_write(&key, value, &owner) {
-                Probe::Served(hops) => {
-                    ops.push((DhtOp::Put, hops));
-                    out.push(Ok(Probe::Served(())));
-                }
-                Probe::Stale => out.push(Ok(Probe::Stale)),
-                Probe::Unsupported => out.push(Ok(Probe::Unsupported)),
-            }
-        }
+        let out = entries
+            .into_iter()
+            .map(
+                |(key, value, owner)| match inner.probe_write(&key, value, &owner) {
+                    Some(hops) => {
+                        ops.push((DhtOp::Put, hops));
+                        Ok(Probe::Served(()))
+                    }
+                    None => Ok(Probe::Stale),
+                },
+            )
+            .collect();
         inner.stats.record_batch(ops);
         out
     }
@@ -747,55 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_is_masked_by_replication() {
-        let dht: KademliaDht<u32> = KademliaDht::with_nodes(32, 9);
-        for i in 0..200u32 {
-            dht.put(&k(&format!("key:{i}")), i).unwrap();
-        }
-        // Crash a quarter of the network (fewer than k per key).
-        let ids = dht.node_ids();
-        for id in ids.iter().take(6) {
-            assert!(dht.crash(id));
-        }
-        dht.republish();
-        for i in 0..200u32 {
-            assert_eq!(
-                dht.get(&k(&format!("key:{i}"))).unwrap(),
-                Some(i),
-                "key {i} lost despite k = 8 replication"
-            );
-        }
-    }
-
-    #[test]
-    fn join_then_republish_rebalances() {
-        let dht: KademliaDht<u32> = KademliaDht::with_nodes(16, 11);
-        for i in 0..100u32 {
-            dht.put(&k(&format!("key:{i}")), i).unwrap();
-        }
-        for j in 0..8 {
-            assert!(dht.join(&format!("late:{j}")).is_some());
-        }
-        assert!(dht.join("late:0").is_none(), "duplicate join rejected");
-        dht.republish();
-        assert_eq!(dht.node_count(), 24);
-        for i in 0..100u32 {
-            assert_eq!(dht.get(&k(&format!("key:{i}"))).unwrap(), Some(i));
-        }
-        // After republish, replicas sit on the *current* k closest.
-        {
-            let inner = dht.inner.lock();
-            let key = k("key:42");
-            for id in inner.k_closest_oracle(&key.hash()) {
-                assert!(inner.nodes[&id].store.contains_key(&key));
-            }
-            // The guard must drop before calling back into the DHT —
-            // Dht::stats() takes the same (non-reentrant) lock.
-        }
-        assert!(dht.stats().keys_transferred > 0);
-    }
-
-    #[test]
     fn every_operation_counts_one_lookup() {
         let dht: KademliaDht<u32> = KademliaDht::with_nodes(8, 13);
         dht.put(&k("a"), 1).unwrap();
@@ -845,37 +558,34 @@ mod tests {
         let s = dht.stats();
         assert_eq!(s.hops, 1, "one wasted hop");
         assert_eq!(s.lookups(), 0);
-        // A dead hint is stale too.
-        assert!(dht.crash(&closest));
-        assert_eq!(dht.probe_get(&key, closest).unwrap(), Probe::Stale);
+        // A hint that names no node is stale too, at one more hop.
+        let nowhere = sha1(b"kad:no-such-node");
+        assert_eq!(dht.probe_get(&key, nowhere).unwrap(), Probe::Stale);
+        assert_eq!(dht.stats().hops, 2);
     }
 
     #[test]
-    fn unbackfilled_joiner_answers_stale_not_false_miss() {
+    fn emptied_closest_node_answers_stale_not_false_miss() {
         let dht: KademliaDht<u32> = KademliaDht::with_nodes(16, 23);
         let key = k("replicated");
         dht.put(&key, 11).unwrap();
-        let old_closest = dht.owner_hint(&key).unwrap();
-        // Join nodes until one is XOR-closer to the key than every
-        // existing node; before republish it holds no copy.
-        let h = key.hash();
-        let joiner = (0..100_000u64)
-            .map(|i| format!("kad:squatter:{i}"))
-            .find(|name| sha1(name.as_bytes()) ^ h < old_closest ^ h)
-            .expect("some candidate is closer");
-        dht.join(&joiner).expect("fresh id");
         let hint = dht.owner_hint(&key).unwrap();
-        assert_ne!(hint, old_closest);
-        // The verified probe must not serve the joiner's empty store
-        // as a miss while replicas still hold the key.
+        // The closest node loses its copy; its replica-set neighbours
+        // keep theirs.
+        dht.inner
+            .lock()
+            .nodes
+            .get_mut(&hint)
+            .unwrap()
+            .store
+            .remove(&key);
+        dht.reset_stats();
+        // The verified probe must not serve the closest node's empty
+        // store as a miss while replicas still hold the key.
         assert_eq!(dht.probe_get(&key, hint).unwrap(), Probe::Stale);
+        let s = dht.stats();
+        assert_eq!((s.hops, s.lookups()), (1, 0), "one wasted hop");
         assert_eq!(dht.get(&key).unwrap(), Some(11), "the route finds a copy");
-        // After republish backfills the joiner, the probe serves.
-        dht.republish();
-        assert_eq!(
-            dht.probe_get(&key, dht.owner_hint(&key).unwrap()).unwrap(),
-            Probe::Served(Some(11))
-        );
         // A truly absent key is a served miss, not stale.
         let absent = k("never-written");
         assert_eq!(
@@ -903,7 +613,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_stack_over_kademlia_cuts_hops_and_survives_churn() {
+    fn cached_stack_over_kademlia_cuts_hops() {
         use lht_dht::CachedDht;
 
         let dht = CachedDht::with_capacity(KademliaDht::<u32>::with_nodes(64, 31), 256);
@@ -917,20 +627,8 @@ mod tests {
         let warm = dht.stats();
         assert_eq!(warm.cache_hits, 64);
         assert_eq!(warm.hops, 64, "all warm lookups are single-hop");
-        // Churn: crash a node and join another, no republish yet.
-        let victim = dht.inner().node_ids()[0];
-        assert!(dht.inner().crash(&victim));
-        dht.inner().join("kad:late");
-        for i in 0..64u32 {
-            assert_eq!(
-                dht.get(&k(&format!("key:{i}"))).unwrap(),
-                Some(i),
-                "stale hints fall back to full routes, never wrong answers"
-            );
-        }
-        let s = dht.stats();
-        assert!(s.rounds <= s.lookups());
-        assert!(s.round_hops <= s.hops);
+        assert!(warm.rounds <= warm.lookups());
+        assert!(warm.round_hops <= warm.hops);
     }
 
     #[test]

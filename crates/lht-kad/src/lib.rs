@@ -12,9 +12,9 @@
 //!
 //! The simulation is message-step faithful: per-node routing tables of
 //! 160 k-buckets, iterative `FIND_NODE` lookups with α-parallel
-//! probing (each probed contact costs one hop), k-closest replication,
-//! node join with bucket refresh, and crashes that lose only
-//! unreplicated data.
+//! probing (each probed contact costs one hop) and k-closest
+//! replication. The network is static, converged at construction;
+//! membership churn is Chord's.
 //!
 //! # Examples
 //!

@@ -379,21 +379,11 @@ pub fn run_soak(opts: &SoakOptions) -> Result<SoakReport, Box<DiffFailure>> {
         len: opts.ops,
         churn: opts.churn,
     });
-    run_trace(&trace, opts)
-}
-
-/// Runs an explicit trace (e.g. parsed from a serialized line)
-/// against the substrate described by `opts`.
-///
-/// # Errors
-///
-/// Same contract as [`run_soak`].
-pub fn run_trace(trace: &Trace, opts: &SoakOptions) -> Result<SoakReport, Box<DiffFailure>> {
     match opts.index {
-        IndexKind::Lht => drive::<LeafBucket<u32>>(trace, opts),
-        IndexKind::Pht => drive::<PhtNode<u32>>(trace, opts),
-        IndexKind::Dst => drive::<DstNode<u32>>(trace, opts),
-        IndexKind::Rst => drive::<RstNode<u32>>(trace, opts),
+        IndexKind::Lht => drive::<LeafBucket<u32>>(&trace, opts),
+        IndexKind::Pht => drive::<PhtNode<u32>>(&trace, opts),
+        IndexKind::Dst => drive::<DstNode<u32>>(&trace, opts),
+        IndexKind::Rst => drive::<RstNode<u32>>(&trace, opts),
     }
 }
 

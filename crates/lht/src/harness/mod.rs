@@ -1,7 +1,7 @@
 //! Cross-crate differential-testing and invariant-audit harness.
 //!
 //! The harness holds the whole workspace to one standard of
-//! correctness by driving one deterministic operation [`Trace`]
+//! correctness by driving one deterministic operation trace
 //! through:
 //!
 //! 1. the **index** under test — LHT, or the PHT, DST or RST
@@ -62,7 +62,6 @@ mod oracle;
 mod trace;
 mod world;
 
-pub use differ::{run_soak, run_trace, DiffFailure, IndexKind, SoakOptions, SoakReport};
+pub use differ::{run_soak, DiffFailure, IndexKind, SoakOptions, SoakReport};
 pub use oracle::ShadowOracle;
-pub use trace::{generate, Op, Trace, TraceConfig};
 pub use world::{Mutant, Stored, SubstrateKind, Tier, World, WorldSpec, ERASURE_FLAG, QUORUM_FLAG};

@@ -3,9 +3,7 @@
 //! A [`Trace`] is the unit of replay: a seed plus the operation list
 //! generated from it. The generator is fully deterministic — the same
 //! [`TraceConfig`] always yields the same trace — so a failing soak is
-//! reproduced by a single seed, and [`Trace::to_line`] /
-//! [`Trace::parse_line`] serialize the exact operation stream for
-//! cases where the generator has changed since the failure was filed.
+//! reproduced by a single seed.
 
 use lht_core::HistoryCall;
 use rand::rngs::StdRng;
@@ -19,7 +17,7 @@ use rand::{Rng, SeedableRng};
 /// ops apply only on substrates with membership (the Chord ring) and
 /// are skipped elsewhere.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Op {
+pub(crate) enum Op {
     /// One index operation. A range with `hi: None` is `[lo, 2^64)`,
     /// the top-of-space boundary a half-open range cannot express.
     Index(HistoryCall<u32>),
@@ -48,93 +46,28 @@ impl std::fmt::Display for Op {
     }
 }
 
-impl std::str::FromStr for Op {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Op, String> {
-        let mut parts = s.split(':');
-        let tag = parts.next().unwrap_or_default();
-        let mut num = |what: &str| -> Result<u64, String> {
-            parts
-                .next()
-                .ok_or_else(|| format!("op {s:?}: missing {what}"))?
-                .parse::<u64>()
-                .map_err(|e| format!("op {s:?}: bad {what}: {e}"))
-        };
-        let op = match tag {
-            "i" => Op::Index(HistoryCall::Insert {
-                key: num("key")?,
-                value: num("value")? as u32,
-            }),
-            "r" => Op::Index(HistoryCall::Remove { key: num("key")? }),
-            "l" => Op::Index(HistoryCall::Get { key: num("key")? }),
-            "q" => range(num("lo")?, Some(num("hi")?)),
-            "qe" => range(num("lo")?, None),
-            "min" => Op::Index(HistoryCall::Min),
-            "max" => Op::Index(HistoryCall::Max),
-            "join" => Op::Join(num("ordinal")? as u32),
-            "leave" => Op::Leave(num("ordinal")? as u32),
-            "stab" => Op::Stabilize,
-            other => return Err(format!("unknown op tag {other:?}")),
-        };
-        if parts.next().is_some() {
-            return Err(format!("op {s:?}: trailing fields"));
-        }
-        Ok(op)
-    }
-}
-
 fn range(lo: u64, hi: Option<u64>) -> Op {
     Op::Index(HistoryCall::Range { lo, hi })
 }
 
 /// Parameters of the deterministic trace generator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceConfig {
+pub(crate) struct TraceConfig {
     /// The seed everything derives from.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Number of operations to generate.
-    pub len: usize,
+    pub(crate) len: usize,
     /// Whether to interleave ring churn (join/leave/stabilize).
-    pub churn: bool,
+    pub(crate) churn: bool,
 }
 
 /// A generated operation stream plus the seed it came from.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Trace {
+pub(crate) struct Trace {
     /// The generator seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// The operations, in application order.
-    pub ops: Vec<Op>,
-}
-
-impl Trace {
-    /// Serializes the trace to one line: `seed <s> ; <op> <op> …`.
-    pub fn to_line(&self) -> String {
-        let mut line = format!("seed {} ;", self.seed);
-        for op in &self.ops {
-            line.push(' ');
-            line.push_str(&op.to_string());
-        }
-        line
-    }
-
-    /// Parses a line produced by [`Trace::to_line`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed token.
-    pub fn parse_line(line: &str) -> Result<Trace, String> {
-        let mut tokens = line.split_whitespace();
-        match (tokens.next(), tokens.next(), tokens.next()) {
-            (Some("seed"), Some(seed), Some(";")) => {
-                let seed = seed.parse::<u64>().map_err(|e| format!("bad seed: {e}"))?;
-                let ops = tokens.map(str::parse).collect::<Result<Vec<Op>, _>>()?;
-                Ok(Trace { seed, ops })
-            }
-            _ => Err("expected `seed <u64> ; <ops…>`".to_string()),
-        }
-    }
+    pub(crate) ops: Vec<Op>,
 }
 
 /// Keys the generator gravitates towards: the partition-tree
@@ -152,7 +85,7 @@ const BOUNDARY_KEYS: [u64; 6] = [0, 1, 1 << 63, (1 << 63) - 1, u64::MAX - 1, u64
 /// previously-touched keys (so removes and lookups hit), clustered
 /// keys sharing long prefixes (driving deep splits), and exact
 /// partition boundaries.
-pub fn generate(cfg: &TraceConfig) -> Trace {
+pub(crate) fn generate(cfg: &TraceConfig) -> Trace {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut ops = Vec::with_capacity(cfg.len);
     let mut touched: Vec<u64> = Vec::new();
@@ -264,27 +197,6 @@ mod tests {
         assert_eq!(generate(&cfg), generate(&cfg));
         let other = TraceConfig { seed: 100, ..cfg };
         assert_ne!(generate(&cfg), generate(&other));
-    }
-
-    #[test]
-    fn traces_round_trip_through_text() {
-        let cfg = TraceConfig {
-            seed: 7,
-            len: 300,
-            churn: true,
-        };
-        let trace = generate(&cfg);
-        let line = trace.to_line();
-        assert_eq!(Trace::parse_line(&line).unwrap(), trace);
-    }
-
-    #[test]
-    fn parse_rejects_malformed_input() {
-        assert!(Trace::parse_line("nonsense").is_err());
-        assert!(Trace::parse_line("seed x ; i:1:2").is_err());
-        assert!(Trace::parse_line("seed 1 ; z:9").is_err());
-        assert!(Trace::parse_line("seed 1 ; i:1").is_err());
-        assert!(Trace::parse_line("seed 1 ; i:1:2:3").is_err());
     }
 
     #[test]

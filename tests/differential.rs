@@ -1,12 +1,10 @@
 //! End-to-end exercise of the differential-testing harness: long
-//! soaks over both substrates, trace replay, and — crucially — proof
+//! soaks over both substrates, replay lines, and — crucially — proof
 //! that the harness detects injected faults instead of vacuously
 //! passing.
 
 use lht::harness::args::parse_replay;
-use lht::harness::{
-    generate, run_soak, run_trace, IndexKind, SoakOptions, SubstrateKind, Tier, Trace, TraceConfig,
-};
+use lht::harness::{run_soak, IndexKind, SoakOptions, SubstrateKind, Tier};
 use lht::{ErasureConfig, NetProfile, QuorumConfig};
 use proptest::prelude::*;
 
@@ -162,31 +160,6 @@ fn soak_direct_rst_baseline() {
     let report = run_soak(&opts).unwrap_or_else(|f| panic!("{f}"));
     assert_eq!(report.applied, 6_000);
     assert!(report.queries > 1_500);
-}
-
-/// The same seed replayed through trace serialization produces the
-/// identical run — the one-line replay a failure report prints really
-/// does reproduce the failure's operation stream.
-#[test]
-fn serialized_trace_replays_identically() {
-    let opts = SoakOptions {
-        seed: 424_242,
-        ops: 2_000,
-        theta: 3,
-        substrate: SubstrateKind::Direct,
-        audit_every: 500,
-        ..SoakOptions::default()
-    };
-    let trace = generate(&TraceConfig {
-        seed: opts.seed,
-        len: opts.ops,
-        churn: opts.churn,
-    });
-    let reparsed = Trace::parse_line(&trace.to_line()).expect("round trip");
-    assert_eq!(reparsed, trace);
-    let direct = run_soak(&opts).unwrap_or_else(|f| panic!("{f}"));
-    let replayed = run_trace(&reparsed, &opts).unwrap_or_else(|f| panic!("{f}"));
-    assert_eq!(direct, replayed);
 }
 
 /// Destroying one leaf bucket mid-soak MUST make the harness fail,

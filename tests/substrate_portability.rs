@@ -58,30 +58,6 @@ fn lht_over_kademlia_full_query_surface() {
 }
 
 #[test]
-fn lht_over_kademlia_survives_crashes_with_default_replication() {
-    // Kademlia replicates on k = 8 closest by default, so a few
-    // crashes plus a republish lose nothing.
-    let dht: KademliaDht<LeafBucket<u64>> = KademliaDht::with_nodes(40, 17);
-    let ix = LhtIndex::new(&dht, LhtConfig::new(16, 20)).unwrap();
-    let data = Dataset::generate(KeyDist::Uniform, 800, 19);
-    for (i, k) in data.iter().enumerate() {
-        ix.insert(k, i as u64).unwrap();
-    }
-    let ids = dht.node_ids();
-    for id in ids.iter().step_by(9).take(4) {
-        assert!(dht.crash(id));
-    }
-    dht.republish();
-    for (i, k) in data.iter().enumerate() {
-        assert_eq!(
-            ix.exact_match(k).unwrap().value,
-            Some(i as u64),
-            "record {i} lost despite k-closest replication"
-        );
-    }
-}
-
-#[test]
 fn dst_runs_over_chord_too() {
     // The baselines are over-DHT schemes as well: DST over Chord.
     let dht: ChordDht<DstNode<u64>> = ChordDht::with_nodes(16, 21);
